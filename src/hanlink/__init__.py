@@ -1,5 +1,7 @@
 """hanlink: probabilistic record linkage with logographic name matching."""
 
+__version__ = "0.1.0"
+
 from .compare import (
     FeatureSpec,
     PairFeaturizer,
@@ -41,5 +43,3 @@ from .fuse import (
     transfer_predictions,
 )
 from .simgen import SimConfig, build_name_model, corrupt_name, generate_pair_files
-
-__version__ = "0.1.0"

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .assets import load_bundle
-from .compare import FeatureSpec, PairFeaturizer, default_feature_bank
+from .compare import FeatureSpec, PairFeaturizer
 from .matcher import (
     MatcherModel,
     ScoreDistribution,
@@ -28,10 +29,8 @@ from .matcher import (
 from .metrics import GroupedRanking, auroc, eauroc, log_loss
 from .simgen import SimConfig, build_name_model, generate_pair_files, write_truth
 from . import experiment as exp
-from .linkage import read_records, write_records
+from .linkage import LINK_FIELDS, read_records, write_records
 from .simgen import read_truth
-
-PKG_VERSION = "0.1.0"
 
 
 class InputError(ValueError):
@@ -57,7 +56,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": seed,
-        "package_version": PKG_VERSION,
+        "package_version": __version__,
         "asset_versions": bundle.versions() if bundle else None,
         "outputs": outputs,
     }
@@ -170,11 +169,8 @@ def cmd_fitdist(args) -> int:
     elif "name_a" in cols and "name_b" in cols and "label" in cols:
         if not args.model:
             raise InputError("name-pair input needs --model to score pairs")
-        bundle = load_bundle(args.assets)
-        model = MatcherModel.load(args.model)
-        scorer = exp.NamePairScorer(
-            model, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
-                                  specs=model.specs))
+        scorer = exp.NamePairScorer.for_model(MatcherModel.load(args.model),
+                                              load_bundle(args.assets))
         pairs = [(r[cols["name_a"]], r[cols["name_b"]]) for r in rows]
         scores = scorer.scores(pairs)
         labels = np.array([int(r[cols["label"]]) for r in rows])
@@ -215,7 +211,7 @@ def _experiment_files(config: dict, args, bundle) -> dict:
     records_a = read_records(data["file_a"])
     records_b = read_records(data["file_b"])
     truth = read_truth(data["truth"])
-    fields = tuple(config.get("fields", ("name", "sex", "yob", "mob", "dob", "loc")))
+    fields = tuple(config.get("fields", LINK_FIELDS))
     dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
     methods = tuple(config.get("methods") or
                     ([config["method"]] if config.get("method") else ("exact",)))
@@ -225,18 +221,7 @@ def _experiment_files(config: dict, args, bundle) -> dict:
     if any(m != "exact" for m in methods):
         if not classifier:
             raise InputError("non-exact methods require a 'classifier'")
-        if classifier.startswith("single:"):
-            model = MatcherModel.single_feature(
-                FeatureSpec.from_name(classifier.split(":", 1)[1]))
-            scorer = exp.NamePairScorer(
-                model, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
-                                      specs=model.specs))
-        elif classifier.startswith("logistic:"):
-            model = MatcherModel.load(classifier.split(":", 1)[1])
-            scorer = exp.NamePairScorer(
-                model, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
-                                      specs=model.specs))
-        elif classifier.startswith("external-scores:"):
+        if classifier.startswith("external-scores:"):
             table = {}
             with open(classifier.split(":", 1)[1], "r", encoding="utf-8",
                       newline="") as handle:
@@ -251,7 +236,8 @@ def _experiment_files(config: dict, args, bundle) -> dict:
                         float(row[cols["score"]])
             scorer = exp.ExternalScorer(table)
         else:
-            raise InputError(f"unknown classifier selector {classifier!r}")
+            scorer = exp.NamePairScorer.for_model(MatcherModel.from_selector(classifier),
+                                                  bundle)
         if not config.get("dist"):
             raise InputError("non-exact methods require a fitted 'dist' file")
         dist = ScoreDistribution.load(config["dist"])

@@ -20,9 +20,9 @@ from .encoding import (
     FrequencyTable,
     IDENTITY_TABLE,
     ambiguity_count,
+    extract_substring,
     han_indicator,
     log_rel_frequency,
-    logograms,
     transform,
 )
 
@@ -146,16 +146,6 @@ def cosine_sim(a: str, b: str, k: int) -> float:
 
 
 RANGE_TAGS = ("1:N", "1:1", "1:2", "2:N", "3:N")
-
-
-def extract_substring(name: str, range_tag: str) -> str:
-    """Logograms of `name` at the 1-based positions given by the range;
-    ranges past the end truncate, a start past the end yields ""."""
-    chars = logograms(name)
-    start_s, end_s = range_tag.split(":")
-    start = int(start_s)
-    end = len(chars) if end_s == "N" else int(end_s)
-    return "".join(chars[start - 1 : end])
 
 
 class HanCategory(str, Enum):

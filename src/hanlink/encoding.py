@@ -175,8 +175,11 @@ def ambiguity_count(name: str, alias_phrases: tuple[str, ...] = ("又名",)) -> 
 LF_RANGES = ("1:1", "1:2", "2:N", "3:N")
 
 
-def _extract(chars: list[str], tag: str) -> str:
-    start_s, end_s = tag.split(":")
+def extract_substring(name: str, range_tag: str) -> str:
+    """Logograms of `name` at the 1-based positions given by the range;
+    ranges past the end truncate, a start past the end yields ""."""
+    chars = logograms(name)
+    start_s, end_s = range_tag.split(":")
     start = int(start_s)
     end = len(chars) if end_s == "N" else int(end_s)
     return "".join(chars[start - 1 : end])
@@ -197,7 +200,7 @@ class FrequencyTable:
         for tag in ranges:
             counts: Counter[str] = Counter()
             for name in names:
-                sub = _extract(logograms(name), tag)
+                sub = extract_substring(name, tag)
                 if sub:
                     counts[sub] += 1
             total = sum(counts.values())
@@ -230,7 +233,7 @@ def log_rel_frequency(name: str, range_tag: str, freq: FrequencyTable) -> float:
     if range_tag not in LF_RANGES:
         raise ValueError(f"substring range {range_tag!r} not allowed for frequencies "
                          f"(expected one of {LF_RANGES})")
-    sub = _extract(logograms(name), range_tag)
+    sub = extract_substring(name, range_tag)
     return freq.values.get((range_tag, sub), freq.floor)
 
 

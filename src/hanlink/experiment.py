@@ -17,11 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import AssetBundle, load_bundle
-from .compare import FeatureSpec, PairFeaturizer
-from .fuse import eligible_rows, posterior_adjust, tau1_select, tau2_select
+from .compare import PairFeaturizer
+from .fuse import (
+    apply_threshold,
+    check_coverage,
+    eligible_rows,
+    posterior_adjust,
+    tau1_select,
+    tau2_select,
+)
 from .linkage import (
-    NA,
+    LINK_FIELDS,
     PatternTable,
+    _codes_to_gammas,
     em_fit,
     encode_field_values,
     pair_gamma_codes,
@@ -33,7 +41,13 @@ from .matcher import (
     fit_score_distributions,
     train_matcher,
 )
-from .metrics import GroupedRanking, auroc, eauroc, grouped_log_loss
+from .metrics import (
+    GroupedRanking,
+    auroc,
+    confusion_at_proportion,
+    eauroc,
+    grouped_log_loss,
+)
 from .simgen import SimConfig, build_name_model, generate_pair_files
 
 DEFAULT_METHODS = ("exact", "tau1", "tau2", "posterior")
@@ -56,6 +70,12 @@ class NamePairScorer:
         self.featurizer = featurizer
         self._cache: dict[tuple[str, str], float] = {}
 
+    @classmethod
+    def for_model(cls, model: MatcherModel, bundle: AssetBundle) -> "NamePairScorer":
+        """Scorer featurizing with the bundle's tables over the model's specs."""
+        return cls(model, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
+                                         specs=model.specs))
+
     def scores(self, pairs: list[tuple[str, str]]) -> np.ndarray:
         missing = [p for p in set(pairs) if p not in self._cache]
         if missing:
@@ -67,9 +87,14 @@ class NamePairScorer:
 
 
 class ExternalScorer:
-    """Name-pair scores taken from a precomputed table (any score source)."""
+    """Name-pair scores taken from a precomputed table (any score source).
+    Every score must lie in [0, 1]."""
 
     def __init__(self, table: dict[tuple[str, str], float]):
+        for pair, value in table.items():
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"external score {value!r} for pair {pair!r} "
+                                 "is outside [0, 1]")
         self.table = table
 
     def scores(self, pairs: list[tuple[str, str]]) -> np.ndarray:
@@ -90,7 +115,6 @@ class LinkageDataset:
         self.fields = tuple(fields)
         if "name" not in self.fields:
             raise ValueError("linkage fields must include 'name'")
-        self.name_ix = self.fields.index("name")
         self.names_a = records_a["name"]
         self.names_b = records_b["name"]
         self.n_a = len(self.names_a)
@@ -112,7 +136,11 @@ class LinkageDataset:
             if self._matrix is not None:
                 yield start, self._matrix[rows]
             else:
-                yield start, pair_gamma_codes(self.codes_a, self.codes_b, rows)
+                yield start, self._cross_codes(rows)
+
+    def _cross_codes(self, rows: slice) -> np.ndarray:
+        return pair_gamma_codes([ca[rows][:, None] for ca in self.codes_a],
+                                [cb[None, :] for cb in self.codes_b])
 
     def tabulate(self) -> tuple[PatternTable, np.ndarray]:
         """Pattern table over all pairs plus true-match counts per row."""
@@ -122,31 +150,18 @@ class LinkageDataset:
             self._matrix = np.empty((self.n_a, self.n_b), dtype=np.int16)
             for start in range(0, self.n_a, 512):
                 rows = slice(start, min(start + 512, self.n_a))
-                self._matrix[rows] = pair_gamma_codes(self.codes_a, self.codes_b,
-                                                      rows).astype(np.int16)
+                self._matrix[rows] = self._cross_codes(rows).astype(np.int16)
         for _, block in self._chunks():
             totals += np.bincount(block.ravel().astype(np.int64), minlength=n_codes)
-        truth_codes = self._truth_codes()
+        ta, tb = self.truth[:, 0], self.truth[:, 1]
+        truth_codes = pair_gamma_codes([ca[ta] for ca in self.codes_a],
+                                       [cb[tb] for cb in self.codes_b])
         pos_by_code = np.bincount(truth_codes, minlength=n_codes)
         present = np.nonzero(totals)[0]
-        gammas = np.empty((len(present), len(self.fields)), dtype=np.int8)
-        rest = present.copy()
-        for f in range(len(self.fields)):
-            gammas[:, f] = rest % 3
-            rest //= 3
-        table = PatternTable(fields=self.fields, gammas=gammas, counts=totals[present])
+        table = PatternTable(fields=self.fields,
+                             gammas=_codes_to_gammas(present, len(self.fields)),
+                             counts=totals[present])
         return table, pos_by_code[present].astype(np.int64)
-
-    def _truth_codes(self) -> np.ndarray:
-        ta, tb = self.truth[:, 0], self.truth[:, 1]
-        code = np.zeros(len(ta), dtype=np.int64)
-        power = 1
-        for ca, cb in zip(self.codes_a, self.codes_b):
-            a, b = ca[ta], cb[tb]
-            gamma = np.where((a == -1) | (b == -1), NA, (a == b).astype(np.int64))
-            code += gamma * power
-            power *= 3
-        return code
 
     def candidate_pairs(self, wanted_codes: np.ndarray):
         """All (i, j, code) pairs whose pattern code is in `wanted_codes`."""
@@ -170,7 +185,6 @@ def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
                              np.asarray(neg, float))
     if q is None:
         q = ranking.total_pos() / ranking.total_neg()
-    from .metrics import confusion_at_proportion
     fn_t, fp_t = confusion_at_proportion(ranking, pi_true)
     fn_e, fp_e = confusion_at_proportion(ranking, pi_est)
     return {
@@ -185,39 +199,6 @@ def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
         "pi_m_true": pi_true,
         "pi_m_est": pi_est,
     }
-
-
-def _moved_table(table: PatternTable, pos: np.ndarray, name_ix: int,
-                 pair_rows: np.ndarray, move_mask: np.ndarray,
-                 labels: np.ndarray) -> tuple[PatternTable, np.ndarray]:
-    """New table after flipping gamma_name to 1 for masked pairs."""
-    codes = table.codes()
-    entries = {int(c): [int(n), int(p)] for c, n, p in zip(codes, table.counts, pos)}
-    power = 3 ** name_ix
-    J = len(table.counts)
-    moved_n = np.bincount(pair_rows[move_mask], minlength=J)
-    moved_p = np.bincount(pair_rows[move_mask & labels], minlength=J)
-    for j in np.nonzero(moved_n)[0]:
-        code = int(codes[j])
-        target = code + power
-        entries[code][0] -= int(moved_n[j])
-        entries[code][1] -= int(moved_p[j])
-        if target not in entries:
-            entries[target] = [0, 0]
-        entries[target][0] += int(moved_n[j])
-        entries[target][1] += int(moved_p[j])
-    kept = sorted(c for c, (n, _) in entries.items() if n > 0)
-    gammas = np.empty((len(kept), len(table.fields)), dtype=np.int8)
-    counts = np.empty(len(kept), dtype=np.int64)
-    new_pos = np.empty(len(kept), dtype=np.int64)
-    for r, code in enumerate(kept):
-        rest = code
-        for f in range(len(table.fields)):
-            gammas[r, f] = rest % 3
-            rest //= 3
-        counts[r] = entries[code][0]
-        new_pos[r] = entries[code][1]
-    return PatternTable(fields=table.fields, gammas=gammas, counts=counts), new_pos
 
 
 @dataclass
@@ -270,8 +251,7 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
                           pi_true=pi_true)
     for method in fusion:
         if method in ("tau1", "tau2"):
-            reports[method] = _threshold_report(method, inputs, fs_model, dist,
-                                                dataset, q)
+            reports[method] = _threshold_report(method, inputs, fs_model, dist, q)
         elif method == "posterior":
             reports[method] = _posterior_report(inputs, dist, floor, q)
         else:
@@ -281,15 +261,13 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     return reports
 
 
-def _threshold_report(method: str, inputs: MethodInputs, fs_model, dist,
-                      dataset: LinkageDataset, q) -> dict:
+def _threshold_report(method: str, inputs: MethodInputs, fs_model, dist, q) -> dict:
     if method == "tau1":
         tau = tau1_select(inputs.table, inputs.zetas, dist)
     else:
         tau = tau2_select(inputs.table, inputs.zetas, dist, fs_model)
-    move = inputs.pair_scores >= tau
-    new_table, new_pos = _moved_table(inputs.table, inputs.pos, dataset.name_ix,
-                                      inputs.pair_rows, move, inputs.pair_labels)
+    new_table, new_pos = apply_threshold(tau, inputs.table, inputs.pos, inputs.pair_rows,
+                                         inputs.pair_scores, inputs.pair_labels)
     model2 = em_fit(new_table)
     z2 = zeta(model2, new_table)
     total = new_table.total
@@ -297,7 +275,7 @@ def _threshold_report(method: str, inputs: MethodInputs, fs_model, dist,
     report = _evaluate_ranking(z2, new_pos, new_table.counts - new_pos,
                                inputs.pi_true, pi_est, q)
     report["tau"] = tau
-    report["n_moved_pairs"] = int(move.sum())
+    report["n_moved_pairs"] = int((inputs.pair_scores >= tau).sum())
     return report
 
 
@@ -307,12 +285,9 @@ def _posterior_report(inputs: MethodInputs, dist: ScoreDistribution,
     adjusted = posterior_adjust(table, z, dist, inputs.pair_rows,
                                 inputs.pair_scores, floor=floor)
     elig = adjusted.eligible_rows
+    check_coverage(table, inputs.pair_rows, elig)
     in_elig = np.zeros(len(table.counts), dtype=bool)
     in_elig[elig] = True
-    covered = np.bincount(inputs.pair_rows, minlength=len(table.counts))[elig]
-    if not np.array_equal(covered, table.counts[elig]):
-        raise RuntimeError("candidate enumeration did not cover all pairs of "
-                           "eligible rows; lower candidate_floor")
     pair_labels = inputs.pair_labels[in_elig[inputs.pair_rows]]
     keep = ~in_elig
     scores = np.concatenate([z[keep], adjusted.posterior])
@@ -353,10 +328,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     ta, tb = sim.truth[:, 0], sim.truth[:, 1]
 
     info: dict = {"dev_sim_records": dev_cfg.n_records}
-    if classifier.startswith("single:"):
-        spec = FeatureSpec.from_name(classifier.split(":", 1)[1])
-        model = MatcherModel.single_feature(spec)
-    elif classifier == "logistic:train":
+    if classifier == "logistic:train":
         pos_pairs = [(names_a[i], names_b[j]) for i, j in zip(ta, tb)
                      if names_a[i] != names_b[j]]
         n_neg = int(opts["n_nonmatch_name_pairs"])
@@ -379,13 +351,10 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
         info["n_train_pairs"] = len(pairs) - n_dev
         info["n_dev_pairs"] = n_dev
         info["n_selected_features"] = len(model.specs)
-    elif classifier.startswith("logistic:"):
-        model = MatcherModel.load(classifier.split(":", 1)[1])
     else:
-        raise ValueError(f"classifier {classifier!r} cannot be trained here")
+        model = MatcherModel.from_selector(classifier)
 
-    scorer = NamePairScorer(model, PairFeaturizer(bundle.tables, bundle.freq,
-                                                  bundle.surnames, specs=model.specs))
+    scorer = NamePairScorer.for_model(model, bundle)
     match_pairs = [(names_a[i], names_b[j]) for i, j in zip(ta, tb)]
     n_u = int(opts["n_nonmatch_score_pairs"])
     u_i = rng.integers(len(names_a), size=n_u)
@@ -410,41 +379,21 @@ def run_replicate(bundle: AssetBundle, name_model, sim_params: dict, rep_seed: i
     cfg = SimConfig.from_dict({**sim_params, "seed": rep_seed})
     sim = generate_pair_files(cfg, name_model)
     dataset = LinkageDataset(sim.records_a, sim.records_b, sim.truth, fields)
-    scorer = None
-    if model is not None:
-        scorer = NamePairScorer(model, PairFeaturizer(bundle.tables, bundle.freq,
-                                                      bundle.surnames,
-                                                      specs=model.specs))
+    scorer = None if model is None else NamePairScorer.for_model(model, bundle)
     return run_methods(dataset, methods, scorer=scorer, dist=dist, floor=floor,
                        candidate_floor=candidate_floor, q=q)
 
 
-_G: dict = {}
-
-
-def _init_worker(assets_dir):
-    _G["bundle"] = load_bundle(assets_dir)
-    _G["name_model"] = build_name_model(_G["bundle"].corpus, _G["bundle"].tables)
-
-
-def _replicate_task(args):
-    sim_params, rep_seed, methods, model_dict, dist_dict, fields, floor, cand, q = args
-    model = MatcherModel.from_dict(model_dict) if model_dict else None
-    dist = ScoreDistribution.from_dict(dist_dict) if dist_dict else None
-    return run_methods_on_new_sim(_G["bundle"], _G["name_model"], sim_params,
-                                  rep_seed, methods, model, dist, fields, floor,
-                                  cand, q)
-
-
-def run_methods_on_new_sim(bundle, name_model, sim_params, rep_seed, methods,
-                           model, dist, fields, floor, cand, q):
-    return run_replicate(bundle, name_model, sim_params, rep_seed, tuple(methods),
-                         model, dist, tuple(fields), floor, cand, q)
-
-
 def run_study(config: dict, assets_dir=None, workers: int = 1) -> dict:
     """Replicated simulation study: train once, then run every replicate
-    through every requested method. Deterministic given config['seed']."""
+    through every requested method. Deterministic given config['seed'].
+
+    With workers > 1 the replicates run in that many spawned processes,
+    each given this process's asset bundle, name model, matcher and score
+    distribution, so results do not depend on the worker count. Spawned
+    workers re-import the calling script, so a script must call this under
+    `if __name__ == "__main__":`.
+    """
     bundle = load_bundle(config.get("assets_dir", assets_dir))
     name_model = build_name_model(bundle.corpus, bundle.tables)
     sim_params = dict(config.get("simulate", {}))
@@ -456,8 +405,8 @@ def run_study(config: dict, assets_dir=None, workers: int = 1) -> dict:
     q = config.get("q")
     replicates = int(config.get("replicates", 1))
     seed = int(config.get("seed", 0))
-    fields = tuple(config.get("fields", ("name",) + tuple(
-        sim_params.get("fields", ("sex", "yob", "mob", "dob", "loc")))))
+    fields = tuple(config.get("fields",
+                              ("name", *sim_params.get("fields", LINK_FIELDS[1:]))))
 
     seeds = np.random.SeedSequence(seed)
     train_seed = _seed_of(seeds.spawn(1)[0])
@@ -470,21 +419,19 @@ def run_study(config: dict, assets_dir=None, workers: int = 1) -> dict:
     rep_seeds = [_seed_of(s)
                  for s in np.random.SeedSequence(seed).spawn(replicates + 1)[1:]]
 
-    results: list[dict] = []
+    shared = (methods, model, dist, fields, floor, cand, q)
     if workers > 1 and replicates > 1:
-        model_dict = model.to_dict() if model else None
-        dist_dict = dist.to_dict() if dist else None
-        tasks = [(sim_params, rs, methods, model_dict, dist_dict, fields, floor,
-                  cand, q) for rs in rep_seeds]
+        import multiprocessing  # only parallel studies pay for this import
+
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(config.get("assets_dir", assets_dir),)) as pool:
-            results = list(pool.map(_replicate_task, tasks))
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(run_replicate, bundle, name_model, sim_params, rs,
+                                   *shared) for rs in rep_seeds]
+            results = [f.result() for f in futures]
     else:
-        for rs in rep_seeds:
-            results.append(run_replicate(bundle, name_model, sim_params, rs,
-                                         methods, model, dist, fields, floor,
-                                         cand, q))
+        results = [run_replicate(bundle, name_model, sim_params, rs, *shared)
+                   for rs in rep_seeds]
 
     summary: dict[str, dict] = {}
     for method in methods:

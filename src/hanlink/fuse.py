@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import NA, LinkageModel, PatternTable, zeta_for_gammas
+from .linkage import LinkageModel, PatternTable, _codes_to_gammas, zeta_for_gammas
 from .matcher import ScoreDistribution
+from .metrics import GroupedRanking, auroc
 
 
 def _name_index(table: PatternTable) -> int:
@@ -85,24 +86,6 @@ def tau1_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     return tau
 
 
-def _auroc_from_masses(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
-    """Grouped AUROC with half credit for tied scores (trapezoidal ties)."""
-    P = pos.sum()
-    N = neg.sum()
-    if P <= 0 or N <= 0:
-        return 0.5
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    p = pos[order]
-    n = neg[order]
-    # contiguous groups of equal score
-    starts = np.concatenate([[0], np.nonzero(np.diff(s))[0] + 1])
-    pg = np.add.reduceat(p, starts)
-    ng = np.add.reduceat(n, starts)
-    below = N - np.cumsum(ng)
-    return float((pg * below + 0.5 * pg * ng).sum() / (P * N))
-
-
 def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
                 model: LinkageModel, return_curve: bool = False):
     """Threshold maximizing predicted post-transfer AUROC over the grid.
@@ -110,7 +93,8 @@ def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     Every donor row is paired with the recipient row sharing all other
     agreement values with gamma_name=1; absent recipients are created with
     N=0 and zeta from the model. Untouched rows enter the ranking with
-    their prior zeta and count.
+    their prior zeta and count. Grid points with the same (tail_m, tail_u)
+    predict the same ranking, so each run of equal tails is evaluated once.
     """
     donors = _donor_rows(table)
     if len(donors) == 0:
@@ -150,63 +134,67 @@ def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     u_scores = zetas[untouched]
     u_n = table.counts[untouched].astype(float)
 
-    grid = dist.grid
-    pred = np.empty(len(grid))
-    for g in range(len(grid)):
-        zh1, zh2, nh1, nh2 = transfer_predictions(z1, n1, z2, n2,
-                                                  dist.tail_m[g], dist.tail_u[g])
+    tail_m, tail_u = dist.tail_m, dist.tail_u
+    step = np.concatenate([[True], (np.diff(tail_m) != 0) | (np.diff(tail_u) != 0)])
+    step_pred = np.empty(int(step.sum()))
+    for k, g in enumerate(np.nonzero(step)[0]):
+        zh1, zh2, nh1, nh2 = transfer_predictions(z1, n1, z2, n2, tail_m[g], tail_u[g])
         scores = np.concatenate([u_scores, zh1, zh2])
         masses = np.concatenate([u_n, nh1, nh2])
-        pos = scores * masses
-        neg = (1.0 - scores) * masses
-        pred[g] = _auroc_from_masses(scores, pos, neg)
+        step_pred[k] = auroc(GroupedRanking(scores, scores * masses,
+                                            (1.0 - scores) * masses))
+    pred = step_pred[np.cumsum(step) - 1]
     best = int(np.argmax(pred))
-    tau = float(grid[best])
+    tau = float(dist.grid[best])
     if return_curve:
         return tau, pred
     return tau
 
 
-def apply_threshold(tau: float, table: PatternTable,
-                    scores_by_row: dict[int, np.ndarray],
-                    strict: bool = True) -> tuple[PatternTable, dict[int, int]]:
+def check_coverage(table: PatternTable, pair_rows: np.ndarray, rows: np.ndarray) -> None:
+    """Raise ValueError unless `pair_rows` lists every pair of each of `rows`."""
+    supplied = np.bincount(pair_rows, minlength=len(table.counts))[rows]
+    short = np.nonzero(supplied != table.counts[rows])[0]
+    if len(short):
+        j = int(rows[short[0]])
+        raise ValueError(f"row {j} has {int(table.counts[j])} pairs but "
+                         f"{int(supplied[short[0]])} were supplied")
+
+
+def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
+                    pair_rows: np.ndarray, pair_scores: np.ndarray,
+                    pair_labels: np.ndarray) -> tuple[PatternTable, np.ndarray]:
     """Move pairs with name score >= tau from their gamma_name=0 row to the
-    row with gamma_name flipped to 1; returns the new table and the moved
-    count per donor row. strict requires a score for every pair of every
-    donor row."""
+    row with gamma_name flipped to 1.
+
+    pair_rows holds each pair's table row and pair_labels whether it is a
+    true match; every row that appears must have gamma_name=0 and all of
+    its pairs listed. Returns the new table, rows sorted by pattern code,
+    and its true-match counts (pos gives the old table's).
+    """
     name_ix = _name_index(table)
-    donors = _donor_rows(table)
-    if strict:
-        for j in donors:
-            provided = len(scores_by_row.get(int(j), ()))
-            if provided != int(table.counts[j]):
-                raise ValueError(f"row {int(j)} has {int(table.counts[j])} pairs "
-                                 f"but {provided} scores")
-    counts = {int(c): int(n) for c, n in zip(table.codes(), table.counts)}
-    power = 3 ** name_ix
+    pair_rows = np.asarray(pair_rows, dtype=np.int64)
+    present = np.nonzero(np.bincount(pair_rows, minlength=len(table.counts)))[0]
+    if np.any(table.gammas[present, name_ix] != 0):
+        raise ValueError("only gamma_name=0 rows can move pairs")
+    check_coverage(table, pair_rows, present)
+    move = np.asarray(pair_scores) >= tau
+    n_rows = len(table.counts)
+    moved_n = np.bincount(pair_rows[move], minlength=n_rows)
+    moved_p = np.bincount(pair_rows[move & np.asarray(pair_labels, dtype=bool)],
+                          minlength=n_rows)
     codes = table.codes()
-    moved: dict[int, int] = {}
-    for j in donors:
-        scores = np.asarray(scores_by_row.get(int(j), ()), dtype=float)
-        m = int((scores >= tau).sum())
-        if m == 0:
-            continue
-        moved[int(j)] = m
-        code = int(codes[j])
-        counts[code] -= m
-        counts[code + power] = counts.get(code + power, 0) + m
-    if not moved:
-        return table, moved
-    kept = sorted(c for c, n in counts.items() if n > 0)
-    gammas = np.empty((len(kept), len(table.fields)), dtype=np.int8)
-    new_counts = np.empty(len(kept), dtype=table.counts.dtype)
-    for i, code in enumerate(kept):
-        rest = code
-        for f in range(len(table.fields)):
-            gammas[i, f] = rest % 3
-            rest //= 3
-        new_counts[i] = counts[code]
-    return PatternTable(fields=table.fields, gammas=gammas, counts=new_counts), moved
+    all_codes = np.concatenate([codes, codes + 3 ** name_ix])
+    new_codes, where = np.unique(all_codes, return_inverse=True)
+    counts = np.zeros(len(new_codes), dtype=np.int64)
+    new_pos = np.zeros(len(new_codes), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n]))
+    np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p]))
+    kept = counts > 0
+    new_table = PatternTable(fields=table.fields,
+                             gammas=_codes_to_gammas(new_codes[kept], len(table.fields)),
+                             counts=counts[kept])
+    return new_table, new_pos[kept]
 
 
 @dataclass

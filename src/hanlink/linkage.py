@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import PROB_CLAMP
+
 RECORD_FIELDS = ("name", "sex", "yob", "mob", "dob", "loc")
 LINK_FIELDS = RECORD_FIELDS  # default linkage field set, name first
 NA = 2  # gamma code for "either value missing"
@@ -22,7 +24,8 @@ NA = 2  # gamma code for "either value missing"
 
 def read_records(path: str | Path) -> dict[str, list[str]]:
     """Read a record CSV with header name,sex,yob,mob,dob,loc; empty cells
-    are missing values."""
+    are missing values. A row without exactly one cell per field is an
+    error naming its line."""
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -31,6 +34,9 @@ def read_records(path: str | Path) -> dict[str, list[str]]:
                              f"{','.join(RECORD_FIELDS)}")
         columns: dict[str, list[str]] = {f: [] for f in RECORD_FIELDS}
         for row in reader:
+            if len(row) != len(RECORD_FIELDS):
+                raise ValueError(f"record file {path}, line {reader.line_num}: "
+                                 f"{len(row)} cells, expected {len(RECORD_FIELDS)}")
             for f, value in zip(RECORD_FIELDS, row):
                 columns[f].append(value)
     return columns
@@ -104,18 +110,18 @@ class PatternTable:
                 writer.writerow(row)
 
 
-def pair_gamma_codes(field_codes_a: list[np.ndarray], field_codes_b: list[np.ndarray],
-                     rows_a: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Base-3 pattern codes for the cross product of rows_a x all of B.
+def pair_gamma_codes(field_codes_a: list[np.ndarray],
+                     field_codes_b: list[np.ndarray]) -> np.ndarray:
+    """Base-3 pattern codes (field f contributes gamma_f * 3^f) of the pairs
+    formed by broadcasting each field's A codes against its B codes.
 
-    Returns an (len(rows_a), nB) int matrix; callers chunk rows_a to bound
-    memory.
+    Aligned 1-d arrays give one code per listed pair; an (n, 1) column
+    against a (1, m) row gives the (n, m) cross product, which callers
+    chunk to bound memory.
     """
     code = None
     power = 1
-    for ca, cb in zip(field_codes_a, field_codes_b):
-        a = ca[rows_a][:, None]
-        b = cb[None, :]
+    for a, b in zip(field_codes_a, field_codes_b):
         agree = (a == b).astype(np.int64)
         missing = (a == -1) | (b == -1)
         gamma = np.where(missing, NA, agree)
@@ -144,7 +150,8 @@ def tabulate_patterns(records_a: dict[str, list[str]], records_b: dict[str, list
     totals = np.zeros(n_codes, dtype=np.int64)
     for start in range(0, n_a, chunk_rows):
         rows = slice(start, min(start + chunk_rows, n_a))
-        block = pair_gamma_codes(codes_a, codes_b, rows)
+        block = pair_gamma_codes([ca[rows][:, None] for ca in codes_a],
+                                 [cb[None, :] for cb in codes_b])
         totals += np.bincount(block.ravel(), minlength=n_codes)
     present = np.nonzero(totals)[0]
     gammas = _codes_to_gammas(present, len(fields))
@@ -182,9 +189,6 @@ class LinkageModel:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True),
                               encoding="utf-8")
-
-
-PROB_CLAMP = 1e-12
 
 
 def _log_pattern_likelihoods(model: LinkageModel, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +230,8 @@ def em_fit(table: PatternTable, init: LinkageModel | None = None,
     """Fit the conditional-independence mixture by EM.
 
     Stops when the relative log-likelihood change drops below `tol`;
-    parameters are clamped to [1e-12, 1-1e-12]. The observed-data
-    log-likelihood is asserted non-decreasing at every iteration.
+    parameters are clamped to [1e-12, 1-1e-12]. Raises RuntimeError if the
+    observed-data log-likelihood decreases at any iteration.
     """
     if len(table.counts) < 2:
         raise ValueError("pattern table must contain at least 2 distinct patterns")
@@ -278,8 +282,9 @@ def em_fit(table: PatternTable, init: LinkageModel | None = None,
         new_loglik = _observed_loglik(model.pi_m, log_m, log_u, counts)
         if not np.isfinite(new_loglik):
             raise ValueError("non-finite likelihood during EM")
-        assert new_loglik >= loglik - 1e-8 * (abs(loglik) + 1.0), \
-            "EM log-likelihood must be non-decreasing"
+        if new_loglik < loglik - 1e-8 * (abs(loglik) + 1.0):
+            raise RuntimeError(f"EM log-likelihood decreased from {loglik!r} "
+                               f"to {new_loglik!r} at iteration {iterations}")
         delta = abs(new_loglik - loglik)
         loglik = new_loglik
         trace.append(loglik)

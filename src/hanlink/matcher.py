@@ -53,6 +53,16 @@ class MatcherModel:
     def single_feature(cls, spec: FeatureSpec) -> "MatcherModel":
         return cls(kind="single", specs=(spec,))
 
+    @classmethod
+    def from_selector(cls, selector: str) -> "MatcherModel":
+        """The matcher named by a classifier selector: `single:<feature name>`
+        or `logistic:<model JSON path>`."""
+        if selector.startswith("single:"):
+            return cls.single_feature(FeatureSpec.from_name(selector.split(":", 1)[1]))
+        if selector.startswith("logistic:"):
+            return cls.load(selector.split(":", 1)[1])
+        raise ValueError(f"unknown classifier selector {selector!r}")
+
     def predict_matrix(self, X: np.ndarray, cats: np.ndarray) -> np.ndarray:
         if self.kind == "single":
             return np.asarray(X)[:, 0].astype(float)
@@ -192,8 +202,9 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
                 beta = candidate
                 break
             scale *= 0.5
-        assert new_obj <= objective + 1e-9 * (1.0 + abs(objective)), \
-            "training objective must not increase"
+        if new_obj > objective + 1e-9 * (1.0 + abs(objective)):
+            raise TrainingError(f"training objective increased from {objective!r} "
+                                f"to {new_obj!r} at iteration {iterations}")
         delta = objective - new_obj
         objective = new_obj
         trace.append(objective)
@@ -449,10 +460,15 @@ def fit_score_distributions(scores, labels, bins: int = 200,
 
     Tails are exact empirical survival functions on the grid; the ratio is
     built from per-bin class counts with add-half smoothing and made
-    non-decreasing by PAVA weighted with (smoothed) bin totals.
+    non-decreasing by PAVA weighted with (smoothed) bin totals. Scores must
+    lie in [0, 1].
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise ValueError(f"{int(outside.sum())} scores lie outside [0, 1] or are NaN, "
+                         f"first {scores[outside][0]!r}")
     sm = np.sort(scores[labels == 1])
     su = np.sort(scores[labels == 0])
     if len(sm) == 0 or len(su) == 0:

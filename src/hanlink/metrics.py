@@ -94,9 +94,8 @@ def eauroc(r: GroupedRanking, q: float | None = None) -> float:
 def log_loss(probs, labels) -> float:
     """Total negative Bernoulli log-likelihood (nats) with probability
     clamping at 1e-12."""
-    p = np.clip(np.asarray(probs, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP)
     y = np.asarray(labels, dtype=float)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum())
+    return grouped_log_loss(probs, y, 1.0 - y)
 
 
 def grouped_log_loss(probs, pos, neg) -> float:

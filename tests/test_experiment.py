@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hanlink import experiment as exp
 from hanlink.compare import FeatureSpec, PairFeaturizer
-from hanlink.linkage import tabulate_patterns
+from hanlink.fuse import apply_threshold
+from hanlink.linkage import NA, tabulate_patterns
 from hanlink.matcher import MatcherModel, fit_score_distributions
 from hanlink.simgen import SimConfig, generate_pair_files
 
@@ -101,33 +104,63 @@ def test_all_methods_run_and_improve(bundle, small_sim, dataset):
     assert reports["posterior"]["neg_log_lik"] <= reports["exact"]["neg_log_lik"]
 
 
-def test_threshold_move_matches_apply_threshold(bundle, small_sim, dataset):
-    """The harness's vectorized pair move equals fuse.apply_threshold."""
-    from hanlink.fuse import apply_threshold
-    from hanlink.linkage import em_fit, zeta
-    scorer, dist = make_scorer_and_dist(bundle, None, small_sim)
+MOVE_FIELDS = ("name", "sex", "yob")
+
+
+@st.composite
+def scored_files(draw):
+    """Two small record files (values may be missing), truth links, a name
+    score for every A x B pair and a threshold."""
+    n_a = draw(st.integers(1, 6))
+    n_b = draw(st.integers(1, 6))
+    cells = {"name": st.sampled_from(["", "a", "b", "c"]),
+             "sex": st.sampled_from(["", "1", "2"]),
+             "yob": st.sampled_from(["", "1980", "1981"])}
+    records_a = {f: draw(st.lists(cells[f], min_size=n_a, max_size=n_a))
+                 for f in MOVE_FIELDS}
+    records_b = {f: draw(st.lists(cells[f], min_size=n_b, max_size=n_b))
+                 for f in MOVE_FIELDS}
+    linked_b = draw(st.permutations(range(n_b)))
+    n_links = draw(st.integers(0, min(n_a, n_b)))
+    truth = np.array([(i, linked_b[i]) for i in range(n_links)], dtype=np.int64)
+    scores = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                    min_size=n_a * n_b, max_size=n_a * n_b)))
+    tau = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return records_a, records_b, truth, scores.reshape(n_a, n_b), tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_files())
+def test_threshold_move_matches_retabulation(case):
+    """Moving the scored gamma_name=0 pairs at tau gives the pattern counts
+    and true-match counts of tabulating with name agreement = exact or
+    score >= tau."""
+    records_a, records_b, truth, scores, tau = case
+    dataset = exp.LinkageDataset(records_a, records_b, truth, MOVE_FIELDS)
     table, pos = dataset.tabulate()
-    model = em_fit(table)
-    z = zeta(model, table)
     codes = table.codes()
-    code_to_row = {int(c): r for r, c in enumerate(codes)}
-    donor_rows = np.nonzero(table.gammas[:, 0] == 0)[0]
-    ii, jj, cc = dataset.candidate_pairs(codes[donor_rows])
-    rows = np.array([code_to_row[int(c)] for c in cc])
+    donors = np.nonzero(table.gammas[:, 0] == 0)[0]
+    ii, jj, cc = dataset.candidate_pairs(codes[donors])
+    rows = np.searchsorted(codes, cc)
     labels = dataset.truth_b_of_a[ii] == jj
-    scores = scorer.scores([(dataset.names_a[i], dataset.names_b[j])
-                            for i, j in zip(ii, jj)])
-    tau = 0.5
-    new_table, new_pos = exp._moved_table(table, pos, dataset.name_ix, rows,
-                                          scores >= tau, labels)
-    by_row = {int(r): scores[rows == r] for r in np.unique(rows)}
-    ref_table, _ = apply_threshold(tau, table, by_row, strict=True)
-    got = {tuple(map(int, g)): int(c)
-           for g, c in zip(new_table.gammas, new_table.counts)}
-    want = {tuple(map(int, g)): int(c)
-            for g, c in zip(ref_table.gammas, ref_table.counts)}
-    assert got == want
-    assert new_pos.sum() == pos.sum()
+    new_table, new_pos = apply_threshold(tau, table, pos, rows, scores[ii, jj], labels)
+    got = {tuple(map(int, g)): (int(c), int(p))
+           for g, c, p in zip(new_table.gammas, new_table.counts, new_pos)}
+
+    linked = {(int(i), int(j)) for i, j in truth}
+    want: dict[tuple, list[int]] = {}
+    for i in range(len(records_a["name"])):
+        for j in range(len(records_b["name"])):
+            gamma = []
+            for f in MOVE_FIELDS:
+                a, b = records_a[f][i], records_b[f][j]
+                gamma.append(NA if a == "" or b == "" else int(a == b))
+            if gamma[0] == 0 and scores[i, j] >= tau:
+                gamma[0] = 1
+            entry = want.setdefault(tuple(gamma), [0, 0])
+            entry[0] += 1
+            entry[1] += (i, j) in linked
+    assert got == {g: tuple(v) for g, v in want.items()}
 
 
 def test_external_scorer():
@@ -135,6 +168,12 @@ def test_external_scorer():
     assert scorer.scores([("a", "b")])[0] == 0.7
     with pytest.raises(ValueError):
         scorer.scores([("a", "c")])
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_external_scorer_rejects_scores_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match="outside"):
+        exp.ExternalScorer({("a", "b"): 0.9, ("a", "c"): bad})
 
 
 def test_run_study_smoke_and_determinism(bundle):

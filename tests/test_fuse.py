@@ -25,6 +25,20 @@ def make_table(gammas, counts, fields=("name", "sex", "yob")):
                         counts=np.asarray(counts))
 
 
+def move_scored_rows(tau, table, scores_by_row):
+    """apply_threshold on per-row score arrays, with no true matches."""
+    rows = np.concatenate([np.full(len(v), r) for r, v in scores_by_row.items()])
+    scores = np.concatenate(list(scores_by_row.values()))
+    new_table, new_pos = apply_threshold(tau, table, np.zeros(len(table.counts), np.int64),
+                                         rows, scores, np.zeros(len(rows), bool))
+    assert not new_pos.any()
+    return new_table
+
+
+def table_dict(table):
+    return {tuple(int(v) for v in g): int(c) for g, c in zip(table.gammas, table.counts)}
+
+
 @pytest.fixture(scope="module")
 def small_model():
     return LinkageModel(fields=("name", "sex", "yob"), pi_m=0.01,
@@ -131,6 +145,7 @@ def brute_force_tau2(table, zetas, dist, model):
     untouched = [j for j in range(len(table.counts)) if j not in touched]
 
     best_tau, best_auc = None, -1.0
+    curve = np.empty(len(dist.grid))
     for g in range(len(dist.grid)):
         tm, tu = dist.tail_m[g], dist.tail_u[g]
         rows = []
@@ -179,9 +194,10 @@ def brute_force_tau2(table, zetas, dist, model):
                 auc_num += gp * remaining_neg + 0.5 * gp * gn
                 i = j2
             auc = auc_num / (P * N)
+        curve[g] = auc
         if auc > best_auc:
             best_auc, best_tau = auc, dist.grid[g]
-    return best_tau
+    return best_tau, curve
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +217,20 @@ def test_tau1_matches_brute_force(small_table, small_model, fitted_dist):
 def test_tau2_matches_brute_force(small_table, small_model, fitted_dist):
     zetas = zeta_for_gammas(small_model, small_table.gammas)
     assert tau2_select(small_table, zetas, fitted_dist, small_model) == \
-        brute_force_tau2(small_table, zetas, fitted_dist, small_model)
+        brute_force_tau2(small_table, zetas, fitted_dist, small_model)[0]
+
+
+def test_tau2_curve_matches_per_grid_reference(small_table, small_model, fitted_dist):
+    """Evaluating each run of equal tails once gives every grid point's value."""
+    zetas = zeta_for_gammas(small_model, small_table.gammas)
+    tails = np.stack([fitted_dist.tail_m, fitted_dist.tail_u])
+    steps = np.count_nonzero(np.any(np.diff(tails, axis=1) != 0, axis=0))
+    assert steps < len(fitted_dist.grid) // 2  # the reduction is exercised
+    tau, curve = tau2_select(small_table, zetas, fitted_dist, small_model,
+                             return_curve=True)
+    ref_tau, ref_curve = brute_force_tau2(small_table, zetas, fitted_dist, small_model)
+    np.testing.assert_allclose(curve, ref_curve, rtol=0, atol=1e-12)
+    assert tau == ref_tau
 
 
 def test_tau2_missing_reciprelies_on_model(small_model, fitted_dist):
@@ -209,7 +238,7 @@ def test_tau2_missing_reciprelies_on_model(small_model, fitted_dist):
     table = make_table([[0, 1, 1], [0, 0, 0]], [500, 90000])
     zetas = zeta_for_gammas(small_model, table.gammas)
     tau = tau2_select(table, zetas, fitted_dist, small_model)
-    assert tau == brute_force_tau2(table, zetas, fitted_dist, small_model)
+    assert tau == brute_force_tau2(table, zetas, fitted_dist, small_model)[0]
 
 
 def test_tau2_no_transfer_at_top_of_grid(small_table, small_model):
@@ -229,26 +258,24 @@ def test_apply_threshold_above_max_score_is_identity(small_table):
     scores = {int(j): np.full(int(small_table.counts[j]), 0.3)
               for j in range(len(small_table.counts))
               if small_table.gammas[j][0] == 0}
-    new_table, moved = apply_threshold(0.9, small_table, scores)
-    assert moved == {}
-    assert np.array_equal(new_table.counts, small_table.counts)
-    assert np.array_equal(new_table.gammas, small_table.gammas)
+    new_table = move_scored_rows(0.9, small_table, scores)
+    assert table_dict(new_table) == table_dict(small_table)
 
 
 def test_apply_threshold_zero_moves_everything():
     table = make_table([[0, 1, 1], [1, 1, 1]], [40, 10])
-    scores = {0: np.linspace(0, 1, 40)}
-    new_table, moved = apply_threshold(0.0, table, scores)
-    assert moved == {0: 40}
+    new_table = move_scored_rows(0.0, table, {0: np.linspace(0, 1, 40)})
     assert len(new_table.counts) == 1
     assert new_table.counts[0] == 50
     assert list(new_table.gammas[0]) == [1, 1, 1]
 
 
-def test_apply_threshold_strict_requires_full_coverage():
-    table = make_table([[0, 1, 1]], [10])
-    with pytest.raises(ValueError):
-        apply_threshold(0.5, table, {0: np.array([0.9])})
+def test_apply_threshold_requires_full_coverage():
+    table = make_table([[0, 1, 1], [1, 1, 1]], [10, 3])
+    with pytest.raises(ValueError, match="row 0 has 10 pairs but 1"):
+        move_scored_rows(0.5, table, {0: np.array([0.9])})
+    with pytest.raises(ValueError, match="gamma_name=0"):
+        move_scored_rows(0.5, table, {0: np.full(10, 0.9), 1: np.full(3, 0.9)})
 
 
 def test_apply_threshold_matches_per_pair_classification():
@@ -259,7 +286,7 @@ def test_apply_threshold_matches_per_pair_classification():
     scores = {j: rng.uniform(size=c) for j, c in enumerate(counts)
               if gammas[j][0] == 0}
     tau = 0.6
-    new_table, moved = apply_threshold(tau, table, scores)
+    new_table = move_scored_rows(tau, table, scores)
     # independent per-pair tally
     from collections import Counter
     expected = Counter()
@@ -270,9 +297,7 @@ def test_apply_threshold_matches_per_pair_classification():
                 expected[g] += 1
         else:
             expected[tuple(gamma)] += counts[j]
-    got = {tuple(int(v) for v in g): int(c)
-           for g, c in zip(new_table.gammas, new_table.counts)}
-    assert got == {k: v for k, v in expected.items() if v > 0}
+    assert table_dict(new_table) == {k: v for k, v in expected.items() if v > 0}
 
 
 def test_apply_threshold_then_retabulate_identity():
@@ -305,7 +330,7 @@ def test_apply_threshold_then_retabulate_identity():
         if gamma_name == 0:
             by_row.setdefault(row, []).append(x)
     scores_by_row = {r: np.array(v) for r, v in by_row.items()}
-    new_table, _ = apply_threshold(tau, table, scores_by_row)
+    new_table = move_scored_rows(tau, table, scores_by_row)
     # direct tabulation with fuzzy agreement
     from collections import Counter
     expected = Counter()
@@ -316,9 +341,7 @@ def test_apply_threshold_then_retabulate_identity():
             code = (1 if agree else 0,
                     1 if recs_a["sex"][i] == recs_b["sex"][j] else 0)
             expected[code] += 1
-    got = {tuple(int(v) for v in g): int(c)
-           for g, c in zip(new_table.gammas, new_table.counts)}
-    assert got == dict(expected)
+    assert table_dict(new_table) == dict(expected)
 
 
 def test_posterior_identity_ratio(small_table, small_model):

@@ -239,6 +239,15 @@ def test_read_records_bad_header(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize("row,cells", [("王明,1", 2), ("王明,1,1980,3,4,L001,x", 7)])
+def test_read_records_rejects_ragged_row(tmp_path, row, cells):
+    path = tmp_path / "ragged.csv"
+    path.write_text("name,sex,yob,mob,dob,loc\n李华,2,1990,1,1,L002\n" + row + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"ragged.csv, line 3: {cells} cells"):
+        read_records(path)
+
+
 def test_pattern_table_export(tmp_path):
     gammas = np.array([[1, NA], [0, 1]], dtype=np.int8)
     table = PatternTable(fields=("name", "sex"), gammas=gammas,

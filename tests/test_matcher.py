@@ -292,6 +292,12 @@ def test_fit_distributions_single_class_error():
         fit_score_distributions(np.array([0.5, 0.6]), np.array([1, 1]))
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5, float("nan")])
+def test_fit_distributions_rejects_scores_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match="outside"):
+        fit_score_distributions(np.array([0.9, bad, 0.2, 0.1]), np.array([1, 1, 0, 0]))
+
+
 def test_distribution_tails_monotone_and_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     scores = np.concatenate([rng.beta(6, 2, 300), rng.beta(2, 6, 700)])
