@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .assets import load_bundle
-from .compare import FeatureSpec, PairFeaturizer
+from .compare import HAN_CATEGORIES, FeatureSpec, PairFeaturizer
 from .matcher import (
     MatcherModel,
     ScoreDistribution,
@@ -85,8 +85,12 @@ def _read_pairs_csv(path: str) -> tuple[list[tuple[str, str]], list[str] | None]
             if needed not in cols:
                 raise InputError(f"{path}: missing required column '{needed}'")
         has_label = "label" in cols
+        width = 1 + max(cols[c] for c in ("name_a", "name_b", "label") if c in cols)
         pairs, labels = [], []
         for row in reader:
+            if len(row) < width:
+                raise InputError(f"{path}, line {reader.line_num}: {len(row)} cells, "
+                                 f"expected at least {width}")
             pairs.append((row[cols["name_a"]], row[cols["name_b"]]))
             if has_label:
                 labels.append(row[cols["label"]])
@@ -97,6 +101,7 @@ def cmd_features(args) -> int:
     bundle = load_bundle(args.assets)
     pairs, labels = _read_pairs_csv(args.input)
     featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+    X, cats = featurizer.feature_matrix(pairs)
     out_path = Path(args.out)
     with out_path.open("w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -104,9 +109,8 @@ def cmd_features(args) -> int:
         if labels is not None:
             header.append("label")
         writer.writerow(header)
-        for i, (a, b) in enumerate(pairs):
-            fv = featurizer.feature_vector(a, b)
-            row = [f"{v:.12g}" for v in fv.values] + [fv.han_category.value]
+        for i, (values, cat) in enumerate(zip(X.tolist(), cats.tolist())):
+            row = [f"{v:.12g}" for v in values] + [HAN_CATEGORIES[cat].value]
             if labels is not None:
                 row.append(labels[i])
             writer.writerow(row)

@@ -7,7 +7,7 @@ category.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,71 +26,189 @@ from .encoding import (
     transform,
 )
 
-try:  # numba roughly 70x faster per call; pure python fallback below
-    from numba import njit
+# The comparators are numpy batch kernels; numba is not used.
+_HAVE_NUMBA = False
 
-    @njit(cache=True)
-    def _lev_jit(a, b):  # pragma: no cover - exercised via levenshtein()
-        la, lb = a.size, b.size
-        prev = np.arange(lb + 1)
-        cur = np.zeros(lb + 1, dtype=np.int64)
-        for i in range(1, la + 1):
-            cur[0] = i
-            ca = a[i - 1]
-            for j in range(1, lb + 1):
-                cost = 0 if ca == b[j - 1] else 1
-                best = prev[j] + 1
-                if cur[j - 1] + 1 < best:
-                    best = cur[j - 1] + 1
-                if prev[j - 1] + cost < best:
-                    best = prev[j - 1] + cost
-                cur[j] = best
-            prev, cur = cur, prev
-        return prev[lb]
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
+_WORD = 64
+_ONE = np.uint64(1)
+_HIGH = np.uint64(_WORD - 1)
+_EQ_BUDGET = 1 << 22   # bool cells of one chunk's pattern-match table
+_TOKEN_BUDGET = 1 << 16  # tokens looked up per cosine chunk
 
 
-def _lev_python(a: str, b: str) -> int:
-    la, lb = len(a), len(b)
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        ca = a[i - 1]
-        cur = [i] + [0] * lb
-        for j in range(1, lb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[lb]
+def _intern(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+    """Distinct strings over all columns, and each column as ids into them."""
+    index: dict[str, int] = {}
+    ids = [np.fromiter((index.setdefault(s, len(index)) for s in col),
+                       dtype=np.int64, count=len(col)) for col in columns]
+    return list(index), ids
 
 
-def _to_codepoints(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.int32)
+def _code_table(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of `strings`, one row each padded with -1, and the lengths."""
+    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    table = np.full((len(strings), max(int(lens.max(initial=0)), 1)), -1, dtype=np.int32)
+    table[np.arange(table.shape[1]) < lens[:, None]] = np.frombuffer(
+        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
+    return table, lens
+
+
+def _myers_chunk(pat: np.ndarray, m: np.ndarray, txt: np.ndarray,
+                 n: np.ndarray) -> np.ndarray:
+    """Edit distances of padded pattern rows (1 <= m) against text rows
+    (m <= n, n ascending), bit-parallel in 64-bit words per pattern."""
+    count, m_max = pat.shape
+    n_max = txt.shape[1]
+    words = -(-m_max // _WORD)
+    # eq[p, j, w]: bits of pattern word w that equal text character j
+    bits = np.zeros((count, n_max, 8 * words), dtype=np.uint8)
+    bits[:, :, :-(-m_max // 8)] = np.packbits(
+        txt[:, :, None] == pat[:, None, :], axis=2, bitorder="little")
+    eq = bits.view("<u8")
+    pv = np.full((count, words), ~np.uint64(0))
+    mv = np.zeros((count, words), dtype=np.uint64)
+    last = m - 1
+    top = np.zeros((count, words), dtype=np.uint64)
+    top[np.arange(count), last // _WORD] = _ONE << (last % _WORD).astype(np.uint64)
+    score = m.copy()
+    first = 0
+    for j in range(n_max):
+        while n[first] <= j:  # texts sorted by length: the rest are still running
+            first += 1
+        rows = slice(first, count)
+        carry_p, carry_m = _ONE, None  # row 0 of the DP rises by one per column
+        for w in range(words):
+            e, p, q = eq[rows, j, w], pv[rows, w], mv[rows, w]
+            xv = e | q
+            if carry_m is not None:
+                e = e | carry_m
+            xh = (((e & p) + p) ^ p) | e
+            ph = q | ~(xh | p)
+            mh = p & xh
+            score[rows] += (ph & top[rows, w]) != 0
+            score[rows] -= (mh & top[rows, w]) != 0
+            out_p, out_m = ph >> _HIGH, mh >> _HIGH
+            ph = (ph << _ONE) | carry_p
+            mh = mh << _ONE
+            if carry_m is not None:
+                mh |= carry_m
+            pv[rows, w] = mh | ~(xv | ph)
+            mv[rows, w] = ph & xv
+            carry_p, carry_m = out_p, out_m
+    return score
+
+
+def edit_distances(strings: Sequence[str], u, v) -> np.ndarray:
+    """Levenshtein distance between strings[u[i]] and strings[v[i]] for
+    every i.
+
+    Myers' bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyrö's
+    edit-distance form, vectorized across pairs: the shorter string of
+    each pair is the bit-vector pattern, and patterns longer than 64 code
+    points span several words with the horizontal delta carried between
+    them. Pairs run in chunks of similar text length.
+    """
+    table, lens = _code_table(strings)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    swap = lens[u] > lens[v]
+    pat, txt = np.where(swap, v, u), np.where(swap, u, v)
+    m, n = lens[pat], lens[txt]
+    out = n.copy()  # an empty pattern costs one insertion per text character
+    live = np.nonzero(m > 0)[0]
+    live = live[np.argsort(n[live], kind="stable")]
+    start = 0
+    while start < len(live):
+        ahead = live[start:start + _EQ_BUDGET // _WORD]
+        width = -(-int(m[ahead].max()) // _WORD) * _WORD
+        size = max(1, _EQ_BUDGET // (int(n[ahead[-1]]) * width))
+        rows = live[start:start + size]
+        m_max, n_max = int(m[rows].max()), int(n[rows[-1]])
+        out[rows] = _myers_chunk(table[pat[rows], :m_max], m[rows],
+                                 table[txt[rows], :n_max], n[rows])
+        start += size
+    return out
+
+
+def _from_distances(comparator: str, d: np.ndarray, la: np.ndarray,
+                    lb: np.ndarray) -> np.ndarray:
+    """LV (1 - E/max) or edit-mode LCS ((max - E)/min) from distances E;
+    both empty -> 1, exactly one empty -> 0."""
+    longer, shorter = np.maximum(la, lb), np.minimum(la, lb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = 1.0 - d / longer if comparator == "LV" else (longer - d) / shorter
+    return np.where(longer == 0, 1.0, np.where(shorter == 0, 0.0, sim))
+
+
+def levenshtein_sims(strings: Sequence[str], u, v) -> np.ndarray:
+    """levenshtein_sim of strings[u[i]] and strings[v[i]] for every i."""
+    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return _from_distances("LV", edit_distances(strings, u, v), lens[u], lens[v])
+
+
+def _token_rows(strings: Sequence[str], k: int):
+    """Sparse k-token counts per string: sorted keys (string id * n_tokens
+    + token id) with their counts, each string's first entry, and each
+    string's Euclidean norm."""
+    table, lens = _code_table(strings)
+    per = np.maximum(lens - k + 1, 0)
+    row = np.repeat(np.arange(len(strings)), per)
+    at = np.arange(len(row)) - np.repeat(np.cumsum(per) - per, per)
+    token = np.zeros(len(row), dtype=np.int64)
+    for t in range(k):  # number the distinct prefixes of length t + 1
+        _, token = np.unique(token * 0x110000 + table[row, at + t], return_inverse=True)
+    n_tokens = int(token.max(initial=-1)) + 1
+    keys, counts = np.unique(row * n_tokens + token, return_counts=True)
+    owner = keys // max(n_tokens, 1)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(strings)))])
+    squares = np.bincount(owner, weights=counts * counts,
+                          minlength=len(strings)).astype(np.int64)
+    # pow(s, 0.5), not np.sqrt: the two round differently for some s (2921, ...)
+    norms = np.array([s ** 0.5 for s in squares.tolist()])
+    return keys, counts, offsets, norms, n_tokens
+
+
+def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
+    """Cosine similarity of contiguous k-token count vectors of
+    strings[u[i]] and strings[v[i]], `strings` holding each string once:
+    1 where u[i] == v[i], 0 when either has no token, else the integer
+    dot product over the float norms, capped at 1."""
+    if k < 1:
+        raise ValueError("token length must be >= 1")
+    keys, counts, offsets, norms, n_tokens = _token_rows(strings, k)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    nnz = np.diff(offsets)
+    dot = np.zeros(len(u))
+    ends = np.cumsum(nnz[u])
+    start = 0
+    while start < len(u):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _TOKEN_BUDGET, side="right")))
+        cu, cv = u[start:stop], v[start:stop]
+        per = nnz[cu]
+        pair = np.repeat(np.arange(len(cu)), per)
+        at_u = np.arange(int(per.sum())) + np.repeat(offsets[cu] - (np.cumsum(per) - per), per)
+        want = cv[pair] * n_tokens + keys[at_u] % n_tokens
+        at_v = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        both = np.where(keys[at_v] == want, counts[at_u] * counts[at_v], 0)
+        dot[start:stop] = np.bincount(pair, weights=both, minlength=len(cu))
+        start = stop
+    denom = norms[u] * norms[v]
+    sims = np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0)
+    return np.where(u == v, 1.0, sims)
 
 
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions, or
     substitutions turning `a` into `b`."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if _HAVE_NUMBA:
-        return int(_lev_jit(_to_codepoints(a), _to_codepoints(b)))
-    return _lev_python(a, b)
+    strings, (u, v) = _intern([a], [b])
+    return int(edit_distances(strings, u, v)[0])
 
 
 def levenshtein_sim(a: str, b: str) -> float:
     """1 - E/max(N1, N2); both empty -> 1, exactly one empty -> 0."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
+    strings, (u, v) = _intern([a], [b])
+    return float(levenshtein_sims(strings, u, v)[0])
 
 
 def _longest_common_substring(a: str, b: str) -> int:
@@ -124,25 +242,10 @@ def lcs_sim(a: str, b: str, mode: str = "edit") -> float:
     return (max(len(a), len(b)) - levenshtein(a, b)) / min(len(a), len(b))
 
 
-def _tokens(s: str, k: int) -> Counter:
-    return Counter(s[i : i + k] for i in range(len(s) - k + 1))
-
-
 def cosine_sim(a: str, b: str, k: int) -> float:
     """Cosine similarity of contiguous k-character token frequency vectors."""
-    if k < 1:
-        raise ValueError("token length must be >= 1")
-    ta, tb = _tokens(a, k), _tokens(b, k)
-    if ta == tb:
-        return 1.0 if (ta or a == b) else 0.0
-    if not ta or not tb:
-        return 0.0
-    dot = sum(cnt * tb[tok] for tok, cnt in ta.items())
-    if dot == 0:
-        return 0.0
-    na = sum(c * c for c in ta.values()) ** 0.5
-    nb = sum(c * c for c in tb.values()) ** 0.5
-    return min(dot / (na * nb), 1.0)
+    strings, (u, v) = _intern([a], [b])
+    return float(cosine_sims(strings, u, v, k)[0])
 
 
 RANGE_TAGS = ("1:N", "1:1", "1:2", "2:N", "3:N")
@@ -223,33 +326,36 @@ class FeatureVector:
     empty_range: bool = False
 
 
+def _uses_range(spec: FeatureSpec) -> bool:
+    """Whether the feature reads the names' substrings (0 when one is empty)."""
+    return not (spec.comparator == "CAT"
+                or (spec.comparator == "SUM" and spec.encoding == "AMB"))
+
+
 class PairFeaturizer:
     """Computes feature vectors for name pairs against a fixed spec list.
 
-    Per-name intermediate results (substrings, encoded strings, token
-    counters, properties) are cached, so scoring many pairs over a limited
-    name vocabulary stays cheap.
+    Features are built one column at a time over the batch: string
+    comparators run once per distinct pair of encoded substrings. Per-name
+    intermediate results (substrings, encoded strings, properties) are
+    cached, so scoring many pairs over a limited name vocabulary stays
+    cheap.
     """
 
     def __init__(self, tables: dict[EncodingKind, EncodingTable],
                  freq: FrequencyTable, surnames: frozenset[str],
-                 specs: tuple[FeatureSpec, ...] | None = None,
-                 lcs_mode: str = "edit"):
+                 specs: tuple[FeatureSpec, ...] | None = None):
         self.tables = dict(tables)
         self.tables[EncodingKind.J] = IDENTITY_TABLE
         self.freq = freq
         self.surnames = surnames
         self.specs = tuple(specs) if specs is not None else default_feature_bank()
-        self.lcs_mode = lcs_mode
         self.fallbacks = 0
         self._subs: dict[tuple[str, str], str] = {}
         self._encoded: dict[tuple[str, str, str], str] = {}
-        self._tokens: dict[tuple[str, str, str, int], Counter] = {}
-        self._ords: dict[str, np.ndarray] = {}
         self._han: dict[str, bool] = {}
         self._amb: dict[str, int] = {}
         self._lf: dict[tuple[str, str], float] = {}
-        self._index = {spec: i for i, spec in enumerate(self.specs)}
 
     def spec_index(self, spec_name: str) -> int:
         for i, spec in enumerate(self.specs):
@@ -280,14 +386,6 @@ class PairFeaturizer:
         self._encoded[key] = joined
         return joined
 
-    def _token_counter(self, name: str, enc: str, tag: str, k: int) -> Counter:
-        key = (name, enc, tag, k)
-        cached = self._tokens.get(key)
-        if cached is None:
-            cached = _tokens(self._encoded_sub(name, enc, tag), k)
-            self._tokens[key] = cached
-        return cached
-
     def _han_of(self, name: str) -> bool:
         cached = self._han.get(name)
         if cached is None:
@@ -310,100 +408,69 @@ class PairFeaturizer:
             self._lf[key] = cached
         return cached
 
-    def han_category(self, name_a: str, name_b: str) -> HanCategory:
-        ha, hb = self._han_of(name_a), self._han_of(name_b)
-        if ha and hb:
-            return HanCategory.BOTH
-        if ha != hb:
-            return HanCategory.DISAGREE
-        return HanCategory.NEITHER
-
-    def _ords_of(self, s: str) -> np.ndarray:
-        cached = self._ords.get(s)
-        if cached is None:
-            cached = _to_codepoints(s)
-            self._ords[s] = cached
-        return cached
-
-    def _edit_distance(self, ea: str, eb: str, memo: dict | None) -> int:
-        if memo is not None:
-            key = (ea, eb)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-        if _HAVE_NUMBA:
-            e = int(_lev_jit(self._ords_of(ea), self._ords_of(eb)))
-        else:
-            e = _lev_python(ea, eb)
-        if memo is not None:
-            memo[key] = e
-        return e
-
-    def feature(self, name_a: str, name_b: str, spec: FeatureSpec) -> float:
-        value, _ = self._feature_flag(name_a, name_b, spec, None)
-        return value
-
-    def _feature_flag(self, name_a: str, name_b: str, spec: FeatureSpec,
-                      memo: dict | None) -> tuple[float, bool]:
-        cmp_name = spec.comparator
-        if cmp_name == "CAT":
-            cat = self.han_category(name_a, name_b)
-            return float(HAN_CATEGORIES.index(cat)), False
-        if cmp_name == "SUM" and spec.encoding == "AMB":
-            return float(self._amb_of(name_a) + self._amb_of(name_b)), False
-        sub_a = self._substring(name_a, spec.range_tag)
-        sub_b = self._substring(name_b, spec.range_tag)
-        if not sub_a or not sub_b:
-            return 0.0, True
-        if cmp_name == "SUM":  # LF
-            return self._lf_of(name_a, spec.range_tag) + self._lf_of(name_b, spec.range_tag), False
-        ea = self._encoded_sub(name_a, spec.encoding, spec.range_tag)
-        eb = self._encoded_sub(name_b, spec.encoding, spec.range_tag)
-        if cmp_name == "LV":
-            if ea == eb:
-                return 1.0, False
-            return 1.0 - self._edit_distance(ea, eb, memo) / max(len(ea), len(eb)), False
-        if cmp_name == "LCS":
-            if ea == eb:
-                return 1.0, False
-            if self.lcs_mode == "contiguous":
-                return _longest_common_substring(ea, eb) / min(len(ea), len(eb)), False
-            e = self._edit_distance(ea, eb, memo)
-            return (max(len(ea), len(eb)) - e) / min(len(ea), len(eb)), False
-        if cmp_name == "COS":
-            if ea == eb:
-                return 1.0, False
-            ta = self._token_counter(name_a, spec.encoding, spec.range_tag, spec.k)
-            tb = self._token_counter(name_b, spec.encoding, spec.range_tag, spec.k)
-            if not ta or not tb:
-                return 0.0, False
-            dot = sum(cnt * tb[tok] for tok, cnt in ta.items())
-            if dot == 0:
-                return 0.0, False
-            na = sum(c * c for c in ta.values()) ** 0.5
-            nb = sum(c * c for c in tb.values()) ** 0.5
-            return min(dot / (na * nb), 1.0), False
-        raise ValueError(f"unknown comparator {cmp_name!r}")
-
     def feature_vector(self, name_a: str, name_b: str) -> FeatureVector:
-        values = np.empty(len(self.specs))
-        empty = False
-        memo: dict = {}
-        for i, spec in enumerate(self.specs):
-            values[i], flag = self._feature_flag(name_a, name_b, spec, memo)
-            empty = empty or flag
-        return FeatureVector(values=values, han_category=self.han_category(name_a, name_b),
+        X, cats = self.feature_matrix([(name_a, name_b)])
+        empty = any(_uses_range(spec) and not (self._substring(name_a, spec.range_tag)
+                                              and self._substring(name_b, spec.range_tag))
+                    for spec in self.specs)
+        return FeatureVector(values=X[0], han_category=HAN_CATEGORIES[cats[0]],
                              empty_range=empty)
 
     def feature_matrix(self, pairs: list[tuple[str, str]],
                        specs: tuple[FeatureSpec, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Feature matrix plus Han-category codes for a batch of name pairs."""
         specs = self.specs if specs is None else specs
+        names, (ia, ib) = _intern([a for a, _ in pairs], [b for _, b in pairs])
+        han = np.array([self._han_of(n) for n in names], dtype=bool)
+        ha, hb = han[ia], han[ib]
+        cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
         X = np.empty((len(pairs), len(specs)))
-        cats = np.empty(len(pairs), dtype=np.int8)
-        for r, (a, b) in enumerate(pairs):
-            memo: dict = {}
-            for c, spec in enumerate(specs):
-                X[r, c] = self._feature_flag(a, b, spec, memo)[0]
-            cats[r] = HAN_CATEGORIES.index(self.han_category(a, b))
+        memo: dict = {}
+        for c, spec in enumerate(specs):
+            X[:, c] = cats if spec.comparator == "CAT" else self._column(spec, names, ia, ib, memo)
         return X, cats
+
+    def _column(self, spec: FeatureSpec, names: list[str], ia: np.ndarray,
+                ib: np.ndarray, memo: dict) -> np.ndarray:
+        """One feature for the pairs (names[ia], names[ib]); `memo` shares
+        the substring masks, distinct encoded pairs and edit distances
+        between the columns of one batch."""
+        cmp_name, tag = spec.comparator, spec.range_tag
+        if cmp_name == "SUM" and spec.encoding == "AMB":
+            amb = np.array([self._amb_of(n) for n in names], dtype=np.int64)
+            return (amb[ia] + amb[ib]).astype(float)
+        if tag not in memo:
+            present = np.array([bool(self._substring(n, tag)) for n in names], dtype=bool)
+            memo[tag] = present[ia] & present[ib]
+        both = memo[tag]
+        if cmp_name == "SUM":  # LF
+            lf = np.array([self._lf_of(n, tag) for n in names])
+            return np.where(both, lf[ia] + lf[ib], 0.0)
+        if cmp_name not in ("LV", "LCS", "COS"):
+            raise ValueError(f"unknown comparator {cmp_name!r}")
+        key = (spec.encoding, tag)
+        if key not in memo:
+            memo[key] = self._distinct_pairs(spec.encoding, tag, names, ia, ib, both)
+        strings, lens, u, v, todo, inverse = memo[key]
+        if cmp_name == "COS":
+            values = cosine_sims(strings, u, v, spec.k)
+        else:
+            if ("E",) + key not in memo:
+                memo[("E",) + key] = edit_distances(strings, u, v)
+            values = _from_distances(cmp_name, memo[("E",) + key], lens[u], lens[v])
+        column = both.astype(float)  # equal encoded substrings score 1
+        column[todo] = values[inverse]
+        return column
+
+    def _distinct_pairs(self, enc: str, tag: str, names: list[str], ia: np.ndarray,
+                        ib: np.ndarray, both: np.ndarray):
+        """Distinct unordered pairs of unequal encoded substrings among the
+        pairs where both substrings exist, and each such pair's index."""
+        strings, (ids,) = _intern([self._encoded_sub(n, enc, tag) for n in names])
+        lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+        ea, eb = ids[ia], ids[ib]
+        todo = both & (ea != eb)
+        lo, hi = np.minimum(ea, eb)[todo], np.maximum(ea, eb)[todo]
+        keys, inverse = np.unique(lo * len(strings) + hi, return_inverse=True)
+        u, v = np.divmod(keys, len(strings))
+        return strings, lens, u, v, todo, inverse

@@ -30,6 +30,7 @@ from .linkage import (
     LINK_FIELDS,
     PatternTable,
     _codes_to_gammas,
+    check_distinct_fields,
     em_fit,
     encode_field_values,
     pair_gamma_codes,
@@ -113,6 +114,7 @@ class LinkageDataset:
     def __init__(self, records_a: dict[str, list[str]], records_b: dict[str, list[str]],
                  truth: np.ndarray, fields: tuple[str, ...]):
         self.fields = tuple(fields)
+        check_distinct_fields(self.fields)
         if "name" not in self.fields:
             raise ValueError("linkage fields must include 'name'")
         self.names_a = records_a["name"]

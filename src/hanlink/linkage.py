@@ -51,6 +51,16 @@ def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
             writer.writerow([records[f][i] for f in RECORD_FIELDS])
 
 
+def check_distinct_fields(fields) -> None:
+    """Raise ValueError naming a field listed twice, which EM would count
+    twice (and which would widen the base-3 pattern codes)."""
+    seen: set[str] = set()
+    for f in fields:
+        if f in seen:
+            raise ValueError(f"linkage field {f!r} is listed more than once")
+        seen.add(f)
+
+
 def encode_field_values(values_a: list[str], values_b: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Shared integer codes for one field across both files; missing -> -1."""
     vocab: dict[str, int] = {}
@@ -134,6 +144,7 @@ def tabulate_patterns(records_a: dict[str, list[str]], records_b: dict[str, list
                       fields: tuple[str, ...] = LINK_FIELDS,
                       chunk_rows: int = 256) -> PatternTable:
     """Tally agreement patterns over the |A| x |B| cross product."""
+    check_distinct_fields(fields)
     for f in fields:
         if f not in records_a or f not in records_b:
             raise ValueError(f"unknown field {f!r} in record schema")

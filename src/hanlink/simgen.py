@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import levenshtein_sim
+from .compare import levenshtein_sims
 from .encoding import EncodingKind, EncodingTable, logograms
 
 # Error-type shares observed among name disagreements (single/multi
@@ -142,21 +142,26 @@ def build_name_model(corpus: list[str],
         position_probs.append(weights / weights.sum())
 
     inventory = tuple(sorted({c for name in names for c in name}))
-    enc_kinds = (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS)
-    codes = {kind: {c: _encoding_code(c, tables[kind]) for c in inventory}
-             for kind in enc_kinds if kind in tables}
+    first, second = np.triu_indices(len(inventory), 1)
+    hit = np.zeros(len(first), dtype=bool)
+    for kind in (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS):
+        if kind not in tables:
+            continue
+        codes = [_encoding_code(c, tables[kind]) for c in inventory]
+        lens = np.array([len(code) for code in codes], dtype=np.int64)
+        la, lb = lens[first], lens[second]
+        # sim >= t requires E <= (1-t)*maxlen and E >= length gap
+        pruned = np.abs(la - lb) > (1.0 - sim_threshold) * np.maximum(la, lb)
+        todo = np.nonzero(~hit & ~pruned)[0]  # a pair matched once is not searched again
+        sims = levenshtein_sims(codes, first[todo], second[todo])
+        hit[todo[sims >= sim_threshold]] = True
+    # each character's candidates in inventory order
+    char, other = (np.concatenate([first[hit], second[hit]]),
+                   np.concatenate([second[hit], first[hit]]))
+    order = np.lexsort((other, char))
     substitutions: dict[str, list[str]] = {c: [] for c in inventory}
-    for i, c1 in enumerate(inventory):
-        for c2 in inventory[i + 1:]:
-            for kind, table_codes in codes.items():
-                a, b = table_codes[c1], table_codes[c2]
-                # sim >= t requires E <= (1-t)*maxlen and E >= length gap
-                if abs(len(a) - len(b)) > (1.0 - sim_threshold) * max(len(a), len(b)):
-                    continue
-                if levenshtein_sim(a, b) >= sim_threshold:
-                    substitutions[c1].append(c2)
-                    substitutions[c2].append(c1)
-                    break
+    for i, j in zip(char[order].tolist(), other[order].tolist()):
+        substitutions[inventory[i]].append(inventory[j])
     decompositions: dict[str, str] = {}
     rd = tables.get(EncodingKind.RD)
     if rd is not None:
@@ -401,5 +406,13 @@ def read_truth(path: str | Path) -> np.ndarray:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "id_a,id_b":
         raise ValueError(f"truth file {path} must have header id_a,id_b")
-    rows = [tuple(int(x) for x in line.split(",")) for line in lines[1:] if line]
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise ValueError(f"truth file {path}, line {number}: {len(cells)} cells, "
+                             "expected 2")
+        rows.append((int(cells[0]), int(cells[1])))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)

@@ -42,6 +42,13 @@ def test_features_missing_header(tmp_path, capsys):
     assert "name_b" in capsys.readouterr().err
 
 
+def test_features_rejects_short_row(tmp_path, capsys):
+    pairs = tmp_path / "short.csv"
+    pairs.write_text("name_a,name_b,label\n伍考,伍考,1\n李华\n", encoding="utf-8")
+    assert main(["features", "--in", str(pairs), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "short.csv, line 3: 1 cells" in capsys.readouterr().err
+
+
 def test_features_reproduce_table1_column(tmp_path):
     pairs = tmp_path / "pairs.csv"
     write_pairs_csv(pairs, [

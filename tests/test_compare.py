@@ -1,36 +1,25 @@
-import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanlink import compare
 from hanlink.compare import (
     FeatureSpec,
     PairFeaturizer,
     cosine_sim,
+    cosine_sims,
     default_feature_bank,
+    edit_distances,
     extract_substring,
     lcs_sim,
     levenshtein,
     levenshtein_sim,
 )
-from hanlink.encoding import FrequencyTable
-
-
-def dp_levenshtein(a: str, b: str) -> int:
-    """Independent quadratic reference used as the oracle."""
-    m, n = len(a), len(b)
-    d = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        d[i][0] = i
-    for j in range(n + 1):
-        d[0][j] = j
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
-                          d[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
-    return d[m][n]
+from hanlink.encoding import IDENTITY_TABLE, EncodingKind, FrequencyTable, transform
+from oracles import counter_cosine, dp_levenshtein
 
 
 def test_table1_similarities():
@@ -167,3 +156,108 @@ def test_phonetic_replacement_visible_only_in_raw(bundle):
     fv = fz.feature_vector("张珂成", "张科成")
     assert fv.values[fz.spec_index("J_LV_k1_1:N")] == pytest.approx(2 / 3)
     assert fv.values[fz.spec_index("PY_LV_k1_1:N")] == 1.0
+
+
+# Lengths around the 64-bit word boundaries of the bit-parallel kernel.
+BOUNDARY_LENGTHS = st.one_of(st.integers(0, 12),
+                             st.sampled_from([1, 63, 64, 65, 127, 128, 129, 140]))
+
+
+def strings_of(alphabet: str):
+    return BOUNDARY_LENGTHS.flatmap(
+        lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(strings_of("ab"), strings_of("abc")), min_size=1, max_size=8),
+       st.sampled_from([1 << 22, 4096]))
+def test_edit_distances_match_dp(pairs, budget):
+    """One batch mixes pattern widths of one, two and three words; a small
+    chunk budget splits it into many chunks."""
+    strings, (u, v) = compare._intern([a for a, _ in pairs], [b for _, b in pairs])
+    with mock.patch.object(compare, "_EQ_BUDGET", budget):
+        got = edit_distances(strings, u, v)
+    assert got.tolist() == [dp_levenshtein(a, b) for a, b in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(strings_of("abc"), strings_of("abcd")), min_size=1, max_size=8),
+       st.integers(1, 3), st.sampled_from([1 << 16, 3]))
+def test_cosine_sims_match_counter_oracle(pairs, k, budget):
+    strings, (u, v) = compare._intern([a for a, _ in pairs], [b for _, b in pairs])
+    with mock.patch.object(compare, "_TOKEN_BUDGET", budget):
+        got = cosine_sims(strings, u, v, k)
+    assert got.tolist() == [counter_cosine(a, b, k) for a, b in pairs]
+
+
+def test_cosine_norms_round_as_pow():
+    """Squared counts summing to 2921, where sqrt and ** 0.5 differ in the last bit."""
+    a = "a" * 54 + "bbc"
+    for b in ("abd", "ab", "aabbcc", "a" * 20 + "c"):
+        assert cosine_sim(a, b, 1) == counter_cosine(a, b, 1)
+
+
+def reference_feature(spec: FeatureSpec, a: str, b: str, tables) -> float:
+    """The LV/LCS/COS feature of one pair from the DP and Counter oracles."""
+    sa, sb = extract_substring(a, spec.range_tag), extract_substring(b, spec.range_tag)
+    if not sa or not sb:
+        return 0.0
+    table = IDENTITY_TABLE if spec.encoding == "J" else tables[EncodingKind(spec.encoding)]
+    ea, eb = transform(sa, table).joined, transform(sb, table).joined
+    if ea == eb:
+        return 1.0
+    if spec.comparator == "COS":
+        return counter_cosine(ea, eb, spec.k)
+    e = dp_levenshtein(ea, eb)
+    if spec.comparator == "LV":
+        return 1.0 - e / max(len(ea), len(eb))
+    return (max(len(ea), len(eb)) - e) / min(len(ea), len(eb))
+
+
+def string_specs(encodings, tags):
+    return tuple(FeatureSpec(c, enc, k, tag) for enc in encodings for tag in tags
+                 for c, k in (("LV", 1), ("LCS", 1), ("COS", 1), ("COS", 2), ("COS", 3)))
+
+
+# 伍考张可成阳 have table codes; 㐀 has none and falls back to itself.
+NAME_CHARS = "伍考张可成阳㐀"
+
+
+def names_of(lengths):
+    return lengths.flatmap(lambda n: st.text(alphabet=NAME_CHARS, min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(names_of(BOUNDARY_LENGTHS), names_of(BOUNDARY_LENGTHS)),
+                min_size=1, max_size=6))
+def test_feature_columns_match_oracle_long_strings(bundle, pairs):
+    """Identity-encoded columns reach the 63/64/65 and >128 code-point cases."""
+    specs = string_specs(("J",), ("1:N", "2:N", "1:2"))
+    X, _ = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
+                          specs=specs).feature_matrix(pairs)
+    want = [[reference_feature(spec, a, b, bundle.tables) for spec in specs]
+            for a, b in pairs]
+    assert X.tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(names_of(st.integers(0, 12)), names_of(st.integers(0, 12))),
+                min_size=1, max_size=6))
+def test_feature_columns_match_oracle_all_encodings(bundle, pairs):
+    """Every string encoding and range, bitwise, both pair orders; codes of
+    ten or more characters pass 64 code points."""
+    specs = string_specs(("J", "PY", "FC", "WB", "RD", "RDS"), compare.RANGE_TAGS)
+    X, _ = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
+                          specs=specs).feature_matrix(pairs + [(b, a) for a, b in pairs])
+    want = [[reference_feature(spec, a, b, bundle.tables) for spec in specs]
+            for a, b in pairs + [(b, a) for a, b in pairs]]
+    assert X.tolist() == want
+
+
+def test_feature_vector_is_a_row_of_the_matrix(featurizer):
+    pairs = [("张可成", "阳娅"), ("伍考", "伍考"), ("张可", "张可成")]
+    X, cats = featurizer.feature_matrix(pairs)
+    for row, (a, b) in enumerate(pairs):
+        fv = featurizer.feature_vector(a, b)
+        assert fv.values.tolist() == X[row].tolist()
+        assert compare.HAN_CATEGORIES.index(fv.han_category) == cats[row]

@@ -25,6 +25,12 @@ def dataset(small_sim):
                               small_sim.truth, FIELDS)
 
 
+def test_dataset_rejects_repeated_field(small_sim):
+    with pytest.raises(ValueError, match="'sex' is listed more than once"):
+        exp.LinkageDataset(small_sim.records_a, small_sim.records_b, small_sim.truth,
+                           ("name", "sex", "sex"))
+
+
 def test_dataset_tabulate_matches_library(small_sim, dataset):
     table, pos = dataset.tabulate()
     reference = tabulate_patterns(small_sim.records_a, small_sim.records_b, FIELDS)

@@ -85,6 +85,12 @@ def test_tabulate_unknown_field():
         tabulate_patterns(recs, recs, fields=("name", "nope"))
 
 
+def test_tabulate_rejects_repeated_field():
+    recs = make_records([{"name": "a", "sex": "1"}])
+    with pytest.raises(ValueError, match="'sex' is listed more than once"):
+        tabulate_patterns(recs, recs, fields=("name", "sex", "sex"))
+
+
 def test_tabulate_permutation_invariance():
     rng = np.random.default_rng(1)
     rows = [{"name": rng.choice(["a", "b", "c"]), "sex": rng.choice(["1", "2"])}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hanlink.compare import levenshtein_sim
 from hanlink.encoding import EncodingKind, logograms
@@ -14,6 +16,7 @@ from hanlink.simgen import (
     sample_name,
     write_truth,
 )
+from oracles import dp_levenshtein
 
 
 def test_config_validation():
@@ -214,3 +217,55 @@ def test_truth_roundtrip(tmp_path, name_model):
     path = tmp_path / "truth.csv"
     write_truth(path, sim.truth)
     assert np.array_equal(read_truth(path), sim.truth)
+
+
+@pytest.mark.parametrize("rows,line", [(["0,1,2", "3,4,5"], 2), (["0,1", "2"], 3)])
+def test_read_truth_rejects_rows_without_two_cells(tmp_path, rows, line):
+    path = tmp_path / "truth.csv"
+    path.write_text("id_a,id_b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"truth.csv, line {line}"):
+        read_truth(path)
+
+
+SUBSTITUTION_KINDS = (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS)
+
+
+def reference_substitutions(inventory, tables, threshold):
+    """The pairwise scalar search, with its length-gap prune written the
+    same way: characters whose codes reach `threshold` Levenshtein
+    similarity under any encoding."""
+    subs = {c: [] for c in inventory}
+    for i, c1 in enumerate(inventory):
+        for c2 in inventory[i + 1:]:
+            for kind in SUBSTITUTION_KINDS:
+                if kind not in tables:
+                    continue
+                a = tables[kind].lookup(c1) or c1
+                b = tables[kind].lookup(c2) or c2
+                if abs(len(a) - len(b)) > (1.0 - threshold) * max(len(a), len(b)):
+                    continue
+                if 1.0 - dp_levenshtein(a, b) / max(len(a), len(b)) >= threshold:
+                    subs[c1].append(c2)
+                    subs[c2].append(c1)
+                    break
+    return {c: tuple(v) for c, v in subs.items()}
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), threshold=st.sampled_from([0.5, 0.7, 0.75, 0.8, 0.9]))
+def test_substitutions_match_scalar_reference(bundle, data, threshold):
+    corpus = data.draw(st.lists(st.sampled_from(bundle.corpus[:400]), min_size=1,
+                                max_size=25, unique=True))
+    model = build_name_model(corpus, bundle.tables, sim_threshold=threshold)
+    assert model.substitutions == reference_substitutions(model.inventory, bundle.tables,
+                                                          threshold)
+
+
+def test_substitution_prune_drops_pairs_at_the_threshold_with_a_length_gap(bundle):
+    """wan4/wang4 sit at similarity 0.8 with a gap of one, but (1.0 - 0.8) * 5
+    rounds below 1, so the prune drops the pair."""
+    py = bundle.tables[EncodingKind.PY]
+    assert (py.lookup("万"), py.lookup("旺")) == ("wan4", "wang4")
+    assert levenshtein_sim("wan4", "wang4") == 0.8
+    model = build_name_model(["万旺"], {EncodingKind.PY: py}, sim_threshold=0.8)
+    assert model.substitutions == {"万": (), "旺": ()}

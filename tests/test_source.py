@@ -1,5 +1,9 @@
 import ast
+import importlib
+import re
 from pathlib import Path
+
+import pytest
 
 import hanlink
 
@@ -12,3 +16,12 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_declared_dependencies_import():
+    """Every dependency pyproject.toml declares is importable here."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    for requirement in declared:
+        importlib.import_module(re.match(r"[A-Za-z0-9_.-]+", requirement).group(0))
