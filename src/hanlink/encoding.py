@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -235,18 +235,3 @@ def log_rel_frequency(name: str, range_tag: str, freq: FrequencyTable) -> float:
                          f"(expected one of {LF_RANGES})")
     sub = extract_substring(name, range_tag)
     return freq.values.get((range_tag, sub), freq.floor)
-
-
-@dataclass(frozen=True)
-class NameProperties:
-    han: bool
-    amb: int
-    logfreq: dict[str, float] = field(default_factory=dict)
-
-
-def name_properties(name: str, surnames: frozenset[str], freq: FrequencyTable) -> NameProperties:
-    return NameProperties(
-        han=han_indicator(name, surnames),
-        amb=ambiguity_count(name),
-        logfreq={tag: log_rel_frequency(name, tag, freq) for tag in LF_RANGES},
-    )

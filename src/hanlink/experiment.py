@@ -1,8 +1,10 @@
 """End-to-end linkage experiments on record-file pairs.
 
-Wires the pipeline together: agreement tabulation over the full cross
-product, EM fit, optional name-score incorporation (tau1/tau2 threshold
-moves or per-pair posterior adjustment), and the evaluation report.
+Wires the pipeline together: exact agreement-pattern counts from joins
+on the records' values (the |A| x |B| pairs are never formed), EM fit,
+optional name-score incorporation (tau1/tau2 threshold moves or per-pair
+posterior adjustment), and the evaluation report. Pairs are listed only
+for the pattern rows whose names get scored, again by joins.
 
 Scoring every gamma_name=0 pair of a 10^8-pair linkage is not feasible at
 desk scale, so pair-level name scoring is restricted to rows whose best
@@ -28,12 +30,14 @@ from .fuse import (
 )
 from .linkage import (
     LINK_FIELDS,
+    NA,
     PatternTable,
-    _codes_to_gammas,
-    check_distinct_fields,
     em_fit,
-    encode_field_values,
+    encode_fields,
+    extend_key,
+    join_pairs,
     pair_gamma_codes,
+    pattern_counts,
     zeta,
 )
 from .matcher import (
@@ -58,7 +62,7 @@ def _seed_of(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0]) % 2**63
 DEFAULT_CANDIDATE_FLOOR = 0.01
 DEFAULT_POSTERIOR_FLOOR = 0.1
-_STORE_LIMIT = 300_000_000  # elements; above this, pair codes are recomputed per pass
+_JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 
 
 class NamePairScorer:
@@ -114,72 +118,52 @@ class LinkageDataset:
     def __init__(self, records_a: dict[str, list[str]], records_b: dict[str, list[str]],
                  truth: np.ndarray, fields: tuple[str, ...]):
         self.fields = tuple(fields)
-        check_distinct_fields(self.fields)
+        self.codes_a, self.codes_b = encode_fields(records_a, records_b, self.fields)
         if "name" not in self.fields:
             raise ValueError("linkage fields must include 'name'")
-        self.names_a = records_a["name"]
-        self.names_b = records_b["name"]
-        self.n_a = len(self.names_a)
-        self.n_b = len(self.names_b)
-        self.codes_a, self.codes_b = [], []
-        for f in self.fields:
-            ca, cb = encode_field_values(records_a[f], records_b[f])
-            self.codes_a.append(ca)
-            self.codes_b.append(cb)
+        self.names_a, self.names_b = records_a["name"], records_b["name"]
+        self.n_a, self.n_b = len(self.names_a), len(self.names_b)
         self.truth = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
+        for side, ids, n in (("id_a", self.truth[:, 0], self.n_a),
+                             ("id_b", self.truth[:, 1], self.n_b)):
+            outside = (ids < 0) | (ids >= n)
+            repeated = np.zeros(len(ids), dtype=bool)
+            repeated[np.argsort(ids, kind="stable")[1:]] = np.diff(np.sort(ids)) == 0
+            if len(bad := np.nonzero(outside | repeated)[0]):
+                k = bad[0]
+                why = f"outside [0, {n})" if outside[k] else "linked more than once"
+                raise ValueError(f"truth link ({self.truth[k, 0]}, {self.truth[k, 1]}): "
+                                 f"{side} {ids[k]} is {why}")
         self.truth_b_of_a = np.full(self.n_a, -1, dtype=np.int64)
         self.truth_b_of_a[self.truth[:, 0]] = self.truth[:, 1]
-        self._matrix: np.ndarray | None = None
-        self._store = self.n_a * self.n_b <= _STORE_LIMIT
-
-    def _chunks(self, chunk_rows: int = 512):
-        for start in range(0, self.n_a, chunk_rows):
-            rows = slice(start, min(start + chunk_rows, self.n_a))
-            if self._matrix is not None:
-                yield start, self._matrix[rows]
-            else:
-                yield start, self._cross_codes(rows)
-
-    def _cross_codes(self, rows: slice) -> np.ndarray:
-        return pair_gamma_codes([ca[rows][:, None] for ca in self.codes_a],
-                                [cb[None, :] for cb in self.codes_b])
 
     def tabulate(self) -> tuple[PatternTable, np.ndarray]:
         """Pattern table over all pairs plus true-match counts per row."""
-        n_codes = 3 ** len(self.fields)
-        totals = np.zeros(n_codes, dtype=np.int64)
-        if self._store and self._matrix is None:
-            self._matrix = np.empty((self.n_a, self.n_b), dtype=np.int16)
-            for start in range(0, self.n_a, 512):
-                rows = slice(start, min(start + 512, self.n_a))
-                self._matrix[rows] = self._cross_codes(rows).astype(np.int16)
-        for _, block in self._chunks():
-            totals += np.bincount(block.ravel().astype(np.int64), minlength=n_codes)
+        table = PatternTable.from_counts(self.fields, pattern_counts(self.codes_a, self.codes_b))
         ta, tb = self.truth[:, 0], self.truth[:, 1]
         truth_codes = pair_gamma_codes([ca[ta] for ca in self.codes_a],
                                        [cb[tb] for cb in self.codes_b])
-        pos_by_code = np.bincount(truth_codes, minlength=n_codes)
-        present = np.nonzero(totals)[0]
-        table = PatternTable(fields=self.fields,
-                             gammas=_codes_to_gammas(present, len(self.fields)),
-                             counts=totals[present])
-        return table, pos_by_code[present].astype(np.int64)
+        return table, np.bincount(truth_codes, minlength=3 ** len(self.fields))[table.codes()]
 
     def candidate_pairs(self, wanted_codes: np.ndarray):
-        """All (i, j, code) pairs whose pattern code is in `wanted_codes`."""
-        wanted = np.zeros(3 ** len(self.fields), dtype=bool)
-        wanted[wanted_codes] = True
-        parts_i, parts_j, parts_c = [], [], []
-        for start, block in self._chunks():
-            hit = wanted[block.astype(np.int64)]
-            ii, jj = np.nonzero(hit)
-            parts_i.append(ii + start)
-            parts_j.append(jj)
-            parts_c.append(block[ii, jj].astype(np.int64))
-        if not parts_i:
-            return (np.empty(0, np.int64),) * 3
-        return (np.concatenate(parts_i), np.concatenate(parts_j),
-                np.concatenate(parts_c))
+        """All (i, j, code) pairs whose pattern code is in `wanted_codes`,
+        sorted by (i, j): for each code, a join on the fields it agrees on
+        over the records holding every field it does not mark NA, keeping
+        the joined pairs with that code."""
+        parts = [(np.empty(0, np.int64),) * 3]
+        for code in np.unique(np.asarray(wanted_codes, dtype=np.int64)):
+            key = np.zeros(self.n_a + self.n_b, dtype=np.int64)
+            for f, (ca, cb) in enumerate(zip(self.codes_a, self.codes_b)):
+                gamma, both = code // 3 ** f % 3, np.concatenate([ca, cb])
+                if gamma != NA:
+                    key = extend_key(key, both) if gamma == 1 else np.where(both >= 0, key, -1)
+            for ii, jj in join_pairs(key[:self.n_a], key[self.n_a:], _JOIN_SLICE):
+                got = pair_gamma_codes([ca[ii] for ca in self.codes_a],
+                                       [cb[jj] for cb in self.codes_b])
+                parts.append([x[got == code] for x in (ii, jj, got)])
+        ii, jj, cc = (np.concatenate(p) for p in zip(*parts))
+        order = np.lexsort((jj, ii))
+        return ii[order], jj[order], cc[order]
 
 
 def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
@@ -241,9 +225,8 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     cand_floor = min(candidate_floor, floor)
     cand_rows, _ = eligible_rows(table, z, dist, floor=cand_floor)
     codes = table.codes()
-    code_to_row = {int(c): r for r, c in enumerate(codes)}
     ii, jj, pair_codes = dataset.candidate_pairs(codes[cand_rows])
-    pair_rows = np.array([code_to_row[int(c)] for c in pair_codes], dtype=np.int64)
+    pair_rows = np.searchsorted(codes, pair_codes)  # table rows are sorted by code
     pair_labels = dataset.truth_b_of_a[ii] == jj
     name_pairs = [(dataset.names_a[i], dataset.names_b[j]) for i, j in zip(ii, jj)]
     pair_scores = scorer.scores(name_pairs) if name_pairs else np.empty(0)

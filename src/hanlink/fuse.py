@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import LinkageModel, PatternTable, _codes_to_gammas, zeta_for_gammas
+from .linkage import LinkageModel, PatternTable, zeta_for_gammas
 from .matcher import ScoreDistribution
 from .metrics import GroupedRanking, auroc
 
@@ -184,17 +184,13 @@ def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
     moved_p = np.bincount(pair_rows[move & np.asarray(pair_labels, dtype=bool)],
                           minlength=n_rows)
     codes = table.codes()
-    all_codes = np.concatenate([codes, codes + 3 ** name_ix])
-    new_codes, where = np.unique(all_codes, return_inverse=True)
-    counts = np.zeros(len(new_codes), dtype=np.int64)
-    new_pos = np.zeros(len(new_codes), dtype=np.int64)
+    where = np.concatenate([codes, codes + 3 ** name_ix * (table.gammas[:, name_ix] == 0)])
+    counts = np.zeros(3 ** len(table.fields), dtype=np.int64)
+    new_pos = np.zeros_like(counts)
     np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n]))
     np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p]))
-    kept = counts > 0
-    new_table = PatternTable(fields=table.fields,
-                             gammas=_codes_to_gammas(new_codes[kept], len(table.fields)),
-                             counts=counts[kept])
-    return new_table, new_pos[kept]
+    new_table = PatternTable.from_counts(table.fields, counts)
+    return new_table, new_pos[new_table.codes()]
 
 
 @dataclass

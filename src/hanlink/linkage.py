@@ -1,8 +1,11 @@
 """Fellegi-Sunter linkage core: agreement-pattern tabulation and EM fit.
 
 Agreement patterns are per-field codes (1 agree, 0 disagree, NA when
-either value is missing) tallied over the full cross product of two
-record files. The two-class mixture over patterns is fitted by EM under
+either value is missing) counted over all |A| x |B| pairs of two record
+files without forming the pairs: joins on each subset of fields count the
+pairs agreeing on it, and Moebius inversion over subsets gives the exact
+pattern counts (as in fastLink; Enamorado, Fifield and Imai, APSR 113(2),
+2019). The two-class mixture over patterns is fitted by EM under
 conditional independence; missing fields contribute a factor of one to
 both class likelihoods.
 """
@@ -51,32 +54,22 @@ def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
             writer.writerow([records[f][i] for f in RECORD_FIELDS])
 
 
-def check_distinct_fields(fields) -> None:
-    """Raise ValueError naming a field listed twice, which EM would count
-    twice (and which would widen the base-3 pattern codes)."""
-    seen: set[str] = set()
-    for f in fields:
-        if f in seen:
+def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
+                  fields) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-field codes of both files' values, numbered 0..n-1 over both files
+    (missing -> -1). A field listed twice (EM would count it twice) or absent
+    from either file is a ValueError."""
+    codes = []
+    for k, f in enumerate(fields):
+        if f in fields[:k]:
             raise ValueError(f"linkage field {f!r} is listed more than once")
-        seen.add(f)
-
-
-def encode_field_values(values_a: list[str], values_b: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Shared integer codes for one field across both files; missing -> -1."""
-    vocab: dict[str, int] = {}
-    def encode(values):
-        out = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            if v == "":
-                out[i] = -1
-            else:
-                code = vocab.get(v)
-                if code is None:
-                    code = len(vocab)
-                    vocab[v] = code
-                out[i] = code
-        return out
-    return encode(values_a), encode(values_b)
+        if f not in records_a or f not in records_b:
+            raise ValueError(f"unknown field {f!r} in record schema")
+        uniq, code = np.unique(np.array(records_a[f] + records_b[f], dtype=str),
+                               return_inverse=True)
+        code = code.astype(np.int64) - int(uniq[:1].tolist() == [""])  # "" sorts first
+        codes.append((code[:len(records_a[f])], code[len(records_a[f]):]))
+    return [a for a, _ in codes], [b for _, b in codes]
 
 
 @dataclass
@@ -95,6 +88,14 @@ class PatternTable:
         self.counts = np.asarray(self.counts)
         if self.gammas.ndim != 2 or self.gammas.shape[0] != len(self.counts):
             raise ValueError("gammas and counts are misaligned")
+
+    @classmethod
+    def from_counts(cls, fields, totals: np.ndarray) -> "PatternTable":
+        """Table of the codes with a nonzero count in `totals` (indexed by
+        code); field f of code c is c // 3^f % 3."""
+        present = np.nonzero(totals)[0]
+        gammas = present[:, None] // 3 ** np.arange(len(fields)) % 3
+        return cls(tuple(fields), gammas, totals[present])
 
     @property
     def total(self) -> float:
@@ -120,62 +121,97 @@ class PatternTable:
                 writer.writerow(row)
 
 
-def pair_gamma_codes(field_codes_a: list[np.ndarray],
-                     field_codes_b: list[np.ndarray]) -> np.ndarray:
+def pair_gamma_codes(field_codes_a: list[np.ndarray], field_codes_b: list[np.ndarray]) -> np.ndarray:
     """Base-3 pattern codes (field f contributes gamma_f * 3^f) of the pairs
-    formed by broadcasting each field's A codes against its B codes.
-
-    Aligned 1-d arrays give one code per listed pair; an (n, 1) column
-    against a (1, m) row gives the (n, m) cross product, which callers
-    chunk to bound memory.
-    """
-    code = None
-    power = 1
-    for a, b in zip(field_codes_a, field_codes_b):
-        agree = (a == b).astype(np.int64)
-        missing = (a == -1) | (b == -1)
-        gamma = np.where(missing, NA, agree)
-        code = gamma * power if code is None else code + gamma * power
-        power *= 3
+    (a[k], b[k]) listed by each field's aligned A and B code arrays."""
+    code = 0
+    for f, (a, b) in enumerate(zip(field_codes_a, field_codes_b)):
+        code = code + np.where((a < 0) | (b < 0), NA, a == b).astype(np.int64) * 3 ** f
     return code
 
 
-def tabulate_patterns(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
-                      fields: tuple[str, ...] = LINK_FIELDS,
-                      chunk_rows: int = 256) -> PatternTable:
-    """Tally agreement patterns over the |A| x |B| cross product."""
-    check_distinct_fields(fields)
-    for f in fields:
-        if f not in records_a or f not in records_b:
-            raise ValueError(f"unknown field {f!r} in record schema")
-    n_a = len(records_a[fields[0]])
-    n_b = len(records_b[fields[0]])
-    if n_a == 0 or n_b == 0:
-        raise ValueError("record files must be non-empty")
-    codes_a, codes_b = [], []
-    for f in fields:
-        ca, cb = encode_field_values(records_a[f], records_b[f])
-        codes_a.append(ca)
-        codes_b.append(cb)
-    n_codes = 3 ** len(fields)
-    totals = np.zeros(n_codes, dtype=np.int64)
-    for start in range(0, n_a, chunk_rows):
-        rows = slice(start, min(start + chunk_rows, n_a))
-        block = pair_gamma_codes([ca[rows][:, None] for ca in codes_a],
-                                 [cb[None, :] for cb in codes_b])
-        totals += np.bincount(block.ravel(), minlength=n_codes)
-    present = np.nonzero(totals)[0]
-    gammas = _codes_to_gammas(present, len(fields))
-    return PatternTable(fields=tuple(fields), gammas=gammas, counts=totals[present])
-
-
-def _codes_to_gammas(codes: np.ndarray, n_fields: int) -> np.ndarray:
-    out = np.empty((len(codes), n_fields), dtype=np.int8)
-    rest = codes.astype(np.int64)
-    for f in range(n_fields):
-        out[:, f] = rest % 3
-        rest //= 3
+def extend_key(key: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Join key over one more field: equal keys mean equal values on every
+    field so far. Keys are re-numbered 0..n-1 over all n records, so they
+    never overflow; -1 marks a record missing this field or an earlier one."""
+    out = np.full(len(key), -1, dtype=np.int64)
+    ok = (key >= 0) & (codes >= 0)
+    out[ok] = np.unique(key[ok] * len(key) + codes[ok], return_inverse=True)[1]
     return out
+
+
+def _subset_keys(codes: list[np.ndarray], subset: int = 0, first: int = 0,
+                 key: np.ndarray | None = None):
+    """Yield (subset, join key) for every subset of the fields (bit f set
+    for field f), depth first, so at most one key per field is held."""
+    key = np.zeros(len(codes[0]), dtype=np.int64) if key is None else key
+    yield subset, key
+    for f in range(first, len(codes)):
+        yield from _subset_keys(codes, subset | 1 << f, f + 1, extend_key(key, codes[f]))
+
+
+def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.ndarray:
+    """Number of A x B pairs with each base-3 pattern code (length 3^F),
+    from each field's codes in both files (missing -> -1).
+
+    For each field subset S and each C containing it, the pairs of records
+    that both have every field of C and agree on all of S number
+    sum_k cnt_A[k] * cnt_B[k] over S's join keys k. Inverting over supersets
+    of C and of S gives the pairs whose fields present on both sides are
+    exactly M and agree exactly on T: code sum_{T} 3^f + sum_{not M} 2 * 3^f.
+    """
+    n_a, n_fields = len(codes_a[0]), len(codes_a)
+    codes = [np.concatenate([a, b]) for a, b in zip(codes_a, codes_b)]
+    sets = np.arange(1 << n_fields)
+    within = (sets[:, None] & sets[None, :]) == sets[None, :]  # [c, s]: s within c
+    masks = sum((c >= 0).astype(np.int64) << f for f, c in enumerate(codes))  # fields held
+    joined = np.zeros((len(sets), len(sets)), dtype=np.int64)  # [c, s]
+    for s, key in _subset_keys(codes):
+        n_keys = int(key.max(initial=-1)) + 1
+        for c in np.nonzero(within[:, s])[0]:
+            has = (masks & c) == c  # implies key >= 0
+            joined[c, s] = (np.bincount(key[:n_a][has[:n_a]], minlength=n_keys)
+                            @ np.bincount(key[n_a:][has[n_a:]], minlength=n_keys))
+    joined = joined[sets[:, None] | sets[None, :], sets[None, :]]  # [c, s] as [c | s, s]
+    for f in range(n_fields):
+        low = sets[(sets >> f & 1) == 0]
+        joined[low] -= joined[low | 1 << f]
+        joined[:, low] -= joined[:, low | 1 << f]
+    ternary = ((sets[:, None] >> np.arange(n_fields) & 1) * 3 ** np.arange(n_fields)).sum(1)
+    codes_of = ternary[None, :] + 2 * ternary[len(sets) - 1 - sets][:, None]  # [m, t]
+    totals = np.zeros(3 ** n_fields, dtype=np.int64)
+    totals[codes_of[within]] = joined[within]
+    return totals
+
+
+def join_pairs(key_a: np.ndarray, key_b: np.ndarray, budget: int):
+    """Yield (ia, ib) for every pair with key_a[ia] == key_b[ib] >= 0, in
+    slices of consecutive A records holding at most `budget` pairs (a single
+    record may exceed it), each slice ordered by (ia, ib)."""
+    order = np.argsort(key_b, kind="stable")
+    sorted_b = key_b[order]
+    lo = np.searchsorted(sorted_b, key_a, side="left")
+    hits = np.where(key_a >= 0, np.searchsorted(sorted_b, key_a, side="right") - lo, 0)
+    ends = np.cumsum(hits)
+    start = 0
+    while start < len(key_a):
+        stop = max(int(np.searchsorted(ends, ends[start] - hits[start] + budget,
+                                       side="right")), start + 1)
+        n_hit = hits[start:stop]
+        first = ends[start:stop] - n_hit
+        ia = np.repeat(np.arange(start, stop), n_hit)
+        ib = order[np.repeat(lo[start:stop] - first, n_hit) + np.arange(first[0], ends[stop - 1])]
+        yield ia, ib
+        start = stop
+
+
+def tabulate_patterns(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
+                      fields: tuple[str, ...] = LINK_FIELDS) -> PatternTable:
+    """Tally agreement patterns over all |A| x |B| pairs."""
+    codes_a, codes_b = encode_fields(records_a, records_b, fields)
+    if not len(codes_a[0]) or not len(codes_b[0]):
+        raise ValueError("record files must be non-empty")
+    return PatternTable.from_counts(fields, pattern_counts(codes_a, codes_b))
 
 
 @dataclass

@@ -162,6 +162,24 @@ def test_experiment_files_mode(tmp_path, name_model):
     assert report["reports"]["exact"]["pi_m_true"] == pytest.approx(1 / 150)
 
 
+@pytest.mark.parametrize("rows", [["-1,2"], ["0,0", "0,1"]])
+def test_experiment_rejects_bad_truth_links(tmp_path, capsys, rows):
+    from hanlink.linkage import write_records
+    records = {f: ["a", "b", "c"] for f in ("name", "sex", "yob", "mob", "dob", "loc")}
+    write_records(tmp_path / "a.csv", records)
+    write_records(tmp_path / "b.csv", records)
+    (tmp_path / "truth.csv").write_text("\n".join(["id_a,id_b", *rows]) + "\n")
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "data": {"file_a": str(tmp_path / "a.csv"),
+                 "file_b": str(tmp_path / "b.csv"),
+                 "truth": str(tmp_path / "truth.csv")},
+        "methods": ["exact"],
+    }))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert f"truth link ({rows[-1].replace(',', ', ')})" in capsys.readouterr().err
+
+
 def test_experiment_requires_dist_for_fusion(tmp_path, name_model):
     from hanlink.linkage import write_records
     from hanlink.simgen import SimConfig, generate_pair_files, write_truth

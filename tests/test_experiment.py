@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cross_product_codes, cross_product_table
 
 from hanlink import experiment as exp
 from hanlink.compare import FeatureSpec, PairFeaturizer
 from hanlink.fuse import apply_threshold
-from hanlink.linkage import NA, tabulate_patterns
+from hanlink.linkage import NA
 from hanlink.matcher import MatcherModel, fit_score_distributions
 from hanlink.simgen import SimConfig, generate_pair_files
 
@@ -31,15 +34,73 @@ def test_dataset_rejects_repeated_field(small_sim):
                            ("name", "sex", "sex"))
 
 
-def test_dataset_tabulate_matches_library(small_sim, dataset):
-    table, pos = dataset.tabulate()
-    reference = tabulate_patterns(small_sim.records_a, small_sim.records_b, FIELDS)
-    got = {tuple(map(int, g)): int(c) for g, c in zip(table.gammas, table.counts)}
-    want = {tuple(map(int, g)): int(c)
-            for g, c in zip(reference.gammas, reference.counts)}
-    assert got == want
-    assert pos.sum() == len(small_sim.truth)
-    assert np.all(pos <= table.counts)
+@st.composite
+def linked_files(draw):
+    """Two small record files (every field takes missing values), a random
+    field list starting with name, and truth links."""
+    others = draw(st.permutations(FIELDS[1:]))[:draw(st.integers(0, 5))]
+    fields = ("name", *others)
+    cell = st.sampled_from(["", "a", "b", "c"])
+    n_a = draw(st.integers(1, 7))
+    n_b = draw(st.integers(1, 7))
+    records_a = {f: draw(st.lists(cell, min_size=n_a, max_size=n_a)) for f in fields}
+    records_b = {f: draw(st.lists(cell, min_size=n_b, max_size=n_b)) for f in fields}
+    linked_b = draw(st.permutations(range(n_b)))
+    n_links = draw(st.integers(0, min(n_a, n_b)))
+    truth = np.array([(i, linked_b[i]) for i in range(n_links)], dtype=np.int64)
+    return records_a, records_b, truth.reshape(-1, 2), fields
+
+
+def both_orders(case):
+    records_a, records_b, truth, fields = case
+    return [(records_a, records_b, truth, fields),
+            (records_b, records_a, truth[:, ::-1], fields)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(linked_files())
+def test_dataset_tabulate_matches_cross_product(case):
+    """Pattern counts and true-match counts equal the brute-force cross
+    product's, in both file orders."""
+    for records_a, records_b, truth, fields in both_orders(case):
+        table, pos = exp.LinkageDataset(records_a, records_b, truth, fields).tabulate()
+        got = {tuple(map(int, g)): (int(c), int(p))
+               for g, c, p in zip(table.gammas, table.counts, pos)}
+        assert got == cross_product_table(records_a, records_b, fields, truth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linked_files(), st.data())
+def test_candidate_pairs_match_cross_product(case, data):
+    """candidate_pairs lists exactly the cross product's pairs with a wanted
+    code, in (i, j) order, for any join slice size. The wanted codes always
+    include a pattern with no agreeing field and the all-NA pattern."""
+    n_codes = 3 ** len(case[3])
+    wanted = data.draw(st.lists(st.integers(0, n_codes - 1), max_size=8))
+    wanted = np.array(wanted + [0, n_codes - 1], dtype=np.int64)  # all 0s, all NA
+    slice_size = data.draw(st.sampled_from([1, 3, 1 << 18]))
+    for records_a, records_b, truth, fields in both_orders(case):
+        dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
+        with mock.patch.object(exp, "_JOIN_SLICE", slice_size):
+            ii, jj, cc = dataset.candidate_pairs(wanted)
+        ri, rj, rc = cross_product_codes(records_a, records_b, fields)
+        keep = np.isin(rc, wanted)
+        for got, want in ((ii, ri[keep]), (jj, rj[keep]), (cc, rc[keep])):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("truth,message", [
+    ([(-1, 2)], r"truth link \(-1, 2\): id_a -1 is outside \[0, 3\)"),
+    ([(0, 1), (3, 0)], r"truth link \(3, 0\): id_a 3 is outside \[0, 3\)"),
+    ([(1, 3)], r"truth link \(1, 3\): id_b 3 is outside \[0, 3\)"),
+    ([(0, 0), (0, 1)], r"truth link \(0, 1\): id_a 0 is linked more than once"),
+    ([(0, 2), (1, 0), (2, 2)], r"truth link \(2, 2\): id_b 2 is linked more than once"),
+])
+def test_dataset_rejects_bad_truth_links(truth, message):
+    records = {f: ["a", "b", "c"] for f in FIELDS}
+    with pytest.raises(ValueError, match=message):
+        exp.LinkageDataset(records, records, np.array(truth), FIELDS)
 
 
 def test_candidate_pairs_exhaustive(dataset):

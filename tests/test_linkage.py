@@ -1,11 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cross_product_table
 
+from hanlink.experiment import LinkageDataset
 from hanlink.linkage import (
     NA,
+    RECORD_FIELDS,
     LinkageModel,
     PatternTable,
     em_fit,
+    join_pairs,
     read_records,
     tabulate_patterns,
     write_records,
@@ -103,6 +111,99 @@ def test_tabulate_permutation_invariance():
     g1 = {tuple(map(int, g)): int(c) for g, c in zip(t1.gammas, t1.counts)}
     g2 = {tuple(map(int, g)): int(c) for g, c in zip(t2.gammas, t2.counts)}
     assert g1 == g2
+
+
+@st.composite
+def record_files(draw, max_records=7):
+    """Two small record files over a random field list; every field takes
+    missing values, and tiny alphabets make agreements common."""
+    fields = tuple(draw(st.permutations(RECORD_FIELDS))[:draw(st.integers(1, 6))])
+    cell = st.sampled_from(["", "a", "b", "c"])
+    n_a = draw(st.integers(1, max_records))
+    n_b = draw(st.integers(1, max_records))
+    records_a = {f: draw(st.lists(cell, min_size=n_a, max_size=n_a)) for f in fields}
+    records_b = {f: draw(st.lists(cell, min_size=n_b, max_size=n_b)) for f in fields}
+    return records_a, records_b, fields
+
+
+def as_dict(table: PatternTable) -> dict:
+    return {tuple(map(int, g)): (int(c), 0) for g, c in zip(table.gammas, table.counts)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_files())
+def test_tabulate_matches_cross_product(case):
+    """Join tabulation equals the brute-force cross product, in both file
+    orders."""
+    records_a, records_b, fields = case
+    for first, second in ((records_a, records_b), (records_b, records_a)):
+        table = tabulate_patterns(first, second, fields)
+        assert table.counts.dtype == np.int64
+        assert as_dict(table) == cross_product_table(first, second, fields)
+        assert np.all(np.diff(table.codes()) > 0)
+
+
+def test_tabulate_keys_cannot_overflow():
+    """Six fields of over 2,100 distinct values each: a mixed-radix key
+    over all six would need more than 2^66 values."""
+    rng = np.random.default_rng(11)
+    n = 1700
+    source = rng.integers(0, n, size=n)  # B record j copies from A record source[j]
+    records_a, records_b = {}, {}
+    for f in RECORD_FIELDS:
+        values = rng.permutation(10_000)[:2 * n].astype(str).tolist()
+        copied = rng.random(n) < 0.6
+        records_a[f] = values[:n]
+        records_b[f] = [values[source[j]] if copied[j] else values[n + j] for j in range(n)]
+        for records in (records_a, records_b):
+            for k in rng.choice(n, size=n // 50, replace=False):
+                records[f][k] = ""
+    sizes = [len(set(records_a[f] + records_b[f]) - {""}) for f in RECORD_FIELDS]
+    assert min(sizes) >= 2100 and np.prod(np.array(sizes, dtype=float)) > 2.0 ** 63
+    table = tabulate_patterns(records_a, records_b, RECORD_FIELDS)
+    assert as_dict(table) == cross_product_table(records_a, records_b, RECORD_FIELDS)
+    assert table.total == n * n
+
+
+def test_tabulate_memory_stays_small():
+    """Two 10k-record files (1e8 pairs) tabulate within 32 MB of traced
+    allocations, through both entry points; one int16 code per pair would
+    take 200 MB."""
+    rng = np.random.default_rng(12)
+    sizes = {"name": 3000, "sex": 2, "yob": 80, "mob": 12, "dob": 31, "loc": 200}
+    def records(n):
+        out = {}
+        for f, size in sizes.items():
+            values = rng.integers(0, size, n).astype(str).astype(object)
+            values[rng.random(n) < 0.05] = ""
+            out[f] = values.tolist()
+        return out
+    records_a, records_b = records(10_000), records(10_000)
+    no_links = np.zeros((0, 2), dtype=np.int64)
+    for tabulate in (lambda: tabulate_patterns(records_a, records_b, RECORD_FIELDS),
+                     lambda: LinkageDataset(records_a, records_b, no_links,
+                                            RECORD_FIELDS).tabulate()[0]):
+        tracemalloc.start()
+        try:
+            table = tabulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.total == 10_000 * 10_000
+        assert peak < 32 * 2 ** 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1, 3), max_size=12), st.lists(st.integers(-1, 3), max_size=12),
+       st.integers(1, 6))
+def test_join_pairs_matches_nested_loop(key_a, key_b, budget):
+    key_a, key_b = np.array(key_a, dtype=np.int64), np.array(key_b, dtype=np.int64)
+    slices = list(join_pairs(key_a, key_b, budget))
+    for ia, _ in slices:
+        assert len(ia) <= budget or len(np.unique(ia)) == 1
+    got = [(int(i), int(j)) for ia, ib in slices for i, j in zip(ia, ib)]
+    assert got == [(i, j) for i in range(len(key_a)) for j in range(len(key_b))
+                   if key_a[i] == key_b[j] >= 0]
 
 
 def sample_table(pi_m, p_m, p_u, n_pairs, rng):
