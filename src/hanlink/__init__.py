@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .compare import (
     FeatureSpec,
+    NamePairs,
     PairFeaturizer,
     cosine_sim,
     default_feature_bank,
@@ -30,7 +31,6 @@ from .matcher import (
     forward_select,
     backward_prune,
     pava,
-    predict,
     train_logistic,
     train_matcher,
 )

@@ -74,27 +74,36 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _read_pairs_csv(path: str) -> tuple[list[tuple[str, str]], list[str] | None]:
+def _read_csv(path: str, needed: tuple[str, ...],
+              optional: tuple[str, ...] | None = ()) -> tuple[dict[str, int], list[list[str]]]:
+    """Column index and body rows of a CSV file. InputError names the file
+    when it is empty or lacks a `needed` column, and the line of a row too
+    short to hold every needed and present `optional` column (every column
+    when `optional` is None)."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise InputError(f"{path}: empty file")
         cols = {name: i for i, name in enumerate(header)}
-        for needed in ("name_a", "name_b"):
-            if needed not in cols:
-                raise InputError(f"{path}: missing required column '{needed}'")
-        has_label = "label" in cols
-        width = 1 + max(cols[c] for c in ("name_a", "name_b", "label") if c in cols)
-        pairs, labels = [], []
+        for name in needed:
+            if name not in cols:
+                raise InputError(f"{path}: missing required column '{name}'")
+        read = header if optional is None else (*needed, *optional)
+        width = 1 + max((cols[c] for c in read if c in cols), default=-1)
+        rows = []
         for row in reader:
             if len(row) < width:
                 raise InputError(f"{path}, line {reader.line_num}: {len(row)} cells, "
                                  f"expected at least {width}")
-            pairs.append((row[cols["name_a"]], row[cols["name_b"]]))
-            if has_label:
-                labels.append(row[cols["label"]])
-    return pairs, (labels if has_label else None)
+            rows.append(row)
+    return cols, rows
+
+
+def _read_pairs_csv(path: str) -> tuple[list[tuple[str, str]], list[str] | None]:
+    cols, rows = _read_csv(path, ("name_a", "name_b"), ("label",))
+    pairs = [(row[cols["name_a"]], row[cols["name_b"]]) for row in rows]
+    return pairs, ([row[cols["label"]] for row in rows] if "label" in cols else None)
 
 
 def cmd_features(args) -> int:
@@ -119,23 +128,14 @@ def cmd_features(args) -> int:
 
 
 def _read_feature_csv(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        if "label" not in header:
-            raise InputError(f"{path}: missing required column 'label'")
-        label_ix = header.index("label")
-        cat_ix = header.index("han_category") if "han_category" in header else None
-        spec_cols = [(i, FeatureSpec.from_name(name)) for i, name in enumerate(header)
-                     if i not in (label_ix, cat_ix)]
-        X_rows, cats, y = [], [], []
-        cat_codes = {"NeitherHan": 0, "BothHan": 1, "Disagreeing": 2}
-        for row in reader:
-            X_rows.append([float(row[i]) for i, _ in spec_cols])
-            y.append(int(row[label_ix]))
-            cats.append(cat_codes[row[cat_ix]] if cat_ix is not None else 0)
+    cols, rows = _read_csv(path, ("label",), None)
+    label_ix, cat_ix = cols["label"], cols.get("han_category")
+    spec_cols = [(i, FeatureSpec.from_name(name)) for name, i in cols.items()
+                 if i not in (label_ix, cat_ix)]
+    cat_codes = {"NeitherHan": 0, "BothHan": 1, "Disagreeing": 2}
+    X_rows = [[float(row[i]) for i, _ in spec_cols] for row in rows]
+    y = [int(row[label_ix]) for row in rows]
+    cats = [cat_codes[row[cat_ix]] if cat_ix is not None else 0 for row in rows]
     specs = tuple(spec for _, spec in spec_cols)
     return (np.array(X_rows), np.array(cats, dtype=np.int8),
             np.array(y, dtype=float), specs)
@@ -160,13 +160,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fitdist(args) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{args.input}: empty file")
-        cols = {name: i for i, name in enumerate(header)}
-        rows = list(reader)
+    cols, rows = _read_csv(args.input, (), ("score", "label", "name_a", "name_b"))
     if "score" in cols and "label" in cols:
         scores = np.array([float(r[cols["score"]]) for r in rows])
         labels = np.array([int(r[cols["label"]]) for r in rows])
@@ -226,19 +220,9 @@ def _experiment_files(config: dict, args, bundle) -> dict:
         if not classifier:
             raise InputError("non-exact methods require a 'classifier'")
         if classifier.startswith("external-scores:"):
-            table = {}
-            with open(classifier.split(":", 1)[1], "r", encoding="utf-8",
-                      newline="") as handle:
-                reader = csv.reader(handle)
-                header = next(reader)
-                cols = {name: i for i, name in enumerate(header)}
-                for needed in ("name_a", "name_b", "score"):
-                    if needed not in cols:
-                        raise InputError(f"external scores: missing column '{needed}'")
-                for row in reader:
-                    table[(row[cols["name_a"]], row[cols["name_b"]])] = \
-                        float(row[cols["score"]])
-            scorer = exp.ExternalScorer(table)
+            cols, rows = _read_csv(classifier.split(":", 1)[1], ("name_a", "name_b", "score"))
+            scorer = exp.ExternalScorer({(row[cols["name_a"]], row[cols["name_b"]]):
+                                         float(row[cols["score"]]) for row in rows})
         else:
             scorer = exp.NamePairScorer.for_model(MatcherModel.from_selector(classifier),
                                                   bundle)
@@ -295,19 +279,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{args.input}: empty file")
-        cols = {name: i for i, name in enumerate(header)}
-        for needed in ("score", "label"):
-            if needed not in cols:
-                raise InputError(f"{args.input}: missing required column '{needed}'")
-        scores, labels = [], []
-        for row in reader:
-            scores.append(float(row[cols["score"]]))
-            labels.append(int(row[cols["label"]]))
+    cols, rows = _read_csv(args.input, ("score", "label"))
+    scores = [float(row[cols["score"]]) for row in rows]
+    labels = [int(row[cols["label"]]) for row in rows]
     ranking = GroupedRanking.from_pairs(np.array(scores), np.array(labels))
     q = args.q if args.q else ranking.total_pos() / ranking.total_neg()
     report = {

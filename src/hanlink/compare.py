@@ -22,8 +22,9 @@ from .encoding import (
     ambiguity_count,
     extract_substring,
     han_indicator,
+    join_codes,
     log_rel_frequency,
-    transform,
+    logograms,
 )
 
 # The comparators are numpy batch kernels; numba is not used.
@@ -36,7 +37,7 @@ _EQ_BUDGET = 1 << 22   # bool cells of one chunk's pattern-match table
 _TOKEN_BUDGET = 1 << 16  # tokens looked up per cosine chunk
 
 
-def _intern(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
+def intern_strings(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
     """Distinct strings over all columns, and each column as ids into them."""
     index: dict[str, int] = {}
     ids = [np.fromiter((index.setdefault(s, len(index)) for s in col),
@@ -201,13 +202,13 @@ def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions, or
     substitutions turning `a` into `b`."""
-    strings, (u, v) = _intern([a], [b])
+    strings, (u, v) = intern_strings([a], [b])
     return int(edit_distances(strings, u, v)[0])
 
 
 def levenshtein_sim(a: str, b: str) -> float:
     """1 - E/max(N1, N2); both empty -> 1, exactly one empty -> 0."""
-    strings, (u, v) = _intern([a], [b])
+    strings, (u, v) = intern_strings([a], [b])
     return float(levenshtein_sims(strings, u, v)[0])
 
 
@@ -244,7 +245,7 @@ def lcs_sim(a: str, b: str, mode: str = "edit") -> float:
 
 def cosine_sim(a: str, b: str, k: int) -> float:
     """Cosine similarity of contiguous k-character token frequency vectors."""
-    strings, (u, v) = _intern([a], [b])
+    strings, (u, v) = intern_strings([a], [b])
     return float(cosine_sims(strings, u, v, k)[0])
 
 
@@ -319,27 +320,52 @@ def default_feature_bank() -> tuple[FeatureSpec, ...]:
     return tuple(specs)
 
 
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    han_category: HanCategory
-    empty_range: bool = False
+class NamePairs(Sequence):
+    """The name pairs (names[ia[k]], names[ib[k]]) held as integer ids into
+    one list of names; indexing and iteration yield plain string tuples."""
 
+    def __init__(self, names: Sequence[str], ia, ib):
+        self.names = names
+        self.ia = np.asarray(ia, dtype=np.int64)
+        self.ib = np.asarray(ib, dtype=np.int64)
+        if self.ia.shape != self.ib.shape or self.ia.ndim != 1:
+            raise ValueError("name id arrays must be one-dimensional and of equal length")
 
-def _uses_range(spec: FeatureSpec) -> bool:
-    """Whether the feature reads the names' substrings (0 when one is empty)."""
-    return not (spec.comparator == "CAT"
-                or (spec.comparator == "SUM" and spec.encoding == "AMB"))
+    @classmethod
+    def of(cls, pairs) -> "NamePairs":
+        """`pairs` if it already is a NamePairs, else its (name_a, name_b)
+        tuples interned into ids."""
+        if isinstance(pairs, cls):
+            return pairs
+        names, (ia, ib) = intern_strings([a for a, _ in pairs], [b for _, b in pairs])
+        return cls(names, ia, ib)
+
+    def __len__(self) -> int:
+        return len(self.ia)
+
+    def __getitem__(self, k) -> tuple[str, str]:
+        return self.names[self.ia[k]], self.names[self.ib[k]]
+
+    def __iter__(self):
+        return zip(map(self.names.__getitem__, self.ia.tolist()),
+                   map(self.names.__getitem__, self.ib.tolist()))
 
 
 class PairFeaturizer:
-    """Computes feature vectors for name pairs against a fixed spec list.
+    """Computes feature matrices for name pairs against a fixed spec list.
 
-    Features are built one column at a time over the batch: string
-    comparators run once per distinct pair of encoded substrings. Per-name
-    intermediate results (substrings, encoded strings, properties) are
-    cached, so scoring many pairs over a limited name vocabulary stays
-    cheap.
+    Pairs are scored by name id (`NamePairs`): per-name work (substrings,
+    Han indicator, ambiguity tally, log frequencies) runs once over the
+    distinct names a batch references and is cached per name; an encoded
+    substring is built once per (encoding, distinct substring) from
+    per-logogram codes looked up once per (encoding, logogram). Features
+    are built one column at a time in numpy, the string comparators
+    running once per distinct pair of unequal encoded substrings, so a
+    duplicate pair costs only a gather.
+
+    `fallbacks` counts the distinct (encoding, logogram) lookups that found
+    no code in a table and fell back to the logogram itself; the identity
+    encoding J never falls back.
     """
 
     def __init__(self, tables: dict[EncodingKind, EncodingTable],
@@ -351,8 +377,9 @@ class PairFeaturizer:
         self.surnames = surnames
         self.specs = tuple(specs) if specs is not None else default_feature_bank()
         self.fallbacks = 0
+        self._codes: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
+        self._encoded: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
         self._subs: dict[tuple[str, str], str] = {}
-        self._encoded: dict[tuple[str, str, str], str] = {}
         self._han: dict[str, bool] = {}
         self._amb: dict[str, int] = {}
         self._lf: dict[tuple[str, str], float] = {}
@@ -371,19 +398,18 @@ class PairFeaturizer:
             self._subs[key] = cached
         return cached
 
-    def _encoded_sub(self, name: str, enc: str, tag: str) -> str:
-        key = (name, enc, tag)
-        cached = self._encoded.get(key)
-        if cached is not None:
-            return cached
-        sub = self._substring(name, tag)
-        if not sub:
-            joined = ""
-        else:
-            encoded = transform(sub, self.tables[EncodingKind(enc)])
-            self.fallbacks += encoded.fallbacks
-            joined = encoded.joined
-        self._encoded[key] = joined
+    def _encode(self, kind: EncodingKind, sub: str) -> str:
+        """transform(sub, table).joined, or "" for an empty substring."""
+        memo = self._encoded[kind]
+        joined = memo.get(sub)
+        if joined is None:
+            codes, chars = self._codes[kind], logograms(sub)
+            for ch in chars:
+                if ch not in codes:
+                    code = self.tables[kind].lookup(ch)
+                    self.fallbacks += code is None and kind is not EncodingKind.J
+                    codes[ch] = ch if code is None else code
+            joined = memo[sub] = join_codes(kind, [codes[ch] for ch in chars])
         return joined
 
     def _han_of(self, name: str) -> bool:
@@ -408,19 +434,15 @@ class PairFeaturizer:
             self._lf[key] = cached
         return cached
 
-    def feature_vector(self, name_a: str, name_b: str) -> FeatureVector:
-        X, cats = self.feature_matrix([(name_a, name_b)])
-        empty = any(_uses_range(spec) and not (self._substring(name_a, spec.range_tag)
-                                              and self._substring(name_b, spec.range_tag))
-                    for spec in self.specs)
-        return FeatureVector(values=X[0], han_category=HAN_CATEGORIES[cats[0]],
-                             empty_range=empty)
-
-    def feature_matrix(self, pairs: list[tuple[str, str]],
-                       specs: tuple[FeatureSpec, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Feature matrix plus Han-category codes for a batch of name pairs."""
+    def feature_matrix(self, pairs, specs: tuple[FeatureSpec, ...] | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature matrix plus Han-category codes, one row per pair of a
+        `NamePairs` or a sequence of (name_a, name_b) tuples."""
         specs = self.specs if specs is None else specs
-        names, (ia, ib) = _intern([a for a, _ in pairs], [b for _, b in pairs])
+        pairs = NamePairs.of(pairs)
+        used, inverse = np.unique(np.concatenate([pairs.ia, pairs.ib]), return_inverse=True)
+        names = [pairs.names[i] for i in used.tolist()]  # only the names pairs reference
+        ia, ib = inverse[:len(pairs)], inverse[len(pairs):]
         han = np.array([self._han_of(n) for n in names], dtype=bool)
         ha, hb = han[ia], han[ib]
         cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
@@ -433,16 +455,17 @@ class PairFeaturizer:
     def _column(self, spec: FeatureSpec, names: list[str], ia: np.ndarray,
                 ib: np.ndarray, memo: dict) -> np.ndarray:
         """One feature for the pairs (names[ia], names[ib]); `memo` shares
-        the substring masks, distinct encoded pairs and edit distances
-        between the columns of one batch."""
+        the substrings, distinct encoded pairs and edit distances between
+        the columns of one batch."""
         cmp_name, tag = spec.comparator, spec.range_tag
         if cmp_name == "SUM" and spec.encoding == "AMB":
             amb = np.array([self._amb_of(n) for n in names], dtype=np.int64)
             return (amb[ia] + amb[ib]).astype(float)
         if tag not in memo:
-            present = np.array([bool(self._substring(n, tag)) for n in names], dtype=bool)
-            memo[tag] = present[ia] & present[ib]
-        both = memo[tag]
+            subs = [self._substring(n, tag) for n in names]
+            present = np.array([bool(s) for s in subs], dtype=bool)
+            memo[tag] = subs, present[ia] & present[ib]
+        subs, both = memo[tag]
         if cmp_name == "SUM":  # LF
             lf = np.array([self._lf_of(n, tag) for n in names])
             return np.where(both, lf[ia] + lf[ib], 0.0)
@@ -450,7 +473,8 @@ class PairFeaturizer:
             raise ValueError(f"unknown comparator {cmp_name!r}")
         key = (spec.encoding, tag)
         if key not in memo:
-            memo[key] = self._distinct_pairs(spec.encoding, tag, names, ia, ib, both)
+            kind = EncodingKind(spec.encoding)
+            memo[key] = _distinct_pairs([self._encode(kind, s) for s in subs], ia, ib, both)
         strings, lens, u, v, todo, inverse = memo[key]
         if cmp_name == "COS":
             values = cosine_sims(strings, u, v, spec.k)
@@ -462,15 +486,16 @@ class PairFeaturizer:
         column[todo] = values[inverse]
         return column
 
-    def _distinct_pairs(self, enc: str, tag: str, names: list[str], ia: np.ndarray,
-                        ib: np.ndarray, both: np.ndarray):
-        """Distinct unordered pairs of unequal encoded substrings among the
-        pairs where both substrings exist, and each such pair's index."""
-        strings, (ids,) = _intern([self._encoded_sub(n, enc, tag) for n in names])
-        lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-        ea, eb = ids[ia], ids[ib]
-        todo = both & (ea != eb)
-        lo, hi = np.minimum(ea, eb)[todo], np.maximum(ea, eb)[todo]
-        keys, inverse = np.unique(lo * len(strings) + hi, return_inverse=True)
-        u, v = np.divmod(keys, len(strings))
-        return strings, lens, u, v, todo, inverse
+
+def _distinct_pairs(encoded: list[str], ia: np.ndarray, ib: np.ndarray, both: np.ndarray):
+    """Distinct unordered pairs of unequal encoded substrings (`encoded`
+    holding one per name) among the pairs where both substrings exist, and
+    each such pair's index."""
+    strings, (ids,) = intern_strings(encoded)
+    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    ea, eb = ids[ia], ids[ib]
+    todo = both & (ea != eb)
+    lo, hi = np.minimum(ea, eb)[todo], np.maximum(ea, eb)[todo]
+    keys, inverse = np.unique(lo * len(strings) + hi, return_inverse=True)
+    u, v = np.divmod(keys, len(strings))
+    return strings, lens, u, v, todo, inverse

@@ -117,11 +117,12 @@ def transform(name: str, table: EncodingTable) -> EncodedName:
             code = ch
             fallbacks += 1
         codes.append(code)
-    if kind is EncodingKind.RDS:
-        joined = _join_rds(codes)
-    else:
-        joined = _SEPARATORS[kind].join(codes)
-    return EncodedName(name, kind, tuple(codes), joined, fallbacks)
+    return EncodedName(name, kind, tuple(codes), join_codes(kind, codes), fallbacks)
+
+
+def join_codes(kind: EncodingKind, codes: list[str]) -> str:
+    """One name's code string from its per-logogram codes."""
+    return _join_rds(codes) if kind is EncodingKind.RDS else _SEPARATORS[kind].join(codes)
 
 
 def _join_rds(codes: list[str]) -> str:

@@ -4,7 +4,10 @@ Wires the pipeline together: exact agreement-pattern counts from joins
 on the records' values (the |A| x |B| pairs are never formed), EM fit,
 optional name-score incorporation (tau1/tau2 threshold moves or per-pair
 posterior adjustment), and the evaluation report. Pairs are listed only
-for the pattern rows whose names get scored, again by joins.
+for the pattern rows whose names get scored, again by joins. Those pairs
+are scored by name id: the names of both files are interned once, and a
+`NamePairs` of id arrays goes to the scorer, so no per-pair Python runs
+between candidate enumeration and the matcher.
 
 Scoring every gamma_name=0 pair of a 10^8-pair linkage is not feasible at
 desk scale, so pair-level name scoring is restricted to rows whose best
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import AssetBundle, load_bundle
-from .compare import PairFeaturizer
+from .compare import NamePairs, PairFeaturizer, intern_strings
 from .fuse import (
     apply_threshold,
     check_coverage,
@@ -66,14 +69,15 @@ _JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 
 
 class NamePairScorer:
-    """Classifier scores for name pairs, deduplicated over unique pairs."""
+    """Classifier scores for name pairs. The featurizer works on name ids,
+    running each comparator once per distinct pair of encoded substrings,
+    so a pair's score does not depend on the batch or its order."""
 
     def __init__(self, model: MatcherModel, featurizer: PairFeaturizer):
         if tuple(featurizer.specs) != tuple(model.specs):
             raise ValueError("featurizer specs must match model specs")
         self.model = model
         self.featurizer = featurizer
-        self._cache: dict[tuple[str, str], float] = {}
 
     @classmethod
     def for_model(cls, model: MatcherModel, bundle: AssetBundle) -> "NamePairScorer":
@@ -81,14 +85,9 @@ class NamePairScorer:
         return cls(model, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
                                          specs=model.specs))
 
-    def scores(self, pairs: list[tuple[str, str]]) -> np.ndarray:
-        missing = [p for p in set(pairs) if p not in self._cache]
-        if missing:
-            X, cats = self.featurizer.feature_matrix(missing)
-            values = self.model.predict_matrix(X, cats)
-            for pair, value in zip(missing, values):
-                self._cache[pair] = float(value)
-        return np.array([self._cache[p] for p in pairs])
+    def scores(self, pairs) -> np.ndarray:
+        """Scores of a `NamePairs` or a sequence of (name_a, name_b) tuples."""
+        return self.model.predict_matrix(*self.featurizer.feature_matrix(pairs))
 
 
 class ExternalScorer:
@@ -228,8 +227,9 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     ii, jj, pair_codes = dataset.candidate_pairs(codes[cand_rows])
     pair_rows = np.searchsorted(codes, pair_codes)  # table rows are sorted by code
     pair_labels = dataset.truth_b_of_a[ii] == jj
-    name_pairs = [(dataset.names_a[i], dataset.names_b[j]) for i, j in zip(ii, jj)]
-    pair_scores = scorer.scores(name_pairs) if name_pairs else np.empty(0)
+    names, (ids_a, ids_b) = intern_strings(dataset.names_a, dataset.names_b)
+    name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])
+    pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
 
     inputs = MethodInputs(table=table, pos=pos, zetas=z, pair_rows=pair_rows,
                           pair_scores=pair_scores, pair_labels=pair_labels,
@@ -309,22 +309,20 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     dev_cfg = SimConfig.from_dict({**sim_params, "seed": _seed_of(seeds[0])})
     sim = generate_pair_files(dev_cfg, name_model)
     rng = np.random.Generator(np.random.PCG64(seeds[1]))
-    names_a, names_b = sim.records_a["name"], sim.records_b["name"]
+    names, (ids_a, ids_b) = intern_strings(sim.records_a["name"], sim.records_b["name"])
     ta, tb = sim.truth[:, 0], sim.truth[:, 1]
 
     info: dict = {"dev_sim_records": dev_cfg.n_records}
     if classifier == "logistic:train":
-        pos_pairs = [(names_a[i], names_b[j]) for i, j in zip(ta, tb)
-                     if names_a[i] != names_b[j]]
+        pos = ids_a[ta] != ids_b[tb]  # matches whose names differ
         n_neg = int(opts["n_nonmatch_name_pairs"])
         neg_i = rng.integers(sim.truth.shape[0], size=n_neg)
-        neg_j = rng.integers(len(names_b), size=n_neg)
+        neg_j = rng.integers(len(ids_b), size=n_neg)
         ok = tb[neg_i] != neg_j
-        neg_pairs = [(names_a[ta[i]], names_b[j])
-                     for i, j in zip(neg_i[ok], neg_j[ok])]
         featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
-        pairs = pos_pairs + neg_pairs
-        y = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
+        pairs = NamePairs(names, np.concatenate([ids_a[ta[pos]], ids_a[ta[neg_i[ok]]]]),
+                          np.concatenate([ids_b[tb[pos]], ids_b[neg_j[ok]]]))
+        y = np.concatenate([np.ones(int(pos.sum())), np.zeros(int(ok.sum()))])
         X, cats = featurizer.feature_matrix(pairs)
         order = rng.permutation(len(pairs))
         X, cats, y = X[order], cats[order], y[order]
@@ -340,19 +338,18 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
         model = MatcherModel.from_selector(classifier)
 
     scorer = NamePairScorer.for_model(model, bundle)
-    match_pairs = [(names_a[i], names_b[j]) for i, j in zip(ta, tb)]
     n_u = int(opts["n_nonmatch_score_pairs"])
-    u_i = rng.integers(len(names_a), size=n_u)
-    u_j = rng.integers(len(names_b), size=n_u)
-    b_of_a = np.full(len(names_a), -1, dtype=np.int64)
+    u_i = rng.integers(len(ids_a), size=n_u)
+    u_j = rng.integers(len(ids_b), size=n_u)
+    b_of_a = np.full(len(ids_a), -1, dtype=np.int64)
     b_of_a[ta] = tb
     ok = b_of_a[u_i] != u_j
-    nonmatch_pairs = [(names_a[i], names_b[j]) for i, j in zip(u_i[ok], u_j[ok])]
-    scores = scorer.scores(match_pairs + nonmatch_pairs)
-    labels = np.concatenate([np.ones(len(match_pairs)), np.zeros(len(nonmatch_pairs))])
+    scores = scorer.scores(NamePairs(names, ids_a[np.concatenate([ta, u_i[ok]])],
+                                     ids_b[np.concatenate([tb, u_j[ok]])]))
+    labels = np.concatenate([np.ones(len(ta)), np.zeros(int(ok.sum()))])
     dist = fit_score_distributions(scores, labels, bins=int(opts["bins"]))
-    info["n_dist_match"] = len(match_pairs)
-    info["n_dist_nonmatch"] = len(nonmatch_pairs)
+    info["n_dist_match"] = len(ta)
+    info["n_dist_nonmatch"] = int(ok.sum())
     return model, dist, info
 
 

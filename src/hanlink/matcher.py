@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import FeatureSpec, FeatureVector, HAN_CATEGORIES, HanCategory
+from .compare import FeatureSpec, HAN_CATEGORIES, HanCategory
 from .metrics import GroupedRanking, auroc, eauroc
 
 MIN_IMPROVE = 1e-5
@@ -33,12 +33,6 @@ class ConvergenceError(TrainingError):
     def __init__(self, message: str, model: "MatcherModel"):
         super().__init__(message)
         self.model = model
-
-
-@dataclass
-class LabeledPair:
-    features: FeatureVector
-    label: int
 
 
 @dataclass
@@ -64,9 +58,15 @@ class MatcherModel:
         raise ValueError(f"unknown classifier selector {selector!r}")
 
     def predict_matrix(self, X: np.ndarray, cats: np.ndarray) -> np.ndarray:
-        if self.kind == "single":
-            return np.asarray(X)[:, 0].astype(float)
+        """Scores of feature rows X (one column per spec) with Han-category
+        codes `cats`: the logistic of the category's linear predictor, or
+        the raw value in single-feature mode."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.specs):
+            raise ValueError(f"feature matrix of shape {X.shape} does not have one "
+                             f"column per model feature ({len(self.specs)})")
+        if self.kind == "single":
+            return X[:, 0].copy()
         cats = np.asarray(cats)
         scores = np.empty(X.shape[0])
         for code, cat in enumerate(HAN_CATEGORIES):
@@ -110,23 +110,6 @@ class MatcherModel:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def predict(model: MatcherModel, fv: FeatureVector,
-            specs: tuple[FeatureSpec, ...] | None = None) -> float:
-    """Classifier score for one feature vector (logistic of the
-    Han-category-specific linear predictor, or the raw value in
-    single-feature mode)."""
-    if len(fv.values) != len(model.specs):
-        raise ValueError(f"feature vector has {len(fv.values)} values, "
-                         f"model expects {len(model.specs)}")
-    if specs is not None and tuple(specs) != tuple(model.specs):
-        raise ValueError("feature vector spec list does not match model specs")
-    if model.kind == "single":
-        return float(fv.values[0])
-    cat = fv.han_category
-    z = model.intercepts[cat] + float(np.dot(model.coefs[cat], fv.values))
-    return float(_sigmoid(np.array([z]))[0])
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -137,16 +120,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _as_matrices(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accept a list of LabeledPair or an (X, cats, y) triple."""
-    if isinstance(data, tuple):
-        X, cats, y = data
-        return (np.asarray(X, dtype=float), np.asarray(cats, dtype=np.int8),
-                np.asarray(y, dtype=float))
-    X = np.stack([p.features.values for p in data])
-    cats = np.array([HAN_CATEGORIES.index(p.features.han_category) for p in data],
-                    dtype=np.int8)
-    y = np.array([p.label for p in data], dtype=float)
-    return X, cats, y
+    """An (X, cats, y) triple as float, int8 and float arrays."""
+    X, cats, y = data
+    return (np.asarray(X, dtype=float), np.asarray(cats, dtype=np.int8),
+            np.asarray(y, dtype=float))
 
 
 # Design-matrix terms: ("main", j) is feature j shared across categories;

@@ -257,3 +257,46 @@ def test_experiment_study_reproducible(tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["experiment", "--config", str(cfg), "--out", str(out2)]) == 0
     assert sha256_dir(out1) == sha256_dir(out2)
+
+
+MALFORMED_CSV = {
+    "train": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,BothHan\n",
+              "line 3: 2 cells"),
+    "evaluate": ("score,label\n0.9,1\n0.1\n", "line 3: 1 cells"),
+    "fitdist-scores": ("score,label\n0.9,1\n0.1\n", "line 3: 1 cells"),
+    "fitdist-pairs": ("name_a,name_b,label\n伍考,伍考,1\n李华,李\n", "line 3: 2 cells"),
+    "external-scores": ("name_a,name_b,score\na,b,0.5\na\n", "line 3: 1 cells"),
+    "external-scores-empty": ("", "empty file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_malformed_csv_input_exits_2(tmp_path, capsys, case):
+    """A short row or an empty file is an input error naming the file."""
+    text, message = MALFORMED_CSV[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    if case.startswith("external-scores"):
+        from hanlink.linkage import write_records
+        records = {f: ["a", "b", "c"] for f in ("name", "sex", "yob", "mob", "dob", "loc")}
+        write_records(tmp_path / "a.csv", records)
+        write_records(tmp_path / "b.csv", records)
+        (tmp_path / "truth.csv").write_text("id_a,id_b\n0,0\n1,1\n2,2\n")
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "data": {"file_a": str(tmp_path / "a.csv"), "file_b": str(tmp_path / "b.csv"),
+                     "truth": str(tmp_path / "truth.csv")},
+            "methods": ["exact", "posterior"],
+            "classifier": f"external-scores:{bad}"}))
+        argv = ["experiment", "--config", str(cfg), "--out", out]
+    elif case == "fitdist-pairs":
+        from hanlink.matcher import MatcherModel
+        from hanlink.compare import FeatureSpec
+        model = tmp_path / "model.json"
+        MatcherModel.single_feature(FeatureSpec.from_name("J_LV_k1_1:N")).save(model)
+        argv = ["fitdist", "--in", str(bad), "--model", str(model), "--out", out]
+    else:
+        argv = [case.split("-")[0], "--in", str(bad), "--out", out]
+    assert main(argv) == 2
+    assert f"{bad}{',' if 'line' in message else ':'} {message}" in capsys.readouterr().err

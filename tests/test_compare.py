@@ -18,7 +18,7 @@ from hanlink.compare import (
     levenshtein,
     levenshtein_sim,
 )
-from hanlink.encoding import IDENTITY_TABLE, EncodingKind, FrequencyTable, transform
+from hanlink.encoding import IDENTITY_TABLE, EncodingKind, FrequencyTable, logograms, transform
 from oracles import counter_cosine, dp_levenshtein
 
 
@@ -111,40 +111,45 @@ def featurizer(bundle):
     return PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
 
 
+def feature_row(fz: PairFeaturizer, a: str, b: str):
+    """Feature values and Han category of one pair."""
+    X, cats = fz.feature_matrix([(a, b)])
+    return X[0], compare.HAN_CATEGORIES[cats[0]]
+
+
 def test_feature_vector_reflexive(featurizer):
-    fv = featurizer.feature_vector("伍考", "伍考")
-    for spec, value in zip(featurizer.specs, fv.values):
+    values, cat = feature_row(featurizer, "伍考", "伍考")
+    for spec, value in zip(featurizer.specs, values):
         if spec.comparator in ("LV", "LCS", "COS") and spec.range_tag in ("1:N", "1:1", "1:2"):
             assert value == 1.0, spec.name
-    assert fv.han_category.value == "BothHan"
+    assert cat.value == "BothHan"
 
 
 def test_feature_vector_symmetric(featurizer):
-    fv_ab = featurizer.feature_vector("张可成", "阳娅")
-    fv_ba = featurizer.feature_vector("阳娅", "张可成")
-    assert np.allclose(fv_ab.values, fv_ba.values)
-    assert fv_ab.han_category == fv_ba.han_category
+    X, cats = featurizer.feature_matrix([("张可成", "阳娅"), ("阳娅", "张可成")])
+    assert np.allclose(X[0], X[1])
+    assert cats[0] == cats[1]
 
 
 def test_feature_vector_empty_range_flag(featurizer):
-    fv = featurizer.feature_vector("张可", "张可")  # 3:N empty
-    assert fv.empty_range is True
-    idx = featurizer.spec_index("J_LV_k1_3:N")
-    assert fv.values[idx] == 0.0
+    """A range that is empty for a pair scores 0 on every feature reading it."""
+    assert extract_substring("张可", "3:N") == ""
+    values, _ = feature_row(featurizer, "张可", "张可")
+    on_3n = [i for i, spec in enumerate(featurizer.specs) if spec.range_tag == "3:N"]
+    assert featurizer.spec_index("J_LV_k1_3:N") in on_3n and len(on_3n) == 29  # with LF
+    assert values[on_3n].tolist() == [0.0] * len(on_3n)
 
 
 def test_sum_lf_feature(bundle):
     freq = FrequencyTable(values={("1:2", "伍考"): -9.0}, floor=-20.0)
     fz = PairFeaturizer(bundle.tables, freq, bundle.surnames)
     idx = fz.spec_index("LF_SUM_k1_1:2")
-    fv = fz.feature_vector("伍考", "伍考")
-    assert fv.values[idx] == -18.0
+    assert feature_row(fz, "伍考", "伍考")[0][idx] == -18.0
 
 
 def test_sum_amb_feature(featurizer):
     idx = featurizer.spec_index("AMB_SUM_k1_1:N")
-    fv = featurizer.feature_vector("俄者(拉者)", "?者")
-    assert fv.values[idx] == 3.0
+    assert feature_row(featurizer, "俄者(拉者)", "?者")[0][idx] == 3.0
 
 
 def test_phonetic_replacement_visible_only_in_raw(bundle):
@@ -153,9 +158,9 @@ def test_phonetic_replacement_visible_only_in_raw(bundle):
     py = bundle.tables[EncodingKind.PY]
     assert py.lookup("珂") == py.lookup("科") == "ke1"
     fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
-    fv = fz.feature_vector("张珂成", "张科成")
-    assert fv.values[fz.spec_index("J_LV_k1_1:N")] == pytest.approx(2 / 3)
-    assert fv.values[fz.spec_index("PY_LV_k1_1:N")] == 1.0
+    values, _ = feature_row(fz, "张珂成", "张科成")
+    assert values[fz.spec_index("J_LV_k1_1:N")] == pytest.approx(2 / 3)
+    assert values[fz.spec_index("PY_LV_k1_1:N")] == 1.0
 
 
 # Lengths around the 64-bit word boundaries of the bit-parallel kernel.
@@ -174,7 +179,7 @@ def strings_of(alphabet: str):
 def test_edit_distances_match_dp(pairs, budget):
     """One batch mixes pattern widths of one, two and three words; a small
     chunk budget splits it into many chunks."""
-    strings, (u, v) = compare._intern([a for a, _ in pairs], [b for _, b in pairs])
+    strings, (u, v) = compare.intern_strings([a for a, _ in pairs], [b for _, b in pairs])
     with mock.patch.object(compare, "_EQ_BUDGET", budget):
         got = edit_distances(strings, u, v)
     assert got.tolist() == [dp_levenshtein(a, b) for a, b in pairs]
@@ -184,7 +189,7 @@ def test_edit_distances_match_dp(pairs, budget):
 @given(st.lists(st.tuples(strings_of("abc"), strings_of("abcd")), min_size=1, max_size=8),
        st.integers(1, 3), st.sampled_from([1 << 16, 3]))
 def test_cosine_sims_match_counter_oracle(pairs, k, budget):
-    strings, (u, v) = compare._intern([a for a, _ in pairs], [b for _, b in pairs])
+    strings, (u, v) = compare.intern_strings([a for a, _ in pairs], [b for _, b in pairs])
     with mock.patch.object(compare, "_TOKEN_BUDGET", budget):
         got = cosine_sims(strings, u, v, k)
     assert got.tolist() == [counter_cosine(a, b, k) for a, b in pairs]
@@ -227,6 +232,17 @@ def names_of(lengths):
     return lengths.flatmap(lambda n: st.text(alphabet=NAME_CHARS, min_size=n, max_size=n))
 
 
+# Logograms with table codes (伍张阳李华 carry RDS structure marks), 㐀 with
+# none, a bare structure mark, inner whitespace, and characters NFC composes
+# (e + U+0301) or replaces (U+212B ANGSTROM SIGN becomes U+00C5).
+MIXED_CHARS = "伍考张可成阳李华㐀⿰ \u3000e\u0301\u212b"
+ALL_ENCODINGS = ("J", "PY", "FC", "WB", "RD", "RDS")
+
+
+def mixed_names(max_size: int = 8):
+    return st.text(alphabet=MIXED_CHARS, max_size=max_size)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(names_of(BOUNDARY_LENGTHS), names_of(BOUNDARY_LENGTHS)),
                 min_size=1, max_size=6))
@@ -241,12 +257,13 @@ def test_feature_columns_match_oracle_long_strings(bundle, pairs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(names_of(st.integers(0, 12)), names_of(st.integers(0, 12))),
-                min_size=1, max_size=6))
+@given(st.lists(st.tuples(mixed_names(12), mixed_names(12)), min_size=1, max_size=6))
 def test_feature_columns_match_oracle_all_encodings(bundle, pairs):
-    """Every string encoding and range, bitwise, both pair orders; codes of
-    ten or more characters pass 64 code points."""
-    specs = string_specs(("J", "PY", "FC", "WB", "RD", "RDS"), compare.RANGE_TAGS)
+    """Every string encoding and range, bitwise, both pair orders, on names
+    mixing coded and uncoded logograms, whitespace, a structure mark and
+    characters NFC rewrites; codes of ten or more characters pass 64 code
+    points."""
+    specs = string_specs(ALL_ENCODINGS, compare.RANGE_TAGS)
     X, _ = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
                           specs=specs).feature_matrix(pairs + [(b, a) for a, b in pairs])
     want = [[reference_feature(spec, a, b, bundle.tables) for spec in specs]
@@ -255,9 +272,58 @@ def test_feature_columns_match_oracle_all_encodings(bundle, pairs):
 
 
 def test_feature_vector_is_a_row_of_the_matrix(featurizer):
+    """A pair featurized alone gives its row of a batch, bitwise."""
     pairs = [("张可成", "阳娅"), ("伍考", "伍考"), ("张可", "张可成")]
     X, cats = featurizer.feature_matrix(pairs)
     for row, (a, b) in enumerate(pairs):
-        fv = featurizer.feature_vector(a, b)
-        assert fv.values.tolist() == X[row].tolist()
-        assert compare.HAN_CATEGORIES.index(fv.han_category) == cats[row]
+        values, cat = feature_row(featurizer, a, b)
+        assert values.tolist() == X[row].tolist()
+        assert compare.HAN_CATEGORIES.index(cat) == cats[row]
+
+
+
+def test_encoded_substring_strips_like_transform(bundle):
+    """transform strips the substring: "李 华" at 2:N is " 华", encoded hua4."""
+    fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+    assert extract_substring("李 华", "2:N") == " 华"
+    assert fz._encode(EncodingKind.PY, " 华") == "hua4"
+    assert fz._encode(EncodingKind.RDS, "李华") == "木 子 化 十 ⿱ ⿱"
+    assert fz._encode(EncodingKind.FC, "") == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_names(), min_size=1, max_size=6))
+def test_encoded_substrings_match_transform(bundle, names):
+    """Every encoding and range, against transform of the substring; one
+    fallback per distinct (table encoding, logogram) without a code."""
+    fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+    missing = set()
+    for kind, table in fz.tables.items():
+        for tag in compare.RANGE_TAGS:
+            for name in names:
+                sub = extract_substring(name, tag)
+                assert fz._encode(kind, sub) == (transform(sub, table).joined if sub else "")
+                if kind is not EncodingKind.J:
+                    missing |= {(kind, ch) for ch in logograms(sub) if table.lookup(ch) is None}
+    assert fz.fallbacks == len(missing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(mixed_names(), min_size=1, max_size=6), st.data())
+def test_feature_matrix_of_name_ids_matches_tuples(bundle, names, data):
+    """Ids into a name list that repeats a name and holds one no pair
+    references, with duplicate pairs: bitwise the tuple-list result."""
+    pool = names + names[:1] + ["阳李华"]
+    ids = st.integers(0, len(pool) - 2)
+    ia = data.draw(st.lists(ids, min_size=1, max_size=10))
+    ib = data.draw(st.lists(ids, min_size=len(ia), max_size=len(ia)))
+    ia, ib = ia + ia[:3], ib + ib[:3]
+    pairs = compare.NamePairs(pool, ia, ib)
+    tuples = [(pool[i], pool[j]) for i, j in zip(ia, ib)]
+    assert len(pairs) == len(tuples) and list(pairs) == tuples
+    assert [pairs[k] for k in range(len(pairs))] == tuples
+    fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+    X, cats = fz.feature_matrix(pairs)
+    for other in (fz, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)):
+        X2, cats2 = other.feature_matrix(tuples)
+        assert X.tobytes() == X2.tobytes() and cats.tobytes() == cats2.tobytes()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import cross_product_codes, cross_product_table
 
 from hanlink import experiment as exp
-from hanlink.compare import FeatureSpec, PairFeaturizer
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec, PairFeaturizer
 from hanlink.fuse import apply_threshold
 from hanlink.linkage import NA
 from hanlink.matcher import MatcherModel, fit_score_distributions
@@ -271,3 +271,24 @@ def test_run_study_worker_count_invariance(bundle):
     serial = exp.run_study(config, workers=1)
     parallel = exp.run_study(config, workers=2)
     assert serial["replicates"] == parallel["replicates"]
+
+
+SCORER_NAMES = st.text(alphabet="伍考张可成阳李华㐀 ", min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(SCORER_NAMES, SCORER_NAMES), min_size=1, max_size=40), st.data())
+def test_scores_are_permutation_invariant(bundle, pairs, data):
+    """A pair's score, bitwise, does not depend on the batch order or on
+    duplicates around it."""
+    pairs = pairs + pairs[:5]
+    perm = np.array(data.draw(st.permutations(range(len(pairs)))), dtype=np.int64)
+    specs = tuple(FeatureSpec.from_name(n) for n in
+                  ("FC_COS_k3_1:N", "PY_COS_k3_1:2", "RD_LV_k1_1:N", "J_LV_k1_1:1"))
+    rng = np.random.default_rng(len(pairs))
+    model = MatcherModel(kind="logistic", specs=specs,
+                         intercepts=dict(zip(HAN_CATEGORIES, rng.normal(size=3).tolist())),
+                         coefs={c: rng.normal(size=len(specs)) for c in HAN_CATEGORIES})
+    scores = exp.NamePairScorer.for_model(model, bundle).scores(pairs)
+    permuted = exp.NamePairScorer.for_model(model, bundle).scores([pairs[k] for k in perm])
+    assert scores[perm].tobytes() == permuted.tobytes()

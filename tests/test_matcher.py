@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hanlink.compare import FeatureSpec, FeatureVector, HanCategory
+from hanlink.compare import FeatureSpec, HanCategory
 from hanlink.matcher import (
     ConvergenceError,
     MatcherModel,
@@ -12,7 +12,6 @@ from hanlink.matcher import (
     fit_score_distributions,
     forward_select,
     pava,
-    predict,
     train_logistic,
     train_matcher,
 )
@@ -81,10 +80,9 @@ def test_predict_table_shaped_intercepts():
                     HanCategory.DISAGREE: -14.65},
         coefs={cat: np.zeros(1) for cat in
                (HanCategory.BOTH, HanCategory.NEITHER, HanCategory.DISAGREE)})
-    fv_both = FeatureVector(values=np.zeros(1), han_category=HanCategory.BOTH)
-    fv_neither = FeatureVector(values=np.zeros(1), han_category=HanCategory.NEITHER)
-    assert predict(model, fv_both) == pytest.approx(6.6e-10, rel=0.01)
-    assert predict(model, fv_neither) == pytest.approx(4.3e-7, rel=0.01)
+    both, neither = model.predict_matrix(np.zeros((2, 1)), np.array([1, 0], dtype=np.int8))
+    assert both == pytest.approx(6.6e-10, rel=0.01)
+    assert neither == pytest.approx(4.3e-7, rel=0.01)
 
 
 def test_predict_intercept_zero_gives_half():
@@ -92,21 +90,27 @@ def test_predict_intercept_zero_gives_half():
         kind="logistic", specs=(SPEC_A,),
         intercepts={cat: 0.0 for cat in HanCategory},
         coefs={cat: np.zeros(1) for cat in HanCategory})
-    fv = FeatureVector(values=np.zeros(1), han_category=HanCategory.NEITHER)
-    assert predict(model, fv) == 0.5
+    assert model.predict_matrix(np.zeros((1, 1)), np.zeros(1, dtype=np.int8))[0] == 0.5
 
 
 def test_predict_spec_mismatch():
-    model = MatcherModel.single_feature(SPEC_A)
-    fv = FeatureVector(values=np.zeros(3), han_category=HanCategory.NEITHER)
+    """A matrix without one column per model feature is an error, for the
+    single-feature kind too."""
+    single = MatcherModel.single_feature(SPEC_A)
+    logistic = MatcherModel(
+        kind="logistic", specs=(SPEC_A, SPEC_B),
+        intercepts={cat: 0.0 for cat in HanCategory},
+        coefs={cat: np.zeros(2) for cat in HanCategory})
+    for model, width in ((single, 3), (single, 0), (logistic, 1), (logistic, 3)):
+        with pytest.raises(ValueError, match="one column per model feature"):
+            model.predict_matrix(np.zeros((1, width)), np.zeros(1, dtype=np.int8))
     with pytest.raises(ValueError):
-        predict(model, fv)
+        single.predict_matrix(np.zeros(1), np.zeros(1, dtype=np.int8))
 
 
 def test_single_feature_passthrough():
     model = MatcherModel.single_feature(SPEC_A)
-    fv = FeatureVector(values=np.array([0.42]), han_category=HanCategory.BOTH)
-    assert predict(model, fv) == 0.42
+    assert model.predict_matrix(np.array([[0.42]]), np.array([1], dtype=np.int8))[0] == 0.42
 
 
 def test_predict_monotone_in_feature():
