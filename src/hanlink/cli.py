@@ -149,6 +149,10 @@ def cmd_train(args) -> int:
     order = rng.permutation(len(y))
     X, cats, y = X[order], cats[order], y[order]
     n_dev = max(1, int(len(y) * args.dev_fraction))
+    for split, labels in (("dev", y[:n_dev]), ("training", y[n_dev:])):
+        if len(np.unique(labels)) < 2:
+            raise InputError(f"the {split} split ({len(labels)} rows at --dev-fraction "
+                             f"{args.dev_fraction}) must contain both labels")
     dev = (X[:n_dev], cats[:n_dev], y[:n_dev])
     train = (X[n_dev:], cats[n_dev:], y[n_dev:])
     model = train_matcher(train, dev, specs, penalty=args.penalty)

@@ -212,34 +212,13 @@ def levenshtein_sim(a: str, b: str) -> float:
     return float(levenshtein_sims(strings, u, v)[0])
 
 
-def _longest_common_substring(a: str, b: str) -> int:
-    best = 0
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        ca = a[i - 1]
-        for j in range(1, len(b) + 1):
-            if ca == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
-    return best
-
-
-def lcs_sim(a: str, b: str, mode: str = "edit") -> float:
-    """Longest-common-substring similarity.
-
-    mode="edit" (default): (max(N1,N2) - E)/min(N1,N2) with E the
-    Levenshtein distance. mode="contiguous": length of the longest
-    contiguous shared substring divided by the shorter length.
-    """
+def lcs_sim(a: str, b: str) -> float:
+    """Longest-common-substring similarity (max(N1,N2) - E)/min(N1,N2) with
+    E the Levenshtein distance; both empty -> 1, exactly one empty -> 0."""
     if not a and not b:
         return 1.0
     if not a or not b:
         return 0.0
-    if mode == "contiguous":
-        return _longest_common_substring(a, b) / min(len(a), len(b))
     return (max(len(a), len(b)) - levenshtein(a, b)) / min(len(a), len(b))
 
 

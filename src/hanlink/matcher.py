@@ -2,11 +2,12 @@
 
 The classifier is a ridge-penalized logistic regression whose feature
 effects may be stratified by the pair's Han category (both, neither,
-disagreeing). Fitting uses damped Newton (IRLS) iterations; feature
-selection is greedy-forward on dev AUROC/EAUROC followed by backward
-pruning of interaction terms. Score distributions keep exact empirical
-tail probabilities on a 10,000-point grid plus a monotone (isotonic)
-match/nonmatch density-ratio estimate.
+disagreeing). Fitting uses damped Newton (IRLS) iterations, run for all
+candidates of a selection step at once on a stacked design and bitwise
+equal to fitting each alone; feature selection is greedy-forward on dev
+AUROC/EAUROC followed by backward pruning of interaction terms. Score
+distributions keep exact empirical tail probabilities on a 10,000-point
+grid plus a monotone (isotonic) match/nonmatch density-ratio estimate.
 """
 from __future__ import annotations
 
@@ -17,10 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .compare import FeatureSpec, HAN_CATEGORIES, HanCategory
-from .metrics import GroupedRanking, auroc, eauroc
+from .metrics import GroupedRanking, auroc_eauroc
 
 MIN_IMPROVE = 1e-5
 GRID_SIZE = 10_000
+MAX_ITER = 200
+# Elements (designs x rows x columns) of one stacked IRLS in feature selection
+FIT_BUDGET = 1 << 17
 
 
 class TrainingError(RuntimeError):
@@ -111,12 +115,9 @@ class MatcherModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without masking."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _as_matrices(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,58 +145,102 @@ def _build_design(X: np.ndarray, cats: np.ndarray, terms: list[tuple]) -> np.nda
 
 
 def _penalized_nll(beta, D, y, penalty):
-    z = D @ beta
-    # log(1 + e^z) - y*z, computed stably
-    ll = np.logaddexp(0.0, z) - y * z
-    return float(ll.sum() + 0.5 * penalty * np.dot(beta[1:], beta[1:]))
+    """Objectives of the stacked fits beta (K, p) over designs D (K, n, p)."""
+    z = np.matmul(D, beta[:, :, None])[:, :, 0]
+    ll = np.logaddexp(0.0, z) - y * z  # log(1 + e^z) - y*z, computed stably
+    # one ddot per slice, summing as np.dot(b[1:], b[1:]) does (einsum does not)
+    ridge = np.matmul(beta[:, None, 1:], beta[:, 1:, None])[:, 0, 0]
+    return ll.sum(axis=1) + 0.5 * penalty * ridge
+
+
+def _solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(H, g, rcond=None)[0]
 
 
 def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
-                max_iter: int) -> tuple[np.ndarray, int, bool, list[float]]:
-    n, p = D.shape
-    beta = np.zeros(p)
+                max_iter: int) -> list[tuple]:
+    """Damped-Newton (IRLS) fits of the stacked designs D (K, n, p), column 0
+    the unpenalized intercept: per fit (beta, iterations, converged,
+    objective trace, error or None). Every stacked product makes, per slice,
+    a lone 2-D fit's BLAS call, so a fit is bitwise the same in any stack.
+    A fit leaves the active set once it converges or its objective rises."""
+    if len(np.unique(y)) < 2:
+        raise TrainingError("training data must contain both classes")
+    D = np.ascontiguousarray(D, dtype=float)  # strided slices sum without BLAS
+    K, n, p = D.shape
     pen = np.full(p, penalty)
     pen[0] = 0.0  # intercept unpenalized
+    beta, iterations, converged = np.zeros((K, p)), np.zeros(K, int), np.zeros(K, bool)
     objective = _penalized_nll(beta, D, y, penalty)
-    trace = [objective]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mu = _sigmoid(D @ beta)
-        grad = D.T @ (mu - y) + pen * beta
+    traces, errors = [[v] for v in objective.tolist()], [None] * K
+    live = np.arange(K)  # positions of the fits still iterating
+    for it in range(1, max_iter + 1):
+        if not len(live):
+            break
+        b, obj = beta[live], objective[live]
+        mu = _sigmoid(np.matmul(D, b[:, :, None])[:, :, 0])
+        grad = np.matmul(D.transpose(0, 2, 1), (mu - y)[:, :, None])[:, :, 0] + pen * b
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        H = (D * w[:, None]).T @ D + np.diag(pen)
+        H = np.matmul((D * w[:, :, None]).transpose(0, 2, 1), D) + np.diag(pen)
         try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, grad, rcond=None)[0]
-        # damped Newton: halve until the penalized objective decreases
-        scale = 1.0
-        new_obj = objective
+            step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # some slice is singular
+            step = np.array([_solve(h, g) for h, g in zip(H, grad)])
+        # damped Newton: halve each fit's step until its objective decreases
+        new_b, new_obj = b.copy(), obj.copy()
+        todo, Dt, scale = np.arange(len(live)), D, 1.0
         for _ in range(40):
-            candidate = beta - scale * step
-            new_obj = _penalized_nll(candidate, D, y, penalty)
-            if new_obj <= objective:
-                beta = candidate
+            cand = b[todo] - scale * step[todo]
+            new_obj[todo] = _penalized_nll(cand, Dt, y, penalty)
+            down = new_obj[todo] <= obj[todo]
+            new_b[todo[down]] = cand[down]
+            todo, Dt = todo[~down], Dt[~down]
+            if not len(todo):
                 break
             scale *= 0.5
-        if new_obj > objective + 1e-9 * (1.0 + abs(objective)):
-            raise TrainingError(f"training objective increased from {objective!r} "
-                                f"to {new_obj!r} at iteration {iterations}")
-        delta = objective - new_obj
-        objective = new_obj
-        trace.append(objective)
-        if delta < tol * (abs(objective) + 1.0):
-            converged = True
-            break
-    return beta, iterations, converged, trace
+        rose = new_obj > obj + 1e-9 * (1.0 + np.abs(obj))
+        done = rose | (obj - new_obj < tol * (np.abs(new_obj) + 1.0))
+        beta[live], objective[live], iterations[live] = new_b, new_obj, it
+        converged[live] = done & ~rose
+        for k, o, r in zip(live.tolist(), new_obj.tolist(), rose.tolist()):
+            if r:
+                errors[k] = (f"training objective increased from {traces[k][-1]!r} "
+                             f"to {o!r} at iteration {it}")
+            traces[k].append(o)
+        if done.any():
+            live, D = live[~done], D[~done]
+    return list(zip(beta, iterations.tolist(), converged.tolist(), traces, errors))
 
 
-def _collapse(beta: np.ndarray, terms: list[tuple], specs: tuple[FeatureSpec, ...],
-              trainer: dict) -> MatcherModel:
-    p = len(specs)
+def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = 1e-6,
+                   tol: float = 1e-8, max_iter: int = MAX_ITER,
+                   interactions: bool = False) -> MatcherModel:
+    """Fit the ridge-penalized logistic matcher over `specs`; with
+    interactions=True each feature gets per-Han-category offsets (plus
+    category intercept dummies)."""
+    X, cats, y = _as_matrices(data)
+    if X.shape[1] != len(specs):
+        raise ValueError("feature matrix width does not match specs")
+    terms = [("main", j) for j in range(len(specs))]
+    if interactions:
+        terms += [("catdum", c) for c in (1, 2)]
+        terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
+    fit, = _fit_design(_build_design(X, cats, terms)[None], y, penalty, tol, max_iter)
+    return _fitted_model(fit, terms, specs, penalty, tol, max_iter)
+
+
+def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...],
+                  penalty: float, tol: float, max_iter: int, label: str = "") -> MatcherModel:
+    """The matcher of one `_fit_design` fit, each category's intercept and
+    slopes summing its terms, or the fit's error naming `label`."""
+    beta, iterations, converged, _, error = fit
+    if error is not None:
+        raise TrainingError(error + label)
     intercepts = {cat: float(beta[0]) for cat in HAN_CATEGORIES}
-    coefs = {cat: np.zeros(p) for cat in HAN_CATEGORIES}
+    coefs = {cat: np.zeros(len(specs)) for cat in HAN_CATEGORIES}
     for value, term in zip(beta[1:], terms):
         if term[0] == "main":
             for cat in HAN_CATEGORIES:
@@ -204,46 +249,31 @@ def _collapse(beta: np.ndarray, terms: list[tuple], specs: tuple[FeatureSpec, ..
             intercepts[HAN_CATEGORIES[term[1]]] += value
         elif term[0] == "inter":
             coefs[HAN_CATEGORIES[term[2]]][term[1]] += value
-    return MatcherModel(kind="logistic", specs=specs, intercepts=intercepts,
-                        coefs=coefs, trainer=trainer)
-
-
-def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = 1e-6,
-                   tol: float = 1e-8, max_iter: int = 200,
-                   interactions: bool = False,
-                   terms: list[tuple] | None = None) -> MatcherModel:
-    """Fit the ridge-penalized logistic matcher over `specs`.
-
-    With interactions=True each feature gets per-Han-category offsets
-    (plus category intercept dummies); `terms` restricts the design to an
-    explicit term subset (used by backward pruning).
-    """
-    X, cats, y = _as_matrices(data)
-    if len(np.unique(y)) < 2:
-        raise TrainingError("training data must contain both classes")
-    if X.shape[1] != len(specs):
-        raise ValueError("feature matrix width does not match specs")
-    if terms is None:
-        terms = [("main", j) for j in range(len(specs))]
-        if interactions:
-            terms += [("catdum", c) for c in (1, 2)]
-            terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
-    D = _build_design(X, cats, terms)
-    beta, iterations, converged, trace = _fit_design(D, y, penalty, tol, max_iter)
-    trainer = {"iterations": iterations, "penalty": penalty, "tol": tol,
-               "converged": converged,
-               "terms": [list(t) for t in terms]}
-    model = _collapse(beta, terms, specs, trainer)
+    model = MatcherModel(kind="logistic", specs=specs, intercepts=intercepts, coefs=coefs,
+                         trainer={"iterations": iterations, "penalty": penalty, "tol": tol,
+                                  "converged": converged, "terms": [list(t) for t in terms]})
     if not converged:
-        raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations", model)
+        raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations{label}",
+                               model)
     return model
 
 
-def _dev_metrics(model: MatcherModel, dev_X, dev_cats, dev_y,
-                 col_idx: np.ndarray) -> tuple[float, float]:
+def _dev_metrics(model: MatcherModel, dev_X, dev_cats, dev_y, col_idx) -> tuple[float, float]:
     scores = model.predict_matrix(dev_X[:, col_idx], dev_cats)
-    ranking = GroupedRanking.from_pairs(scores, dev_y)
-    return auroc(ranking), eauroc(ranking)
+    return auroc_eauroc(GroupedRanking.from_pairs(scores, dev_y))
+
+
+def _scored_fits(design, trials: list[tuple], y, dev, penalty: float, tol: float):
+    """(model, dev AUROC, dev EAUROC) of each trial (terms, specs, dev
+    columns, label) in order. design(lo, hi) stacks trials lo..hi-1 as one
+    IRLS of at most FIT_BUDGET elements; a failed fit raises naming its label."""
+    size = max(1, FIT_BUDGET // (len(y) * (len(trials[0][0]) + 1)))
+    for lo in range(0, len(trials), size):
+        fits = _fit_design(design(lo, min(lo + size, len(trials))), y, penalty, tol,
+                           MAX_ITER)
+        for fit, (terms, specs, cols, label) in zip(fits, trials[lo:]):
+            model = _fitted_model(fit, terms, specs, penalty, tol, MAX_ITER, label)
+            yield (model,) + _dev_metrics(model, *dev, cols)
 
 
 def forward_select(candidates: list[FeatureSpec], train, dev,
@@ -252,23 +282,32 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
                    min_improve: float = MIN_IMPROVE) -> list[FeatureSpec]:
     """Greedy forward selection maximizing dev AUROC (ties: EAUROC, then
     candidate order); stops once the best addition improves both metrics
-    by less than `min_improve`."""
+    by less than `min_improve`.
+
+    A step fits all remaining candidates (the selected features plus one)
+    as stacked IRLS chunks, each fit bitwise `train_logistic`'s. The first
+    failing candidate raises `train_logistic`'s error, naming it.
+    """
     if not candidates:
         raise ValueError("candidate list is empty")
     X, cats, y = _as_matrices(train)
-    dev_X, dev_cats, dev_y = _as_matrices(dev)
+    dev = _as_matrices(dev)
     bank_index = {spec: i for i, spec in enumerate(bank)}
     remaining = list(candidates)
     selected: list[FeatureSpec] = []
     cur_auroc, cur_eauroc = 0.5, 0.5  # intercept-only ranking is uninformative
     while remaining:
+        base = np.column_stack([np.ones(len(y))] + [X[:, bank_index[s]] for s in selected])
+        added = X[:, [bank_index[s] for s in remaining]].T[:, :, None]
+        terms = [("main", j) for j in range(len(selected) + 1)]
+        trials = [(terms, tuple(selected + [c]), [bank_index[s] for s in selected + [c]],
+                   f" (adding {c.name})") for c in remaining]
+        scored = _scored_fits(
+            lambda lo, hi: np.concatenate(
+                [np.broadcast_to(base, (hi - lo,) + base.shape), added[lo:hi]], axis=2),
+            trials, y, dev, penalty, tol)
         best = None  # (auroc, eauroc, -position) strictly improving comparisons
-        for pos, cand in enumerate(remaining):
-            cols = np.array([bank_index[s] for s in selected + [cand]])
-            sub = tuple(selected + [cand])
-            model = train_logistic((X[:, cols], cats, y), sub, penalty=penalty,
-                                   tol=tol, interactions=False)
-            a, e = _dev_metrics(model, dev_X, dev_cats, dev_y, cols)
+        for pos, (_, a, e) in enumerate(scored):
             key = (a, e, -pos)
             if best is None or key > best[0]:
                 best = (key, pos, a, e)
@@ -286,24 +325,31 @@ def backward_prune(model: MatcherModel, dev, train,
     """Drop design terms (mains and interactions) one at a time, always the
     one whose removal least harms dev metrics, refitting after each drop;
     stops before any drop that worsens dev AUROC or EAUROC by more than
-    `min_improve`."""
+    `min_improve`.
+
+    A round fits the droppable terms' reduced designs as `forward_select`
+    fits a step; errors name the term.
+    """
     X, cats, y = _as_matrices(train)
-    dev_X, dev_cats, dev_y = _as_matrices(dev)
+    dev = _as_matrices(dev)
     specs = model.specs
     all_cols = np.arange(len(specs))
     terms = [tuple(t) for t in model.trainer["terms"]]
-    cur_a, cur_e = _dev_metrics(model, dev_X, dev_cats, dev_y, all_cols)
+    cur_a, cur_e = _dev_metrics(model, *dev, all_cols)
     current = model
     while True:
         droppable = [t for t in terms if t[0] in ("main", "inter")]
         if len(droppable) <= 1:
             break
+        full = _build_design(X, cats, terms)
+        drop = [1 + terms.index(t) for t in droppable]
+        trials = [([u for u in terms if u != t], specs, all_cols,
+                   f" (dropping term {list(t)} of {specs[t[1]].name})") for t in droppable]
+        scored = _scored_fits(
+            lambda lo, hi: np.stack([np.delete(full, c, axis=1) for c in drop[lo:hi]]),
+            trials, y, dev, penalty, tol)
         best = None
-        for t in droppable:
-            trial_terms = [u for u in terms if u != t]
-            trial = train_logistic((X, cats, y), specs, penalty=penalty, tol=tol,
-                                   terms=trial_terms)
-            a, e = _dev_metrics(trial, dev_X, dev_cats, dev_y, all_cols)
+        for t, (trial, a, e) in zip(droppable, scored):
             key = (min(a - cur_a, e - cur_e), a, e)
             if best is None or key > best[0]:
                 best = (key, t, trial, a, e)

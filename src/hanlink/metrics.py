@@ -78,7 +78,17 @@ def eauroc(r: GroupedRanking, q: float | None = None) -> float:
         q = min(r.total_pos() / r.total_neg(), 1.0)
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
+    return _partial_area(*_roc_points(r), q)
+
+
+def auroc_eauroc(r: GroupedRanking) -> tuple[float, float]:
+    """(auroc(r), eauroc(r)) from one ROC polyline, so one sort."""
     fpr, tpr = _roc_points(r)
+    return (float(_trapezoid(tpr, fpr)),
+            _partial_area(fpr, tpr, min(r.total_pos() / r.total_neg(), 1.0)))
+
+
+def _partial_area(fpr: np.ndarray, tpr: np.ndarray, q: float) -> float:
     if q >= fpr[-1]:
         return float(_trapezoid(tpr, fpr)) / q
     cut = int(np.searchsorted(fpr, q, side="right"))

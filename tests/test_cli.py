@@ -259,6 +259,22 @@ def test_experiment_study_reproducible(tmp_path):
     assert sha256_dir(out1) == sha256_dir(out2)
 
 
+
+@pytest.mark.parametrize("labels,fraction,message", [
+    ((0, 0, 0, 1, 1, 1), "0.2", "the dev split (1 rows at --dev-fraction 0.2)"),
+    ((0, 1), "0.4", "the dev split (1 rows at --dev-fraction 0.4)"),
+    ((0, 1, 0, 1, 1), "0.9", "the training split (1 rows at --dev-fraction 0.9)"),
+])
+def test_train_rejects_single_class_split(tmp_path, capsys, labels, fraction, message):
+    """A dev or training split holding one label is an input error naming
+    the split and its size, not a failure inside the trainer."""
+    features = tmp_path / "features.csv"
+    features.write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
+        f"{0.2 + 0.6 * label},BothHan,{label}\n" for label in labels), encoding="utf-8")
+    assert main(["train", "--in", str(features), "--out", str(tmp_path / "model.json"),
+                 "--dev-fraction", fraction, "--seed", "1"]) == 2
+    assert f"error: {message} must contain both labels" in capsys.readouterr().err
+
 MALFORMED_CSV = {
     "train": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,BothHan\n",
               "line 3: 2 cells"),

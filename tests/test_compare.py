@@ -43,13 +43,6 @@ def test_lcs_sim():
     assert lcs_sim("x", "") == 0.0
 
 
-def test_lcs_contiguous_variant():
-    assert lcs_sim("abcd", "zabz", mode="contiguous") == pytest.approx(0.5)
-    assert lcs_sim("abcd", "zab", mode="contiguous") == pytest.approx(2 / 3)
-    assert lcs_sim("abc", "abc", mode="contiguous") == 1.0
-    assert lcs_sim("xy", "ab", mode="contiguous") == 0.0
-
-
 def test_cosine_sim():
     assert cosine_sim("wu3_kao3", "wu3_kao3", 3) == 1.0
     assert cosine_sim("ab", "cd", 1) == 0.0

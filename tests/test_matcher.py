@@ -2,7 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from hanlink import matcher
 from hanlink.compare import FeatureSpec, HanCategory
 from hanlink.matcher import (
     ConvergenceError,
@@ -218,6 +222,209 @@ def test_train_matcher_end_to_end():
                                   cats[400:])
     from hanlink.metrics import GroupedRanking, auroc
     assert auroc(GroupedRanking.from_pairs(scores, y[400:])) > 0.8
+
+
+# ---------------------------------------------------------------------------
+# Batched selection against the per-candidate reference (tests/oracles.py)
+
+
+def _same_fit(fit, reference):
+    """A `_fit_design` fit equals an `oracles.irls_fit` fit bitwise."""
+    beta, iterations, converged, trace, error = fit
+    assert error is None
+    assert beta.tobytes() == reference[0].tobytes()
+    assert (iterations, converged) == reference[1:3]
+    assert np.array(trace).tobytes() == np.array(reference[3]).tobytes()
+
+
+def _same_model(model, reference):
+    assert model.specs == reference.specs and model.trainer == reference.trainer
+    for cat in HanCategory:
+        assert model.coefs[cat].tobytes() == reference.coefs[cat].tobytes()
+        assert model.intercepts[cat] == reference.intercepts[cat]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40), st.integers(1, 4))
+def test_sigmoid_matches_masked_reference(values, rows):
+    """The mask-free logistic equals the per-sign masked one bitwise, in
+    any shape, at +-0, +-inf and where e^|z| overflows."""
+    z = np.array(values * rows).reshape(rows, -1)
+    assert matcher._sigmoid(z).tobytes() == oracles.masked_sigmoid(z).tobytes()
+    assert matcher._sigmoid(z[0]).tobytes() == oracles.masked_sigmoid(z[0]).tobytes()
+
+
+def _halving_design():
+    """The first of a fixed run of tiny heavy-tailed designs whose reference
+    fit halves a Newton step."""
+    for seed in itertools.count():
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(4, 16)), int(rng.integers(1, 4))
+        y = (rng.random(n) < 0.5).astype(float)
+        if y.min() == y.max():
+            continue
+        X = rng.standard_cauchy((n, p)) * rng.choice([1, 10, 100], size=p)
+        D = np.column_stack([np.ones(n), X])
+        if oracles.irls_fit(D, y, 1e-6, 1e-8, 200)[4]:
+            return D, y
+
+
+@pytest.mark.parametrize("penalty", [1e-6, 0.5])
+def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
+    """A design fits bitwise the same alone, inside a stack, on either side
+    of a chunk boundary and from a non-contiguous stack. This pins the BLAS
+    path of each slice's products and, with a penalty large enough to
+    show, the summation order of the ridge term."""
+    rng = np.random.default_rng(20)
+    K, n, p = 7, 90, 9
+    y = (rng.random(n) < 0.4).astype(float)
+    D = rng.normal(size=(K, n, p)) + y[:, None]
+    D[:, :, 0] = 1.0
+    D[3, :, 2] = D[3, :, 1]  # collinear columns
+    references = [oracles.irls_fit(d, y, penalty, 1e-8, 200) for d in D]
+    strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(D, 2, 0)), 0, 2)
+    assert not strided.flags.c_contiguous
+    together = matcher._fit_design(D, y, penalty, 1e-8, 200)
+    apart = matcher._fit_design(strided, y, penalty, 1e-8, 200)
+    for k, reference in enumerate(references):
+        alone, = matcher._fit_design(D[k:k + 1], y, penalty, 1e-8, 200)
+        for fit in (alone, together[k], apart[k]):
+            _same_fit(fit, reference)
+    monkeypatch.setattr(matcher, "FIT_BUDGET", 3 * n * p)  # chunks of 3
+    specs = tuple(FeatureSpec("LV", f"E{j}", 1, "1:N") for j in range(p - 1))
+    trial = ([("main", j) for j in range(p - 1)], specs, np.arange(p - 1), "")
+    dev = _data(D[0, :, 1:], y)
+    chunked = matcher._scored_fits(lambda lo, hi: D[lo:hi], [trial] * K, y, dev,
+                                   penalty, 1e-8)
+    for d, (model, _, _) in zip(D, chunked):
+        _same_model(model, oracles.logistic_fit(_data(d[:, 1:], y), specs, penalty=penalty))
+
+
+def test_fit_with_halved_steps_matches_reference():
+    D, y = _halving_design()
+    noise = np.random.default_rng(0).normal(size=D.shape)
+    noise[:, 0] = 1.0
+    stack = np.stack([noise, D, noise])  # halving in the middle of a stack
+    fits = matcher._fit_design(stack, y, 1e-6, 1e-8, 200)
+    for fit, d in zip(fits, stack):
+        _same_fit(fit, oracles.irls_fit(d, y, 1e-6, 1e-8, 200))
+
+
+COLUMN_KINDS = ("signal", "noise", "duplicate", "separating", "heavy")
+
+
+@st.composite
+def selection_problems(draw):
+    """Train and dev splits over random columns of the listed kinds, a
+    chunk budget and whether the pruned model has interactions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6))
+    n = draw(st.integers(16, 120))
+    y = (rng.random(2 * n) < draw(st.floats(0.2, 0.6))).astype(float)
+    y[[0, 1, n, n + 1]] = (0.0, 1.0, 0.0, 1.0)
+    cats = rng.integers(0, 3, size=2 * n)
+    cols = []
+    for kind in kinds:
+        if kind == "duplicate" and cols:
+            cols.append(cols[int(rng.integers(len(cols)))])  # exact AUROC ties
+        elif kind == "separating":
+            cols.append(y * rng.uniform(0.5, 2.0))
+        elif kind == "heavy":
+            cols.append(rng.standard_cauchy(2 * n) * 10.0 + y)
+        elif kind == "noise":
+            cols.append(rng.normal(size=2 * n))
+        else:
+            cols.append(y + rng.normal(scale=rng.uniform(0.3, 2.0), size=2 * n))
+    X = np.column_stack(cols)
+    specs = tuple(FeatureSpec("LV", f"E{j}", 1, "1:N") for j in range(len(kinds)))
+    budget = draw(st.integers(1, 8)) * n * 2  # first-step chunks of 1 to 8
+    return (X[:n], cats[:n], y[:n]), (X[n:], cats[n:], y[n:]), specs, budget, \
+        draw(st.booleans())
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the TrainingError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except TrainingError as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, TrainingError):
+        assert str(got).startswith(str(want))
+        if isinstance(want, ConvergenceError):
+            _same_model(got.model, want.model)
+    elif isinstance(want, MatcherModel):
+        _same_model(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(selection_problems())
+def test_selection_matches_per_candidate_reference(problem):
+    """forward_select, train_logistic and backward_prune agree bitwise with
+    the per-candidate loop: selected specs, dev (AUROC, EAUROC) of every
+    candidate in order, pruned terms and coefficients."""
+    train, dev, specs, budget, interactions = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcher, "FIT_BUDGET", budget)
+        scored = {"batched": [], "loop": []}
+
+        def recorder(fn, key):
+            def wrapped(*args):
+                scored[key].append(fn(*args))
+                return scored[key][-1]
+            return wrapped
+
+        mp.setattr(matcher, "auroc_eauroc", recorder(matcher.auroc_eauroc, "batched"))
+        mp.setattr(oracles, "dev_metrics", recorder(oracles.dev_metrics, "loop"))
+        selected = _outcome(forward_select, list(specs), train, dev, specs)
+        _same_outcome(selected, _outcome(oracles.forward_select_loop, list(specs),
+                                         train, dev, specs))
+        if isinstance(selected, list) and selected:
+            cols = [specs.index(s) for s in selected]
+            sub_train = (train[0][:, cols], train[1], train[2])
+            sub_dev = (dev[0][:, cols], dev[1], dev[2])
+            full = _outcome(train_logistic, sub_train, tuple(selected),
+                            interactions=interactions)
+            _same_outcome(full, _outcome(oracles.logistic_fit, sub_train, tuple(selected),
+                                         interactions=interactions))
+            if isinstance(full, MatcherModel):
+                _same_outcome(_outcome(backward_prune, full, sub_dev, sub_train),
+                              _outcome(oracles.backward_prune_loop, full, sub_dev,
+                                       sub_train))
+        assert scored["batched"] == scored["loop"]
+
+
+def test_selection_error_names_lowest_failing_candidate(monkeypatch):
+    """When fits fail, selection raises what the per-candidate loop raises
+    first, for the lowest-position failure, naming that candidate."""
+    rng = np.random.default_rng(22)
+    n = 400
+    y = (rng.random(n) < 0.5).astype(float)
+    X = np.column_stack([rng.normal(size=n), y, y + rng.normal(size=n), 2 * y])
+    specs = tuple(FeatureSpec("LV", enc, 1, "1:N") for enc in ("J", "PY", "FC", "WB"))
+    train, dev = _data(X[:200], y[:200]), _data(X[200:], y[200:])
+    loose = [oracles.logistic_fit((X[:200, [j]], train[1], train[2]), (specs[j],))
+             for j in (0, 2)]
+    max_iter = max(m.trainer["iterations"] for m in loose)  # too few for separation
+    monkeypatch.setattr(matcher, "MAX_ITER", max_iter)
+    with pytest.raises(ConvergenceError) as reference:
+        oracles.logistic_fit((X[:200, [1]], train[1], train[2]), (specs[1],),
+                             max_iter=max_iter)
+    with pytest.raises(ConvergenceError, match=f"in {max_iter} iterations "
+                       r"\(adding PY_LV_k1_1:N\)") as excinfo:
+        forward_select(list(specs), train, dev, specs)
+    _same_model(excinfo.value.model, reference.value.model)
+    monkeypatch.setattr(matcher, "MAX_ITER", 1)
+    full = train_logistic(_data(X[:200, :2], y[:200], rng.integers(0, 3, 200)),
+                          specs[:2], interactions=True)
+    with pytest.raises(ConvergenceError,
+                       match=r"\(dropping term \['main', 0\] of J_LV_k1_1:N\)"):
+        backward_prune(full, _data(X[200:, :2], y[200:]), _data(X[:200, :2], y[:200]))
 
 
 # ---------------------------------------------------------------------------
