@@ -6,12 +6,8 @@ from .compare import (
     FeatureSpec,
     NamePairs,
     PairFeaturizer,
-    cosine_sim,
     default_feature_bank,
     extract_substring,
-    lcs_sim,
-    levenshtein,
-    levenshtein_sim,
 )
 from .encoding import (
     EncodingKind,

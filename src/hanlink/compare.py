@@ -141,7 +141,8 @@ def _from_distances(comparator: str, d: np.ndarray, la: np.ndarray,
 
 
 def levenshtein_sims(strings: Sequence[str], u, v) -> np.ndarray:
-    """levenshtein_sim of strings[u[i]] and strings[v[i]] for every i."""
+    """Levenshtein similarity 1 - E/max(N1, N2) of strings[u[i]] and
+    strings[v[i]] for every i; both empty -> 1, exactly one empty -> 0."""
     lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     return _from_distances("LV", edit_distances(strings, u, v), lens[u], lens[v])
@@ -197,35 +198,6 @@ def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
     denom = norms[u] * norms[v]
     sims = np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0)
     return np.where(u == v, 1.0, sims)
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Minimum number of single-character insertions, deletions, or
-    substitutions turning `a` into `b`."""
-    strings, (u, v) = intern_strings([a], [b])
-    return int(edit_distances(strings, u, v)[0])
-
-
-def levenshtein_sim(a: str, b: str) -> float:
-    """1 - E/max(N1, N2); both empty -> 1, exactly one empty -> 0."""
-    strings, (u, v) = intern_strings([a], [b])
-    return float(levenshtein_sims(strings, u, v)[0])
-
-
-def lcs_sim(a: str, b: str) -> float:
-    """Longest-common-substring similarity (max(N1,N2) - E)/min(N1,N2) with
-    E the Levenshtein distance; both empty -> 1, exactly one empty -> 0."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return (max(len(a), len(b)) - levenshtein(a, b)) / min(len(a), len(b))
-
-
-def cosine_sim(a: str, b: str, k: int) -> float:
-    """Cosine similarity of contiguous k-character token frequency vectors."""
-    strings, (u, v) = intern_strings([a], [b])
-    return float(cosine_sims(strings, u, v, k)[0])
 
 
 RANGE_TAGS = ("1:N", "1:1", "1:2", "2:N", "3:N")
@@ -334,13 +306,13 @@ class PairFeaturizer:
     """Computes feature matrices for name pairs against a fixed spec list.
 
     Pairs are scored by name id (`NamePairs`): per-name work (substrings,
-    Han indicator, ambiguity tally, log frequencies) runs once over the
-    distinct names a batch references and is cached per name; an encoded
-    substring is built once per (encoding, distinct substring) from
-    per-logogram codes looked up once per (encoding, logogram). Features
-    are built one column at a time in numpy, the string comparators
-    running once per distinct pair of unequal encoded substrings, so a
-    duplicate pair costs only a gather.
+    Han indicator, ambiguity tally, log frequencies) runs once per call
+    over the distinct names a batch references; an encoded substring is
+    built once per (encoding, distinct substring) from per-logogram codes
+    looked up once per (encoding, logogram), both kept across calls.
+    Features are built one column at a time in numpy, the string
+    comparators running once per distinct pair of unequal encoded
+    substrings, so a duplicate pair costs only a gather.
 
     `fallbacks` counts the distinct (encoding, logogram) lookups that found
     no code in a table and fell back to the logogram itself; the identity
@@ -358,24 +330,12 @@ class PairFeaturizer:
         self.fallbacks = 0
         self._codes: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
         self._encoded: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
-        self._subs: dict[tuple[str, str], str] = {}
-        self._han: dict[str, bool] = {}
-        self._amb: dict[str, int] = {}
-        self._lf: dict[tuple[str, str], float] = {}
 
     def spec_index(self, spec_name: str) -> int:
         for i, spec in enumerate(self.specs):
             if spec.name == spec_name:
                 return i
         raise KeyError(f"unknown feature {spec_name!r}")
-
-    def _substring(self, name: str, tag: str) -> str:
-        key = (name, tag)
-        cached = self._subs.get(key)
-        if cached is None:
-            cached = extract_substring(name, tag)
-            self._subs[key] = cached
-        return cached
 
     def _encode(self, kind: EncodingKind, sub: str) -> str:
         """transform(sub, table).joined, or "" for an empty substring."""
@@ -391,28 +351,6 @@ class PairFeaturizer:
             joined = memo[sub] = join_codes(kind, [codes[ch] for ch in chars])
         return joined
 
-    def _han_of(self, name: str) -> bool:
-        cached = self._han.get(name)
-        if cached is None:
-            cached = han_indicator(name, self.surnames)
-            self._han[name] = cached
-        return cached
-
-    def _amb_of(self, name: str) -> int:
-        cached = self._amb.get(name)
-        if cached is None:
-            cached = ambiguity_count(name)
-            self._amb[name] = cached
-        return cached
-
-    def _lf_of(self, name: str, tag: str) -> float:
-        key = (name, tag)
-        cached = self._lf.get(key)
-        if cached is None:
-            cached = log_rel_frequency(name, tag, self.freq)
-            self._lf[key] = cached
-        return cached
-
     def feature_matrix(self, pairs, specs: tuple[FeatureSpec, ...] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Feature matrix plus Han-category codes, one row per pair of a
@@ -422,7 +360,7 @@ class PairFeaturizer:
         used, inverse = np.unique(np.concatenate([pairs.ia, pairs.ib]), return_inverse=True)
         names = [pairs.names[i] for i in used.tolist()]  # only the names pairs reference
         ia, ib = inverse[:len(pairs)], inverse[len(pairs):]
-        han = np.array([self._han_of(n) for n in names], dtype=bool)
+        han = np.array([han_indicator(n, self.surnames) for n in names], dtype=bool)
         ha, hb = han[ia], han[ib]
         cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
         X = np.empty((len(pairs), len(specs)))
@@ -438,15 +376,15 @@ class PairFeaturizer:
         the columns of one batch."""
         cmp_name, tag = spec.comparator, spec.range_tag
         if cmp_name == "SUM" and spec.encoding == "AMB":
-            amb = np.array([self._amb_of(n) for n in names], dtype=np.int64)
+            amb = np.array([ambiguity_count(n) for n in names], dtype=np.int64)
             return (amb[ia] + amb[ib]).astype(float)
         if tag not in memo:
-            subs = [self._substring(n, tag) for n in names]
+            subs = [extract_substring(n, tag) for n in names]
             present = np.array([bool(s) for s in subs], dtype=bool)
             memo[tag] = subs, present[ia] & present[ib]
         subs, both = memo[tag]
         if cmp_name == "SUM":  # LF
-            lf = np.array([self._lf_of(n, tag) for n in names])
+            lf = np.array([log_rel_frequency(n, tag, self.freq) for n in names])
             return np.where(both, lf[ia] + lf[ib], 0.0)
         if cmp_name not in ("LV", "LCS", "COS"):
             raise ValueError(f"unknown comparator {cmp_name!r}")

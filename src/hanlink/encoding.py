@@ -193,25 +193,6 @@ class FrequencyTable:
     floor: float
 
     @classmethod
-    def from_corpus(cls, names: list[str], ranges: tuple[str, ...] = LF_RANGES,
-                    floor: float | None = None) -> "FrequencyTable":
-        from collections import Counter
-        values: dict[tuple[str, str], float] = {}
-        total_names = max(len(names), 1)
-        for tag in ranges:
-            counts: Counter[str] = Counter()
-            for name in names:
-                sub = extract_substring(name, tag)
-                if sub:
-                    counts[sub] += 1
-            total = sum(counts.values())
-            for sub, c in counts.items():
-                values[(tag, sub)] = math.log(c / total)
-        if floor is None:
-            floor = math.log(0.5 / total_names)
-        return cls(values=values, floor=floor)
-
-    @classmethod
     def load(cls, path: str | Path, floor: float | None = None) -> "FrequencyTable":
         values: dict[tuple[str, str], float] = {}
         for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -222,10 +203,6 @@ class FrequencyTable:
         if floor is None:
             floor = min(values.values(), default=0.0) + math.log(0.5)
         return cls(values=values, floor=floor)
-
-    def save(self, path: str | Path) -> None:
-        lines = [f"{tag}\t{sub}\t{val:.10f}" for (tag, sub), val in sorted(self.values.items())]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def log_rel_frequency(name: str, range_tag: str, freq: FrequencyTable) -> float:

@@ -223,9 +223,8 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
 
     cand_floor = min(candidate_floor, floor)
     cand_rows, _ = eligible_rows(table, z, dist, floor=cand_floor)
-    codes = table.codes()
-    ii, jj, pair_codes = dataset.candidate_pairs(codes[cand_rows])
-    pair_rows = np.searchsorted(codes, pair_codes)  # table rows are sorted by code
+    ii, jj, pair_codes = dataset.candidate_pairs(table.codes()[cand_rows])
+    pair_rows = table.rows_of(pair_codes)
     pair_labels = dataset.truth_b_of_a[ii] == jj
     names, (ids_a, ids_b) = intern_strings(dataset.names_a, dataset.names_b)
     name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])

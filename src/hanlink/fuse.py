@@ -3,10 +3,12 @@
 Three methods: tau1 picks the agreement threshold maximizing predicted F1
 of name matching among name-disagreeing rows; tau2 picks the threshold
 maximizing the predicted post-transfer ranking quality (AUROC) using the
-donor/recipient transfer equations; posterior adjustment re-estimates
-match probabilities pair-by-pair with the monotone likelihood ratio of
-the observed name score, skipping rows where no posterior above the floor
-is achievable.
+donor/recipient transfer equations. Both predictions depend on tau only
+through the tails (P(X>=tau|M), P(X>=tau|U)), so each selector evaluates
+one grid point per run of equal tails and takes the first maximum over
+the grid. Posterior adjustment re-estimates match probabilities
+pair-by-pair with the monotone likelihood ratio of the observed name
+score, skipping rows where no posterior above the floor is achievable.
 """
 from __future__ import annotations
 
@@ -57,8 +59,15 @@ def transfer_predictions(zeta1, n1, zeta2, n2, tail_m, tail_u):
     return zeta1_hat, zeta2_hat, n1_hat, n2_hat
 
 
-def tau1_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
-                return_curve: bool = False):
+def _tail_steps(dist: ScoreDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices where (tail_m, tail_u) changes, the first point
+    included, and each grid point's step: every point of a step predicts
+    what its first point does."""
+    step = np.concatenate([[True], (np.diff(dist.tail_m) != 0) | (np.diff(dist.tail_u) != 0)])
+    return np.nonzero(step)[0], np.cumsum(step) - 1
+
+
+def tau1_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution) -> float:
     """Threshold maximizing predicted F1 of name agreement among
     name-disagreeing rows, over the score grid (ties -> smallest tau)."""
     donors = _donor_rows(table)
@@ -67,88 +76,68 @@ def tau1_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     z = np.asarray(zetas, dtype=float)[donors]
     w = table.counts[donors].astype(float)
     w = w / w.sum() if w.sum() > 0 else np.full(len(donors), 1.0 / len(donors))
-    tm = dist.tail_m[None, :]   # (1, G)
-    tu = dist.tail_u[None, :]
+    starts, _ = _tail_steps(dist)
+    recall = dist.tail_m[starts]
     zc = z[:, None]
-    num = zc * tm
-    den = num + (1.0 - zc) * tu
+    num = zc * recall[None, :]  # (donors, steps)
+    den = num + (1.0 - zc) * dist.tail_u[starts][None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         prec_rows = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
     precision = (w[:, None] * prec_rows).sum(axis=0)
-    recall = dist.tail_m
     pr = precision + recall
     with np.errstate(invalid="ignore", divide="ignore"):
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-    best = int(np.argmax(f1))  # first max -> smallest tau
-    tau = float(dist.grid[best])
-    if return_curve:
-        return tau, f1
-    return tau
+    return float(dist.grid[starts[int(np.argmax(f1))]])  # first max -> smallest tau
 
 
-def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
-                model: LinkageModel, return_curve: bool = False):
-    """Threshold maximizing predicted post-transfer AUROC over the grid.
+def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
+                model: LinkageModel) -> np.ndarray:
+    """Predicted post-transfer AUROC at every grid point.
 
     Every donor row is paired with the recipient row sharing all other
     agreement values with gamma_name=1; absent recipients are created with
     N=0 and zeta from the model. Untouched rows enter the ranking with
-    their prior zeta and count. Grid points with the same (tail_m, tail_u)
-    predict the same ranking, so each run of equal tails is evaluated once.
+    their prior zeta and count.
     """
     donors = _donor_rows(table)
     if len(donors) == 0:
         raise ValueError("no rows with name disagreement; nothing to adjust")
     zetas = np.asarray(zetas, dtype=float)
     name_ix = _name_index(table)
-    codes = table.codes()
-    code_to_row = {int(c): j for j, c in enumerate(codes)}
-    power = 3 ** name_ix
-
-    recip_row = np.full(len(donors), -1, dtype=np.int64)
-    created_gammas = []
-    created_ids = []
-    for d_pos, j in enumerate(donors):
-        recip_code = int(codes[j]) + power  # flip gamma_name 0 -> 1
-        row = code_to_row.get(recip_code)
-        if row is not None:
-            recip_row[d_pos] = row
-        else:
-            gamma = table.gammas[j].copy()
-            gamma[name_ix] = 1
-            created_ids.append(d_pos)
-            created_gammas.append(gamma)
+    recip = table.rows_of(table.codes()[donors] + 3 ** name_ix)  # gamma_name 0 -> 1
+    have = recip >= 0
     z1 = zetas[donors]
     n1 = table.counts[donors].astype(float)
     z2 = np.empty(len(donors))
     n2 = np.zeros(len(donors))
-    existing = recip_row >= 0
-    z2[existing] = zetas[recip_row[existing]]
-    n2[existing] = table.counts[recip_row[existing]]
-    if created_gammas:
-        z2[np.array(created_ids)] = zeta_for_gammas(model, np.stack(created_gammas))
+    z2[have] = zetas[recip[have]]
+    n2[have] = table.counts[recip[have]]
+    if not have.all():
+        created = table.gammas[donors[~have]].copy()
+        created[:, name_ix] = 1
+        z2[~have] = zeta_for_gammas(model, created)
 
-    touched = set(donors.tolist()) | set(recip_row[existing].tolist())
-    untouched = np.array([j for j in range(len(table.counts)) if j not in touched],
-                         dtype=np.int64)
+    untouched = np.ones(len(table.counts), dtype=bool)
+    untouched[donors] = untouched[recip[have]] = False
     u_scores = zetas[untouched]
     u_n = table.counts[untouched].astype(float)
 
-    tail_m, tail_u = dist.tail_m, dist.tail_u
-    step = np.concatenate([[True], (np.diff(tail_m) != 0) | (np.diff(tail_u) != 0)])
-    step_pred = np.empty(int(step.sum()))
-    for k, g in enumerate(np.nonzero(step)[0]):
-        zh1, zh2, nh1, nh2 = transfer_predictions(z1, n1, z2, n2, tail_m[g], tail_u[g])
+    starts, expand = _tail_steps(dist)
+    pred = np.empty(len(starts))
+    for k, g in enumerate(starts):
+        zh1, zh2, nh1, nh2 = transfer_predictions(z1, n1, z2, n2,
+                                                  dist.tail_m[g], dist.tail_u[g])
         scores = np.concatenate([u_scores, zh1, zh2])
         masses = np.concatenate([u_n, nh1, nh2])
-        step_pred[k] = auroc(GroupedRanking(scores, scores * masses,
-                                            (1.0 - scores) * masses))
-    pred = step_pred[np.cumsum(step) - 1]
-    best = int(np.argmax(pred))
-    tau = float(dist.grid[best])
-    if return_curve:
-        return tau, pred
-    return tau
+        pred[k] = auroc(GroupedRanking(scores, scores * masses, (1.0 - scores) * masses))
+    return pred[expand]
+
+
+def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
+                model: LinkageModel) -> float:
+    """Threshold maximizing predicted post-transfer AUROC over the grid
+    (ties -> smallest tau); see `_tau2_curve`."""
+    return float(dist.grid[int(np.argmax(_tau2_curve(table, zetas, dist, model)))])
 
 
 def check_coverage(table: PatternTable, pair_rows: np.ndarray, rows: np.ndarray) -> None:
@@ -197,8 +186,6 @@ def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
 class AdjustedPairs:
     """Per-pair posterior updates for eligible name-disagreeing rows, plus
     the rows skipped because no posterior above the floor is achievable."""
-    row_index: np.ndarray
-    scores: np.ndarray
     prior: np.ndarray
     posterior: np.ndarray
     eligible_rows: np.ndarray
@@ -230,12 +217,9 @@ def posterior_adjust(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribu
     eligible_set = np.zeros(len(table.counts), dtype=bool)
     eligible_set[eligible] = True
     keep = eligible_set[pair_rows]
-    rows = pair_rows[keep]
-    scores = pair_scores[keep]
-    prior = zetas[rows]
-    r = dist.ratio_at(scores)
+    prior = zetas[pair_rows[keep]]
+    r = dist.ratio_at(pair_scores[keep])
     num = prior * r
     posterior = num / (num + (1.0 - prior))
-    return AdjustedPairs(row_index=rows, scores=scores, prior=prior,
-                         posterior=posterior, eligible_rows=eligible,
+    return AdjustedPairs(prior=prior, posterior=posterior, eligible_rows=eligible,
                          skipped_rows=skipped)

@@ -106,19 +106,11 @@ class PatternTable:
         powers = 3 ** np.arange(len(self.fields), dtype=np.int64)
         return (self.gammas.astype(np.int64) * powers).sum(axis=1)
 
-    def export_csv(self, path: str | Path, zetas: np.ndarray | None = None) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            header = [f"gamma_{f}" for f in self.fields] + ["count"]
-            if zetas is not None:
-                header.append("zeta")
-            writer.writerow(header)
-            for j in range(len(self.counts)):
-                row = ["NA" if g == NA else str(int(g)) for g in self.gammas[j]]
-                row.append(str(int(self.counts[j])))
-                if zetas is not None:
-                    row.append(f"{zetas[j]:.12g}")
-                writer.writerow(row)
+    def rows_of(self, codes) -> np.ndarray:
+        """Row of each pattern code in `codes`, -1 for a code with no row."""
+        lookup = np.full(3 ** len(self.fields), -1, dtype=np.int64)
+        lookup[self.codes()] = np.arange(len(self.counts))
+        return lookup[np.asarray(codes, dtype=np.int64)]
 
 
 def pair_gamma_codes(field_codes_a: list[np.ndarray], field_codes_b: list[np.ndarray]) -> np.ndarray:
@@ -245,31 +237,31 @@ def _log_pattern_likelihoods(model: LinkageModel, gammas: np.ndarray) -> tuple[n
     log_m = np.zeros(gammas.shape[0])
     log_u = np.zeros(gammas.shape[0])
     for f in range(gammas.shape[1]):
-        g = gammas[:, f]
-        agree = g == 1
-        disagree = g == 0
-        log_m[agree] += np.log(p_m[f])
-        log_m[disagree] += np.log1p(-p_m[f])
-        log_u[agree] += np.log(p_u[f])
-        log_u[disagree] += np.log1p(-p_u[f])
+        agree, disagree = gammas[:, f] == 1, gammas[:, f] == 0
+        for out, p in ((log_m, p_m[f]), (log_u, p_u[f])):
+            out += np.where(agree, np.log(p), np.where(disagree, np.log1p(-p), 0.0))
     return log_m, log_u
 
 
-def _responsibilities(pi_m: float, log_m: np.ndarray, log_u: np.ndarray) -> np.ndarray:
+def _log_mixture(pi_m: float, log_m: np.ndarray, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pattern log pi_m p(gamma|M) and log p(gamma): the responsibility
+    is exp of their difference, the log-likelihood the count-weighted sum
+    of the second."""
     log_pm = np.log(pi_m) + log_m
     log_pu = np.log1p(-pi_m) + log_u
     top = np.maximum(log_pm, log_pu)
-    denom = top + np.log(np.exp(log_pm - top) + np.exp(log_pu - top))
-    return np.exp(log_pm - denom)
+    return log_pm, top + np.log(np.exp(log_pm - top) + np.exp(log_pu - top))
 
 
-def _observed_loglik(pi_m: float, log_m: np.ndarray, log_u: np.ndarray,
-                     counts: np.ndarray) -> float:
-    log_pm = np.log(pi_m) + log_m
-    log_pu = np.log1p(-pi_m) + log_u
-    top = np.maximum(log_pm, log_pu)
-    mix = top + np.log(np.exp(log_pm - top) + np.exp(log_pu - top))
-    return float((counts * mix).sum())
+def _agree_rates(gammas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per field, the weighted share of agreement among the patterns where
+    the field is known (0.5 where they carry no weight)."""
+    rates = np.empty(gammas.shape[1])
+    for f in range(gammas.shape[1]):
+        known = gammas[:, f] != NA
+        denom = weights[known].sum()
+        rates[f] = weights[known & (gammas[:, f] == 1)].sum() / denom if denom > 0 else 0.5
+    return rates
 
 
 def em_fit(table: PatternTable, init: LinkageModel | None = None,
@@ -285,48 +277,31 @@ def em_fit(table: PatternTable, init: LinkageModel | None = None,
     gammas = table.gammas
     counts = table.counts.astype(float)
     total = counts.sum()
-    n_fields = gammas.shape[1]
     if init is None:
-        p_u0 = np.empty(n_fields)
-        for f in range(n_fields):
-            g = gammas[:, f]
-            known = g != NA
-            denom = counts[known].sum()
-            p_u0[f] = counts[known & (g == 1)].sum() / denom if denom > 0 else 0.5
         model = LinkageModel(fields=table.fields, pi_m=1e-4,
-                             p_m=np.full(n_fields, 0.9),
-                             p_u=np.clip(p_u0, 1e-6, 1 - 1e-6))
+                             p_m=np.full(gammas.shape[1], 0.9),
+                             p_u=np.clip(_agree_rates(gammas, counts), 1e-6, 1 - 1e-6))
     else:
         model = LinkageModel(fields=table.fields, pi_m=init.pi_m,
                              p_m=np.array(init.p_m, dtype=float),
                              p_u=np.array(init.p_u, dtype=float))
-    log_m, log_u = _log_pattern_likelihoods(model, gammas)
-    loglik = _observed_loglik(model.pi_m, log_m, log_u, counts)
+    log_pm, mix = _log_mixture(model.pi_m, *_log_pattern_likelihoods(model, gammas))
+    loglik = float((counts * mix).sum())
     if not np.isfinite(loglik):
         raise ValueError("non-finite likelihood at initialization")
     trace = [loglik]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        resp = _responsibilities(model.pi_m, log_m, log_u)
+        resp = np.exp(log_pm - mix)
         w_m = resp * counts
         w_u = (1.0 - resp) * counts
-        pi_m = float(np.clip(w_m.sum() / total, PROB_CLAMP, 1 - PROB_CLAMP))
-        p_m = np.empty(n_fields)
-        p_u = np.empty(n_fields)
-        for f in range(n_fields):
-            g = gammas[:, f]
-            known = g != NA
-            agree = known & (g == 1)
-            m_den = w_m[known].sum()
-            u_den = w_u[known].sum()
-            p_m[f] = w_m[agree].sum() / m_den if m_den > 0 else 0.5
-            p_u[f] = w_u[agree].sum() / u_den if u_den > 0 else 0.5
-        model = LinkageModel(fields=table.fields, pi_m=pi_m,
-                             p_m=np.clip(p_m, PROB_CLAMP, 1 - PROB_CLAMP),
-                             p_u=np.clip(p_u, PROB_CLAMP, 1 - PROB_CLAMP))
-        log_m, log_u = _log_pattern_likelihoods(model, gammas)
-        new_loglik = _observed_loglik(model.pi_m, log_m, log_u, counts)
+        model = LinkageModel(fields=table.fields,
+                             pi_m=float(np.clip(w_m.sum() / total, PROB_CLAMP, 1 - PROB_CLAMP)),
+                             p_m=np.clip(_agree_rates(gammas, w_m), PROB_CLAMP, 1 - PROB_CLAMP),
+                             p_u=np.clip(_agree_rates(gammas, w_u), PROB_CLAMP, 1 - PROB_CLAMP))
+        log_pm, mix = _log_mixture(model.pi_m, *_log_pattern_likelihoods(model, gammas))
+        new_loglik = float((counts * mix).sum())
         if not np.isfinite(new_loglik):
             raise ValueError("non-finite likelihood during EM")
         if new_loglik < loglik - 1e-8 * (abs(loglik) + 1.0):
@@ -351,5 +326,6 @@ def zeta(model: LinkageModel, table: PatternTable) -> np.ndarray:
 
 
 def zeta_for_gammas(model: LinkageModel, gammas: np.ndarray) -> np.ndarray:
-    log_m, log_u = _log_pattern_likelihoods(model, np.asarray(gammas, dtype=np.int8))
-    return _responsibilities(model.pi_m, log_m, log_u)
+    log_pm, mix = _log_mixture(model.pi_m, *_log_pattern_likelihoods(
+        model, np.asarray(gammas, dtype=np.int8)))
+    return np.exp(log_pm - mix)

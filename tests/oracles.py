@@ -216,3 +216,195 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fellegi-Sunter EM with per-field masked likelihood updates, separate
+# responsibility and log-likelihood passes, and a loop per agreement share.
+# hanlink.linkage shares one log-mixture and one agreement share; it must
+# agree bitwise.
+
+
+def em_log_likelihoods(model, gammas):
+    """Per-pattern (log p(gamma|M), log p(gamma|U)); NA fields add nothing."""
+    import numpy as np
+    from hanlink.metrics import PROB_CLAMP
+    p_m = np.clip(model.p_m, PROB_CLAMP, 1 - PROB_CLAMP)
+    p_u = np.clip(model.p_u, PROB_CLAMP, 1 - PROB_CLAMP)
+    log_m = np.zeros(gammas.shape[0])
+    log_u = np.zeros(gammas.shape[0])
+    for f in range(gammas.shape[1]):
+        g = gammas[:, f]
+        agree = g == 1
+        disagree = g == 0
+        log_m[agree] += np.log(p_m[f])
+        log_m[disagree] += np.log1p(-p_m[f])
+        log_u[agree] += np.log(p_u[f])
+        log_u[disagree] += np.log1p(-p_u[f])
+    return log_m, log_u
+
+
+def em_responsibilities(pi_m, log_m, log_u):
+    import numpy as np
+    log_pm = np.log(pi_m) + log_m
+    log_pu = np.log1p(-pi_m) + log_u
+    top = np.maximum(log_pm, log_pu)
+    denom = top + np.log(np.exp(log_pm - top) + np.exp(log_pu - top))
+    return np.exp(log_pm - denom)
+
+
+def em_observed_loglik(pi_m, log_m, log_u, counts):
+    import numpy as np
+    log_pm = np.log(pi_m) + log_m
+    log_pu = np.log1p(-pi_m) + log_u
+    top = np.maximum(log_pm, log_pu)
+    mix = top + np.log(np.exp(log_pm - top) + np.exp(log_pu - top))
+    return float((counts * mix).sum())
+
+
+def em_fit_reference(table, init=None, tol=1e-10, max_iter=500):
+    """LinkageModel fitted as em_fit documents, same stopping and errors."""
+    import numpy as np
+    from hanlink.linkage import NA, LinkageModel
+    from hanlink.metrics import PROB_CLAMP
+    if len(table.counts) < 2:
+        raise ValueError("pattern table must contain at least 2 distinct patterns")
+    gammas = table.gammas
+    counts = table.counts.astype(float)
+    total = counts.sum()
+    n_fields = gammas.shape[1]
+    if init is None:
+        p_u0 = np.empty(n_fields)
+        for f in range(n_fields):
+            g = gammas[:, f]
+            known = g != NA
+            denom = counts[known].sum()
+            p_u0[f] = counts[known & (g == 1)].sum() / denom if denom > 0 else 0.5
+        model = LinkageModel(fields=table.fields, pi_m=1e-4,
+                             p_m=np.full(n_fields, 0.9),
+                             p_u=np.clip(p_u0, 1e-6, 1 - 1e-6))
+    else:
+        model = LinkageModel(fields=table.fields, pi_m=init.pi_m,
+                             p_m=np.array(init.p_m, dtype=float),
+                             p_u=np.array(init.p_u, dtype=float))
+    log_m, log_u = em_log_likelihoods(model, gammas)
+    loglik = em_observed_loglik(model.pi_m, log_m, log_u, counts)
+    if not np.isfinite(loglik):
+        raise ValueError("non-finite likelihood at initialization")
+    trace = [loglik]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        resp = em_responsibilities(model.pi_m, log_m, log_u)
+        w_m = resp * counts
+        w_u = (1.0 - resp) * counts
+        pi_m = float(np.clip(w_m.sum() / total, PROB_CLAMP, 1 - PROB_CLAMP))
+        p_m = np.empty(n_fields)
+        p_u = np.empty(n_fields)
+        for f in range(n_fields):
+            g = gammas[:, f]
+            known = g != NA
+            agree = known & (g == 1)
+            m_den = w_m[known].sum()
+            u_den = w_u[known].sum()
+            p_m[f] = w_m[agree].sum() / m_den if m_den > 0 else 0.5
+            p_u[f] = w_u[agree].sum() / u_den if u_den > 0 else 0.5
+        model = LinkageModel(fields=table.fields, pi_m=pi_m,
+                             p_m=np.clip(p_m, PROB_CLAMP, 1 - PROB_CLAMP),
+                             p_u=np.clip(p_u, PROB_CLAMP, 1 - PROB_CLAMP))
+        log_m, log_u = em_log_likelihoods(model, gammas)
+        new_loglik = em_observed_loglik(model.pi_m, log_m, log_u, counts)
+        if not np.isfinite(new_loglik):
+            raise ValueError("non-finite likelihood during EM")
+        if new_loglik < loglik - 1e-8 * (abs(loglik) + 1.0):
+            raise RuntimeError(f"EM log-likelihood decreased from {loglik!r} "
+                               f"to {new_loglik!r} at iteration {iterations}")
+        delta = abs(new_loglik - loglik)
+        loglik = new_loglik
+        trace.append(loglik)
+        if delta < tol * (abs(loglik) + 1.0):
+            converged = True
+            break
+    model.loglik_trace = trace
+    model.converged = converged
+    model.iterations = iterations
+    return model
+
+
+def zeta_reference(model, gammas):
+    return em_responsibilities(model.pi_m, *em_log_likelihoods(model, gammas))
+
+
+# ---------------------------------------------------------------------------
+# Threshold selectors evaluated at every grid point (tau1) and with a dict
+# from pattern code to row (tau2). hanlink.fuse evaluates one point per run
+# of equal tails and looks rows up in a dense code array; tau must agree
+# bitwise.
+
+
+def tau1_full_grid(table, zetas, dist):
+    import numpy as np
+    donors = np.nonzero(table.gammas[:, table.fields.index("name")] == 0)[0]
+    z = np.asarray(zetas, dtype=float)[donors]
+    w = table.counts[donors].astype(float)
+    w = w / w.sum() if w.sum() > 0 else np.full(len(donors), 1.0 / len(donors))
+    tm = dist.tail_m[None, :]
+    tu = dist.tail_u[None, :]
+    zc = z[:, None]
+    num = zc * tm
+    den = num + (1.0 - zc) * tu
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prec_rows = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    precision = (w[:, None] * prec_rows).sum(axis=0)
+    recall = dist.tail_m
+    pr = precision + recall
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
+    return float(dist.grid[int(np.argmax(f1))])
+
+
+def tau2_dict_lookup(table, zetas, dist, model):
+    import numpy as np
+    from hanlink.fuse import transfer_predictions
+    from hanlink.linkage import zeta_for_gammas
+    from hanlink.metrics import GroupedRanking, auroc
+    name_ix = table.fields.index("name")
+    donors = np.nonzero(table.gammas[:, name_ix] == 0)[0]
+    zetas = np.asarray(zetas, dtype=float)
+    codes = table.codes()
+    code_to_row = {int(c): j for j, c in enumerate(codes)}
+    recip_row = np.full(len(donors), -1, dtype=np.int64)
+    created_gammas, created_ids = [], []
+    for d_pos, j in enumerate(donors):
+        row = code_to_row.get(int(codes[j]) + 3 ** name_ix)
+        if row is not None:
+            recip_row[d_pos] = row
+        else:
+            gamma = table.gammas[j].copy()
+            gamma[name_ix] = 1
+            created_ids.append(d_pos)
+            created_gammas.append(gamma)
+    z1 = zetas[donors]
+    n1 = table.counts[donors].astype(float)
+    z2 = np.empty(len(donors))
+    n2 = np.zeros(len(donors))
+    existing = recip_row >= 0
+    z2[existing] = zetas[recip_row[existing]]
+    n2[existing] = table.counts[recip_row[existing]]
+    if created_gammas:
+        z2[np.array(created_ids)] = zeta_for_gammas(model, np.stack(created_gammas))
+    touched = set(donors.tolist()) | set(recip_row[existing].tolist())
+    untouched = np.array([j for j in range(len(table.counts)) if j not in touched],
+                         dtype=np.int64)
+    u_scores = zetas[untouched]
+    u_n = table.counts[untouched].astype(float)
+    tail_m, tail_u = dist.tail_m, dist.tail_u
+    step = np.concatenate([[True], (np.diff(tail_m) != 0) | (np.diff(tail_u) != 0)])
+    step_pred = np.empty(int(step.sum()))
+    for k, g in enumerate(np.nonzero(step)[0]):
+        zh1, zh2, nh1, nh2 = transfer_predictions(z1, n1, z2, n2, tail_m[g], tail_u[g])
+        scores = np.concatenate([u_scores, zh1, zh2])
+        masses = np.concatenate([u_n, nh1, nh2])
+        step_pred[k] = auroc(GroupedRanking(scores, scores * masses,
+                                            (1.0 - scores) * masses))
+    return float(dist.grid[int(np.argmax(step_pred[np.cumsum(step) - 1]))])

@@ -9,17 +9,40 @@ from hanlink import compare
 from hanlink.compare import (
     FeatureSpec,
     PairFeaturizer,
-    cosine_sim,
     cosine_sims,
     default_feature_bank,
     edit_distances,
     extract_substring,
-    lcs_sim,
-    levenshtein,
-    levenshtein_sim,
+    intern_strings,
+    levenshtein_sims,
 )
 from hanlink.encoding import IDENTITY_TABLE, EncodingKind, FrequencyTable, logograms, transform
 from oracles import counter_cosine, dp_levenshtein
+
+
+def one_pair(a, b):
+    """(strings, u, v) listing the single pair (a, b) for the batch kernels."""
+    strings, (u, v) = intern_strings([a], [b])
+    return strings, u, v
+
+
+def levenshtein(a, b):
+    return int(edit_distances(*one_pair(a, b))[0])
+
+
+def levenshtein_sim(a, b):
+    return float(levenshtein_sims(*one_pair(a, b))[0])
+
+
+def lcs_sim(a, b):
+    strings, u, v = one_pair(a, b)
+    lens = np.array([len(x) for x in strings])
+    return float(compare._from_distances("LCS", edit_distances(strings, u, v),
+                                         lens[u], lens[v])[0])
+
+
+def cosine_sim(a, b, k):
+    return float(cosine_sims(*one_pair(a, b), k)[0])
 
 
 def test_table1_similarities():

@@ -119,16 +119,12 @@ def test_log_rel_frequency():
         log_rel_frequency("伍考", "1:N", freq)
 
 
-def test_frequency_from_corpus_single_name():
-    freq = FrequencyTable.from_corpus(["张三"])
-    # the only name: relative frequency 1 -> log 1 = 0
-    assert log_rel_frequency("张三", "1:1", freq) == 0.0
-    assert freq.floor == math.log(0.5 / 1)
-
-
 def test_frequency_save_load_roundtrip(tmp_path):
-    freq = FrequencyTable.from_corpus(["张三", "张四", "李三"])
     path = tmp_path / "freq.tsv"
-    freq.save(path)
-    loaded = FrequencyTable.load(path, floor=freq.floor)
-    assert loaded.values == pytest.approx(freq.values)
+    path.write_text("# comment\n1:1\t张\t-0.4054651081\n1:1\t李\t-1.0986122887\n\n"
+                    "2:N\t三\t-0.4054651081\n", encoding="utf-8")
+    loaded = FrequencyTable.load(path)
+    assert loaded.values == {("1:1", "张"): -0.4054651081, ("1:1", "李"): -1.0986122887,
+                             ("2:N", "三"): -0.4054651081}
+    assert loaded.floor == -1.0986122887 + math.log(0.5)
+    assert FrequencyTable.load(path, floor=-9.0).floor == -9.0

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import tau1_full_grid, tau2_dict_lookup
 
 from hanlink.fuse import (
+    _tau2_curve,
     apply_threshold,
     eligible_rows,
     posterior_adjust,
@@ -208,16 +212,71 @@ def fitted_dist():
     return make_dist(match, nonmatch, bins=40)
 
 
-def test_tau1_matches_brute_force(small_table, small_model, fitted_dist):
-    zetas = zeta_for_gammas(small_model, small_table.gammas)
-    assert tau1_select(small_table, zetas, fitted_dist) == \
-        brute_force_tau1(small_table, zetas, fitted_dist)
+@st.composite
+def tau_cases(draw):
+    """(table, zetas, dist, model): distinct patterns in drawn (unsorted)
+    order with "name" at a drawn position and at least one donor row,
+    counts that may be zero, zetas in [0, 1] ends included, and a score
+    distribution from scores on a coarse lattice, so its tails run in long
+    constant steps over the grid (sometimes only one or two steps)."""
+    n_fields = draw(st.integers(1, 4))
+    name_ix = draw(st.integers(0, n_fields - 1))
+    codes = draw(st.lists(st.integers(0, 3 ** n_fields - 1), min_size=1,
+                          max_size=min(3 ** n_fields, 30), unique=True)
+                 .filter(lambda cs: any(c // 3 ** name_ix % 3 == 0 for c in cs)))
+    fields = tuple("name" if f == name_ix else f"f{f}" for f in range(n_fields))
+    gammas = np.array(codes)[:, None] // 3 ** np.arange(n_fields) % 3
+    rows = len(codes)
+    counts = draw(st.lists(st.integers(0, 10 ** 5), min_size=rows, max_size=rows))
+    zetas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                          min_size=rows, max_size=rows))
+    lattice = draw(st.sampled_from([1, 2, 5, 40, 1000]))
+    scores = st.lists(st.integers(0, lattice), min_size=1, max_size=40)
+    match, nonmatch = draw(scores), draw(scores)
+    dist = make_dist(np.array(match) / lattice, np.array(nonmatch) / lattice)
+    probs = st.lists(st.floats(0.01, 0.99), min_size=n_fields, max_size=n_fields)
+    model = LinkageModel(fields, draw(st.floats(1e-4, 0.5)), np.array(draw(probs)),
+                         np.array(draw(probs)))
+    return make_table(gammas, counts, fields), np.array(zetas), dist, model
 
 
-def test_tau2_matches_brute_force(small_table, small_model, fitted_dist):
-    zetas = zeta_for_gammas(small_model, small_table.gammas)
-    assert tau2_select(small_table, zetas, fitted_dist, small_model) == \
-        brute_force_tau2(small_table, zetas, fitted_dist, small_model)[0]
+def outcome(select, *args):
+    """select(*args), or the type and message of the ValueError it raised."""
+    try:
+        return select(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau_cases())
+@example(None)
+def test_tau1_matches_brute_force(small_table, small_model, fitted_dist, case):
+    """tau1 from one grid point per tail step: the per-grid brute force's
+    on the fixture, and bitwise the full-grid evaluation's on drawn cases."""
+    if case is None:
+        zetas = zeta_for_gammas(small_model, small_table.gammas)
+        assert tau1_select(small_table, zetas, fitted_dist) == \
+            brute_force_tau1(small_table, zetas, fitted_dist)
+        return
+    table, zetas, dist, _ = case
+    assert tau1_select(table, zetas, dist) == tau1_full_grid(table, zetas, dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau_cases())
+@example(None)
+def test_tau2_matches_brute_force(small_table, small_model, fitted_dist, case):
+    """tau2: the per-grid brute force's on the fixture, and bitwise the
+    dict-lookup evaluation's on drawn cases, absent recipients included."""
+    if case is None:
+        zetas = zeta_for_gammas(small_model, small_table.gammas)
+        assert tau2_select(small_table, zetas, fitted_dist, small_model) == \
+            brute_force_tau2(small_table, zetas, fitted_dist, small_model)[0]
+        return
+    table, zetas, dist, model = case
+    assert outcome(tau2_select, table, zetas, dist, model) == \
+        outcome(tau2_dict_lookup, table, zetas, dist, model)
 
 
 def test_tau2_curve_matches_per_grid_reference(small_table, small_model, fitted_dist):
@@ -226,8 +285,8 @@ def test_tau2_curve_matches_per_grid_reference(small_table, small_model, fitted_
     tails = np.stack([fitted_dist.tail_m, fitted_dist.tail_u])
     steps = np.count_nonzero(np.any(np.diff(tails, axis=1) != 0, axis=0))
     assert steps < len(fitted_dist.grid) // 2  # the reduction is exercised
-    tau, curve = tau2_select(small_table, zetas, fitted_dist, small_model,
-                             return_curve=True)
+    tau = tau2_select(small_table, zetas, fitted_dist, small_model)
+    curve = _tau2_curve(small_table, zetas, fitted_dist, small_model)
     ref_tau, ref_curve = brute_force_tau2(small_table, zetas, fitted_dist, small_model)
     np.testing.assert_allclose(curve, ref_curve, rtol=0, atol=1e-12)
     assert tau == ref_tau

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cross_product_table
+from oracles import cross_product_table, em_fit_reference, zeta_reference
 
 from hanlink.experiment import LinkageDataset
 from hanlink.linkage import (
@@ -223,6 +223,60 @@ def sample_table(pi_m, p_m, p_u, n_pairs, rng):
                         gammas=gammas[keep], counts=counts[keep])
 
 
+@st.composite
+def pattern_tables(draw, max_fields=6, max_rows=24):
+    """Distinct agreement patterns over 1 to max_fields fields, NA cells
+    included, in drawn (unsorted) order, with positive counts."""
+    n_fields = draw(st.integers(1, max_fields))
+    codes = draw(st.lists(st.integers(0, 3 ** n_fields - 1), min_size=2,
+                          max_size=min(3 ** n_fields, max_rows), unique=True))
+    counts = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(codes), max_size=len(codes)))
+    gammas = np.array(codes)[:, None] // 3 ** np.arange(n_fields) % 3
+    return PatternTable(tuple(f"f{f}" for f in range(n_fields)), gammas, np.array(counts))
+
+
+def fit_or_error(fit, table, init, max_iter):
+    try:
+        return fit(table, init=init, max_iter=max_iter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_tables(), st.data())
+def test_em_matches_reference(table, data):
+    """em_fit equals the per-field masked EM bitwise, from the default start
+    and from a drawn one, errors included."""
+    n_fields = len(table.fields)
+    probs = st.lists(st.floats(0.01, 0.99), min_size=n_fields, max_size=n_fields)
+    init = data.draw(st.none() | st.builds(
+        lambda pi, p_m, p_u: LinkageModel(table.fields, pi, np.array(p_m), np.array(p_u)),
+        st.floats(1e-4, 0.5), probs, probs))
+    max_iter = data.draw(st.sampled_from([1, 5, 500]))
+    got = fit_or_error(em_fit, table, init, max_iter)
+    want = fit_or_error(em_fit_reference, table, init, max_iter)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.pi_m == want.pi_m
+    assert got.p_m.tobytes() == want.p_m.tobytes()
+    assert got.p_u.tobytes() == want.p_u.tobytes()
+    assert got.loglik_trace == want.loglik_trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert zeta(got, table).tobytes() == zeta_reference(want, table.gammas).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern_tables(max_fields=4, max_rows=81), st.data())
+def test_rows_of_matches_dict(table, data):
+    """rows_of finds each code's row in a table not sorted by code, and -1
+    for codes it lacks."""
+    row_of = {int(c): j for j, c in enumerate(table.codes())}
+    codes = data.draw(st.lists(st.integers(0, 3 ** len(table.fields) - 1), max_size=30))
+    assert table.rows_of(np.array(codes, dtype=np.int64)).tolist() == \
+        [row_of.get(c, -1) for c in codes]
+
+
 def test_em_recovers_parameters():
     rng = np.random.default_rng(2)
     p_m = np.array([0.95, 0.9, 0.85])
@@ -353,15 +407,3 @@ def test_read_records_rejects_ragged_row(tmp_path, row, cells):
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"ragged.csv, line 3: {cells} cells"):
         read_records(path)
-
-
-def test_pattern_table_export(tmp_path):
-    gammas = np.array([[1, NA], [0, 1]], dtype=np.int8)
-    table = PatternTable(fields=("name", "sex"), gammas=gammas,
-                         counts=np.array([5, 7]))
-    path = tmp_path / "patterns.csv"
-    table.export_csv(path, zetas=np.array([0.9, 0.1]))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "gamma_name,gamma_sex,count,zeta"
-    assert lines[1] == "1,NA,5,0.9"
-    assert lines[2] == "0,1,7,0.1"
