@@ -19,7 +19,7 @@ from .encoding import (
     log_rel_frequency,
     transform,
 )
-from .linkage import LinkageModel, PatternTable, em_fit, tabulate_patterns, zeta
+from .linkage import LinkageModel, PatternTable, em_fit, zeta
 from .matcher import (
     MatcherModel,
     ScoreDistribution,

@@ -2,9 +2,12 @@
 
 Commands: features, train, fitdist, simulate, experiment, evaluate.
 Exit codes: 0 success, 1 runtime failure, 2 input/schema error. Every
-command that writes artifacts also writes a manifest with the config
-hash, seeds, and output checksums; outputs carry no timestamps so reruns
-with the same seed are byte-identical.
+CSV input goes through the one reader, `linkage.CsvTable`, whose
+`InputError` names the file and the line, column and cell at fault; a
+bad config raises the same error. Every command that writes artifacts
+also writes a manifest with the config hash, seeds, and output
+checksums; outputs carry no timestamps so reruns with the same seed are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -27,14 +30,11 @@ from .matcher import (
     train_matcher,
 )
 from .metrics import GroupedRanking, auroc, eauroc, log_loss
-from .simgen import SimConfig, build_name_model, generate_pair_files, write_truth
+from .simgen import SimConfig, build_name_model, generate_pair_files, read_truth, write_truth
 from . import experiment as exp
-from .linkage import LINK_FIELDS, read_records, write_records
-from .simgen import read_truth
+from .linkage import LINK_FIELDS, CsvTable, InputError, read_records, write_records
 
-
-class InputError(ValueError):
-    """Bad input file or config; maps to exit code 2."""
+_label = ("0", "1").index  # a label cell -> 0 or 1
 
 
 def _sha256(path: Path) -> str:
@@ -74,41 +74,11 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _read_csv(path: str, needed: tuple[str, ...],
-              optional: tuple[str, ...] | None = ()) -> tuple[dict[str, int], list[list[str]]]:
-    """Column index and body rows of a CSV file. InputError names the file
-    when it is empty or lacks a `needed` column, and the line of a row too
-    short to hold every needed and present `optional` column (every column
-    when `optional` is None)."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file")
-        cols = {name: i for i, name in enumerate(header)}
-        for name in needed:
-            if name not in cols:
-                raise InputError(f"{path}: missing required column '{name}'")
-        read = header if optional is None else (*needed, *optional)
-        width = 1 + max((cols[c] for c in read if c in cols), default=-1)
-        rows = []
-        for row in reader:
-            if len(row) < width:
-                raise InputError(f"{path}, line {reader.line_num}: {len(row)} cells, "
-                                 f"expected at least {width}")
-            rows.append(row)
-    return cols, rows
-
-
-def _read_pairs_csv(path: str) -> tuple[list[tuple[str, str]], list[str] | None]:
-    cols, rows = _read_csv(path, ("name_a", "name_b"), ("label",))
-    pairs = [(row[cols["name_a"]], row[cols["name_b"]]) for row in rows]
-    return pairs, ([row[cols["label"]] for row in rows] if "label" in cols else None)
-
-
 def cmd_features(args) -> int:
     bundle = load_bundle(args.assets)
-    pairs, labels = _read_pairs_csv(args.input)
+    table = CsvTable(args.input)
+    pairs = list(zip(table.column("name_a"), table.column("name_b")))
+    labels = table.column("label", _label) if "label" in table.header else None
     featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     X, cats = featurizer.feature_matrix(pairs)
     out_path = Path(args.out)
@@ -128,17 +98,14 @@ def cmd_features(args) -> int:
 
 
 def _read_feature_csv(path: str):
-    cols, rows = _read_csv(path, ("label",), None)
-    label_ix, cat_ix = cols["label"], cols.get("han_category")
-    spec_cols = [(i, FeatureSpec.from_name(name)) for name, i in cols.items()
-                 if i not in (label_ix, cat_ix)]
-    cat_codes = {"NeitherHan": 0, "BothHan": 1, "Disagreeing": 2}
-    X_rows = [[float(row[i]) for i, _ in spec_cols] for row in rows]
-    y = [int(row[label_ix]) for row in rows]
-    cats = [cat_codes[row[cat_ix]] if cat_ix is not None else 0 for row in rows]
-    specs = tuple(spec for _, spec in spec_cols)
-    return (np.array(X_rows), np.array(cats, dtype=np.int8),
-            np.array(y, dtype=float), specs)
+    table = CsvTable(path)
+    y = np.array(table.column("label", _label), dtype=float)
+    cats = (table.column("han_category", [c.value for c in HAN_CATEGORIES].index)
+            if "han_category" in table.header else [0] * len(y))
+    names = [name for name in table.header if name not in ("label", "han_category")]
+    return (np.column_stack([table.column(name, float) for name in names]),
+            np.array(cats, dtype=np.int8), y,
+            tuple(FeatureSpec.from_name(name) for name in names))
 
 
 def cmd_train(args) -> int:
@@ -164,21 +131,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_fitdist(args) -> int:
-    cols, rows = _read_csv(args.input, (), ("score", "label", "name_a", "name_b"))
-    if "score" in cols and "label" in cols:
-        scores = np.array([float(r[cols["score"]]) for r in rows])
-        labels = np.array([int(r[cols["label"]]) for r in rows])
-    elif "name_a" in cols and "name_b" in cols and "label" in cols:
+    table = CsvTable(args.input)
+    if "score" in table.header:
+        scores = np.array(table.column("score", float))
+    else:
+        pairs = list(zip(table.column("name_a"), table.column("name_b")))
         if not args.model:
             raise InputError("name-pair input needs --model to score pairs")
         scorer = exp.NamePairScorer.for_model(MatcherModel.load(args.model),
                                               load_bundle(args.assets))
-        pairs = [(r[cols["name_a"]], r[cols["name_b"]]) for r in rows]
         scores = scorer.scores(pairs)
-        labels = np.array([int(r[cols["label"]]) for r in rows])
-    else:
-        raise InputError(f"{args.input}: need columns (score,label) or "
-                         "(name_a,name_b,label)")
+    labels = np.array(table.column("label", _label))
     dist = fit_score_distributions(scores, labels, bins=args.bins)
     dist.save(args.out)
     print(f"fitted score distribution from {len(scores)} labeled scores; "
@@ -215,8 +178,7 @@ def _experiment_files(config: dict, args, bundle) -> dict:
     truth = read_truth(data["truth"])
     fields = tuple(config.get("fields", LINK_FIELDS))
     dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
-    methods = tuple(config.get("methods") or
-                    ([config["method"]] if config.get("method") else ("exact",)))
+    methods = tuple(config.get("methods") or ("exact",))
     classifier = config.get("classifier")
     scorer = None
     dist = None
@@ -224,9 +186,9 @@ def _experiment_files(config: dict, args, bundle) -> dict:
         if not classifier:
             raise InputError("non-exact methods require a 'classifier'")
         if classifier.startswith("external-scores:"):
-            cols, rows = _read_csv(classifier.split(":", 1)[1], ("name_a", "name_b", "score"))
-            scorer = exp.ExternalScorer({(row[cols["name_a"]], row[cols["name_b"]]):
-                                         float(row[cols["score"]]) for row in rows})
+            table = CsvTable(classifier.split(":", 1)[1])
+            pairs = zip(table.column("name_a"), table.column("name_b"))
+            scorer = exp.ExternalScorer(dict(zip(pairs, table.column("score", float))))
         else:
             scorer = exp.NamePairScorer.for_model(MatcherModel.from_selector(classifier),
                                                   bundle)
@@ -244,8 +206,10 @@ def _experiment_files(config: dict, args, bundle) -> dict:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    for key, value in (("seed", args.seed), ("method", args.method),
-                       ("classifier", args.classifier)):
+    if "method" in config:
+        raise InputError("config key 'method' is gone: list methods under 'methods'")
+    for key, value in (("seed", args.seed), ("classifier", args.classifier),
+                       ("methods", [args.method] if args.method else None)):
         if value is not None:
             config[key] = value
     out_dir = Path(args.out)
@@ -254,8 +218,7 @@ def cmd_experiment(args) -> int:
     written: list[Path] = []
     try:
         if "simulate" in config:
-            report = exp.run_study(config, assets_dir=args.assets,
-                                   workers=args.workers or
+            report = exp.run_study(config, bundle, workers=args.workers or
                                    int(config.get("workers", 1)))
             if report.get("model"):
                 _write_json(out_dir / "model.json", report["model"])
@@ -283,16 +246,16 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cols, rows = _read_csv(args.input, ("score", "label"))
-    scores = [float(row[cols["score"]]) for row in rows]
-    labels = [int(row[cols["label"]]) for row in rows]
-    ranking = GroupedRanking.from_pairs(np.array(scores), np.array(labels))
+    table = CsvTable(args.input)
+    scores = np.array(table.column("score", float))
+    labels = np.array(table.column("label", _label))
+    ranking = GroupedRanking.from_pairs(scores, labels)
     q = args.q if args.q else ranking.total_pos() / ranking.total_neg()
     report = {
         "auroc": auroc(ranking),
         "eauroc": eauroc(ranking, q),
         "q": q,
-        "neg_log_lik": log_loss(np.array(scores), np.array(labels)),
+        "neg_log_lik": log_loss(scores, labels),
         "n": len(scores),
     }
     text = json.dumps(report, indent=1, sort_keys=True)
@@ -362,10 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (InputError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -351,11 +351,9 @@ class PairFeaturizer:
             joined = memo[sub] = join_codes(kind, [codes[ch] for ch in chars])
         return joined
 
-    def feature_matrix(self, pairs, specs: tuple[FeatureSpec, ...] | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    def feature_matrix(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Feature matrix plus Han-category codes, one row per pair of a
         `NamePairs` or a sequence of (name_a, name_b) tuples."""
-        specs = self.specs if specs is None else specs
         pairs = NamePairs.of(pairs)
         used, inverse = np.unique(np.concatenate([pairs.ia, pairs.ib]), return_inverse=True)
         names = [pairs.names[i] for i in used.tolist()]  # only the names pairs reference
@@ -363,9 +361,9 @@ class PairFeaturizer:
         han = np.array([han_indicator(n, self.surnames) for n in names], dtype=bool)
         ha, hb = han[ia], han[ib]
         cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
-        X = np.empty((len(pairs), len(specs)))
+        X = np.empty((len(pairs), len(self.specs)))
         memo: dict = {}
-        for c, spec in enumerate(specs):
+        for c, spec in enumerate(self.specs):
             X[:, c] = cats if spec.comparator == "CAT" else self._column(spec, names, ia, ib, memo)
         return X, cats
 

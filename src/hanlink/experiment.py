@@ -122,6 +122,8 @@ class LinkageDataset:
             raise ValueError("linkage fields must include 'name'")
         self.names_a, self.names_b = records_a["name"], records_b["name"]
         self.n_a, self.n_b = len(self.names_a), len(self.names_b)
+        if not self.n_a or not self.n_b:
+            raise ValueError("record files must be non-empty")
         self.truth = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
         for side, ids, n in (("id_a", self.truth[:, 0], self.n_a),
                              ("id_b", self.truth[:, 1], self.n_b)):
@@ -365,9 +367,10 @@ def run_replicate(bundle: AssetBundle, name_model, sim_params: dict, rep_seed: i
                        candidate_floor=candidate_floor, q=q)
 
 
-def run_study(config: dict, assets_dir=None, workers: int = 1) -> dict:
+def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1) -> dict:
     """Replicated simulation study: train once, then run every replicate
     through every requested method. Deterministic given config['seed'].
+    Without a `bundle` the assets come from config['assets_dir'].
 
     With workers > 1 the replicates run in that many spawned processes,
     each given this process's asset bundle, name model, matcher and score
@@ -375,7 +378,7 @@ def run_study(config: dict, assets_dir=None, workers: int = 1) -> dict:
     workers re-import the calling script, so a script must call this under
     `if __name__ == "__main__":`.
     """
-    bundle = load_bundle(config.get("assets_dir", assets_dir))
+    bundle = bundle or load_bundle(config.get("assets_dir"))
     name_model = build_name_model(bundle.corpus, bundle.tables)
     sim_params = dict(config.get("simulate", {}))
     sim_params.pop("seed", None)

@@ -8,12 +8,16 @@ pattern counts (as in fastLink; Enamorado, Fifield and Imai, APSR 113(2),
 2019). The two-class mixture over patterns is fitted by EM under
 conditional independence; missing fields contribute a factor of one to
 both class likelihoods.
+
+Every CSV file the package reads goes through `CsvTable`, whose
+`InputError` names the file, and the line, column and cell at fault.
 """
 from __future__ import annotations
 
 import csv
-import json
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,24 +29,60 @@ LINK_FIELDS = RECORD_FIELDS  # default linkage field set, name first
 NA = 2  # gamma code for "either value missing"
 
 
+class InputError(ValueError):
+    """Bad input file or config; maps to exit code 2."""
+
+
+class CsvTable:
+    """A CSV file's header and body rows, read once. InputError names the
+    file when it is empty, names a column twice or lacks a requested one,
+    and the line of a row without exactly one cell per header column."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        rows = self._read()[0]  # str tuples, which the GC untracks: no full collection
+        if not rows:
+            raise InputError(f"{path}: empty file")
+        self.header = [h.strip() for h in rows.pop(0)]
+        width = len(self.header)
+        if len(set(self.header)) < width:
+            raise InputError(f"{path}: header names a column twice")
+        if set(map(len, rows)) - {width}:
+            k = next(k for k, row in enumerate(rows) if len(row) != width)
+            raise InputError(f"{path}, line {self._read(k + 2)[1]}: {len(rows[k])} cells, "
+                             f"expected {width}")
+        self._rows = rows
+
+    def _read(self, count: int | None = None) -> tuple[list[tuple[str, ...]], int]:
+        """The first `count` records (all by default) and the line on which
+        the last ends; body row k ends the first k + 2 records."""
+        with Path(self.path).open("r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            return list(itertools.islice(map(tuple, reader), count)), reader.line_num
+
+    def column(self, name: str, parse=None) -> list:
+        """The cells of column `name`, as read or mapped through `parse`; a
+        cell that `parse` rejects with ValueError is an InputError naming
+        its line, column and cell."""
+        if name not in self.header:
+            raise InputError(f"{self.path}: missing required column '{name}'")
+        cells = list(map(itemgetter(self.header.index(name)), self._rows))
+        if parse is None:
+            return cells
+        values: list = []
+        try:
+            values.extend(map(parse, cells))
+        except ValueError:  # extend keeps the values parsed before the rejected cell
+            k = len(values)
+            raise InputError(f"{self.path}, line {self._read(k + 2)[1]}, column '{name}': "
+                             f"bad cell {cells[k]!r}") from None
+        return values
+
+
 def read_records(path: str | Path) -> dict[str, list[str]]:
-    """Read a record CSV with header name,sex,yob,mob,dob,loc; empty cells
-    are missing values. A row without exactly one cell per field is an
-    error naming its line."""
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(RECORD_FIELDS):
-            raise ValueError(f"record file {path} must have header "
-                             f"{','.join(RECORD_FIELDS)}")
-        columns: dict[str, list[str]] = {f: [] for f in RECORD_FIELDS}
-        for row in reader:
-            if len(row) != len(RECORD_FIELDS):
-                raise ValueError(f"record file {path}, line {reader.line_num}: "
-                                 f"{len(row)} cells, expected {len(RECORD_FIELDS)}")
-            for f, value in zip(RECORD_FIELDS, row):
-                columns[f].append(value)
-    return columns
+    """The name,sex,yob,mob,dob,loc columns of a record CSV ("" = missing)."""
+    table = CsvTable(path)
+    return {f: table.column(f) for f in RECORD_FIELDS}
 
 
 def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
@@ -197,15 +237,6 @@ def join_pairs(key_a: np.ndarray, key_b: np.ndarray, budget: int):
         start = stop
 
 
-def tabulate_patterns(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
-                      fields: tuple[str, ...] = LINK_FIELDS) -> PatternTable:
-    """Tally agreement patterns over all |A| x |B| pairs."""
-    codes_a, codes_b = encode_fields(records_a, records_b, fields)
-    if not len(codes_a[0]) or not len(codes_b[0]):
-        raise ValueError("record files must be non-empty")
-    return PatternTable.from_counts(fields, pattern_counts(codes_a, codes_b))
-
-
 @dataclass
 class LinkageModel:
     """Mixture parameters: match proportion and per-field agreement
@@ -217,17 +248,6 @@ class LinkageModel:
     loglik_trace: list[float] = field(default_factory=list)
     converged: bool = True
     iterations: int = 0
-
-    def to_dict(self) -> dict:
-        return {"format_version": 1, "fields": list(self.fields),
-                "pi_m": self.pi_m,
-                "p_agree_match": [float(v) for v in self.p_m],
-                "p_agree_unmatch": [float(v) for v in self.p_u],
-                "iterations": self.iterations, "converged": self.converged}
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True),
-                              encoding="utf-8")
 
 
 def _log_pattern_likelihoods(model: LinkageModel, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

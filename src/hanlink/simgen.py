@@ -17,6 +17,7 @@ import numpy as np
 
 from .compare import levenshtein_sims
 from .encoding import EncodingKind, EncodingTable, logograms
+from .linkage import CsvTable
 
 # Error-type shares observed among name disagreements (single/multi
 # replacement, insertion/deletion, transposition, extra/alternative name,
@@ -307,8 +308,6 @@ def corrupt_name(name: str, error_type: str, model: PositionalNameModel,
 
 
 def _sample_field_values(fld: str, n: int, card: int, rng: np.random.Generator) -> np.ndarray:
-    if fld == "sex":
-        return rng.integers(1, card + 1, size=n)
     if fld == "loc":
         weights = 1.0 / np.arange(1, card + 1)  # Zipf-ish location sizes
         weights /= weights.sum()
@@ -403,16 +402,6 @@ def write_truth(path: str | Path, truth: np.ndarray) -> None:
 
 
 def read_truth(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "id_a,id_b":
-        raise ValueError(f"truth file {path} must have header id_a,id_b")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"truth file {path}, line {number}: {len(cells)} cells, "
-                             "expected 2")
-        rows.append((int(cells[0]), int(cells[1])))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    """(n, 2) truth links from the id_a and id_b columns of a CSV file."""
+    table = CsvTable(path)
+    return np.array([table.column(c, int) for c in ("id_a", "id_b")], dtype=np.int64).T

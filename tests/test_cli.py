@@ -162,22 +162,41 @@ def test_experiment_files_mode(tmp_path, name_model):
     assert report["reports"]["exact"]["pi_m_true"] == pytest.approx(1 / 150)
 
 
-@pytest.mark.parametrize("rows", [["-1,2"], ["0,0", "0,1"]])
-def test_experiment_rejects_bad_truth_links(tmp_path, capsys, rows):
+def small_experiment(tmp_path, data=(), **config) -> Path:
+    """Config file of an exact-method experiment on two three-record files
+    linked one to one; `data` replaces entries of its 'data' section and
+    keyword arguments set top-level keys."""
     from hanlink.linkage import write_records
     records = {f: ["a", "b", "c"] for f in ("name", "sex", "yob", "mob", "dob", "loc")}
     write_records(tmp_path / "a.csv", records)
     write_records(tmp_path / "b.csv", records)
-    (tmp_path / "truth.csv").write_text("\n".join(["id_a,id_b", *rows]) + "\n")
+    (tmp_path / "truth.csv").write_text("id_a,id_b\n0,0\n1,1\n2,2\n")
+    files = {"file_a": str(tmp_path / "a.csv"), "file_b": str(tmp_path / "b.csv"),
+             "truth": str(tmp_path / "truth.csv"), **dict(data)}
     cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({
-        "data": {"file_a": str(tmp_path / "a.csv"),
-                 "file_b": str(tmp_path / "b.csv"),
-                 "truth": str(tmp_path / "truth.csv")},
-        "methods": ["exact"],
-    }))
+    cfg.write_text(json.dumps({"data": files, "methods": ["exact"], **config}))
+    return cfg
+
+
+@pytest.mark.parametrize("rows", [["-1,2"], ["0,0", "0,1"]])
+def test_experiment_rejects_bad_truth_links(tmp_path, capsys, rows):
+    truth = tmp_path / "links.csv"
+    truth.write_text("\n".join(["id_a,id_b", *rows]) + "\n")
+    cfg = small_experiment(tmp_path, data={"truth": str(truth)})
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert f"truth link ({rows[-1].replace(',', ', ')})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["name,sex,yob,mob,dob,loc\n", ""],
+                         ids=["header-only", "no-header"])
+def test_experiment_rejects_empty_record_file(tmp_path, capsys, text):
+    """A record file with no records fails before any linkage work."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text, encoding="utf-8")
+    cfg = small_experiment(tmp_path, data={"file_a": str(empty)})
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert ("record files must be non-empty" if text else f"{empty}: empty file") \
+        in capsys.readouterr().err
 
 
 def test_experiment_requires_dist_for_fusion(tmp_path, name_model):
@@ -278,33 +297,47 @@ def test_train_rejects_single_class_split(tmp_path, capsys, labels, fraction, me
 MALFORMED_CSV = {
     "train": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,BothHan\n",
               "line 3: 2 cells"),
+    "train-label": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,BothHan,2\n",
+                    "line 3, column 'label': bad cell '2'"),
+    "train-category": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,Foo,0\n",
+                       "line 3, column 'han_category': bad cell 'Foo'"),
+    "features-label": ("name_a,name_b,label\n伍考,伍考,1\n李华,李,2\n",
+                       "line 3, column 'label': bad cell '2'"),
     "evaluate": ("score,label\n0.9,1\n0.1\n", "line 3: 1 cells"),
+    "evaluate-score": ("score,label\n0.9,1\n0.x,0\n", "line 3, column 'score': bad cell '0.x'"),
+    "evaluate-quoted-newline": ('score,label\n"0.9\n",1\n0.x,0\n',
+                                "line 4, column 'score': bad cell '0.x'"),
+    "evaluate-label": ("score,label\n0.9,1\n0.1,2\n", "line 3, column 'label': bad cell '2'"),
     "fitdist-scores": ("score,label\n0.9,1\n0.1\n", "line 3: 1 cells"),
+    "fitdist-label": ("score,label\n0.9,1\n0.1,2\n", "line 3, column 'label': bad cell '2'"),
     "fitdist-pairs": ("name_a,name_b,label\n伍考,伍考,1\n李华,李\n", "line 3: 2 cells"),
     "external-scores": ("name_a,name_b,score\na,b,0.5\na\n", "line 3: 1 cells"),
     "external-scores-empty": ("", "empty file"),
+    "truth-cell": ("id_a,id_b\n0,x\n1,1\n2,2\n", "line 2, column 'id_b': bad cell 'x'"),
+    "truth-blank-line": ("id_a,id_b\n0,0\n\n1,1\n2,2\n", "line 3: 0 cells, expected 2"),
+    "records-repeated-column": ("name,sex,yob,mob,dob,loc,sex\na,a,a,a,a,a,b\n",
+                                "header names a column twice"),
+    "records-extra-cell": ("name,sex,yob,mob,dob,loc\na,a,a,a,a,a\nb,b,b,b,b,b,x\nc,c,c,c,c,c\n",
+                           "line 3: 7 cells, expected 6"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
 def test_malformed_csv_input_exits_2(tmp_path, capsys, case):
-    """A short row or an empty file is an input error naming the file."""
+    """A ragged row, a rejected cell or an empty file is an input error
+    naming the file, and the line, column and cell at fault."""
     text, message = MALFORMED_CSV[case]
     bad = tmp_path / "bad.csv"
     bad.write_text(text, encoding="utf-8")
     out = str(tmp_path / "out")
-    if case.startswith("external-scores"):
-        from hanlink.linkage import write_records
-        records = {f: ["a", "b", "c"] for f in ("name", "sex", "yob", "mob", "dob", "loc")}
-        write_records(tmp_path / "a.csv", records)
-        write_records(tmp_path / "b.csv", records)
-        (tmp_path / "truth.csv").write_text("id_a,id_b\n0,0\n1,1\n2,2\n")
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({
-            "data": {"file_a": str(tmp_path / "a.csv"), "file_b": str(tmp_path / "b.csv"),
-                     "truth": str(tmp_path / "truth.csv")},
-            "methods": ["exact", "posterior"],
-            "classifier": f"external-scores:{bad}"}))
+    command = case.split("-")[0]
+    if command == "external":
+        cfg = small_experiment(tmp_path, methods=["exact", "posterior"],
+                               classifier=f"external-scores:{bad}")
+        argv = ["experiment", "--config", str(cfg), "--out", out]
+    elif command in ("truth", "records"):
+        cfg = small_experiment(tmp_path, data={"truth" if command == "truth" else "file_a":
+                                               str(bad)})
         argv = ["experiment", "--config", str(cfg), "--out", out]
     elif case == "fitdist-pairs":
         from hanlink.matcher import MatcherModel
@@ -313,6 +346,26 @@ def test_malformed_csv_input_exits_2(tmp_path, capsys, case):
         MatcherModel.single_feature(FeatureSpec.from_name("J_LV_k1_1:N")).save(model)
         argv = ["fitdist", "--in", str(bad), "--model", str(model), "--out", out]
     else:
-        argv = [case.split("-")[0], "--in", str(bad), "--out", out]
+        argv = [command, "--in", str(bad), "--out", out]
     assert main(argv) == 2
     assert f"{bad}{',' if 'line' in message else ':'} {message}" in capsys.readouterr().err
+
+
+def test_experiment_method_option_replaces_methods(tmp_path, capsys):
+    """--method M runs M alone, in place of the config's methods list; the
+    retired singular 'method' key is an input error."""
+    cfg = tmp_path / "study.json"
+    study = {"seed": 3, "simulate": {"n_records": 80}, "methods": ["exact", "tau1"]}
+    cfg.write_text(json.dumps(study))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--method", "exact"]) == 0
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert list(report["summary"]) == ["exact"]
+    assert report["config"]["methods"] == ["exact"] and report["train_info"] == {}
+    files = small_experiment(tmp_path, methods=["exact", "posterior"])
+    assert main(["experiment", "--config", str(files), "--out", str(tmp_path / "f"),
+                 "--method", "exact"]) == 0
+    assert list(json.loads((tmp_path / "f" / "report.json").read_text())["reports"]) == ["exact"]
+    cfg.write_text(json.dumps({**study, "method": "exact"}))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    assert "'methods'" in capsys.readouterr().err

@@ -362,7 +362,7 @@ def test_apply_threshold_matches_per_pair_classification():
 def test_apply_threshold_then_retabulate_identity():
     """Moving pairs at tau equals tabulating with agreement = exact or
     score >= tau."""
-    from hanlink.linkage import tabulate_patterns
+    from hanlink.experiment import LinkageDataset
     rng = np.random.default_rng(5)
     names = ["a", "b", "c", "d"]
     recs_a = {"name": [rng.choice(names) for _ in range(12)],
@@ -373,7 +373,7 @@ def test_apply_threshold_then_retabulate_identity():
         recs_a[f] = [""] * 12
         recs_b[f] = [""] * 9
     fields = ("name", "sex")
-    table = tabulate_patterns(recs_a, recs_b, fields)
+    table = LinkageDataset(recs_a, recs_b, np.zeros((0, 2), dtype=np.int64), fields).tabulate()[0]
     tau = 0.55
     pair_scores = {(i, j): float(rng.uniform())
                    for i in range(12) for j in range(9)}

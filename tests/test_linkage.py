@@ -15,11 +15,16 @@ from hanlink.linkage import (
     em_fit,
     join_pairs,
     read_records,
-    tabulate_patterns,
     write_records,
     zeta,
     zeta_for_gammas,
 )
+
+
+def tabulate(records_a, records_b, fields=RECORD_FIELDS) -> PatternTable:
+    """Pattern table over all |A| x |B| pairs, as an experiment builds it."""
+    no_links = np.zeros((0, 2), dtype=np.int64)
+    return LinkageDataset(records_a, records_b, no_links, fields).tabulate()[0]
 
 
 def make_records(rows):
@@ -48,7 +53,7 @@ def brute_force_patterns(recs_a, recs_b, fields):
 def test_tabulate_single_pair_all_equal():
     rec = {"name": ["张三"], "sex": ["1"], "yob": ["1980"],
            "mob": ["1"], "dob": ["2"], "loc": ["L1"]}
-    table = tabulate_patterns(rec, rec)
+    table = tabulate(rec, rec)
     assert len(table.counts) == 1
     assert table.counts[0] == 1
     assert list(table.gammas[0]) == [1] * 6
@@ -57,7 +62,7 @@ def test_tabulate_single_pair_all_equal():
 def test_tabulate_counting_identity():
     recs_a = make_records([{"name": "a"}, {"name": "b"}])
     recs_b = make_records([{"name": "a"}, {"name": "c"}])
-    table = tabulate_patterns(recs_a, recs_b, fields=("name",))
+    table = tabulate(recs_a, recs_b, fields=("name",))
     assert table.total == 4
     assert len(table.counts) <= 3
 
@@ -79,7 +84,7 @@ def test_tabulate_matches_brute_force():
     recs_a = random_records(100)
     recs_b = random_records(100)
     fields = ("name", "sex", "yob", "mob", "dob", "loc")
-    table = tabulate_patterns(recs_a, recs_b, fields)
+    table = tabulate(recs_a, recs_b, fields)
     expected = brute_force_patterns(recs_a, recs_b, fields)
     got = {tuple(int(g) for g in table.gammas[j]): int(table.counts[j])
            for j in range(len(table.counts))}
@@ -90,13 +95,13 @@ def test_tabulate_matches_brute_force():
 def test_tabulate_unknown_field():
     recs = make_records([{"name": "a"}])
     with pytest.raises(ValueError):
-        tabulate_patterns(recs, recs, fields=("name", "nope"))
+        tabulate(recs, recs, fields=("name", "nope"))
 
 
 def test_tabulate_rejects_repeated_field():
     recs = make_records([{"name": "a", "sex": "1"}])
     with pytest.raises(ValueError, match="'sex' is listed more than once"):
-        tabulate_patterns(recs, recs, fields=("name", "sex", "sex"))
+        tabulate(recs, recs, fields=("name", "sex", "sex"))
 
 
 def test_tabulate_permutation_invariance():
@@ -106,8 +111,8 @@ def test_tabulate_permutation_invariance():
     recs = make_records(rows)
     perm = rng.permutation(40)
     shuffled = {f: [recs[f][i] for i in perm] for f in recs}
-    t1 = tabulate_patterns(recs, recs, fields=("name", "sex"))
-    t2 = tabulate_patterns(shuffled, recs, fields=("name", "sex"))
+    t1 = tabulate(recs, recs, fields=("name", "sex"))
+    t2 = tabulate(shuffled, recs, fields=("name", "sex"))
     g1 = {tuple(map(int, g)): int(c) for g, c in zip(t1.gammas, t1.counts)}
     g2 = {tuple(map(int, g)): int(c) for g, c in zip(t2.gammas, t2.counts)}
     assert g1 == g2
@@ -115,9 +120,12 @@ def test_tabulate_permutation_invariance():
 
 @st.composite
 def record_files(draw, max_records=7):
-    """Two small record files over a random field list; every field takes
-    missing values, and tiny alphabets make agreements common."""
-    fields = tuple(draw(st.permutations(RECORD_FIELDS))[:draw(st.integers(1, 6))])
+    """Two small record files over a random field list holding "name" at a
+    random position; every field takes missing values, and tiny alphabets
+    make agreements common."""
+    fields = list(draw(st.permutations(RECORD_FIELDS[1:]))[:draw(st.integers(0, 5))])
+    fields.insert(draw(st.integers(0, len(fields))), "name")
+    fields = tuple(fields)
     cell = st.sampled_from(["", "a", "b", "c"])
     n_a = draw(st.integers(1, max_records))
     n_b = draw(st.integers(1, max_records))
@@ -137,7 +145,7 @@ def test_tabulate_matches_cross_product(case):
     orders."""
     records_a, records_b, fields = case
     for first, second in ((records_a, records_b), (records_b, records_a)):
-        table = tabulate_patterns(first, second, fields)
+        table = tabulate(first, second, fields)
         assert table.counts.dtype == np.int64
         assert as_dict(table) == cross_product_table(first, second, fields)
         assert np.all(np.diff(table.codes()) > 0)
@@ -160,15 +168,14 @@ def test_tabulate_keys_cannot_overflow():
                 records[f][k] = ""
     sizes = [len(set(records_a[f] + records_b[f]) - {""}) for f in RECORD_FIELDS]
     assert min(sizes) >= 2100 and np.prod(np.array(sizes, dtype=float)) > 2.0 ** 63
-    table = tabulate_patterns(records_a, records_b, RECORD_FIELDS)
+    table = tabulate(records_a, records_b, RECORD_FIELDS)
     assert as_dict(table) == cross_product_table(records_a, records_b, RECORD_FIELDS)
     assert table.total == n * n
 
 
 def test_tabulate_memory_stays_small():
     """Two 10k-record files (1e8 pairs) tabulate within 32 MB of traced
-    allocations, through both entry points; one int16 code per pair would
-    take 200 MB."""
+    allocations; one int16 code per pair would take 200 MB."""
     rng = np.random.default_rng(12)
     sizes = {"name": 3000, "sex": 2, "yob": 80, "mob": 12, "dob": 31, "loc": 200}
     def records(n):
@@ -179,18 +186,14 @@ def test_tabulate_memory_stays_small():
             out[f] = values.tolist()
         return out
     records_a, records_b = records(10_000), records(10_000)
-    no_links = np.zeros((0, 2), dtype=np.int64)
-    for tabulate in (lambda: tabulate_patterns(records_a, records_b, RECORD_FIELDS),
-                     lambda: LinkageDataset(records_a, records_b, no_links,
-                                            RECORD_FIELDS).tabulate()[0]):
-        tracemalloc.start()
-        try:
-            table = tabulate()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.total == 10_000 * 10_000
-        assert peak < 32 * 2 ** 20
+    tracemalloc.start()
+    try:
+        table = tabulate(records_a, records_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total == 10_000 * 10_000
+    assert peak < 32 * 2 ** 20
 
 
 @settings(max_examples=300, deadline=None)
