@@ -38,7 +38,7 @@ _TOKEN_BUDGET = 1 << 16  # tokens looked up per cosine chunk
 
 
 def intern_strings(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
-    """Distinct strings over all columns, and each column as ids into them."""
+    """Distinct strings over all columns, first seen first, and each column as ids into them."""
     index: dict[str, int] = {}
     ids = [np.fromiter((index.setdefault(s, len(index)) for s in col),
                        dtype=np.int64, count=len(col)) for col in columns]

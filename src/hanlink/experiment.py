@@ -150,14 +150,20 @@ class LinkageDataset:
         """All (i, j, code) pairs whose pattern code is in `wanted_codes`,
         sorted by (i, j): for each code, a join on the fields it agrees on
         over the records holding every field it does not mark NA, keeping
-        the joined pairs with that code."""
+        the joined pairs with that code. Codes visited in field-by-field
+        gamma order share the key of their common leading gammas."""
         parts = [(np.empty(0, np.int64),) * 3]
-        for code in np.unique(np.asarray(wanted_codes, dtype=np.int64)):
-            key = np.zeros(self.n_a + self.n_b, dtype=np.int64)
-            for f, (ca, cb) in enumerate(zip(self.codes_a, self.codes_b)):
-                gamma, both = code // 3 ** f % 3, np.concatenate([ca, cb])
-                if gamma != NA:
-                    key = extend_key(key, both) if gamma == 1 else np.where(both >= 0, key, -1)
+        fields = range(len(self.fields))
+        wanted = set(np.asarray(wanted_codes, dtype=np.int64).tolist())
+        keys = {(): np.zeros(self.n_a + self.n_b, dtype=np.int64)}  # by leading gammas
+        for gammas, code in sorted((tuple(c // 3 ** f % 3 for f in fields), c) for c in wanted):
+            keys = {lead: key for lead, key in keys.items() if lead == gammas[:len(lead)]}
+            for f, pair in enumerate(zip(self.codes_a, self.codes_b)):
+                if gammas[:f + 1] not in keys:
+                    key, both = keys[gammas[:f]], np.concatenate(pair)
+                    keys[gammas[:f + 1]] = (key if gammas[f] == NA else extend_key(key, both)
+                                            if gammas[f] == 1 else np.where(both >= 0, key, -1))
+            key = keys[gammas]
             for ii, jj in join_pairs(key[:self.n_a], key[self.n_a:], _JOIN_SLICE):
                 got = pair_gamma_codes([ca[ii] for ca in self.codes_a],
                                        [cb[jj] for cb in self.codes_b])

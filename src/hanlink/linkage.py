@@ -5,9 +5,9 @@ either value is missing) counted over all |A| x |B| pairs of two record
 files without forming the pairs: joins on each subset of fields count the
 pairs agreeing on it, and Moebius inversion over subsets gives the exact
 pattern counts (as in fastLink; Enamorado, Fifield and Imai, APSR 113(2),
-2019). The two-class mixture over patterns is fitted by EM under
-conditional independence; missing fields contribute a factor of one to
-both class likelihoods.
+2019), one count per subset when no value is missing. The two-class
+mixture over patterns is fitted by EM under conditional independence;
+missing fields contribute a factor of one to both class likelihoods.
 
 Every CSV file the package reads goes through `CsvTable`, whose
 `InputError` names the file, and the line, column and cell at fault.
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .compare import intern_strings
 from .metrics import PROB_CLAMP
 
 RECORD_FIELDS = ("name", "sex", "yob", "mob", "dob", "loc")
@@ -96,19 +97,17 @@ def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
 
 def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
                   fields) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-field codes of both files' values, numbered 0..n-1 over both files
-    (missing -> -1). A field listed twice (EM would count it twice) or absent
-    from either file is a ValueError."""
+    """Per-field codes of both files' values, equal exactly when the strings
+    are (missing -> -1). A field listed twice (EM would count it twice) or
+    absent from either file is a ValueError."""
     codes = []
     for k, f in enumerate(fields):
         if f in fields[:k]:
             raise ValueError(f"linkage field {f!r} is listed more than once")
         if f not in records_a or f not in records_b:
             raise ValueError(f"unknown field {f!r} in record schema")
-        uniq, code = np.unique(np.array(records_a[f] + records_b[f], dtype=str),
-                               return_inverse=True)
-        code = code.astype(np.int64) - int(uniq[:1].tolist() == [""])  # "" sorts first
-        codes.append((code[:len(records_a[f])], code[len(records_a[f]):]))
+        ids = intern_strings([""], records_a[f], records_b[f])[1]  # "" gets id 0
+        codes.append((ids[1] - 1, ids[2] - 1))
     return [a for a, _ in codes], [b for _, b in codes]
 
 
@@ -164,11 +163,14 @@ def pair_gamma_codes(field_codes_a: list[np.ndarray], field_codes_b: list[np.nda
 
 def extend_key(key: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Join key over one more field: equal keys mean equal values on every
-    field so far. Keys are re-numbered 0..n-1 over all n records, so they
-    never overflow; -1 marks a record missing this field or an earlier one."""
+    field so far. Keys lie in [0, n) over all n records, so they never
+    overflow: key * width + code where that fits, else its rank; -1 marks
+    a record missing this field or an earlier one."""
     out = np.full(len(key), -1, dtype=np.int64)
     ok = (key >= 0) & (codes >= 0)
-    out[ok] = np.unique(key[ok] * len(key) + codes[ok], return_inverse=True)[1]
+    span, width = int(key.max(initial=-1)) + 1, int(codes.max(initial=-1)) + 1
+    merged = key[ok] * width + codes[ok]
+    out[ok] = merged if span * width <= len(key) else np.unique(merged, return_inverse=True)[1]
     return out
 
 
@@ -191,20 +193,24 @@ def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.n
     sum_k cnt_A[k] * cnt_B[k] over S's join keys k. Inverting over supersets
     of C and of S gives the pairs whose fields present on both sides are
     exactly M and agree exactly on T: code sum_{T} 3^f + sum_{not M} 2 * 3^f.
+    Fields no record lacks keep every record, so [C, S] equals
+    [(C & gaps) | S, S] for `gaps` the fields some record lacks: 2^F counts
+    when no value is missing, up to 3^F when every field is missing somewhere.
     """
     n_a, n_fields = len(codes_a[0]), len(codes_a)
     codes = [np.concatenate([a, b]) for a, b in zip(codes_a, codes_b)]
     sets = np.arange(1 << n_fields)
     within = (sets[:, None] & sets[None, :]) == sets[None, :]  # [c, s]: s within c
     masks = sum((c >= 0).astype(np.int64) << f for f, c in enumerate(codes))  # fields held
+    gaps = int(np.bitwise_or.reduce(~masks & sets[-1]))  # fields some record lacks
     joined = np.zeros((len(sets), len(sets)), dtype=np.int64)  # [c, s]
     for s, key in _subset_keys(codes):
         n_keys = int(key.max(initial=-1)) + 1
-        for c in np.nonzero(within[:, s])[0]:
+        for c in np.unique(sets & gaps | s):
             has = (masks & c) == c  # implies key >= 0
             joined[c, s] = (np.bincount(key[:n_a][has[:n_a]], minlength=n_keys)
                             @ np.bincount(key[n_a:][has[n_a:]], minlength=n_keys))
-    joined = joined[sets[:, None] | sets[None, :], sets[None, :]]  # [c, s] as [c | s, s]
+    joined = joined[sets[:, None] & gaps | sets[None, :], sets[None, :]]  # as [(c & gaps) | s, s]
     for f in range(n_fields):
         low = sets[(sets >> f & 1) == 0]
         joined[low] -= joined[low | 1 << f]

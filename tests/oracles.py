@@ -44,8 +44,8 @@ def cross_product_codes(records_a: dict, records_b: dict, fields):
     jj = np.tile(np.arange(n_b), n_a)
     code = np.zeros(n_a * n_b, dtype=np.int64)
     for f, name in enumerate(fields):
-        a = np.array(records_a[name], dtype=str)[ii]
-        b = np.array(records_b[name], dtype=str)[jj]
+        a = np.array(records_a[name], dtype=object)[ii]  # str dtype drops trailing NULs
+        b = np.array(records_b[name], dtype=object)[jj]
         code += np.where((a == "") | (b == ""), 2, (a == b).astype(np.int64)) * 3 ** f
     return ii, jj, code
 

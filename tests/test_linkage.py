@@ -13,6 +13,7 @@ from hanlink.linkage import (
     LinkageModel,
     PatternTable,
     em_fit,
+    extend_key,
     join_pairs,
     read_records,
     write_records,
@@ -138,17 +139,68 @@ def as_dict(table: PatternTable) -> dict:
     return {tuple(map(int, g)): (int(c), 0) for g, c in zip(table.gammas, table.counts)}
 
 
+@st.composite
+def files_missing_in_some_fields(draw):
+    """record_files whose missing values are confined to a drawn subset of
+    the fields, from none up to all; the others are filled in with "d"."""
+    records_a, records_b, fields = draw(record_files())
+    gappy = draw(st.sets(st.sampled_from(fields)))
+    for records in (records_a, records_b):
+        for f in set(fields) - gappy:
+            records[f] = [value or "d" for value in records[f]]
+    return records_a, records_b, fields
+
+
 @settings(max_examples=300, deadline=None)
 @given(record_files())
 def test_tabulate_matches_cross_product(case):
     """Join tabulation equals the brute-force cross product, in both file
     orders."""
-    records_a, records_b, fields = case
+    assert_tabulates_cross_product(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(files_missing_in_some_fields())
+def test_tabulate_with_complete_fields_matches_cross_product(case):
+    """Fields that no record lacks take the collapsed count path; the table
+    still equals the cross product, in both file orders."""
+    assert_tabulates_cross_product(*case)
+
+
+def assert_tabulates_cross_product(records_a, records_b, fields):
     for first, second in ((records_a, records_b), (records_b, records_a)):
         table = tabulate(first, second, fields)
         assert table.counts.dtype == np.int64
         assert as_dict(table) == cross_product_table(first, second, fields)
         assert np.all(np.diff(table.codes()) > 0)
+
+
+def test_tabulate_compares_strings_exactly():
+    """A trailing NUL makes a different value (numpy's fixed-width strings
+    would drop it)."""
+    records_a, records_b = {"name": ["a", "a\x00"]}, {"name": ["a\x00"]}
+    table = tabulate(records_a, records_b, fields=("name",))
+    want = cross_product_table(records_a, records_b, ("name",))
+    assert as_dict(table) == want == {(0,): (1, 0), (1,): (1, 0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_extend_key_numbers_value_pairs(data):
+    """Keys are equal exactly when the (key, code) pairs are, -1 where either
+    is missing, and below n, whether taken directly (span * width <= n) or
+    ranked."""
+    n = data.draw(st.integers(1, 12))
+    key = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), np.int64)
+    codes = np.array(data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)), np.int64)
+    out = extend_key(key, codes)
+    assert out.dtype == np.int64 and np.all(out < n)
+    missing = (key < 0) | (codes < 0)
+    assert np.array_equal(out < 0, missing) and np.all(out[missing] == -1)
+    pairs = list(zip(key.tolist(), codes.tolist()))
+    for i in np.nonzero(~missing)[0]:
+        for j in np.nonzero(~missing)[0]:
+            assert (out[i] == out[j]) == (pairs[i] == pairs[j])
 
 
 def test_tabulate_keys_cannot_overflow():
