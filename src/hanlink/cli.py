@@ -27,6 +27,7 @@ from .matcher import (
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
+    split_dev,
     train_matcher,
 )
 from .metrics import GroupedRanking, auroc, eauroc, log_loss
@@ -112,20 +113,12 @@ def cmd_train(args) -> int:
     X, cats, y, specs = _read_feature_csv(args.input)
     if len(np.unique(y)) < 2:
         raise InputError("training data must contain both labels")
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    order = rng.permutation(len(y))
-    X, cats, y = X[order], cats[order], y[order]
-    n_dev = max(1, int(len(y) * args.dev_fraction))
-    for split, labels in (("dev", y[:n_dev]), ("training", y[n_dev:])):
-        if len(np.unique(labels)) < 2:
-            raise InputError(f"the {split} split ({len(labels)} rows at --dev-fraction "
-                             f"{args.dev_fraction}) must contain both labels")
-    dev = (X[:n_dev], cats[:n_dev], y[:n_dev])
-    train = (X[n_dev:], cats[n_dev:], y[n_dev:])
+    train, dev = split_dev(np.random.Generator(np.random.PCG64(args.seed)), X, cats, y,
+                           args.dev_fraction, "--dev-fraction")
     model = train_matcher(train, dev, specs, penalty=args.penalty)
     out = Path(args.out)
     model.save(out)
-    print(f"trained logistic matcher on {len(y) - n_dev} pairs "
+    print(f"trained logistic matcher on {len(train[2])} pairs "
           f"({len(model.specs)} features selected); wrote {out}")
     return 0
 
@@ -138,8 +131,7 @@ def cmd_fitdist(args) -> int:
         pairs = list(zip(table.column("name_a"), table.column("name_b")))
         if not args.model:
             raise InputError("name-pair input needs --model to score pairs")
-        scorer = exp.NamePairScorer.for_model(MatcherModel.load(args.model),
-                                              load_bundle(args.assets))
+        scorer = exp.NamePairScorer(MatcherModel.load(args.model), load_bundle(args.assets))
         scores = scorer.scores(pairs)
     labels = np.array(table.column("label", _label))
     dist = fit_score_distributions(scores, labels, bins=args.bins)
@@ -190,8 +182,7 @@ def _experiment_files(config: dict, args, bundle) -> dict:
             pairs = zip(table.column("name_a"), table.column("name_b"))
             scorer = exp.ExternalScorer(dict(zip(pairs, table.column("score", float))))
         else:
-            scorer = exp.NamePairScorer.for_model(MatcherModel.from_selector(classifier),
-                                                  bundle)
+            scorer = exp.NamePairScorer(MatcherModel.from_selector(classifier), bundle)
         if not config.get("dist"):
             raise InputError("non-exact methods require a fitted 'dist' file")
         dist = ScoreDistribution.load(config["dist"])
@@ -250,7 +241,7 @@ def cmd_evaluate(args) -> int:
     scores = np.array(table.column("score", float))
     labels = np.array(table.column("label", _label))
     ranking = GroupedRanking.from_pairs(scores, labels)
-    q = args.q if args.q else ranking.total_pos() / ranking.total_neg()
+    q = args.q if args.q is not None else ranking.default_q()
     report = {
         "auroc": auroc(ranking),
         "eauroc": eauroc(ranking, q),

@@ -47,6 +47,7 @@ from .matcher import (
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
+    split_dev,
     train_matcher,
 )
 from .metrics import (
@@ -73,17 +74,10 @@ class NamePairScorer:
     running each comparator once per distinct pair of encoded substrings,
     so a pair's score does not depend on the batch or its order."""
 
-    def __init__(self, model: MatcherModel, featurizer: PairFeaturizer):
-        if tuple(featurizer.specs) != tuple(model.specs):
-            raise ValueError("featurizer specs must match model specs")
+    def __init__(self, model: MatcherModel, bundle: AssetBundle):
         self.model = model
-        self.featurizer = featurizer
-
-    @classmethod
-    def for_model(cls, model: MatcherModel, bundle: AssetBundle) -> "NamePairScorer":
-        """Scorer featurizing with the bundle's tables over the model's specs."""
-        return cls(model, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
-                                         specs=model.specs))
+        self.featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
+                                         specs=model.specs)
 
     def scores(self, pairs) -> np.ndarray:
         """Scores of a `NamePairs` or a sequence of (name_a, name_b) tuples."""
@@ -174,10 +168,8 @@ class LinkageDataset:
 
 
 def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
-    ranking = GroupedRanking(np.asarray(scores, float), np.asarray(pos, float),
-                             np.asarray(neg, float))
-    if q is None:
-        q = ranking.total_pos() / ranking.total_neg()
+    ranking = GroupedRanking(scores, pos, neg)
+    q = ranking.default_q() if q is None else q
     fn_t, fp_t = confusion_at_proportion(ranking, pi_true)
     fn_e, fp_e = confusion_at_proportion(ranking, pi_est)
     return {
@@ -304,8 +296,7 @@ def _posterior_report(inputs: MethodInputs, dist: ScoreDistribution,
 
 
 def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
-                           seed: int, classifier: str = "logistic:train",
-                           train_opts: dict | None = None
+                           seed: int, classifier: str, train_opts: dict | None
                            ) -> tuple[MatcherModel, ScoreDistribution, dict]:
     """Train (or instantiate) the name classifier and fit the empirical
     score distribution on a development simulation."""
@@ -331,20 +322,17 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
                           np.concatenate([ids_b[tb[pos]], ids_b[neg_j[ok]]]))
         y = np.concatenate([np.ones(int(pos.sum())), np.zeros(int(ok.sum()))])
         X, cats = featurizer.feature_matrix(pairs)
-        order = rng.permutation(len(pairs))
-        X, cats, y = X[order], cats[order], y[order]
-        n_dev = int(len(pairs) * float(opts["dev_fraction"]))
-        dev = (X[:n_dev], cats[:n_dev], y[:n_dev])
-        train = (X[n_dev:], cats[n_dev:], y[n_dev:])
+        train, dev = split_dev(rng, X, cats, y, float(opts["dev_fraction"]),
+                               "train.dev_fraction")
         model = train_matcher(train, dev, featurizer.specs,
                               penalty=float(opts["penalty"]))
-        info["n_train_pairs"] = len(pairs) - n_dev
-        info["n_dev_pairs"] = n_dev
+        info["n_train_pairs"] = len(train[2])
+        info["n_dev_pairs"] = len(dev[2])
         info["n_selected_features"] = len(model.specs)
     else:
         model = MatcherModel.from_selector(classifier)
 
-    scorer = NamePairScorer.for_model(model, bundle)
+    scorer = NamePairScorer(model, bundle)
     n_u = int(opts["n_nonmatch_score_pairs"])
     u_i = rng.integers(len(ids_a), size=n_u)
     u_j = rng.integers(len(ids_b), size=n_u)
@@ -368,7 +356,7 @@ def run_replicate(bundle: AssetBundle, name_model, sim_params: dict, rep_seed: i
     cfg = SimConfig.from_dict({**sim_params, "seed": rep_seed})
     sim = generate_pair_files(cfg, name_model)
     dataset = LinkageDataset(sim.records_a, sim.records_b, sim.truth, fields)
-    scorer = None if model is None else NamePairScorer.for_model(model, bundle)
+    scorer = None if model is None else NamePairScorer(model, bundle)
     return run_methods(dataset, methods, scorer=scorer, dist=dist, floor=floor,
                        candidate_floor=candidate_floor, q=q)
 

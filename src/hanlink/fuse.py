@@ -193,7 +193,7 @@ class AdjustedPairs:
 
 
 def eligible_rows(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
-                  floor: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+                  floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Split gamma_name=0 rows into (eligible, skipped) by whether the best
     achievable posterior zeta*rmax/(zeta*rmax + 1 - zeta) reaches the floor."""
     donors = _donor_rows(table)
@@ -206,7 +206,7 @@ def eligible_rows(table: PatternTable, zetas: np.ndarray, dist: ScoreDistributio
 
 def posterior_adjust(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
                      pair_rows: np.ndarray, pair_scores: np.ndarray,
-                     floor: float = 0.1) -> AdjustedPairs:
+                     floor: float) -> AdjustedPairs:
     """Bayesian per-pair update zeta_hat = zeta*r(X) / (zeta*r(X) + 1 - zeta)
     for pairs in eligible rows; pairs in skipped rows keep the prior and
     are not returned."""

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .compare import FeatureSpec, HAN_CATEGORIES, HanCategory
-from .metrics import GroupedRanking, auroc_eauroc
+from .linkage import InputError
+from .metrics import GroupedRanking, auroc, eauroc
 
 MIN_IMPROVE = 1e-5
 GRID_SIZE = 10_000
@@ -259,8 +260,9 @@ def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...]
 
 
 def _dev_metrics(model: MatcherModel, dev_X, dev_cats, dev_y, col_idx) -> tuple[float, float]:
-    scores = model.predict_matrix(dev_X[:, col_idx], dev_cats)
-    return auroc_eauroc(GroupedRanking.from_pairs(scores, dev_y))
+    ranking = GroupedRanking.from_pairs(model.predict_matrix(dev_X[:, col_idx], dev_cats),
+                                        dev_y)
+    return auroc(ranking), eauroc(ranking)
 
 
 def _scored_fits(design, trials: list[tuple], y, dev, penalty: float, tol: float):
@@ -359,6 +361,19 @@ def backward_prune(model: MatcherModel, dev, train,
         terms = [u for u in terms if u != term]
         current, cur_a, cur_e = trial, a, e
     return current
+
+
+def split_dev(rng: np.random.Generator, X, cats, y, fraction: float, option: str):
+    """(train, dev) rows: one `rng.permutation`, its first max(1, int(n * fraction))
+    rows the dev split. Raises InputError unless each split holds both labels,
+    naming the split, its size and `option`, the setting that gave `fraction`."""
+    order = rng.permutation(len(y))
+    n_dev = max(1, int(len(y) * fraction))
+    for split, rows in (("dev", order[:n_dev]), ("training", order[n_dev:])):
+        if len(np.unique(y[rows])) < 2:
+            raise InputError(f"the {split} split ({len(rows)} rows at {option} "
+                             f"{fraction}) must contain both labels")
+    return tuple((X[rows], cats[rows], y[rows]) for rows in (order[n_dev:], order[:n_dev]))
 
 
 def train_matcher(train, dev, bank: tuple[FeatureSpec, ...],

@@ -1,12 +1,15 @@
 """Ranking and probability metrics over grouped (mass-weighted) rankings.
 
 A grouped ranking is a set of rows (score, positive mass, negative mass);
-per-pair rankings are the special case of unit masses. AUROC/EAUROC merge
-tied scores into single trapezoidal ROC segments.
+per-pair rankings are the special case of unit masses. A `GroupedRanking`
+walks its rows once, when built: one stable descending sort, tied scores
+merged into one step. AUROC, EAUROC and the confusion counts at a
+proportion all read those steps, so no metric sorts again. EAUROC's
+default cut-off q lives on the ranking, `GroupedRanking.default_q`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,9 +20,14 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass
 class GroupedRanking:
+    """Rows (score, positive mass, negative mass), sorted once when built:
+    `cum_pos` and `cum_neg` are the masses ranked above each boundary
+    between tied-score groups, from 0 up to the class totals."""
     scores: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
+    cum_pos: np.ndarray = field(init=False, repr=False)
+    cum_neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
@@ -29,66 +37,49 @@ class GroupedRanking:
             raise ValueError("scores, pos, neg must have identical shapes")
         if np.any(self.pos < 0) or np.any(self.neg < 0):
             raise ValueError("masses must be non-negative")
+        order = np.argsort(-self.scores, kind="stable")
+        scores = self.scores[order]
+        steps = np.concatenate([[0], np.nonzero(np.diff(scores))[0] + 1, [len(scores)]])
+        # summed row by row, then read at the boundaries: summing each tie
+        # group first would round non-integer masses differently
+        self.cum_pos = np.concatenate([[0.0], np.cumsum(self.pos[order])])[steps]
+        self.cum_neg = np.concatenate([[0.0], np.cumsum(self.neg[order])])[steps]
 
     @classmethod
     def from_pairs(cls, scores, labels) -> "GroupedRanking":
         labels = np.asarray(labels, dtype=float)
         return cls(np.asarray(scores, dtype=float), labels, 1.0 - labels)
 
-    def total_pos(self) -> float:
-        return float(self.pos.sum())
+    def class_totals(self) -> tuple[float, float]:
+        """(P, N), the positive and negative mass; both must be positive."""
+        P, N = float(self.pos.sum()), float(self.neg.sum())
+        if P <= 0 or N <= 0:
+            raise ValueError("both classes must carry positive mass")
+        return P, N
 
-    def total_neg(self) -> float:
-        return float(self.neg.sum())
-
-
-def _roc_points(r: GroupedRanking) -> tuple[np.ndarray, np.ndarray]:
-    """ROC polyline (FPR, TPR) walking scores in descending order with tied
-    scores merged into one segment."""
-    P, N = r.total_pos(), r.total_neg()
-    if P <= 0 or N <= 0:
-        raise ValueError("both classes must carry positive mass")
-    order = np.argsort(-r.scores, kind="stable")
-    scores = r.scores[order]
-    pos = r.pos[order]
-    neg = r.neg[order]
-    # group ties
-    boundaries = np.nonzero(np.diff(scores))[0] + 1
-    cum_pos = np.concatenate([[0.0], np.cumsum(pos)])
-    cum_neg = np.concatenate([[0.0], np.cumsum(neg)])
-    idx = np.concatenate([[0], boundaries, [len(scores)]])
-    tpr = cum_pos[idx] / P
-    fpr = cum_neg[idx] / N
-    return fpr, tpr
+    def default_q(self) -> float:
+        """EAUROC's default cut-off: the odds P/N capped at 1."""
+        P, N = self.class_totals()
+        return min(P / N, 1.0)
 
 
 def auroc(r: GroupedRanking) -> float:
-    """Trapezoidal area under the ROC curve."""
-    fpr, tpr = _roc_points(r)
-    return float(_trapezoid(tpr, fpr))
+    """Trapezoidal area under the ROC curve, one point per tie-group boundary."""
+    P, N = r.class_totals()
+    return float(_trapezoid(r.cum_pos / P, r.cum_neg / N))
 
 
 def eauroc(r: GroupedRanking, q: float | None = None) -> float:
-    """Partial AUROC on FPR in [0, q], normalized by q.
-
-    Defaults q to the positive/negative mass odds (the early-recovery cap);
-    eauroc(r, 1) equals auroc(r) exactly.
-    """
+    """Partial AUROC on FPR in [0, q], normalized by q; q defaults to
+    `r.default_q()`. It reads the ranking's one sort, as `auroc` does.
+    eauroc(r, 1) equals auroc(r) exactly for integer masses; float masses
+    can leave the last FPR an ulp above 1."""
     if q is None:
-        q = min(r.total_pos() / r.total_neg(), 1.0)
+        q = r.default_q()
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
-    return _partial_area(*_roc_points(r), q)
-
-
-def auroc_eauroc(r: GroupedRanking) -> tuple[float, float]:
-    """(auroc(r), eauroc(r)) from one ROC polyline, so one sort."""
-    fpr, tpr = _roc_points(r)
-    return (float(_trapezoid(tpr, fpr)),
-            _partial_area(fpr, tpr, min(r.total_pos() / r.total_neg(), 1.0)))
-
-
-def _partial_area(fpr: np.ndarray, tpr: np.ndarray, q: float) -> float:
+    P, N = r.class_totals()
+    fpr, tpr = r.cum_neg / N, r.cum_pos / P
     if q >= fpr[-1]:
         return float(_trapezoid(tpr, fpr)) / q
     cut = int(np.searchsorted(fpr, q, side="right"))
@@ -96,9 +87,8 @@ def _partial_area(fpr: np.ndarray, tpr: np.ndarray, q: float) -> float:
     f0, f1 = fpr[cut - 1], fpr[cut]
     t0, t1 = tpr[cut - 1], tpr[cut]
     t_q = t0 if f1 == f0 else t0 + (t1 - t0) * (q - f0) / (f1 - f0)
-    fpr_part = np.concatenate([fpr[:cut], [q]])
-    tpr_part = np.concatenate([tpr[:cut], [t_q]])
-    return float(_trapezoid(tpr_part, fpr_part)) / q
+    return float(_trapezoid(np.concatenate([tpr[:cut], [t_q]]),
+                            np.concatenate([fpr[:cut], [q]]))) / q
 
 
 def log_loss(probs, labels) -> float:
@@ -117,27 +107,13 @@ def grouped_log_loss(probs, pos, neg) -> float:
 
 
 def confusion_at_proportion(r: GroupedRanking, proportion: float) -> tuple[float, float]:
-    """(FN, FP) after accepting whole rows in descending-score order up to
-    the prefix whose accepted fraction is closest to `proportion`
-    (ties -> the smaller prefix).
-
-    Rows with tied scores are indistinguishable and are accepted or
-    rejected together, so the result is invariant to expanding a row into
-    per-pair rows.
-    """
+    """(FN, FP) after accepting rows in descending-score order up to the
+    prefix whose accepted fraction is closest to `proportion` (ties -> the
+    smaller prefix). Tied rows are accepted or rejected together, so the
+    result is invariant to expanding a row into per-pair rows."""
     if not 0 < proportion < 1:
         raise ValueError("proportion must lie in (0, 1)")
-    order = np.argsort(-r.scores, kind="stable")
-    scores = r.scores[order]
-    pos = r.pos[order]
-    neg = r.neg[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(scores))[0] + 1])
-    pos = np.add.reduceat(pos, starts)
-    neg = np.add.reduceat(neg, starts)
-    total = r.pos.sum() + r.neg.sum()
-    accepted = np.concatenate([[0.0], np.cumsum(pos + neg)]) / total
-    gap = np.abs(accepted - proportion)
-    best = int(np.argmin(gap))  # argmin takes the first (smallest prefix) on ties
-    fp = float(np.cumsum(np.concatenate([[0.0], neg]))[best])
-    fn = float(r.pos.sum() - np.cumsum(np.concatenate([[0.0], pos]))[best])
-    return fn, fp
+    P = r.pos.sum()
+    accepted = (r.cum_pos + r.cum_neg) / (P + r.neg.sum())
+    best = int(np.argmin(np.abs(accepted - proportion)))  # first (smallest prefix) on ties
+    return float(P - r.cum_pos[best]), float(r.cum_neg[best])

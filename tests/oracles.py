@@ -140,12 +140,70 @@ def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
                          penalty, tol, max_iter)
 
 
+def sorted_roc_points(scores, pos, neg):
+    """ROC polyline (FPR, TPR) from a fresh stable descending sort of the
+    rows, tied scores merged into one segment."""
+    import numpy as np
+    scores, pos, neg = (np.asarray(x, dtype=float) for x in (scores, pos, neg))
+    P, N = float(pos.sum()), float(neg.sum())
+    if P <= 0 or N <= 0:
+        raise ValueError("both classes must carry positive mass")
+    order = np.argsort(-scores, kind="stable")
+    boundaries = np.nonzero(np.diff(scores[order]))[0] + 1
+    idx = np.concatenate([[0], boundaries, [len(scores)]])
+    tpr = np.concatenate([[0.0], np.cumsum(pos[order])])[idx] / P
+    fpr = np.concatenate([[0.0], np.cumsum(neg[order])])[idx] / N
+    return fpr, tpr
+
+
+def sorted_auroc(scores, pos, neg):
+    """Trapezoidal AUROC over `sorted_roc_points`."""
+    from hanlink.metrics import _trapezoid
+    fpr, tpr = sorted_roc_points(scores, pos, neg)
+    return float(_trapezoid(tpr, fpr))
+
+
+def sorted_eauroc(scores, pos, neg, q):
+    """Area over FPR in [0, q] of `sorted_roc_points`, the segment crossing
+    q interpolated, normalized by q."""
+    import numpy as np
+    from hanlink.metrics import _trapezoid
+    fpr, tpr = sorted_roc_points(scores, pos, neg)
+    if q >= fpr[-1]:
+        return float(_trapezoid(tpr, fpr)) / q
+    cut = int(np.searchsorted(fpr, q, side="right"))
+    f0, f1 = fpr[cut - 1], fpr[cut]
+    t0, t1 = tpr[cut - 1], tpr[cut]
+    t_q = t0 if f1 == f0 else t0 + (t1 - t0) * (q - f0) / (f1 - f0)
+    return float(_trapezoid(np.concatenate([tpr[:cut], [t_q]]),
+                            np.concatenate([fpr[:cut], [q]]))) / q
+
+
+def sorted_confusion(scores, pos, neg, proportion):
+    """(FN, FP) at the accepted prefix of tie groups closest to
+    `proportion` (ties -> smaller prefix), each group's masses summed by
+    `np.add.reduceat` after a fresh sort."""
+    import numpy as np
+    scores, pos, neg = (np.asarray(x, dtype=float) for x in (scores, pos, neg))
+    order = np.argsort(-scores, kind="stable")
+    starts = np.concatenate([[0], np.nonzero(np.diff(scores[order]))[0] + 1])
+    pos_g = np.add.reduceat(pos[order], starts)
+    neg_g = np.add.reduceat(neg[order], starts)
+    accepted = np.concatenate([[0.0], np.cumsum(pos_g + neg_g)]) / (pos.sum() + neg.sum())
+    best = int(np.argmin(np.abs(accepted - proportion)))
+    fp = float(np.cumsum(np.concatenate([[0.0], neg_g]))[best])
+    fn = float(pos.sum() - np.cumsum(np.concatenate([[0.0], pos_g]))[best])
+    return fn, fp
+
+
 def dev_metrics(model, dev_X, dev_cats, dev_y, cols):
-    """(AUROC, EAUROC) of the model's dev scores, one ROC sort each."""
-    from hanlink.metrics import GroupedRanking, auroc, eauroc
-    ranking = GroupedRanking.from_pairs(model.predict_matrix(dev_X[:, cols], dev_cats),
-                                        dev_y)
-    return auroc(ranking), eauroc(ranking)
+    """(AUROC, EAUROC) of the model's dev scores, one ROC sort each, q the
+    dev odds capped at 1."""
+    import numpy as np
+    y = np.asarray(dev_y, dtype=float)
+    scores, pos, neg = model.predict_matrix(dev_X[:, cols], dev_cats), y, 1.0 - y
+    q = min(float(pos.sum()) / float(neg.sum()), 1.0)
+    return sorted_auroc(scores, pos, neg), sorted_eauroc(scores, pos, neg, q)
 
 
 def forward_select_loop(candidates, train, dev, bank, penalty=1e-6, tol=1e-8,

@@ -294,6 +294,34 @@ def test_train_rejects_single_class_split(tmp_path, capsys, labels, fraction, me
                  "--dev-fraction", fraction, "--seed", "1"]) == 2
     assert f"error: {message} must contain both labels" in capsys.readouterr().err
 
+
+def test_study_rejects_single_class_dev_split(tmp_path, capsys):
+    """A study's dev split is cut and checked as `hanlink train` cuts it,
+    and the error names the config key that set the fraction."""
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"seed": 3, "simulate": {"n_records": 60},
+                               "methods": ["exact", "tau1"],
+                               "train": {"dev_fraction": 0.0,
+                                         "n_nonmatch_name_pairs": 50}}))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert ("error: the dev split (1 rows at train.dev_fraction 0.0) must contain "
+            "both labels") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows,options,status,expected", [
+    ("0.9,1\n0.8,1\n0.4,0\n0.7,1\n", [], 0, '"q": 1.0'),
+    ("0.9,1\n0.1,1\n", [], 2, "error: both classes must carry positive mass"),
+    ("0.9,1\n0.1,0\n", ["--q", "0"], 2, "error: q must lie in (0, 1]"),
+])
+def test_evaluate_default_q(tmp_path, capsys, rows, options, status, expected):
+    """Without --q, evaluate takes the ranking's default q, the odds capped
+    at 1; a one-class file and --q 0 are input errors."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text("score,label\n" + rows, encoding="utf-8")
+    assert main(["evaluate", "--in", str(scores)] + options) == status
+    captured = capsys.readouterr()
+    assert expected in (captured.out if status == 0 else captured.err)
+
 MALFORMED_CSV = {
     "train": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,BothHan\n",
               "line 3: 2 cells"),

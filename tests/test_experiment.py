@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import cross_product_codes, cross_product_table
 
 from hanlink import experiment as exp
-from hanlink.compare import HAN_CATEGORIES, FeatureSpec, PairFeaturizer
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec
 from hanlink.fuse import apply_threshold
 from hanlink.linkage import NA
 from hanlink.matcher import MatcherModel, fit_score_distributions
@@ -131,9 +131,7 @@ def test_exact_zero_error_perfect(name_model, bundle):
 def make_scorer_and_dist(bundle, model_specs, sim, seed=0):
     spec = FeatureSpec.from_name("PY_COS_k3_1:N")
     model = MatcherModel.single_feature(spec)
-    featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
-                                specs=model.specs)
-    scorer = exp.NamePairScorer(model, featurizer)
+    scorer = exp.NamePairScorer(model, bundle)
     rng = np.random.default_rng(seed)
     names_a, names_b = sim.records_a["name"], sim.records_b["name"]
     ta, tb = sim.truth[:, 0], sim.truth[:, 1]
@@ -289,6 +287,6 @@ def test_scores_are_permutation_invariant(bundle, pairs, data):
     model = MatcherModel(kind="logistic", specs=specs,
                          intercepts=dict(zip(HAN_CATEGORIES, rng.normal(size=3).tolist())),
                          coefs={c: rng.normal(size=len(specs)) for c in HAN_CATEGORIES})
-    scores = exp.NamePairScorer.for_model(model, bundle).scores(pairs)
-    permuted = exp.NamePairScorer.for_model(model, bundle).scores([pairs[k] for k in perm])
+    scores = exp.NamePairScorer(model, bundle).scores(pairs)
+    permuted = exp.NamePairScorer(model, bundle).scores([pairs[k] for k in perm])
     assert scores[perm].tobytes() == permuted.tobytes()

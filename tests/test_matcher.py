@@ -379,7 +379,7 @@ def test_selection_matches_per_candidate_reference(problem):
                 return scored[key][-1]
             return wrapped
 
-        mp.setattr(matcher, "auroc_eauroc", recorder(matcher.auroc_eauroc, "batched"))
+        mp.setattr(matcher, "_dev_metrics", recorder(matcher._dev_metrics, "batched"))
         mp.setattr(oracles, "dev_metrics", recorder(oracles.dev_metrics, "loop"))
         selected = _outcome(forward_select, list(specs), train, dev, specs)
         _same_outcome(selected, _outcome(oracles.forward_select_loop, list(specs),

@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hanlink.metrics import (
     GroupedRanking,
@@ -199,3 +202,73 @@ def test_auroc_invariant_to_monotone_transform():
     r2 = GroupedRanking.from_pairs(np.exp(3 * scores), labels)
     assert auroc(r1) == pytest.approx(auroc(r2), abs=1e-12)
     assert eauroc(r1, 0.1) == pytest.approx(eauroc(r2, 0.1), abs=1e-12)
+
+
+TIED_SCORES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])  # few values: many ties
+MASSES = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_rankings(draw):
+    """(scores, pos, neg): arbitrary non-negative float masses, or the
+    tau2 form (s * m, (1 - s) * m) of a score s and a row count m."""
+    n = draw(st.integers(1, 30))
+    scores = np.array(draw(st.lists(TIED_SCORES | st.floats(0.0, 1.0), min_size=n,
+                                    max_size=n)))
+    if draw(st.booleans()):
+        masses = np.array(draw(st.lists(MASSES, min_size=n, max_size=n)))
+        return scores, scores * masses, (1.0 - scores) * masses
+    return (scores, np.array(draw(st.lists(MASSES, min_size=n, max_size=n))),
+            np.array(draw(st.lists(MASSES, min_size=n, max_size=n))))
+
+
+def _outcome(fn, *args):
+    """fn(*args) as float hex strings, or the ValueError message it raised."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [float(x).hex() for x in np.atleast_1d(out)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_rankings(), st.floats(1e-6, 1.0))
+def test_auroc_eauroc_match_sorted_reference(ranking, q):
+    """auroc and eauroc read off the ranking's one sort equal, bitwise, a
+    fresh sort and cumulative sum per call, errors included."""
+    r = GroupedRanking(*ranking)
+    assert _outcome(auroc, r) == _outcome(oracles.sorted_auroc, *ranking)
+    assert _outcome(eauroc, r, q) == _outcome(oracles.sorted_eauroc, *ranking, q)
+    P, N = ranking[1].sum(), ranking[2].sum()
+    if P > 0 and N > 0:
+        assert r.default_q() == min(P / N, 1.0)
+        assert _outcome(eauroc, r) == _outcome(oracles.sorted_eauroc, *ranking,
+                                               r.default_q())
+    else:
+        assert _outcome(eauroc, r) == "both classes must carry positive mass"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(TIED_SCORES, min_size=n, max_size=n),
+    st.lists(st.integers(0, 50), min_size=n, max_size=n),
+    st.lists(st.integers(0, 50), min_size=n, max_size=n))),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_confusion_matches_sorted_reference(ranking, proportion):
+    """confusion_at_proportion equals, bitwise, per-group sums by reduceat
+    after a fresh sort, for integer-valued masses with either class empty."""
+    scores, pos, neg = (np.asarray(x, dtype=float) for x in ranking)
+    if pos.sum() + neg.sum() == 0:
+        neg[0] = 1.0
+    got = confusion_at_proportion(GroupedRanking(scores, pos, neg), proportion)
+    want = oracles.sorted_confusion(scores, pos, neg, proportion)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_default_q_needs_both_classes():
+    """The default q is the mass odds capped at 1; a one-class ranking has none."""
+    assert GroupedRanking([0.9, 0.8, 0.1], [1, 1, 0], [0, 0, 1]).default_q() == 1.0
+    assert GroupedRanking([0.9, 0.1], [1, 0], [0, 4]).default_q() == 0.25
+    for pos, neg in (([1, 1], [0, 0]), ([0, 0], [1, 1])):
+        with pytest.raises(ValueError, match="both classes must carry positive mass"):
+            eauroc(GroupedRanking([0.9, 0.1], pos, neg))
