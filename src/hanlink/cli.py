@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Commands: features, train, fitdist, simulate, experiment, evaluate.
-Exit codes: 0 success, 1 runtime failure, 2 input/schema error. Every
-CSV input goes through the one reader, `linkage.CsvTable`, whose
-`InputError` names the file and the line, column and cell at fault; a
-bad config raises the same error. Every command that writes artifacts
-also writes a manifest with the config hash, seeds, and output
-checksums; outputs carry no timestamps so reruns with the same seed are
-byte-identical.
+
+Exit codes: 0 success; 2 an `InputError` or a missing file, a fault in
+what the user gave; 1 anything else, which is a bug. Every CSV input goes
+through the one reader, `linkage.CsvTable`, whose `InputError` names the
+file and the line, column and cell at fault; an experiment config goes
+through `experiment.read_settings`, whose `InputError` names the key, and
+model and distribution JSON files name the file. Every command that
+writes artifacts also writes a manifest with the config hash, seeds, and
+output checksums; outputs carry no timestamps and no NaN, so reruns with
+the same seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +28,9 @@ from . import __version__
 from .assets import load_bundle
 from .compare import HAN_CATEGORIES, FeatureSpec, PairFeaturizer
 from .matcher import (
+    BINS,
+    DEV_FRACTION,
+    PENALTY,
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
@@ -33,9 +40,25 @@ from .matcher import (
 from .metrics import GroupedRanking, auroc, eauroc, log_loss
 from .simgen import SimConfig, build_name_model, generate_pair_files, read_truth, write_truth
 from . import experiment as exp
-from .linkage import LINK_FIELDS, CsvTable, InputError, read_records, write_records
+from .linkage import CsvTable, InputError, read_records, write_records
 
 _label = ("0", "1").index  # a label cell -> 0 or 1
+
+
+def _finite(cell: str) -> float:
+    """A feature cell as a float; NaN and infinities are rejected."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def _score(cell: str) -> float:
+    """A score cell as a float in [0, 1]; NaN and infinities are rejected."""
+    value = float(cell)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(cell)
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -43,7 +66,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n",
+    path.write_text(json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -68,11 +91,14 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError(f"config file {path} must hold a JSON object")
+    return config
 
 
 def cmd_features(args) -> int:
@@ -104,7 +130,7 @@ def _read_feature_csv(path: str):
     cats = (table.column("han_category", [c.value for c in HAN_CATEGORIES].index)
             if "han_category" in table.header else [0] * len(y))
     names = [name for name in table.header if name not in ("label", "han_category")]
-    return (np.column_stack([table.column(name, float) for name in names]),
+    return (np.column_stack([table.column(name, _finite) for name in names]),
             np.array(cats, dtype=np.int8), y,
             tuple(FeatureSpec.from_name(name) for name in names))
 
@@ -126,7 +152,7 @@ def cmd_train(args) -> int:
 def cmd_fitdist(args) -> int:
     table = CsvTable(args.input)
     if "score" in table.header:
-        scores = np.array(table.column("score", float))
+        scores = np.array(table.column("score", _score))
     else:
         pairs = list(zip(table.column("name_a"), table.column("name_b")))
         if not args.model:
@@ -144,11 +170,8 @@ def cmd_fitdist(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
-        config["seed"] = args.seed
-    try:
-        sim_cfg = SimConfig.from_dict(config)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad simulation config: {exc}") from exc
+        config = {**config, "seed": args.seed}
+    sim_cfg = SimConfig.from_dict(config)
     bundle = load_bundle(args.assets)
     name_model = build_name_model(bundle.corpus, bundle.tables)
     result = generate_pair_files(sim_cfg, name_model)
@@ -164,63 +187,48 @@ def cmd_simulate(args) -> int:
 
 
 def _experiment_files(config: dict, args, bundle) -> dict:
-    data = config["data"]
-    records_a = read_records(data["file_a"])
-    records_b = read_records(data["file_b"])
-    truth = read_truth(data["truth"])
-    fields = tuple(config.get("fields", LINK_FIELDS))
-    dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
-    methods = tuple(config.get("methods") or ("exact",))
-    classifier = config.get("classifier")
-    scorer = None
-    dist = None
-    if any(m != "exact" for m in methods):
-        if not classifier:
-            raise InputError("non-exact methods require a 'classifier'")
-        if classifier.startswith("external-scores:"):
-            table = CsvTable(classifier.split(":", 1)[1])
+    settings = exp.read_settings(config)
+    data = settings.data
+    dataset = exp.LinkageDataset(read_records(data["file_a"]), read_records(data["file_b"]),
+                                 read_truth(data["truth"]), settings.fields)
+    scorer = dist = None
+    if any(m != "exact" for m in settings.methods):
+        kind, _, path = settings.classifier.partition(":")
+        if kind == "external-scores":
+            table = CsvTable(path)
             pairs = zip(table.column("name_a"), table.column("name_b"))
-            scorer = exp.ExternalScorer(dict(zip(pairs, table.column("score", float))))
+            scorer = exp.ExternalScorer(dict(zip(pairs, table.column("score", _score))))
         else:
-            scorer = exp.NamePairScorer(MatcherModel.from_selector(classifier), bundle)
-        if not config.get("dist"):
-            raise InputError("non-exact methods require a fitted 'dist' file")
-        dist = ScoreDistribution.load(config["dist"])
-    reports = exp.run_methods(
-        dataset, methods, scorer=scorer, dist=dist,
-        floor=float(config.get("floor", exp.DEFAULT_POSTERIOR_FLOOR)),
-        candidate_floor=float(config.get("candidate_floor",
-                                         exp.DEFAULT_CANDIDATE_FLOOR)),
-        q=config.get("q"))
+            scorer = exp.NamePairScorer(MatcherModel.from_selector(settings.classifier), bundle)
+        dist = ScoreDistribution.load(settings.dist)
+    reports = exp.run_methods(dataset, settings.methods, scorer=scorer, dist=dist,
+                              floor=settings.floor, candidate_floor=settings.candidate_floor,
+                              q=settings.q)
     return {"config": config, "reports": reports}
 
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    if "method" in config:
-        raise InputError("config key 'method' is gone: list methods under 'methods'")
     for key, value in (("seed", args.seed), ("classifier", args.classifier),
                        ("methods", [args.method] if args.method else None)):
         if value is not None:
             config[key] = value
+    settings = exp.read_settings(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_bundle(args.assets or config.get("assets_dir"))
+    bundle = load_bundle(args.assets or settings.assets_dir)
     written: list[Path] = []
     try:
-        if "simulate" in config:
-            report = exp.run_study(config, bundle, workers=args.workers or
-                                   int(config.get("workers", 1)))
+        if settings.study:
+            report = exp.run_study(config, bundle, workers=args.workers or settings.workers)
             if report.get("model"):
                 _write_json(out_dir / "model.json", report["model"])
                 written.append(out_dir / "model.json")
-        elif "data" in config:
-            report = _experiment_files(config, args, bundle)
         else:
-            raise InputError("experiment config needs a 'simulate' or 'data' section")
+            report = _experiment_files(config, args, bundle)
         _write_json(out_dir / "report.json", report)
         written.append(out_dir / "report.json")
-        _write_manifest(out_dir, "experiment", config, config.get("seed"), bundle)
+        _write_manifest(out_dir, "experiment", config, settings.seed, bundle)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -238,18 +246,22 @@ def cmd_experiment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     table = CsvTable(args.input)
-    scores = np.array(table.column("score", float))
+    scores = np.array(table.column("score", _score))
     labels = np.array(table.column("label", _label))
-    ranking = GroupedRanking.from_pairs(scores, labels)
-    q = args.q if args.q is not None else ranking.default_q()
+    try:
+        ranking = GroupedRanking.from_pairs(scores, labels)
+        q = args.q if args.q is not None else ranking.default_q()
+        eauroc_q = eauroc(ranking, q)
+    except ValueError as exc:  # one class in the file, or --q outside (0, 1]
+        raise InputError(str(exc)) from None
     report = {
         "auroc": auroc(ranking),
-        "eauroc": eauroc(ranking, q),
+        "eauroc": eauroc_q,
         "q": q,
         "neg_log_lik": log_loss(scores, labels),
         "n": len(scores),
     }
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -272,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the logistic matcher")
     p.add_argument("--in", dest="input", required=True, help="feature CSV")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--penalty", type=float, default=1e-6)
-    p.add_argument("--dev-fraction", type=float, default=0.4)
+    p.add_argument("--penalty", type=float, default=PENALTY)
+    p.add_argument("--dev-fraction", type=float, default=DEV_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -283,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--assets", default=None)
-    p.add_argument("--bins", type=int, default=200)
+    p.add_argument("--bins", type=int, default=BINS)
     p.set_defaults(func=cmd_fitdist)
 
     p = sub.add_parser("simulate", help="generate a paired dataset with truth")
@@ -316,10 +328,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from .encoding import (
     EncodingTable,
     FrequencyTable,
     IDENTITY_TABLE,
+    InputError,
     ambiguity_count,
     extract_substring,
     han_indicator,
@@ -216,6 +217,9 @@ HAN_CATEGORIES = (HanCategory.NEITHER, HanCategory.BOTH, HanCategory.DISAGREE)
 
 STRING_ENCODINGS = (EncodingKind.J, EncodingKind.PY, EncodingKind.FC,
                     EncodingKind.WB, EncodingKind.RD, EncodingKind.RDS)
+# The encodings each comparator takes
+_ENCODINGS_OF = {**dict.fromkeys(("LV", "LCS", "COS"), tuple(e.value for e in STRING_ENCODINGS)),
+                 "SUM": ("AMB", "LF"), "CAT": ("HAN",)}
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,21 @@ class FeatureSpec:
     encoding: str            # EncodingKind value, or AMB | LF | HAN
     k: int                   # token length (1 for LV/LCS; 1-3 for COS)
     range_tag: str
+
+    def __post_init__(self):
+        encodings = _ENCODINGS_OF.get(self.comparator)
+        ranges = LF_RANGES if self.encoding == "LF" else RANGE_TAGS
+        if encodings is None:
+            why = f"unknown comparator {self.comparator!r}"
+        elif self.encoding not in encodings:
+            why = f"{self.comparator} takes the encodings {encodings}"
+        elif self.range_tag not in ranges:
+            why = f"the range must be one of {ranges}"
+        elif isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            why = "k must be an integer >= 1"
+        else:
+            return
+        raise InputError(f"feature {self.name!r}: {why}")
 
     @property
     def name(self) -> str:
@@ -243,10 +262,11 @@ class FeatureSpec:
             enc, cmp_name, k_part, range_tag = name.split("_")
             if not k_part.startswith("k"):
                 raise ValueError
-            return cls(cmp_name, enc, int(k_part[1:]), range_tag)
-        except ValueError as exc:
-            raise ValueError(f"malformed feature name {name!r} "
-                             "(expected <ENC>_<CMP>_k<k>_<range>)") from exc
+            k = int(k_part[1:])
+        except ValueError:
+            raise InputError(f"malformed feature name {name!r} "
+                             "(expected <ENC>_<CMP>_k<k>_<range>)") from None
+        return cls(cmp_name, enc, k, range_tag)
 
 
 def default_feature_bank() -> tuple[FeatureSpec, ...]:

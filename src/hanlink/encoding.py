@@ -14,6 +14,11 @@ from enum import Enum
 from pathlib import Path
 
 
+class InputError(ValueError):
+    """A fault in a file or setting the user gave: a config, CSV, model or
+    distribution JSON, or asset file. The command line exits 2 on it."""
+
+
 class EncodingKind(str, Enum):
     J = "J"      # identity
     PY = "PY"    # pinyin
@@ -83,7 +88,7 @@ def load_encoding_table(path: str | Path, kind: EncodingKind) -> EncodingTable:
                 continue
             entries[logogram] = code
     if not entries:
-        raise ValueError(f"no valid entries in encoding table {path}")
+        raise InputError(f"no valid entries in encoding table {path}")
     return EncodingTable(kind=kind, entries=entries, version=path.name, duplicates=duplicates)
 
 
@@ -145,6 +150,8 @@ def load_surnames(path: str | Path) -> frozenset[str]:
         line = line.strip()
         if line and not line.startswith("#"):
             names.append(unicodedata.normalize("NFC", line))
+    if not names:
+        raise InputError(f"{path}: no surnames")
     return frozenset(names)
 
 
@@ -195,11 +202,15 @@ class FrequencyTable:
     @classmethod
     def load(cls, path: str | Path, floor: float | None = None) -> "FrequencyTable":
         values: dict[tuple[str, str], float] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not line or line.startswith("#"):
                 continue
-            tag, sub, val = line.split("\t")
-            values[(tag, sub)] = float(val)
+            try:
+                tag, sub, val = line.split("\t")
+                values[(tag, sub)] = float(val)
+            except ValueError:
+                raise InputError(f"{path}, line {number}: expected "
+                                 "range<TAB>substring<TAB>log frequency") from None
         if floor is None:
             floor = min(values.values(), default=0.0) + math.log(0.5)
         return cls(values=values, floor=floor)

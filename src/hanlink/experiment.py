@@ -13,10 +13,15 @@ Scoring every gamma_name=0 pair of a 10^8-pair linkage is not feasible at
 desk scale, so pair-level name scoring is restricted to rows whose best
 achievable posterior reaches `candidate_floor` (default 0.01); rows below
 it cannot contribute recoverable matches and keep their prior zeta.
+
+An experiment config is read in one place, `read_settings`, whose
+docstring lists each mode's keys and defaults; `run_study` and the
+command line call it before any file is read or model built.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,11 @@ from .fuse import (
 from .linkage import (
     LINK_FIELDS,
     NA,
+    RECORD_FIELDS,
+    InputError,
     PatternTable,
+    check_keys,
+    checked_number,
     em_fit,
     encode_fields,
     extend_key,
@@ -44,6 +53,9 @@ from .linkage import (
     zeta,
 )
 from .matcher import (
+    BINS,
+    DEV_FRACTION,
+    PENALTY,
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
@@ -60,13 +72,168 @@ from .metrics import (
 from .simgen import SimConfig, build_name_model, generate_pair_files
 
 DEFAULT_METHODS = ("exact", "tau1", "tau2", "posterior")
-
-
-def _seed_of(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, dtype=np.uint64)[0]) % 2**63
 DEFAULT_CANDIDATE_FLOOR = 0.01
 DEFAULT_POSTERIOR_FLOOR = 0.1
+# A study's 'train' section: the dev simulation's sampled nonmatches for the
+# matcher and for the score distribution, and the training settings
+TRAIN_DEFAULTS = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000,
+                  "dev_fraction": DEV_FRACTION, "penalty": PENALTY, "bins": BINS}
 _JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
+
+# Experiment config keys: those of both modes, and those of each mode
+_COMMON_KEYS = ("seed", "methods", "fields", "classifier", "floor", "candidate_floor", "q",
+                "assets_dir")
+_MODE_KEYS = {"files mode": ("data", "dist"),
+              "a study": ("simulate", "replicates", "workers", "train")}
+_DATA_KEYS = ("file_a", "file_b", "truth")
+_SELECTORS = {"files mode": "single:<feature>, logistic:<model JSON> or external-scores:<CSV>",
+              "a study": "single:<feature>, logistic:<model JSON> or logistic:train"}
+
+
+@dataclass(frozen=True)
+class Settings:
+    """An experiment config checked by `read_settings`, each key of its
+    mode as given or defaulted. A section of the other mode is None."""
+    study: bool
+    seed: int | None
+    methods: tuple[str, ...]
+    fields: tuple[str, ...]
+    classifier: str | None
+    floor: float
+    candidate_floor: float
+    q: float | None
+    assets_dir: str | None
+    data: dict | None       # files mode
+    dist: str | None
+    simulate: dict | None   # a study
+    train: dict | None
+    replicates: int
+    workers: int
+
+
+def read_settings(config: dict) -> Settings:
+    """The settings of a `hanlink experiment` config, checked before any
+    file is read or model built. A key that is unknown or belongs to the
+    other mode, a value of the wrong type or out of range, and a classifier
+    the mode cannot use are each an InputError naming the key.
+
+    Keys and defaults. Files mode, chosen by a 'data' section:
+      data             file_a, file_b, truth: the record and truth CSV paths
+      methods          ["exact"]; distinct names from DEFAULT_METHODS
+      fields           LINK_FIELDS; distinct RECORD_FIELDS, 'name' among them
+      classifier       none; single:<feature>, logistic:<model JSON> or
+                       external-scores:<CSV>, required by a non-exact method
+      dist             none; a score distribution JSON, required by a
+                       non-exact method
+      seed             none (recorded in the manifest only)
+    A study, chosen by a 'simulate' section:
+      simulate         SimConfig keys but seed, each defaulting as SimConfig does
+      methods          DEFAULT_METHODS
+      fields           'name' and the simulated fields
+      classifier       "logistic:train"; or single:<feature>, logistic:<model JSON>
+      train            TRAIN_DEFAULTS, keys given override
+      seed             0
+      replicates       1
+      workers          1 (the command line's --workers wins)
+    Both modes:
+      floor            DEFAULT_POSTERIOR_FLOOR, in [0, 1]
+      candidate_floor  DEFAULT_CANDIDATE_FLOOR, in [0, 1]
+      q                the ranking's default q; in (0, 1]
+      assets_dir       the default asset directory (the command line's --assets wins)
+    """
+    study = "simulate" in config
+    if study and "data" in config:
+        raise InputError("experiment config has both a 'simulate' and a 'data' section")
+    if not study and "data" not in config:
+        raise InputError("experiment config needs a 'simulate' or 'data' section")
+    mode, other = ("a study", "files mode") if study else ("files mode", "a study")
+    for key, value in config.items():
+        if key in _MODE_KEYS[other]:
+            raise InputError(f"config key {key!r} belongs to {other}, not to {mode}")
+        if value is None:
+            raise InputError(f"config key {key!r} is null: leave it out for its default")
+    check_keys("config", config, _COMMON_KEYS + _MODE_KEYS[mode])
+
+    def number(key: str, default, lo: float, hi: float = math.inf, **kind):
+        value = config.get(key, default)
+        return value if value is None else checked_number(f"config key {key!r}", value,
+                                                          lo, hi, **kind)
+
+    def section(key: str, known) -> dict | None:
+        if key not in _MODE_KEYS[mode]:
+            return None
+        value = config.get(key, {})
+        if not isinstance(value, dict):
+            raise InputError(f"config key {key!r} must be a JSON object, not {value!r}")
+        check_keys(f"config section {key!r}", value, known)
+        return value
+
+    data = section("data", _DATA_KEYS)
+    if data is not None:
+        for key in _DATA_KEYS:
+            if data.get(key) is None:
+                raise InputError(f"config section 'data' lacks {key!r}")
+            _text(f"data.{key}", data[key])
+    simulate = section("simulate", SimConfig.__dataclass_fields__)
+    default_fields = LINK_FIELDS
+    if simulate is not None:
+        if "seed" in simulate:
+            raise InputError("config key 'simulate.seed' is not used: a study's seed is "
+                             "the top-level 'seed'")
+        default_fields = ("name", *SimConfig.from_dict(simulate).fields)
+    train = section("train", TRAIN_DEFAULTS)
+    for key, value in (train or {}).items():
+        if key in ("dev_fraction", "penalty"):
+            checked_number(f"config key 'train.{key}'", value, 0,
+                           1 if key == "dev_fraction" else math.inf)
+        else:
+            checked_number(f"config key 'train.{key}'", value, 1, integer=True)
+
+    methods = _distinct("methods", config.get("methods", DEFAULT_METHODS if study
+                                              else ("exact",)), DEFAULT_METHODS)
+    fields = _distinct("fields", config.get("fields", default_fields), RECORD_FIELDS)
+    if "name" not in fields:
+        raise InputError(f"config key 'fields' must include 'name', not {list(fields)!r}")
+    classifier = _text("classifier", config.get("classifier",
+                                                "logistic:train" if study else None))
+    if classifier is not None:
+        kind, _, arg = classifier.partition(":")
+        if (kind not in ("single", "logistic") + (() if study else ("external-scores",))
+                or not arg or classifier == "logistic:train" and not study):
+            raise InputError(f"config key 'classifier': {mode} takes {_SELECTORS[mode]}, "
+                             f"not {classifier!r}")
+    dist = _text("dist", config.get("dist"))
+    if not study and any(m != "exact" for m in methods):
+        if classifier is None:
+            raise InputError("non-exact methods require a 'classifier'")
+        if dist is None:
+            raise InputError("non-exact methods require a fitted 'dist' file")
+    return Settings(
+        study=study, seed=number("seed", 0 if study else None, 0, integer=True),
+        methods=methods, fields=fields, classifier=classifier,
+        floor=float(number("floor", DEFAULT_POSTERIOR_FLOOR, 0, 1)),
+        candidate_floor=float(number("candidate_floor", DEFAULT_CANDIDATE_FLOOR, 0, 1)),
+        q=number("q", None, 0, 1, above=True),
+        assets_dir=_text("assets_dir", config.get("assets_dir")),
+        data=data, dist=dist, simulate=simulate, train=train,
+        replicates=number("replicates", 1, 1, integer=True),
+        workers=number("workers", 1, 1, integer=True))
+
+
+def _text(key: str, value) -> str | None:
+    """`value`, unless it is neither None nor a non-empty string."""
+    if value is not None and (not isinstance(value, str) or not value):
+        raise InputError(f"config key {key!r} must be a non-empty string, not {value!r}")
+    return value
+
+
+def _distinct(key: str, value, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    """`value` as a tuple, if it lists distinct entries of `allowed`, one at least."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(v not in allowed for v in value) or len(set(value)) < len(value)):
+        raise InputError(f"config key {key!r} must list distinct entries of {allowed}, "
+                         f"not {value!r}")
+    return tuple(value)
 
 
 class NamePairScorer:
@@ -91,7 +258,7 @@ class ExternalScorer:
     def __init__(self, table: dict[tuple[str, str], float]):
         for pair, value in table.items():
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"external score {value!r} for pair {pair!r} "
+                raise InputError(f"external score {value!r} for pair {pair!r} "
                                  "is outside [0, 1]")
         self.table = table
 
@@ -100,7 +267,7 @@ class ExternalScorer:
         for i, pair in enumerate(pairs):
             value = self.table.get(pair)
             if value is None:
-                raise ValueError(f"external score table is missing pair {pair!r}")
+                raise InputError(f"external score table is missing pair {pair!r}")
             out[i] = value
         return out
 
@@ -113,11 +280,11 @@ class LinkageDataset:
         self.fields = tuple(fields)
         self.codes_a, self.codes_b = encode_fields(records_a, records_b, self.fields)
         if "name" not in self.fields:
-            raise ValueError("linkage fields must include 'name'")
+            raise InputError("linkage fields must include 'name'")
         self.names_a, self.names_b = records_a["name"], records_b["name"]
         self.n_a, self.n_b = len(self.names_a), len(self.names_b)
         if not self.n_a or not self.n_b:
-            raise ValueError("record files must be non-empty")
+            raise InputError("record files must be non-empty")
         self.truth = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
         for side, ids, n in (("id_a", self.truth[:, 0], self.n_a),
                              ("id_b", self.truth[:, 1], self.n_b)):
@@ -127,7 +294,7 @@ class LinkageDataset:
             if len(bad := np.nonzero(outside | repeated)[0]):
                 k = bad[0]
                 why = f"outside [0, {n})" if outside[k] else "linked more than once"
-                raise ValueError(f"truth link ({self.truth[k, 0]}, {self.truth[k, 1]}): "
+                raise InputError(f"truth link ({self.truth[k, 0]}, {self.truth[k, 1]}): "
                                  f"{side} {ids[k]} is {why}")
         self.truth_b_of_a = np.full(self.n_a, -1, dtype=np.int64)
         self.truth_b_of_a[self.truth[:, 0]] = self.truth[:, 1]
@@ -186,15 +353,9 @@ def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
     }
 
 
-@dataclass
-class MethodInputs:
-    table: PatternTable
-    pos: np.ndarray
-    zetas: np.ndarray
-    pair_rows: np.ndarray     # candidate pairs: table row index
-    pair_scores: np.ndarray
-    pair_labels: np.ndarray
-    pi_true: float
+def _pi_est(z: np.ndarray, table: PatternTable) -> float:
+    """The estimated match share: zeta weighted by the pattern counts."""
+    return float((z * table.counts).sum() / table.total)
 
 
 def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
@@ -203,26 +364,25 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
                 candidate_floor: float = DEFAULT_CANDIDATE_FLOOR,
                 q: float | None = None) -> dict[str, dict]:
     """Run the requested incorporation methods and return per-method reports."""
+    if unknown := [m for m in methods if m not in DEFAULT_METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    fusion = [m for m in methods if m != "exact"]
+    if fusion and (scorer is None or dist is None):
+        raise ValueError("non-exact methods need a scorer and a fitted distribution")
     table, pos = dataset.tabulate()
-    neg = table.counts - pos
     fs_model = em_fit(table)
     z = zeta(fs_model, table)
-    total = table.total
-    pi_true = len(dataset.truth) / total
-    pi_est = float((z * table.counts).sum() / total)
+    pi_true = len(dataset.truth) / table.total
+    pi_est = _pi_est(z, table)
 
     reports: dict[str, dict] = {}
     if "exact" in methods:
-        reports["exact"] = _evaluate_ranking(z, pos, neg, pi_true, pi_est, q)
+        reports["exact"] = _evaluate_ranking(z, pos, table.counts - pos, pi_true, pi_est, q)
         reports["exact"]["method"] = "exact"
-    fusion = [m for m in methods if m != "exact"]
     if not fusion:
         return reports
-    if scorer is None or dist is None:
-        raise ValueError("non-exact methods need a scorer and a fitted distribution")
 
-    cand_floor = min(candidate_floor, floor)
-    cand_rows, _ = eligible_rows(table, z, dist, floor=cand_floor)
+    cand_rows, _ = eligible_rows(table, z, dist, floor=min(candidate_floor, floor))
     ii, jj, pair_codes = dataset.candidate_pairs(table.codes()[cand_rows])
     pair_rows = table.rows_of(pair_codes)
     pair_labels = dataset.truth_b_of_a[ii] == jj
@@ -230,79 +390,55 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])
     pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
 
-    inputs = MethodInputs(table=table, pos=pos, zetas=z, pair_rows=pair_rows,
-                          pair_scores=pair_scores, pair_labels=pair_labels,
-                          pi_true=pi_true)
     for method in fusion:
-        if method in ("tau1", "tau2"):
-            reports[method] = _threshold_report(method, inputs, fs_model, dist, q)
-        elif method == "posterior":
-            reports[method] = _posterior_report(inputs, dist, floor, q)
+        if method == "posterior":
+            adjusted = posterior_adjust(table, z, dist, pair_rows, pair_scores, floor=floor)
+            elig = adjusted.eligible_rows
+            check_coverage(table, pair_rows, elig)
+            in_elig = np.zeros(len(table.counts), dtype=bool)
+            in_elig[elig] = True
+            adjusted_labels = pair_labels[in_elig[pair_rows]].astype(float)
+            keep = ~in_elig
+            scores = np.concatenate([z[keep], adjusted.posterior])
+            pos_mass = np.concatenate([pos[keep].astype(float), adjusted_labels])
+            neg_mass = np.concatenate([(table.counts[keep] - pos[keep]).astype(float),
+                                       1.0 - adjusted_labels])
+            pi_post = float(((z[keep] * table.counts[keep]).sum() + adjusted.posterior.sum())
+                            / table.total)
+            report = _evaluate_ranking(scores, pos_mass, neg_mass, pi_true, pi_post, q)
+            report.update(floor=floor, n_eligible_rows=int(len(elig)),
+                          n_skipped_rows=int(len(adjusted.skipped_rows)),
+                          n_adjusted_pairs=int(len(adjusted.posterior)),
+                          pi_m_est_prior=pi_est)
         else:
-            raise ValueError(f"unknown method {method!r}")
-        reports[method]["method"] = method
-        reports[method]["n_candidate_pairs"] = int(len(pair_rows))
+            tau = (tau1_select(table, z, dist) if method == "tau1"
+                   else tau2_select(table, z, dist, fs_model))
+            new_table, new_pos = apply_threshold(tau, table, pos, pair_rows, pair_scores,
+                                                 pair_labels)
+            z2 = zeta(em_fit(new_table), new_table)
+            report = _evaluate_ranking(z2, new_pos, new_table.counts - new_pos, pi_true,
+                                       _pi_est(z2, new_table), q)
+            report.update(tau=tau, n_moved_pairs=int((pair_scores >= tau).sum()))
+        report.update(method=method, n_candidate_pairs=int(len(pair_rows)))
+        reports[method] = report
     return reports
-
-
-def _threshold_report(method: str, inputs: MethodInputs, fs_model, dist, q) -> dict:
-    if method == "tau1":
-        tau = tau1_select(inputs.table, inputs.zetas, dist)
-    else:
-        tau = tau2_select(inputs.table, inputs.zetas, dist, fs_model)
-    new_table, new_pos = apply_threshold(tau, inputs.table, inputs.pos, inputs.pair_rows,
-                                         inputs.pair_scores, inputs.pair_labels)
-    model2 = em_fit(new_table)
-    z2 = zeta(model2, new_table)
-    total = new_table.total
-    pi_est = float((z2 * new_table.counts).sum() / total)
-    report = _evaluate_ranking(z2, new_pos, new_table.counts - new_pos,
-                               inputs.pi_true, pi_est, q)
-    report["tau"] = tau
-    report["n_moved_pairs"] = int((inputs.pair_scores >= tau).sum())
-    return report
-
-
-def _posterior_report(inputs: MethodInputs, dist: ScoreDistribution,
-                      floor: float, q) -> dict:
-    table, z, pos = inputs.table, inputs.zetas, inputs.pos
-    adjusted = posterior_adjust(table, z, dist, inputs.pair_rows,
-                                inputs.pair_scores, floor=floor)
-    elig = adjusted.eligible_rows
-    check_coverage(table, inputs.pair_rows, elig)
-    in_elig = np.zeros(len(table.counts), dtype=bool)
-    in_elig[elig] = True
-    pair_labels = inputs.pair_labels[in_elig[inputs.pair_rows]]
-    keep = ~in_elig
-    scores = np.concatenate([z[keep], adjusted.posterior])
-    pos_mass = np.concatenate([pos[keep].astype(float), pair_labels.astype(float)])
-    neg_mass = np.concatenate([(table.counts[keep] - pos[keep]).astype(float),
-                               1.0 - pair_labels.astype(float)])
-    total = table.total
-    pi_est_prior = float((z * table.counts).sum() / total)
-    pi_est = float(((z[keep] * table.counts[keep]).sum() + adjusted.posterior.sum())
-                   / total)
-    report = _evaluate_ranking(scores, pos_mass, neg_mass, inputs.pi_true, pi_est, q)
-    report["floor"] = floor
-    report["n_eligible_rows"] = int(len(elig))
-    report["n_skipped_rows"] = int(len(adjusted.skipped_rows))
-    report["n_adjusted_pairs"] = int(len(adjusted.posterior))
-    report["pi_m_est_prior"] = pi_est_prior
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Training a matcher + score distribution from a development simulation
 
 
+def _seed_of(seq: np.random.SeedSequence) -> int:
+    return int(seq.generate_state(1, dtype=np.uint64)[0]) % 2**63
+
+
 def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
                            seed: int, classifier: str, train_opts: dict | None
                            ) -> tuple[MatcherModel, ScoreDistribution, dict]:
     """Train (or instantiate) the name classifier and fit the empirical
-    score distribution on a development simulation."""
-    opts = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000,
-            "dev_fraction": 0.4, "penalty": 1e-6, "bins": 200}
-    opts.update(train_opts or {})
+    score distribution on a development simulation; `train_opts` overrides
+    some of TRAIN_DEFAULTS."""
+    opts = {**TRAIN_DEFAULTS, **(train_opts or {})}
     seeds = np.random.SeedSequence(seed).spawn(3)
     dev_cfg = SimConfig.from_dict({**sim_params, "seed": _seed_of(seeds[0])})
     sim = generate_pair_files(dev_cfg, name_model)
@@ -363,8 +499,9 @@ def run_replicate(bundle: AssetBundle, name_model, sim_params: dict, rep_seed: i
 
 def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1) -> dict:
     """Replicated simulation study: train once, then run every replicate
-    through every requested method. Deterministic given config['seed'].
-    Without a `bundle` the assets come from config['assets_dir'].
+    through every requested method. Deterministic given the config's seed.
+    Without a `bundle` the assets come from its 'assets_dir'. The config is
+    checked by `read_settings` before any work starts.
 
     With workers > 1 the replicates run in that many spawned processes,
     each given this process's asset bundle, name model, matcher and score
@@ -372,43 +509,37 @@ def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1)
     workers re-import the calling script, so a script must call this under
     `if __name__ == "__main__":`.
     """
-    bundle = bundle or load_bundle(config.get("assets_dir"))
+    settings = read_settings(config)
+    if not settings.study:
+        raise InputError("a study config needs a 'simulate' section")
+    bundle = bundle or load_bundle(settings.assets_dir)
     name_model = build_name_model(bundle.corpus, bundle.tables)
-    sim_params = dict(config.get("simulate", {}))
-    sim_params.pop("seed", None)
-    methods = tuple(config.get("methods", DEFAULT_METHODS))
-    classifier = config.get("classifier", "logistic:train")
-    floor = float(config.get("floor", DEFAULT_POSTERIOR_FLOOR))
-    cand = float(config.get("candidate_floor", DEFAULT_CANDIDATE_FLOOR))
-    q = config.get("q")
-    replicates = int(config.get("replicates", 1))
-    seed = int(config.get("seed", 0))
-    fields = tuple(config.get("fields",
-                              ("name", *sim_params.get("fields", LINK_FIELDS[1:]))))
+    methods, replicates = settings.methods, settings.replicates
 
-    seeds = np.random.SeedSequence(seed)
+    seeds = np.random.SeedSequence(settings.seed)
     train_seed = _seed_of(seeds.spawn(1)[0])
     model = dist = None
     train_info: dict = {}
     if any(m != "exact" for m in methods):
         model, dist, train_info = train_matcher_and_dist(
-            bundle, name_model, sim_params, train_seed, classifier,
-            config.get("train"))
+            bundle, name_model, settings.simulate, train_seed, settings.classifier,
+            settings.train)
     rep_seeds = [_seed_of(s)
-                 for s in np.random.SeedSequence(seed).spawn(replicates + 1)[1:]]
+                 for s in np.random.SeedSequence(settings.seed).spawn(replicates + 1)[1:]]
 
-    shared = (methods, model, dist, fields, floor, cand, q)
+    shared = (methods, model, dist, settings.fields, settings.floor,
+              settings.candidate_floor, settings.q)
     if workers > 1 and replicates > 1:
         import multiprocessing  # only parallel studies pay for this import
 
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(run_replicate, bundle, name_model, sim_params, rs,
-                                   *shared) for rs in rep_seeds]
+            futures = [pool.submit(run_replicate, bundle, name_model, settings.simulate,
+                                   rs, *shared) for rs in rep_seeds]
             results = [f.result() for f in futures]
     else:
-        results = [run_replicate(bundle, name_model, sim_params, rs, *shared)
+        results = [run_replicate(bundle, name_model, settings.simulate, rs, *shared)
                    for rs in rep_seeds]
 
     summary: dict[str, dict] = {}

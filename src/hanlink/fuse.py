@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkage import LinkageModel, PatternTable, zeta_for_gammas
+from .linkage import InputError, LinkageModel, PatternTable, zeta_for_gammas
 from .matcher import ScoreDistribution
 from .metrics import GroupedRanking, auroc
 
@@ -72,7 +72,7 @@ def tau1_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution)
     name-disagreeing rows, over the score grid (ties -> smallest tau)."""
     donors = _donor_rows(table)
     if len(donors) == 0:
-        raise ValueError("no rows with name disagreement; nothing to adjust")
+        raise InputError("no rows with name disagreement; nothing to adjust")
     z = np.asarray(zetas, dtype=float)[donors]
     w = table.counts[donors].astype(float)
     w = w / w.sum() if w.sum() > 0 else np.full(len(donors), 1.0 / len(donors))
@@ -101,7 +101,7 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     """
     donors = _donor_rows(table)
     if len(donors) == 0:
-        raise ValueError("no rows with name disagreement; nothing to adjust")
+        raise InputError("no rows with name disagreement; nothing to adjust")
     zetas = np.asarray(zetas, dtype=float)
     name_ix = _name_index(table)
     recip = table.rows_of(table.codes()[donors] + 3 ** name_ix)  # gamma_name 0 -> 1

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .compare import intern_strings
+from .encoding import InputError
 from .metrics import PROB_CLAMP
 
 RECORD_FIELDS = ("name", "sex", "yob", "mob", "dob", "loc")
@@ -30,8 +33,25 @@ LINK_FIELDS = RECORD_FIELDS  # default linkage field set, name first
 NA = 2  # gamma code for "either value missing"
 
 
-class InputError(ValueError):
-    """Bad input file or config; maps to exit code 2."""
+def checked_number(key: str, value, lo: float, hi: float = math.inf, *,
+                   integer: bool = False, above: bool = False):
+    """`value` as given if it is a finite number (an integer if `integer`)
+    in [lo, hi], or in (lo, hi] if `above`; else an InputError naming `key`."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integer else numbers.Real)
+            or not (integer or math.isfinite(value))
+            or not (lo < value if above else lo <= value) or value > hi):
+        bounds = f"{'>' if above else '>='} {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+        raise InputError(f"{key} must be {'an integer' if integer else 'a number'} {bounds}, "
+                         f"not {value!r}")
+    return value
+
+
+def check_keys(where: str, given, known) -> None:
+    """InputError naming the first key of `given` that `known` lacks."""
+    for key in given:
+        if key not in known:
+            raise InputError(f"{where}: unknown key {key!r}; known keys: {sorted(known)}")
 
 
 class CsvTable:
@@ -99,13 +119,13 @@ def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str
                   fields) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-field codes of both files' values, equal exactly when the strings
     are (missing -> -1). A field listed twice (EM would count it twice) or
-    absent from either file is a ValueError."""
+    absent from either file is an InputError."""
     codes = []
     for k, f in enumerate(fields):
         if f in fields[:k]:
-            raise ValueError(f"linkage field {f!r} is listed more than once")
+            raise InputError(f"linkage field {f!r} is listed more than once")
         if f not in records_a or f not in records_b:
-            raise ValueError(f"unknown field {f!r} in record schema")
+            raise InputError(f"unknown field {f!r} in record schema")
         ids = intern_strings([""], records_a[f], records_b[f])[1]  # "" gets id 0
         codes.append((ids[1] - 1, ids[2] - 1))
     return [a for a, _ in codes], [b for _, b in codes]
@@ -299,7 +319,7 @@ def em_fit(table: PatternTable, init: LinkageModel | None = None,
     observed-data log-likelihood decreases at any iteration.
     """
     if len(table.counts) < 2:
-        raise ValueError("pattern table must contain at least 2 distinct patterns")
+        raise InputError("pattern table must contain at least 2 distinct patterns")
     gammas = table.gammas
     counts = table.counts.astype(float)
     total = counts.sum()

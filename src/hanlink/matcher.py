@@ -18,12 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .compare import FeatureSpec, HAN_CATEGORIES, HanCategory
-from .linkage import InputError
+from .linkage import InputError, checked_number
 from .metrics import GroupedRanking, auroc, eauroc
 
 MIN_IMPROVE = 1e-5
 GRID_SIZE = 10_000
 MAX_ITER = 200
+PENALTY = 1e-6       # ridge penalty of the logistic matcher's slopes
+DEV_FRACTION = 0.4   # share of labeled pairs held out for feature selection
+BINS = 200           # score bins of the density-ratio estimate
 # Elements (designs x rows x columns) of one stacked IRLS in feature selection
 FIT_BUDGET = 1 << 17
 
@@ -60,7 +63,7 @@ class MatcherModel:
             return cls.single_feature(FeatureSpec.from_name(selector.split(":", 1)[1]))
         if selector.startswith("logistic:"):
             return cls.load(selector.split(":", 1)[1])
-        raise ValueError(f"unknown classifier selector {selector!r}")
+        raise InputError(f"unknown classifier selector {selector!r}")
 
     def predict_matrix(self, X: np.ndarray, cats: np.ndarray) -> np.ndarray:
         """Scores of feature rows X (one column per spec) with Han-category
@@ -98,11 +101,16 @@ class MatcherModel:
         specs = tuple(FeatureSpec.from_dict(s) for s in d["specs"])
         if d["kind"] == "single":
             return cls(kind="single", specs=specs)
+        if d["kind"] != "logistic":
+            raise InputError(f"unknown model kind {d['kind']!r}")
         intercepts, coefs = {}, {}
         for cat in HAN_CATEGORIES:
             block = d["coefficients"][cat.value]
             intercepts[cat] = float(block["intercept"])
             coefs[cat] = np.asarray(block["slopes"], dtype=float)
+            if coefs[cat].shape != (len(specs),):
+                raise InputError(f"{cat.value} holds {coefs[cat].size} slopes for "
+                                 f"{len(specs)} features")
         return cls(kind="logistic", specs=specs, intercepts=intercepts,
                    coefs=coefs, trainer=d.get("trainer", {}))
 
@@ -112,7 +120,21 @@ class MatcherModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "MatcherModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return _load(cls, path)
+
+
+def _load(cls, path: str | Path):
+    """`cls.from_dict` of the JSON object in the file at `path`; a fault in
+    the file is an InputError naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise InputError("expected a JSON object")
+        return cls.from_dict(data)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:  # JSONDecodeError and InputError among them
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -216,7 +238,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
     return list(zip(beta, iterations.tolist(), converged.tolist(), traces, errors))
 
 
-def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = 1e-6,
+def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = PENALTY,
                    tol: float = 1e-8, max_iter: int = MAX_ITER,
                    interactions: bool = False) -> MatcherModel:
     """Fit the ridge-penalized logistic matcher over `specs`; with
@@ -280,7 +302,7 @@ def _scored_fits(design, trials: list[tuple], y, dev, penalty: float, tol: float
 
 def forward_select(candidates: list[FeatureSpec], train, dev,
                    bank: tuple[FeatureSpec, ...],
-                   penalty: float = 1e-6, tol: float = 1e-8,
+                   penalty: float = PENALTY, tol: float = 1e-8,
                    min_improve: float = MIN_IMPROVE) -> list[FeatureSpec]:
     """Greedy forward selection maximizing dev AUROC (ties: EAUROC, then
     candidate order); stops once the best addition improves both metrics
@@ -322,7 +344,7 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
 
 
 def backward_prune(model: MatcherModel, dev, train,
-                   penalty: float = 1e-6, tol: float = 1e-8,
+                   penalty: float = PENALTY, tol: float = 1e-8,
                    min_improve: float = MIN_IMPROVE) -> MatcherModel:
     """Drop design terms (mains and interactions) one at a time, always the
     one whose removal least harms dev metrics, refitting after each drop;
@@ -378,7 +400,7 @@ def split_dev(rng: np.random.Generator, X, cats, y, fraction: float, option: str
 
 def train_matcher(train, dev, bank: tuple[FeatureSpec, ...],
                   candidates: list[FeatureSpec] | None = None,
-                  penalty: float = 1e-6, tol: float = 1e-8,
+                  penalty: float = PENALTY, tol: float = 1e-8,
                   min_improve: float = MIN_IMPROVE) -> MatcherModel:
     """The full two-step trainer: forward selection of single features,
     then a Han-category interaction model pruned backward."""
@@ -471,16 +493,30 @@ class ScoreDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreDistribution":
-        grid = np.linspace(0.0, 1.0, int(d["grid_size"]))
-        dist = cls(grid=grid,
+        """The distribution `to_dict` wrote. InputError unless the tails hold
+        one entry per grid point, the ratio and counts one per bin and the
+        edges one more, the tails lie in [0, 1] and the ratio is finite,
+        non-negative and non-decreasing."""
+        grid_size = checked_number("grid_size", d["grid_size"], 2, integer=True)
+        dist = cls(grid=np.linspace(0.0, 1.0, grid_size),
                    tail_m=np.asarray(d["tail_m"], dtype=float),
                    tail_u=np.asarray(d["tail_u"], dtype=float),
                    bin_edges=np.asarray(d["bin_edges"], dtype=float),
                    counts_m=np.asarray(d["counts_m"], dtype=np.int64),
                    counts_u=np.asarray(d["counts_u"], dtype=np.int64),
                    ratio=np.asarray(d["ratio"], dtype=float))
+        bins = checked_number("the number of ratio bins", len(dist.ratio), 1, integer=True)
+        for name, size in (("tail_m", grid_size), ("tail_u", grid_size), ("ratio", bins),
+                           ("counts_m", bins), ("counts_u", bins), ("bin_edges", bins + 1)):
+            if getattr(dist, name).shape != (size,):
+                raise InputError(f"{name} has shape {getattr(dist, name).shape}, "
+                                 f"expected ({size},)")
+        if not all(np.all((tail >= 0.0) & (tail <= 1.0)) for tail in (dist.tail_m, dist.tail_u)):
+            raise InputError("tail probabilities must lie in [0, 1]")
+        if not np.all(np.isfinite(dist.ratio) & (dist.ratio >= 0.0)):
+            raise InputError("score distribution ratio must be finite and non-negative")
         if np.any(np.diff(dist.ratio) < -1e-12):
-            raise ValueError("score distribution ratio is not monotone")
+            raise InputError("score distribution ratio is not monotone")
         return dist
 
     def save(self, path: str | Path) -> None:
@@ -489,28 +525,29 @@ class ScoreDistribution:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreDistribution":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return _load(cls, path)
 
 
-def fit_score_distributions(scores, labels, bins: int = 200,
+def fit_score_distributions(scores, labels, bins: int = BINS,
                             grid_size: int = GRID_SIZE) -> ScoreDistribution:
     """Estimate tails and the monotone density ratio from labeled scores.
 
     Tails are exact empirical survival functions on the grid; the ratio is
     built from per-bin class counts with add-half smoothing and made
     non-decreasing by PAVA weighted with (smoothed) bin totals. Scores must
-    lie in [0, 1].
+    lie in [0, 1], and there must be one bin at least.
     """
+    checked_number("bins", bins, 1, integer=True)
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     outside = ~((scores >= 0.0) & (scores <= 1.0))
     if outside.any():
-        raise ValueError(f"{int(outside.sum())} scores lie outside [0, 1] or are NaN, "
+        raise InputError(f"{int(outside.sum())} scores lie outside [0, 1] or are NaN, "
                          f"first {scores[outside][0]!r}")
     sm = np.sort(scores[labels == 1])
     su = np.sort(scores[labels == 0])
     if len(sm) == 0 or len(su) == 0:
-        raise ValueError("scores must include both classes")
+        raise InputError("scores must include both classes")
     grid = np.linspace(0.0, 1.0, grid_size)
     tail_m = 1.0 - np.searchsorted(sm, grid, side="left") / len(sm)
     tail_u = 1.0 - np.searchsorted(su, grid, side="left") / len(su)

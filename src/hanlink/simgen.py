@@ -10,6 +10,7 @@ phonetic/visual/keystroke encodings.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .compare import levenshtein_sims
 from .encoding import EncodingKind, EncodingTable, logograms
-from .linkage import CsvTable
+from .linkage import CsvTable, InputError, check_keys, checked_number
 
 # Error-type shares observed among name disagreements (single/multi
 # replacement, insertion/deletion, transposition, extra/alternative name,
@@ -52,6 +53,9 @@ STOP = "\x00"
 
 @dataclass
 class SimConfig:
+    """Simulation settings. Rate, error-type and cardinality maps that name
+    some fields or types take the defaults for the rest; a key or value out
+    of place is an InputError naming it."""
     n_records: int = 10_000
     name_error_rate: float = DEFAULT_NAME_ERROR_RATE
     fields: tuple[str, ...] = SIM_FIELDS
@@ -64,38 +68,35 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        unknown = set(self.fields) - set(SIM_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)}")
-        rates = [self.name_error_rate] + [self.field_error_rates[f] for f in self.fields]
-        if any(not 0.0 <= r <= 1.0 for r in rates):
-            raise ValueError("error rates must lie in [0, 1]")
+        checked_number("simulation key 'n_records'", self.n_records, 1, integer=True)
+        checked_number("simulation key 'seed'", self.seed, 0, integer=True)
+        checked_number("simulation key 'name_error_rate'", self.name_error_rate, 0, 1)
+        if not isinstance(self.fields, (list, tuple)):
+            raise InputError(f"simulation key 'fields' must list fields, not {self.fields!r}")
+        self.fields = tuple(self.fields)
+        check_keys("simulation key 'fields'", self.fields, SIM_FIELDS)
+        for key, defaults, lo, hi in (
+                ("field_error_rates", DEFAULT_FIELD_ERROR_RATES, 0, 1),
+                ("error_type_probs", DEFAULT_ERROR_TYPES, 0, math.inf),
+                ("cardinalities", DEFAULT_CARDINALITIES, 1, math.inf)):
+            given = getattr(self, key)
+            if not isinstance(given, dict):
+                raise InputError(f"simulation key {key!r} must be a JSON object, not {given!r}")
+            check_keys(f"simulation key {key!r}", given, defaults)
+            for name, value in given.items():
+                checked_number(f"simulation key '{key}.{name}'", value, lo, hi,
+                               integer=key == "cardinalities")
+            setattr(self, key, {**defaults, **given})
         total = sum(self.error_type_probs.values())
         if total <= 0:
-            raise ValueError("error-type distribution must have positive mass")
+            raise InputError("error-type distribution must have positive mass")
         if abs(total - 1.0) > 1e-6:
             self.error_type_probs = {k: v / total for k, v in self.error_type_probs.items()}
-        if set(self.error_type_probs) != set(DEFAULT_ERROR_TYPES):
-            raise ValueError("error-type distribution must cover exactly the "
-                             f"types {sorted(DEFAULT_ERROR_TYPES)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        kwargs = {}
-        for key in ("n_records", "name_error_rate", "seed"):
-            if key in d:
-                kwargs[key] = d[key]
-        if "fields" in d:
-            kwargs["fields"] = tuple(d["fields"])
-        for key in ("field_error_rates", "error_type_probs", "cardinalities"):
-            if key in d:
-                base = {"field_error_rates": DEFAULT_FIELD_ERROR_RATES,
-                        "error_type_probs": DEFAULT_ERROR_TYPES,
-                        "cardinalities": DEFAULT_CARDINALITIES}[key]
-                merged = dict(base)
-                merged.update(d[key])
-                kwargs[key] = merged
-        return cls(**kwargs)
+        check_keys("simulation config", d, cls.__dataclass_fields__)
+        return cls(**d)
 
 
 @dataclass
@@ -123,7 +124,7 @@ def build_name_model(corpus: list[str],
     similarity under any of PY/FC/WB/RDS."""
     names = [logograms(n) for n in corpus if n.strip()]
     if not names:
-        raise ValueError("name corpus is empty")
+        raise InputError("name corpus is empty")
     max_len = max(len(n) for n in names)
     length_counts = np.bincount([len(n) for n in names], minlength=max_len + 1)
 
@@ -402,6 +403,10 @@ def write_truth(path: str | Path, truth: np.ndarray) -> None:
 
 
 def read_truth(path: str | Path) -> np.ndarray:
-    """(n, 2) truth links from the id_a and id_b columns of a CSV file."""
+    """(n, 2) truth links from the id_a and id_b columns of a CSV file; a
+    file without links is an InputError, as no ranking can be scored."""
     table = CsvTable(path)
-    return np.array([table.column(c, int) for c in ("id_a", "id_b")], dtype=np.int64).T
+    links = np.array([table.column(c, int) for c in ("id_a", "id_b")], dtype=np.int64).T
+    if not len(links):
+        raise InputError(f"{path}: no truth links")
+    return links

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hanlink import cli
+from hanlink import experiment as exp
 from hanlink.cli import main
 
 
@@ -138,6 +140,24 @@ def test_simulate_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"name_error_rate": 7}))
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "x")]) == 2
+    assert "'name_error_rate' must be a number >= 0 and <= 1, not 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"nrecords": 9}, "unknown key 'nrecords'"),
+    ({"n_records": 9.5}, "'n_records' must be an integer >= 1, not 9.5"),
+    ({"field_error_rates": {"sex": -1}}, "'field_error_rates.sex' must be a number"),
+    ({"cardinalities": {"lco": 3}}, "unknown key 'lco'"),
+    ([60], "must hold a JSON object"),
+])
+def test_simulate_rejects_malformed_config(tmp_path, capsys, config, message):
+    """A simulation config key that is unknown, or a value of the wrong type
+    or out of range, is an input error naming the key."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_experiment_files_mode(tmp_path, name_model):
@@ -327,6 +347,8 @@ MALFORMED_CSV = {
               "line 3: 2 cells"),
     "train-label": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,BothHan,2\n",
                     "line 3, column 'label': bad cell '2'"),
+    "train-feature-nan": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\nnan,BothHan,0\n",
+                          "line 3, column 'J_LV_k1_1:N': bad cell 'nan'"),
     "train-category": ("J_LV_k1_1:N,han_category,label\n0.5,BothHan,1\n0.5,Foo,0\n",
                        "line 3, column 'han_category': bad cell 'Foo'"),
     "features-label": ("name_a,name_b,label\n伍考,伍考,1\n李华,李,2\n",
@@ -336,6 +358,13 @@ MALFORMED_CSV = {
     "evaluate-quoted-newline": ('score,label\n"0.9\n",1\n0.x,0\n',
                                 "line 4, column 'score': bad cell '0.x'"),
     "evaluate-label": ("score,label\n0.9,1\n0.1,2\n", "line 3, column 'label': bad cell '2'"),
+    "evaluate-nan": ("score,label\n0.9,1\nnan,0\n", "line 3, column 'score': bad cell 'nan'"),
+    "evaluate-inf": ("score,label\n0.9,1\ninf,0\n", "line 3, column 'score': bad cell 'inf'"),
+    "evaluate-above-one": ("score,label\n0.9,1\n1.5,0\n",
+                           "line 3, column 'score': bad cell '1.5'"),
+    "fitdist-nan": ("score,label\n0.9,1\nnan,0\n", "line 3, column 'score': bad cell 'nan'"),
+    "external-scores-above-one": ("name_a,name_b,score\na,b,1.5\n",
+                                  "line 2, column 'score': bad cell '1.5'"),
     "fitdist-scores": ("score,label\n0.9,1\n0.1\n", "line 3: 1 cells"),
     "fitdist-label": ("score,label\n0.9,1\n0.1,2\n", "line 3, column 'label': bad cell '2'"),
     "fitdist-pairs": ("name_a,name_b,label\n伍考,伍考,1\n李华,李\n", "line 3: 2 cells"),
@@ -361,7 +390,8 @@ def test_malformed_csv_input_exits_2(tmp_path, capsys, case):
     command = case.split("-")[0]
     if command == "external":
         cfg = small_experiment(tmp_path, methods=["exact", "posterior"],
-                               classifier=f"external-scores:{bad}")
+                               classifier=f"external-scores:{bad}",
+                               dist=str(tmp_path / "dist.json"))
         argv = ["experiment", "--config", str(cfg), "--out", out]
     elif command in ("truth", "records"):
         cfg = small_experiment(tmp_path, data={"truth" if command == "truth" else "file_a":
@@ -397,3 +427,72 @@ def test_experiment_method_option_replaces_methods(tmp_path, capsys):
     cfg.write_text(json.dumps({**study, "method": "exact"}))
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     assert "'methods'" in capsys.readouterr().err
+
+
+FILES = {"data": {"file_a": "a.csv", "file_b": "b.csv", "truth": "truth.csv"}}
+STUDY = {"seed": 3, "simulate": {"n_records": 60}}
+MALFORMED_CONFIG = {
+    "misspelt-key": ({**FILES, "candiate_floor": 0.5}, "unknown key 'candiate_floor'"),
+    "misspelt-floor": ({**FILES, "flor": 3}, "unknown key 'flor'"),
+    "misspelt-simulate-key": ({"simulate": {"nrecords": 9}}, "unknown key 'nrecords'"),
+    "simulate-seed": ({"simulate": {"seed": 4}}, "'simulate.seed'"),
+    "simulate-rate": ({"simulate": {"name_error_rate": 2}}, "'name_error_rate'"),
+    "no-replicates": ({**STUDY, "replicates": 0}, "'replicates' must be an integer >= 1"),
+    "files-no-methods": ({**FILES, "methods": []}, "'methods' must list"),
+    "study-no-methods": ({**STUDY, "methods": []}, "'methods' must list"),
+    "misspelt-method": ({**FILES, "methods": ["exact", "exakt"]}, "'exakt'"),
+    "repeated-method": ({**STUDY, "methods": ["exact", "exact"]}, "'methods' must list"),
+    "both-sections": ({**STUDY, **FILES}, "both a 'simulate' and a 'data' section"),
+    "negative-workers": ({**STUDY, "workers": -3}, "'workers' must be an integer >= 1"),
+    "study-q": ({**STUDY, "q": 1.5}, "'q' must be a number > 0 and <= 1"),
+    "files-floor": ({**FILES, "floor": "0.5"}, "'floor' must be a number"),
+    "files-train-classifier": ({**FILES, "methods": ["exact", "tau1"], "dist": "d.json",
+                                "classifier": "logistic:train"}, "'classifier'"),
+    "study-external-scores": ({**STUDY, "classifier": "external-scores:x.csv"},
+                              "'classifier'"),
+    "files-no-dist": ({**FILES, "methods": ["posterior"], "classifier": "single:J_LV_k1_1:N"},
+                      "'dist'"),
+    "dist-in-study": ({**STUDY, "dist": "d.json"}, "'dist' belongs to files mode"),
+    "workers-in-files": ({**FILES, "workers": 2}, "'workers' belongs to a study"),
+    "data-without-file_b": ({"data": {"file_a": "a.csv", "truth": "t.csv"}}, "'file_b'"),
+    "fields-without-name": ({**FILES, "fields": ["sex", "yob"]}, "must include 'name'"),
+    "train-key": ({**STUDY, "train": {"bin": 3}}, "unknown key 'bin'"),
+    "train-fraction": ({**STUDY, "train": {"dev_fraction": 1.5}}, "'train.dev_fraction'"),
+    "retired-method-key": ({**FILES, "method": "exact"}, "'methods'"),
+    "null-floor": ({**STUDY, "floor": None}, "'floor' is null"),
+    "null-file": ({"data": {**FILES["data"], "truth": None}}, "lacks 'truth'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIG))
+def test_malformed_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, case):
+    """A malformed experiment config is an input error naming the key, found
+    before assets load, a record file is read or a name model is built."""
+    def no_work(*args, **kwargs):
+        raise RuntimeError("work started")
+    for owner, name in ((cli, "load_bundle"), (cli, "read_records"),
+                        (exp, "build_name_model")):
+        monkeypatch.setattr(owner, name, no_work)
+    config, message = MALFORMED_CONFIG[case]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_study_rejects_malformed_config_before_name_model(monkeypatch):
+    """`run_study`, called as a library, checks its config first too."""
+    monkeypatch.setattr(exp, "build_name_model", None)
+    with pytest.raises(exp.InputError, match="'replicates'"):
+        exp.run_study({**STUDY, "replicates": 0})
+
+
+def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    """A ValueError from inside the pipeline is a bug, not bad input: exit 1."""
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+    monkeypatch.setattr(exp, "em_fit", broken)
+    cfg = small_experiment(tmp_path)
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert "failure: broken invariant" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.json").exists()

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,8 @@ from hanlink.compare import (
     intern_strings,
     levenshtein_sims,
 )
-from hanlink.encoding import IDENTITY_TABLE, EncodingKind, FrequencyTable, logograms, transform
+from hanlink.encoding import (IDENTITY_TABLE, EncodingKind, FrequencyTable, InputError,
+                              logograms, transform)
 from oracles import counter_cosine, dp_levenshtein
 
 
@@ -96,6 +98,22 @@ def test_default_bank_cardinality():
 def test_spec_name_roundtrip():
     for spec in default_feature_bank():
         assert FeatureSpec.from_name(spec.name) == spec
+
+
+@pytest.mark.parametrize("name,message", [
+    ("PY_FOO_k1_1:N", "unknown comparator 'FOO'"),
+    ("XX_LV_k1_1:N", "LV takes the encodings"),
+    ("PY_SUM_k1_1:N", "SUM takes the encodings ('AMB', 'LF')"),
+    ("PY_LV_k1_4:N", "the range must be one of"),
+    ("LF_SUM_k1_1:N", "the range must be one of ('1:1', '1:2', '2:N', '3:N')"),
+    ("PY_COS_k0_1:N", "k must be an integer >= 1"),
+    ("PY_COS_1:N", "malformed feature name"),
+])
+def test_spec_rejects_unknown_parts(name, message):
+    """A feature name the featurizer cannot compute is an input error when
+    it is read, not a failure inside `feature_matrix`."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        FeatureSpec.from_name(name)
 
 
 @settings(max_examples=300, deadline=None)

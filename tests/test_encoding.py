@@ -6,9 +6,11 @@ from hanlink.encoding import (
     EncodingKind,
     FrequencyTable,
     IDENTITY_TABLE,
+    InputError,
     ambiguity_count,
     han_indicator,
     load_encoding_table,
+    load_surnames,
     log_rel_frequency,
     transform,
 )
@@ -34,8 +36,21 @@ def test_load_table_duplicate_keeps_first(tmp_path):
 def test_load_table_empty_is_error(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         load_encoding_table(path, EncodingKind.PY)
+
+
+def test_asset_files_checked_on_load(tmp_path):
+    """A malformed frequency line or an empty surname list is an input
+    error naming the file, not a failure later in featurization."""
+    freq = tmp_path / "freq.tsv"
+    freq.write_text("1:1\t张\t-0.4\n1:1\t李\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"{freq}, line 2: expected range"):
+        FrequencyTable.load(freq)
+    surnames = tmp_path / "surnames.tsv"
+    surnames.write_text("# none\n", encoding="utf-8")
+    with pytest.raises(InputError, match="no surnames"):
+        load_surnames(surnames)
 
 
 def test_load_table_missing_file(tmp_path):

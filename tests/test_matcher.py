@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from hanlink import matcher
-from hanlink.compare import FeatureSpec, HanCategory
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec, HanCategory
+from hanlink.linkage import InputError
 from hanlink.matcher import (
     ConvergenceError,
     MatcherModel,
+    ScoreDistribution,
     TrainingError,
     backward_prune,
     fit_score_distributions,
@@ -291,7 +295,7 @@ def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
         for fit in (alone, together[k], apart[k]):
             _same_fit(fit, reference)
     monkeypatch.setattr(matcher, "FIT_BUDGET", 3 * n * p)  # chunks of 3
-    specs = tuple(FeatureSpec("LV", f"E{j}", 1, "1:N") for j in range(p - 1))
+    specs = tuple(FeatureSpec("COS", "J", j + 1, "1:N") for j in range(p - 1))
     trial = ([("main", j) for j in range(p - 1)], specs, np.arange(p - 1), "")
     dev = _data(D[0, :, 1:], y)
     chunked = matcher._scored_fits(lambda lo, hi: D[lo:hi], [trial] * K, y, dev,
@@ -336,7 +340,7 @@ def selection_problems(draw):
         else:
             cols.append(y + rng.normal(scale=rng.uniform(0.3, 2.0), size=2 * n))
     X = np.column_stack(cols)
-    specs = tuple(FeatureSpec("LV", f"E{j}", 1, "1:N") for j in range(len(kinds)))
+    specs = tuple(FeatureSpec("COS", "J", j + 1, "1:N") for j in range(len(kinds)))
     budget = draw(st.integers(1, 8)) * n * 2  # first-step chunks of 1 to 8
     return (X[:n], cats[:n], y[:n]), (X[n:], cats[n:], y[n:]), specs, budget, \
         draw(st.booleans())
@@ -498,6 +502,11 @@ def test_fit_distributions_identical_classes():
     assert dist.ratio[occupied] == pytest.approx(np.ones(occupied.sum()), abs=0.15)
 
 
+def test_fit_distributions_needs_a_bin():
+    with pytest.raises(InputError, match="bins must be an integer >= 1, not 0"):
+        fit_score_distributions(np.array([0.9, 0.1]), np.array([1, 0]), bins=0)
+
+
 def test_fit_distributions_single_class_error():
     with pytest.raises(ValueError):
         fit_score_distributions(np.array([0.5, 0.6]), np.array([1, 1]))
@@ -522,3 +531,63 @@ def test_distribution_tails_monotone_and_roundtrip(tmp_path):
     loaded = type(dist).load(path)
     assert loaded.ratio == pytest.approx(dist.ratio)
     assert loaded.tail_m == pytest.approx(dist.tail_m)
+
+
+def _cut(key, size):
+    return lambda d: d.update({key: d[key][:size]})
+
+
+def _set(key, index, value):
+    return lambda d: d[key].__setitem__(index, value)
+
+
+@pytest.mark.parametrize("change,message", [
+    (_cut("tail_m", 5000), "tail_m has shape (5000,), expected (10000,)"),
+    (_cut("tail_u", 5000), "tail_u has shape (5000,), expected (10000,)"),
+    (_cut("counts_m", 199), "counts_m has shape (199,), expected (200,)"),
+    (_cut("bin_edges", 200), "bin_edges has shape (200,), expected (201,)"),
+    (_cut("ratio", 0), "the number of ratio bins must be an integer >= 1, not 0"),
+    (_set("tail_u", 3, 1.5), "tail probabilities must lie in [0, 1]"),
+    (_set("tail_m", 3, float("nan")), "tail probabilities must lie in [0, 1]"),
+    (_set("ratio", 0, float("nan")), "score distribution ratio must be finite and non-negative"),
+    (_set("ratio", 0, -1.0), "score distribution ratio must be finite and non-negative"),
+    (_set("ratio", -1, 0.0), "score distribution ratio is not monotone"),
+    (lambda d: d.pop("ratio"), "missing key 'ratio'"),
+    (lambda d: d.update(grid_size="10000"), "grid_size must be an integer >= 2"),
+])
+def test_distribution_file_checked_on_load(tmp_path, change, message):
+    """A distribution file whose arrays disagree in length, whose tails
+    leave [0, 1] or whose ratio is not finite, non-negative and monotone is
+    an input error naming the file, not a grid indexed out of step."""
+    rng = np.random.default_rng(13)
+    dist = fit_score_distributions(np.concatenate([rng.beta(6, 2, 300), rng.beta(2, 6, 700)]),
+                                   np.array([1] * 300 + [0] * 700))
+    d = dist.to_dict()
+    change(d)
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        ScoreDistribution.load(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "Expecting property name"),
+    ("[]", "expected a JSON object"),
+    ('{"kind": "forest", "specs": []}', "unknown model kind 'forest'"),
+    ('{"kind": "single", "specs": [{"comparator": "LV"}]}', "missing key 'encoding'"),
+    (None, "BothHan holds 1 slopes for 2 features"),
+])
+def test_model_file_checked_on_load(tmp_path, text, message):
+    """A model file that is not JSON, lacks a key or holds a slope count
+    other than one per feature is an input error naming the file."""
+    path = tmp_path / "model.json"
+    if text is None:
+        model = MatcherModel(kind="logistic", specs=(SPEC_A, SPEC_B),
+                             intercepts=dict.fromkeys(HAN_CATEGORIES, 0.0),
+                             coefs={c: np.ones(2) for c in HAN_CATEGORIES})
+        d = model.to_dict()
+        d["coefficients"]["BothHan"]["slopes"].pop()
+        text = json.dumps(d)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        MatcherModel.load(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 from hanlink.compare import levenshtein_sims
 from hanlink.encoding import EncodingKind, logograms
+from hanlink.linkage import InputError
 from hanlink.simgen import (
+    DEFAULT_CARDINALITIES,
     DEFAULT_ERROR_TYPES,
+    DEFAULT_FIELD_ERROR_RATES,
     STOP,
     SimConfig,
     build_name_model,
@@ -31,6 +36,32 @@ def test_config_validation():
     cfg = SimConfig.from_dict({"error_type_probs": {**DEFAULT_ERROR_TYPES,
                                                     "complex": 0.5}})
     assert sum(cfg.error_type_probs.values()) == pytest.approx(1.0)
+
+
+def test_config_partial_maps_take_defaults():
+    """A rate, error-type or cardinality map naming some keys keeps the
+    defaults of the rest, whether read from a dict or constructed."""
+    for cfg in (SimConfig.from_dict({"field_error_rates": {"sex": 0.5}, "fields": ["sex", "yob"]}),
+                SimConfig(field_error_rates={"sex": 0.5}, fields=["sex", "yob"])):
+        assert cfg.field_error_rates == {**DEFAULT_FIELD_ERROR_RATES, "sex": 0.5}
+        assert cfg.fields == ("sex", "yob")
+        assert cfg.cardinalities == DEFAULT_CARDINALITIES
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"n_records": 0}, "'n_records' must be an integer >= 1, not 0"),
+    ({"n_records": True}, "'n_records' must be an integer >= 1, not True"),
+    ({"seed": -1}, "'seed' must be an integer >= 0"),
+    ({"fields": "sex"}, "'fields' must list fields"),
+    ({"error_type_probs": {"complex": -0.1}}, "'error_type_probs.complex' must be a number >= 0"),
+    ({"error_type_probs": dict.fromkeys(DEFAULT_ERROR_TYPES, 0)}, "positive mass"),
+    ({"cardinalities": {"loc": 2.5}}, "'cardinalities.loc' must be an integer >= 1"),
+    ({"cardinalities": [3]}, "'cardinalities' must be a JSON object"),
+    ({"field_error_rates": {"name": 0.1}}, "unknown key 'name'"),
+])
+def test_config_rejects_bad_values(config, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        SimConfig.from_dict(config)
 
 
 def test_build_model_requires_corpus(bundle):
