@@ -40,25 +40,15 @@ from .matcher import (
 from .metrics import GroupedRanking, auroc, eauroc, log_loss
 from .simgen import SimConfig, build_name_model, generate_pair_files, read_truth, write_truth
 from . import experiment as exp
-from .linkage import CsvTable, InputError, read_records, write_records
+from .linkage import (CsvTable, InputError, checked_number, read_records, score_cell,
+                      write_records)
 
 _label = ("0", "1").index  # a label cell -> 0 or 1
 
 
 def _finite(cell: str) -> float:
     """A feature cell as a float; NaN and infinities are rejected."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(cell)
-    return value
-
-
-def _score(cell: str) -> float:
-    """A score cell as a float in [0, 1]; NaN and infinities are rejected."""
-    value = float(cell)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(cell)
-    return value
+    return checked_number("a feature", float(cell), -math.inf)
 
 
 def _sha256(path: Path) -> str:
@@ -136,12 +126,15 @@ def _read_feature_csv(path: str):
 
 
 def cmd_train(args) -> int:
+    penalty = checked_number("--penalty", args.penalty, 0)
+    fraction = checked_number("--dev-fraction", args.dev_fraction, 0, 1)
+    seed = checked_number("--seed", args.seed, 0, integer=True)
     X, cats, y, specs = _read_feature_csv(args.input)
     if len(np.unique(y)) < 2:
         raise InputError("training data must contain both labels")
-    train, dev = split_dev(np.random.Generator(np.random.PCG64(args.seed)), X, cats, y,
-                           args.dev_fraction, "--dev-fraction")
-    model = train_matcher(train, dev, specs, penalty=args.penalty)
+    train, dev = split_dev(np.random.Generator(np.random.PCG64(seed)), X, cats, y,
+                           fraction, "--dev-fraction")
+    model = train_matcher(train, dev, specs, penalty=penalty)
     out = Path(args.out)
     model.save(out)
     print(f"trained logistic matcher on {len(train[2])} pairs "
@@ -152,7 +145,7 @@ def cmd_train(args) -> int:
 def cmd_fitdist(args) -> int:
     table = CsvTable(args.input)
     if "score" in table.header:
-        scores = np.array(table.column("score", _score))
+        scores = np.array(table.column("score", score_cell))
     else:
         pairs = list(zip(table.column("name_a"), table.column("name_b")))
         if not args.model:
@@ -188,19 +181,13 @@ def cmd_simulate(args) -> int:
 
 def _experiment_files(config: dict, args, bundle) -> dict:
     settings = exp.read_settings(config)
+    scorer = dist = None
+    if any(m != "exact" for m in settings.methods):  # classifier and dist files before records
+        scorer = exp.name_scorer(settings.classifier, bundle)
+        dist = ScoreDistribution.load(settings.dist)
     data = settings.data
     dataset = exp.LinkageDataset(read_records(data["file_a"]), read_records(data["file_b"]),
                                  read_truth(data["truth"]), settings.fields)
-    scorer = dist = None
-    if any(m != "exact" for m in settings.methods):
-        kind, _, path = settings.classifier.partition(":")
-        if kind == "external-scores":
-            table = CsvTable(path)
-            pairs = zip(table.column("name_a"), table.column("name_b"))
-            scorer = exp.ExternalScorer(dict(zip(pairs, table.column("score", _score))))
-        else:
-            scorer = exp.NamePairScorer(MatcherModel.from_selector(settings.classifier), bundle)
-        dist = ScoreDistribution.load(settings.dist)
     reports = exp.run_methods(dataset, settings.methods, scorer=scorer, dist=dist,
                               floor=settings.floor, candidate_floor=settings.candidate_floor,
                               q=settings.q)
@@ -214,13 +201,15 @@ def cmd_experiment(args) -> int:
         if value is not None:
             config[key] = value
     settings = exp.read_settings(config)
+    workers = (settings.workers if args.workers is None
+               else checked_number("--workers", args.workers, 1, integer=True))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = load_bundle(args.assets or settings.assets_dir)
     written: list[Path] = []
     try:
         if settings.study:
-            report = exp.run_study(config, bundle, workers=args.workers or settings.workers)
+            report = exp.run_study(config, bundle, workers=workers)
             if report.get("model"):
                 _write_json(out_dir / "model.json", report["model"])
                 written.append(out_dir / "model.json")
@@ -246,7 +235,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     table = CsvTable(args.input)
-    scores = np.array(table.column("score", _score))
+    scores = np.array(table.column("score", score_cell))
     labels = np.array(table.column("label", _label))
     try:
         ranking = GroupedRanking.from_pairs(scores, labels)

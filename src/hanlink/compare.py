@@ -217,8 +217,11 @@ HAN_CATEGORIES = (HanCategory.NEITHER, HanCategory.BOTH, HanCategory.DISAGREE)
 
 STRING_ENCODINGS = (EncodingKind.J, EncodingKind.PY, EncodingKind.FC,
                     EncodingKind.WB, EncodingKind.RD, EncodingKind.RDS)
+# The comparators whose values lie in [0, 1]: similarities, not SUM's log
+# frequencies and ambiguity counts or CAT's category codes
+BOUNDED_COMPARATORS = ("LV", "LCS", "COS")
 # The encodings each comparator takes
-_ENCODINGS_OF = {**dict.fromkeys(("LV", "LCS", "COS"), tuple(e.value for e in STRING_ENCODINGS)),
+_ENCODINGS_OF = {**dict.fromkeys(BOUNDED_COMPARATORS, tuple(e.value for e in STRING_ENCODINGS)),
                  "SUM": ("AMB", "LF"), "CAT": ("HAN",)}
 
 

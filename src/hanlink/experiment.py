@@ -15,8 +15,9 @@ achievable posterior reaches `candidate_floor` (default 0.01); rows below
 it cannot contribute recoverable matches and keep their prior zeta.
 
 An experiment config is read in one place, `read_settings`, whose
-docstring lists each mode's keys and defaults; `run_study` and the
-command line call it before any file is read or model built.
+docstring lists each mode's keys and defaults and the classifier selectors;
+`run_study` and the command line call it before any file is read or model
+built, and `name_scorer` builds the scorer a selector names.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import AssetBundle, load_bundle
-from .compare import NamePairs, PairFeaturizer, intern_strings
+from .compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from .fuse import (
     apply_threshold,
     check_coverage,
@@ -40,6 +41,7 @@ from .linkage import (
     LINK_FIELDS,
     NA,
     RECORD_FIELDS,
+    CsvTable,
     InputError,
     PatternTable,
     check_keys,
@@ -50,6 +52,7 @@ from .linkage import (
     join_pairs,
     pair_gamma_codes,
     pattern_counts,
+    score_cell,
     zeta,
 )
 from .matcher import (
@@ -86,8 +89,6 @@ _COMMON_KEYS = ("seed", "methods", "fields", "classifier", "floor", "candidate_f
 _MODE_KEYS = {"files mode": ("data", "dist"),
               "a study": ("simulate", "replicates", "workers", "train")}
 _DATA_KEYS = ("file_a", "file_b", "truth")
-_SELECTORS = {"files mode": "single:<feature>, logistic:<model JSON> or external-scores:<CSV>",
-              "a study": "single:<feature>, logistic:<model JSON> or logistic:train"}
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ def read_settings(config: dict) -> Settings:
       data             file_a, file_b, truth: the record and truth CSV paths
       methods          ["exact"]; distinct names from DEFAULT_METHODS
       fields           LINK_FIELDS; distinct RECORD_FIELDS, 'name' among them
-      classifier       none; single:<feature>, logistic:<model JSON> or
-                       external-scores:<CSV>, required by a non-exact method
+      classifier       none; a selector (below), required by a non-exact method
       dist             none; a score distribution JSON, required by a
                        non-exact method
       seed             none (recorded in the manifest only)
@@ -130,7 +130,7 @@ def read_settings(config: dict) -> Settings:
       simulate         SimConfig keys but seed, each defaulting as SimConfig does
       methods          DEFAULT_METHODS
       fields           'name' and the simulated fields
-      classifier       "logistic:train"; or single:<feature>, logistic:<model JSON>
+      classifier       "logistic:train"; or a fixed selector (below)
       train            TRAIN_DEFAULTS, keys given override
       seed             0
       replicates       1
@@ -140,6 +140,15 @@ def read_settings(config: dict) -> Settings:
       candidate_floor  DEFAULT_CANDIDATE_FLOOR, in [0, 1]
       q                the ranking's default q; in (0, 1]
       assets_dir       the default asset directory (the command line's --assets wins)
+
+    Classifier selectors, each scoring a name pair in [0, 1]:
+      single:<feature>          the feature's value, a feature name such as
+                                PY_LV_k1_1:N whose comparator is bounded
+                                (LV, LCS or COS; not SUM or CAT)
+      logistic:<model JSON>     a saved matcher (`hanlink train`)
+      logistic:train            a study only: a matcher trained on its dev simulation
+      external-scores:<CSV>     files mode only: a name_a,name_b,score table
+                                listing each scored pair once
     """
     study = "simulate" in config
     if study and "data" in config:
@@ -197,11 +206,7 @@ def read_settings(config: dict) -> Settings:
     classifier = _text("classifier", config.get("classifier",
                                                 "logistic:train" if study else None))
     if classifier is not None:
-        kind, _, arg = classifier.partition(":")
-        if (kind not in ("single", "logistic") + (() if study else ("external-scores",))
-                or not arg or classifier == "logistic:train" and not study):
-            raise InputError(f"config key 'classifier': {mode} takes {_SELECTORS[mode]}, "
-                             f"not {classifier!r}")
+        read_selector(classifier, study)
     dist = _text("dist", config.get("dist"))
     if not study and any(m != "exact" for m in methods):
         if classifier is None:
@@ -236,6 +241,41 @@ def _distinct(key: str, value, allowed: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(value)
 
 
+def read_selector(selector: str, study: bool) -> tuple[str, object]:
+    """A classifier selector of `read_settings`' grammar as (kind, argument),
+    checked without reading a file: ("single", its MatcherModel), ("logistic",
+    a model JSON path), ("train", None) or ("external-scores", a CSV path).
+    A selector the mode does not take is an InputError naming the key."""
+    kind, _, arg = selector.partition(":")
+    if selector == "logistic:train":
+        kind = "train"
+    elif kind == "train" or not arg:
+        kind = None
+    if kind not in ("single", "logistic", "train" if study else "external-scores"):
+        raise InputError(f"config key 'classifier': {'a study' if study else 'files mode'} "
+                         "takes single:<feature>, logistic:<model JSON> or "
+                         f"{'logistic:train' if study else 'external-scores:<CSV>'}, "
+                         f"not {selector!r}")
+    if kind == "single":
+        try:
+            return kind, MatcherModel.single_feature(FeatureSpec.from_name(arg))
+        except InputError as exc:
+            raise InputError(f"config key 'classifier': {exc}") from None
+    return kind, None if kind == "train" else arg
+
+
+def name_scorer(selector: str, bundle: AssetBundle, study: bool = False):
+    """The scorer a classifier selector names: a NamePairScorer of its matcher
+    or an ExternalScorer of its table; None for logistic:train, whose matcher
+    a study trains."""
+    kind, arg = read_selector(selector, study)
+    if kind == "train":
+        return None
+    if kind == "external-scores":
+        return ExternalScorer(arg)
+    return NamePairScorer(arg if kind == "single" else MatcherModel.load(arg), bundle)
+
+
 class NamePairScorer:
     """Classifier scores for name pairs. The featurizer works on name ids,
     running each comparator once per distinct pair of encoded substrings,
@@ -252,24 +292,39 @@ class NamePairScorer:
 
 
 class ExternalScorer:
-    """Name-pair scores taken from a precomputed table (any score source).
-    Every score must lie in [0, 1]."""
+    """Name-pair scores read from a name_a,name_b,score CSV, any score
+    source's. The table is keyed by interned name ids, so scoring looks up
+    each distinct name once and each pair by a search over the sorted pair
+    codes. A score cell outside [0, 1], a pair listed twice and a scored
+    pair the table lacks are each an InputError."""
 
-    def __init__(self, table: dict[tuple[str, str], float]):
-        for pair, value in table.items():
-            if not 0.0 <= value <= 1.0:
-                raise InputError(f"external score {value!r} for pair {pair!r} "
-                                 "is outside [0, 1]")
-        self.table = table
+    def __init__(self, path):
+        self.path = path
+        table = CsvTable(path)
+        names, (ia, ib) = intern_strings(table.column("name_a"), table.column("name_b"))
+        values = np.array(table.column("score", score_cell), dtype=float)
+        self.ids = dict(zip(names, range(len(names))))
+        codes = ia * len(names) + ib
+        order = np.argsort(codes, kind="stable")
+        self.codes, self.values = codes[order], values[order]
+        if len(repeated := np.nonzero(np.diff(self.codes) == 0)[0]):
+            k = int(order[repeated + 1].min())  # the first row that repeats an earlier one
+            raise InputError(f"{path}, line {table.line(k)}: the pair "
+                             f"{(names[ia[k]], names[ib[k]])!r} is listed twice")
 
-    def scores(self, pairs: list[tuple[str, str]]) -> np.ndarray:
-        out = np.empty(len(pairs))
-        for i, pair in enumerate(pairs):
-            value = self.table.get(pair)
-            if value is None:
-                raise InputError(f"external score table is missing pair {pair!r}")
-            out[i] = value
-        return out
+    def scores(self, pairs) -> np.ndarray:
+        """Scores of a `NamePairs` or a sequence of (name_a, name_b) tuples."""
+        pairs = NamePairs.of(pairs)
+        ids = np.array([self.ids.get(name, -1) for name in pairs.names], dtype=np.int64)
+        a, b = ids[pairs.ia], ids[pairs.ib]
+        codes = a * len(self.ids) + b
+        at = np.searchsorted(self.codes, codes)
+        found = (a >= 0) & (b >= 0) & (at < len(self.codes))
+        found[found] = self.codes[at[found]] == codes[found]
+        if not found.all():
+            raise InputError(f"external score table {self.path} is missing the pair "
+                             f"{pairs[int(np.argmin(found))]!r}")
+        return self.values[at]
 
 
 class LinkageDataset:
@@ -389,6 +444,8 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     names, (ids_a, ids_b) = intern_strings(dataset.names_a, dataset.names_b)
     name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])
     pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
+    if not np.all((pair_scores >= 0.0) & (pair_scores <= 1.0)):
+        raise ValueError("name scores must lie in [0, 1] (the scorer broke its contract)")
 
     for method in fusion:
         if method == "posterior":
@@ -438,6 +495,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     """Train (or instantiate) the name classifier and fit the empirical
     score distribution on a development simulation; `train_opts` overrides
     some of TRAIN_DEFAULTS."""
+    scorer = name_scorer(classifier, bundle, study=True)
     opts = {**TRAIN_DEFAULTS, **(train_opts or {})}
     seeds = np.random.SeedSequence(seed).spawn(3)
     dev_cfg = SimConfig.from_dict({**sim_params, "seed": _seed_of(seeds[0])})
@@ -447,7 +505,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     ta, tb = sim.truth[:, 0], sim.truth[:, 1]
 
     info: dict = {"dev_sim_records": dev_cfg.n_records}
-    if classifier == "logistic:train":
+    if scorer is None:
         pos = ids_a[ta] != ids_b[tb]  # matches whose names differ
         n_neg = int(opts["n_nonmatch_name_pairs"])
         neg_i = rng.integers(sim.truth.shape[0], size=n_neg)
@@ -465,10 +523,8 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
         info["n_train_pairs"] = len(train[2])
         info["n_dev_pairs"] = len(dev[2])
         info["n_selected_features"] = len(model.specs)
-    else:
-        model = MatcherModel.from_selector(classifier)
+        scorer = NamePairScorer(model, bundle)
 
-    scorer = NamePairScorer(model, bundle)
     n_u = int(opts["n_nonmatch_score_pairs"])
     u_i = rng.integers(len(ids_a), size=n_u)
     u_j = rng.integers(len(ids_b), size=n_u)
@@ -481,7 +537,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     dist = fit_score_distributions(scores, labels, bins=int(opts["bins"]))
     info["n_dist_match"] = len(ta)
     info["n_dist_nonmatch"] = int(ok.sum())
-    return model, dist, info
+    return scorer.model, dist, info
 
 
 def run_replicate(bundle: AssetBundle, name_model, sim_params: dict, rep_seed: int,

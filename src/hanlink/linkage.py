@@ -70,16 +70,20 @@ class CsvTable:
             raise InputError(f"{path}: header names a column twice")
         if set(map(len, rows)) - {width}:
             k = next(k for k, row in enumerate(rows) if len(row) != width)
-            raise InputError(f"{path}, line {self._read(k + 2)[1]}: {len(rows[k])} cells, "
+            raise InputError(f"{path}, line {self.line(k)}: {len(rows[k])} cells, "
                              f"expected {width}")
         self._rows = rows
 
     def _read(self, count: int | None = None) -> tuple[list[tuple[str, ...]], int]:
         """The first `count` records (all by default) and the line on which
-        the last ends; body row k ends the first k + 2 records."""
+        the last ends."""
         with Path(self.path).open("r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             return list(itertools.islice(map(tuple, reader), count)), reader.line_num
+
+    def line(self, k: int) -> int:
+        """The line on which body row k ends, the end of the first k + 2 records."""
+        return self._read(k + 2)[1]
 
     def column(self, name: str, parse=None) -> list:
         """The cells of column `name`, as read or mapped through `parse`; a
@@ -95,9 +99,14 @@ class CsvTable:
             values.extend(map(parse, cells))
         except ValueError:  # extend keeps the values parsed before the rejected cell
             k = len(values)
-            raise InputError(f"{self.path}, line {self._read(k + 2)[1]}, column '{name}': "
+            raise InputError(f"{self.path}, line {self.line(k)}, column '{name}': "
                              f"bad cell {cells[k]!r}") from None
         return values
+
+
+def score_cell(cell: str) -> float:
+    """A score cell as a float in [0, 1]; NaN and infinities are rejected."""
+    return checked_number("a score", float(cell), 0, 1)
 
 
 def read_records(path: str | Path) -> dict[str, list[str]]:

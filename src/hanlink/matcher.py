@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import FeatureSpec, HAN_CATEGORIES, HanCategory
+from .compare import BOUNDED_COMPARATORS, FeatureSpec, HAN_CATEGORIES, HanCategory
 from .linkage import InputError, checked_number
 from .metrics import GroupedRanking, auroc, eauroc
 
-MIN_IMPROVE = 1e-5
+TOL = 1e-8           # IRLS stops once a step lowers the objective by less, relatively
+MAX_ITER = 200       # IRLS iterations before a ConvergenceError
+MIN_IMPROVE = 1e-5   # selection stops once a step gains less dev AUROC and EAUROC
 GRID_SIZE = 10_000
-MAX_ITER = 200
 PENALTY = 1e-6       # ridge penalty of the logistic matcher's slopes
 DEV_FRACTION = 0.4   # share of labeled pairs held out for feature selection
 BINS = 200           # score bins of the density-ratio estimate
@@ -36,7 +37,7 @@ class TrainingError(RuntimeError):
 
 
 class ConvergenceError(TrainingError):
-    """Raised when IRLS hits max_iter; carries the last iterate."""
+    """Raised when IRLS hits MAX_ITER; carries the last iterate."""
 
     def __init__(self, message: str, model: "MatcherModel"):
         super().__init__(message)
@@ -51,19 +52,18 @@ class MatcherModel:
     coefs: dict[HanCategory, np.ndarray] = field(default_factory=dict)
     trainer: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """A single-feature model scores a pair by its one feature's value,
+        which must lie in [0, 1]: an InputError unless the comparator is bounded."""
+        if self.kind == "single" and (len(self.specs) != 1
+                                      or self.specs[0].comparator not in BOUNDED_COMPARATORS):
+            raise InputError(f"a single-feature matcher takes one feature compared by "
+                             f"{' / '.join(BOUNDED_COMPARATORS)}, whose values lie in "
+                             f"[0, 1], not {[s.name for s in self.specs]}")
+
     @classmethod
     def single_feature(cls, spec: FeatureSpec) -> "MatcherModel":
         return cls(kind="single", specs=(spec,))
-
-    @classmethod
-    def from_selector(cls, selector: str) -> "MatcherModel":
-        """The matcher named by a classifier selector: `single:<feature name>`
-        or `logistic:<model JSON path>`."""
-        if selector.startswith("single:"):
-            return cls.single_feature(FeatureSpec.from_name(selector.split(":", 1)[1]))
-        if selector.startswith("logistic:"):
-            return cls.load(selector.split(":", 1)[1])
-        raise InputError(f"unknown classifier selector {selector!r}")
 
     def predict_matrix(self, X: np.ndarray, cats: np.ndarray) -> np.ndarray:
         """Scores of feature rows X (one column per spec) with Han-category
@@ -183,11 +183,11 @@ def _solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(H, g, rcond=None)[0]
 
 
-def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
-                max_iter: int) -> list[tuple]:
+def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
     """Damped-Newton (IRLS) fits of the stacked designs D (K, n, p), column 0
-    the unpenalized intercept: per fit (beta, iterations, converged,
-    objective trace, error or None). Every stacked product makes, per slice,
+    the unpenalized intercept, to TOL within MAX_ITER iterations: per fit
+    (beta, iterations, converged, objective trace, error or None). Every
+    stacked product makes, per slice,
     a lone 2-D fit's BLAS call, so a fit is bitwise the same in any stack.
     A fit leaves the active set once it converges or its objective rises."""
     if len(np.unique(y)) < 2:
@@ -200,7 +200,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
     objective = _penalized_nll(beta, D, y, penalty)
     traces, errors = [[v] for v in objective.tolist()], [None] * K
     live = np.arange(K)  # positions of the fits still iterating
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not len(live):
             break
         b, obj = beta[live], objective[live]
@@ -225,7 +225,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
                 break
             scale *= 0.5
         rose = new_obj > obj + 1e-9 * (1.0 + np.abs(obj))
-        done = rose | (obj - new_obj < tol * (np.abs(new_obj) + 1.0))
+        done = rose | (obj - new_obj < TOL * (np.abs(new_obj) + 1.0))
         beta[live], objective[live], iterations[live] = new_b, new_obj, it
         converged[live] = done & ~rose
         for k, o, r in zip(live.tolist(), new_obj.tolist(), rose.tolist()):
@@ -239,7 +239,6 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float, tol: float,
 
 
 def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = PENALTY,
-                   tol: float = 1e-8, max_iter: int = MAX_ITER,
                    interactions: bool = False) -> MatcherModel:
     """Fit the ridge-penalized logistic matcher over `specs`; with
     interactions=True each feature gets per-Han-category offsets (plus
@@ -251,12 +250,12 @@ def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = PENALT
     if interactions:
         terms += [("catdum", c) for c in (1, 2)]
         terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
-    fit, = _fit_design(_build_design(X, cats, terms)[None], y, penalty, tol, max_iter)
-    return _fitted_model(fit, terms, specs, penalty, tol, max_iter)
+    fit, = _fit_design(_build_design(X, cats, terms)[None], y, penalty)
+    return _fitted_model(fit, terms, specs, penalty)
 
 
 def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...],
-                  penalty: float, tol: float, max_iter: int, label: str = "") -> MatcherModel:
+                  penalty: float, label: str = "") -> MatcherModel:
     """The matcher of one `_fit_design` fit, each category's intercept and
     slopes summing its terms, or the fit's error naming `label`."""
     beta, iterations, converged, _, error = fit
@@ -273,10 +272,10 @@ def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...]
         elif term[0] == "inter":
             coefs[HAN_CATEGORIES[term[2]]][term[1]] += value
     model = MatcherModel(kind="logistic", specs=specs, intercepts=intercepts, coefs=coefs,
-                         trainer={"iterations": iterations, "penalty": penalty, "tol": tol,
+                         trainer={"iterations": iterations, "penalty": penalty, "tol": TOL,
                                   "converged": converged, "terms": [list(t) for t in terms]})
     if not converged:
-        raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations{label}",
+        raise ConvergenceError(f"IRLS did not converge in {MAX_ITER} iterations{label}",
                                model)
     return model
 
@@ -287,26 +286,24 @@ def _dev_metrics(model: MatcherModel, dev_X, dev_cats, dev_y, col_idx) -> tuple[
     return auroc(ranking), eauroc(ranking)
 
 
-def _scored_fits(design, trials: list[tuple], y, dev, penalty: float, tol: float):
+def _scored_fits(design, trials: list[tuple], y, dev, penalty: float):
     """(model, dev AUROC, dev EAUROC) of each trial (terms, specs, dev
     columns, label) in order. design(lo, hi) stacks trials lo..hi-1 as one
     IRLS of at most FIT_BUDGET elements; a failed fit raises naming its label."""
     size = max(1, FIT_BUDGET // (len(y) * (len(trials[0][0]) + 1)))
     for lo in range(0, len(trials), size):
-        fits = _fit_design(design(lo, min(lo + size, len(trials))), y, penalty, tol,
-                           MAX_ITER)
+        fits = _fit_design(design(lo, min(lo + size, len(trials))), y, penalty)
         for fit, (terms, specs, cols, label) in zip(fits, trials[lo:]):
-            model = _fitted_model(fit, terms, specs, penalty, tol, MAX_ITER, label)
+            model = _fitted_model(fit, terms, specs, penalty, label)
             yield (model,) + _dev_metrics(model, *dev, cols)
 
 
 def forward_select(candidates: list[FeatureSpec], train, dev,
                    bank: tuple[FeatureSpec, ...],
-                   penalty: float = PENALTY, tol: float = 1e-8,
-                   min_improve: float = MIN_IMPROVE) -> list[FeatureSpec]:
+                   penalty: float = PENALTY) -> list[FeatureSpec]:
     """Greedy forward selection maximizing dev AUROC (ties: EAUROC, then
     candidate order); stops once the best addition improves both metrics
-    by less than `min_improve`.
+    by less than MIN_IMPROVE.
 
     A step fits all remaining candidates (the selected features plus one)
     as stacked IRLS chunks, each fit bitwise `train_logistic`'s. The first
@@ -329,14 +326,14 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
         scored = _scored_fits(
             lambda lo, hi: np.concatenate(
                 [np.broadcast_to(base, (hi - lo,) + base.shape), added[lo:hi]], axis=2),
-            trials, y, dev, penalty, tol)
+            trials, y, dev, penalty)
         best = None  # (auroc, eauroc, -position) strictly improving comparisons
         for pos, (_, a, e) in enumerate(scored):
             key = (a, e, -pos)
             if best is None or key > best[0]:
                 best = (key, pos, a, e)
         _, pos, a, e = best
-        if a - cur_auroc < min_improve and e - cur_eauroc < min_improve:
+        if a - cur_auroc < MIN_IMPROVE and e - cur_eauroc < MIN_IMPROVE:
             break
         selected.append(remaining.pop(pos))
         cur_auroc, cur_eauroc = a, e
@@ -344,12 +341,11 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
 
 
 def backward_prune(model: MatcherModel, dev, train,
-                   penalty: float = PENALTY, tol: float = 1e-8,
-                   min_improve: float = MIN_IMPROVE) -> MatcherModel:
+                   penalty: float = PENALTY) -> MatcherModel:
     """Drop design terms (mains and interactions) one at a time, always the
     one whose removal least harms dev metrics, refitting after each drop;
     stops before any drop that worsens dev AUROC or EAUROC by more than
-    `min_improve`.
+    MIN_IMPROVE.
 
     A round fits the droppable terms' reduced designs as `forward_select`
     fits a step; errors name the term.
@@ -371,14 +367,14 @@ def backward_prune(model: MatcherModel, dev, train,
                    f" (dropping term {list(t)} of {specs[t[1]].name})") for t in droppable]
         scored = _scored_fits(
             lambda lo, hi: np.stack([np.delete(full, c, axis=1) for c in drop[lo:hi]]),
-            trials, y, dev, penalty, tol)
+            trials, y, dev, penalty)
         best = None
         for t, (trial, a, e) in zip(droppable, scored):
             key = (min(a - cur_a, e - cur_e), a, e)
             if best is None or key > best[0]:
                 best = (key, t, trial, a, e)
         _, term, trial, a, e = best
-        if cur_a - a > min_improve or cur_e - e > min_improve:
+        if cur_a - a > MIN_IMPROVE or cur_e - e > MIN_IMPROVE:
             break
         terms = [u for u in terms if u != term]
         current, cur_a, cur_e = trial, a, e
@@ -399,26 +395,20 @@ def split_dev(rng: np.random.Generator, X, cats, y, fraction: float, option: str
 
 
 def train_matcher(train, dev, bank: tuple[FeatureSpec, ...],
-                  candidates: list[FeatureSpec] | None = None,
-                  penalty: float = PENALTY, tol: float = 1e-8,
-                  min_improve: float = MIN_IMPROVE) -> MatcherModel:
-    """The full two-step trainer: forward selection of single features,
-    then a Han-category interaction model pruned backward."""
-    if candidates is None:
-        candidates = [s for s in bank if s.comparator != "CAT"]
-    selected = forward_select(candidates, train, dev, bank, penalty=penalty,
-                              tol=tol, min_improve=min_improve)
+                  penalty: float = PENALTY) -> MatcherModel:
+    """The full two-step trainer: forward selection of the bank's single
+    features but CAT, then a Han-category interaction model pruned backward."""
+    candidates = [s for s in bank if s.comparator != "CAT"]
+    selected = forward_select(candidates, train, dev, bank, penalty=penalty)
     if not selected:
         selected = [candidates[0]]
     X, cats, y = _as_matrices(train)
     dev_X, dev_cats, dev_y = _as_matrices(dev)
     cols = np.array([bank.index(s) for s in selected])
     full = train_logistic((X[:, cols], cats, y), tuple(selected), penalty=penalty,
-                          tol=tol, interactions=True)
-    pruned = backward_prune(full, (dev_X[:, cols], dev_cats, dev_y),
-                            (X[:, cols], cats, y), penalty=penalty, tol=tol,
-                            min_improve=min_improve)
-    return pruned
+                          interactions=True)
+    return backward_prune(full, (dev_X[:, cols], dev_cats, dev_y),
+                          (X[:, cols], cats, y), penalty=penalty)
 
 
 # ---------------------------------------------------------------------------

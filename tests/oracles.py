@@ -123,7 +123,9 @@ def irls_fit(D, y, penalty, tol, max_iter):
 def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
                  interactions=False, terms=None):
     """matcher.train_logistic over `irls_fit`; the model is assembled, and
-    ConvergenceError raised, by the matcher's own `_fitted_model`."""
+    ConvergenceError raised, by the matcher's own `_fitted_model`, which
+    records matcher.TOL and names matcher.MAX_ITER: pass those as tol and
+    max_iter."""
     import numpy as np
     from hanlink.matcher import TrainingError, _as_matrices, _build_design, _fitted_model
     X, cats, y = _as_matrices(data)
@@ -136,8 +138,7 @@ def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
             terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
     beta, iterations, converged, trace, _ = irls_fit(_build_design(X, cats, terms), y,
                                                      penalty, tol, max_iter)
-    return _fitted_model((beta, iterations, converged, trace, None), terms, specs,
-                         penalty, tol, max_iter)
+    return _fitted_model((beta, iterations, converged, trace, None), terms, specs, penalty)
 
 
 def sorted_roc_points(scores, pos, neg):
@@ -466,3 +467,23 @@ def tau2_dict_lookup(table, zetas, dist, model):
         step_pred[k] = auroc(GroupedRanking(scores, scores * masses,
                                             (1.0 - scores) * masses))
     return float(dist.grid[int(np.argmax(step_pred[np.cumsum(step) - 1]))])
+
+
+def external_scores_lookup(rows, pairs):
+    """The scores of `pairs`, (name_a, name_b) tuples, each looked up by its
+    tuple in a dict of the table rows (name_a, name_b, score); a repeated
+    table pair and a pair the table lacks are InputErrors."""
+    import numpy as np
+    from hanlink.linkage import InputError
+    table = {}
+    for name_a, name_b, score in rows:
+        if (name_a, name_b) in table:
+            raise InputError(f"the pair {(name_a, name_b)!r} is listed twice")
+        table[name_a, name_b] = score
+    out = np.empty(len(pairs))
+    for i, pair in enumerate(pairs):
+        value = table.get(pair)
+        if value is None:
+            raise InputError(f"external score table is missing pair {pair!r}")
+        out[i] = value
+    return out

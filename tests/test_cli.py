@@ -496,3 +496,72 @@ def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
     assert "failure: broken invariant" in capsys.readouterr().err
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("selector,message", [
+    ("single:PY_FOO_k1_1:N", "unknown comparator 'FOO'"),
+    ("single:LF_SUM_k1_1:2", "single-feature matcher takes one feature"),
+    ("single:AMB_SUM_k1_1:N", "single-feature matcher takes one feature"),
+    ("single:HAN_CAT_k1_1:N", "single-feature matcher takes one feature"),
+    ("single:", "takes single:<feature>"),
+    ("train:x", "takes single:<feature>"),
+])
+@pytest.mark.parametrize("mode", ["files", "study"])
+def test_bad_selector_fails_before_any_file_is_read(tmp_path, capsys, monkeypatch, selector,
+                                                     message, mode):
+    """A selector naming no feature, or one whose values leave [0, 1], is an
+    input error naming the key before a record file is read (files mode) or
+    the name model is built (a study)."""
+    def no_work(*args, **kwargs):
+        raise RuntimeError("work started")
+    monkeypatch.setattr(cli, "read_records", no_work)
+    monkeypatch.setattr(exp, "build_name_model", no_work)
+    if mode == "files":
+        cfg = small_experiment(tmp_path, methods=["exact", "tau1"], classifier=selector,
+                               dist="dist.json")
+    else:
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({**STUDY, "classifier": selector}))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'classifier'" in err and message in err
+
+
+def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
+    """A model JSON of kind single holds one bounded feature, as single:
+    does; a SUM feature loaded through logistic:<path> is an input error
+    naming the file."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format_version": 1, "kind": "single", "specs": [
+        {"comparator": "SUM", "encoding": "LF", "k": 1, "range": "1:2"}]}))
+    cfg = small_experiment(tmp_path, methods=["exact", "tau1"],
+                           classifier=f"logistic:{model}", dist="dist.json")
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert f"{model}: a single-feature matcher takes one feature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,value,message", [
+    ("train", "--penalty", "-1", "--penalty must be a number >= 0, not -1.0"),
+    ("train", "--penalty", "nan", "--penalty must be a number >= 0, not nan"),
+    ("train", "--dev-fraction", "-0.1", "--dev-fraction must be a number >= 0 and <= 1"),
+    ("train", "--dev-fraction", "1.5", "--dev-fraction must be a number >= 0 and <= 1"),
+    ("train", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
+    ("experiment", "--workers", "-3", "--workers must be an integer >= 1, not -3"),
+    ("experiment", "--workers", "0", "--workers must be an integer >= 1, not 0"),
+])
+def test_command_line_numbers_checked(tmp_path, capsys, command, option, value, message):
+    """A number given on the command line is checked as the config reader
+    checks the same setting, before any work: exit 2 naming the option."""
+    out = tmp_path / "out"
+    if command == "train":
+        features = tmp_path / "features.csv"
+        features.write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
+            f"{0.2 + 0.6 * (k % 2)},BothHan,{k % 2}\n" for k in range(8)), encoding="utf-8")
+        argv = ["train", "--in", str(features), "--out", str(out)]
+    else:
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({**STUDY, "methods": ["exact"]}))
+        argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + [option, value]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

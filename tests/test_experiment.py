@@ -1,15 +1,19 @@
+import csv
+import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cross_product_codes, cross_product_table
+from oracles import cross_product_codes, cross_product_table, external_scores_lookup
 
 from hanlink import experiment as exp
-from hanlink.compare import HAN_CATEGORIES, FeatureSpec
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec, NamePairs, intern_strings
 from hanlink.fuse import apply_threshold
-from hanlink.linkage import NA
+from hanlink.linkage import NA, InputError
 from hanlink.matcher import MatcherModel, fit_score_distributions
 from hanlink.simgen import SimConfig, generate_pair_files
 
@@ -228,17 +232,97 @@ def test_threshold_move_matches_retabulation(case):
     assert got == {g: tuple(v) for g, v in want.items()}
 
 
-def test_external_scorer():
-    scorer = exp.ExternalScorer({("a", "b"): 0.7})
-    assert scorer.scores([("a", "b")])[0] == 0.7
-    with pytest.raises(ValueError):
-        scorer.scores([("a", "c")])
+def write_score_table(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["name_a", "name_b", "score"])
+        writer.writerows(rows)
+    return path
+
+
+def test_external_scorer(tmp_path):
+    """A pair the table lacks is an error, also when one of its names is
+    not in the table at all (("b", "c") must not alias the code of ("a", "b"))."""
+    path = write_score_table(tmp_path / "s.csv", [("a", "b", 0.7), ("b", "a", 0.3)])
+    scorer = exp.ExternalScorer(path)
+    assert scorer.scores([("b", "a"), ("a", "b")]).tolist() == [0.3, 0.7]
+    for pair in (("a", "c"), ("b", "c"), ("c", "a"), ("b", "b")):
+        with pytest.raises(InputError, match=re.escape(f"missing the pair {pair!r}")):
+            scorer.scores([("a", "b"), pair])
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
-def test_external_scorer_rejects_scores_outside_unit_interval(bad):
-    with pytest.raises(ValueError, match="outside"):
-        exp.ExternalScorer({("a", "b"): 0.9, ("a", "c"): bad})
+def test_external_scorer_rejects_scores_outside_unit_interval(tmp_path, bad):
+    path = write_score_table(tmp_path / "s.csv", [("a", "b", 0.9), ("a", "c", bad)])
+    with pytest.raises(InputError, match=f"line 3, column 'score': bad cell '{bad}'"):
+        exp.ExternalScorer(path)
+
+
+def test_external_scorer_rejects_repeated_pair(tmp_path):
+    """A pair listed twice is an error naming the line that repeats it, not
+    the last score silently kept."""
+    path = write_score_table(tmp_path / "s.csv", [("a", "b", 0.9), ("b", "a", 0.1),
+                                                  ("c", "a", 0.2), ("a", "b", 0.9)])
+    with pytest.raises(InputError, match=re.escape(f"{path}, line 5: the pair ('a', 'b') "
+                                                   "is listed twice")):
+        exp.ExternalScorer(path)
+
+
+SCORE_NAMES = st.text(alphabet="伍李华a ", max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_external_scorer_matches_tuple_lookup(data):
+    """The id-keyed table gives, bitwise, the scores of a lookup by name
+    tuple, and raises InputError where it does: a pair the table lacks or a
+    table pair listed twice. The two files share names, and the table lists
+    names neither file holds."""
+    pool = data.draw(st.lists(SCORE_NAMES, min_size=1, max_size=5, unique=True))
+    name, score = st.sampled_from(pool), st.floats(0.0, 1.0)
+    rows = data.draw(st.lists(st.tuples(name, name, score), max_size=10,
+                              unique_by=lambda row: row[:2]))
+    if data.draw(st.booleans()):  # the table lists every pair of the pool
+        listed = {row[:2] for row in rows}
+        rows += [(a, b, data.draw(score)) for a in pool for b in pool if (a, b) not in listed]
+    if rows and data.draw(st.booleans()):
+        a, b, _ = data.draw(st.sampled_from(rows))
+        rows.insert(data.draw(st.integers(0, len(rows))), (a, b, data.draw(score)))
+    names_a = data.draw(st.lists(name, min_size=1, max_size=6))
+    names_b = data.draw(st.lists(name, min_size=1, max_size=6))
+    names, (ids_a, ids_b) = intern_strings(names_a, names_b)
+    ii = np.array(data.draw(st.lists(st.integers(0, len(names_a) - 1), max_size=20)),
+                  dtype=np.int64)
+    jj = np.array(data.draw(st.lists(st.integers(0, len(names_b) - 1), min_size=len(ii),
+                                     max_size=len(ii))), dtype=np.int64)
+    pairs = NamePairs(names, ids_a[ii], ids_b[jj])
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InputError as exc:
+            return exc
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_score_table(Path(tmp) / "scores.csv", rows)
+        got = outcome(lambda: exp.ExternalScorer(path).scores(pairs))
+    want = outcome(external_scores_lookup, rows, list(pairs))
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_run_methods_rejects_scores_outside_unit_interval(dataset, bundle, small_sim):
+    """Pair scores outside [0, 1] break an invariant of the fusion methods:
+    a ValueError, whichever scorer gave them."""
+    _, dist = make_scorer_and_dist(bundle, None, small_sim)
+
+    class Above:
+        def scores(self, pairs):
+            return np.full(len(pairs), 1.5)
+
+    with pytest.raises(ValueError, match=r"name scores must lie in \[0, 1\]"):
+        exp.run_methods(dataset, ("tau1",), scorer=Above(), dist=dist)
 
 
 def test_run_study_smoke_and_determinism(bundle):

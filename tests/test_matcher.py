@@ -61,12 +61,14 @@ def test_single_class_is_error():
         train_logistic(_data(np.ones((10, 1)), np.ones(10)), (SPEC_A,))
 
 
-def test_nonconvergence_carries_last_iterate():
+def test_nonconvergence_carries_last_iterate(monkeypatch):
     rng = np.random.default_rng(1)
     y = rng.integers(0, 2, size=200)
     X = rng.normal(size=(200, 1)) + y[:, None]
+    monkeypatch.setattr(matcher, "MAX_ITER", 1)
+    monkeypatch.setattr(matcher, "TOL", 1e-14)
     with pytest.raises(ConvergenceError) as excinfo:
-        train_logistic(_data(X, y), (SPEC_A,), max_iter=1, tol=1e-14)
+        train_logistic(_data(X, y), (SPEC_A,))
     assert isinstance(excinfo.value.model, MatcherModel)
 
 
@@ -119,6 +121,21 @@ def test_predict_spec_mismatch():
 def test_single_feature_passthrough():
     model = MatcherModel.single_feature(SPEC_A)
     assert model.predict_matrix(np.array([[0.42]]), np.array([1], dtype=np.int8))[0] == 0.42
+
+
+@pytest.mark.parametrize("specs", [(FeatureSpec("SUM", "LF", 1, "1:2"),),
+                                   (FeatureSpec("SUM", "AMB", 1, "1:N"),),
+                                   (FeatureSpec("CAT", "HAN", 1, "1:N"),),
+                                   (SPEC_A, SPEC_B), ()])
+def test_single_feature_model_takes_one_bounded_feature(tmp_path, specs):
+    """A single-feature model scores by its feature's value, so it takes one
+    feature whose values lie in [0, 1], built directly or loaded from JSON."""
+    with pytest.raises(InputError, match="single-feature matcher takes one feature"):
+        MatcherModel(kind="single", specs=specs)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "single", "specs": [s.to_dict() for s in specs]}))
+    with pytest.raises(InputError, match=re.escape(f"{path}: a single-feature")):
+        MatcherModel.load(path)
 
 
 def test_predict_monotone_in_feature():
@@ -288,18 +305,17 @@ def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
     references = [oracles.irls_fit(d, y, penalty, 1e-8, 200) for d in D]
     strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(D, 2, 0)), 0, 2)
     assert not strided.flags.c_contiguous
-    together = matcher._fit_design(D, y, penalty, 1e-8, 200)
-    apart = matcher._fit_design(strided, y, penalty, 1e-8, 200)
+    together = matcher._fit_design(D, y, penalty)
+    apart = matcher._fit_design(strided, y, penalty)
     for k, reference in enumerate(references):
-        alone, = matcher._fit_design(D[k:k + 1], y, penalty, 1e-8, 200)
+        alone, = matcher._fit_design(D[k:k + 1], y, penalty)
         for fit in (alone, together[k], apart[k]):
             _same_fit(fit, reference)
     monkeypatch.setattr(matcher, "FIT_BUDGET", 3 * n * p)  # chunks of 3
     specs = tuple(FeatureSpec("COS", "J", j + 1, "1:N") for j in range(p - 1))
     trial = ([("main", j) for j in range(p - 1)], specs, np.arange(p - 1), "")
     dev = _data(D[0, :, 1:], y)
-    chunked = matcher._scored_fits(lambda lo, hi: D[lo:hi], [trial] * K, y, dev,
-                                   penalty, 1e-8)
+    chunked = matcher._scored_fits(lambda lo, hi: D[lo:hi], [trial] * K, y, dev, penalty)
     for d, (model, _, _) in zip(D, chunked):
         _same_model(model, oracles.logistic_fit(_data(d[:, 1:], y), specs, penalty=penalty))
 
@@ -309,7 +325,7 @@ def test_fit_with_halved_steps_matches_reference():
     noise = np.random.default_rng(0).normal(size=D.shape)
     noise[:, 0] = 1.0
     stack = np.stack([noise, D, noise])  # halving in the middle of a stack
-    fits = matcher._fit_design(stack, y, 1e-6, 1e-8, 200)
+    fits = matcher._fit_design(stack, y, 1e-6)
     for fit, d in zip(fits, stack):
         _same_fit(fit, oracles.irls_fit(d, y, 1e-6, 1e-8, 200))
 
@@ -412,6 +428,8 @@ def test_selection_error_names_lowest_failing_candidate(monkeypatch):
     X = np.column_stack([rng.normal(size=n), y, y + rng.normal(size=n), 2 * y])
     specs = tuple(FeatureSpec("LV", enc, 1, "1:N") for enc in ("J", "PY", "FC", "WB"))
     train, dev = _data(X[:200], y[:200]), _data(X[200:], y[200:])
+    full = train_logistic(_data(X[:200, :2], y[:200], rng.integers(0, 3, 200)),
+                          specs[:2], interactions=True)
     loose = [oracles.logistic_fit((X[:200, [j]], train[1], train[2]), (specs[j],))
              for j in (0, 2)]
     max_iter = max(m.trainer["iterations"] for m in loose)  # too few for separation
@@ -424,8 +442,6 @@ def test_selection_error_names_lowest_failing_candidate(monkeypatch):
         forward_select(list(specs), train, dev, specs)
     _same_model(excinfo.value.model, reference.value.model)
     monkeypatch.setattr(matcher, "MAX_ITER", 1)
-    full = train_logistic(_data(X[:200, :2], y[:200], rng.integers(0, 3, 200)),
-                          specs[:2], interactions=True)
     with pytest.raises(ConvergenceError,
                        match=r"\(dropping term \['main', 0\] of J_LV_k1_1:N\)"):
         backward_prune(full, _data(X[200:, :2], y[200:]), _data(X[:200, :2], y[:200]))
