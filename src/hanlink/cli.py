@@ -7,10 +7,10 @@ what the user gave; 1 anything else, which is a bug. Every CSV input goes
 through the one reader, `linkage.CsvTable`, whose `InputError` names the
 file and the line, column and cell at fault; an experiment config goes
 through `experiment.read_settings`, whose `InputError` names the key, and
-model and distribution JSON files name the file. Every command that
-writes artifacts also writes a manifest with the config hash, seeds, and
-output checksums; outputs carry no timestamps and no NaN, so reruns with
-the same seed are byte-identical.
+model and distribution JSON files name the file. `simulate` and
+`experiment` also write a manifest with the config hash, seeds, and output
+checksums; outputs carry no timestamps and no NaN, so reruns with the same
+seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -120,6 +120,8 @@ def _read_feature_csv(path: str):
     cats = (table.column("han_category", [c.value for c in HAN_CATEGORIES].index)
             if "han_category" in table.header else [0] * len(y))
     names = [name for name in table.header if name not in ("label", "han_category")]
+    if not names:
+        raise InputError(f"{path}: no feature columns")
     return (np.column_stack([table.column(name, _finite) for name in names]),
             np.array(cats, dtype=np.int8), y,
             tuple(FeatureSpec.from_name(name) for name in names))
@@ -143,6 +145,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fitdist(args) -> int:
+    bins = checked_number("--bins", args.bins, 1, integer=True)
     table = CsvTable(args.input)
     if "score" in table.header:
         scores = np.array(table.column("score", score_cell))
@@ -153,7 +156,7 @@ def cmd_fitdist(args) -> int:
         scorer = exp.NamePairScorer(MatcherModel.load(args.model), load_bundle(args.assets))
         scores = scorer.scores(pairs)
     labels = np.array(table.column("label", _label))
-    dist = fit_score_distributions(scores, labels, bins=args.bins)
+    dist = fit_score_distributions(scores, labels, bins=bins)
     dist.save(args.out)
     print(f"fitted score distribution from {len(scores)} labeled scores; "
           f"wrote {args.out}")
@@ -163,7 +166,7 @@ def cmd_fitdist(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
-        config = {**config, "seed": args.seed}
+        config = {**config, "seed": checked_number("--seed", args.seed, 0, integer=True)}
     sim_cfg = SimConfig.from_dict(config)
     bundle = load_bundle(args.assets)
     name_model = build_name_model(bundle.corpus, bundle.tables)

@@ -56,14 +56,13 @@ def logograms(name: str) -> list[str]:
 class EncodingTable:
     kind: EncodingKind
     entries: dict[str, str]
-    version: str = ""
     duplicates: int = 0
 
     def lookup(self, logogram: str) -> str | None:
         return self.entries.get(logogram)
 
 
-IDENTITY_TABLE = EncodingTable(kind=EncodingKind.J, entries={}, version="identity")
+IDENTITY_TABLE = EncodingTable(kind=EncodingKind.J, entries={})
 
 
 def load_encoding_table(path: str | Path, kind: EncodingKind) -> EncodingTable:
@@ -89,13 +88,11 @@ def load_encoding_table(path: str | Path, kind: EncodingKind) -> EncodingTable:
             entries[logogram] = code
     if not entries:
         raise InputError(f"no valid entries in encoding table {path}")
-    return EncodingTable(kind=kind, entries=entries, version=path.name, duplicates=duplicates)
+    return EncodingTable(kind=kind, entries=entries, duplicates=duplicates)
 
 
 @dataclass(frozen=True)
 class EncodedName:
-    source: str
-    kind: EncodingKind
     codes: tuple[str, ...]
     joined: str
     fallbacks: int = 0
@@ -113,7 +110,7 @@ def transform(name: str, table: EncodingTable) -> EncodedName:
     kind = table.kind
     if kind is EncodingKind.J:
         codes = tuple(chars)
-        return EncodedName(name, kind, codes, "".join(codes), 0)
+        return EncodedName(codes, "".join(codes), 0)
     codes = []
     fallbacks = 0
     for ch in chars:
@@ -122,7 +119,7 @@ def transform(name: str, table: EncodingTable) -> EncodedName:
             code = ch
             fallbacks += 1
         codes.append(code)
-    return EncodedName(name, kind, tuple(codes), join_codes(kind, codes), fallbacks)
+    return EncodedName(tuple(codes), join_codes(kind, codes), fallbacks)
 
 
 def join_codes(kind: EncodingKind, codes: list[str]) -> str:
@@ -168,16 +165,14 @@ def han_indicator(name: str, surnames: frozenset[str]) -> bool:
     return chars[0] in surnames
 
 
-_AMBIGUITY_MARKS = ("?", "？", "(", ")", "（", "）")
+_AMBIGUITY_MARKS = ("?", "？", "(", ")", "（", "）", "又名")
 
 
-def ambiguity_count(name: str, alias_phrases: tuple[str, ...] = ("又名",)) -> int:
+def ambiguity_count(name: str) -> int:
     """Tally of ambiguity markers: question marks, parentheses (each marker
-    counts one), and alias phrases such as 又名."""
+    counts one), and the alias phrase 又名."""
     text = unicodedata.normalize("NFC", name)
-    total = sum(text.count(mark) for mark in _AMBIGUITY_MARKS)
-    total += sum(text.count(phrase) for phrase in alias_phrases if phrase)
-    return total
+    return sum(text.count(mark) for mark in _AMBIGUITY_MARKS)
 
 
 LF_RANGES = ("1:1", "1:2", "2:N", "3:N")
@@ -200,7 +195,9 @@ class FrequencyTable:
     floor: float
 
     @classmethod
-    def load(cls, path: str | Path, floor: float | None = None) -> "FrequencyTable":
+    def load(cls, path: str | Path) -> "FrequencyTable":
+        """A range<TAB>substring<TAB>log frequency TSV; the floor, an unseen
+        substring's value, lies log 2 below the smallest stored value."""
         values: dict[tuple[str, str], float] = {}
         for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not line or line.startswith("#"):
@@ -211,9 +208,7 @@ class FrequencyTable:
             except ValueError:
                 raise InputError(f"{path}, line {number}: expected "
                                  "range<TAB>substring<TAB>log frequency") from None
-        if floor is None:
-            floor = min(values.values(), default=0.0) + math.log(0.5)
-        return cls(values=values, floor=floor)
+        return cls(values=values, floor=min(values.values(), default=0.0) + math.log(0.5))
 
 
 def log_rel_frequency(name: str, range_tag: str, freq: FrequencyTable) -> float:

@@ -29,14 +29,7 @@ import numpy as np
 
 from .assets import AssetBundle, load_bundle
 from .compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
-from .fuse import (
-    apply_threshold,
-    check_coverage,
-    eligible_rows,
-    posterior_adjust,
-    tau1_select,
-    tau2_select,
-)
+from .fuse import apply_threshold, eligible_rows, posterior_adjust, tau1_select, tau2_select
 from .linkage import (
     LINK_FIELDS,
     NA,
@@ -389,14 +382,23 @@ class LinkageDataset:
         return ii[order], jj[order], cc[order]
 
 
-def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
-    ranking = GroupedRanking(scores, pos, neg)
-    q = ranking.default_q() if q is None else q
-    fn_t, fp_t = confusion_at_proportion(ranking, pi_true)
-    fn_e, fp_e = confusion_at_proportion(ranking, pi_est)
+def _table_ranking(table: PatternTable, pos: np.ndarray, z: np.ndarray) -> tuple:
+    """A pattern table's ranking: each row's zeta with its true and false
+    match counts, and the estimated match share, zeta weighted by the counts."""
+    return z, pos, table.counts - pos, float((z * table.counts).sum() / table.total)
+
+
+def _evaluate_ranking(ranking: tuple, pi_true: float, q: float | None) -> dict:
+    """The report of a (scores, positive mass, negative mass, estimated
+    match share) ranking."""
+    scores, pos, neg, pi_est = ranking
+    grouped = GroupedRanking(scores, pos, neg)
+    q = grouped.default_q() if q is None else q
+    fn_t, fp_t = confusion_at_proportion(grouped, pi_true)
+    fn_e, fp_e = confusion_at_proportion(grouped, pi_est)
     return {
-        "auroc": auroc(ranking),
-        "eauroc": eauroc(ranking, q),
+        "auroc": auroc(grouped),
+        "eauroc": eauroc(grouped, q),
         "q": q,
         "neg_log_lik": grouped_log_loss(scores, pos, neg),
         "fn_true_pm": fn_t,
@@ -408,17 +410,14 @@ def _evaluate_ranking(scores, pos, neg, pi_true, pi_est, q=None) -> dict:
     }
 
 
-def _pi_est(z: np.ndarray, table: PatternTable) -> float:
-    """The estimated match share: zeta weighted by the pattern counts."""
-    return float((z * table.counts).sum() / table.total)
-
-
 def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
                 scorer=None, dist: ScoreDistribution | None = None,
                 floor: float = DEFAULT_POSTERIOR_FLOOR,
                 candidate_floor: float = DEFAULT_CANDIDATE_FLOOR,
                 q: float | None = None) -> dict[str, dict]:
-    """Run the requested incorporation methods and return per-method reports."""
+    """Run the requested incorporation methods and return per-method reports,
+    in the order of `methods`. The fusion methods share one enumeration and
+    scoring of the candidate pairs."""
     if unknown := [m for m in methods if m not in DEFAULT_METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
     fusion = [m for m in methods if m != "exact"]
@@ -428,56 +427,41 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     fs_model = em_fit(table)
     z = zeta(fs_model, table)
     pi_true = len(dataset.truth) / table.total
-    pi_est = _pi_est(z, table)
+    prior = _table_ranking(table, pos, z)
+
+    if fusion:
+        cand_rows, _ = eligible_rows(table, z, dist, floor=min(candidate_floor, floor))
+        ii, jj, pair_codes = dataset.candidate_pairs(table.codes()[cand_rows])
+        pair_rows = table.rows_of(pair_codes)
+        pair_labels = dataset.truth_b_of_a[ii] == jj
+        names, (ids_a, ids_b) = intern_strings(dataset.names_a, dataset.names_b)
+        name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])
+        pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
+        if not np.all((pair_scores >= 0.0) & (pair_scores <= 1.0)):
+            raise ValueError("name scores must lie in [0, 1] (the scorer broke its contract)")
 
     reports: dict[str, dict] = {}
-    if "exact" in methods:
-        reports["exact"] = _evaluate_ranking(z, pos, table.counts - pos, pi_true, pi_est, q)
-        reports["exact"]["method"] = "exact"
-    if not fusion:
-        return reports
-
-    cand_rows, _ = eligible_rows(table, z, dist, floor=min(candidate_floor, floor))
-    ii, jj, pair_codes = dataset.candidate_pairs(table.codes()[cand_rows])
-    pair_rows = table.rows_of(pair_codes)
-    pair_labels = dataset.truth_b_of_a[ii] == jj
-    names, (ids_a, ids_b) = intern_strings(dataset.names_a, dataset.names_b)
-    name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])
-    pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
-    if not np.all((pair_scores >= 0.0) & (pair_scores <= 1.0)):
-        raise ValueError("name scores must lie in [0, 1] (the scorer broke its contract)")
-
-    for method in fusion:
-        if method == "posterior":
-            adjusted = posterior_adjust(table, z, dist, pair_rows, pair_scores, floor=floor)
-            elig = adjusted.eligible_rows
-            check_coverage(table, pair_rows, elig)
-            in_elig = np.zeros(len(table.counts), dtype=bool)
-            in_elig[elig] = True
-            adjusted_labels = pair_labels[in_elig[pair_rows]].astype(float)
-            keep = ~in_elig
-            scores = np.concatenate([z[keep], adjusted.posterior])
-            pos_mass = np.concatenate([pos[keep].astype(float), adjusted_labels])
-            neg_mass = np.concatenate([(table.counts[keep] - pos[keep]).astype(float),
-                                       1.0 - adjusted_labels])
-            pi_post = float(((z[keep] * table.counts[keep]).sum() + adjusted.posterior.sum())
-                            / table.total)
-            report = _evaluate_ranking(scores, pos_mass, neg_mass, pi_true, pi_post, q)
-            report.update(floor=floor, n_eligible_rows=int(len(elig)),
-                          n_skipped_rows=int(len(adjusted.skipped_rows)),
-                          n_adjusted_pairs=int(len(adjusted.posterior)),
-                          pi_m_est_prior=pi_est)
+    for method in methods:
+        if method == "exact":
+            ranking, counters = prior, {}
+        elif method == "posterior":
+            ranking, elig, skipped = posterior_adjust(table, z, dist, pos, pair_rows,
+                                                      pair_scores, pair_labels, floor)
+            counters = dict(floor=floor, n_eligible_rows=len(elig),
+                            n_skipped_rows=len(skipped),
+                            n_adjusted_pairs=int(table.counts[elig].sum()),
+                            pi_m_est_prior=prior[3])
         else:
             tau = (tau1_select(table, z, dist) if method == "tau1"
                    else tau2_select(table, z, dist, fs_model))
             new_table, new_pos = apply_threshold(tau, table, pos, pair_rows, pair_scores,
                                                  pair_labels)
-            z2 = zeta(em_fit(new_table), new_table)
-            report = _evaluate_ranking(z2, new_pos, new_table.counts - new_pos, pi_true,
-                                       _pi_est(z2, new_table), q)
-            report.update(tau=tau, n_moved_pairs=int((pair_scores >= tau).sum()))
-        report.update(method=method, n_candidate_pairs=int(len(pair_rows)))
-        reports[method] = report
+            ranking = _table_ranking(new_table, new_pos, zeta(em_fit(new_table), new_table))
+            counters = dict(tau=tau, n_moved_pairs=int((pair_scores >= tau).sum()))
+        if method != "exact":
+            counters["n_candidate_pairs"] = len(pair_rows)
+        reports[method] = {**_evaluate_ranking(ranking, pi_true, q), **counters,
+                           "method": method}
     return reports
 
 

@@ -9,10 +9,11 @@ one grid point per run of equal tails and takes the first maximum over
 the grid. Posterior adjustment re-estimates match probabilities
 pair-by-pair with the monotone likelihood ratio of the observed name
 score, skipping rows where no posterior above the floor is achievable.
+The scored gamma_name=0 pairs become each method's ranking here: the
+threshold moves give a new pattern table (`apply_threshold`), and the
+posterior gives the ranking itself (`posterior_adjust`).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,11 @@ def _name_index(table: PatternTable) -> int:
 
 def _donor_rows(table: PatternTable) -> np.ndarray:
     return np.nonzero(table.gammas[:, _name_index(table)] == 0)[0]
+
+
+def _recipient_codes(table: PatternTable, donors: np.ndarray) -> np.ndarray:
+    """The pattern codes of the gamma_name=0 rows `donors` with gamma_name set to 1."""
+    return table.codes()[donors] + 3 ** _name_index(table)
 
 
 def transfer_predictions(zeta1, n1, zeta2, n2, tail_m, tail_u):
@@ -104,7 +110,7 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
         raise InputError("no rows with name disagreement; nothing to adjust")
     zetas = np.asarray(zetas, dtype=float)
     name_ix = _name_index(table)
-    recip = table.rows_of(table.codes()[donors] + 3 ** name_ix)  # gamma_name 0 -> 1
+    recip = table.rows_of(_recipient_codes(table, donors))
     have = recip >= 0
     z1 = zetas[donors]
     n1 = table.counts[donors].astype(float)
@@ -161,10 +167,10 @@ def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
     its pairs listed. Returns the new table, rows sorted by pattern code,
     and its true-match counts (pos gives the old table's).
     """
-    name_ix = _name_index(table)
     pair_rows = np.asarray(pair_rows, dtype=np.int64)
     present = np.nonzero(np.bincount(pair_rows, minlength=len(table.counts)))[0]
-    if np.any(table.gammas[present, name_ix] != 0):
+    donors = _donor_rows(table)
+    if not np.isin(present, donors).all():
         raise ValueError("only gamma_name=0 rows can move pairs")
     check_coverage(table, pair_rows, present)
     move = np.asarray(pair_scores) >= tau
@@ -172,24 +178,13 @@ def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
     moved_n = np.bincount(pair_rows[move], minlength=n_rows)
     moved_p = np.bincount(pair_rows[move & np.asarray(pair_labels, dtype=bool)],
                           minlength=n_rows)
-    codes = table.codes()
-    where = np.concatenate([codes, codes + 3 ** name_ix * (table.gammas[:, name_ix] == 0)])
+    where = np.concatenate([table.codes(), _recipient_codes(table, donors)])
     counts = np.zeros(3 ** len(table.fields), dtype=np.int64)
     new_pos = np.zeros_like(counts)
-    np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n]))
-    np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p]))
+    np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n[donors]]))
+    np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p[donors]]))
     new_table = PatternTable.from_counts(table.fields, counts)
     return new_table, new_pos[new_table.codes()]
-
-
-@dataclass
-class AdjustedPairs:
-    """Per-pair posterior updates for eligible name-disagreeing rows, plus
-    the rows skipped because no posterior above the floor is achievable."""
-    prior: np.ndarray
-    posterior: np.ndarray
-    eligible_rows: np.ndarray
-    skipped_rows: np.ndarray
 
 
 def eligible_rows(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
@@ -205,21 +200,33 @@ def eligible_rows(table: PatternTable, zetas: np.ndarray, dist: ScoreDistributio
 
 
 def posterior_adjust(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
-                     pair_rows: np.ndarray, pair_scores: np.ndarray,
-                     floor: float) -> AdjustedPairs:
-    """Bayesian per-pair update zeta_hat = zeta*r(X) / (zeta*r(X) + 1 - zeta)
-    for pairs in eligible rows; pairs in skipped rows keep the prior and
-    are not returned."""
+                     pos: np.ndarray, pair_rows: np.ndarray, pair_scores: np.ndarray,
+                     pair_labels: np.ndarray, floor: float) -> tuple:
+    """The ranking after the Bayesian per-pair update
+    zeta_hat = zeta*r(X) / (zeta*r(X) + 1 - zeta) of the pairs in eligible
+    rows, as ((scores, positive mass, negative mass, estimated match share),
+    eligible rows, skipped rows).
+
+    Each pair of an eligible row enters with its posterior and its label
+    (pair_labels: whether it is a true match); every other row enters once
+    with its prior zeta and its true and false match counts (pos gives the
+    true ones). pair_rows must list every pair of each eligible row; pairs
+    of other rows are left out.
+    """
     zetas = np.asarray(zetas, dtype=float)
     pair_rows = np.asarray(pair_rows, dtype=np.int64)
-    pair_scores = np.asarray(pair_scores, dtype=float)
     eligible, skipped = eligible_rows(table, zetas, dist, floor)
-    eligible_set = np.zeros(len(table.counts), dtype=bool)
-    eligible_set[eligible] = True
-    keep = eligible_set[pair_rows]
-    prior = zetas[pair_rows[keep]]
-    r = dist.ratio_at(pair_scores[keep])
-    num = prior * r
+    check_coverage(table, pair_rows, eligible)
+    keep = np.ones(len(table.counts), dtype=bool)
+    keep[eligible] = False
+    adjusted = ~keep[pair_rows]
+    prior = zetas[pair_rows[adjusted]]
+    num = prior * dist.ratio_at(np.asarray(pair_scores, dtype=float)[adjusted])
     posterior = num / (num + (1.0 - prior))
-    return AdjustedPairs(prior=prior, posterior=posterior, eligible_rows=eligible,
-                         skipped_rows=skipped)
+    labels = np.asarray(pair_labels, dtype=float)[adjusted]
+    counts, kept_pos = table.counts[keep], pos[keep]
+    pi_est = float(((zetas[keep] * counts).sum() + posterior.sum()) / table.total)
+    return ((np.concatenate([zetas[keep], posterior]),
+             np.concatenate([kept_pos.astype(float), labels]),
+             np.concatenate([(counts - kept_pos).astype(float), 1.0 - labels]),
+             pi_est), eligible, skipped)

@@ -111,6 +111,8 @@ class MatcherModel:
             if coefs[cat].shape != (len(specs),):
                 raise InputError(f"{cat.value} holds {coefs[cat].size} slopes for "
                                  f"{len(specs)} features")
+            if not (np.isfinite(intercepts[cat]) and np.isfinite(coefs[cat]).all()):
+                raise InputError(f"{cat.value} holds a coefficient that is not finite")
         return cls(kind="logistic", specs=specs, intercepts=intercepts,
                    coefs=coefs, trainer=d.get("trainer", {}))
 
@@ -485,8 +487,9 @@ class ScoreDistribution:
     def from_dict(cls, d: dict) -> "ScoreDistribution":
         """The distribution `to_dict` wrote. InputError unless the tails hold
         one entry per grid point, the ratio and counts one per bin and the
-        edges one more, the tails lie in [0, 1] and the ratio is finite,
-        non-negative and non-decreasing."""
+        edges one more, the edges are the equal-width bins on [0, 1] that
+        `ratio_at` assumes, the tails lie in [0, 1] and do not increase, and
+        the ratio is finite, non-negative and non-decreasing."""
         grid_size = checked_number("grid_size", d["grid_size"], 2, integer=True)
         dist = cls(grid=np.linspace(0.0, 1.0, grid_size),
                    tail_m=np.asarray(d["tail_m"], dtype=float),
@@ -501,8 +504,12 @@ class ScoreDistribution:
             if getattr(dist, name).shape != (size,):
                 raise InputError(f"{name} has shape {getattr(dist, name).shape}, "
                                  f"expected ({size},)")
+        if not np.array_equal(dist.bin_edges, np.linspace(0.0, 1.0, bins + 1)):
+            raise InputError(f"bin_edges must split [0, 1] into {bins} equal-width bins")
         if not all(np.all((tail >= 0.0) & (tail <= 1.0)) for tail in (dist.tail_m, dist.tail_u)):
             raise InputError("tail probabilities must lie in [0, 1]")
+        if any(np.any(np.diff(tail) > 0.0) for tail in (dist.tail_m, dist.tail_u)):
+            raise InputError("tail probabilities must not increase")
         if not np.all(np.isfinite(dist.ratio) & (dist.ratio >= 0.0)):
             raise InputError("score distribution ratio must be finite and non-negative")
         if np.any(np.diff(dist.ratio) < -1e-12):
@@ -518,8 +525,7 @@ class ScoreDistribution:
         return _load(cls, path)
 
 
-def fit_score_distributions(scores, labels, bins: int = BINS,
-                            grid_size: int = GRID_SIZE) -> ScoreDistribution:
+def fit_score_distributions(scores, labels, bins: int = BINS) -> ScoreDistribution:
     """Estimate tails and the monotone density ratio from labeled scores.
 
     Tails are exact empirical survival functions on the grid; the ratio is
@@ -538,7 +544,7 @@ def fit_score_distributions(scores, labels, bins: int = BINS,
     su = np.sort(scores[labels == 0])
     if len(sm) == 0 or len(su) == 0:
         raise InputError("scores must include both classes")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
     tail_m = 1.0 - np.searchsorted(sm, grid, side="left") / len(sm)
     tail_u = 1.0 - np.searchsorted(su, grid, side="left") / len(su)
     edges = np.linspace(0.0, 1.0, bins + 1)

@@ -251,9 +251,6 @@ def _multi_name(chars, model, rng):
     return chars + ["("] + variant + [")"]
 
 
-ERROR_TYPE_ORDER = tuple(DEFAULT_ERROR_TYPES)
-
-
 def corrupt_name(name: str, error_type: str, model: PositionalNameModel,
                  rng: np.random.Generator) -> tuple[str, bool]:
     """Apply one error mechanism to `name`; returns (variant, fell_back).
@@ -353,7 +350,7 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
     base_values = {f: _sample_field_values(f, n, cfg.cardinalities[f], rng)
                    for f in cfg.fields}
 
-    type_names = ERROR_TYPE_ORDER
+    type_names = tuple(DEFAULT_ERROR_TYPES)
     type_probs = np.array([cfg.error_type_probs[t] for t in type_names])
 
     names_b = []

@@ -487,3 +487,33 @@ def external_scores_lookup(rows, pairs):
             raise InputError(f"external score table is missing pair {pair!r}")
         out[i] = value
     return out
+
+
+def posterior_ranking_by_row(table, zetas, dist, pos, pair_rows, pair_scores, pair_labels,
+                             floor):
+    """The posterior method's ranking built row by row, as (entries, match
+    share, eligible rows). A gamma_name=0 row whose best posterior
+    zeta*rmax / (zeta*rmax + 1 - zeta) reaches the floor is eligible: each
+    pair listed for it gives the entry (posterior, label, 1 - label), its
+    posterior zeta*r / (zeta*r + 1 - zeta) with r the ratio of the score's
+    bin. Every other row gives the one entry (zeta, pos, count - pos). The
+    match share is the entries' score mass over the table's pairs."""
+    name_ix = table.fields.index("name")
+    bins = len(dist.ratio)
+    rmax = float(dist.ratio[-1])
+    entries, eligible, mass = [], [], 0.0
+    for j in range(len(table.counts)):
+        z, count, matches = float(zetas[j]), int(table.counts[j]), int(pos[j])
+        if table.gammas[j, name_ix] != 0 or z * rmax / (z * rmax + (1.0 - z)) < floor:
+            entries.append((z, float(matches), float(count - matches)))
+            mass += z * count
+            continue
+        eligible.append(j)
+        for k in range(len(pair_rows)):
+            if pair_rows[k] == j:
+                r = float(dist.ratio[min(max(int(pair_scores[k] * bins), 0), bins - 1)])
+                posterior = z * r / (z * r + (1.0 - z))
+                label = float(pair_labels[k])
+                entries.append((posterior, label, 1.0 - label))
+                mass += posterior
+    return entries, mass / float(table.counts.sum()), eligible

@@ -548,20 +548,25 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
     ("train", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
     ("experiment", "--workers", "-3", "--workers must be an integer >= 1, not -3"),
     ("experiment", "--workers", "0", "--workers must be an integer >= 1, not 0"),
+    ("train", "--in", "labels.csv", "labels.csv: no feature columns"),
+    ("fitdist", "--bins", "0", "--bins must be an integer >= 1, not 0"),
+    ("simulate", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
 ])
-def test_command_line_numbers_checked(tmp_path, capsys, command, option, value, message):
+def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, option, value,
+                                      message):
     """A number given on the command line is checked as the config reader
-    checks the same setting, before any work: exit 2 naming the option."""
+    checks the same setting, before any work, and a feature file without
+    feature columns is rejected: exit 2 naming the option or the file."""
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    if command == "train":
-        features = tmp_path / "features.csv"
-        features.write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
-            f"{0.2 + 0.6 * (k % 2)},BothHan,{k % 2}\n" for k in range(8)), encoding="utf-8")
-        argv = ["train", "--in", str(features), "--out", str(out)]
-    else:
-        cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps({**STUDY, "methods": ["exact"]}))
-        argv = ["experiment", "--config", str(cfg), "--out", str(out)]
-    assert main(argv + [option, value]) == 2
+    Path("labels.csv").write_text("han_category,label\nBothHan,0\nBothHan,1\n",
+                                  encoding="utf-8")
+    Path("features.csv").write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
+        f"{0.2 + 0.6 * (k % 2)},BothHan,{k % 2}\n" for k in range(8)), encoding="utf-8")
+    Path("scores.csv").write_text("score,label\n0.9,1\n0.1,0\n", encoding="utf-8")
+    Path("study.json").write_text(json.dumps({**STUDY, "methods": ["exact"]}))
+    argv = {"train": ["--in", "features.csv"], "fitdist": ["--in", "scores.csv"],
+            "simulate": [], "experiment": ["--config", "study.json"]}[command]
+    assert main([command, *argv, "--out", str(out), option, value]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()

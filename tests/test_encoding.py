@@ -142,4 +142,3 @@ def test_frequency_save_load_roundtrip(tmp_path):
     assert loaded.values == {("1:1", "张"): -0.4054651081, ("1:1", "李"): -1.0986122887,
                              ("2:N", "三"): -0.4054651081}
     assert loaded.floor == -1.0986122887 + math.log(0.5)
-    assert FrequencyTable.load(path, floor=-9.0).floor == -9.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import tau1_full_grid, tau2_dict_lookup
+from oracles import posterior_ranking_by_row, tau1_full_grid, tau2_dict_lookup
 
 from hanlink.fuse import (
     _tau2_curve,
@@ -213,10 +213,11 @@ def fitted_dist():
 
 
 @st.composite
-def tau_cases(draw):
+def tau_cases(draw, counts=st.integers(0, 10 ** 5)):
     """(table, zetas, dist, model): distinct patterns in drawn (unsorted)
     order with "name" at a drawn position and at least one donor row,
-    counts that may be zero, zetas in [0, 1] ends included, and a score
+    `counts` (by default ones that may be zero), zetas in [0, 1] ends
+    included, and a score
     distribution from scores on a coarse lattice, so its tails run in long
     constant steps over the grid (sometimes only one or two steps)."""
     n_fields = draw(st.integers(1, 4))
@@ -227,7 +228,7 @@ def tau_cases(draw):
     fields = tuple("name" if f == name_ix else f"f{f}" for f in range(n_fields))
     gammas = np.array(codes)[:, None] // 3 ** np.arange(n_fields) % 3
     rows = len(codes)
-    counts = draw(st.lists(st.integers(0, 10 ** 5), min_size=rows, max_size=rows))
+    counts = draw(st.lists(counts, min_size=rows, max_size=rows))
     zetas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                           min_size=rows, max_size=rows))
     lattice = draw(st.sampled_from([1, 2, 5, 40, 1000]))
@@ -403,6 +404,21 @@ def test_apply_threshold_then_retabulate_identity():
     assert table_dict(new_table) == dict(expected)
 
 
+def adjusted_scores(table, zetas, dist, rows, scores):
+    """The posteriors posterior_adjust gives the pairs (rows, scores) at
+    floor 0, where every donor row is eligible: each donor row's other
+    pairs are listed with score 0, and no pair is a true match."""
+    donors = np.nonzero(table.gammas[:, 0] == 0)[0]
+    listed = np.bincount(rows, minlength=len(table.counts))[donors]
+    pair_rows = np.concatenate([rows, np.repeat(donors, table.counts[donors] - listed)])
+    pair_scores = np.concatenate([scores, np.zeros(len(pair_rows) - len(rows))])
+    (ranked, _, _, _), elig, skipped = posterior_adjust(
+        table, zetas, dist, np.zeros(len(table.counts), np.int64), pair_rows, pair_scores,
+        np.zeros(len(pair_rows), bool), floor=0.0)
+    assert list(elig) == list(donors) and len(skipped) == 0
+    return ranked[len(table.counts) - len(donors):][:len(rows)]
+
+
 def test_posterior_identity_ratio(small_table, small_model):
     zetas = zeta_for_gammas(small_model, small_table.gammas)
     dist = make_dist(np.linspace(0, 1, 100), np.linspace(0, 1, 100))
@@ -410,21 +426,19 @@ def test_posterior_identity_ratio(small_table, small_model):
     donors = np.nonzero(small_table.gammas[:, 0] == 0)[0]
     rows = np.repeat(donors, 3)
     scores = np.tile(np.array([0.1, 0.5, 0.9]), len(donors))
-    adj = posterior_adjust(small_table, zetas, dist, rows, scores, floor=0.0)
-    assert adj.posterior == pytest.approx(adj.prior, abs=1e-12)
+    posterior = adjusted_scores(small_table, zetas, dist, rows, scores)
+    assert posterior == pytest.approx(zetas[rows], abs=1e-12)
 
 
 def test_posterior_degenerate_priors(small_table, fitted_dist):
     zetas = np.zeros(len(small_table.counts))
     donors = np.nonzero(small_table.gammas[:, 0] == 0)[0]
     rows = donors[:1]
-    adj = posterior_adjust(small_table, zetas, fitted_dist,
-                           rows, np.array([0.9]), floor=0.0)
-    assert adj.posterior[0] == 0.0
+    posterior = adjusted_scores(small_table, zetas, fitted_dist, rows, np.array([0.9]))
+    assert posterior[0] == 0.0
     zetas = np.ones(len(small_table.counts))
-    adj = posterior_adjust(small_table, zetas, fitted_dist,
-                           rows, np.array([0.9]), floor=0.0)
-    assert adj.posterior[0] == 1.0
+    posterior = adjusted_scores(small_table, zetas, fitted_dist, rows, np.array([0.9]))
+    assert posterior[0] == 1.0
 
 
 def test_posterior_hand_arithmetic(small_table):
@@ -432,9 +446,8 @@ def test_posterior_hand_arithmetic(small_table):
     dist.ratio[:] = 3.0
     zetas = np.full(len(small_table.counts), 0.5)
     donors = np.nonzero(small_table.gammas[:, 0] == 0)[0]
-    adj = posterior_adjust(small_table, zetas, dist, donors[:1],
-                           np.array([0.7]), floor=0.0)
-    assert adj.posterior[0] == pytest.approx(0.75)
+    posterior = adjusted_scores(small_table, zetas, dist, donors[:1], np.array([0.7]))
+    assert posterior[0] == pytest.approx(0.75)
 
 
 def test_posterior_monotone_in_score(small_table, small_model, fitted_dist):
@@ -442,8 +455,47 @@ def test_posterior_monotone_in_score(small_table, small_model, fitted_dist):
     donors = np.nonzero(small_table.gammas[:, 0] == 0)[0]
     xs = np.linspace(0, 1, 21)
     rows = np.repeat(donors[:1], len(xs))
-    adj = posterior_adjust(small_table, zetas, fitted_dist, rows, xs, floor=0.0)
-    assert np.all(np.diff(adj.posterior) >= -1e-12)
+    posterior = adjusted_scores(small_table, zetas, fitted_dist, rows, xs)
+    assert np.all(np.diff(posterior) >= -1e-12)
+
+
+@st.composite
+def posterior_cases(draw):
+    """A tau case with 1 to 6 pairs per row and true-match counts within
+    them, then every pair of every gamma_name=0 row, skipped rows' pairs
+    included, listed in a drawn order with a score in [0, 1] and a label,
+    and a floor in [0, 1] ends included."""
+    table, zetas, dist, _ = draw(tau_cases(counts=st.integers(1, 6)))
+    pos = np.array([draw(st.integers(0, int(c))) for c in table.counts])
+    donors = np.nonzero(table.gammas[:, table.fields.index("name")] == 0)[0]
+    pair_rows = np.repeat(donors, table.counts[donors])
+    pair_rows = pair_rows[np.array(draw(st.permutations(range(len(pair_rows)))), dtype=int)]
+    n = len(pair_rows)
+    scores = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                    min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    floor = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return table, zetas, dist, pos, pair_rows, scores, labels, floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(posterior_cases())
+def test_posterior_ranking_matches_row_by_row_reference(case):
+    """Each pair of an eligible row enters the ranking once, with its
+    posterior and label; every other row enters once, with its prior zeta
+    and counts, so a skipped row's listed pairs stay out. The masses sum to
+    the table's pairs and the match share is the reference's."""
+    table, zetas, dist, pos, pair_rows, scores, labels, floor = case
+    (ranked, pos_mass, neg_mass, share), elig, skipped = posterior_adjust(
+        table, zetas, dist, pos, pair_rows, scores, labels, floor)
+    entries, ref_share, ref_elig = posterior_ranking_by_row(
+        table, zetas, dist, pos, pair_rows, scores, labels, floor)
+    assert elig.tolist() == ref_elig
+    donors = np.nonzero(table.gammas[:, table.fields.index("name")] == 0)[0]
+    assert sorted(elig.tolist() + skipped.tolist()) == donors.tolist()
+    assert sorted(zip(ranked.tolist(), pos_mass.tolist(), neg_mass.tolist())) == sorted(entries)
+    assert pos_mass.sum() + neg_mass.sum() == table.total
+    assert share == pytest.approx(ref_share, rel=1e-12, abs=0)
 
 
 def test_skip_soundness(small_table, small_model, fitted_dist):

@@ -565,6 +565,8 @@ def _set(key, index, value):
     (_cut("ratio", 0), "the number of ratio bins must be an integer >= 1, not 0"),
     (_set("tail_u", 3, 1.5), "tail probabilities must lie in [0, 1]"),
     (_set("tail_m", 3, float("nan")), "tail probabilities must lie in [0, 1]"),
+    (_set("tail_u", -1, 1.0), "tail probabilities must not increase"),
+    (_set("bin_edges", 100, 0.99), "bin_edges must split [0, 1] into 200 equal-width bins"),
     (_set("ratio", 0, float("nan")), "score distribution ratio must be finite and non-negative"),
     (_set("ratio", 0, -1.0), "score distribution ratio must be finite and non-negative"),
     (_set("ratio", -1, 0.0), "score distribution ratio is not monotone"),
@@ -572,9 +574,10 @@ def _set(key, index, value):
     (lambda d: d.update(grid_size="10000"), "grid_size must be an integer >= 2"),
 ])
 def test_distribution_file_checked_on_load(tmp_path, change, message):
-    """A distribution file whose arrays disagree in length, whose tails
-    leave [0, 1] or whose ratio is not finite, non-negative and monotone is
-    an input error naming the file, not a grid indexed out of step."""
+    """A distribution file whose arrays disagree in length, whose edges are
+    not the equal-width bins `ratio_at` assumes, whose tails leave [0, 1] or
+    increase, or whose ratio is not finite, non-negative and monotone is an
+    input error naming the file, not a grid indexed out of step."""
     rng = np.random.default_rng(13)
     dist = fit_score_distributions(np.concatenate([rng.beta(6, 2, 300), rng.beta(2, 6, 700)]),
                                    np.array([1] * 300 + [0] * 700))
@@ -592,10 +595,17 @@ def test_distribution_file_checked_on_load(tmp_path, change, message):
     ('{"kind": "forest", "specs": []}', "unknown model kind 'forest'"),
     ('{"kind": "single", "specs": [{"comparator": "LV"}]}', "missing key 'encoding'"),
     (None, "BothHan holds 1 slopes for 2 features"),
+    ('{"kind": "logistic", "specs": [{"comparator": "LV", "encoding": "J", "k": 1, '
+     '"range": "1:N"}], "coefficients": {"NeitherHan": {"intercept": 0, "slopes": [NaN]}}}',
+     "NeitherHan holds a coefficient that is not finite"),
+    ('{"kind": "logistic", "specs": [], "coefficients": {"NeitherHan": '
+     '{"intercept": Infinity, "slopes": []}}}',
+     "NeitherHan holds a coefficient that is not finite"),
 ])
 def test_model_file_checked_on_load(tmp_path, text, message):
-    """A model file that is not JSON, lacks a key or holds a slope count
-    other than one per feature is an input error naming the file."""
+    """A model file that is not JSON, lacks a key, holds a slope count
+    other than one per feature or a coefficient that is not finite is an
+    input error naming the file."""
     path = tmp_path / "model.json"
     if text is None:
         model = MatcherModel(kind="logistic", specs=(SPEC_A, SPEC_B),
