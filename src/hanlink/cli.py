@@ -122,9 +122,12 @@ def _read_feature_csv(path: str):
     names = [name for name in table.header if name not in ("label", "han_category")]
     if not names:
         raise InputError(f"{path}: no feature columns")
+    try:
+        specs = tuple(FeatureSpec.from_name(name) for name in names)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return (np.column_stack([table.column(name, _finite) for name in names]),
-            np.array(cats, dtype=np.int8), y,
-            tuple(FeatureSpec.from_name(name) for name in names))
+            np.array(cats, dtype=np.int8), y, specs)
 
 
 def cmd_train(args) -> int:
@@ -237,6 +240,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.q is not None:
+        checked_number("--q", args.q, 0, 1, above=True)
     table = CsvTable(args.input)
     scores = np.array(table.column("score", score_cell))
     labels = np.array(table.column("label", _label))
@@ -244,7 +249,7 @@ def cmd_evaluate(args) -> int:
         ranking = GroupedRanking.from_pairs(scores, labels)
         q = args.q if args.q is not None else ranking.default_q()
         eauroc_q = eauroc(ranking, q)
-    except ValueError as exc:  # one class in the file, or --q outside (0, 1]
+    except ValueError as exc:  # one class in the file
         raise InputError(str(exc)) from None
     report = {
         "auroc": auroc(ranking),

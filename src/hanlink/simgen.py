@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import levenshtein_sims
+from .compare import _from_distances, levenshtein_sims
 from .encoding import EncodingKind, EncodingTable, logograms
 from .linkage import CsvTable, InputError, check_keys, checked_number
 
@@ -49,6 +49,10 @@ DEFAULT_CARDINALITIES = {"sex": 2, "yob": 80, "mob": 12, "dob": 31, "loc": 200}
 SIM_FIELDS = ("sex", "yob", "mob", "dob", "loc")
 
 STOP = "\x00"
+
+# How far from 1 a probability vector may sum and still be drawn from as
+# given; SimConfig renormalizes an error-type map that sums farther off.
+SUM_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -90,7 +94,7 @@ class SimConfig:
         total = sum(self.error_type_probs.values())
         if total <= 0:
             raise InputError("error-type distribution must have positive mass")
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             self.error_type_probs = {k: v / total for k, v in self.error_type_probs.items()}
 
     @classmethod
@@ -109,11 +113,51 @@ class PositionalNameModel:
     decompositions: dict[str, str]
     inventory: tuple[str, ...]
     max_len: int
+    # what sample_name draws from, derived from position_probs once
+    position_cdfs: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.position_cdfs = [distribution_cdf(p, f"position {pos}'s character probabilities")
+                              for pos, p in enumerate(self.position_probs)]
+
+
+def distribution_cdf(probs: np.ndarray, what: str) -> np.ndarray:
+    """The cumulative distribution `Generator.choice(len(probs), p=probs)`
+    draws from, cumsum(p) / cumsum(p)[-1], for `draw`. `probs` must be
+    finite, non-negative and sum to 1 within SUM_TOLERANCE: a ValueError
+    naming `what` otherwise."""
+    total = probs.sum()
+    if not (np.isfinite(total) and (probs >= 0).all() and abs(total - 1.0) <= SUM_TOLERANCE):
+        raise ValueError(f"{what} must be non-negative and sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn from `cdf` exactly as `Generator.choice` draws it with
+    the probabilities behind `cdf`: one `rng.random()`, searched from the
+    right. The result and the generator's next state match choice's."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _encoding_code(char: str, table: EncodingTable) -> str:
     code = table.lookup(char)
     return code if code is not None else char
+
+
+def edit_distance_floor(codes: list[str], u, v) -> np.ndarray:
+    """A lower bound on the Levenshtein distance of codes[u[i]] and
+    codes[v[i]]: the larger of the length gap and, for each side, the
+    number of symbols (code point mod 64, one bit of a uint64 each) it holds
+    that the other lacks, since every character of such a symbol must be
+    deleted or substituted. Symbols that collide mod 64 only lower it."""
+    sets = np.array([sum({1 << (ord(ch) & 63) for ch in code}) for code in codes],
+                    dtype=np.uint64)
+    lens = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
+    sa, sb = sets[u], sets[v]
+    gone = np.maximum(np.bitwise_count(sa & ~sb), np.bitwise_count(sb & ~sa))
+    return np.maximum(gone, np.abs(lens[u] - lens[v]))
 
 
 def build_name_model(corpus: list[str],
@@ -155,6 +199,10 @@ def build_name_model(corpus: list[str],
         # sim >= t requires E <= (1-t)*maxlen and E >= length gap
         pruned = np.abs(la - lb) > (1.0 - sim_threshold) * np.maximum(la, lb)
         todo = np.nonzero(~hit & ~pruned)[0]  # a pair matched once is not searched again
+        # levenshtein_sims' own similarity of a floor of E: it falls as E
+        # grows, so a pair below the threshold at its floor stays below
+        floor = edit_distance_floor(codes, first[todo], second[todo])
+        todo = todo[_from_distances("LV", floor, la[todo], lb[todo]) >= sim_threshold]
         sims = levenshtein_sims(codes, first[todo], second[todo])
         hit[todo[sims >= sim_threshold]] = True
     # each character's candidates in inventory order
@@ -183,9 +231,8 @@ def build_name_model(corpus: list[str],
 
 def sample_name(model: PositionalNameModel, rng: np.random.Generator) -> str:
     chars = []
-    for pos in range(model.max_len):
-        pick = model.position_chars[pos][rng.choice(len(model.position_probs[pos]),
-                                                    p=model.position_probs[pos])]
+    for available, cdf in zip(model.position_chars, model.position_cdfs):
+        pick = available[draw(cdf, rng)]
         if pick == STOP:
             break
         chars.append(pick)
@@ -351,7 +398,8 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
                    for f in cfg.fields}
 
     type_names = tuple(DEFAULT_ERROR_TYPES)
-    type_probs = np.array([cfg.error_type_probs[t] for t in type_names])
+    type_cdf = distribution_cdf(np.array([cfg.error_type_probs[t] for t in type_names]),
+                                "error-type probabilities")
 
     names_b = []
     requested: list[str] = []
@@ -359,7 +407,7 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
     values_b = {f: base_values[f].copy() for f in cfg.fields}
     for i in range(n):
         if rng.random() < cfg.name_error_rate:
-            etype = type_names[rng.choice(len(type_names), p=type_probs)]
+            etype = type_names[draw(type_cdf, rng)]
             requested.append(etype)
             variant, fell_back = corrupt_name(names[i], etype, model, rng)
             fallbacks += int(fell_back)

@@ -17,6 +17,33 @@ def dp_levenshtein(a: str, b: str) -> int:
     return d[m][n]
 
 
+def unbounded_substitutions(inventory, tables, threshold) -> dict:
+    """simgen.build_name_model's substitution search without an edit-distance
+    floor: every pair of `inventory` that the length-gap prune keeps goes
+    through levenshtein_sims under PY, FC, WB and RDS; a character's
+    candidates come in inventory order."""
+    import numpy as np
+    from hanlink.compare import levenshtein_sims
+    from hanlink.encoding import EncodingKind
+    first, second = np.triu_indices(len(inventory), 1)
+    hit = np.zeros(len(first), dtype=bool)
+    for kind in (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS):
+        if kind not in tables:
+            continue
+        codes = [c if (code := tables[kind].lookup(c)) is None else code for c in inventory]
+        lens = np.array([len(code) for code in codes], dtype=np.int64)
+        la, lb = lens[first], lens[second]
+        pruned = np.abs(la - lb) > (1.0 - threshold) * np.maximum(la, lb)
+        todo = np.nonzero(~hit & ~pruned)[0]
+        sims = levenshtein_sims(codes, first[todo], second[todo])
+        hit[todo[sims >= threshold]] = True
+    subs = {c: [] for c in inventory}
+    for i, j in zip(first[hit].tolist(), second[hit].tolist()):
+        subs[inventory[i]].append(j)
+        subs[inventory[j]].append(i)
+    return {c: tuple(inventory[j] for j in sorted(v)) for c, v in subs.items()}
+
+
 def counter_cosine(a: str, b: str, k: int) -> float:
     """Cosine of k-token Counters, rounded as the featurizer documents:
     integer dot product over the product of `** 0.5` norms, capped at 1."""

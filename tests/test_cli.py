@@ -331,7 +331,7 @@ def test_study_rejects_single_class_dev_split(tmp_path, capsys):
 @pytest.mark.parametrize("rows,options,status,expected", [
     ("0.9,1\n0.8,1\n0.4,0\n0.7,1\n", [], 0, '"q": 1.0'),
     ("0.9,1\n0.1,1\n", [], 2, "error: both classes must carry positive mass"),
-    ("0.9,1\n0.1,0\n", ["--q", "0"], 2, "error: q must lie in (0, 1]"),
+    ("0.9,1\n0.1,0\n", ["--q", "0"], 2, "error: --q must be a number > 0 and <= 1, not 0.0"),
 ])
 def test_evaluate_default_q(tmp_path, capsys, rows, options, status, expected):
     """Without --q, evaluate takes the ranking's default q, the odds capped
@@ -549,6 +549,8 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
     ("experiment", "--workers", "-3", "--workers must be an integer >= 1, not -3"),
     ("experiment", "--workers", "0", "--workers must be an integer >= 1, not 0"),
     ("train", "--in", "labels.csv", "labels.csv: no feature columns"),
+    ("train", "--in", "typo.csv", "typo.csv: feature 'PY_FOO_k1_1:N': unknown comparator 'FOO'"),
+    ("evaluate", "--q", "2", "--q must be a number > 0 and <= 1, not 2.0"),
     ("fitdist", "--bins", "0", "--bins must be an integer >= 1, not 0"),
     ("simulate", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
 ])
@@ -556,17 +558,20 @@ def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, op
                                       message):
     """A number given on the command line is checked as the config reader
     checks the same setting, before any work, and a feature file without
-    feature columns is rejected: exit 2 naming the option or the file."""
+    feature columns or with a malformed feature name is rejected: exit 2
+    naming the option or the file."""
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     Path("labels.csv").write_text("han_category,label\nBothHan,0\nBothHan,1\n",
                                   encoding="utf-8")
+    Path("typo.csv").write_text("PY_FOO_k1_1:N,label\n0.2,0\n0.8,1\n", encoding="utf-8")
     Path("features.csv").write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
         f"{0.2 + 0.6 * (k % 2)},BothHan,{k % 2}\n" for k in range(8)), encoding="utf-8")
     Path("scores.csv").write_text("score,label\n0.9,1\n0.1,0\n", encoding="utf-8")
     Path("study.json").write_text(json.dumps({**STUDY, "methods": ["exact"]}))
     argv = {"train": ["--in", "features.csv"], "fitdist": ["--in", "scores.csv"],
-            "simulate": [], "experiment": ["--config", "study.json"]}[command]
+            "simulate": [], "experiment": ["--config", "study.json"],
+            "evaluate": ["--in", "scores.csv"]}[command]
     assert main([command, *argv, "--out", str(out), option, value]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hanlink.compare import levenshtein_sims
-from hanlink.encoding import EncodingKind, logograms
+from hanlink.encoding import EncodingKind, EncodingTable, logograms
 from hanlink.linkage import InputError
 from hanlink.simgen import (
     DEFAULT_CARDINALITIES,
@@ -16,12 +18,15 @@ from hanlink.simgen import (
     SimConfig,
     build_name_model,
     corrupt_name,
+    distribution_cdf,
+    draw,
+    edit_distance_floor,
     generate_pair_files,
     read_truth,
     sample_name,
     write_truth,
 )
-from oracles import dp_levenshtein
+from oracles import dp_levenshtein, unbounded_substitutions
 
 
 def levenshtein_sim(a, b):
@@ -304,3 +309,92 @@ def test_substitution_prune_drops_pairs_at_the_threshold_with_a_length_gap(bundl
     assert levenshtein_sim("wan4", "wang4") == 0.8
     model = build_name_model(["万旺"], {EncodingKind.PY: py}, sim_threshold=0.8)
     assert model.substitutions == {"万": (), "旺": ()}
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.8, 1.0])
+def test_substitutions_match_unbounded_search_on_shipped_bundle(bundle, name_model, threshold):
+    model = (name_model if threshold == 0.8
+             else build_name_model(bundle.corpus, bundle.tables, sim_threshold=threshold))
+    assert model.substitutions == unbounded_substitutions(model.inventory, bundle.tables,
+                                                          threshold)
+
+
+# Han characters three to a residue mod 64, and code symbols that collide
+# with them and with each other mod 64, so the symbol-set floor meets
+# collisions on both sides.
+COLLIDING_HAN = [chr(0x5B00 + 64 * k + r) for r in range(3) for k in range(3)]
+CODE_SYMBOLS = ["a", "b", chr(ord("a") + 64), chr(ord("b") + 128), "1", *COLLIDING_HAN[:4]]
+codes_st = st.one_of(st.text(st.sampled_from(CODE_SYMBOLS), max_size=6),
+                     st.text(st.sampled_from(CODE_SYMBOLS), min_size=60, max_size=75))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), threshold=st.sampled_from([0.5, 0.8, 1.0]))
+def test_substitutions_match_unbounded_search_on_drawn_tables(data, threshold):
+    """Drawn tables hold empty codes, codes over 64 characters and symbols
+    that collide mod 64; characters a table lacks stand for themselves."""
+    corpus = data.draw(st.lists(st.text(st.sampled_from(COLLIDING_HAN), min_size=1,
+                                        max_size=3), min_size=1, max_size=6))
+    kinds = data.draw(st.lists(st.sampled_from(SUBSTITUTION_KINDS), min_size=1, unique=True))
+    tables = {kind: EncodingTable(kind, data.draw(st.dictionaries(
+        st.sampled_from(COLLIDING_HAN), codes_st, max_size=len(COLLIDING_HAN))))
+        for kind in kinds}
+    model = build_name_model(corpus, tables, sim_threshold=threshold)
+    assert model.substitutions == unbounded_substitutions(model.inventory, tables, threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=codes_st, b=codes_st)
+def test_edit_distance_floor_never_exceeds_the_distance(a, b):
+    assert 0 <= edit_distance_floor([a, b], [0], [1])[0] <= dp_levenshtein(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.floats(0, 1e6), min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+       seed=st.integers(0, 2 ** 64 - 1), draws=st.integers(1, 20))
+def test_draw_matches_generator_choice(weights, seed, draws):
+    """draw on distribution_cdf(p) gives the indices Generator.choice(k, p=p)
+    gives, and leaves the generator in the same state."""
+    probs = np.array(weights) / sum(weights)
+    cdf = distribution_cdf(probs, "drawn probabilities")
+    ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    assert ([draw(cdf, ours) for _ in range(draws)]
+            == [int(theirs.choice(len(probs), p=probs)) for _ in range(draws)])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, float("nan")], [0.5, 0.4999]])
+def test_distribution_cdf_rejects_what_is_not_a_distribution(probs):
+    with pytest.raises(ValueError, match="error-type probabilities must be non-negative"):
+        distribution_cdf(np.array(probs), "error-type probabilities")
+
+
+def test_error_types_summing_within_tolerance_are_drawn_as_given(name_model):
+    """A map summing to 1 within SimConfig's renormalizing tolerance is
+    drawn from as given."""
+    probs = {**dict.fromkeys(DEFAULT_ERROR_TYPES, 0.0), "single_replacement": 0.5,
+             "transposition": 0.5 + 5e-7}
+    sim = generate_pair_files(SimConfig(n_records=40, name_error_rate=1.0, seed=3,
+                                        error_type_probs=probs), name_model)
+    assert set(sim.requested_error_types) == {"single_replacement", "transposition"}
+
+
+def sim_digest(sim) -> str:
+    blob = json.dumps([sim.records_a, sim.records_b, sim.truth.tolist(),
+                       sim.requested_error_types, sim.fallback_count],
+                      ensure_ascii=False, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,rate,digest", [
+    (5, 0.0345, "24befb11c3aded712670457db8b24d9d2dd7c56570beffd5c761f01699ee4b00"),
+    (6, 0.2, "02c8ad03259c7a668543e05352792deb259b880cb9aa8d0e6e3e36ca560b1c7a"),
+    (7, 1.0, "4966e4ef29ceb96121ac33947814742ee49deaf117cb9c44cfc11236864def4d"),
+])
+def test_simulated_files_are_pinned(name_model, seed, rate, digest):
+    """Records, truth, requested error types and fallbacks of 300-record
+    simulations on the shipped bundle, as digests: a change to name
+    sampling, corruption or the name model shows here."""
+    sim = generate_pair_files(SimConfig(n_records=300, seed=seed, name_error_rate=rate),
+                              name_model)
+    assert sim_digest(sim) == digest
