@@ -354,12 +354,6 @@ class PairFeaturizer:
         self._codes: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
         self._encoded: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
 
-    def spec_index(self, spec_name: str) -> int:
-        for i, spec in enumerate(self.specs):
-            if spec.name == spec_name:
-                return i
-        raise KeyError(f"unknown feature {spec_name!r}")
-
     def _encode(self, kind: EncodingKind, sub: str) -> str:
         """transform(sub, table).joined, or "" for an empty substring."""
         memo = self._encoded[kind]

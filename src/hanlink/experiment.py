@@ -481,7 +481,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     some of TRAIN_DEFAULTS."""
     scorer = name_scorer(classifier, bundle, study=True)
     opts = {**TRAIN_DEFAULTS, **(train_opts or {})}
-    seeds = np.random.SeedSequence(seed).spawn(3)
+    seeds = np.random.SeedSequence(seed).spawn(2)
     dev_cfg = SimConfig.from_dict({**sim_params, "seed": _seed_of(seeds[0])})
     sim = generate_pair_files(dev_cfg, name_model)
     rng = np.random.Generator(np.random.PCG64(seeds[1]))
@@ -556,16 +556,14 @@ def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1)
     name_model = build_name_model(bundle.corpus, bundle.tables)
     methods, replicates = settings.methods, settings.replicates
 
-    seeds = np.random.SeedSequence(settings.seed)
-    train_seed = _seed_of(seeds.spawn(1)[0])
+    train, *reps = np.random.SeedSequence(settings.seed).spawn(replicates + 1)
+    train_seed, rep_seeds = _seed_of(train), [_seed_of(s) for s in reps]
     model = dist = None
     train_info: dict = {}
     if any(m != "exact" for m in methods):
         model, dist, train_info = train_matcher_and_dist(
             bundle, name_model, settings.simulate, train_seed, settings.classifier,
             settings.train)
-    rep_seeds = [_seed_of(s)
-                 for s in np.random.SeedSequence(settings.seed).spawn(replicates + 1)[1:]]
 
     shared = (methods, model, dist, settings.fields, settings.floor,
               settings.candidate_floor, settings.q)

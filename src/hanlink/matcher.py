@@ -288,14 +288,17 @@ def _dev_metrics(model: MatcherModel, dev_X, dev_cats, dev_y, col_idx) -> tuple[
     return auroc(ranking), eauroc(ranking)
 
 
-def _scored_fits(design, trials: list[tuple], y, dev, penalty: float):
-    """(model, dev AUROC, dev EAUROC) of each trial (terms, specs, dev
-    columns, label) in order. design(lo, hi) stacks trials lo..hi-1 as one
-    IRLS of at most FIT_BUDGET elements; a failed fit raises naming its label."""
+def _scored_fits(train, dev, trials: list[tuple], penalty: float):
+    """(model, dev AUROC, dev EAUROC) of each trial (terms, specs, columns,
+    label) in order: the fit of `_build_design` over the train columns,
+    scored on the same dev columns. Trials are stacked as IRLS chunks of at
+    most FIT_BUDGET elements; a failed fit raises naming its label."""
+    X, cats, y = train
     size = max(1, FIT_BUDGET // (len(y) * (len(trials[0][0]) + 1)))
     for lo in range(0, len(trials), size):
-        fits = _fit_design(design(lo, min(lo + size, len(trials))), y, penalty)
-        for fit, (terms, specs, cols, label) in zip(fits, trials[lo:]):
+        chunk = trials[lo:lo + size]
+        D = np.stack([_build_design(X[:, cols], cats, terms) for terms, _, cols, _ in chunk])
+        for fit, (terms, specs, cols, label) in zip(_fit_design(D, y, penalty), chunk):
             model = _fitted_model(fit, terms, specs, penalty, label)
             yield (model,) + _dev_metrics(model, *dev, cols)
 
@@ -313,24 +316,17 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    X, cats, y = _as_matrices(train)
-    dev = _as_matrices(dev)
+    train, dev = _as_matrices(train), _as_matrices(dev)
     bank_index = {spec: i for i, spec in enumerate(bank)}
     remaining = list(candidates)
     selected: list[FeatureSpec] = []
     cur_auroc, cur_eauroc = 0.5, 0.5  # intercept-only ranking is uninformative
     while remaining:
-        base = np.column_stack([np.ones(len(y))] + [X[:, bank_index[s]] for s in selected])
-        added = X[:, [bank_index[s] for s in remaining]].T[:, :, None]
         terms = [("main", j) for j in range(len(selected) + 1)]
         trials = [(terms, tuple(selected + [c]), [bank_index[s] for s in selected + [c]],
                    f" (adding {c.name})") for c in remaining]
-        scored = _scored_fits(
-            lambda lo, hi: np.concatenate(
-                [np.broadcast_to(base, (hi - lo,) + base.shape), added[lo:hi]], axis=2),
-            trials, y, dev, penalty)
         best = None  # (auroc, eauroc, -position) strictly improving comparisons
-        for pos, (_, a, e) in enumerate(scored):
+        for pos, (_, a, e) in enumerate(_scored_fits(train, dev, trials, penalty)):
             key = (a, e, -pos)
             if best is None or key > best[0]:
                 best = (key, pos, a, e)
@@ -352,8 +348,7 @@ def backward_prune(model: MatcherModel, dev, train,
     A round fits the droppable terms' reduced designs as `forward_select`
     fits a step; errors name the term.
     """
-    X, cats, y = _as_matrices(train)
-    dev = _as_matrices(dev)
+    train, dev = _as_matrices(train), _as_matrices(dev)
     specs = model.specs
     all_cols = np.arange(len(specs))
     terms = [tuple(t) for t in model.trainer["terms"]]
@@ -363,15 +358,10 @@ def backward_prune(model: MatcherModel, dev, train,
         droppable = [t for t in terms if t[0] in ("main", "inter")]
         if len(droppable) <= 1:
             break
-        full = _build_design(X, cats, terms)
-        drop = [1 + terms.index(t) for t in droppable]
         trials = [([u for u in terms if u != t], specs, all_cols,
                    f" (dropping term {list(t)} of {specs[t[1]].name})") for t in droppable]
-        scored = _scored_fits(
-            lambda lo, hi: np.stack([np.delete(full, c, axis=1) for c in drop[lo:hi]]),
-            trials, y, dev, penalty)
         best = None
-        for t, (trial, a, e) in zip(droppable, scored):
+        for t, (trial, a, e) in zip(droppable, _scored_fits(train, dev, trials, penalty)):
             key = (min(a - cur_a, e - cur_e), a, e)
             if best is None or key > best[0]:
                 best = (key, t, trial, a, e)
@@ -401,16 +391,12 @@ def train_matcher(train, dev, bank: tuple[FeatureSpec, ...],
     """The full two-step trainer: forward selection of the bank's single
     features but CAT, then a Han-category interaction model pruned backward."""
     candidates = [s for s in bank if s.comparator != "CAT"]
-    selected = forward_select(candidates, train, dev, bank, penalty=penalty)
-    if not selected:
-        selected = [candidates[0]]
-    X, cats, y = _as_matrices(train)
-    dev_X, dev_cats, dev_y = _as_matrices(dev)
-    cols = np.array([bank.index(s) for s in selected])
-    full = train_logistic((X[:, cols], cats, y), tuple(selected), penalty=penalty,
-                          interactions=True)
-    return backward_prune(full, (dev_X[:, cols], dev_cats, dev_y),
-                          (X[:, cols], cats, y), penalty=penalty)
+    train, dev = _as_matrices(train), _as_matrices(dev)
+    selected = forward_select(candidates, train, dev, bank, penalty=penalty) or [candidates[0]]
+    cols = [bank.index(s) for s in selected]
+    train, dev = ((X[:, cols], cats, y) for X, cats, y in (train, dev))
+    full = train_logistic(train, tuple(selected), penalty=penalty, interactions=True)
+    return backward_prune(full, dev, train, penalty=penalty)
 
 
 # ---------------------------------------------------------------------------

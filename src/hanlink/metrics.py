@@ -63,17 +63,25 @@ class GroupedRanking:
         return min(P / N, 1.0)
 
 
+def _area(value) -> float:
+    """An area in [0, 1]: float masses can round a trapezoid sum an ulp past
+    either end."""
+    return float(min(max(value, 0.0), 1.0))
+
+
 def auroc(r: GroupedRanking) -> float:
-    """Trapezoidal area under the ROC curve, one point per tie-group boundary."""
+    """Trapezoidal area under the ROC curve, one point per tie-group
+    boundary, clamped to [0, 1]."""
     P, N = r.class_totals()
-    return float(_trapezoid(r.cum_pos / P, r.cum_neg / N))
+    return _area(_trapezoid(r.cum_pos / P, r.cum_neg / N))
 
 
 def eauroc(r: GroupedRanking, q: float | None = None) -> float:
     """Partial AUROC on FPR in [0, q], normalized by q; q defaults to
     `r.default_q()`. It reads the ranking's one sort, as `auroc` does.
-    eauroc(r, 1) equals auroc(r) exactly for integer masses; float masses
-    can leave the last FPR an ulp above 1."""
+    eauroc(r, 1) equals auroc(r) exactly for integer masses. With float
+    masses the last FPR can land an ulp above 1 and the partial sum over
+    [0, q] an ulp above q, so the result is clamped to [0, 1]."""
     if q is None:
         q = r.default_q()
     if not 0 < q <= 1:
@@ -81,14 +89,14 @@ def eauroc(r: GroupedRanking, q: float | None = None) -> float:
     P, N = r.class_totals()
     fpr, tpr = r.cum_neg / N, r.cum_pos / P
     if q >= fpr[-1]:
-        return float(_trapezoid(tpr, fpr)) / q
+        return _area(_trapezoid(tpr, fpr) / q)
     cut = int(np.searchsorted(fpr, q, side="right"))
     # interpolate the segment crossing q
     f0, f1 = fpr[cut - 1], fpr[cut]
     t0, t1 = tpr[cut - 1], tpr[cut]
     t_q = t0 if f1 == f0 else t0 + (t1 - t0) * (q - f0) / (f1 - f0)
-    return float(_trapezoid(np.concatenate([tpr[:cut], [t_q]]),
-                            np.concatenate([fpr[:cut], [q]]))) / q
+    return _area(_trapezoid(np.concatenate([tpr[:cut], [t_q]]),
+                            np.concatenate([fpr[:cut], [q]])) / q)
 
 
 def log_loss(probs, labels) -> float:

@@ -6,7 +6,11 @@ re-records every individual of file A, corrupting each field
 independently at its error rate and the name at the configured rate with
 a typed error mechanism. Substitution candidates for replacement errors
 are characters whose encodings are highly similar under any of the
-phonetic/visual/keystroke encodings.
+phonetic/visual/keystroke encodings. Each error mechanism returns its
+variant, or None when the name gives it nothing to act on (multi
+replacement or decomposition of one logogram, transposition without
+unequal neighbours, decomposition without a decomposable logogram): None
+means single replacement instead, and the fallback flag is set.
 """
 from __future__ import annotations
 
@@ -239,31 +243,27 @@ def sample_name(model: PositionalNameModel, rng: np.random.Generator) -> str:
     return "".join(chars)
 
 
-def _random_other_char(char: str, model: PositionalNameModel,
-                       rng: np.random.Generator) -> str:
-    candidates = [c for c in model.substitutions.get(char, ()) if c != char]
-    if not candidates:
-        candidates = [c for c in model.inventory if c != char]
-    return candidates[rng.integers(len(candidates))]
-
-
-def _replace_at(chars: list[str], pos: int, model, rng) -> list[str]:
+def _replace(chars, positions, model, rng) -> list[str]:
+    """chars with each of `positions` replaced by one of its substitution
+    candidates, or by any other inventory character when it has none."""
     out = list(chars)
-    out[pos] = _random_other_char(chars[pos], model, rng)
+    for pos in positions:
+        char = out[pos]
+        candidates = [c for c in model.substitutions.get(char, ()) if c != char]
+        if not candidates:
+            candidates = [c for c in model.inventory if c != char]
+        out[pos] = candidates[rng.integers(len(candidates))]
     return out
 
 
 def _single_replacement(chars, model, rng):
-    return _replace_at(chars, int(rng.integers(len(chars))), model, rng)
+    return _replace(chars, [int(rng.integers(len(chars)))], model, rng)
 
 
 def _multi_replacement(chars, model, rng):
-    k = min(len(chars), 2)
-    positions = rng.choice(len(chars), size=k, replace=False)
-    out = list(chars)
-    for pos in positions:
-        out = _replace_at(out, int(pos), model, rng)
-    return out
+    if len(chars) < 2:
+        return None
+    return _replace(chars, rng.choice(len(chars), size=2, replace=False).tolist(), model, rng)
 
 
 def _insertion_deletion(chars, model, rng):
@@ -287,7 +287,7 @@ def _transposition(chars, model, rng):
 
 def _decomposition(chars, model, rng):
     spots = [i for i, c in enumerate(chars) if c in model.decompositions]
-    if not spots:
+    if len(chars) < 2 or not spots:
         return None
     i = spots[rng.integers(len(spots))]
     return chars[:i] + list(model.decompositions[chars[i]]) + chars[i + 1:]
@@ -298,66 +298,64 @@ def _multi_name(chars, model, rng):
     return chars + ["("] + variant + [")"]
 
 
+# error type -> mechanism; "complex" is two draws of _COMPLEX_STEPS
+_MECHANISMS = {"single_replacement": _single_replacement, "multi_replacement": _multi_replacement,
+               "insertion_deletion": _insertion_deletion, "transposition": _transposition,
+               "multi_name": _multi_name, "decomposition": _decomposition}
+_COMPLEX_STEPS = ("single_replacement", "insertion_deletion", "transposition")
+
+
+def _mechanism(error_type: str, chars: list[str], model, rng) -> tuple[list[str], bool]:
+    """(variant, fell_back) of one application of `error_type` to chars: a
+    mechanism that cannot act falls back to single replacement."""
+    if error_type == "complex":
+        steps = _COMPLEX_STEPS
+        first, fell_1 = _mechanism(steps[rng.integers(len(steps))], chars, model, rng)
+        second, fell_2 = _mechanism(steps[rng.integers(len(steps))], first, model, rng)
+        return second, fell_1 or fell_2
+    variant = _MECHANISMS[error_type](chars, model, rng)
+    if variant is None:
+        return _single_replacement(chars, model, rng), True
+    return variant, False
+
+
 def corrupt_name(name: str, error_type: str, model: PositionalNameModel,
                  rng: np.random.Generator) -> tuple[str, bool]:
     """Apply one error mechanism to `name`; returns (variant, fell_back).
 
-    Mechanisms infeasible for the given name (transposition or
-    decomposition with nothing to act on) fall back to single replacement
-    and set the flag. Output is guaranteed to differ from the input.
+    A mechanism that cannot act on the name falls back to single
+    replacement and sets the flag, as does one whose variant still equals
+    the name after 8 tries. Output is guaranteed to differ from the input.
     """
     chars = logograms(name)
     if not chars:
         raise ValueError("cannot corrupt an empty name")
-    fallback = False
-
-    def apply(etype, cs):
-        nonlocal fallback
-        if etype == "single_replacement":
-            return _single_replacement(cs, model, rng)
-        if etype == "multi_replacement":
-            if len(cs) < 2:
-                fallback = True
-                return _single_replacement(cs, model, rng)
-            return _multi_replacement(cs, model, rng)
-        if etype == "insertion_deletion":
-            return _insertion_deletion(cs, model, rng)
-        if etype == "transposition":
-            out = _transposition(cs, model, rng) if len(cs) >= 2 else None
-            if out is None:
-                fallback = True
-                return _single_replacement(cs, model, rng)
-            return out
-        if etype == "decomposition":
-            out = _decomposition(cs, model, rng) if len(cs) >= 2 else None
-            if out is None:
-                fallback = True
-                return _single_replacement(cs, model, rng)
-            return out
-        if etype == "multi_name":
-            return _multi_name(cs, model, rng)
-        if etype == "complex":
-            simple = ("single_replacement", "insertion_deletion", "transposition")
-            out = list(cs)
-            for _ in range(2):
-                out = apply(simple[rng.integers(len(simple))], out)
-            return out
+    if error_type not in DEFAULT_ERROR_TYPES:
         raise ValueError(f"unknown error type {error_type!r}")
-
+    fallback = False
     for _ in range(8):
-        variant = apply(error_type, chars)
+        variant, fell_back = _mechanism(error_type, chars, model, rng)
+        fallback |= fell_back
         if variant != chars:
             return "".join(variant), fallback
-    fallback = True
-    return "".join(_single_replacement(chars, model, rng)), fallback
+    return "".join(_single_replacement(chars, model, rng)), True
 
 
-def _sample_field_values(fld: str, n: int, card: int, rng: np.random.Generator) -> np.ndarray:
-    if fld == "loc":
-        weights = 1.0 / np.arange(1, card + 1)  # Zipf-ish location sizes
-        weights /= weights.sum()
-        return rng.choice(card, size=n, p=weights) + 1
-    return rng.integers(1, card + 1, size=n)
+def _field_cdf(fld: str, card: int) -> np.ndarray | None:
+    """The CDF of loc's Zipf-ish location sizes 1..card; None (uniform
+    values) for every other field."""
+    if fld != "loc":
+        return None
+    weights = 1.0 / np.arange(1, card + 1)
+    weights /= weights.sum()
+    return distribution_cdf(weights, "location sizes")
+
+
+def _sample_field_values(cdf, card: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n values in 1..card, a CDF searched as `Generator.choice` searches it."""
+    if cdf is None:
+        return rng.integers(1, card + 1, size=n)
+    return cdf.searchsorted(rng.random(n), side="right") + 1
 
 
 def _field_value_str(fld: str, value: int) -> str:
@@ -368,9 +366,9 @@ def _field_value_str(fld: str, value: int) -> str:
     return str(value)
 
 
-def _redraw_different(fld: str, current: int, card: int, rng: np.random.Generator) -> int:
+def _redraw_different(current: int, cdf, card: int, rng: np.random.Generator) -> int:
     for _ in range(64):
-        new = int(_sample_field_values(fld, 1, card, rng)[0])
+        new = int(_sample_field_values(cdf, card, 1, rng)[0])
         if new != current:
             return new
     return current % card + 1
@@ -394,7 +392,8 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_records
     names = [sample_name(model, rng) for _ in range(n)]
-    base_values = {f: _sample_field_values(f, n, cfg.cardinalities[f], rng)
+    cdfs = {f: _field_cdf(f, cfg.cardinalities[f]) for f in cfg.fields}
+    base_values = {f: _sample_field_values(cdfs[f], cfg.cardinalities[f], n, rng)
                    for f in cfg.fields}
 
     type_names = tuple(DEFAULT_ERROR_TYPES)
@@ -416,14 +415,11 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
             names_b.append(names[i])
         for f in cfg.fields:
             if rng.random() < cfg.field_error_rates[f]:
-                values_b[f][i] = _redraw_different(f, int(values_b[f][i]),
+                values_b[f][i] = _redraw_different(int(values_b[f][i]), cdfs[f],
                                                    cfg.cardinalities[f], rng)
 
     perm = rng.permutation(n)
-    truth = np.column_stack([np.arange(n), np.empty(n, dtype=np.int64)])
-    position = np.empty(n, dtype=np.int64)
-    position[perm] = np.arange(n)
-    truth[:, 1] = position
+    truth = np.column_stack([np.arange(n), np.argsort(perm)])  # B row of each A row
 
     def as_records(names_list, values) -> dict[str, list[str]]:
         recs = {"name": list(names_list)}
@@ -435,9 +431,7 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
         return recs
 
     records_a = as_records(names, base_values)
-    shuffled_names_b = [names_b[i] for i in perm]
-    shuffled_values_b = {f: values_b[f][perm] for f in cfg.fields}
-    records_b = as_records(shuffled_names_b, shuffled_values_b)
+    records_b = as_records([names_b[i] for i in perm], {f: values_b[f][perm] for f in cfg.fields})
     return SimResult(records_a=records_a, records_b=records_b, truth=truth,
                      requested_error_types=requested, fallback_count=fallbacks)
 

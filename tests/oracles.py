@@ -185,26 +185,30 @@ def sorted_roc_points(scores, pos, neg):
 
 
 def sorted_auroc(scores, pos, neg):
-    """Trapezoidal AUROC over `sorted_roc_points`."""
+    """Trapezoidal AUROC over `sorted_roc_points`, clipped to [0, 1]."""
+    import numpy as np
     from hanlink.metrics import _trapezoid
     fpr, tpr = sorted_roc_points(scores, pos, neg)
-    return float(_trapezoid(tpr, fpr))
+    return float(np.clip(_trapezoid(tpr, fpr), 0.0, 1.0))
 
 
 def sorted_eauroc(scores, pos, neg, q):
     """Area over FPR in [0, q] of `sorted_roc_points`, the segment crossing
-    q interpolated, normalized by q."""
+    q interpolated, normalized by q and clipped to [0, 1]. A q outside
+    (0, 1], such as an odds P/N that underflows to 0, is a ValueError."""
     import numpy as np
     from hanlink.metrics import _trapezoid
+    if not 0 < q <= 1:
+        raise ValueError("q must lie in (0, 1]")
     fpr, tpr = sorted_roc_points(scores, pos, neg)
     if q >= fpr[-1]:
-        return float(_trapezoid(tpr, fpr)) / q
+        return float(np.clip(_trapezoid(tpr, fpr) / q, 0.0, 1.0))
     cut = int(np.searchsorted(fpr, q, side="right"))
     f0, f1 = fpr[cut - 1], fpr[cut]
     t0, t1 = tpr[cut - 1], tpr[cut]
     t_q = t0 if f1 == f0 else t0 + (t1 - t0) * (q - f0) / (f1 - f0)
-    return float(_trapezoid(np.concatenate([tpr[:cut], [t_q]]),
-                            np.concatenate([fpr[:cut], [q]]))) / q
+    area = _trapezoid(np.concatenate([tpr[:cut], [t_q]]), np.concatenate([fpr[:cut], [q]]))
+    return float(np.clip(area / q, 0.0, 1.0))
 
 
 def sorted_confusion(scores, pos, neg, proportion):

@@ -151,6 +151,11 @@ def feature_row(fz: PairFeaturizer, a: str, b: str):
     return X[0], compare.HAN_CATEGORIES[cats[0]]
 
 
+def column(fz: PairFeaturizer, name: str) -> int:
+    """The feature-matrix column of the feature called `name`."""
+    return [s.name for s in fz.specs].index(name)
+
+
 def test_feature_vector_reflexive(featurizer):
     values, cat = feature_row(featurizer, "伍考", "伍考")
     for spec, value in zip(featurizer.specs, values):
@@ -170,19 +175,19 @@ def test_feature_vector_empty_range_flag(featurizer):
     assert extract_substring("张可", "3:N") == ""
     values, _ = feature_row(featurizer, "张可", "张可")
     on_3n = [i for i, spec in enumerate(featurizer.specs) if spec.range_tag == "3:N"]
-    assert featurizer.spec_index("J_LV_k1_3:N") in on_3n and len(on_3n) == 29  # with LF
+    assert column(featurizer, "J_LV_k1_3:N") in on_3n and len(on_3n) == 29  # with LF
     assert values[on_3n].tolist() == [0.0] * len(on_3n)
 
 
 def test_sum_lf_feature(bundle):
     freq = FrequencyTable(values={("1:2", "伍考"): -9.0}, floor=-20.0)
     fz = PairFeaturizer(bundle.tables, freq, bundle.surnames)
-    idx = fz.spec_index("LF_SUM_k1_1:2")
+    idx = column(fz, "LF_SUM_k1_1:2")
     assert feature_row(fz, "伍考", "伍考")[0][idx] == -18.0
 
 
 def test_sum_amb_feature(featurizer):
-    idx = featurizer.spec_index("AMB_SUM_k1_1:N")
+    idx = column(featurizer, "AMB_SUM_k1_1:N")
     assert feature_row(featurizer, "俄者(拉者)", "?者")[0][idx] == 3.0
 
 
@@ -193,8 +198,8 @@ def test_phonetic_replacement_visible_only_in_raw(bundle):
     assert py.lookup("珂") == py.lookup("科") == "ke1"
     fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     values, _ = feature_row(fz, "张珂成", "张科成")
-    assert values[fz.spec_index("J_LV_k1_1:N")] == pytest.approx(2 / 3)
-    assert values[fz.spec_index("PY_LV_k1_1:N")] == 1.0
+    assert values[column(fz, "J_LV_k1_1:N")] == pytest.approx(2 / 3)
+    assert values[column(fz, "PY_LV_k1_1:N")] == 1.0
 
 
 # Lengths around the 64-bit word boundaries of the bit-parallel kernel.

@@ -313,9 +313,12 @@ def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
             _same_fit(fit, reference)
     monkeypatch.setattr(matcher, "FIT_BUDGET", 3 * n * p)  # chunks of 3
     specs = tuple(FeatureSpec("COS", "J", j + 1, "1:N") for j in range(p - 1))
-    trial = ([("main", j) for j in range(p - 1)], specs, np.arange(p - 1), "")
-    dev = _data(D[0, :, 1:], y)
-    chunked = matcher._scored_fits(lambda lo, hi: D[lo:hi], [trial] * K, y, dev, penalty)
+    # trial k selects its own column block of one wide X: design k is D[k]
+    wide = _data(np.concatenate(D[:, :, 1:], axis=1), y)
+    terms = [("main", j) for j in range(p - 1)]
+    trials = [(terms, specs, np.arange(k * (p - 1), (k + 1) * (p - 1)), "") for k in range(K)]
+    chunked = list(matcher._scored_fits(wide, wide, trials, penalty))
+    assert len(chunked) == K
     for d, (model, _, _) in zip(D, chunked):
         _same_model(model, oracles.logistic_fit(_data(d[:, 1:], y), specs, penalty=penalty))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hanlink.metrics import (
@@ -92,6 +92,22 @@ def test_eauroc_perfect_is_one():
     r = GroupedRanking.from_pairs([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
     for q in (0.01, 0.3, 1.0):
         assert eauroc(r, q) == pytest.approx(1.0)
+
+
+def test_perfect_ranking_with_float_masses_stays_in_unit_interval():
+    """One positive ranked above a dozen negatives of float mass: both areas
+    are 1 in exact arithmetic, and the trapezoid sums over float FPRs land
+    an ulp above it for some masses (seeds 11, 19, 26 for EAUROC, 46, 51
+    for AUROC among these)."""
+    scores = np.concatenate([[1.0], np.linspace(0.9, 0.1, 12)])
+    pos = np.concatenate([[1.0], np.zeros(12)])
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        r = GroupedRanking(scores, pos, np.concatenate([[0.0], rng.uniform(0.1, 3.0, 12)]))
+        fpr = r.cum_neg / r.cum_neg[-1]
+        q = float(rng.uniform(fpr[2], fpr[-2]))  # inside the FPR range
+        for area in (auroc(r), eauroc(r, q), eauroc(r)):
+            assert 0.0 <= area <= 1.0 and area == pytest.approx(1.0)
 
 
 def test_eauroc_diagonal_is_q_over_two():
@@ -233,6 +249,8 @@ def _outcome(fn, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(float_rankings(), st.floats(1e-6, 1.0))
+@example(ranking=(np.array([0.0, 0.0, 7.6e-284]), np.array([0.0, 0.0, 9e-322]),
+                  np.array([0.0, 364.0, 1.2e-38])), q=1.0)  # default q underflows to 0
 def test_auroc_eauroc_match_sorted_reference(ranking, q):
     """auroc and eauroc read off the ranking's one sort equal, bitwise, a
     fresh sort and cumulative sum per call, errors included."""

@@ -398,3 +398,51 @@ def test_simulated_files_are_pinned(name_model, seed, rate, digest):
     sim = generate_pair_files(SimConfig(n_records=300, seed=seed, name_error_rate=rate),
                               name_model)
     assert sim_digest(sim) == digest
+
+
+ONE_TYPE = {
+    "single_replacement": "08ee4b99b29d7e3d9aabf560e99d1c0945f1326d6b8e37ac799bb5061cd659fe",
+    "multi_replacement": "d5ae2466461e6f3baeb9cb9c244b0299c7e8a1d55a5da255f34157a69ba89d97",
+    "insertion_deletion": "4c5d01f58a75008c6b2fef413dc9f6a982baf262f797939c8418dab79ea84a85",
+    "transposition": "ab3805370a8730e4b626575f1161e148e48e71499b94b4c644805d0d87877065",
+    "multi_name": "118d9fe8d8dbf9b3b216abc02928e87e5863339d04e534ef473c7df58601ac5f",
+    "decomposition": "87cdf917d9992b15c9a9d8c888388af8ad005dcf6d9072498e3d2d1d6d5f9db5",
+    "complex": "8b13d82b76bebdffb683f45d3263f555fe28e736cb7e2dddc1afbf29bf4aa0fb",
+}
+
+
+@pytest.mark.parametrize("etype", DEFAULT_ERROR_TYPES)
+def test_each_mechanism_is_pinned(name_model, etype):
+    """A 200-record simulation corrupting every name with one error type,
+    as a digest: the draws and fallbacks of each mechanism."""
+    probs = {**dict.fromkeys(DEFAULT_ERROR_TYPES, 0.0), etype: 1.0}
+    sim = generate_pair_files(SimConfig(n_records=200, seed=8, name_error_rate=1.0,
+                                        error_type_probs=probs), name_model)
+    assert sim_digest(sim) == ONE_TYPE[etype]
+
+
+def test_field_redraws_are_pinned(name_model):
+    """Most loc values redrawn, from the Zipf-ish location sizes."""
+    sim = generate_pair_files(SimConfig(n_records=200, seed=9, field_error_rates={"loc": 0.9}),
+                              name_model)
+    assert sim_digest(sim) == "554f59c1981bc7ef7ebbe747b8e428eb1eece80f567a4b0f4b60b8a9ac8360ba"
+
+
+@pytest.mark.parametrize("etype,fallbacks,digest", [
+    ("single_replacement", 0, "81e8ba5e8138249611f0b3aa5511ea8994609a7bc4a86248c071ebb7de7244b1"),
+    ("multi_replacement", 8, "5bacfbf4f8291c0f4cbc6baaadafd416de2d645db6dea804beeff18286e66841"),
+    ("insertion_deletion", 0, "949f16fca2ef41aa99654e3a1b3bc61efb652f49d83c0ac0ee1d1a992226977e"),
+    ("transposition", 12, "df2977ddaa82207cfab3ba0f83c8debacb738fca7903f8ccc4198e76ae370157"),
+    ("multi_name", 0, "00a01c439d7d78f0d5276760ec76957c8d2b7f8af747beb7fd4def872469e4b1"),
+    ("decomposition", 8, "d6baf09fb120a8866510f855c1a9513a124009218673eaeda6afcf543805cf06"),
+    ("complex", 3, "3b6c36fe5a1b31e32ec8ec11186ab2b553df11f152381cf8117cef75a000075a"),
+])
+def test_short_name_corruptions_are_pinned(name_model, etype, fallbacks, digest):
+    """Each mechanism four times on one- to three-logogram names, among them
+    a single decomposable logogram and a name without unequal neighbours,
+    so that every fallback runs; one generator throughout."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    out = [corrupt_name(name, etype, name_model, rng)
+           for name in ("张", "娅", "张张", "阳娅", "谯科江", "李华华") for _ in range(4)]
+    assert sum(fell_back for _, fell_back in out) == fallbacks
+    assert hashlib.sha256(json.dumps(out, ensure_ascii=False).encode()).hexdigest() == digest
