@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .encoding import (
@@ -32,13 +32,31 @@ def default_asset_dir() -> Path:
     return Path(__file__).resolve().parent / "assets"
 
 
-@dataclass
 class AssetBundle:
-    tables: dict[EncodingKind, EncodingTable]
-    surnames: frozenset[str]
-    freq: FrequencyTable
-    corpus: list[str]
-    directory: Path
+    """The lookup tables of one asset directory, each read from its file on
+    first use, so a run that needs none (exact agreement only) reads none."""
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+
+    @cached_property
+    def tables(self) -> dict[EncodingKind, EncodingTable]:
+        return {kind: load_encoding_table(self.directory / fname, kind)
+                for kind, fname in _TABLE_FILES.items()}
+
+    @cached_property
+    def surnames(self) -> frozenset[str]:
+        return load_surnames(self.directory / "surnames.tsv")
+
+    @cached_property
+    def freq(self) -> FrequencyTable:
+        return FrequencyTable.load(self.directory / "freq_demo.tsv")
+
+    @cached_property
+    def corpus(self) -> list[str]:
+        return [line for line in (self.directory / "corpus_names.txt")
+                .read_text(encoding="utf-8").splitlines()
+                if line and not line.startswith("#")]
 
     def versions(self) -> dict[str, str]:
         out = {}
@@ -50,15 +68,9 @@ class AssetBundle:
 
 
 def load_bundle(asset_dir: str | Path | None = None) -> AssetBundle:
+    """The bundle of `asset_dir` (default: HANLINK_ASSETS, else the packaged
+    assets); only the directory is checked here."""
     directory = Path(asset_dir) if asset_dir is not None else default_asset_dir()
     if not directory.is_dir():
         raise FileNotFoundError(f"asset directory {directory} does not exist")
-    tables = {kind: load_encoding_table(directory / fname, kind)
-              for kind, fname in _TABLE_FILES.items()}
-    surnames = load_surnames(directory / "surnames.tsv")
-    freq = FrequencyTable.load(directory / "freq_demo.tsv")
-    corpus = [line for line in (directory / "corpus_names.txt")
-              .read_text(encoding="utf-8").splitlines()
-              if line and not line.startswith("#")]
-    return AssetBundle(tables=tables, surnames=surnames, freq=freq,
-                       corpus=corpus, directory=directory)
+    return AssetBundle(directory)

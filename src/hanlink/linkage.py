@@ -5,9 +5,12 @@ either value is missing) counted over all |A| x |B| pairs of two record
 files without forming the pairs: joins on each subset of fields count the
 pairs agreeing on it, and Moebius inversion over subsets gives the exact
 pattern counts (as in fastLink; Enamorado, Fifield and Imai, APSR 113(2),
-2019), one count per subset when no value is missing. The two-class
-mixture over patterns is fitted by EM under conditional independence;
-missing fields contribute a factor of one to both class likelihoods.
+2019), one count per subset when no value is missing. The subsets that
+hold the field with the fewest agreeing pairs (a near-unique field such
+as the name) are counted from those pairs instead, listed once, when they
+number at most |A| + |B|. The two-class mixture over patterns is fitted
+by EM under conditional independence; missing fields contribute a factor
+of one to both class likelihoods.
 
 Every CSV file the package reads goes through `CsvTable`, whose
 `InputError` names the file, and the line, column and cell at fault.
@@ -203,14 +206,46 @@ def extend_key(key: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subset_keys(codes: list[np.ndarray], subset: int = 0, first: int = 0,
+def _subset_keys(codes: list[np.ndarray], fields, subset: int = 0,
                  key: np.ndarray | None = None):
-    """Yield (subset, join key) for every subset of the fields (bit f set
-    for field f), depth first, so at most one key per field is held."""
+    """Yield (subset, join key) for every subset of `fields` (bit f set for
+    field f), depth first, so at most one key per field is held."""
     key = np.zeros(len(codes[0]), dtype=np.int64) if key is None else key
     yield subset, key
-    for f in range(first, len(codes)):
-        yield from _subset_keys(codes, subset | 1 << f, f + 1, extend_key(key, codes[f]))
+    for k, f in enumerate(fields):
+        yield from _subset_keys(codes, fields[k + 1:], subset | 1 << f, extend_key(key, codes[f]))
+
+
+def _superset_sums(table: np.ndarray, sign: int) -> None:
+    """In place over both axes of a (2^F, 2^F) table indexed by field sets:
+    sign 1 sums each entry over its supersets, sign -1 inverts that sum."""
+    sets = np.arange(len(table))
+    for f in range(len(sets).bit_length() - 1):
+        low = sets[(sets >> f & 1) == 0]
+        table[low] += sign * table[low | 1 << f]
+        table[:, low] += sign * table[:, low | 1 << f]
+
+
+def _agreeing_pairs(codes: list[np.ndarray], masks: np.ndarray, n_a: int, f: int) -> np.ndarray:
+    """[c, s]: the pairs that hold every field of c and agree on all of s,
+    for every s holding field f, counted from the pairs agreeing on f."""
+    n_sets = 1 << len(codes)
+    hist = np.zeros(n_sets * n_sets, dtype=np.int64)  # [fields held, fields agreeing]
+    for ia, ib in join_pairs(codes[f][:n_a], codes[f][n_a:], len(masks)):
+        ib = ib + n_a
+        held = masks[ia] & masks[ib]
+        agree = sum((c[ia] == c[ib]).astype(np.int64) << g for g, c in enumerate(codes))
+        hist += np.bincount(held * n_sets + (agree & held), minlength=len(hist))
+    hist = hist.reshape(n_sets, n_sets)
+    _superset_sums(hist, 1)
+    return hist
+
+
+def _join_count(key: np.ndarray, keep: np.ndarray, n_a: int, n_keys: int) -> int:
+    """Pairs of a kept A record and a kept B record (the first n_a entries
+    are A's) with equal join keys; every kept key lies in [0, n_keys)."""
+    return int(np.bincount(key[:n_a][keep[:n_a]], minlength=n_keys)
+               @ np.bincount(key[n_a:][keep[n_a:]], minlength=n_keys))
 
 
 def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.ndarray:
@@ -225,6 +260,11 @@ def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.n
     Fields no record lacks keep every record, so [C, S] equals
     [(C & gaps) | S, S] for `gaps` the fields some record lacks: 2^F counts
     when no value is missing, up to 3^F when every field is missing somewhere.
+
+    The field f* with the fewest agreeing pairs is enumerated when those
+    pairs number at most |A| + |B|: each is listed once, the [C, S] counts
+    of every S holding f* are sums over its fields held and fields agreeing,
+    and join keys are built only over subsets of the other fields.
     """
     n_a, n_fields = len(codes_a[0]), len(codes_a)
     codes = [np.concatenate([a, b]) for a, b in zip(codes_a, codes_b)]
@@ -233,17 +273,20 @@ def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.n
     masks = sum((c >= 0).astype(np.int64) << f for f, c in enumerate(codes))  # fields held
     gaps = int(np.bitwise_or.reduce(~masks & sets[-1]))  # fields some record lacks
     joined = np.zeros((len(sets), len(sets)), dtype=np.int64)  # [c, s]
-    for s, key in _subset_keys(codes):
+    # a field's codes are its own join key
+    agreeing = [_join_count(c, c >= 0, n_a, int(c.max(initial=-1)) + 1) for c in codes]
+    star = int(np.argmin(agreeing))
+    rest = tuple(range(n_fields))
+    if agreeing[star] <= len(masks):
+        with_star = sets[(sets >> star & 1) == 1]
+        joined[:, with_star] = _agreeing_pairs(codes, masks, n_a, star)[:, with_star]
+        rest = rest[:star] + rest[star + 1:]
+    for s, key in _subset_keys(codes, rest):
         n_keys = int(key.max(initial=-1)) + 1
         for c in np.unique(sets & gaps | s):
-            has = (masks & c) == c  # implies key >= 0
-            joined[c, s] = (np.bincount(key[:n_a][has[:n_a]], minlength=n_keys)
-                            @ np.bincount(key[n_a:][has[n_a:]], minlength=n_keys))
+            joined[c, s] = _join_count(key, (masks & c) == c, n_a, n_keys)  # implies key >= 0
     joined = joined[sets[:, None] & gaps | sets[None, :], sets[None, :]]  # as [(c & gaps) | s, s]
-    for f in range(n_fields):
-        low = sets[(sets >> f & 1) == 0]
-        joined[low] -= joined[low | 1 << f]
-        joined[:, low] -= joined[:, low | 1 << f]
+    _superset_sums(joined, -1)
     ternary = ((sets[:, None] >> np.arange(n_fields) & 1) * 3 ** np.arange(n_fields)).sum(1)
     codes_of = ternary[None, :] + 2 * ternary[len(sets) - 1 - sets][:, None]  # [m, t]
     totals = np.zeros(3 ** n_fields, dtype=np.int64)

@@ -58,9 +58,15 @@ class GroupedRanking:
         return P, N
 
     def default_q(self) -> float:
-        """EAUROC's default cut-off: the odds P/N capped at 1."""
+        """EAUROC's default cut-off: the odds P/N capped at 1. Odds that
+        underflow to 0, which only float masses reach, leave no cut-off: a
+        ValueError naming P and N."""
         P, N = self.class_totals()
-        return min(P / N, 1.0)
+        odds = P / N
+        if odds == 0:
+            raise ValueError(f"the class odds P/N round to 0 (P = {P!r}, N = {N!r}); "
+                             "give q explicitly")
+        return min(odds, 1.0)
 
 
 def _area(value) -> float:

@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hanlink import cli
+from hanlink import assets, cli, encoding
 from hanlink import experiment as exp
 from hanlink.cli import main
 
@@ -280,6 +281,62 @@ def test_experiment_external_scores(tmp_path, name_model):
     report = json.loads((out / "report.json").read_text())
     assert report["reports"]["posterior"]["neg_log_lik"] <= \
         report["reports"]["exact"]["neg_log_lik"] + 1e-9
+
+
+def assets_with_empty_pinyin(tmp_path) -> Path:
+    """A copy of the packaged assets whose pinyin table holds no entry."""
+    copy = tmp_path / "assets"
+    shutil.copytree(assets.default_asset_dir(), copy)
+    (copy / "pinyin.tsv").write_text("# emptied\n", encoding="utf-8")
+    return copy
+
+
+def test_exact_experiment_reads_no_asset_file(tmp_path, monkeypatch):
+    """Exact agreement needs no lookup table: with every asset loader
+    refusing, an exact-only experiment exits 0 and writes the report and
+    manifest of an unhindered run; the manifest still hashes each file."""
+    cfg = small_experiment(tmp_path)
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "free")]) == 0
+    def refuse(*args, **kwargs):
+        raise RuntimeError("asset file read")
+    for owner, name in ((encoding, "load_encoding_table"), (assets, "load_encoding_table"),
+                        (assets, "load_surnames"), (encoding.FrequencyTable, "load")):
+        monkeypatch.setattr(owner, name, refuse)
+    bundles = []
+    def spy(path):
+        bundles.append(assets.load_bundle(path))
+        return bundles[-1]
+    monkeypatch.setattr(cli, "load_bundle", spy)
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "lazy")]) == 0
+    assert not {"tables", "surnames", "freq", "corpus"} & vars(bundles[0]).keys()
+    assert sha256_dir(tmp_path / "lazy") == sha256_dir(tmp_path / "free")
+    manifest = json.loads((tmp_path / "lazy" / "manifest.json").read_text())
+    assert "pinyin.tsv" in manifest["asset_versions"]
+
+
+def test_malformed_asset_table_fails_only_runs_that_use_it(tmp_path, capsys):
+    """An emptied pinyin table: an exact-only run exits 0 and its manifest
+    lists the emptied file's hash; a run scoring names with a pinyin
+    feature exits 2 and names the file."""
+    copy = assets_with_empty_pinyin(tmp_path)
+    cfg = small_experiment(tmp_path)
+    out = tmp_path / "exact"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--assets", str(copy)]) == 0
+    digest = hashlib.sha256((copy / "pinyin.tsv").read_bytes()).hexdigest()[:12]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["asset_versions"]["pinyin.tsv"] == digest
+    toy = tmp_path / "toy_scores.csv"
+    write_pairs_csv(toy, [(0.99, 1), (0.01, 0)] * 5, header=("score", "label"))
+    dist = tmp_path / "dist.json"
+    assert main(["fitdist", "--in", str(toy), "--out", str(dist)]) == 0
+    capsys.readouterr()
+    fused = small_experiment(tmp_path, methods=["exact", "tau1"], dist=str(dist),
+                             classifier="single:PY_LV_k1_1:N")
+    assert main(["experiment", "--config", str(fused), "--out", str(tmp_path / "fused"),
+                 "--assets", str(copy)]) == 2
+    assert f"no valid entries in encoding table {copy / 'pinyin.tsv'}" in capsys.readouterr().err
+    assert not (tmp_path / "fused" / "report.json").exists()
 
 
 def test_experiment_study_reproducible(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cross_product_table, em_fit_reference, zeta_reference
 
+from hanlink import linkage
 from hanlink.experiment import LinkageDataset
 from hanlink.linkage import (
     NA,
@@ -167,6 +168,64 @@ def test_tabulate_with_complete_fields_matches_cross_product(case):
     assert_tabulates_cross_product(*case)
 
 
+@st.composite
+def files_with_a_near_unique_field(draw):
+    """record_files with one drawn field over 31 values and missing ones:
+    it has the fewest agreeing pairs, few enough to enumerate, while every
+    field, that one included, still lacks values here and there."""
+    records_a, records_b, fields = draw(record_files(max_records=12))
+    unique = draw(st.sampled_from(fields))
+    cell = st.one_of(st.just(""), st.integers(0, 30).map(str))
+    for records in (records_a, records_b):
+        n = len(records[unique])
+        records[unique] = draw(st.lists(cell, min_size=n, max_size=n))
+    return records_a, records_b, fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(files_with_a_near_unique_field())
+def test_tabulate_with_enumerated_field_matches_cross_product(case):
+    """Counting the subsets that hold the most selective field from its
+    agreeing pairs gives the cross product, in both file orders."""
+    assert_tabulates_cross_product(*case)
+
+
+def spy_join_pairs(monkeypatch) -> list:
+    """The join keys of each `linkage.join_pairs` call, as lists."""
+    calls = []
+    def spy(key_a, key_b, budget):
+        calls.append((key_a.tolist(), key_b.tolist()))
+        return join_pairs(key_a, key_b, budget)
+    monkeypatch.setattr(linkage, "join_pairs", spy)
+    return calls
+
+
+def test_tabulate_enumerates_the_most_selective_field(monkeypatch):
+    """The "loc" field agrees on 2 pairs, fewer than |A| + |B| = 7: its pairs
+    are listed, once, from its own codes, and the table is the cross product."""
+    records_a = {"name": ["a", "b", "a", ""], "sex": ["1", "1", "", "2"],
+                 "loc": ["x", "y", "", "z"]}
+    records_b = {"name": ["a", "a", "b"], "sex": ["1", "2", "1"], "loc": ["x", "w", "z"]}
+    fields = ("name", "sex", "loc")
+    calls = spy_join_pairs(monkeypatch)
+    table = tabulate(records_a, records_b, fields)
+    assert as_dict(table) == cross_product_table(records_a, records_b, fields)
+    assert calls == [([0, 1, -1, 2], [0, 3, 2])]
+
+
+def test_tabulate_without_enumeration(monkeypatch):
+    """Every field agrees on more than |A| + |B| = 10 pairs: no pair is
+    listed, and every subset is counted by joins."""
+    records_a = {"name": ["a", "a", "b", "", "a"], "sex": ["1", "1", "1", "2", "1"]}
+    records_b = {"name": ["a", "a", "a", "b", "a"], "sex": ["1", "", "1", "1", "2"]}
+    fields = ("name", "sex")
+    calls = spy_join_pairs(monkeypatch)
+    for first, second in ((records_a, records_b), (records_b, records_a)):
+        table = tabulate(first, second, fields)
+        assert as_dict(table) == cross_product_table(first, second, fields)
+    assert calls == []
+
+
 def assert_tabulates_cross_product(records_a, records_b, fields):
     for first, second in ((records_a, records_b), (records_b, records_a)):
         table = tabulate(first, second, fields)
@@ -225,15 +284,17 @@ def test_tabulate_keys_cannot_overflow():
     assert table.total == n * n
 
 
-def test_tabulate_memory_stays_small():
-    """Two 10k-record files (1e8 pairs) tabulate within 32 MB of traced
-    allocations; one int16 code per pair would take 200 MB."""
+def assert_tabulates_in_32_mb(name_values):
+    """Two 10k-record files (1e8 pairs), whose names are drawn by
+    `name_values(rng, n)`, tabulate within 32 MB of traced allocations; one
+    int16 code per pair would take 200 MB."""
     rng = np.random.default_rng(12)
-    sizes = {"name": 3000, "sex": 2, "yob": 80, "mob": 12, "dob": 31, "loc": 200}
+    sizes = {"sex": 2, "yob": 80, "mob": 12, "dob": 31, "loc": 200}
     def records(n):
         out = {}
-        for f, size in sizes.items():
-            values = rng.integers(0, size, n).astype(str).astype(object)
+        for f in RECORD_FIELDS:
+            values = name_values(rng, n) if f == "name" else rng.integers(0, sizes[f], n)
+            values = values.astype(str).astype(object)
             values[rng.random(n) < 0.05] = ""
             out[f] = values.tolist()
         return out
@@ -246,6 +307,17 @@ def test_tabulate_memory_stays_small():
         tracemalloc.stop()
     assert table.total == 10_000 * 10_000
     assert peak < 32 * 2 ** 20
+
+
+def test_tabulate_memory_stays_small():
+    """3,000 names: some 30k pairs agree on name, too many to enumerate."""
+    assert_tabulates_in_32_mb(lambda rng, n: rng.integers(0, 3000, n))
+
+
+def test_tabulate_memory_stays_small_with_enumerated_name():
+    """10k distinct names in each file: about 9k pairs agree on name, and
+    they are enumerated."""
+    assert_tabulates_in_32_mb(lambda rng, n: rng.permutation(n))
 
 
 @settings(max_examples=300, deadline=None)

@@ -258,10 +258,13 @@ def test_auroc_eauroc_match_sorted_reference(ranking, q):
     assert _outcome(auroc, r) == _outcome(oracles.sorted_auroc, *ranking)
     assert _outcome(eauroc, r, q) == _outcome(oracles.sorted_eauroc, *ranking, q)
     P, N = ranking[1].sum(), ranking[2].sum()
-    if P > 0 and N > 0:
+    if P > 0 and N > 0 and P / N > 0:
         assert r.default_q() == min(P / N, 1.0)
         assert _outcome(eauroc, r) == _outcome(oracles.sorted_eauroc, *ranking,
                                                r.default_q())
+    elif P > 0 and N > 0:
+        assert _outcome(eauroc, r) == _outcome(r.default_q) != _outcome(
+            oracles.sorted_eauroc, *ranking, 0.0)
     else:
         assert _outcome(eauroc, r) == "both classes must carry positive mass"
 
@@ -281,6 +284,16 @@ def test_confusion_matches_sorted_reference(ranking, proportion):
     got = confusion_at_proportion(GroupedRanking(scores, pos, neg), proportion)
     want = oracles.sorted_confusion(scores, pos, neg, proportion)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_default_q_rejects_odds_that_round_to_zero():
+    """Positive mass 9e-322 against 364 negative: P/N underflows, and the
+    error names P and N rather than a q the caller never gave."""
+    r = GroupedRanking([0.0, 0.0, 7.6e-284], [0.0, 0.0, 9e-322], [0.0, 364.0, 1.2e-38])
+    for call in (r.default_q, lambda: eauroc(r)):
+        with pytest.raises(ValueError, match=r"P/N round to 0 \(P = 9e-322, N = 364\.0\)"):
+            call()
+    assert eauroc(r, 1.0) == auroc(r)
 
 
 def test_default_q_needs_both_classes():
