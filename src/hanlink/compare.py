@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .encoding import (
     InputError,
     ambiguity_count,
     extract_substring,
-    han_indicator,
+    han_of_logograms,
     join_codes,
-    log_rel_frequency,
     logograms,
+    range_substring,
 )
 
 # The comparators are numpy batch kernels; numba is not used.
@@ -34,7 +35,7 @@ _HAVE_NUMBA = False
 _WORD = 64
 _ONE = np.uint64(1)
 _HIGH = np.uint64(_WORD - 1)
-_EQ_BUDGET = 1 << 22   # bool cells of one chunk's pattern-match table
+_EQ_BUDGET = 1 << 22   # pattern-match cells (pairs x text length x pattern width) of a chunk
 _TOKEN_BUDGET = 1 << 16  # tokens looked up per cosine chunk
 
 
@@ -46,12 +47,26 @@ def intern_strings(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]
     return list(index), ids
 
 
-def _code_table(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Code points of `strings`, one row each padded with -1, and the lengths."""
-    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    table = np.full((len(strings), max(int(lens.max(initial=0)), 1)), -1, dtype=np.int32)
-    table[np.arange(table.shape[1]) < lens[:, None]] = np.frombuffer(
-        "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
+def _lengths(strings: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+
+
+def _code_points(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code points of `strings` end to end, each string's first index
+    into them, and the lengths."""
+    lens = _lengths(strings)
+    points = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
+    return points, np.cumsum(lens) - lens, lens
+
+
+def _code_rows(points: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+               ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of the strings `ids` of a `_code_points` triple, one row
+    each padded with -1, and their lengths."""
+    lens = lens[ids]
+    table = np.full((len(ids), max(int(lens.max(initial=0)), 1)), -1, dtype=np.int32)
+    at = np.repeat(starts[ids] - (np.cumsum(lens) - lens), lens)
+    table[np.arange(table.shape[1]) < lens[:, None]] = points[at + np.arange(len(at))]
     return table, lens
 
 
@@ -62,10 +77,9 @@ def _myers_chunk(pat: np.ndarray, m: np.ndarray, txt: np.ndarray,
     count, m_max = pat.shape
     n_max = txt.shape[1]
     words = -(-m_max // _WORD)
-    # eq[p, j, w]: bits of pattern word w that equal text character j
-    bits = np.zeros((count, n_max, 8 * words), dtype=np.uint8)
-    bits[:, :, :-(-m_max // 8)] = np.packbits(
-        txt[:, :, None] == pat[:, None, :], axis=2, bitorder="little")
+    # eq[p, w]: bits of pattern word w that equal the text character of the
+    # current column, built per column for the texts still running
+    bits = np.zeros((count, 8 * words), dtype=np.uint8)
     eq = bits.view("<u8")
     pv = np.full((count, words), ~np.uint64(0))
     mv = np.zeros((count, words), dtype=np.uint64)
@@ -78,9 +92,11 @@ def _myers_chunk(pat: np.ndarray, m: np.ndarray, txt: np.ndarray,
         while n[first] <= j:  # texts sorted by length: the rest are still running
             first += 1
         rows = slice(first, count)
+        bits[rows, :-(-m_max // 8)] = np.packbits(txt[rows, j, None] == pat[rows], axis=1,
+                                                  bitorder="little")
         carry_p, carry_m = _ONE, None  # row 0 of the DP rises by one per column
         for w in range(words):
-            e, p, q = eq[rows, j, w], pv[rows, w], mv[rows, w]
+            e, p, q = eq[rows, w], pv[rows, w], mv[rows, w]
             xv = e | q
             if carry_m is not None:
                 e = e | carry_m
@@ -108,13 +124,14 @@ def edit_distances(strings: Sequence[str], u, v) -> np.ndarray:
     edit-distance form, vectorized across pairs: the shorter string of
     each pair is the bit-vector pattern, and patterns longer than 64 code
     points span several words with the horizontal delta carried between
-    them. Pairs run in chunks of similar text length.
+    them. Pairs run in chunks of similar text length, each chunk's padded
+    code rows gathered from the strings' code points end to end, so no
+    padded table over all strings is held.
     """
-    table, lens = _code_table(strings)
+    points, starts, lens = _code_points(strings)
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    swap = lens[u] > lens[v]
-    pat, txt = np.where(swap, v, u), np.where(swap, u, v)
-    m, n = lens[pat], lens[txt]
+    m, n = lens[u], lens[v]
+    m, n = np.minimum(m, n), np.maximum(m, n)
     out = n.copy()  # an empty pattern costs one insertion per text character
     live = np.nonzero(m > 0)[0]
     live = live[np.argsort(n[live], kind="stable")]
@@ -124,9 +141,10 @@ def edit_distances(strings: Sequence[str], u, v) -> np.ndarray:
         width = -(-int(m[ahead].max()) // _WORD) * _WORD
         size = max(1, _EQ_BUDGET // (int(n[ahead[-1]]) * width))
         rows = live[start:start + size]
-        m_max, n_max = int(m[rows].max()), int(n[rows[-1]])
-        out[rows] = _myers_chunk(table[pat[rows], :m_max], m[rows],
-                                 table[txt[rows], :n_max], n[rows])
+        cu, cv = u[rows], v[rows]
+        swap = lens[cu] > lens[cv]
+        out[rows] = _myers_chunk(*_code_rows(points, starts, lens, np.where(swap, cv, cu)),
+                                 *_code_rows(points, starts, lens, np.where(swap, cu, cv)))
         start += size
     return out
 
@@ -144,42 +162,63 @@ def _from_distances(comparator: str, d: np.ndarray, la: np.ndarray,
 def levenshtein_sims(strings: Sequence[str], u, v) -> np.ndarray:
     """Levenshtein similarity 1 - E/max(N1, N2) of strings[u[i]] and
     strings[v[i]] for every i; both empty -> 1, exactly one empty -> 0."""
-    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    lens = _lengths(strings)
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     return _from_distances("LV", edit_distances(strings, u, v), lens[u], lens[v])
 
 
-def _token_rows(strings: Sequence[str], k: int):
-    """Sparse k-token counts per string: sorted keys (string id * n_tokens
-    + token id) with their counts, each string's first entry, and each
-    string's Euclidean norm."""
-    table, lens = _code_table(strings)
-    per = np.maximum(lens - k + 1, 0)
-    row = np.repeat(np.arange(len(strings)), per)
-    at = np.arange(len(row)) - np.repeat(np.cumsum(per) - per, per)
+def _token_rows(strings: Sequence[str], ks: Sequence[int]):
+    """Sparse token counts of every string at every token length in `ks`
+    (ascending): row i * len(strings) + s counts the ks[i]-tokens of
+    strings[s]. Sorted keys (row * n_tokens + token id) with their counts,
+    each row's first entry, and each row's Euclidean norm.
+
+    Tokens of all lengths share one lexicographic numbering. Their first
+    three code points (each < 2^21, stored plus one so that a shorter
+    token never equals a longer one) pack into one int64; each further
+    code point extends the rank of the prefix before it. Only tokens that
+    fit in some string are numbered, so a length beyond the longest string
+    costs nothing."""
+    table, lens = _code_rows(*_code_points(strings), np.arange(len(strings)))
+    n_strings, width = table.shape
+    ks = np.asarray(ks, dtype=np.int64)
+    per = np.maximum(lens[None, :] - ks[:, None] + 1, 0).ravel()
+    first = np.cumsum(per) - per  # each row's first window
+    row = np.repeat(np.arange(len(per)), per)
+    # each window's first code point in the flat code table
+    pos = np.arange(len(row)) + np.repeat(np.arange(len(per)) % n_strings * width - first, per)
+    codes = table.ravel()
     token = np.zeros(len(row), dtype=np.int64)
-    for t in range(k):  # number the distinct prefixes of length t + 1
-        _, token = np.unique(token * 0x110000 + table[row, at + t], return_inverse=True)
+    longest = int(ks[row[-1] // n_strings]) if len(row) else 0  # length with a window
+    for t in range(longest):
+        if t >= 3:  # rank the prefixes, so that one more code point fits
+            _, token = np.unique(token, return_inverse=True)
+        token <<= 21
+        # the windows of the lengths above t: all rows from the first such length on
+        longer = first[np.searchsorted(ks, t, side="right") * n_strings]
+        token[longer:] |= codes[pos[longer:] + t] + 1
+    _, token = np.unique(token, return_inverse=True)
     n_tokens = int(token.max(initial=-1)) + 1
     keys, counts = np.unique(row * n_tokens + token, return_counts=True)
     owner = keys // max(n_tokens, 1)
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(strings)))])
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(per)))])
     squares = np.bincount(owner, weights=counts * counts,
-                          minlength=len(strings)).astype(np.int64)
-    # pow(s, 0.5), not np.sqrt: the two round differently for some s (2921, ...)
-    norms = np.array([s ** 0.5 for s in squares.tolist()])
+                          minlength=len(per)).astype(np.int64)
+    # pow(s, 0.5), not np.sqrt: the two round differently for some s (2921, ...);
+    # once per distinct sum of squares, of which there are few
+    sums, which = np.unique(squares, return_inverse=True)
+    norms = np.array([s ** 0.5 for s in sums.tolist()])[which]
     return keys, counts, offsets, norms, n_tokens
 
 
-def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
-    """Cosine similarity of contiguous k-token count vectors of
-    strings[u[i]] and strings[v[i]], `strings` holding each string once:
-    1 where u[i] == v[i], 0 when either has no token, else the integer
-    dot product over the float norms, capped at 1."""
-    if k < 1:
-        raise ValueError("token length must be >= 1")
-    keys, counts, offsets, norms, n_tokens = _token_rows(strings, k)
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+def _cosines(strings: Sequence[str], u, v, ks: Sequence[int]) -> np.ndarray:
+    """Cosine similarities of the pairs (strings[u[i]], strings[v[i]]) at
+    every token length in `ks`, one row per length, from one token
+    numbering; `cosine_sims` without its rule for u[i] == v[i]."""
+    keys, counts, offsets, norms, n_tokens = _token_rows(strings, ks)
+    shift = np.arange(len(ks))[:, None] * len(strings)
+    u = (np.asarray(u, dtype=np.int64) + shift).ravel()
+    v = (np.asarray(v, dtype=np.int64) + shift).ravel()
     nnz = np.diff(offsets)
     dot = np.zeros(len(u))
     ends = np.cumsum(nnz[u])
@@ -197,8 +236,18 @@ def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
         dot[start:stop] = np.bincount(pair, weights=both, minlength=len(cu))
         start = stop
     denom = norms[u] * norms[v]
-    sims = np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0)
-    return np.where(u == v, 1.0, sims)
+    return np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0).reshape(len(ks), -1)
+
+
+def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
+    """Cosine similarity of contiguous k-token count vectors of
+    strings[u[i]] and strings[v[i]], `strings` holding each string once:
+    1 where u[i] == v[i], 0 when either has no token, else the integer
+    dot product over the float norms, capped at 1."""
+    if k < 1:
+        raise ValueError("token length must be >= 1")
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return np.where(u == v, 1.0, _cosines(strings, u, v, (k,))[0])
 
 
 RANGE_TAGS = ("1:N", "1:1", "1:2", "2:N", "3:N")
@@ -328,14 +377,17 @@ class NamePairs(Sequence):
 class PairFeaturizer:
     """Computes feature matrices for name pairs against a fixed spec list.
 
-    Pairs are scored by name id (`NamePairs`): per-name work (substrings,
-    Han indicator, ambiguity tally, log frequencies) runs once per call
-    over the distinct names a batch references; an encoded substring is
-    built once per (encoding, distinct substring) from per-logogram codes
-    looked up once per (encoding, logogram), both kept across calls.
-    Features are built one column at a time in numpy, the string
-    comparators running once per distinct pair of unequal encoded
-    substrings, so a duplicate pair costs only a gather.
+    Pairs are scored by name id (`NamePairs`): per-name work (the split
+    into logograms, Han indicator, ambiguity tally) runs once per call over
+    the distinct names a batch references, and per-substring work (log
+    frequencies, encodings) once per distinct substring of a range. An
+    encoded substring is built once per (encoding, distinct substring)
+    from per-logogram codes looked up once per (encoding, logogram), both
+    kept across calls. Each (encoding, range) key compares only its
+    distinct pairs of unequal encoded substrings, so a duplicate pair costs
+    only a gather, and each comparator runs once per batch: one
+    `edit_distances` call over every LV/LCS key's pairs, string ids offset
+    per key, and one cosine pass per key covering all its token lengths.
 
     `fallbacks` counts the distinct (encoding, logogram) lookups that found
     no code in a table and fell back to the logogram itself; the identity
@@ -375,59 +427,99 @@ class PairFeaturizer:
         used, inverse = np.unique(np.concatenate([pairs.ia, pairs.ib]), return_inverse=True)
         names = [pairs.names[i] for i in used.tolist()]  # only the names pairs reference
         ia, ib = inverse[:len(pairs)], inverse[len(pairs):]
-        han = np.array([han_indicator(n, self.surnames) for n in names], dtype=bool)
-        ha, hb = han[ia], han[ib]
-        cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
+        cats, ranges = self._split(names, ia, ib)
         X = np.empty((len(pairs), len(self.specs)))
-        memo: dict = {}
+        keys: dict[tuple[str, str], list[int]] = {}  # (encoding, tag) -> LV/LCS/COS columns
         for c, spec in enumerate(self.specs):
-            X[:, c] = cats if spec.comparator == "CAT" else self._column(spec, names, ia, ib, memo)
+            if spec.comparator == "CAT":
+                X[:, c] = cats
+            elif spec.encoding == "AMB":
+                amb = np.array([ambiguity_count(n) for n in names], dtype=np.int64)
+                X[:, c] = amb[ia] + amb[ib]
+            elif spec.encoding == "LF":
+                subs, ids, both = ranges[spec.range_tag]
+                lf = np.array([self.freq.value(spec.range_tag, sub) for sub in subs])[ids]
+                X[:, c] = np.where(both, lf[ia] + lf[ib], 0.0)
+            else:
+                keys.setdefault((spec.encoding, spec.range_tag), []).append(c)
+        pool: list[str] = []  # the encoded strings of every key with LV/LCS columns
+        edits = []  # per such key: those columns and its pairs, ids into the pool
+        for (enc, tag), cols in keys.items():
+            subs, ids, both = ranges[tag]
+            kind = EncodingKind(enc)
+            strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
+            key_pairs = _distinct_pairs(len(strings), enc_ids[ids], ia, ib, both)
+            cos = [c for c in cols if self.specs[c].comparator == "COS"]
+            ks = sorted({self.specs[c].k for c in cos})
+            if ks:
+                sims = dict(zip(ks, _cosines(strings, key_pairs.u, key_pairs.v, ks)))
+                for c in cos:
+                    key_pairs.fill(X, c, sims[self.specs[c].k])
+            if len(cos) < len(cols):
+                edits.append(([c for c in cols if c not in cos],
+                              key_pairs._replace(u=key_pairs.u + len(pool),
+                                                 v=key_pairs.v + len(pool))))
+                pool += strings
+        if edits:
+            self._edit_columns(X, pool, edits)
         return X, cats
 
-    def _column(self, spec: FeatureSpec, names: list[str], ia: np.ndarray,
-                ib: np.ndarray, memo: dict) -> np.ndarray:
-        """One feature for the pairs (names[ia], names[ib]); `memo` shares
-        the substrings, distinct encoded pairs and edit distances between
-        the columns of one batch."""
-        cmp_name, tag = spec.comparator, spec.range_tag
-        if cmp_name == "SUM" and spec.encoding == "AMB":
-            amb = np.array([ambiguity_count(n) for n in names], dtype=np.int64)
-            return (amb[ia] + amb[ib]).astype(float)
-        if tag not in memo:
-            subs = [extract_substring(n, tag) for n in names]
-            present = np.array([bool(s) for s in subs], dtype=bool)
-            memo[tag] = subs, present[ia] & present[ib]
-        subs, both = memo[tag]
-        if cmp_name == "SUM":  # LF
-            lf = np.array([log_rel_frequency(n, tag, self.freq) for n in names])
-            return np.where(both, lf[ia] + lf[ib], 0.0)
-        if cmp_name not in ("LV", "LCS", "COS"):
-            raise ValueError(f"unknown comparator {cmp_name!r}")
-        key = (spec.encoding, tag)
-        if key not in memo:
-            kind = EncodingKind(spec.encoding)
-            memo[key] = _distinct_pairs([self._encode(kind, s) for s in subs], ia, ib, both)
-        strings, lens, u, v, todo, inverse = memo[key]
-        if cmp_name == "COS":
-            values = cosine_sims(strings, u, v, spec.k)
-        else:
-            if ("E",) + key not in memo:
-                memo[("E",) + key] = edit_distances(strings, u, v)
-            values = _from_distances(cmp_name, memo[("E",) + key], lens[u], lens[v])
-        column = both.astype(float)  # equal encoded substrings score 1
-        column[todo] = values[inverse]
-        return column
+    def _split(self, names: list[str], ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, dict]:
+        """The Han-category code of each pair (names[ia], names[ib]) and, per
+        range the specs read, the distinct substrings of `names`, each
+        name's id into them and whether both substrings of each pair are
+        present. Each name is split into logograms once."""
+        chars = [logograms(n) for n in names]
+        han = np.array([han_of_logograms(ch, self.surnames) for ch in chars], dtype=bool)
+        ha, hb = han[ia], han[ib]
+        cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
+        ranges = {}
+        for tag in dict.fromkeys(s.range_tag for s in self.specs
+                                 if s.comparator != "CAT" and s.encoding != "AMB"):
+            subs, (ids,) = intern_strings([range_substring(ch, tag) for ch in chars])
+            present = np.array([bool(sub) for sub in subs], dtype=bool)[ids]
+            ranges[tag] = subs, ids, present[ia] & present[ib]
+        return cats, ranges
+
+    def _edit_columns(self, X: np.ndarray, pool: list[str], edits: list[tuple]) -> None:
+        """Fill the LV/LCS columns of every key in `edits` from one
+        `edit_distances` call over all their pairs."""
+        d = edit_distances(pool, np.concatenate([pairs.u for _, pairs in edits]),
+                           np.concatenate([pairs.v for _, pairs in edits]))
+        lens, start = _lengths(pool), 0
+        for cols, pairs in edits:
+            distances, start = d[start:start + len(pairs.u)], start + len(pairs.u)
+            for c in cols:
+                pairs.fill(X, c, _from_distances(self.specs[c].comparator, distances,
+                                                 lens[pairs.u], lens[pairs.v]))
 
 
-def _distinct_pairs(encoded: list[str], ia: np.ndarray, ib: np.ndarray, both: np.ndarray):
-    """Distinct unordered pairs of unequal encoded substrings (`encoded`
-    holding one per name) among the pairs where both substrings exist, and
-    each such pair's index."""
-    strings, (ids,) = intern_strings(encoded)
-    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+class _KeyPairs(NamedTuple):
+    """One (encoding, range) key's comparisons in a batch: the distinct
+    unordered pairs (u, v) of unequal encoded substrings, as string ids;
+    `both` marks the batch pairs whose two substrings exist, `todo` those
+    whose substrings also differ, and `inverse` maps each todo pair to its
+    index in (u, v)."""
+    u: np.ndarray
+    v: np.ndarray
+    both: np.ndarray
+    todo: np.ndarray
+    inverse: np.ndarray
+
+    def fill(self, X: np.ndarray, c: int, values: np.ndarray) -> None:
+        """Column c of X from one value per distinct pair; equal encoded
+        substrings score 1 and a missing one 0."""
+        X[:, c] = self.both
+        X[self.todo, c] = values[self.inverse]
+
+
+def _distinct_pairs(n_strings: int, ids: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+                    both: np.ndarray) -> _KeyPairs:
+    """The comparisons of the pairs (ia, ib) of names, ids[n] the id
+    (< n_strings) of name n's encoded substring."""
     ea, eb = ids[ia], ids[ib]
     todo = both & (ea != eb)
     lo, hi = np.minimum(ea, eb)[todo], np.maximum(ea, eb)[todo]
-    keys, inverse = np.unique(lo * len(strings) + hi, return_inverse=True)
-    u, v = np.divmod(keys, len(strings))
-    return strings, lens, u, v, todo, inverse
+    keys, inverse = np.unique(lo * n_strings + hi, return_inverse=True)
+    u, v = np.divmod(keys, n_strings)
+    return _KeyPairs(u, v, both, todo, inverse)

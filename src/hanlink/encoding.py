@@ -155,9 +155,13 @@ def load_surnames(path: str | Path) -> frozenset[str]:
 def han_indicator(name: str, surnames: frozenset[str]) -> bool:
     """True iff the name starts with a listed surname (2-logogram surnames
     matched before 1-logogram ones) and has 2-4 logograms in total."""
+    return han_of_logograms(logograms(name), surnames)
+
+
+def han_of_logograms(chars: list[str], surnames: frozenset[str]) -> bool:
+    """`han_indicator` of a name already split into logograms."""
     if not surnames:
         raise ValueError("surname set is empty")
-    chars = logograms(name)
     if not 2 <= len(chars) <= 4:
         return False
     if "".join(chars[:2]) in surnames:
@@ -181,7 +185,11 @@ LF_RANGES = ("1:1", "1:2", "2:N", "3:N")
 def extract_substring(name: str, range_tag: str) -> str:
     """Logograms of `name` at the 1-based positions given by the range;
     ranges past the end truncate, a start past the end yields ""."""
-    chars = logograms(name)
+    return range_substring(logograms(name), range_tag)
+
+
+def range_substring(chars: list[str], range_tag: str) -> str:
+    """`extract_substring` of a name already split into logograms."""
     start_s, end_s = range_tag.split(":")
     start = int(start_s)
     end = len(chars) if end_s == "N" else int(end_s)
@@ -210,6 +218,10 @@ class FrequencyTable:
                                  "range<TAB>substring<TAB>log frequency") from None
         return cls(values=values, floor=min(values.values(), default=0.0) + math.log(0.5))
 
+    def value(self, range_tag: str, sub: str) -> float:
+        """The stored log relative frequency of `sub` at `range_tag`, or the floor."""
+        return self.values.get((range_tag, sub), self.floor)
+
 
 def log_rel_frequency(name: str, range_tag: str, freq: FrequencyTable) -> float:
     """Stored log relative frequency of the substring of `name` selected by
@@ -217,5 +229,4 @@ def log_rel_frequency(name: str, range_tag: str, freq: FrequencyTable) -> float:
     if range_tag not in LF_RANGES:
         raise ValueError(f"substring range {range_tag!r} not allowed for frequencies "
                          f"(expected one of {LF_RANGES})")
-    sub = extract_substring(name, range_tag)
-    return freq.values.get((range_tag, sub), freq.floor)
+    return freq.value(range_tag, extract_substring(name, range_tag))

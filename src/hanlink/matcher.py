@@ -5,9 +5,12 @@ effects may be stratified by the pair's Han category (both, neither,
 disagreeing). Fitting uses damped Newton (IRLS) iterations, run for all
 candidates of a selection step at once on a stacked design and bitwise
 equal to fitting each alone; feature selection is greedy-forward on dev
-AUROC/EAUROC followed by backward pruning of interaction terms. Score
-distributions keep exact empirical tail probabilities on a 10,000-point
-grid plus a monotone (isotonic) match/nonmatch density-ratio estimate.
+AUROC/EAUROC followed by backward pruning of interaction terms. Each
+stacked chunk of candidate fits is scored on the dev split at once, one
+stacked product per Han category and one sigmoid, bitwise equal to
+scoring each model alone. Score distributions keep exact empirical tail
+probabilities on a 10,000-point grid plus a monotone (isotonic)
+match/nonmatch density-ratio estimate.
 """
 from __future__ import annotations
 
@@ -75,14 +78,7 @@ class MatcherModel:
                              f"column per model feature ({len(self.specs)})")
         if self.kind == "single":
             return X[:, 0].copy()
-        cats = np.asarray(cats)
-        scores = np.empty(X.shape[0])
-        for code, cat in enumerate(HAN_CATEGORIES):
-            mask = cats == code
-            if mask.any():
-                z = self.intercepts[cat] + X[mask] @ self.coefs[cat]
-                scores[mask] = _sigmoid(z)
-        return scores
+        return _predict_stack(X, np.asarray(cats), [self], [slice(None)])[0]
 
     def to_dict(self) -> dict:
         out = {"format_version": 1, "kind": self.kind,
@@ -145,6 +141,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
+def _predict_stack(X: np.ndarray, cats: np.ndarray, models: list[MatcherModel],
+                   cols: list) -> np.ndarray:
+    """Scores (K, n) of K logistic models over the rows of X (n, F) with
+    Han-category codes `cats`, model k reading the columns cols[k]: one
+    stacked product per category, whose per-slice BLAS call is a lone
+    model's 2-D one, and one sigmoid."""
+    z = np.empty((len(models), X.shape[0]))
+    for code, cat in enumerate(HAN_CATEGORIES):
+        mask = cats == code
+        if mask.any():
+            rows = X[mask]
+            coefs = np.array([m.coefs[cat] for m in models])[:, :, None]
+            intercepts = np.array([m.intercepts[cat] for m in models])[:, None]
+            z[:, mask] = intercepts + np.matmul(np.stack([rows[:, c] for c in cols]),
+                                                coefs)[:, :, 0]
+    return _sigmoid(z)
+
+
 def _as_matrices(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An (X, cats, y) triple as float, int8 and float arrays."""
     X, cats, y = data
@@ -170,12 +184,13 @@ def _build_design(X: np.ndarray, cats: np.ndarray, terms: list[tuple]) -> np.nda
 
 
 def _penalized_nll(beta, D, y, penalty):
-    """Objectives of the stacked fits beta (K, p) over designs D (K, n, p)."""
+    """Objectives of the stacked fits beta (K, p) over designs D (K, n, p),
+    and their linear predictors D·beta (K, n)."""
     z = np.matmul(D, beta[:, :, None])[:, :, 0]
     ll = np.logaddexp(0.0, z) - y * z  # log(1 + e^z) - y*z, computed stably
     # one ddot per slice, summing as np.dot(b[1:], b[1:]) does (einsum does not)
     ridge = np.matmul(beta[:, None, 1:], beta[:, 1:, None])[:, 0, 0]
-    return ll.sum(axis=1) + 0.5 * penalty * ridge
+    return ll.sum(axis=1) + 0.5 * penalty * ridge, z
 
 
 def _solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -185,13 +200,29 @@ def _solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(H, g, rcond=None)[0]
 
 
+def _newton_steps(D: np.ndarray, z: np.ndarray, y: np.ndarray, b: np.ndarray,
+                  pen: np.ndarray) -> np.ndarray:
+    """Newton steps H^-1 g of the stacked fits at coefficients b (K, p),
+    whose linear predictors over the designs D (K, n, p) are z (K, n)."""
+    mu = _sigmoid(z)
+    grad = np.matmul(D.transpose(0, 2, 1), (mu - y)[:, :, None])[:, :, 0] + pen * b
+    w = np.clip(mu * (1.0 - mu), 1e-10, None)
+    H = np.matmul((D * w[:, :, None]).transpose(0, 2, 1), D) + np.diag(pen)
+    try:
+        return np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # some slice is singular
+        return np.array([_solve(h, g) for h, g in zip(H, grad)])
+
+
 def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
     """Damped-Newton (IRLS) fits of the stacked designs D (K, n, p), column 0
     the unpenalized intercept, to TOL within MAX_ITER iterations: per fit
     (beta, iterations, converged, objective trace, error or None). Every
-    stacked product makes, per slice,
-    a lone 2-D fit's BLAS call, so a fit is bitwise the same in any stack.
-    A fit leaves the active set once it converges or its objective rises."""
+    stacked product makes, per slice, a lone 2-D fit's BLAS call, so a fit
+    is bitwise the same in any stack. An iteration's weights come from the
+    linear predictor D·beta that the line search computed when it accepted
+    beta, so D·beta is formed once per accepted step. A fit leaves the
+    active set once it converges or its objective rises."""
     if len(np.unique(y)) < 2:
         raise TrainingError("training data must contain both classes")
     D = np.ascontiguousarray(D, dtype=float)  # strided slices sum without BLAS
@@ -199,29 +230,22 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
     pen = np.full(p, penalty)
     pen[0] = 0.0  # intercept unpenalized
     beta, iterations, converged = np.zeros((K, p)), np.zeros(K, int), np.zeros(K, bool)
-    objective = _penalized_nll(beta, D, y, penalty)
+    objective, z = _penalized_nll(beta, D, y, penalty)
     traces, errors = [[v] for v in objective.tolist()], [None] * K
     live = np.arange(K)  # positions of the fits still iterating
     for it in range(1, MAX_ITER + 1):
         if not len(live):
             break
         b, obj = beta[live], objective[live]
-        mu = _sigmoid(np.matmul(D, b[:, :, None])[:, :, 0])
-        grad = np.matmul(D.transpose(0, 2, 1), (mu - y)[:, :, None])[:, :, 0] + pen * b
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        H = np.matmul((D * w[:, :, None]).transpose(0, 2, 1), D) + np.diag(pen)
-        try:
-            step = np.linalg.solve(H, grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # some slice is singular
-            step = np.array([_solve(h, g) for h, g in zip(H, grad)])
+        step = _newton_steps(D, z, y, b, pen)
         # damped Newton: halve each fit's step until its objective decreases
         new_b, new_obj = b.copy(), obj.copy()
         todo, Dt, scale = np.arange(len(live)), D, 1.0
         for _ in range(40):
             cand = b[todo] - scale * step[todo]
-            new_obj[todo] = _penalized_nll(cand, Dt, y, penalty)
+            new_obj[todo], cand_z = _penalized_nll(cand, Dt, y, penalty)
             down = new_obj[todo] <= obj[todo]
-            new_b[todo[down]] = cand[down]
+            new_b[todo[down]], z[todo[down]] = cand[down], cand_z[down]
             todo, Dt = todo[~down], Dt[~down]
             if not len(todo):
                 break
@@ -236,7 +260,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
                              f"to {o!r} at iteration {it}")
             traces[k].append(o)
         if done.any():
-            live, D = live[~done], D[~done]
+            live, D, z = live[~done], D[~done], z[~done]
     return list(zip(beta, iterations.tolist(), converged.tolist(), traces, errors))
 
 
@@ -282,9 +306,9 @@ def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...]
     return model
 
 
-def _dev_metrics(model: MatcherModel, dev_X, dev_cats, dev_y, col_idx) -> tuple[float, float]:
-    ranking = GroupedRanking.from_pairs(model.predict_matrix(dev_X[:, col_idx], dev_cats),
-                                        dev_y)
+def _dev_metrics(scores: np.ndarray, dev_y: np.ndarray) -> tuple[float, float]:
+    """(AUROC, EAUROC) of one model's dev scores."""
+    ranking = GroupedRanking.from_pairs(scores, dev_y)
     return auroc(ranking), eauroc(ranking)
 
 
@@ -292,15 +316,19 @@ def _scored_fits(train, dev, trials: list[tuple], penalty: float):
     """(model, dev AUROC, dev EAUROC) of each trial (terms, specs, columns,
     label) in order: the fit of `_build_design` over the train columns,
     scored on the same dev columns. Trials are stacked as IRLS chunks of at
-    most FIT_BUDGET elements; a failed fit raises naming its label."""
+    most FIT_BUDGET elements, and each chunk's models are scored on the dev
+    split by one `_predict_stack`; a failed fit raises naming its label."""
     X, cats, y = train
+    dev_X, dev_cats, dev_y = dev
     size = max(1, FIT_BUDGET // (len(y) * (len(trials[0][0]) + 1)))
     for lo in range(0, len(trials), size):
         chunk = trials[lo:lo + size]
         D = np.stack([_build_design(X[:, cols], cats, terms) for terms, _, cols, _ in chunk])
-        for fit, (terms, specs, cols, label) in zip(_fit_design(D, y, penalty), chunk):
-            model = _fitted_model(fit, terms, specs, penalty, label)
-            yield (model,) + _dev_metrics(model, *dev, cols)
+        models = [_fitted_model(fit, terms, specs, penalty, label)
+                  for fit, (terms, specs, _, label) in zip(_fit_design(D, y, penalty), chunk)]
+        scores = _predict_stack(dev_X, dev_cats, models, [cols for _, _, cols, _ in chunk])
+        for model, s in zip(models, scores):
+            yield (model,) + _dev_metrics(s, dev_y)
 
 
 def forward_select(candidates: list[FeatureSpec], train, dev,
@@ -352,7 +380,7 @@ def backward_prune(model: MatcherModel, dev, train,
     specs = model.specs
     all_cols = np.arange(len(specs))
     terms = [tuple(t) for t in model.trainer["terms"]]
-    cur_a, cur_e = _dev_metrics(model, *dev, all_cols)
+    cur_a, cur_e = _dev_metrics(model.predict_matrix(dev[0], dev[1]), dev[2])
     current = model
     while True:
         droppable = [t for t in terms if t[0] in ("main", "inter")]

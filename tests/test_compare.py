@@ -226,12 +226,37 @@ def test_edit_distances_match_dp(pairs, budget):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(strings_of("abc"), strings_of("abcd")), min_size=1, max_size=8),
-       st.integers(1, 3), st.sampled_from([1 << 16, 3]))
+       st.integers(1, 5), st.sampled_from([1 << 16, 3]))
 def test_cosine_sims_match_counter_oracle(pairs, k, budget):
+    """Token lengths up to five: past three code points a token is numbered
+    one code point at a time; a small budget splits the pairs into many
+    chunks."""
     strings, (u, v) = compare.intern_strings([a for a, _ in pairs], [b for _, b in pairs])
     with mock.patch.object(compare, "_TOKEN_BUDGET", budget):
         got = cosine_sims(strings, u, v, k)
     assert got.tolist() == [counter_cosine(a, b, k) for a, b in pairs]
+
+
+def test_cosine_cost_stops_at_the_longest_string(bundle):
+    """A token length beyond every string numbers no token: it costs the
+    np.unique calls of a length just past the longest string, not one more
+    per code point of the token, here and through a featurizer whose spec
+    asks for such a length."""
+    def unique_calls(fn):
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            fn()
+        return unique.call_count
+
+    def cosine(k):
+        assert cosine_sims(["ab", "abc"], [0], [1], k).tolist() == [0.0]
+
+    def featurize(k):
+        spec = FeatureSpec.from_name(f"PY_COS_k{k}_1:N")
+        fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames, specs=(spec,))
+        assert fz.feature_matrix([("张三", "李四"), ("张三", "张三")])[0][:, 0].tolist() == [0.0, 1.0]
+
+    assert unique_calls(lambda: cosine(10 ** 4)) == unique_calls(lambda: cosine(4))
+    assert unique_calls(lambda: featurize(10 ** 9)) == unique_calls(lambda: featurize(99))
 
 
 def test_cosine_norms_round_as_pow():
@@ -366,3 +391,36 @@ def test_feature_matrix_of_name_ids_matches_tuples(bundle, names, data):
     for other in (fz, PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)):
         X2, cats2 = other.feature_matrix(tuples)
         assert X.tobytes() == X2.tobytes() and cats.tobytes() == cats2.tobytes()
+
+
+# Three string encodings with every range, both comparator families and
+# cosine at k = 1..3, plus the summed and category features.
+MIXED_BANK = string_specs(("J", "PY", "RDS"), compare.RANGE_TAGS) + (
+    FeatureSpec("SUM", "AMB", 1, "1:N"), FeatureSpec("SUM", "LF", 1, "2:N"),
+    FeatureSpec("CAT", "HAN", 1, "1:N"))
+# An empty 2:N range, edge and inner whitespace, and names whose RDS (14 or
+# more logograms) or J (65 or more) encodings pass 64 code points.
+EDGE_NAMES = ("张", "张 三", " 李", "伍考张可成阳李华伍考张可成阳", "张可" * 33)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(MIXED_BANK),
+       st.lists(st.one_of(st.sampled_from(EDGE_NAMES), mixed_names(12),
+                          st.text(alphabet=NAME_CHARS, min_size=14, max_size=20)),
+                min_size=1, max_size=8),
+       st.data())
+def test_batch_equals_each_spec_alone(bundle, specs, names, data):
+    """One feature_matrix over a mixed bank, which sends every LV/LCS key
+    through one edit-distance call and every cosine key's token lengths
+    through one pass, equals bitwise each spec featurized by its own
+    one-spec featurizer."""
+    ids = st.integers(0, len(names) - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12))
+    pairs = [(names[i], names[j]) for i, j in pairs]
+    X, cats = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
+                             specs=tuple(specs)).feature_matrix(pairs)
+    for c, spec in enumerate(specs):
+        alone, alone_cats = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
+                                           specs=(spec,)).feature_matrix(pairs)
+        assert X[:, c].tobytes() == alone[:, 0].tobytes(), spec.name
+        assert cats.tobytes() == alone_cats.tobytes()
