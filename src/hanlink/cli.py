@@ -194,10 +194,7 @@ def _experiment_files(config: dict, args, bundle) -> dict:
     data = settings.data
     dataset = exp.LinkageDataset(read_records(data["file_a"]), read_records(data["file_b"]),
                                  read_truth(data["truth"]), settings.fields)
-    reports = exp.run_methods(dataset, settings.methods, scorer=scorer, dist=dist,
-                              floor=settings.floor, candidate_floor=settings.candidate_floor,
-                              q=settings.q)
-    return {"config": config, "reports": reports}
+    return {"config": config, "reports": exp.link(settings, dataset, scorer, dist)}
 
 
 def cmd_experiment(args) -> int:
@@ -207,7 +204,7 @@ def cmd_experiment(args) -> int:
         if value is not None:
             config[key] = value
     settings = exp.read_settings(config)
-    workers = (settings.workers if args.workers is None
+    workers = (None if args.workers is None  # None: run_study reads the config's
                else checked_number("--workers", args.workers, 1, integer=True))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -411,12 +411,11 @@ class PairFeaturizer:
         memo = self._encoded[kind]
         joined = memo.get(sub)
         if joined is None:
-            codes, chars = self._codes[kind], logograms(sub)
+            codes, chars, table = self._codes[kind], logograms(sub), self.tables[kind]
             for ch in chars:
                 if ch not in codes:
-                    code = self.tables[kind].lookup(ch)
-                    self.fallbacks += code is None and kind is not EncodingKind.J
-                    codes[ch] = ch if code is None else code
+                    self.fallbacks += ch not in table.entries and kind is not EncodingKind.J
+                    codes[ch] = table.code(ch)
             joined = memo[sub] = join_codes(kind, [codes[ch] for ch in chars])
         return joined
 

@@ -58,8 +58,9 @@ class EncodingTable:
     entries: dict[str, str]
     duplicates: int = 0
 
-    def lookup(self, logogram: str) -> str | None:
-        return self.entries.get(logogram)
+    def code(self, logogram: str) -> str:
+        """The logogram's code, or the logogram itself where the table has none."""
+        return self.entries.get(logogram, logogram)
 
 
 IDENTITY_TABLE = EncodingTable(kind=EncodingKind.J, entries={})
@@ -102,24 +103,16 @@ def transform(name: str, table: EncodingTable) -> EncodedName:
     """Map each logogram of `name` through `table`.
 
     Unknown logograms fall back to themselves and are tallied in
-    `fallbacks`. The J kind bypasses the table entirely.
+    `fallbacks`. The J kind's table has no entries, so J maps each
+    logogram to itself and tallies none.
     """
     chars = logograms(name)
     if not chars:
         raise ValueError("cannot transform an empty name")
-    kind = table.kind
-    if kind is EncodingKind.J:
-        codes = tuple(chars)
-        return EncodedName(codes, "".join(codes), 0)
-    codes = []
-    fallbacks = 0
-    for ch in chars:
-        code = table.lookup(ch)
-        if code is None:
-            code = ch
-            fallbacks += 1
-        codes.append(code)
-    return EncodedName(tuple(codes), join_codes(kind, codes), fallbacks)
+    codes = [table.code(ch) for ch in chars]
+    fallbacks = 0 if table.kind is EncodingKind.J else sum(ch not in table.entries
+                                                           for ch in chars)
+    return EncodedName(tuple(codes), join_codes(table.kind, codes), fallbacks)
 
 
 def join_codes(kind: EncodingKind, codes: list[str]) -> str:

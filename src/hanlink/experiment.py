@@ -127,7 +127,7 @@ def read_settings(config: dict) -> Settings:
       train            TRAIN_DEFAULTS, keys given override
       seed             0
       replicates       1
-      workers          1 (the command line's --workers wins)
+      workers          1 (`run_study`'s `workers`, the command line's --workers, wins)
     Both modes:
       floor            DEFAULT_POSTERIOR_FLOOR, in [0, 1]
       candidate_floor  DEFAULT_CANDIDATE_FLOOR, in [0, 1]
@@ -321,16 +321,21 @@ class ExternalScorer:
 
 
 class LinkageDataset:
-    """Two record files with truth links, pre-encoded for pattern work."""
+    """Two record files with truth links, pre-encoded for pattern work: each
+    field's codes (`encode_fields`), the distinct names with each record's id
+    into them (the name field's codes, -1 if missing), and the truth links,
+    also as each A row's linked B row, `truth_b_of_a` (-1 if unlinked)."""
 
     def __init__(self, records_a: dict[str, list[str]], records_b: dict[str, list[str]],
                  truth: np.ndarray, fields: tuple[str, ...]):
         self.fields = tuple(fields)
-        self.codes_a, self.codes_b = encode_fields(records_a, records_b, self.fields)
+        self.codes_a, self.codes_b, values = encode_fields(records_a, records_b, self.fields)
         if "name" not in self.fields:
             raise InputError("linkage fields must include 'name'")
-        self.names_a, self.names_b = records_a["name"], records_b["name"]
-        self.n_a, self.n_b = len(self.names_a), len(self.names_b)
+        name = self.fields.index("name")
+        self.names = values[name]
+        self.name_ids_a, self.name_ids_b = self.codes_a[name], self.codes_b[name]
+        self.n_a, self.n_b = len(self.name_ids_a), len(self.name_ids_b)
         if not self.n_a or not self.n_b:
             raise InputError("record files must be non-empty")
         self.truth = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
@@ -346,6 +351,10 @@ class LinkageDataset:
                                  f"{side} {ids[k]} is {why}")
         self.truth_b_of_a = np.full(self.n_a, -1, dtype=np.int64)
         self.truth_b_of_a[self.truth[:, 0]] = self.truth[:, 1]
+
+    def name_pairs(self, ii: np.ndarray, jj: np.ndarray) -> NamePairs:
+        """The names of the record pairs (A row ii[k], B row jj[k]), each present."""
+        return NamePairs(self.names, self.name_ids_a[ii], self.name_ids_b[jj])
 
     def tabulate(self) -> tuple[PatternTable, np.ndarray]:
         """Pattern table over all pairs plus true-match counts per row."""
@@ -434,8 +443,7 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
         ii, jj, pair_codes = dataset.candidate_pairs(table.codes()[cand_rows])
         pair_rows = table.rows_of(pair_codes)
         pair_labels = dataset.truth_b_of_a[ii] == jj
-        names, (ids_a, ids_b) = intern_strings(dataset.names_a, dataset.names_b)
-        name_pairs = NamePairs(names, ids_a[ii], ids_b[jj])
+        name_pairs = dataset.name_pairs(ii, jj)  # gamma_name=0: both names present
         pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
         if not np.all((pair_scores >= 0.0) & (pair_scores <= 1.0)):
             raise ValueError("name scores must lie in [0, 1] (the scorer broke its contract)")
@@ -473,78 +481,89 @@ def _seed_of(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0]) % 2**63
 
 
+def _nonmatches(rng: np.random.Generator, b_of_a: np.ndarray, n_b: int,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random (A row, B row) pairs, all A rows drawn before the B
+    rows, less the truth links (`b_of_a`: each A row's linked B row or -1)."""
+    i = rng.integers(len(b_of_a), size=count)
+    j = rng.integers(n_b, size=count)
+    ok = b_of_a[i] != j
+    return i[ok], j[ok]
+
+
 def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
                            seed: int, classifier: str, train_opts: dict | None
-                           ) -> tuple[MatcherModel, ScoreDistribution, dict]:
+                           ) -> tuple[NamePairScorer, ScoreDistribution, dict]:
     """Train (or instantiate) the name classifier and fit the empirical
     score distribution on a development simulation; `train_opts` overrides
-    some of TRAIN_DEFAULTS."""
+    some of TRAIN_DEFAULTS. Returns the scorer that fitted the distribution
+    (a study's replicates score with it), the distribution and counts."""
     scorer = name_scorer(classifier, bundle, study=True)
     opts = {**TRAIN_DEFAULTS, **(train_opts or {})}
     seeds = np.random.SeedSequence(seed).spawn(2)
     dev_cfg = SimConfig.from_dict({**sim_params, "seed": _seed_of(seeds[0])})
     sim = generate_pair_files(dev_cfg, name_model)
+    dev = LinkageDataset(sim.records_a, sim.records_b, sim.truth, ("name",))
     rng = np.random.Generator(np.random.PCG64(seeds[1]))
-    names, (ids_a, ids_b) = intern_strings(sim.records_a["name"], sim.records_b["name"])
-    ta, tb = sim.truth[:, 0], sim.truth[:, 1]
+    ta, tb = dev.truth[:, 0], dev.truth[:, 1]
 
     info: dict = {"dev_sim_records": dev_cfg.n_records}
     if scorer is None:
-        pos = ids_a[ta] != ids_b[tb]  # matches whose names differ
-        n_neg = int(opts["n_nonmatch_name_pairs"])
-        neg_i = rng.integers(sim.truth.shape[0], size=n_neg)
-        neg_j = rng.integers(len(ids_b), size=n_neg)
-        ok = tb[neg_i] != neg_j
+        pos = dev.name_ids_a[ta] != dev.name_ids_b[tb]  # matches whose names differ
+        neg_i, neg_j = _nonmatches(rng, dev.truth_b_of_a, dev.n_b,
+                                   int(opts["n_nonmatch_name_pairs"]))
         featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
-        pairs = NamePairs(names, np.concatenate([ids_a[ta[pos]], ids_a[ta[neg_i[ok]]]]),
-                          np.concatenate([ids_b[tb[pos]], ids_b[neg_j[ok]]]))
-        y = np.concatenate([np.ones(int(pos.sum())), np.zeros(int(ok.sum()))])
-        X, cats = featurizer.feature_matrix(pairs)
-        train, dev = split_dev(rng, X, cats, y, float(opts["dev_fraction"]),
-                               "train.dev_fraction")
-        model = train_matcher(train, dev, featurizer.specs,
+        X, cats = featurizer.feature_matrix(dev.name_pairs(np.concatenate([ta[pos], neg_i]),
+                                                           np.concatenate([tb[pos], neg_j])))
+        y = np.concatenate([np.ones(int(pos.sum())), np.zeros(len(neg_i))])
+        train, dev_split = split_dev(rng, X, cats, y, float(opts["dev_fraction"]),
+                                     "train.dev_fraction")
+        model = train_matcher(train, dev_split, featurizer.specs,
                               penalty=float(opts["penalty"]))
         info["n_train_pairs"] = len(train[2])
-        info["n_dev_pairs"] = len(dev[2])
+        info["n_dev_pairs"] = len(dev_split[2])
         info["n_selected_features"] = len(model.specs)
         scorer = NamePairScorer(model, bundle)
 
-    n_u = int(opts["n_nonmatch_score_pairs"])
-    u_i = rng.integers(len(ids_a), size=n_u)
-    u_j = rng.integers(len(ids_b), size=n_u)
-    b_of_a = np.full(len(ids_a), -1, dtype=np.int64)
-    b_of_a[ta] = tb
-    ok = b_of_a[u_i] != u_j
-    scores = scorer.scores(NamePairs(names, ids_a[np.concatenate([ta, u_i[ok]])],
-                                     ids_b[np.concatenate([tb, u_j[ok]])]))
-    labels = np.concatenate([np.ones(len(ta)), np.zeros(int(ok.sum()))])
+    u_i, u_j = _nonmatches(rng, dev.truth_b_of_a, dev.n_b, int(opts["n_nonmatch_score_pairs"]))
+    scores = scorer.scores(dev.name_pairs(np.concatenate([ta, u_i]), np.concatenate([tb, u_j])))
+    labels = np.concatenate([np.ones(len(ta)), np.zeros(len(u_i))])
     dist = fit_score_distributions(scores, labels, bins=int(opts["bins"]))
     info["n_dist_match"] = len(ta)
-    info["n_dist_nonmatch"] = int(ok.sum())
-    return scorer.model, dist, info
+    info["n_dist_nonmatch"] = len(u_i)
+    return scorer, dist, info
 
 
-def run_replicate(bundle: AssetBundle, name_model, sim_params: dict, rep_seed: int,
-                  methods: tuple[str, ...], model: MatcherModel | None,
-                  dist: ScoreDistribution | None, fields: tuple[str, ...],
-                  floor: float, candidate_floor: float,
-                  q: float | None) -> dict[str, dict]:
-    cfg = SimConfig.from_dict({**sim_params, "seed": rep_seed})
-    sim = generate_pair_files(cfg, name_model)
-    dataset = LinkageDataset(sim.records_a, sim.records_b, sim.truth, fields)
-    scorer = None if model is None else NamePairScorer(model, bundle)
-    return run_methods(dataset, methods, scorer=scorer, dist=dist, floor=floor,
-                       candidate_floor=candidate_floor, q=q)
+def link(settings: Settings, dataset: LinkageDataset, scorer,
+         dist: ScoreDistribution | None) -> dict[str, dict]:
+    """`run_methods` over a dataset of the settings' fields, with their
+    methods, floors and q. The caller builds the dataset, so that the
+    records it was built from can be freed before tabulation."""
+    return run_methods(dataset, settings.methods, scorer=scorer, dist=dist,
+                       floor=settings.floor, candidate_floor=settings.candidate_floor,
+                       q=settings.q)
 
 
-def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1) -> dict:
+def run_replicate(name_model, settings: Settings, rep_seed: int, scorer,
+                  dist: ScoreDistribution | None) -> dict[str, dict]:
+    """One replicate of a study: a simulation seeded `rep_seed`, linked."""
+    sim = generate_pair_files(SimConfig.from_dict({**settings.simulate, "seed": rep_seed}),
+                              name_model)
+    return link(settings, LinkageDataset(sim.records_a, sim.records_b, sim.truth,
+                                         settings.fields), scorer, dist)
+
+
+def run_study(config: dict, bundle: AssetBundle | None = None,
+              workers: int | None = None) -> dict:
     """Replicated simulation study: train once, then run every replicate
-    through every requested method. Deterministic given the config's seed.
-    Without a `bundle` the assets come from its 'assets_dir'. The config is
-    checked by `read_settings` before any work starts.
+    through every requested method with the one scorer that fitted the
+    score distribution. Deterministic given the config's seed. Without a
+    `bundle` the assets come from its 'assets_dir'; without `workers`, the
+    config's 'workers' applies. The config is checked by `read_settings`
+    before any work starts.
 
     With workers > 1 the replicates run in that many spawned processes,
-    each given this process's asset bundle, name model, matcher and score
+    each given this process's name model, settings, scorer and score
     distribution, so results do not depend on the worker count. Spawned
     workers re-import the calling script, so a script must call this under
     `if __name__ == "__main__":`.
@@ -555,30 +574,28 @@ def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1)
     bundle = bundle or load_bundle(settings.assets_dir)
     name_model = build_name_model(bundle.corpus, bundle.tables)
     methods, replicates = settings.methods, settings.replicates
+    workers = settings.workers if workers is None else workers
 
     train, *reps = np.random.SeedSequence(settings.seed).spawn(replicates + 1)
     train_seed, rep_seeds = _seed_of(train), [_seed_of(s) for s in reps]
-    model = dist = None
+    scorer = dist = None
     train_info: dict = {}
     if any(m != "exact" for m in methods):
-        model, dist, train_info = train_matcher_and_dist(
+        scorer, dist, train_info = train_matcher_and_dist(
             bundle, name_model, settings.simulate, train_seed, settings.classifier,
             settings.train)
 
-    shared = (methods, model, dist, settings.fields, settings.floor,
-              settings.candidate_floor, settings.q)
     if workers > 1 and replicates > 1:
         import multiprocessing  # only parallel studies pay for this import
 
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(run_replicate, bundle, name_model, settings.simulate,
-                                   rs, *shared) for rs in rep_seeds]
+            futures = [pool.submit(run_replicate, name_model, settings, rs, scorer, dist)
+                       for rs in rep_seeds]
             results = [f.result() for f in futures]
     else:
-        results = [run_replicate(bundle, name_model, settings.simulate, rs, *shared)
-                   for rs in rep_seeds]
+        results = [run_replicate(name_model, settings, rs, scorer, dist) for rs in rep_seeds]
 
     summary: dict[str, dict] = {}
     for method in methods:
@@ -595,7 +612,7 @@ def run_study(config: dict, bundle: AssetBundle | None = None, workers: int = 1)
     return {
         "config": config,
         "train_info": train_info,
-        "model": model.to_dict() if model else None,
+        "model": scorer.model.to_dict() if scorer else None,
         "dist_summary": {"ratio_max": dist.ratio_max} if dist else None,
         "replicates": results,
         "summary": summary,

@@ -34,6 +34,8 @@ from .metrics import PROB_CLAMP
 RECORD_FIELDS = ("name", "sex", "yob", "mob", "dob", "loc")
 LINK_FIELDS = RECORD_FIELDS  # default linkage field set, name first
 NA = 2  # gamma code for "either value missing"
+EM_TOL = 1e-10       # EM stops once an iteration changes the log-likelihood by less, relatively
+EM_MAX_ITER = 500    # EM iterations at most
 
 
 def checked_number(key: str, value, lo: float, hi: float = math.inf, *,
@@ -128,19 +130,20 @@ def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
 
 
 def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
-                  fields) -> tuple[list[np.ndarray], list[np.ndarray]]:
+                  fields) -> tuple[list[np.ndarray], list[np.ndarray], list[list[str]]]:
     """Per-field codes of both files' values, equal exactly when the strings
-    are (missing -> -1). A field listed twice (EM would count it twice) or
-    absent from either file is an InputError."""
+    are (missing -> -1), and per field the distinct values the codes index,
+    first seen first (file A before file B). A field listed twice (EM would
+    count it twice) or absent from either file is an InputError."""
     codes = []
     for k, f in enumerate(fields):
         if f in fields[:k]:
             raise InputError(f"linkage field {f!r} is listed more than once")
         if f not in records_a or f not in records_b:
             raise InputError(f"unknown field {f!r} in record schema")
-        ids = intern_strings([""], records_a[f], records_b[f])[1]  # "" gets id 0
-        codes.append((ids[1] - 1, ids[2] - 1))
-    return [a for a, _ in codes], [b for _, b in codes]
+        values, ids = intern_strings([""], records_a[f], records_b[f])  # "" gets id 0
+        codes.append((ids[1] - 1, ids[2] - 1, values[1:]))
+    return [a for a, _, _ in codes], [b for _, b, _ in codes], [v for _, _, v in codes]
 
 
 @dataclass
@@ -362,27 +365,22 @@ def _agree_rates(gammas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return rates
 
 
-def em_fit(table: PatternTable, init: LinkageModel | None = None,
-           tol: float = 1e-10, max_iter: int = 500) -> LinkageModel:
+def em_fit(table: PatternTable) -> LinkageModel:
     """Fit the conditional-independence mixture by EM.
 
-    Stops when the relative log-likelihood change drops below `tol`;
-    parameters are clamped to [1e-12, 1-1e-12]. Raises RuntimeError if the
-    observed-data log-likelihood decreases at any iteration.
+    Stops when the relative log-likelihood change drops below EM_TOL, or
+    after EM_MAX_ITER iterations; parameters are clamped to [1e-12, 1-1e-12].
+    Raises RuntimeError if the observed-data log-likelihood decreases at
+    any iteration.
     """
     if len(table.counts) < 2:
         raise InputError("pattern table must contain at least 2 distinct patterns")
     gammas = table.gammas
     counts = table.counts.astype(float)
     total = counts.sum()
-    if init is None:
-        model = LinkageModel(fields=table.fields, pi_m=1e-4,
-                             p_m=np.full(gammas.shape[1], 0.9),
-                             p_u=np.clip(_agree_rates(gammas, counts), 1e-6, 1 - 1e-6))
-    else:
-        model = LinkageModel(fields=table.fields, pi_m=init.pi_m,
-                             p_m=np.array(init.p_m, dtype=float),
-                             p_u=np.array(init.p_u, dtype=float))
+    model = LinkageModel(fields=table.fields, pi_m=1e-4,
+                         p_m=np.full(gammas.shape[1], 0.9),
+                         p_u=np.clip(_agree_rates(gammas, counts), 1e-6, 1 - 1e-6))
     log_pm, mix = _log_mixture(model.pi_m, *_log_pattern_likelihoods(model, gammas))
     loglik = float((counts * mix).sum())
     if not np.isfinite(loglik):
@@ -390,7 +388,7 @@ def em_fit(table: PatternTable, init: LinkageModel | None = None,
     trace = [loglik]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, EM_MAX_ITER + 1):
         resp = np.exp(log_pm - mix)
         w_m = resp * counts
         w_u = (1.0 - resp) * counts
@@ -408,7 +406,7 @@ def em_fit(table: PatternTable, init: LinkageModel | None = None,
         delta = abs(new_loglik - loglik)
         loglik = new_loglik
         trace.append(loglik)
-        if delta < tol * (abs(loglik) + 1.0):
+        if delta < EM_TOL * (abs(loglik) + 1.0):
             converged = True
             break
     model.loglik_trace = trace

@@ -145,11 +145,6 @@ def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _encoding_code(char: str, table: EncodingTable) -> str:
-    code = table.lookup(char)
-    return code if code is not None else char
-
-
 def edit_distance_floor(codes: list[str], u, v) -> np.ndarray:
     """A lower bound on the Levenshtein distance of codes[u[i]] and
     codes[v[i]]: the larger of the length gap and, for each side, the
@@ -197,7 +192,7 @@ def build_name_model(corpus: list[str],
     for kind in (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS):
         if kind not in tables:
             continue
-        codes = [_encoding_code(c, tables[kind]) for c in inventory]
+        codes = [tables[kind].code(c) for c in inventory]
         lens = np.array([len(code) for code in codes], dtype=np.int64)
         la, lb = lens[first], lens[second]
         # sim >= t requires E <= (1-t)*maxlen and E >= length gap

@@ -30,7 +30,7 @@ def unbounded_substitutions(inventory, tables, threshold) -> dict:
     for kind in (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS):
         if kind not in tables:
             continue
-        codes = [c if (code := tables[kind].lookup(c)) is None else code for c in inventory]
+        codes = [tables[kind].entries.get(c, c) for c in inventory]
         lens = np.array([len(code) for code in codes], dtype=np.int64)
         la, lb = lens[first], lens[second]
         pruned = np.abs(la - lb) > (1.0 - threshold) * np.maximum(la, lb)
@@ -548,3 +548,33 @@ def posterior_ranking_by_row(table, zetas, dist, pos, pair_rows, pair_scores, pa
                 entries.append((posterior, label, 1.0 - label))
                 mass += posterior
     return entries, mass / float(table.counts.sum()), eligible
+
+
+def study_name_pairs(sim, rng, n_name_pairs, n_score_pairs, trained):
+    """The name pairs a study's training step sends to be featurized and
+    scored, as (ids_a, ids_b) into `intern_strings` of the dev simulation
+    `sim`'s names, drawn from the step's generator `rng` by two formulas:
+    the matcher's nonmatches from the truth rows through the truth's B
+    column, the score distribution's from every A row through a B-of-A
+    lookup. With `trained`, the matcher's pairs come first, then the dev
+    split's one permutation is drawn."""
+    import numpy as np
+    from hanlink.compare import intern_strings
+    names, (ids_a, ids_b) = intern_strings(sim.records_a["name"], sim.records_b["name"])
+    ta, tb = sim.truth[:, 0], sim.truth[:, 1]
+    pairs = []
+    if trained:
+        pos = ids_a[ta] != ids_b[tb]
+        neg_i = rng.integers(sim.truth.shape[0], size=n_name_pairs)
+        neg_j = rng.integers(len(ids_b), size=n_name_pairs)
+        ok = tb[neg_i] != neg_j
+        pairs.append((np.concatenate([ids_a[ta[pos]], ids_a[ta[neg_i[ok]]]]),
+                      np.concatenate([ids_b[tb[pos]], ids_b[neg_j[ok]]])))
+        rng.permutation(int(pos.sum() + ok.sum()))
+    u_i = rng.integers(len(ids_a), size=n_score_pairs)
+    u_j = rng.integers(len(ids_b), size=n_score_pairs)
+    b_of_a = np.full(len(ids_a), -1, dtype=np.int64)
+    b_of_a[ta] = tb
+    ok = b_of_a[u_i] != u_j
+    pairs.append((ids_a[np.concatenate([ta, u_i[ok]])], ids_b[np.concatenate([tb, u_j[ok]])]))
+    return names, pairs

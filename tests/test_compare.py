@@ -195,7 +195,7 @@ def test_phonetic_replacement_visible_only_in_raw(bundle):
     """Same-reading substitution keeps the pinyin encoding identical."""
     from hanlink.encoding import EncodingKind
     py = bundle.tables[EncodingKind.PY]
-    assert py.lookup("珂") == py.lookup("科") == "ke1"
+    assert py.code("珂") == py.code("科") == "ke1"
     fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     values, _ = feature_row(fz, "张珂成", "张科成")
     assert values[column(fz, "J_LV_k1_1:N")] == pytest.approx(2 / 3)
@@ -368,7 +368,7 @@ def test_encoded_substrings_match_transform(bundle, names):
                 sub = extract_substring(name, tag)
                 assert fz._encode(kind, sub) == (transform(sub, table).joined if sub else "")
                 if kind is not EncodingKind.J:
-                    missing |= {(kind, ch) for ch in logograms(sub) if table.lookup(ch) is None}
+                    missing |= {(kind, ch) for ch in logograms(sub) if ch not in table.entries}
     assert fz.fallbacks == len(missing)
 
 

@@ -20,8 +20,9 @@ def test_load_table_basic(tmp_path):
     path = tmp_path / "py.tsv"
     path.write_text("# comment\n伍\twu3\n考\tkao3\n", encoding="utf-8")
     table = load_encoding_table(path, EncodingKind.PY)
-    assert table.lookup("伍") == "wu3"
-    assert table.lookup("考") == "kao3"
+    assert table.code("伍") == "wu3"
+    assert table.code("考") == "kao3"
+    assert table.code("李") == "李"  # no entry: the logogram itself
     assert table.duplicates == 0
 
 
@@ -29,7 +30,7 @@ def test_load_table_duplicate_keeps_first(tmp_path):
     path = tmp_path / "py.tsv"
     path.write_text("伍\twu3\n伍\twu9\n", encoding="utf-8")
     table = load_encoding_table(path, EncodingKind.PY)
-    assert table.lookup("伍") == "wu3"
+    assert table.code("伍") == "wu3"
     assert table.duplicates == 1
 
 

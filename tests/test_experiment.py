@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import re
 import tempfile
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cross_product_codes, cross_product_table, external_scores_lookup
+from oracles import (cross_product_codes, cross_product_table, external_scores_lookup,
+                     study_name_pairs)
 
 from hanlink import experiment as exp
-from hanlink.compare import HAN_CATEGORIES, FeatureSpec, NamePairs, intern_strings
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from hanlink.fuse import apply_threshold
 from hanlink.linkage import NA, InputError
 from hanlink.matcher import MatcherModel, fit_score_distributions
@@ -92,6 +94,21 @@ def test_candidate_pairs_match_cross_product(case, data):
         for got, want in ((ii, ri[keep]), (jj, rj[keep]), (cc, rc[keep])):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_files())
+def test_dataset_name_ids_are_interned_names(case):
+    """The dataset's names are `intern_strings` of the files' non-blank
+    names, A before B, and each record's name id indexes them; a blank name
+    has id -1."""
+    records_a, records_b, truth, fields = case
+    dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
+    names, _ = intern_strings([n for n in records_a["name"] + records_b["name"] if n])
+    assert dataset.names == names
+    for ids, column in ((dataset.name_ids_a, records_a["name"]),
+                        (dataset.name_ids_b, records_b["name"])):
+        assert ids.tolist() == [names.index(n) if n else -1 for n in column]
 
 
 @pytest.mark.parametrize("truth,message", [
@@ -374,3 +391,87 @@ def test_scores_are_permutation_invariant(bundle, pairs, data):
     scores = exp.NamePairScorer(model, bundle).scores(pairs)
     permuted = exp.NamePairScorer(model, bundle).scores([pairs[k] for k in perm])
     assert scores[perm].tobytes() == permuted.tobytes()
+
+
+TRAIN_SIM = {"n_records": 200, "name_error_rate": 0.5}
+TRAIN_OPTS = {"n_nonmatch_name_pairs": 300, "n_nonmatch_score_pairs": 500}
+
+
+@pytest.mark.parametrize("classifier", ["logistic:train", "single:PY_COS_k3_1:N"])
+def test_training_step_pairs_match_reference(bundle, name_model, monkeypatch, classifier):
+    """The name pairs the training step featurizes and scores are, id for
+    id, those of the reference's draws: the matcher's pairs (when it trains
+    one), then the score distribution's, which the returned scorer scores."""
+    featurized, scored = [], []
+    feature_matrix, scores = PairFeaturizer.feature_matrix, exp.NamePairScorer.scores
+
+    def spy_features(self, pairs):
+        featurized.append(pairs)
+        return feature_matrix(self, pairs)
+
+    def spy_scores(self, pairs):
+        scored.append(pairs)
+        return scores(self, pairs)
+
+    monkeypatch.setattr(PairFeaturizer, "feature_matrix", spy_features)
+    monkeypatch.setattr(exp.NamePairScorer, "scores", spy_scores)
+    scorer, _, _ = exp.train_matcher_and_dist(bundle, name_model, TRAIN_SIM, 17, classifier,
+                                              TRAIN_OPTS)
+    assert isinstance(scorer, exp.NamePairScorer)
+
+    seeds = np.random.SeedSequence(17).spawn(2)
+    sim = generate_pair_files(SimConfig.from_dict({**TRAIN_SIM,
+                                                   "seed": exp._seed_of(seeds[0])}), name_model)
+    names, want = study_name_pairs(sim, np.random.Generator(np.random.PCG64(seeds[1])),
+                                   TRAIN_OPTS["n_nonmatch_name_pairs"],
+                                   TRAIN_OPTS["n_nonmatch_score_pairs"],
+                                   trained=classifier == "logistic:train")
+    want = [(names, ia.tolist(), ib.tolist()) for ia, ib in want]
+    got = [(list(p.names), p.ia.tolist(), p.ib.tolist()) for p in featurized]
+    assert got == want
+    assert [(list(p.names), p.ia.tolist(), p.ib.tolist()) for p in scored] == want[-1:]
+
+
+def test_trained_study_builds_one_scorer(bundle, monkeypatch):
+    """A serial trained study's replicates score with the scorer that fitted
+    the score distribution: one NamePairScorer, whatever the replicates."""
+    built = []
+    init = exp.NamePairScorer.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(exp.NamePairScorer, "__init__", counting_init)
+    exp.run_study({"seed": 3, "simulate": TRAIN_SIM, "replicates": 2,
+                   "methods": ["exact", "tau1"], "train": TRAIN_OPTS}, bundle, workers=1)
+    assert len(built) == 1
+
+
+def test_run_study_defaults_to_config_workers(bundle, monkeypatch):
+    """Without a `workers` argument a study runs its replicates in a pool of
+    the config's 'workers' processes; a `workers` argument wins."""
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    config = {"seed": 1, "simulate": {"n_records": 60}, "replicates": 2, "workers": 2,
+              "methods": ["exact"]}
+    pooled = exp.run_study(config, bundle)
+    assert pools == [2]
+    assert exp.run_study(config, bundle, workers=1) == pooled
+    assert pools == [2]

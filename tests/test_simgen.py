@@ -108,8 +108,8 @@ def test_candidates_match_exhaustive_oracle(bundle, name_model):
                 continue
             expected = False
             for kind in kinds:
-                a = bundle.tables[kind].lookup(c1) or c1
-                b = bundle.tables[kind].lookup(c2) or c2
+                a = bundle.tables[kind].entries.get(c1, c1)
+                b = bundle.tables[kind].entries.get(c2, c2)
                 if levenshtein_sim(a, b) >= 0.8:
                     expected = True
                     break
@@ -280,8 +280,8 @@ def reference_substitutions(inventory, tables, threshold):
             for kind in SUBSTITUTION_KINDS:
                 if kind not in tables:
                     continue
-                a = tables[kind].lookup(c1) or c1
-                b = tables[kind].lookup(c2) or c2
+                a = tables[kind].entries.get(c1, c1)
+                b = tables[kind].entries.get(c2, c2)
                 if abs(len(a) - len(b)) > (1.0 - threshold) * max(len(a), len(b)):
                     continue
                 if 1.0 - dp_levenshtein(a, b) / max(len(a), len(b)) >= threshold:
@@ -305,7 +305,7 @@ def test_substitution_prune_drops_pairs_at_the_threshold_with_a_length_gap(bundl
     """wan4/wang4 sit at similarity 0.8 with a gap of one, but (1.0 - 0.8) * 5
     rounds below 1, so the prune drops the pair."""
     py = bundle.tables[EncodingKind.PY]
-    assert (py.lookup("万"), py.lookup("旺")) == ("wan4", "wang4")
+    assert (py.code("万"), py.code("旺")) == ("wan4", "wang4")
     assert levenshtein_sim("wan4", "wang4") == 0.8
     model = build_name_model(["万旺"], {EncodingKind.PY: py}, sim_threshold=0.8)
     assert model.substitutions == {"万": (), "旺": ()}
