@@ -22,7 +22,6 @@ from .encoding import (
     IDENTITY_TABLE,
     InputError,
     ambiguity_count,
-    extract_substring,
     han_of_logograms,
     join_codes,
     logograms,

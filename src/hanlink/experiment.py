@@ -10,9 +10,9 @@ are scored by name id: the names of both files are interned once, and a
 between candidate enumeration and the matcher.
 
 Scoring every gamma_name=0 pair of a 10^8-pair linkage is not feasible at
-desk scale, so pair-level name scoring is restricted to rows whose best
-achievable posterior reaches `candidate_floor` (default 0.01); rows below
-it cannot contribute recoverable matches and keep their prior zeta.
+desk scale, so names are scored only in the gamma_name=0 rows whose best
+achievable posterior reaches min(candidate_floor, floor): tau1 and tau2
+move pairs of those rows only, and the posterior adjusts those reaching floor.
 
 An experiment config is read in one place, `read_settings`, whose
 docstring lists each mode's keys and defaults and the classifier selectors;
@@ -29,7 +29,8 @@ import numpy as np
 
 from .assets import AssetBundle, load_bundle
 from .compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
-from .fuse import apply_threshold, eligible_rows, posterior_adjust, tau1_select, tau2_select
+from .fuse import (CandidatePairs, apply_threshold, eligible_rows, posterior_adjust,
+                   tau1_select, tau2_select)
 from .linkage import (
     LINK_FIELDS,
     NA,
@@ -130,7 +131,8 @@ def read_settings(config: dict) -> Settings:
       workers          1 (`run_study`'s `workers`, the command line's --workers, wins)
     Both modes:
       floor            DEFAULT_POSTERIOR_FLOOR, in [0, 1]
-      candidate_floor  DEFAULT_CANDIDATE_FLOOR, in [0, 1]
+      candidate_floor  DEFAULT_CANDIDATE_FLOOR, in [0, 1]: only pairs of gamma_name=0 rows
+                       whose best posterior reaches min(it, floor) are scored and moved
       q                the ranking's default q; in (0, 1]
       assets_dir       the default asset directory (the command line's --assets wins)
 
@@ -362,19 +364,18 @@ class LinkageDataset:
         ta, tb = self.truth[:, 0], self.truth[:, 1]
         truth_codes = pair_gamma_codes([ca[ta] for ca in self.codes_a],
                                        [cb[tb] for cb in self.codes_b])
-        return table, np.bincount(truth_codes, minlength=3 ** len(self.fields))[table.codes()]
+        return table, np.bincount(table.rows_of(truth_codes), minlength=len(table.counts))
 
-    def candidate_pairs(self, wanted_codes: np.ndarray):
-        """All (i, j, code) pairs whose pattern code is in `wanted_codes`,
-        sorted by (i, j): for each code, a join on the fields it agrees on
-        over the records holding every field it does not mark NA, keeping
-        the joined pairs with that code. Codes visited in field-by-field
-        gamma order share the key of their common leading gammas."""
+    def candidate_pairs(self, table: PatternTable, rows: np.ndarray):
+        """All pairs (i, j) of the rows `rows` of `table`, as (i, j, row)
+        sorted by (i, j): for each row, a join on the fields it agrees on
+        over the records holding every field it does not mark NA, keeping the
+        joined pairs with its pattern. Rows visited in field-by-field gamma
+        order share the key of their common leading gammas."""
         parts = [(np.empty(0, np.int64),) * 3]
-        fields = range(len(self.fields))
-        wanted = set(np.asarray(wanted_codes, dtype=np.int64).tolist())
+        codes = table.codes()
         keys = {(): np.zeros(self.n_a + self.n_b, dtype=np.int64)}  # by leading gammas
-        for gammas, code in sorted((tuple(c // 3 ** f % 3 for f in fields), c) for c in wanted):
+        for gammas, row in sorted({(tuple(table.gammas[r].tolist()), int(r)) for r in rows}):
             keys = {lead: key for lead, key in keys.items() if lead == gammas[:len(lead)]}
             for f, pair in enumerate(zip(self.codes_a, self.codes_b)):
                 if gammas[:f + 1] not in keys:
@@ -385,7 +386,7 @@ class LinkageDataset:
             for ii, jj in join_pairs(key[:self.n_a], key[self.n_a:], _JOIN_SLICE):
                 got = pair_gamma_codes([ca[ii] for ca in self.codes_a],
                                        [cb[jj] for cb in self.codes_b])
-                parts.append([x[got == code] for x in (ii, jj, got)])
+                parts.append([x[got == codes[row]] for x in (ii, jj, np.full(len(ii), row))])
         ii, jj, cc = (np.concatenate(p) for p in zip(*parts))
         order = np.lexsort((jj, ii))
         return ii[order], jj[order], cc[order]
@@ -439,22 +440,19 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
     prior = _table_ranking(table, pos, z)
 
     if fusion:
-        cand_rows, _ = eligible_rows(table, z, dist, floor=min(candidate_floor, floor))
-        ii, jj, pair_codes = dataset.candidate_pairs(table.codes()[cand_rows])
-        pair_rows = table.rows_of(pair_codes)
-        pair_labels = dataset.truth_b_of_a[ii] == jj
+        rows, _ = eligible_rows(table, z, dist, floor=min(candidate_floor, floor))
+        ii, jj, pair_rows = dataset.candidate_pairs(table, rows)
         name_pairs = dataset.name_pairs(ii, jj)  # gamma_name=0: both names present
-        pair_scores = scorer.scores(name_pairs) if len(name_pairs) else np.empty(0)
-        if not np.all((pair_scores >= 0.0) & (pair_scores <= 1.0)):
-            raise ValueError("name scores must lie in [0, 1] (the scorer broke its contract)")
+        pairs = CandidatePairs(table, rows, pair_rows,
+                               scorer.scores(name_pairs) if len(name_pairs) else np.empty(0),
+                               dataset.truth_b_of_a[ii] == jj)
 
     reports: dict[str, dict] = {}
     for method in methods:
         if method == "exact":
             ranking, counters = prior, {}
         elif method == "posterior":
-            ranking, elig, skipped = posterior_adjust(table, z, dist, pos, pair_rows,
-                                                      pair_scores, pair_labels, floor)
+            ranking, elig, skipped = posterior_adjust(table, z, dist, pos, pairs, floor)
             counters = dict(floor=floor, n_eligible_rows=len(elig),
                             n_skipped_rows=len(skipped),
                             n_adjusted_pairs=int(table.counts[elig].sum()),
@@ -462,12 +460,11 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
         else:
             tau = (tau1_select(table, z, dist) if method == "tau1"
                    else tau2_select(table, z, dist, fs_model))
-            new_table, new_pos = apply_threshold(tau, table, pos, pair_rows, pair_scores,
-                                                 pair_labels)
+            new_table, new_pos = apply_threshold(tau, table, pos, pairs)
             ranking = _table_ranking(new_table, new_pos, zeta(em_fit(new_table), new_table))
-            counters = dict(tau=tau, n_moved_pairs=int((pair_scores >= tau).sum()))
+            counters = dict(tau=tau, n_moved_pairs=int((pairs.scores >= tau).sum()))
         if method != "exact":
-            counters["n_candidate_pairs"] = len(pair_rows)
+            counters["n_candidate_pairs"] = len(pairs.pair_rows)
         reports[method] = {**_evaluate_ranking(ranking, pi_true, q), **counters,
                            "method": method}
     return reports

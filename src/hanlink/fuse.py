@@ -9,9 +9,11 @@ one grid point per run of equal tails and takes the first maximum over
 the grid. Posterior adjustment re-estimates match probabilities
 pair-by-pair with the monotone likelihood ratio of the observed name
 score, skipping rows where no posterior above the floor is achievable.
-The scored gamma_name=0 pairs become each method's ranking here: the
-threshold moves give a new pattern table (`apply_threshold`), and the
-posterior gives the ranking itself (`posterior_adjust`).
+All three act on one `CandidatePairs`: the name-scored pairs of whole
+gamma_name=0 rows, each with its table row, score and truth label, checked
+once when built. They become each method's ranking here: the threshold
+moves give a new pattern table (`apply_threshold`), and the posterior
+gives the ranking itself (`posterior_adjust`).
 """
 from __future__ import annotations
 
@@ -146,43 +148,45 @@ def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     return float(dist.grid[int(np.argmax(_tau2_curve(table, zetas, dist, model)))])
 
 
-def check_coverage(table: PatternTable, pair_rows: np.ndarray, rows: np.ndarray) -> None:
-    """Raise ValueError unless `pair_rows` lists every pair of each of `rows`."""
-    supplied = np.bincount(pair_rows, minlength=len(table.counts))[rows]
-    short = np.nonzero(supplied != table.counts[rows])[0]
-    if len(short):
-        j = int(rows[short[0]])
-        raise ValueError(f"row {j} has {int(table.counts[j])} pairs but "
-                         f"{int(supplied[short[0]])} were supplied")
+class CandidatePairs:
+    """The name-scored pairs of whole gamma_name=0 rows of a pattern table:
+    `rows`, those rows sorted, and per pair its table row (`pair_rows`),
+    its name score and whether it is a true match (`labels`). A row
+    without gamma_name=0 or with a pair left out, a pair outside `rows` and
+    a score outside [0, 1] are each a ValueError."""
+
+    def __init__(self, table: PatternTable, rows, pair_rows, scores, labels):
+        self.rows = np.unique(np.asarray(rows, dtype=np.int64))
+        self.pair_rows = np.asarray(pair_rows, dtype=np.int64)
+        self.scores = np.asarray(scores, dtype=float)
+        self.labels = np.asarray(labels, dtype=bool)
+        if not np.isin(self.rows, _donor_rows(table)).all():
+            raise ValueError("only gamma_name=0 rows can move pairs")
+        if not np.isin(self.pair_rows, self.rows).all():
+            raise ValueError("a pair lies outside the candidate rows")
+        supplied = np.bincount(self.pair_rows, minlength=len(table.counts))[self.rows]
+        if len(short := np.nonzero(supplied != table.counts[self.rows])[0]):
+            j = int(self.rows[short[0]])
+            raise ValueError(f"row {j} has {int(table.counts[j])} pairs but "
+                             f"{int(supplied[short[0]])} were supplied")
+        if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):
+            raise ValueError("name scores must lie in [0, 1] (the scorer broke its contract)")
 
 
 def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
-                    pair_rows: np.ndarray, pair_scores: np.ndarray,
-                    pair_labels: np.ndarray) -> tuple[PatternTable, np.ndarray]:
-    """Move pairs with name score >= tau from their gamma_name=0 row to the
-    row with gamma_name flipped to 1.
-
-    pair_rows holds each pair's table row and pair_labels whether it is a
-    true match; every row that appears must have gamma_name=0 and all of
-    its pairs listed. Returns the new table, rows sorted by pattern code,
-    and its true-match counts (pos gives the old table's).
-    """
-    pair_rows = np.asarray(pair_rows, dtype=np.int64)
-    present = np.nonzero(np.bincount(pair_rows, minlength=len(table.counts)))[0]
-    donors = _donor_rows(table)
-    if not np.isin(present, donors).all():
-        raise ValueError("only gamma_name=0 rows can move pairs")
-    check_coverage(table, pair_rows, present)
-    move = np.asarray(pair_scores) >= tau
-    n_rows = len(table.counts)
-    moved_n = np.bincount(pair_rows[move], minlength=n_rows)
-    moved_p = np.bincount(pair_rows[move & np.asarray(pair_labels, dtype=bool)],
-                          minlength=n_rows)
-    where = np.concatenate([table.codes(), _recipient_codes(table, donors)])
+                    pairs: CandidatePairs) -> tuple[PatternTable, np.ndarray]:
+    """Move the candidate pairs with name score >= tau from their
+    gamma_name=0 row to the row with gamma_name flipped to 1. Returns the
+    new table, rows sorted by pattern code, and its true-match counts (pos
+    gives the old table's)."""
+    move = pairs.scores >= tau
+    moved_n = np.bincount(pairs.pair_rows[move], minlength=len(table.counts))
+    moved_p = np.bincount(pairs.pair_rows[move & pairs.labels], minlength=len(table.counts))
+    where = np.concatenate([table.codes(), _recipient_codes(table, pairs.rows)])
     counts = np.zeros(3 ** len(table.fields), dtype=np.int64)
     new_pos = np.zeros_like(counts)
-    np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n[donors]]))
-    np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p[donors]]))
+    np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n[pairs.rows]]))
+    np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p[pairs.rows]]))
     new_table = PatternTable.from_counts(table.fields, counts)
     return new_table, new_pos[new_table.codes()]
 
@@ -200,30 +204,28 @@ def eligible_rows(table: PatternTable, zetas: np.ndarray, dist: ScoreDistributio
 
 
 def posterior_adjust(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
-                     pos: np.ndarray, pair_rows: np.ndarray, pair_scores: np.ndarray,
-                     pair_labels: np.ndarray, floor: float) -> tuple:
+                     pos: np.ndarray, pairs: CandidatePairs, floor: float) -> tuple:
     """The ranking after the Bayesian per-pair update
     zeta_hat = zeta*r(X) / (zeta*r(X) + 1 - zeta) of the pairs in eligible
     rows, as ((scores, positive mass, negative mass, estimated match share),
     eligible rows, skipped rows).
 
-    Each pair of an eligible row enters with its posterior and its label
-    (pair_labels: whether it is a true match); every other row enters once
-    with its prior zeta and its true and false match counts (pos gives the
-    true ones). pair_rows must list every pair of each eligible row; pairs
-    of other rows are left out.
+    Each pair of an eligible row enters with its posterior and its label;
+    every other row enters once with its prior zeta and its true and false
+    match counts (pos gives the true ones). Every eligible row must be one
+    of `pairs.rows`; pairs of other rows are left out.
     """
     zetas = np.asarray(zetas, dtype=float)
-    pair_rows = np.asarray(pair_rows, dtype=np.int64)
     eligible, skipped = eligible_rows(table, zetas, dist, floor)
-    check_coverage(table, pair_rows, eligible)
+    if len(missing := np.setdiff1d(eligible, pairs.rows)):
+        raise ValueError(f"eligible row {missing[0]} is not a candidate row")
     keep = np.ones(len(table.counts), dtype=bool)
     keep[eligible] = False
-    adjusted = ~keep[pair_rows]
-    prior = zetas[pair_rows[adjusted]]
-    num = prior * dist.ratio_at(np.asarray(pair_scores, dtype=float)[adjusted])
+    adjusted = ~keep[pairs.pair_rows]
+    prior = zetas[pairs.pair_rows[adjusted]]
+    num = prior * dist.ratio_at(pairs.scores[adjusted])
     posterior = num / (num + (1.0 - prior))
-    labels = np.asarray(pair_labels, dtype=float)[adjusted]
+    labels = pairs.labels[adjusted].astype(float)
     counts, kept_pos = table.counts[keep], pos[keep]
     pi_est = float(((zetas[keep] * counts).sum() + posterior.sum()) / table.total)
     return ((np.concatenate([zetas[keep], posterior]),

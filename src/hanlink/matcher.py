@@ -145,8 +145,8 @@ def _predict_stack(X: np.ndarray, cats: np.ndarray, models: list[MatcherModel],
                    cols: list) -> np.ndarray:
     """Scores (K, n) of K logistic models over the rows of X (n, F) with
     Han-category codes `cats`, model k reading the columns cols[k]: one
-    stacked product per category, whose per-slice BLAS call is a lone
-    model's 2-D one, and one sigmoid."""
+    stacked product per category over C-ordered column slices, so each
+    slice's BLAS call sums as a lone model's 2-D product, and one sigmoid."""
     z = np.empty((len(models), X.shape[0]))
     for code, cat in enumerate(HAN_CATEGORIES):
         mask = cats == code
@@ -154,8 +154,8 @@ def _predict_stack(X: np.ndarray, cats: np.ndarray, models: list[MatcherModel],
             rows = X[mask]
             coefs = np.array([m.coefs[cat] for m in models])[:, :, None]
             intercepts = np.array([m.intercepts[cat] for m in models])[:, None]
-            z[:, mask] = intercepts + np.matmul(np.stack([rows[:, c] for c in cols]),
-                                                coefs)[:, :, 0]
+            z[:, mask] = intercepts + np.matmul(
+                np.stack([np.ascontiguousarray(rows[:, c]) for c in cols]), coefs)[:, :, 0]
     return _sigmoid(z)
 
 

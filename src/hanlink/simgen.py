@@ -83,6 +83,8 @@ class SimConfig:
             raise InputError(f"simulation key 'fields' must list fields, not {self.fields!r}")
         self.fields = tuple(self.fields)
         check_keys("simulation key 'fields'", self.fields, SIM_FIELDS)
+        if twice := [f for k, f in enumerate(self.fields) if f in self.fields[:k]]:
+            raise InputError(f"simulation key 'fields' lists {twice[0]!r} more than once")
         for key, defaults, lo, hi in (
                 ("field_error_rates", DEFAULT_FIELD_ERROR_RATES, 0, 1),
                 ("error_type_probs", DEFAULT_ERROR_TYPES, 0, math.inf),

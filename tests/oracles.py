@@ -228,12 +228,28 @@ def sorted_confusion(scores, pos, neg, proportion):
     return fn, fp
 
 
+def dev_scores(model, dev_X, dev_cats, cols):
+    """A logistic model's scores of the dev rows over the columns `cols`,
+    category by category: sigmoid(b0 + X[:, cols][mask] @ coef) with the
+    gathered rows C-ordered."""
+    import numpy as np
+    from hanlink.compare import HAN_CATEGORIES
+    X = np.asarray(dev_X, dtype=float)[:, cols]
+    cats = np.asarray(dev_cats)
+    scores = np.empty(len(X))
+    for code, cat in enumerate(HAN_CATEGORIES):
+        mask = cats == code
+        rows = np.ascontiguousarray(X[mask])
+        scores[mask] = masked_sigmoid(model.intercepts[cat] + rows @ model.coefs[cat])
+    return scores
+
+
 def dev_metrics(model, dev_X, dev_cats, dev_y, cols):
     """(AUROC, EAUROC) of the model's dev scores, one ROC sort each, q the
     dev odds capped at 1."""
     import numpy as np
     y = np.asarray(dev_y, dtype=float)
-    scores, pos, neg = model.predict_matrix(dev_X[:, cols], dev_cats), y, 1.0 - y
+    scores, pos, neg = dev_scores(model, dev_X, dev_cats, cols), y, 1.0 - y
     q = min(float(pos.sum()) / float(neg.sum()), 1.0)
     return sorted_auroc(scores, pos, neg), sorted_eauroc(scores, pos, neg, q)
 

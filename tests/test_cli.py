@@ -149,6 +149,7 @@ def test_simulate_bad_config(tmp_path, capsys):
     ({"n_records": 9.5}, "'n_records' must be an integer >= 1, not 9.5"),
     ({"field_error_rates": {"sex": -1}}, "'field_error_rates.sex' must be a number"),
     ({"cardinalities": {"lco": 3}}, "unknown key 'lco'"),
+    ({"fields": ["sex", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
     ([60], "must hold a JSON object"),
 ])
 def test_simulate_rejects_malformed_config(tmp_path, capsys, config, message):
@@ -494,6 +495,8 @@ MALFORMED_CONFIG = {
     "misspelt-simulate-key": ({"simulate": {"nrecords": 9}}, "unknown key 'nrecords'"),
     "simulate-seed": ({"simulate": {"seed": 4}}, "'simulate.seed'"),
     "simulate-rate": ({"simulate": {"name_error_rate": 2}}, "'name_error_rate'"),
+    "simulate-field-twice": ({"simulate": {"fields": ["sex", "sex"]}},
+                             "simulation key 'fields' lists 'sex' more than once"),
     "no-replicates": ({**STUDY, "replicates": 0}, "'replicates' must be an integer >= 1"),
     "files-no-methods": ({**FILES, "methods": []}, "'methods' must list"),
     "study-no-methods": ({**STUDY, "methods": []}, "'methods' must list"),

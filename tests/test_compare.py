@@ -13,12 +13,11 @@ from hanlink.compare import (
     cosine_sims,
     default_feature_bank,
     edit_distances,
-    extract_substring,
     intern_strings,
     levenshtein_sims,
 )
 from hanlink.encoding import (IDENTITY_TABLE, EncodingKind, FrequencyTable, InputError,
-                              logograms, transform)
+                              extract_substring, logograms, transform)
 from oracles import counter_cosine, dp_levenshtein
 
 

@@ -14,7 +14,7 @@ from oracles import (cross_product_codes, cross_product_table, external_scores_l
 
 from hanlink import experiment as exp
 from hanlink.compare import HAN_CATEGORIES, FeatureSpec, NamePairs, PairFeaturizer, intern_strings
-from hanlink.fuse import apply_threshold
+from hanlink.fuse import CandidatePairs, apply_threshold
 from hanlink.linkage import NA, InputError
 from hanlink.matcher import MatcherModel, fit_score_distributions
 from hanlink.simgen import SimConfig, generate_pair_files
@@ -78,20 +78,21 @@ def test_dataset_tabulate_matches_cross_product(case):
 @settings(max_examples=200, deadline=None)
 @given(linked_files(), st.data())
 def test_candidate_pairs_match_cross_product(case, data):
-    """candidate_pairs lists exactly the cross product's pairs with a wanted
-    code, in (i, j) order, for any join slice size. The wanted codes always
-    include a pattern with no agreeing field and the all-NA pattern."""
-    n_codes = 3 ** len(case[3])
-    wanted = data.draw(st.lists(st.integers(0, n_codes - 1), max_size=8))
-    wanted = np.array(wanted + [0, n_codes - 1], dtype=np.int64)  # all 0s, all NA
+    """candidate_pairs lists exactly the cross product's pairs of the wanted
+    table rows, each with its row, in (i, j) order, for any join slice size.
+    The wanted rows, repeats among them, always include the table's first
+    and last rows: its lowest and highest pattern codes."""
+    n_rows = len(exp.LinkageDataset(*case).tabulate()[0].counts)
+    wanted = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=8)) + [0, n_rows - 1]
     slice_size = data.draw(st.sampled_from([1, 3, 1 << 18]))
     for records_a, records_b, truth, fields in both_orders(case):
         dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
+        table, _ = dataset.tabulate()
         with mock.patch.object(exp, "_JOIN_SLICE", slice_size):
-            ii, jj, cc = dataset.candidate_pairs(wanted)
+            ii, jj, rows = dataset.candidate_pairs(table, np.array(wanted))
         ri, rj, rc = cross_product_codes(records_a, records_b, fields)
-        keep = np.isin(rc, wanted)
-        for got, want in ((ii, ri[keep]), (jj, rj[keep]), (cc, rc[keep])):
+        keep = np.isin(rc, table.codes()[wanted])
+        for got, want in ((ii, ri[keep]), (jj, rj[keep]), (rows, table.rows_of(rc[keep]))):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
@@ -126,15 +127,9 @@ def test_dataset_rejects_bad_truth_links(truth, message):
 
 def test_candidate_pairs_exhaustive(dataset):
     table, _ = dataset.tabulate()
-    codes = table.codes()
-    wanted = codes[:3]
-    ii, jj, cc = dataset.candidate_pairs(wanted)
-    wanted_set = set(int(c) for c in wanted)
-    assert all(int(c) in wanted_set for c in cc)
-    # spot-check counts against the table
-    for code in wanted_set:
-        row = int(np.nonzero(codes == code)[0][0])
-        assert int((cc == code).sum()) == int(table.counts[row])
+    ii, jj, rows = dataset.candidate_pairs(table, np.arange(3))
+    listed = np.bincount(rows, minlength=len(table.counts))
+    assert listed[:3].tolist() == table.counts[:3].tolist() and not listed[3:].any()
 
 
 def test_exact_zero_error_perfect(name_model, bundle):
@@ -224,12 +219,10 @@ def test_threshold_move_matches_retabulation(case):
     records_a, records_b, truth, scores, tau = case
     dataset = exp.LinkageDataset(records_a, records_b, truth, MOVE_FIELDS)
     table, pos = dataset.tabulate()
-    codes = table.codes()
     donors = np.nonzero(table.gammas[:, 0] == 0)[0]
-    ii, jj, cc = dataset.candidate_pairs(codes[donors])
-    rows = np.searchsorted(codes, cc)
-    labels = dataset.truth_b_of_a[ii] == jj
-    new_table, new_pos = apply_threshold(tau, table, pos, rows, scores[ii, jj], labels)
+    ii, jj, rows = dataset.candidate_pairs(table, donors)
+    pairs = CandidatePairs(table, donors, rows, scores[ii, jj], dataset.truth_b_of_a[ii] == jj)
+    new_table, new_pos = apply_threshold(tau, table, pos, pairs)
     got = {tuple(map(int, g)): (int(c), int(p))
            for g, c, p in zip(new_table.gammas, new_table.counts, new_pos)}
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import posterior_ranking_by_row, tau1_full_grid, tau2_dict_lookup
 
 from hanlink.fuse import (
+    CandidatePairs,
     _tau2_curve,
     apply_threshold,
     eligible_rows,
@@ -33,8 +34,8 @@ def move_scored_rows(tau, table, scores_by_row):
     """apply_threshold on per-row score arrays, with no true matches."""
     rows = np.concatenate([np.full(len(v), r) for r, v in scores_by_row.items()])
     scores = np.concatenate(list(scores_by_row.values()))
-    new_table, new_pos = apply_threshold(tau, table, np.zeros(len(table.counts), np.int64),
-                                         rows, scores, np.zeros(len(rows), bool))
+    pairs = CandidatePairs(table, list(scores_by_row), rows, scores, np.zeros(len(rows), bool))
+    new_table, new_pos = apply_threshold(tau, table, np.zeros(len(table.counts), np.int64), pairs)
     assert not new_pos.any()
     return new_table
 
@@ -338,6 +339,35 @@ def test_apply_threshold_requires_full_coverage():
         move_scored_rows(0.5, table, {0: np.full(10, 0.9), 1: np.full(3, 0.9)})
 
 
+@pytest.mark.parametrize("rows,pair_rows,scores,message", [
+    ([0], [0] * 11, [0.5] * 11, "row 0 has 10 pairs but 11 were supplied"),
+    ([0], [0] * 10 + [2] * 5, [0.5] * 15, "a pair lies outside the candidate rows"),
+    ([0], [0] * 10, [0.5] * 9 + [1.5], r"name scores must lie in \[0, 1\]"),
+    ([0], [0] * 10, [0.5] * 9 + [float("nan")], r"name scores must lie in \[0, 1\]"),
+    ([0], [0] * 10, [0.5] * 9 + [-0.1], r"name scores must lie in \[0, 1\]"),
+])
+def test_candidate_pairs_checks(rows, pair_rows, scores, message):
+    """CandidatePairs rejects a row given more pairs than it has, a pair
+    outside its rows and a score outside [0, 1]."""
+    table = make_table([[0, 1, 1], [1, 1, 1], [0, 0, 1]], [10, 3, 5])
+    with pytest.raises(ValueError, match=message):
+        CandidatePairs(table, rows, pair_rows, scores, np.zeros(len(pair_rows), bool))
+
+
+def test_posterior_needs_every_eligible_row(small_table, small_model, fitted_dist):
+    """An eligible row that is not a candidate row is a ValueError, not a
+    row silently kept at its prior."""
+    zetas = zeta_for_gammas(small_model, small_table.gammas)
+    elig, _ = eligible_rows(small_table, zetas, fitted_dist, 0.0)
+    rows = elig[1:]
+    n = int(small_table.counts[rows].sum())
+    pairs = CandidatePairs(small_table, rows, np.repeat(rows, small_table.counts[rows]),
+                           np.zeros(n), np.zeros(n, bool))
+    with pytest.raises(ValueError, match=f"eligible row {elig[0]} is not a candidate row"):
+        posterior_adjust(small_table, zetas, fitted_dist,
+                         np.zeros(len(small_table.counts), np.int64), pairs, 0.0)
+
+
 def test_apply_threshold_matches_per_pair_classification():
     rng = np.random.default_rng(4)
     gammas = [[0, 1, 1], [0, 0, 1], [1, 1, 0], [0, NA, 0]]
@@ -412,9 +442,9 @@ def adjusted_scores(table, zetas, dist, rows, scores):
     listed = np.bincount(rows, minlength=len(table.counts))[donors]
     pair_rows = np.concatenate([rows, np.repeat(donors, table.counts[donors] - listed)])
     pair_scores = np.concatenate([scores, np.zeros(len(pair_rows) - len(rows))])
+    pairs = CandidatePairs(table, donors, pair_rows, pair_scores, np.zeros(len(pair_rows), bool))
     (ranked, _, _, _), elig, skipped = posterior_adjust(
-        table, zetas, dist, np.zeros(len(table.counts), np.int64), pair_rows, pair_scores,
-        np.zeros(len(pair_rows), bool), floor=0.0)
+        table, zetas, dist, np.zeros(len(table.counts), np.int64), pairs, floor=0.0)
     assert list(elig) == list(donors) and len(skipped) == 0
     return ranked[len(table.counts) - len(donors):][:len(rows)]
 
@@ -486,12 +516,12 @@ def test_posterior_ranking_matches_row_by_row_reference(case):
     and counts, so a skipped row's listed pairs stay out. The masses sum to
     the table's pairs and the match share is the reference's."""
     table, zetas, dist, pos, pair_rows, scores, labels, floor = case
+    donors = np.nonzero(table.gammas[:, table.fields.index("name")] == 0)[0]
     (ranked, pos_mass, neg_mass, share), elig, skipped = posterior_adjust(
-        table, zetas, dist, pos, pair_rows, scores, labels, floor)
+        table, zetas, dist, pos, CandidatePairs(table, donors, pair_rows, scores, labels), floor)
     entries, ref_share, ref_elig = posterior_ranking_by_row(
         table, zetas, dist, pos, pair_rows, scores, labels, floor)
     assert elig.tolist() == ref_elig
-    donors = np.nonzero(table.gammas[:, table.fields.index("name")] == 0)[0]
     assert sorted(elig.tolist() + skipped.tolist()) == donors.tolist()
     assert sorted(zip(ranked.tolist(), pos_mass.tolist(), neg_mass.tolist())) == sorted(entries)
     assert pos_mass.sum() + neg_mass.sum() == table.total

@@ -323,6 +323,33 @@ def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
         _same_model(model, oracles.logistic_fit(_data(d[:, 1:], y), specs, penalty=penalty))
 
 
+def test_scored_fits_rank_by_c_ordered_dev_scores(monkeypatch):
+    """The dev scores `_scored_fits` ranks each trial by are, bitwise, the
+    reference's per-category products over C-ordered rows, for 9-column
+    subsets of a 146-column matrix: stacking the trials' gathered columns
+    does not change the order a product sums in."""
+    rng = np.random.default_rng(24)
+    F, k = 146, 9
+
+    def split(n):
+        y = (rng.random(n) < 0.4).astype(float)
+        cats = rng.integers(0, len(HAN_CATEGORIES), n).astype(np.int8)
+        return rng.uniform(size=(n, F)) + 0.2 * y[:, None], cats, y
+
+    train, dev = split(2000), split(8000)
+    specs = tuple(FeatureSpec("COS", "J", j + 1, "1:N") for j in range(k))
+    terms = [("main", j) for j in range(k)] + [("catdum", 1), ("catdum", 2)]
+    trials = [(terms, specs, np.sort(rng.choice(F, k, replace=False)), "") for _ in range(6)]
+    scored = []
+    dev_metrics = matcher._dev_metrics
+    monkeypatch.setattr(matcher, "_dev_metrics",
+                        lambda s, y: scored.append(s.copy()) or dev_metrics(s, y))
+    fits = list(matcher._scored_fits(train, dev, trials, matcher.PENALTY))
+    assert len(scored) == len(trials)
+    for (model, _, _), scores, (_, _, cols, _) in zip(fits, scored, trials):
+        assert scores.tobytes() == oracles.dev_scores(model, dev[0], dev[1], cols).tobytes()
+
+
 def test_fit_with_halved_steps_matches_reference():
     D, y = _halving_design()
     noise = np.random.default_rng(0).normal(size=D.shape)

@@ -58,6 +58,7 @@ def test_config_partial_maps_take_defaults():
     ({"n_records": True}, "'n_records' must be an integer >= 1, not True"),
     ({"seed": -1}, "'seed' must be an integer >= 0"),
     ({"fields": "sex"}, "'fields' must list fields"),
+    ({"fields": ["sex", "yob", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
     ({"error_type_probs": {"complex": -0.1}}, "'error_type_probs.complex' must be a number >= 0"),
     ({"error_type_probs": dict.fromkeys(DEFAULT_ERROR_TYPES, 0)}, "positive mass"),
     ({"cardinalities": {"loc": 2.5}}, "'cardinalities.loc' must be an integer >= 1"),
@@ -67,6 +68,12 @@ def test_config_partial_maps_take_defaults():
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(InputError, match=re.escape(message)):
         SimConfig.from_dict(config)
+
+
+def test_config_rejects_a_field_listed_twice():
+    """A repeated field would draw its base values and its errors twice."""
+    with pytest.raises(InputError, match="simulation key 'fields' lists 'sex' more than once"):
+        SimConfig(fields=("sex", "sex"))
 
 
 def test_build_model_requires_corpus(bundle):

@@ -18,6 +18,22 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+def test_package_modules_use_every_import():
+    """Each name a package module imports is used in that module, so no
+    module imports a name only for another module or a test to take from it."""
+    unused = []
+    for path in sorted(Path(hanlink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
+
+
 def test_declared_dependencies_import():
     """Every dependency pyproject.toml declares is importable here."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
