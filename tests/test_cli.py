@@ -149,8 +149,8 @@ def test_simulate_bad_config(tmp_path, capsys):
     ({"n_records": 9.5}, "'n_records' must be an integer >= 1, not 9.5"),
     ({"field_error_rates": {"sex": -1}}, "'field_error_rates.sex' must be a number"),
     ({"cardinalities": {"lco": 3}}, "unknown key 'lco'"),
-    ({"fields": ["sex", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
     ([60], "must hold a JSON object"),
+    ({"fields": ["sex", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
 ])
 def test_simulate_rejects_malformed_config(tmp_path, capsys, config, message):
     """A simulation config key that is unknown, or a value of the wrong type

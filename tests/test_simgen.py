@@ -58,12 +58,12 @@ def test_config_partial_maps_take_defaults():
     ({"n_records": True}, "'n_records' must be an integer >= 1, not True"),
     ({"seed": -1}, "'seed' must be an integer >= 0"),
     ({"fields": "sex"}, "'fields' must list fields"),
-    ({"fields": ["sex", "yob", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
     ({"error_type_probs": {"complex": -0.1}}, "'error_type_probs.complex' must be a number >= 0"),
     ({"error_type_probs": dict.fromkeys(DEFAULT_ERROR_TYPES, 0)}, "positive mass"),
     ({"cardinalities": {"loc": 2.5}}, "'cardinalities.loc' must be an integer >= 1"),
     ({"cardinalities": [3]}, "'cardinalities' must be a JSON object"),
     ({"field_error_rates": {"name": 0.1}}, "unknown key 'name'"),
+    ({"fields": ["sex", "yob", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
 ])
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(InputError, match=re.escape(message)):
