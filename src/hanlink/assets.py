@@ -1,8 +1,12 @@
-"""Locating and loading the bundled demo lookup-table assets."""
+"""Locating and loading the bundled demo lookup-table assets.
+
+The asset directory is the command line's --assets, or else the packaged
+`assets` directory next to this module (`default_asset_dir`). Each asset
+file format has one reader, `encoding.asset_lines`, under its loader here.
+"""
 from __future__ import annotations
 
 import hashlib
-import os
 from functools import cached_property
 from pathlib import Path
 
@@ -10,11 +14,10 @@ from .encoding import (
     EncodingKind,
     EncodingTable,
     FrequencyTable,
+    asset_lines,
     load_encoding_table,
     load_surnames,
 )
-
-ASSET_ENV_VAR = "HANLINK_ASSETS"
 
 _TABLE_FILES = {
     EncodingKind.PY: "pinyin.tsv",
@@ -26,9 +29,6 @@ _TABLE_FILES = {
 
 
 def default_asset_dir() -> Path:
-    override = os.environ.get(ASSET_ENV_VAR)
-    if override:
-        return Path(override)
     return Path(__file__).resolve().parent / "assets"
 
 
@@ -54,9 +54,7 @@ class AssetBundle:
 
     @cached_property
     def corpus(self) -> list[str]:
-        return [line for line in (self.directory / "corpus_names.txt")
-                .read_text(encoding="utf-8").splitlines()
-                if line and not line.startswith("#")]
+        return [line for _, line in asset_lines(self.directory / "corpus_names.txt")]
 
     def versions(self) -> dict[str, str]:
         out = {}
@@ -68,8 +66,8 @@ class AssetBundle:
 
 
 def load_bundle(asset_dir: str | Path | None = None) -> AssetBundle:
-    """The bundle of `asset_dir` (default: HANLINK_ASSETS, else the packaged
-    assets); only the directory is checked here."""
+    """The bundle of `asset_dir` (default: the packaged assets); only the
+    directory is checked here."""
     directory = Path(asset_dir) if asset_dir is not None else default_asset_dir()
     if not directory.is_dir():
         raise FileNotFoundError(f"asset directory {directory} does not exist")

@@ -3,19 +3,22 @@
 Commands: features, train, fitdist, simulate, experiment, evaluate.
 
 Exit codes: 0 success; 2 an `InputError` or a missing file, a fault in
-what the user gave; 1 anything else, which is a bug. Every CSV input goes
-through the one reader, `linkage.CsvTable`, whose `InputError` names the
-file and the line, column and cell at fault; an experiment config goes
-through `experiment.read_settings`, whose `InputError` names the key, and
-model and distribution JSON files name the file. `simulate` and
-`experiment` also write a manifest with the config hash, seeds, and output
-checksums; outputs carry no timestamps and no NaN, so reruns with the same
-seed are byte-identical.
+what the user gave; 1 anything else, which is a bug. Each file format has
+one reader and one writer, in `linkage`: CSV files are read by `CsvTable`,
+whose `InputError` names the file and the line, column and cell at fault,
+and written by `write_csv`; JSON files (configs, models, distributions,
+reports, manifests) are read by `read_json`, whose `InputError` names the
+file, and written by `write_json`. Asset files are read by
+`encoding.asset_lines` from the directory given by --assets, else the
+packaged one. An experiment config goes through
+`experiment.read_settings`, whose `InputError` names the key. `simulate`
+and `experiment` also write a manifest with the config hash, seeds, and
+the checksums of the files the command wrote; outputs carry no timestamps
+and no NaN, so reruns with the same seed are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -40,8 +43,8 @@ from .matcher import (
 from .metrics import GroupedRanking, auroc, eauroc, log_loss
 from .simgen import SimConfig, build_name_model, generate_pair_files, read_truth, write_truth
 from . import experiment as exp
-from .linkage import (CsvTable, InputError, checked_number, read_records, score_cell,
-                      write_records)
+from .linkage import (CsvTable, InputError, checked_number, read_json, read_records,
+                      score_cell, write_csv, write_json, write_records)
 
 _label = ("0", "1").index  # a label cell -> 0 or 1
 
@@ -55,15 +58,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, seed,
-                    bundle=None) -> None:
-    outputs = {p.name: _sha256(p) for p in sorted(out_dir.iterdir())
-               if p.is_file() and p.name != "manifest.json"}
+def _write_manifest(out_dir: Path, command: str, config: dict, seed, bundle,
+                    written: list[Path]) -> None:
+    """manifest.json in `out_dir`, listing the checksums of the files the
+    command wrote (`written`) and no other file there."""
+    outputs = {p.name: _sha256(p) for p in written}
     manifest = {
         "command": command,
         "config": config,
@@ -71,24 +70,10 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": seed,
         "package_version": __version__,
-        "asset_versions": bundle.versions() if bundle else None,
+        "asset_versions": bundle.versions(),
         "outputs": outputs,
     }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise InputError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
-    return config
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_features(args) -> int:
@@ -98,19 +83,14 @@ def cmd_features(args) -> int:
     labels = table.column("label", _label) if "label" in table.header else None
     featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     X, cats = featurizer.feature_matrix(pairs)
-    out_path = Path(args.out)
-    with out_path.open("w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = [s.name for s in featurizer.specs] + ["han_category"]
-        if labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i, (values, cat) in enumerate(zip(X.tolist(), cats.tolist())):
-            row = [f"{v:.12g}" for v in values] + [HAN_CATEGORIES[cat].value]
-            if labels is not None:
-                row.append(labels[i])
-            writer.writerow(row)
-    print(f"wrote {len(pairs)} feature rows to {out_path}")
+    header = [s.name for s in featurizer.specs] + ["han_category"]
+    rows = ([f"{v:.12g}" for v in values] + [HAN_CATEGORIES[cat].value]
+            for values, cat in zip(X.tolist(), cats.tolist()))
+    if labels is not None:
+        header.append("label")
+        rows = (row + [str(label)] for row, label in zip(rows, labels))
+    write_csv(args.out, header, rows)
+    print(f"wrote {len(pairs)} feature rows to {args.out}")
     return 0
 
 
@@ -167,7 +147,7 @@ def cmd_fitdist(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = read_json(args.config) if args.config else {}
     if args.seed is not None:
         config = {**config, "seed": checked_number("--seed", args.seed, 0, integer=True)}
     sim_cfg = SimConfig.from_dict(config)
@@ -176,10 +156,11 @@ def cmd_simulate(args) -> int:
     result = generate_pair_files(sim_cfg, name_model)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "file_a.csv", result.records_a)
-    write_records(out_dir / "file_b.csv", result.records_b)
-    write_truth(out_dir / "truth.csv", result.truth)
-    _write_manifest(out_dir, "simulate", config, sim_cfg.seed, bundle)
+    file_a, file_b, truth = (out_dir / name for name in ("file_a.csv", "file_b.csv", "truth.csv"))
+    write_records(file_a, result.records_a)
+    write_records(file_b, result.records_b)
+    write_truth(truth, result.truth)
+    _write_manifest(out_dir, "simulate", config, sim_cfg.seed, bundle, [file_a, file_b, truth])
     print(f"simulated {sim_cfg.n_records} record pairs "
           f"(name error rate {sim_cfg.name_error_rate}) into {out_dir}")
     return 0
@@ -198,29 +179,27 @@ def _experiment_files(config: dict, args, bundle) -> dict:
 
 
 def cmd_experiment(args) -> int:
-    config = _load_config(args.config)
-    for key, value in (("seed", args.seed), ("classifier", args.classifier),
-                       ("methods", [args.method] if args.method else None)):
-        if value is not None:
-            config[key] = value
+    config = read_json(args.config)
+    if args.method:
+        config["methods"] = [args.method]
     settings = exp.read_settings(config)
     workers = (None if args.workers is None  # None: run_study reads the config's
                else checked_number("--workers", args.workers, 1, integer=True))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = load_bundle(args.assets or settings.assets_dir)
+    bundle = load_bundle(args.assets)
     written: list[Path] = []
     try:
         if settings.study:
             report = exp.run_study(config, bundle, workers=workers)
             if report.get("model"):
-                _write_json(out_dir / "model.json", report["model"])
+                write_json(out_dir / "model.json", report["model"])
                 written.append(out_dir / "model.json")
         else:
             report = _experiment_files(config, args, bundle)
-        _write_json(out_dir / "report.json", report)
+        write_json(out_dir / "report.json", report)
         written.append(out_dir / "report.json")
-        _write_manifest(out_dir, "experiment", config, settings.seed, bundle)
+        _write_manifest(out_dir, "experiment", config, settings.seed, bundle, written)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -255,10 +234,7 @@ def cmd_evaluate(args) -> int:
         "neg_log_lik": log_loss(scores, labels),
         "n": len(scores),
     }
-    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(write_json(args.out, report), end="")
     return 0
 
 
@@ -302,10 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a linkage experiment or study")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--method", default=None)
-    p.add_argument("--classifier", default=None)
     p.add_argument("--assets", default=None)
     p.set_defaults(func=cmd_experiment)
 

@@ -277,7 +277,7 @@ _ENCODINGS_OF = {**dict.fromkeys(BOUNDED_COMPARATORS, tuple(e.value for e in STR
 class FeatureSpec:
     comparator: str          # LV | LCS | COS | SUM | CAT
     encoding: str            # EncodingKind value, or AMB | LF | HAN
-    k: int                   # token length (1 for LV/LCS; 1-3 for COS)
+    k: int                   # token length: 1 but for COS
     range_tag: str
 
     def __post_init__(self):
@@ -291,6 +291,10 @@ class FeatureSpec:
             why = f"the range must be one of {ranges}"
         elif isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             why = "k must be an integer >= 1"
+        elif self.k != 1 and self.comparator != "COS":
+            why = f"{self.comparator} takes k 1 only"
+        elif self.encoding in ("AMB", "HAN") and self.range_tag != "1:N":
+            why = f"{self.encoding} takes the range 1:N only"
         else:
             return
         raise InputError(f"feature {self.name!r}: {why}")
@@ -305,7 +309,7 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(d["comparator"], d["encoding"], int(d["k"]), d["range"])
+        return cls(d["comparator"], d["encoding"], d["k"], d["range"])
 
     @classmethod
     def from_name(cls, name: str) -> "FeatureSpec":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -66,27 +67,29 @@ class EncodingTable:
 IDENTITY_TABLE = EncodingTable(kind=EncodingKind.J, entries={})
 
 
+def asset_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of the UTF-8 asset file at `path`
+    that is neither blank nor a '#' comment, without its line end. Every
+    asset file is read here."""
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        if (text := line.lstrip()) and text[0] != "#":
+            yield number, line
+
+
 def load_encoding_table(path: str | Path, kind: EncodingKind) -> EncodingTable:
-    """Load a `logogram<TAB>code` TSV. '#' lines are comments; first entry
-    wins on duplicate logograms (duplicate count kept on the table)."""
-    path = Path(path)
+    """Load a `logogram<TAB>code` TSV; any other line is an InputError
+    naming the file and line. The first entry wins on duplicate logograms
+    (duplicate count kept on the table)."""
     entries: dict[str, str] = {}
     duplicates = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line or line.lstrip().startswith("#"):
-                continue
-            cells = line.split("\t")
-            if len(cells) < 2:
-                continue
-            logogram, code = cells[0], cells[1]
-            if len(logograms(logogram)) != 1 or not code:
-                continue
-            if logogram in entries:
-                duplicates += 1
-                continue
-            entries[logogram] = code
+    for number, line in asset_lines(path):
+        cells = line.split("\t")
+        if len(cells) != 2 or len(logograms(cells[0])) != 1 or not cells[1]:
+            raise InputError(f"{path}, line {number}: expected logogram<TAB>code")
+        if cells[0] in entries:
+            duplicates += 1
+        else:
+            entries[cells[0]] = cells[1]
     if not entries:
         raise InputError(f"no valid entries in encoding table {path}")
     return EncodingTable(kind=kind, entries=entries, duplicates=duplicates)
@@ -135,14 +138,10 @@ def _join_rds(codes: list[str]) -> str:
 
 
 def load_surnames(path: str | Path) -> frozenset[str]:
-    names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(unicodedata.normalize("NFC", line))
+    names = frozenset(unicodedata.normalize("NFC", line.strip()) for _, line in asset_lines(path))
     if not names:
         raise InputError(f"{path}: no surnames")
-    return frozenset(names)
+    return names
 
 
 def han_indicator(name: str, surnames: frozenset[str]) -> bool:
@@ -200,12 +199,12 @@ class FrequencyTable:
         """A range<TAB>substring<TAB>log frequency TSV; the floor, an unseen
         substring's value, lies log 2 below the smallest stored value."""
         values: dict[tuple[str, str], float] = {}
-        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line or line.startswith("#"):
-                continue
+        for number, line in asset_lines(path):
             try:
                 tag, sub, val = line.split("\t")
-                values[(tag, sub)] = float(val)
+                values[tag, sub] = value = float(val)
+                if not math.isfinite(value):
+                    raise ValueError
             except ValueError:
                 raise InputError(f"{path}, line {number}: expected "
                                  "range<TAB>substring<TAB>log frequency") from None

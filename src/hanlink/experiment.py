@@ -50,9 +50,7 @@ from .linkage import (
     zeta,
 )
 from .matcher import (
-    BINS,
     DEV_FRACTION,
-    PENALTY,
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
@@ -72,14 +70,13 @@ DEFAULT_METHODS = ("exact", "tau1", "tau2", "posterior")
 DEFAULT_CANDIDATE_FLOOR = 0.01
 DEFAULT_POSTERIOR_FLOOR = 0.1
 # A study's 'train' section: the dev simulation's sampled nonmatches for the
-# matcher and for the score distribution, and the training settings
+# matcher and for the score distribution, and the share held out for selection
 TRAIN_DEFAULTS = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000,
-                  "dev_fraction": DEV_FRACTION, "penalty": PENALTY, "bins": BINS}
+                  "dev_fraction": DEV_FRACTION}
 _JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 
 # Experiment config keys: those of both modes, and those of each mode
-_COMMON_KEYS = ("seed", "methods", "fields", "classifier", "floor", "candidate_floor", "q",
-                "assets_dir")
+_COMMON_KEYS = ("seed", "methods", "fields", "classifier", "floor", "candidate_floor")
 _MODE_KEYS = {"files mode": ("data", "dist"),
               "a study": ("simulate", "replicates", "workers", "train")}
 _DATA_KEYS = ("file_a", "file_b", "truth")
@@ -96,8 +93,6 @@ class Settings:
     classifier: str | None
     floor: float
     candidate_floor: float
-    q: float | None
-    assets_dir: str | None
     data: dict | None       # files mode
     dist: str | None
     simulate: dict | None   # a study
@@ -125,7 +120,8 @@ def read_settings(config: dict) -> Settings:
       methods          DEFAULT_METHODS
       fields           'name' and the simulated fields
       classifier       "logistic:train"; or a fixed selector (below)
-      train            TRAIN_DEFAULTS, keys given override
+      train            TRAIN_DEFAULTS, keys given override: the nonmatch pair counts
+                       (integers >= 1) and dev_fraction, in [0, 1]
       seed             0
       replicates       1
       workers          1 (`run_study`'s `workers`, the command line's --workers, wins)
@@ -133,8 +129,6 @@ def read_settings(config: dict) -> Settings:
       floor            DEFAULT_POSTERIOR_FLOOR, in [0, 1]
       candidate_floor  DEFAULT_CANDIDATE_FLOOR, in [0, 1]: only pairs of gamma_name=0 rows
                        whose best posterior reaches min(it, floor) are scored and moved
-      q                the ranking's default q; in (0, 1]
-      assets_dir       the default asset directory (the command line's --assets wins)
 
     Classifier selectors, each scoring a name pair in [0, 1]:
       single:<feature>          the feature's value, a feature name such as
@@ -187,9 +181,8 @@ def read_settings(config: dict) -> Settings:
         default_fields = ("name", *SimConfig.from_dict(simulate).fields)
     train = section("train", TRAIN_DEFAULTS)
     for key, value in (train or {}).items():
-        if key in ("dev_fraction", "penalty"):
-            checked_number(f"config key 'train.{key}'", value, 0,
-                           1 if key == "dev_fraction" else math.inf)
+        if key == "dev_fraction":
+            checked_number("config key 'train.dev_fraction'", value, 0, 1)
         else:
             checked_number(f"config key 'train.{key}'", value, 1, integer=True)
 
@@ -213,8 +206,6 @@ def read_settings(config: dict) -> Settings:
         methods=methods, fields=fields, classifier=classifier,
         floor=float(number("floor", DEFAULT_POSTERIOR_FLOOR, 0, 1)),
         candidate_floor=float(number("candidate_floor", DEFAULT_CANDIDATE_FLOOR, 0, 1)),
-        q=number("q", None, 0, 1, above=True),
-        assets_dir=_text("assets_dir", config.get("assets_dir")),
         data=data, dist=dist, simulate=simulate, train=train,
         replicates=number("replicates", 1, 1, integer=True),
         workers=number("workers", 1, 1, integer=True))
@@ -398,12 +389,12 @@ def _table_ranking(table: PatternTable, pos: np.ndarray, z: np.ndarray) -> tuple
     return z, pos, table.counts - pos, float((z * table.counts).sum() / table.total)
 
 
-def _evaluate_ranking(ranking: tuple, pi_true: float, q: float | None) -> dict:
+def _evaluate_ranking(ranking: tuple, pi_true: float) -> dict:
     """The report of a (scores, positive mass, negative mass, estimated
-    match share) ranking."""
+    match share) ranking, its EAUROC at the ranking's default q."""
     scores, pos, neg, pi_est = ranking
     grouped = GroupedRanking(scores, pos, neg)
-    q = grouped.default_q() if q is None else q
+    q = grouped.default_q()
     fn_t, fp_t = confusion_at_proportion(grouped, pi_true)
     fn_e, fp_e = confusion_at_proportion(grouped, pi_est)
     return {
@@ -423,8 +414,7 @@ def _evaluate_ranking(ranking: tuple, pi_true: float, q: float | None) -> dict:
 def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
                 scorer=None, dist: ScoreDistribution | None = None,
                 floor: float = DEFAULT_POSTERIOR_FLOOR,
-                candidate_floor: float = DEFAULT_CANDIDATE_FLOOR,
-                q: float | None = None) -> dict[str, dict]:
+                candidate_floor: float = DEFAULT_CANDIDATE_FLOOR) -> dict[str, dict]:
     """Run the requested incorporation methods and return per-method reports,
     in the order of `methods`. The fusion methods share one enumeration and
     scoring of the candidate pairs."""
@@ -465,7 +455,7 @@ def run_methods(dataset: LinkageDataset, methods: tuple[str, ...],
             counters = dict(tau=tau, n_moved_pairs=int((pairs.scores >= tau).sum()))
         if method != "exact":
             counters["n_candidate_pairs"] = len(pairs.pair_rows)
-        reports[method] = {**_evaluate_ranking(ranking, pi_true, q), **counters,
+        reports[method] = {**_evaluate_ranking(ranking, pi_true), **counters,
                            "method": method}
     return reports
 
@@ -494,7 +484,9 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     """Train (or instantiate) the name classifier and fit the empirical
     score distribution on a development simulation; `train_opts` overrides
     some of TRAIN_DEFAULTS. Returns the scorer that fitted the distribution
-    (a study's replicates score with it), the distribution and counts."""
+    (a study's replicates score with it), the distribution and counts. A
+    matcher is trained on the true matches whose names differ, so a dev
+    simulation without one is an InputError naming the name error rate."""
     scorer = name_scorer(classifier, bundle, study=True)
     opts = {**TRAIN_DEFAULTS, **(train_opts or {})}
     seeds = np.random.SeedSequence(seed).spawn(2)
@@ -507,6 +499,10 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     info: dict = {"dev_sim_records": dev_cfg.n_records}
     if scorer is None:
         pos = dev.name_ids_a[ta] != dev.name_ids_b[tb]  # matches whose names differ
+        if not pos.any():
+            raise InputError("config key 'simulate.name_error_rate': no true match of the "
+                             f"dev simulation ({dev_cfg.n_records} records) has differing "
+                             "names, so logistic:train has no positive pair")
         neg_i, neg_j = _nonmatches(rng, dev.truth_b_of_a, dev.n_b,
                                    int(opts["n_nonmatch_name_pairs"]))
         featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
@@ -515,8 +511,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
         y = np.concatenate([np.ones(int(pos.sum())), np.zeros(len(neg_i))])
         train, dev_split = split_dev(rng, X, cats, y, float(opts["dev_fraction"]),
                                      "train.dev_fraction")
-        model = train_matcher(train, dev_split, featurizer.specs,
-                              penalty=float(opts["penalty"]))
+        model = train_matcher(train, dev_split, featurizer.specs)
         info["n_train_pairs"] = len(train[2])
         info["n_dev_pairs"] = len(dev_split[2])
         info["n_selected_features"] = len(model.specs)
@@ -525,7 +520,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
     u_i, u_j = _nonmatches(rng, dev.truth_b_of_a, dev.n_b, int(opts["n_nonmatch_score_pairs"]))
     scores = scorer.scores(dev.name_pairs(np.concatenate([ta, u_i]), np.concatenate([tb, u_j])))
     labels = np.concatenate([np.ones(len(ta)), np.zeros(len(u_i))])
-    dist = fit_score_distributions(scores, labels, bins=int(opts["bins"]))
+    dist = fit_score_distributions(scores, labels)
     info["n_dist_match"] = len(ta)
     info["n_dist_nonmatch"] = len(u_i)
     return scorer, dist, info
@@ -534,11 +529,10 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
 def link(settings: Settings, dataset: LinkageDataset, scorer,
          dist: ScoreDistribution | None) -> dict[str, dict]:
     """`run_methods` over a dataset of the settings' fields, with their
-    methods, floors and q. The caller builds the dataset, so that the
-    records it was built from can be freed before tabulation."""
+    methods and floors. The caller builds the dataset, so that the records
+    it was built from can be freed before tabulation."""
     return run_methods(dataset, settings.methods, scorer=scorer, dist=dist,
-                       floor=settings.floor, candidate_floor=settings.candidate_floor,
-                       q=settings.q)
+                       floor=settings.floor, candidate_floor=settings.candidate_floor)
 
 
 def run_replicate(name_model, settings: Settings, rep_seed: int, scorer,
@@ -555,8 +549,8 @@ def run_study(config: dict, bundle: AssetBundle | None = None,
     """Replicated simulation study: train once, then run every replicate
     through every requested method with the one scorer that fitted the
     score distribution. Deterministic given the config's seed. Without a
-    `bundle` the assets come from its 'assets_dir'; without `workers`, the
-    config's 'workers' applies. The config is checked by `read_settings`
+    `bundle` the packaged assets are used; without `workers`, the config's
+    'workers' applies. The config is checked by `read_settings`
     before any work starts.
 
     With workers > 1 the replicates run in that many spawned processes,
@@ -568,7 +562,7 @@ def run_study(config: dict, bundle: AssetBundle | None = None,
     settings = read_settings(config)
     if not settings.study:
         raise InputError("a study config needs a 'simulate' section")
-    bundle = bundle or load_bundle(settings.assets_dir)
+    bundle = bundle or load_bundle()
     name_model = build_name_model(bundle.corpus, bundle.tables)
     methods, replicates = settings.methods, settings.replicates
     workers = settings.workers if workers is None else workers

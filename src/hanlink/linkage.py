@@ -12,13 +12,17 @@ number at most |A| + |B|. The two-class mixture over patterns is fitted
 by EM under conditional independence; missing fields contribute a factor
 of one to both class likelihoods.
 
-Every CSV file the package reads goes through `CsvTable`, whose
-`InputError` names the file, and the line, column and cell at fault.
+Each file format the package reads or writes has one reader and one
+writer here: every CSV file is read by `CsvTable`, whose `InputError` names
+the file, and the line, column and cell at fault, and written by
+`write_csv`; every JSON file is read by `read_json` and written by
+`write_json`.
 """
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -109,6 +113,43 @@ class CsvTable:
         return values
 
 
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write `header` and `rows` (sequences of str cells) as a UTF-8 CSV file
+    with LF line ends that `CsvTable` reads back cell for cell. The csv module
+    leaves a lone carriage return unquoted, so a row holding one is quoted whole."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        quoted = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        for row in rows:
+            (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+
+
+def write_json(path: str | Path | None, obj) -> str:
+    """`obj` as JSON text (sorted keys, indent 1, a final newline; NaN and
+    infinities are a ValueError), written to `path` unless it is None."""
+    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def read_json(path: str | Path, parse=None):
+    """The JSON object in the file at `path`, as read or mapped through
+    `parse`. Text that is not JSON, JSON that is not an object and a fault
+    `parse` finds (KeyError, ValueError, TypeError) are each an InputError
+    naming the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise InputError(f"must hold a JSON object, not {type(data).__name__}")
+        return data if parse is None else parse(data)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:  # JSONDecodeError and InputError among them
+        raise InputError(f"{path}: {exc}") from None
+
+
 def score_cell(cell: str) -> float:
     """A score cell as a float in [0, 1]; NaN and infinities are rejected."""
     return checked_number("a score", float(cell), 0, 1)
@@ -121,12 +162,7 @@ def read_records(path: str | Path) -> dict[str, list[str]]:
 
 
 def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        n = len(records[RECORD_FIELDS[0]])
-        for i in range(n):
-            writer.writerow([records[f][i] for f in RECORD_FIELDS])
+    write_csv(path, RECORD_FIELDS, zip(*(records[f] for f in RECORD_FIELDS)))
 
 
 def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str]],

@@ -14,14 +14,13 @@ match/nonmatch density-ratio estimate.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .compare import BOUNDED_COMPARATORS, FeatureSpec, HAN_CATEGORIES, HanCategory
-from .linkage import InputError, checked_number
+from .linkage import InputError, checked_number, read_json, write_json
 from .metrics import GroupedRanking, auroc, eauroc
 
 TOL = 1e-8           # IRLS stops once a step lowers the objective by less, relatively
@@ -113,26 +112,11 @@ class MatcherModel:
                    coefs=coefs, trainer=d.get("trainer", {}))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True),
-                              encoding="utf-8")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "MatcherModel":
-        return _load(cls, path)
-
-
-def _load(cls, path: str | Path):
-    """`cls.from_dict` of the JSON object in the file at `path`; a fault in
-    the file is an InputError naming it."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise InputError("expected a JSON object")
-        return cls.from_dict(data)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:  # JSONDecodeError and InputError among them
-        raise InputError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_dict)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -531,12 +515,11 @@ class ScoreDistribution:
         return dist
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True),
-                              encoding="utf-8")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreDistribution":
-        return _load(cls, path)
+        return read_json(path, cls.from_dict)
 
 
 def fit_score_distributions(scores, labels, bins: int = BINS) -> ScoreDistribution:

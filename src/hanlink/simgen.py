@@ -22,7 +22,7 @@ import numpy as np
 
 from .compare import _from_distances, levenshtein_sims
 from .encoding import EncodingKind, EncodingTable, logograms
-from .linkage import CsvTable, InputError, check_keys, checked_number
+from .linkage import CsvTable, InputError, check_keys, checked_number, write_csv
 
 # Error-type shares observed among name disagreements (single/multi
 # replacement, insertion/deletion, transposition, extra/alternative name,
@@ -434,8 +434,7 @@ def generate_pair_files(cfg: SimConfig, model: PositionalNameModel) -> SimResult
 
 
 def write_truth(path: str | Path, truth: np.ndarray) -> None:
-    lines = ["id_a,id_b"] + [f"{int(a)},{int(b)}" for a, b in truth]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ("id_a", "id_b"), np.asarray(truth, dtype=np.int64).astype(str).tolist())
 
 
 def read_truth(path: str | Path) -> np.ndarray:

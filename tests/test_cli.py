@@ -136,6 +136,53 @@ def test_simulate_reproducible(tmp_path):
     assert set(manifest["outputs"]) == {"file_a.csv", "file_b.csv", "truth.csv"}
 
 
+def test_simulate_writes_pinned_bytes(tmp_path):
+    """The simulated record and truth files of a fixed seed keep their bytes."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text('{"n_records": 60, "seed": 1}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    digests = {name: digest[:16] for name, digest in sha256_dir(tmp_path / "sim").items()}
+    assert digests == {"file_a.csv": "fb4654e4ecb8ad84", "file_b.csv": "edc26c6f8970cd0f",
+                       "truth.csv": "7d4501dc08bee76b",
+                       "manifest.json": digests["manifest.json"]}
+
+
+def test_manifest_lists_only_the_files_the_command_wrote(tmp_path):
+    """A manifest hashes the command's own outputs, not other files in the
+    output directory: a note and the config beside a simulation, or a
+    stale model.json beside a files-mode report."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    cfg = out / "sim.json"
+    cfg.write_text('{"n_records": 60, "seed": 1}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"file_a.csv", "file_b.csv", "truth.csv"}
+    (out / "model.json").write_text("{}", encoding="utf-8")
+    exp_cfg = tmp_path / "exp.json"
+    exp_cfg.write_text(json.dumps({"data": {"file_a": str(out / "file_a.csv"),
+                                            "file_b": str(out / "file_b.csv"),
+                                            "truth": str(out / "truth.csv")}}))
+    assert main(["experiment", "--config", str(exp_cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"report.json"}
+
+
+@pytest.mark.parametrize("option", ["--seed", "--classifier"])
+def test_experiment_takes_no_seed_or_classifier_option(tmp_path, capsys, option):
+    """A study's seed and classifier are config keys only."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", "--config", "c.json", "--out", str(tmp_path / "r"), option, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_asset_directory_is_not_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("HANLINK_ASSETS", "/nonexistent")
+    assert assets.load_bundle().directory == assets.default_asset_dir()
+
+
 def test_simulate_bad_config(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"name_error_rate": 7}))
@@ -386,6 +433,19 @@ def test_study_rejects_single_class_dev_split(tmp_path, capsys):
             "both labels") in capsys.readouterr().err
 
 
+def test_study_without_name_errors_names_the_rate(tmp_path, capsys):
+    """A trained study whose dev simulation has no true match with differing
+    names says that the name error rate left the matcher no positive pair,
+    rather than blaming the dev split."""
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"seed": 3, "simulate": {"n_records": 60, "name_error_rate": 0},
+                               "methods": ["exact", "tau1"],
+                               "train": {"n_nonmatch_name_pairs": 50}}))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert ("error: config key 'simulate.name_error_rate': no true match of the dev "
+            "simulation (60 records) has differing names") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows,options,status,expected", [
     ("0.9,1\n0.8,1\n0.4,0\n0.7,1\n", [], 0, '"q": 1.0'),
     ("0.9,1\n0.1,1\n", [], 2, "error: both classes must carry positive mass"),
@@ -504,7 +564,7 @@ MALFORMED_CONFIG = {
     "repeated-method": ({**STUDY, "methods": ["exact", "exact"]}, "'methods' must list"),
     "both-sections": ({**STUDY, **FILES}, "both a 'simulate' and a 'data' section"),
     "negative-workers": ({**STUDY, "workers": -3}, "'workers' must be an integer >= 1"),
-    "study-q": ({**STUDY, "q": 1.5}, "'q' must be a number > 0 and <= 1"),
+    "study-q": ({**STUDY, "q": 1.5}, "unknown key 'q'"),
     "files-floor": ({**FILES, "floor": "0.5"}, "'floor' must be a number"),
     "files-train-classifier": ({**FILES, "methods": ["exact", "tau1"], "dist": "d.json",
                                 "classifier": "logistic:train"}, "'classifier'"),
@@ -521,6 +581,10 @@ MALFORMED_CONFIG = {
     "retired-method-key": ({**FILES, "method": "exact"}, "'methods'"),
     "null-floor": ({**STUDY, "floor": None}, "'floor' is null"),
     "null-file": ({"data": {**FILES["data"], "truth": None}}, "lacks 'truth'"),
+    "files-q": ({**FILES, "q": 0.5}, "unknown key 'q'"),
+    "assets-dir": ({**STUDY, "assets_dir": "assets"}, "unknown key 'assets_dir'"),
+    "train-penalty": ({**STUDY, "train": {"penalty": 0.1}}, "unknown key 'penalty'"),
+    "train-bins": ({**STUDY, "train": {"bins": 10}}, "unknown key 'bins'"),
 }
 
 

@@ -107,12 +107,29 @@ def test_spec_name_roundtrip():
     ("LF_SUM_k1_1:N", "the range must be one of ('1:1', '1:2', '2:N', '3:N')"),
     ("PY_COS_k0_1:N", "k must be an integer >= 1"),
     ("PY_COS_1:N", "malformed feature name"),
+    ("PY_LV_k7_1:N", "LV takes k 1 only"),
+    ("J_LCS_k3_1:N", "LCS takes k 1 only"),
+    ("AMB_SUM_k5_1:N", "SUM takes k 1 only"),
+    ("HAN_CAT_k2_1:N", "CAT takes k 1 only"),
+    ("AMB_SUM_k1_1:2", "AMB takes the range 1:N only"),
+    ("HAN_CAT_k1_2:N", "HAN takes the range 1:N only"),
 ])
 def test_spec_rejects_unknown_parts(name, message):
     """A feature name the featurizer cannot compute is an input error when
     it is read, not a failure inside `feature_matrix`."""
     with pytest.raises(InputError, match=re.escape(message)):
         FeatureSpec.from_name(name)
+
+
+@pytest.mark.parametrize("k", [2.7, "3", True, None])
+def test_spec_from_dict_takes_k_as_given(k):
+    """A model file's k is the comparator's token length as written: a
+    float, a string or a boolean is an input error, not a k the featurizer
+    would compute under another name."""
+    with pytest.raises(InputError, match=re.escape("k must be an integer >= 1")):
+        FeatureSpec.from_dict({"comparator": "COS", "encoding": "PY", "k": k, "range": "1:N"})
+    assert FeatureSpec.from_dict({"comparator": "COS", "encoding": "PY", "k": 3,
+                                  "range": "1:N"}).name == "PY_COS_k3_1:N"
 
 
 @settings(max_examples=300, deadline=None)

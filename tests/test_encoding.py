@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from hanlink.encoding import (
     IDENTITY_TABLE,
     InputError,
     ambiguity_count,
+    asset_lines,
     han_indicator,
     load_encoding_table,
     load_surnames,
@@ -52,6 +54,35 @@ def test_asset_files_checked_on_load(tmp_path):
     surnames.write_text("# none\n", encoding="utf-8")
     with pytest.raises(InputError, match="no surnames"):
         load_surnames(surnames)
+
+
+@pytest.mark.parametrize("line", ["李", "王五\twang2", "赵\t", "赵\tzhao4\tx", "\tzhao4"])
+def test_load_table_rejects_malformed_line(tmp_path, line):
+    """A line that is not one logogram, a tab and a code is an input error
+    naming the file and line, not an entry silently dropped."""
+    path = tmp_path / "py.tsv"
+    path.write_text(f"# comment\n张\tzhang1\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}, line 4: expected logogram<TAB>code")):
+        load_encoding_table(path, EncodingKind.PY)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "inf"])
+def test_frequency_rejects_non_finite_value(tmp_path, value):
+    """A log frequency that is not finite would make the floor NaN or
+    infinite: an input error naming the file and line."""
+    path = tmp_path / "freq.tsv"
+    path.write_text(f"1:1\t张\t-0.4\n1:1\t李\t{value}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}, line 2: expected range")):
+        FrequencyTable.load(path)
+
+
+def test_asset_lines_skip_blank_and_comment_lines(tmp_path):
+    """Every asset loader reads through one line reader: blank lines and
+    lines whose first non-blank character is '#' are skipped, the rest keep
+    their text and line number."""
+    path = tmp_path / "asset.txt"
+    path.write_text("# head\n张三\n\n  \n  # indented\r\n李四 \n", encoding="utf-8")
+    assert list(asset_lines(path)) == [(2, "张三"), (6, "李四 ")]
 
 
 def test_load_table_missing_file(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,17 @@ from hanlink.experiment import LinkageDataset
 from hanlink.linkage import (
     NA,
     RECORD_FIELDS,
+    CsvTable,
+    InputError,
     LinkageModel,
     PatternTable,
     em_fit,
     extend_key,
     join_pairs,
+    read_json,
     read_records,
+    write_csv,
+    write_json,
     write_records,
     zeta,
     zeta_for_gammas,
@@ -507,6 +513,43 @@ def test_records_roundtrip(tmp_path):
     write_records(path, recs)
     loaded = read_records(path)
     assert loaded == recs
+
+
+CELLS = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "#", "张", "李", "a", "0"]),
+               max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=5)))
+def test_write_csv_reads_back_cell_for_cell(tmp_path_factory, rows):
+    """What `write_csv` writes, `CsvTable` reads back unchanged: cells with
+    commas, quotes, line breaks (a lone carriage return among them), CJK
+    text and empty cells."""
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{k}" for k in range(len(rows[0]) if rows else 2)]
+    write_csv(path, header, rows)
+    table = CsvTable(path)
+    assert table.header == header
+    assert [list(row) for row in zip(*(table.column(h) for h in header))] == rows
+
+
+def test_json_written_sorted_indented_and_read_back(tmp_path):
+    """`write_json` writes and returns sorted keys, indent 1 and a final
+    newline, and refuses NaN; `read_json` reads back the object and names
+    the file of text that is not a JSON object."""
+    path = tmp_path / "x.json"
+    text = write_json(path, {"b": [1.5], "a": "张"})
+    assert text == path.read_text(encoding="utf-8")
+    assert text == '{\n "a": "\\u5f20",\n "b": [\n  1.5\n ]\n}\n'
+    assert write_json(None, {"a": 1}) == '{\n "a": 1\n}\n'
+    assert read_json(path) == {"a": "张", "b": [1.5]}
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"a": math.nan})
+    for text, message in (("[1]", "must hold a JSON object, not list"), ("{", "Expecting")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=f"{path}: {message}"):
+            read_json(path)
 
 
 def test_read_records_bad_header(tmp_path):

@@ -621,9 +621,26 @@ def test_distribution_file_checked_on_load(tmp_path, change, message):
         ScoreDistribution.load(path)
 
 
+def test_model_and_distribution_files_round_trip_byte_for_byte(tmp_path):
+    """What `save` writes, `load` then `save` writes again byte for byte:
+    sorted keys, indent 1 and a final newline."""
+    rng = np.random.default_rng(5)
+    model = MatcherModel(kind="logistic", specs=(SPEC_A, SPEC_B),
+                         intercepts={c: float(rng.normal()) for c in HAN_CATEGORIES},
+                         coefs={c: rng.normal(size=2) for c in HAN_CATEGORIES},
+                         trainer={"penalty": 1e-6, "converged": True})
+    dist = fit_score_distributions(rng.random(300), np.arange(300) % 2)
+    for obj, cls in ((model, MatcherModel), (dist, ScoreDistribution)):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        obj.save(first)
+        cls.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text(encoding="utf-8").endswith("\n}\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("{", "Expecting property name"),
-    ("[]", "expected a JSON object"),
+    ("[]", "must hold a JSON object"),
     ('{"kind": "forest", "specs": []}', "unknown model kind 'forest'"),
     ('{"kind": "single", "specs": [{"comparator": "LV"}]}', "missing key 'encoding'"),
     (None, "BothHan holds 1 slopes for 2 features"),
