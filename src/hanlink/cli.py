@@ -40,7 +40,7 @@ from .matcher import (
     split_dev,
     train_matcher,
 )
-from .metrics import GroupedRanking, auroc, eauroc, log_loss
+from .metrics import GroupedRanking, ranking_report
 from .simgen import SimConfig, build_name_model, generate_pair_files, read_truth, write_truth
 from . import experiment as exp
 from .linkage import (CsvTable, InputError, checked_number, read_json, read_records,
@@ -222,19 +222,10 @@ def cmd_evaluate(args) -> int:
     scores = np.array(table.column("score", score_cell))
     labels = np.array(table.column("label", _label))
     try:
-        ranking = GroupedRanking.from_pairs(scores, labels)
-        q = args.q if args.q is not None else ranking.default_q()
-        eauroc_q = eauroc(ranking, q)
+        report = ranking_report(GroupedRanking.from_pairs(scores, labels), args.q)
     except ValueError as exc:  # one class in the file
         raise InputError(str(exc)) from None
-    report = {
-        "auroc": auroc(ranking),
-        "eauroc": eauroc_q,
-        "q": q,
-        "neg_log_lik": log_loss(scores, labels),
-        "n": len(scores),
-    }
-    print(write_json(args.out, report), end="")
+    print(write_json(args.out, {**report, "n": len(scores)}), end="")
     return 0
 
 

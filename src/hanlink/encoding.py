@@ -197,18 +197,24 @@ class FrequencyTable:
     @classmethod
     def load(cls, path: str | Path) -> "FrequencyTable":
         """A range<TAB>substring<TAB>log frequency TSV; the floor, an unseen
-        substring's value, lies log 2 below the smallest stored value."""
+        substring's value, lies log 2 below the smallest stored value. A
+        file without entries, a malformed line and a key listed twice are
+        each an InputError naming the file (and the line)."""
         values: dict[tuple[str, str], float] = {}
         for number, line in asset_lines(path):
             try:
                 tag, sub, val = line.split("\t")
-                values[tag, sub] = value = float(val)
-                if not math.isfinite(value):
+                if not math.isfinite(value := float(val)):
                     raise ValueError
             except ValueError:
                 raise InputError(f"{path}, line {number}: expected "
                                  "range<TAB>substring<TAB>log frequency") from None
-        return cls(values=values, floor=min(values.values(), default=0.0) + math.log(0.5))
+            if (tag, sub) in values:
+                raise InputError(f"{path}, line {number}: {sub!r} at {tag} is listed twice")
+            values[tag, sub] = value
+        if not values:
+            raise InputError(f"{path}: no frequency entries")
+        return cls(values=values, floor=min(values.values()) + math.log(0.5))
 
     def value(self, range_tag: str, sub: str) -> float:
         """The stored log relative frequency of `sub` at `range_tag`, or the floor."""

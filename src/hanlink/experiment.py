@@ -1,23 +1,19 @@
-"""End-to-end linkage experiments on record-file pairs.
+"""End-to-end linkage experiments: settings, scorers, methods and studies.
 
-Wires the pipeline together: exact agreement-pattern counts from joins
-on the records' values (the |A| x |B| pairs are never formed), EM fit,
-optional name-score incorporation (tau1/tau2 threshold moves or per-pair
-posterior adjustment), and the evaluation report. Pairs are listed only
-for the pattern rows whose names get scored, again by joins. Those pairs
-are scored by name id: the names of both files are interned once, and a
-`NamePairs` of id arrays goes to the scorer, so no per-pair Python runs
-between candidate enumeration and the matcher.
+An experiment config is read in one place, `read_settings`, whose
+docstring lists each mode's keys and defaults and the classifier selectors;
+`run_study` and the command line call it before any file is read or model
+built, and `name_scorer` builds the scorer a selector names. `run_methods`
+runs the requested methods over one `LinkageDataset`: exact agreement
+pattern counts, an EM fit, and optional name-score incorporation (tau1/tau2
+threshold moves or per-pair posterior adjustment), each evaluated into a
+report. `run_study` trains a matcher once and runs replicated simulations
+through the same methods.
 
 Scoring every gamma_name=0 pair of a 10^8-pair linkage is not feasible at
 desk scale, so names are scored only in the gamma_name=0 rows whose best
 achievable posterior reaches min(candidate_floor, floor): tau1 and tau2
 move pairs of those rows only, and the posterior adjusts those reaching floor.
-
-An experiment config is read in one place, `read_settings`, whose
-docstring lists each mode's keys and defaults and the classifier selectors;
-`run_study` and the command line call it before any file is read or model
-built, and `name_scorer` builds the scorer a selector names.
 """
 from __future__ import annotations
 
@@ -31,24 +27,8 @@ from .assets import AssetBundle, load_bundle
 from .compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from .fuse import (CandidatePairs, apply_threshold, eligible_rows, posterior_adjust,
                    tau1_select, tau2_select)
-from .linkage import (
-    LINK_FIELDS,
-    NA,
-    RECORD_FIELDS,
-    CsvTable,
-    InputError,
-    PatternTable,
-    check_keys,
-    checked_number,
-    em_fit,
-    encode_fields,
-    extend_key,
-    join_pairs,
-    pair_gamma_codes,
-    pattern_counts,
-    score_cell,
-    zeta,
-)
+from .linkage import (LINK_FIELDS, RECORD_FIELDS, CsvTable, InputError, LinkageDataset,
+                      PatternTable, check_keys, checked_number, em_fit, score_cell, zeta)
 from .matcher import (
     DEV_FRACTION,
     MatcherModel,
@@ -57,13 +37,7 @@ from .matcher import (
     split_dev,
     train_matcher,
 )
-from .metrics import (
-    GroupedRanking,
-    auroc,
-    confusion_at_proportion,
-    eauroc,
-    grouped_log_loss,
-)
+from .metrics import GroupedRanking, confusion_at_proportion, ranking_report
 from .simgen import SimConfig, build_name_model, generate_pair_files
 
 DEFAULT_METHODS = ("exact", "tau1", "tau2", "posterior")
@@ -73,7 +47,6 @@ DEFAULT_POSTERIOR_FLOOR = 0.1
 # matcher and for the score distribution, and the share held out for selection
 TRAIN_DEFAULTS = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000,
                   "dev_fraction": DEV_FRACTION}
-_JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 
 # Experiment config keys: those of both modes, and those of each mode
 _COMMON_KEYS = ("seed", "methods", "fields", "classifier", "floor", "candidate_floor")
@@ -313,76 +286,6 @@ class ExternalScorer:
         return self.values[at]
 
 
-class LinkageDataset:
-    """Two record files with truth links, pre-encoded for pattern work: each
-    field's codes (`encode_fields`), the distinct names with each record's id
-    into them (the name field's codes, -1 if missing), and the truth links,
-    also as each A row's linked B row, `truth_b_of_a` (-1 if unlinked)."""
-
-    def __init__(self, records_a: dict[str, list[str]], records_b: dict[str, list[str]],
-                 truth: np.ndarray, fields: tuple[str, ...]):
-        self.fields = tuple(fields)
-        self.codes_a, self.codes_b, values = encode_fields(records_a, records_b, self.fields)
-        if "name" not in self.fields:
-            raise InputError("linkage fields must include 'name'")
-        name = self.fields.index("name")
-        self.names = values[name]
-        self.name_ids_a, self.name_ids_b = self.codes_a[name], self.codes_b[name]
-        self.n_a, self.n_b = len(self.name_ids_a), len(self.name_ids_b)
-        if not self.n_a or not self.n_b:
-            raise InputError("record files must be non-empty")
-        self.truth = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
-        for side, ids, n in (("id_a", self.truth[:, 0], self.n_a),
-                             ("id_b", self.truth[:, 1], self.n_b)):
-            outside = (ids < 0) | (ids >= n)
-            repeated = np.zeros(len(ids), dtype=bool)
-            repeated[np.argsort(ids, kind="stable")[1:]] = np.diff(np.sort(ids)) == 0
-            if len(bad := np.nonzero(outside | repeated)[0]):
-                k = bad[0]
-                why = f"outside [0, {n})" if outside[k] else "linked more than once"
-                raise InputError(f"truth link ({self.truth[k, 0]}, {self.truth[k, 1]}): "
-                                 f"{side} {ids[k]} is {why}")
-        self.truth_b_of_a = np.full(self.n_a, -1, dtype=np.int64)
-        self.truth_b_of_a[self.truth[:, 0]] = self.truth[:, 1]
-
-    def name_pairs(self, ii: np.ndarray, jj: np.ndarray) -> NamePairs:
-        """The names of the record pairs (A row ii[k], B row jj[k]), each present."""
-        return NamePairs(self.names, self.name_ids_a[ii], self.name_ids_b[jj])
-
-    def tabulate(self) -> tuple[PatternTable, np.ndarray]:
-        """Pattern table over all pairs plus true-match counts per row."""
-        table = PatternTable.from_counts(self.fields, pattern_counts(self.codes_a, self.codes_b))
-        ta, tb = self.truth[:, 0], self.truth[:, 1]
-        truth_codes = pair_gamma_codes([ca[ta] for ca in self.codes_a],
-                                       [cb[tb] for cb in self.codes_b])
-        return table, np.bincount(table.rows_of(truth_codes), minlength=len(table.counts))
-
-    def candidate_pairs(self, table: PatternTable, rows: np.ndarray):
-        """All pairs (i, j) of the rows `rows` of `table`, as (i, j, row)
-        sorted by (i, j): for each row, a join on the fields it agrees on
-        over the records holding every field it does not mark NA, keeping the
-        joined pairs with its pattern. Rows visited in field-by-field gamma
-        order share the key of their common leading gammas."""
-        parts = [(np.empty(0, np.int64),) * 3]
-        codes = table.codes()
-        keys = {(): np.zeros(self.n_a + self.n_b, dtype=np.int64)}  # by leading gammas
-        for gammas, row in sorted({(tuple(table.gammas[r].tolist()), int(r)) for r in rows}):
-            keys = {lead: key for lead, key in keys.items() if lead == gammas[:len(lead)]}
-            for f, pair in enumerate(zip(self.codes_a, self.codes_b)):
-                if gammas[:f + 1] not in keys:
-                    key, both = keys[gammas[:f]], np.concatenate(pair)
-                    keys[gammas[:f + 1]] = (key if gammas[f] == NA else extend_key(key, both)
-                                            if gammas[f] == 1 else np.where(both >= 0, key, -1))
-            key = keys[gammas]
-            for ii, jj in join_pairs(key[:self.n_a], key[self.n_a:], _JOIN_SLICE):
-                got = pair_gamma_codes([ca[ii] for ca in self.codes_a],
-                                       [cb[jj] for cb in self.codes_b])
-                parts.append([x[got == codes[row]] for x in (ii, jj, np.full(len(ii), row))])
-        ii, jj, cc = (np.concatenate(p) for p in zip(*parts))
-        order = np.lexsort((jj, ii))
-        return ii[order], jj[order], cc[order]
-
-
 def _table_ranking(table: PatternTable, pos: np.ndarray, z: np.ndarray) -> tuple:
     """A pattern table's ranking: each row's zeta with its true and false
     match counts, and the estimated match share, zeta weighted by the counts."""
@@ -391,17 +294,14 @@ def _table_ranking(table: PatternTable, pos: np.ndarray, z: np.ndarray) -> tuple
 
 def _evaluate_ranking(ranking: tuple, pi_true: float) -> dict:
     """The report of a (scores, positive mass, negative mass, estimated
-    match share) ranking, its EAUROC at the ranking's default q."""
+    match share) ranking: its `ranking_report` and its confusion counts at
+    the true and the estimated match share."""
     scores, pos, neg, pi_est = ranking
     grouped = GroupedRanking(scores, pos, neg)
-    q = grouped.default_q()
     fn_t, fp_t = confusion_at_proportion(grouped, pi_true)
     fn_e, fp_e = confusion_at_proportion(grouped, pi_est)
     return {
-        "auroc": auroc(grouped),
-        "eauroc": eauroc(grouped, q),
-        "q": q,
-        "neg_log_lik": grouped_log_loss(scores, pos, neg),
+        **ranking_report(grouped),
         "fn_true_pm": fn_t,
         "fp_true_pm": fp_t,
         "fn_est_pm": fn_e,

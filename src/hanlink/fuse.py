@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linkage import InputError, LinkageModel, PatternTable, zeta_for_gammas
+from .linkage import InputError, LinkageModel, PatternTable, gamma_codes, zeta_for_gammas
 from .matcher import ScoreDistribution
 from .metrics import GroupedRanking, auroc
 
@@ -35,9 +35,12 @@ def _donor_rows(table: PatternTable) -> np.ndarray:
     return np.nonzero(table.gammas[:, _name_index(table)] == 0)[0]
 
 
-def _recipient_codes(table: PatternTable, donors: np.ndarray) -> np.ndarray:
-    """The pattern codes of the gamma_name=0 rows `donors` with gamma_name set to 1."""
-    return table.codes()[donors] + 3 ** _name_index(table)
+def _recipients(table: PatternTable, donors: np.ndarray) -> np.ndarray:
+    """The gammas of the gamma_name=0 rows `donors` with gamma_name set to 1:
+    the rows their moved pairs go to."""
+    gammas = table.gammas[donors].copy()
+    gammas[:, _name_index(table)] = 1
+    return gammas
 
 
 def transfer_predictions(zeta1, n1, zeta2, n2, tail_m, tail_u):
@@ -111,8 +114,8 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     if len(donors) == 0:
         raise InputError("no rows with name disagreement; nothing to adjust")
     zetas = np.asarray(zetas, dtype=float)
-    name_ix = _name_index(table)
-    recip = table.rows_of(_recipient_codes(table, donors))
+    recipients = _recipients(table, donors)
+    recip = table.rows_of(gamma_codes(recipients.T))
     have = recip >= 0
     z1 = zetas[donors]
     n1 = table.counts[donors].astype(float)
@@ -120,10 +123,7 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     n2 = np.zeros(len(donors))
     z2[have] = zetas[recip[have]]
     n2[have] = table.counts[recip[have]]
-    if not have.all():
-        created = table.gammas[donors[~have]].copy()
-        created[:, name_ix] = 1
-        z2[~have] = zeta_for_gammas(model, created)
+    z2[~have] = zeta_for_gammas(model, recipients[~have])
 
     untouched = np.ones(len(table.counts), dtype=bool)
     untouched[donors] = untouched[recip[have]] = False
@@ -182,13 +182,14 @@ def apply_threshold(tau: float, table: PatternTable, pos: np.ndarray,
     move = pairs.scores >= tau
     moved_n = np.bincount(pairs.pair_rows[move], minlength=len(table.counts))
     moved_p = np.bincount(pairs.pair_rows[move & pairs.labels], minlength=len(table.counts))
-    where = np.concatenate([table.codes(), _recipient_codes(table, pairs.rows)])
-    counts = np.zeros(3 ** len(table.fields), dtype=np.int64)
-    new_pos = np.zeros_like(counts)
-    np.add.at(counts, where, np.concatenate([table.counts - moved_n, moved_n[pairs.rows]]))
-    np.add.at(new_pos, where, np.concatenate([pos - moved_p, moved_p[pairs.rows]]))
-    new_table = PatternTable.from_counts(table.fields, counts)
-    return new_table, new_pos[new_table.codes()]
+    gammas = np.concatenate([table.gammas, _recipients(table, pairs.rows)])
+    _, first, at = np.unique(gamma_codes(gammas.T), return_index=True, return_inverse=True)
+    # float sums of pair counts: exact below 2^53 pairs
+    counts = np.bincount(at, np.concatenate([table.counts - moved_n, moved_n[pairs.rows]]))
+    new_pos = np.bincount(at, np.concatenate([pos - moved_p, moved_p[pairs.rows]]))
+    keep = counts > 0
+    return (PatternTable(table.fields, gammas[first[keep]], counts[keep].astype(np.int64)),
+            new_pos[keep].astype(np.int64))
 
 
 def eligible_rows(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,

@@ -12,6 +12,12 @@ number at most |A| + |B|. The two-class mixture over patterns is fitted
 by EM under conditional independence; missing fields contribute a factor
 of one to both class likelihoods.
 
+A `LinkageDataset` interns each field's values once over both files, into
+one code array: file A's n_a records, then file B's, so the pair (i, j)
+reads entries i and n_a + j. It lists the pairs of the pattern rows whose
+names get scored, again by joins, and hands their names to a scorer as ids
+(`NamePairs`). Every base-3 pattern code is built here, by `gamma_codes`.
+
 Each file format the package reads or writes has one reader and one
 writer here: every CSV file is read by `CsvTable`, whose `InputError` names
 the file, and the line, column and cell at fault, and written by
@@ -31,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import intern_strings
+from .compare import NamePairs, intern_strings
 from .encoding import InputError
 from .metrics import PROB_CLAMP
 
@@ -40,6 +46,7 @@ LINK_FIELDS = RECORD_FIELDS  # default linkage field set, name first
 NA = 2  # gamma code for "either value missing"
 EM_TOL = 1e-10       # EM stops once an iteration changes the log-likelihood by less, relatively
 EM_MAX_ITER = 500    # EM iterations at most
+_JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 
 
 def checked_number(key: str, value, lo: float, hi: float = math.inf, *,
@@ -166,20 +173,30 @@ def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
 
 
 def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
-                  fields) -> tuple[list[np.ndarray], list[np.ndarray], list[list[str]]]:
-    """Per-field codes of both files' values, equal exactly when the strings
-    are (missing -> -1), and per field the distinct values the codes index,
-    first seen first (file A before file B). A field listed twice (EM would
-    count it twice) or absent from either file is an InputError."""
-    codes = []
+                  fields) -> tuple[list[np.ndarray], list[list[str]]]:
+    """Per field, the codes of file A's values and then file B's, equal
+    exactly when the strings are (missing -> -1), and the distinct values
+    the codes index, first seen first. A field listed twice (EM would count
+    it twice), absent from either file or holding another number of a
+    file's records than the first field is an InputError."""
+    codes, values = [], []
     for k, f in enumerate(fields):
         if f in fields[:k]:
             raise InputError(f"linkage field {f!r} is listed more than once")
         if f not in records_a or f not in records_b:
             raise InputError(f"unknown field {f!r} in record schema")
-        values, ids = intern_strings([""], records_a[f], records_b[f])  # "" gets id 0
-        codes.append((ids[1] - 1, ids[2] - 1, values[1:]))
-    return [a for a, _, _ in codes], [b for _, b, _ in codes], [v for _, _, v in codes]
+        distinct, (_, ids) = intern_strings([""], [*records_a[f], *records_b[f]])  # "" gets id 0
+        codes.append(ids - 1)
+        values.append(distinct[1:])
+    if len({(len(records_a[f]), len(records_b[f])) for f in fields}) > 1:
+        raise InputError(f"the fields {list(fields)} hold different numbers of records")
+    return codes, values
+
+
+def gamma_codes(columns) -> np.ndarray:
+    """Base-3 pattern codes from each field's gammas, in field order: field
+    f contributes gamma_f * 3^f."""
+    return sum(np.asarray(gammas, dtype=np.int64) * 3 ** f for f, gammas in enumerate(columns))
 
 
 @dataclass
@@ -212,9 +229,8 @@ class PatternTable:
         return float(self.counts.sum())
 
     def codes(self) -> np.ndarray:
-        """Row codes in base 3 (field f contributes gamma_f * 3^f)."""
-        powers = 3 ** np.arange(len(self.fields), dtype=np.int64)
-        return (self.gammas.astype(np.int64) * powers).sum(axis=1)
+        """Each row's pattern code (`gamma_codes`)."""
+        return gamma_codes(self.gammas.T)
 
     def rows_of(self, codes) -> np.ndarray:
         """Row of each pattern code in `codes`, -1 for a code with no row."""
@@ -223,13 +239,11 @@ class PatternTable:
         return lookup[np.asarray(codes, dtype=np.int64)]
 
 
-def pair_gamma_codes(field_codes_a: list[np.ndarray], field_codes_b: list[np.ndarray]) -> np.ndarray:
-    """Base-3 pattern codes (field f contributes gamma_f * 3^f) of the pairs
-    (a[k], b[k]) listed by each field's aligned A and B code arrays."""
-    code = 0
-    for f, (a, b) in enumerate(zip(field_codes_a, field_codes_b)):
-        code = code + np.where((a < 0) | (b < 0), NA, a == b).astype(np.int64) * 3 ** f
-    return code
+def pair_gamma_codes(codes: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Pattern codes of the record pairs (i[k], j[k]), both indexing every
+    field's codes (A's records, then B's)."""
+    gathered = ((c[i], c[j]) for c in codes)
+    return gamma_codes(np.where((a < 0) | (b < 0), NA, a == b) for a, b in gathered)
 
 
 def extend_key(key: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -287,9 +301,9 @@ def _join_count(key: np.ndarray, keep: np.ndarray, n_a: int, n_keys: int) -> int
                @ np.bincount(key[n_a:][keep[n_a:]], minlength=n_keys))
 
 
-def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.ndarray:
+def pattern_counts(codes: list[np.ndarray], n_a: int) -> np.ndarray:
     """Number of A x B pairs with each base-3 pattern code (length 3^F),
-    from each field's codes in both files (missing -> -1).
+    from each field's codes, A's n_a records and then B's (missing -> -1).
 
     For each field subset S and each C containing it, the pairs of records
     that both have every field of C and agree on all of S number
@@ -305,8 +319,7 @@ def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.n
     of every S holding f* are sums over its fields held and fields agreeing,
     and join keys are built only over subsets of the other fields.
     """
-    n_a, n_fields = len(codes_a[0]), len(codes_a)
-    codes = [np.concatenate([a, b]) for a, b in zip(codes_a, codes_b)]
+    n_fields = len(codes)
     sets = np.arange(1 << n_fields)
     within = (sets[:, None] & sets[None, :]) == sets[None, :]  # [c, s]: s within c
     masks = sum((c >= 0).astype(np.int64) << f for f, c in enumerate(codes))  # fields held
@@ -326,7 +339,7 @@ def pattern_counts(codes_a: list[np.ndarray], codes_b: list[np.ndarray]) -> np.n
             joined[c, s] = _join_count(key, (masks & c) == c, n_a, n_keys)  # implies key >= 0
     joined = joined[sets[:, None] & gaps | sets[None, :], sets[None, :]]  # as [(c & gaps) | s, s]
     _superset_sums(joined, -1)
-    ternary = ((sets[:, None] >> np.arange(n_fields) & 1) * 3 ** np.arange(n_fields)).sum(1)
+    ternary = gamma_codes(sets >> f & 1 for f in range(n_fields))  # gamma 1 on each set's fields
     codes_of = ternary[None, :] + 2 * ternary[len(sets) - 1 - sets][:, None]  # [m, t]
     totals = np.zeros(3 ** n_fields, dtype=np.int64)
     totals[codes_of[within]] = joined[within]
@@ -352,6 +365,76 @@ def join_pairs(key_a: np.ndarray, key_b: np.ndarray, budget: int):
         ib = order[np.repeat(lo[start:stop] - first, n_hit) + np.arange(first[0], ends[stop - 1])]
         yield ia, ib
         start = stop
+
+
+class LinkageDataset:
+    """Two record files with truth links, encoded once for pattern work.
+
+    `codes[f]` holds field f's codes (`encode_fields`), file A's n_a records
+    and then file B's n_b; `name_ids_a` and `name_ids_b` are the name
+    field's two parts, ids into the distinct `names` (-1 if missing). The
+    truth links are also held as each A row's linked B row, `truth_b_of_a`
+    (-1 if unlinked)."""
+
+    def __init__(self, records_a: dict[str, list[str]], records_b: dict[str, list[str]],
+                 truth: np.ndarray, fields: tuple[str, ...]):
+        self.fields = tuple(fields)
+        self.codes, values = encode_fields(records_a, records_b, self.fields)
+        if "name" not in self.fields:
+            raise InputError("linkage fields must include 'name'")
+        name = self.fields.index("name")
+        self.names = values[name]
+        self.n_a, self.n_b = len(records_a["name"]), len(records_b["name"])
+        self.name_ids_a, self.name_ids_b = np.split(self.codes[name], [self.n_a])
+        if not self.n_a or not self.n_b:
+            raise InputError("record files must be non-empty")
+        self.truth = np.asarray(truth, dtype=np.int64).reshape(-1, 2)
+        for side, ids, n in (("id_a", self.truth[:, 0], self.n_a),
+                             ("id_b", self.truth[:, 1], self.n_b)):
+            outside = (ids < 0) | (ids >= n)
+            repeated = np.zeros(len(ids), dtype=bool)
+            repeated[np.argsort(ids, kind="stable")[1:]] = np.diff(np.sort(ids)) == 0
+            if len(bad := np.nonzero(outside | repeated)[0]):
+                k = bad[0]
+                why = f"outside [0, {n})" if outside[k] else "linked more than once"
+                raise InputError(f"truth link ({self.truth[k, 0]}, {self.truth[k, 1]}): "
+                                 f"{side} {ids[k]} is {why}")
+        self.truth_b_of_a = np.full(self.n_a, -1, dtype=np.int64)
+        self.truth_b_of_a[self.truth[:, 0]] = self.truth[:, 1]
+
+    def name_pairs(self, ii: np.ndarray, jj: np.ndarray) -> NamePairs:
+        """The names of the record pairs (A row ii[k], B row jj[k]), each present."""
+        return NamePairs(self.names, self.name_ids_a[ii], self.name_ids_b[jj])
+
+    def tabulate(self) -> tuple[PatternTable, np.ndarray]:
+        """Pattern table over all pairs plus true-match counts per row."""
+        table = PatternTable.from_counts(self.fields, pattern_counts(self.codes, self.n_a))
+        truth_codes = pair_gamma_codes(self.codes, self.truth[:, 0], self.n_a + self.truth[:, 1])
+        return table, np.bincount(table.rows_of(truth_codes), minlength=len(table.counts))
+
+    def candidate_pairs(self, table: PatternTable, rows: np.ndarray):
+        """All pairs (i, j) of the rows `rows` of `table`, as (i, j, row)
+        sorted by (i, j): for each row, a join on the fields it agrees on
+        over the records holding every field it does not mark NA, keeping the
+        joined pairs with its pattern. Rows visited in field-by-field gamma
+        order share the key of their common leading gammas."""
+        parts = [(np.empty(0, np.int64),) * 3]
+        codes = table.codes()
+        keys = {(): np.zeros(self.n_a + self.n_b, dtype=np.int64)}  # by leading gammas
+        for gammas, row in sorted({(tuple(table.gammas[r].tolist()), int(r)) for r in rows}):
+            keys = {lead: key for lead, key in keys.items() if lead == gammas[:len(lead)]}
+            for f, both in enumerate(self.codes):
+                if gammas[:f + 1] not in keys:
+                    key = keys[gammas[:f]]
+                    keys[gammas[:f + 1]] = (key if gammas[f] == NA else extend_key(key, both)
+                                            if gammas[f] == 1 else np.where(both >= 0, key, -1))
+            key = keys[gammas]
+            for ii, jj in join_pairs(key[:self.n_a], key[self.n_a:], _JOIN_SLICE):
+                got = pair_gamma_codes(self.codes, ii, self.n_a + jj)
+                parts.append([x[got == codes[row]] for x in (ii, jj, np.full(len(ii), row))])
+        ii, jj, cc = (np.concatenate(p) for p in zip(*parts))
+        order = np.lexsort((jj, ii))
+        return ii[order], jj[order], cc[order]
 
 
 @dataclass

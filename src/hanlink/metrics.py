@@ -105,6 +105,14 @@ def eauroc(r: GroupedRanking, q: float | None = None) -> float:
                             np.concatenate([fpr[:cut], [q]])) / q)
 
 
+def ranking_report(r: GroupedRanking, q: float | None = None) -> dict:
+    """AUROC, EAUROC at q, q itself (`r.default_q()` if None) and the
+    negative log-likelihood of the ranking's scores."""
+    q = r.default_q() if q is None else q
+    return {"auroc": auroc(r), "eauroc": eauroc(r, q), "q": q,
+            "neg_log_lik": grouped_log_loss(r.scores, r.pos, r.neg)}
+
+
 def log_loss(probs, labels) -> float:
     """Total negative Bernoulli log-likelihood (nats) with probability
     clamping at 1e-12."""

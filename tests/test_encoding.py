@@ -76,6 +76,20 @@ def test_frequency_rejects_non_finite_value(tmp_path, value):
         FrequencyTable.load(path)
 
 
+def test_frequency_rejects_repeated_key_and_empty_file(tmp_path):
+    """A range and substring listed twice would keep one of the two values
+    silently, and a file without entries would make every frequency feature
+    the constant floor: each an input error naming the file, the repeat
+    also its line."""
+    path = tmp_path / "freq.tsv"
+    path.write_text("1:1\t张\t-1.0\n1:1\t李\t-1.5\n1:1\t张\t-2.0\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}, line 3: '张' at 1:1 is listed twice")):
+        FrequencyTable.load(path)
+    path.write_text("# nothing\n\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: no frequency entries")):
+        FrequencyTable.load(path)
+
+
 def test_asset_lines_skip_blank_and_comment_lines(tmp_path):
     """Every asset loader reads through one line reader: blank lines and
     lines whose first non-blank character is '#' are skipped, the rest keep

@@ -13,6 +13,7 @@ from oracles import (cross_product_codes, cross_product_table, external_scores_l
                      study_name_pairs)
 
 from hanlink import experiment as exp
+from hanlink import linkage
 from hanlink.compare import HAN_CATEGORIES, FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from hanlink.fuse import CandidatePairs, apply_threshold
 from hanlink.linkage import NA, InputError
@@ -88,7 +89,7 @@ def test_candidate_pairs_match_cross_product(case, data):
     for records_a, records_b, truth, fields in both_orders(case):
         dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
         table, _ = dataset.tabulate()
-        with mock.patch.object(exp, "_JOIN_SLICE", slice_size):
+        with mock.patch.object(linkage, "_JOIN_SLICE", slice_size):
             ii, jj, rows = dataset.candidate_pairs(table, np.array(wanted))
         ri, rj, rc = cross_product_codes(records_a, records_b, fields)
         keep = np.isin(rc, table.codes()[wanted])
@@ -110,6 +111,40 @@ def test_dataset_name_ids_are_interned_names(case):
     for ids, column in ((dataset.name_ids_a, records_a["name"]),
                         (dataset.name_ids_b, records_b["name"])):
         assert ids.tolist() == [names.index(n) if n else -1 for n in column]
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_files())
+def test_dataset_codes_hold_a_then_b(case):
+    """Each field's codes are one array, A's records and then B's: two cells
+    share a code exactly when their strings are equal, a blank cell is -1,
+    and the name ids of each file are its part of the name field's array."""
+    records_a, records_b, truth, fields = case
+    dataset = exp.LinkageDataset(records_a, records_b, truth, fields)
+    for f, codes in zip(fields, dataset.codes):
+        cells = np.array(records_a[f] + records_b[f], dtype=object)
+        assert codes.shape == (dataset.n_a + dataset.n_b,)
+        assert np.array_equal(codes[:, None] == codes[None, :], cells[:, None] == cells[None, :])
+        assert np.array_equal(codes < 0, cells == "")
+    name_codes = dataset.codes[fields.index("name")]
+    for part, ids in ((name_codes[:dataset.n_a], dataset.name_ids_a),
+                      (name_codes[dataset.n_a:], dataset.name_ids_b)):
+        assert np.array_equal(part, ids) and np.shares_memory(ids, name_codes)
+
+
+def test_dataset_rejects_columns_of_other_lengths():
+    """Each field's codes hold A's records, then B's: a column one record
+    longer in A and one shorter in B would shift B's codes silently."""
+    records_a = {"name": ["x", "y"], "sex": ["1", "2", "1"]}
+    records_b = {"name": ["x", "y", "z"], "sex": ["1", "2"]}
+    with pytest.raises(InputError, match="hold different numbers of records"):
+        exp.LinkageDataset(records_a, records_b, np.zeros((0, 2)), ("name", "sex"))
+
+
+def test_experiment_links_with_the_linkage_dataset():
+    """`experiment.LinkageDataset` is the class `linkage` defines, so a patch
+    of one is a patch of the class `run_methods` uses."""
+    assert exp.LinkageDataset is linkage.LinkageDataset
 
 
 @pytest.mark.parametrize("truth,message", [

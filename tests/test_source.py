@@ -34,6 +34,19 @@ def test_package_modules_use_every_import():
     assert unused == []
 
 
+def test_base3_pattern_arithmetic_only_in_linkage():
+    """Pattern codes are built in one module: no other package module raises
+    3 to a power."""
+    offenders = []
+    for path in sorted(Path(hanlink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                      and isinstance(node.left, ast.Constant) and node.left.value == 3
+                      and path.name != "linkage.py"]
+    assert offenders == []
+
+
 def test_declared_dependencies_import():
     """Every dependency pyproject.toml declares is importable here."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
