@@ -84,7 +84,7 @@ def cmd_features(args) -> int:
     featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     X, cats = featurizer.feature_matrix(pairs)
     header = [s.name for s in featurizer.specs] + ["han_category"]
-    rows = ([f"{v:.12g}" for v in values] + [HAN_CATEGORIES[cat].value]
+    rows = ([f"{v:.12g}" for v in values] + [HAN_CATEGORIES[cat]]
             for values, cat in zip(X.tolist(), cats.tolist()))
     if labels is not None:
         header.append("label")
@@ -97,7 +97,7 @@ def cmd_features(args) -> int:
 def _read_feature_csv(path: str):
     table = CsvTable(path)
     y = np.array(table.column("label", _label), dtype=float)
-    cats = (table.column("han_category", [c.value for c in HAN_CATEGORIES].index)
+    cats = (table.column("han_category", HAN_CATEGORIES.index)
             if "han_category" in table.header else [0] * len(y))
     names = [name for name in table.header if name not in ("label", "han_category")]
     if not names:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -252,16 +251,9 @@ def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
 RANGE_TAGS = ("1:N", "1:1", "1:2", "2:N", "3:N")
 
 
-class HanCategory(str, Enum):
-    NEITHER = "NeitherHan"
-    BOTH = "BothHan"
-    DISAGREE = "Disagreeing"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-HAN_CATEGORIES = (HanCategory.NEITHER, HanCategory.BOTH, HanCategory.DISAGREE)
+# A name pair's Han category (both names follow the Han convention, neither
+# does, or they disagree); its code in feature batches and models is its index
+HAN_CATEGORIES = ("NeitherHan", "BothHan", "Disagreeing")
 
 STRING_ENCODINGS = (EncodingKind.J, EncodingKind.PY, EncodingKind.FC,
                     EncodingKind.WB, EncodingKind.RD, EncodingKind.RDS)
@@ -474,7 +466,9 @@ class PairFeaturizer:
         chars = [logograms(n) for n in names]
         han = np.array([han_of_logograms(ch, self.surnames) for ch in chars], dtype=bool)
         ha, hb = han[ia], han[ib]
-        cats = np.where(ha != hb, 2, np.where(ha, 1, 0)).astype(np.int8)  # HAN_CATEGORIES
+        code = HAN_CATEGORIES.index
+        cats = np.where(ha != hb, code("Disagreeing"),
+                        np.where(ha, code("BothHan"), code("NeitherHan"))).astype(np.int8)
         ranges = {}
         for tag in dict.fromkeys(s.range_tag for s in self.specs
                                  if s.comparator != "CAT" and s.encoding != "AMB"):

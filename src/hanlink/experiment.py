@@ -27,7 +27,7 @@ from .assets import AssetBundle, load_bundle
 from .compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from .fuse import (CandidatePairs, apply_threshold, eligible_rows, posterior_adjust,
                    tau1_select, tau2_select)
-from .linkage import (LINK_FIELDS, RECORD_FIELDS, CsvTable, InputError, LinkageDataset,
+from .linkage import (RECORD_FIELDS, CsvTable, InputError, LinkageDataset,
                       PatternTable, check_keys, checked_number, em_fit, score_cell, zeta)
 from .matcher import (
     DEV_FRACTION,
@@ -83,7 +83,7 @@ def read_settings(config: dict) -> Settings:
     Keys and defaults. Files mode, chosen by a 'data' section:
       data             file_a, file_b, truth: the record and truth CSV paths
       methods          ["exact"]; distinct names from DEFAULT_METHODS
-      fields           LINK_FIELDS; distinct RECORD_FIELDS, 'name' among them
+      fields           RECORD_FIELDS; distinct RECORD_FIELDS, 'name' among them
       classifier       none; a selector (below), required by a non-exact method
       dist             none; a score distribution JSON, required by a
                        non-exact method
@@ -146,7 +146,7 @@ def read_settings(config: dict) -> Settings:
                 raise InputError(f"config section 'data' lacks {key!r}")
             _text(f"data.{key}", data[key])
     simulate = section("simulate", SimConfig.__dataclass_fields__)
-    default_fields = LINK_FIELDS
+    default_fields = RECORD_FIELDS
     if simulate is not None:
         if "seed" in simulate:
             raise InputError("config key 'simulate.seed' is not used: a study's seed is "

@@ -41,8 +41,7 @@ from .compare import NamePairs, intern_strings
 from .encoding import InputError
 from .metrics import PROB_CLAMP
 
-RECORD_FIELDS = ("name", "sex", "yob", "mob", "dob", "loc")
-LINK_FIELDS = RECORD_FIELDS  # default linkage field set, name first
+RECORD_FIELDS = ("name", "sex", "yob", "mob", "dob", "loc")  # a record file's columns, name first
 NA = 2  # gamma code for "either value missing"
 EM_TOL = 1e-10       # EM stops once an iteration changes the log-likelihood by less, relatively
 EM_MAX_ITER = 500    # EM iterations at most
@@ -144,8 +143,8 @@ def write_json(path: str | Path | None, obj) -> str:
 def read_json(path: str | Path, parse=None):
     """The JSON object in the file at `path`, as read or mapped through
     `parse`. Text that is not JSON, JSON that is not an object and a fault
-    `parse` finds (KeyError, ValueError, TypeError) are each an InputError
-    naming the file."""
+    `parse` finds (KeyError, ValueError, TypeError, OverflowError) are each
+    an InputError naming the file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
@@ -153,7 +152,7 @@ def read_json(path: str | Path, parse=None):
         return data if parse is None else parse(data)
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:  # JSONDecodeError and InputError among them
+    except (ValueError, TypeError, OverflowError) as exc:  # JSONDecodeError, InputError too
         raise InputError(f"{path}: {exc}") from None
 
 

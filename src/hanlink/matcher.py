@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import BOUNDED_COMPARATORS, FeatureSpec, HAN_CATEGORIES, HanCategory
+from .compare import BOUNDED_COMPARATORS, FeatureSpec, HAN_CATEGORIES
 from .linkage import InputError, checked_number, read_json, write_json
 from .metrics import GroupedRanking, auroc, eauroc
 
@@ -46,12 +46,29 @@ class ConvergenceError(TrainingError):
         self.model = model
 
 
+def _json_numbers(key: str, values, counts: bool = False) -> np.ndarray:
+    """The JSON list `values` as a float array, or as int64 with `counts`:
+    an InputError naming `key` unless each entry is a JSON number (strings,
+    bools and null are not), with `counts` an integer >= 0."""
+    kinds, what = ({int}, "an integer >= 0") if counts else ({int, float}, "a number")
+    if not isinstance(values, list):
+        raise InputError(f"{key} must be a list, not {type(values).__name__}")
+    if not set(map(type, values)) <= kinds or (counts and min(values, default=0) < 0):
+        bad = next(v for v in values if type(v) not in kinds or (counts and v < 0))
+        raise InputError(f"{key} holds {bad!r}, which is not {what}")
+    return np.asarray(values, dtype=np.int64 if counts else float)
+
+
 @dataclass
 class MatcherModel:
+    """A name-pair matcher over `specs`. A "logistic" model scores features x
+    of a pair with Han-category code c (its index in HAN_CATEGORIES) as
+    sigmoid(intercepts[c] + coefs[c] @ x), float arrays of shape (3,) and
+    (3, len(specs)); a "single" model scores by its one feature, holding None."""
     kind: str                               # "logistic" | "single"
     specs: tuple[FeatureSpec, ...]
-    intercepts: dict[HanCategory, float] = field(default_factory=dict)
-    coefs: dict[HanCategory, np.ndarray] = field(default_factory=dict)
+    intercepts: np.ndarray | None = None
+    coefs: np.ndarray | None = None
     trainer: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,30 +101,33 @@ class MatcherModel:
                "specs": [s.to_dict() for s in self.specs]}
         if self.kind == "logistic":
             out["coefficients"] = {
-                cat.value: {"intercept": self.intercepts[cat],
-                            "slopes": [float(v) for v in self.coefs[cat]]}
-                for cat in HAN_CATEGORIES
+                name: {"intercept": float(intercept), "slopes": [float(v) for v in slopes]}
+                for name, intercept, slopes in zip(HAN_CATEGORIES, self.intercepts, self.coefs)
             }
             out["trainer"] = self.trainer
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatcherModel":
+        """The model `to_dict` wrote, its category blocks read in code order:
+        InputError unless each holds finite JSON numbers, one slope per feature."""
         specs = tuple(FeatureSpec.from_dict(s) for s in d["specs"])
         if d["kind"] == "single":
             return cls(kind="single", specs=specs)
         if d["kind"] != "logistic":
             raise InputError(f"unknown model kind {d['kind']!r}")
-        intercepts, coefs = {}, {}
-        for cat in HAN_CATEGORIES:
-            block = d["coefficients"][cat.value]
-            intercepts[cat] = float(block["intercept"])
-            coefs[cat] = np.asarray(block["slopes"], dtype=float)
-            if coefs[cat].shape != (len(specs),):
-                raise InputError(f"{cat.value} holds {coefs[cat].size} slopes for "
+        intercepts = np.empty(len(HAN_CATEGORIES))
+        coefs = np.empty((len(HAN_CATEGORIES), len(specs)))
+        for code, name in enumerate(HAN_CATEGORIES):
+            block = d["coefficients"][name]
+            intercept = _json_numbers(f"{name} intercept", [block["intercept"]])
+            slopes = _json_numbers(f"{name} slopes", block["slopes"])
+            if slopes.shape != (len(specs),):
+                raise InputError(f"{name} holds {slopes.size} slopes for "
                                  f"{len(specs)} features")
-            if not (np.isfinite(intercepts[cat]) and np.isfinite(coefs[cat]).all()):
-                raise InputError(f"{cat.value} holds a coefficient that is not finite")
+            if not (np.isfinite(intercept).all() and np.isfinite(slopes).all()):
+                raise InputError(f"{name} holds a coefficient that is not finite")
+            intercepts[code], coefs[code] = intercept[0], slopes
         return cls(kind="logistic", specs=specs, intercepts=intercepts,
                    coefs=coefs, trainer=d.get("trainer", {}))
 
@@ -132,12 +152,12 @@ def _predict_stack(X: np.ndarray, cats: np.ndarray, models: list[MatcherModel],
     stacked product per category over C-ordered column slices, so each
     slice's BLAS call sums as a lone model's 2-D product, and one sigmoid."""
     z = np.empty((len(models), X.shape[0]))
-    for code, cat in enumerate(HAN_CATEGORIES):
+    for code in range(len(HAN_CATEGORIES)):
         mask = cats == code
         if mask.any():
             rows = X[mask]
-            coefs = np.array([m.coefs[cat] for m in models])[:, :, None]
-            intercepts = np.array([m.intercepts[cat] for m in models])[:, None]
+            coefs = np.array([m.coefs[code] for m in models])[:, :, None]
+            intercepts = np.array([m.intercepts[code] for m in models])[:, None]
             z[:, mask] = intercepts + np.matmul(
                 np.stack([np.ascontiguousarray(rows[:, c]) for c in cols]), coefs)[:, :, 0]
     return _sigmoid(z)
@@ -152,7 +172,7 @@ def _as_matrices(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Design-matrix terms: ("main", j) is feature j shared across categories;
 # ("inter", j, c) and ("catdum", c) add category-specific offsets relative
-# to the NeitherHan reference (c is the category code, 1 or 2).
+# to the reference, code 0 (c is another category's code).
 def _build_design(X: np.ndarray, cats: np.ndarray, terms: list[tuple]) -> np.ndarray:
     cols = [np.ones(X.shape[0])]
     for term in terms:
@@ -258,8 +278,9 @@ def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = PENALT
         raise ValueError("feature matrix width does not match specs")
     terms = [("main", j) for j in range(len(specs))]
     if interactions:
-        terms += [("catdum", c) for c in (1, 2)]
-        terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
+        others = range(1, len(HAN_CATEGORIES))
+        terms += [("catdum", c) for c in others]
+        terms += [("inter", j, c) for j in range(len(specs)) for c in others]
     fit, = _fit_design(_build_design(X, cats, terms)[None], y, penalty)
     return _fitted_model(fit, terms, specs, penalty)
 
@@ -271,16 +292,15 @@ def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...]
     beta, iterations, converged, _, error = fit
     if error is not None:
         raise TrainingError(error + label)
-    intercepts = {cat: float(beta[0]) for cat in HAN_CATEGORIES}
-    coefs = {cat: np.zeros(len(specs)) for cat in HAN_CATEGORIES}
+    intercepts = np.full(len(HAN_CATEGORIES), beta[0])
+    coefs = np.zeros((len(HAN_CATEGORIES), len(specs)))
     for value, term in zip(beta[1:], terms):
         if term[0] == "main":
-            for cat in HAN_CATEGORIES:
-                coefs[cat][term[1]] += value
+            coefs[:, term[1]] += value
         elif term[0] == "catdum":
-            intercepts[HAN_CATEGORIES[term[1]]] += value
+            intercepts[term[1]] += value
         elif term[0] == "inter":
-            coefs[HAN_CATEGORIES[term[2]]][term[1]] += value
+            coefs[term[2], term[1]] += value
     model = MatcherModel(kind="logistic", specs=specs, intercepts=intercepts, coefs=coefs,
                          trainer={"iterations": iterations, "penalty": penalty, "tol": TOL,
                                   "converged": converged, "terms": [list(t) for t in terms]})
@@ -424,28 +444,15 @@ def pava(values, weights) -> np.ndarray:
         raise ValueError("values and weights must have the same shape")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    # blocks of (weight sum, weighted mean, length)
-    block_w: list[float] = []
-    block_mean: list[float] = []
-    block_len: list[int] = []
+    blocks: list[tuple] = []  # (weight sum, weighted mean, length)
     for v, w in zip(values, weights):
-        block_w.append(w)
-        block_mean.append(v)
-        block_len.append(1)
-        while len(block_w) > 1 and block_mean[-2] > block_mean[-1]:
-            w2, m2, l2 = block_w.pop(), block_mean.pop(), block_len.pop()
-            w1, m1, l1 = block_w.pop(), block_mean.pop(), block_len.pop()
+        block = (w, v, 1)
+        while blocks and blocks[-1][1] > block[1]:
+            (w1, m1, l1), (w2, m2, l2) = blocks.pop(), block
             wt = w1 + w2
-            mean = m1 if wt == 0 else (w1 * m1 + w2 * m2) / wt
-            block_w.append(wt)
-            block_mean.append(mean)
-            block_len.append(l1 + l2)
-    out = np.empty_like(values)
-    pos = 0
-    for mean, length in zip(block_mean, block_len):
-        out[pos : pos + length] = mean
-        pos += length
-    return out
+            block = (wt, m1 if wt == 0 else (w1 * m1 + w2 * m2) / wt, l1 + l2)
+        blocks.append(block)
+    return np.repeat([m for _, m, _ in blocks], [n for _, _, n in blocks])
 
 
 @dataclass
@@ -483,19 +490,17 @@ class ScoreDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreDistribution":
-        """The distribution `to_dict` wrote. InputError unless the tails hold
-        one entry per grid point, the ratio and counts one per bin and the
+        """The distribution `to_dict` wrote. InputError unless each array is a
+        list of JSON numbers, the counts integers >= 0, the tails hold one
+        entry per grid point, the ratio and counts one per bin and the
         edges one more, the edges are the equal-width bins on [0, 1] that
         `ratio_at` assumes, the tails lie in [0, 1] and do not increase, and
         the ratio is finite, non-negative and non-decreasing."""
         grid_size = checked_number("grid_size", d["grid_size"], 2, integer=True)
         dist = cls(grid=np.linspace(0.0, 1.0, grid_size),
-                   tail_m=np.asarray(d["tail_m"], dtype=float),
-                   tail_u=np.asarray(d["tail_u"], dtype=float),
-                   bin_edges=np.asarray(d["bin_edges"], dtype=float),
-                   counts_m=np.asarray(d["counts_m"], dtype=np.int64),
-                   counts_u=np.asarray(d["counts_u"], dtype=np.int64),
-                   ratio=np.asarray(d["ratio"], dtype=float))
+                   **{key: _json_numbers(key, d[key], counts=key.startswith("counts"))
+                      for key in ("tail_m", "tail_u", "bin_edges", "counts_m", "counts_u",
+                                  "ratio")})
         bins = checked_number("the number of ratio bins", len(dist.ratio), 1, integer=True)
         for name, size in (("tail_m", grid_size), ("tail_u", grid_size), ("ratio", bins),
                            ("counts_m", bins), ("counts_u", bins), ("bin_edges", bins + 1)):

@@ -15,8 +15,6 @@ import numpy as np
 
 PROB_CLAMP = 1e-12
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass
 class GroupedRanking:
@@ -79,7 +77,7 @@ def auroc(r: GroupedRanking) -> float:
     """Trapezoidal area under the ROC curve, one point per tie-group
     boundary, clamped to [0, 1]."""
     P, N = r.class_totals()
-    return _area(_trapezoid(r.cum_pos / P, r.cum_neg / N))
+    return _area(np.trapezoid(r.cum_pos / P, r.cum_neg / N))
 
 
 def eauroc(r: GroupedRanking, q: float | None = None) -> float:
@@ -95,14 +93,14 @@ def eauroc(r: GroupedRanking, q: float | None = None) -> float:
     P, N = r.class_totals()
     fpr, tpr = r.cum_neg / N, r.cum_pos / P
     if q >= fpr[-1]:
-        return _area(_trapezoid(tpr, fpr) / q)
+        return _area(np.trapezoid(tpr, fpr) / q)
     cut = int(np.searchsorted(fpr, q, side="right"))
     # interpolate the segment crossing q
     f0, f1 = fpr[cut - 1], fpr[cut]
     t0, t1 = tpr[cut - 1], tpr[cut]
     t_q = t0 if f1 == f0 else t0 + (t1 - t0) * (q - f0) / (f1 - f0)
-    return _area(_trapezoid(np.concatenate([tpr[:cut], [t_q]]),
-                            np.concatenate([fpr[:cut], [q]])) / q)
+    return _area(np.trapezoid(np.concatenate([tpr[:cut], [t_q]]),
+                              np.concatenate([fpr[:cut], [q]])) / q)
 
 
 def ranking_report(r: GroupedRanking, q: float | None = None) -> dict:

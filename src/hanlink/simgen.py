@@ -22,7 +22,7 @@ import numpy as np
 
 from .compare import _from_distances, levenshtein_sims
 from .encoding import EncodingKind, EncodingTable, logograms
-from .linkage import CsvTable, InputError, check_keys, checked_number, write_csv
+from .linkage import RECORD_FIELDS, CsvTable, InputError, check_keys, checked_number, write_csv
 
 # Error-type shares observed among name disagreements (single/multi
 # replacement, insertion/deletion, transposition, extra/alternative name,
@@ -50,7 +50,7 @@ DEFAULT_NAME_ERROR_RATE = 0.0345
 
 DEFAULT_CARDINALITIES = {"sex": 2, "yob": 80, "mob": 12, "dob": 31, "loc": 200}
 
-SIM_FIELDS = ("sex", "yob", "mob", "dob", "loc")
+SIM_FIELDS = RECORD_FIELDS[1:]  # every record field but the name, in file order
 
 STOP = "\x00"
 

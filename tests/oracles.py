@@ -187,9 +187,8 @@ def sorted_roc_points(scores, pos, neg):
 def sorted_auroc(scores, pos, neg):
     """Trapezoidal AUROC over `sorted_roc_points`, clipped to [0, 1]."""
     import numpy as np
-    from hanlink.metrics import _trapezoid
     fpr, tpr = sorted_roc_points(scores, pos, neg)
-    return float(np.clip(_trapezoid(tpr, fpr), 0.0, 1.0))
+    return float(np.clip(np.trapezoid(tpr, fpr), 0.0, 1.0))
 
 
 def sorted_eauroc(scores, pos, neg, q):
@@ -197,17 +196,16 @@ def sorted_eauroc(scores, pos, neg, q):
     q interpolated, normalized by q and clipped to [0, 1]. A q outside
     (0, 1], such as an odds P/N that underflows to 0, is a ValueError."""
     import numpy as np
-    from hanlink.metrics import _trapezoid
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
     fpr, tpr = sorted_roc_points(scores, pos, neg)
     if q >= fpr[-1]:
-        return float(np.clip(_trapezoid(tpr, fpr) / q, 0.0, 1.0))
+        return float(np.clip(np.trapezoid(tpr, fpr) / q, 0.0, 1.0))
     cut = int(np.searchsorted(fpr, q, side="right"))
     f0, f1 = fpr[cut - 1], fpr[cut]
     t0, t1 = tpr[cut - 1], tpr[cut]
     t_q = t0 if f1 == f0 else t0 + (t1 - t0) * (q - f0) / (f1 - f0)
-    area = _trapezoid(np.concatenate([tpr[:cut], [t_q]]), np.concatenate([fpr[:cut], [q]]))
+    area = np.trapezoid(np.concatenate([tpr[:cut], [t_q]]), np.concatenate([fpr[:cut], [q]]))
     return float(np.clip(area / q, 0.0, 1.0))
 
 
@@ -237,10 +235,10 @@ def dev_scores(model, dev_X, dev_cats, cols):
     X = np.asarray(dev_X, dtype=float)[:, cols]
     cats = np.asarray(dev_cats)
     scores = np.empty(len(X))
-    for code, cat in enumerate(HAN_CATEGORIES):
+    for code in range(len(HAN_CATEGORIES)):
         mask = cats == code
         rows = np.ascontiguousarray(X[mask])
-        scores[mask] = masked_sigmoid(model.intercepts[cat] + rows @ model.coefs[cat])
+        scores[mask] = masked_sigmoid(model.intercepts[code] + rows @ model.coefs[code])
     return scores
 
 

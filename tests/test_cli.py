@@ -10,6 +10,7 @@ import pytest
 from hanlink import assets, cli, encoding
 from hanlink import experiment as exp
 from hanlink.cli import main
+from hanlink.compare import HAN_CATEGORIES, PairFeaturizer
 
 
 def sha256_dir(path: Path) -> dict:
@@ -35,6 +36,32 @@ def test_features_shape(tmp_path):
     assert len(rows) == 3
     assert len(rows[0]) == 146 + 2
     assert rows[0][-2:] == ["han_category", "label"]
+
+
+def test_features_han_category_is_one_code(tmp_path, bundle):
+    """A both-Han, a neither and a disagreeing pair each get the code whose
+    HAN_CATEGORIES name matches `han_of_logograms` of its two names, in the
+    featurizer's codes and its HAN_CAT column, and the name `hanlink
+    features` writes reads back as that code."""
+    pairs = [("张可成", "伍考"), ("考", "可成伍考娅"), ("张可成", "考")]
+
+    def han(name):
+        return encoding.han_of_logograms(encoding.logograms(name), bundle.surnames)
+
+    names = [{(True, True): "BothHan", (False, False): "NeitherHan"}.get(
+        (han(a), han(b)), "Disagreeing") for a, b in pairs]
+    assert names == ["BothHan", "NeitherHan", "Disagreeing"]
+    codes = [HAN_CATEGORIES.index(name) for name in names]
+    featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+    X, cats = featurizer.feature_matrix(pairs)
+    assert cats.tolist() == codes
+    assert X[:, [s.name for s in featurizer.specs].index("HAN_CAT_k1_1:N")].tolist() == codes
+    write_pairs_csv(tmp_path / "pairs.csv", [(a, b, 0) for a, b in pairs])
+    out = tmp_path / "features.csv"
+    assert main(["features", "--in", str(tmp_path / "pairs.csv"), "--out", str(out)]) == 0
+    with out.open(encoding="utf-8", newline="") as handle:
+        assert [row["han_category"] for row in csv.DictReader(handle)] == names
+    assert cli._read_feature_csv(str(out))[1].tolist() == codes
 
 
 def test_features_missing_header(tmp_path, capsys):

@@ -177,7 +177,7 @@ def test_feature_vector_reflexive(featurizer):
     for spec, value in zip(featurizer.specs, values):
         if spec.comparator in ("LV", "LCS", "COS") and spec.range_tag in ("1:N", "1:1", "1:2"):
             assert value == 1.0, spec.name
-    assert cat.value == "BothHan"
+    assert cat == "BothHan"
 
 
 def test_feature_vector_symmetric(featurizer):

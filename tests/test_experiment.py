@@ -14,7 +14,7 @@ from oracles import (cross_product_codes, cross_product_table, external_scores_l
 
 from hanlink import experiment as exp
 from hanlink import linkage
-from hanlink.compare import HAN_CATEGORIES, FeatureSpec, NamePairs, PairFeaturizer, intern_strings
+from hanlink.compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from hanlink.fuse import CandidatePairs, apply_threshold
 from hanlink.linkage import NA, InputError
 from hanlink.matcher import MatcherModel, fit_score_distributions
@@ -414,8 +414,7 @@ def test_scores_are_permutation_invariant(bundle, pairs, data):
                   ("FC_COS_k3_1:N", "PY_COS_k3_1:2", "RD_LV_k1_1:N", "J_LV_k1_1:1"))
     rng = np.random.default_rng(len(pairs))
     model = MatcherModel(kind="logistic", specs=specs,
-                         intercepts=dict(zip(HAN_CATEGORIES, rng.normal(size=3).tolist())),
-                         coefs={c: rng.normal(size=len(specs)) for c in HAN_CATEGORIES})
+                         intercepts=rng.normal(size=3), coefs=rng.normal(size=(3, len(specs))))
     scores = exp.NamePairScorer(model, bundle).scores(pairs)
     permuted = exp.NamePairScorer(model, bundle).scores([pairs[k] for k in perm])
     assert scores[perm].tobytes() == permuted.tobytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hanlink import matcher
-from hanlink.compare import HAN_CATEGORIES, FeatureSpec, HanCategory
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec
 from hanlink.linkage import InputError
 from hanlink.matcher import (
     ConvergenceError,
@@ -45,7 +45,7 @@ def test_separable_single_feature():
     scores = model.predict_matrix(X, np.zeros(400, dtype=np.int8))
     assert scores[y == 1].min() >= 0.99
     assert scores[y == 0].max() <= 0.01
-    assert model.coefs[HanCategory.NEITHER][0] > 5
+    assert model.coefs[0, 0] > 5  # NeitherHan, code 0
 
 
 def test_all_zero_features_gives_prevalence():
@@ -79,17 +79,14 @@ def test_order_invariance():
     m1 = train_logistic(_data(X, y), (SPEC_A, SPEC_B))
     perm = rng.permutation(300)
     m2 = train_logistic(_data(X[perm], y[perm]), (SPEC_A, SPEC_B))
-    assert m1.coefs[HanCategory.NEITHER] == pytest.approx(
-        m2.coefs[HanCategory.NEITHER], abs=1e-5)
+    assert m1.coefs[0] == pytest.approx(m2.coefs[0], abs=1e-5)
 
 
 def test_predict_table_shaped_intercepts():
     model = MatcherModel(
         kind="logistic", specs=(SPEC_A,),
-        intercepts={HanCategory.BOTH: -21.14, HanCategory.NEITHER: -14.65,
-                    HanCategory.DISAGREE: -14.65},
-        coefs={cat: np.zeros(1) for cat in
-               (HanCategory.BOTH, HanCategory.NEITHER, HanCategory.DISAGREE)})
+        intercepts=np.array([-14.65, -21.14, -14.65]),  # NeitherHan, BothHan, Disagreeing
+        coefs=np.zeros((3, 1)))
     both, neither = model.predict_matrix(np.zeros((2, 1)), np.array([1, 0], dtype=np.int8))
     assert both == pytest.approx(6.6e-10, rel=0.01)
     assert neither == pytest.approx(4.3e-7, rel=0.01)
@@ -97,9 +94,7 @@ def test_predict_table_shaped_intercepts():
 
 def test_predict_intercept_zero_gives_half():
     model = MatcherModel(
-        kind="logistic", specs=(SPEC_A,),
-        intercepts={cat: 0.0 for cat in HanCategory},
-        coefs={cat: np.zeros(1) for cat in HanCategory})
+        kind="logistic", specs=(SPEC_A,), intercepts=np.zeros(3), coefs=np.zeros((3, 1)))
     assert model.predict_matrix(np.zeros((1, 1)), np.zeros(1, dtype=np.int8))[0] == 0.5
 
 
@@ -108,9 +103,7 @@ def test_predict_spec_mismatch():
     single-feature kind too."""
     single = MatcherModel.single_feature(SPEC_A)
     logistic = MatcherModel(
-        kind="logistic", specs=(SPEC_A, SPEC_B),
-        intercepts={cat: 0.0 for cat in HanCategory},
-        coefs={cat: np.zeros(2) for cat in HanCategory})
+        kind="logistic", specs=(SPEC_A, SPEC_B), intercepts=np.zeros(3), coefs=np.zeros((3, 2)))
     for model, width in ((single, 3), (single, 0), (logistic, 1), (logistic, 3)):
         with pytest.raises(ValueError, match="one column per model feature"):
             model.predict_matrix(np.zeros((1, width)), np.zeros(1, dtype=np.int8))
@@ -144,7 +137,7 @@ def test_predict_monotone_in_feature():
     X = np.column_stack([rng.normal(size=500) + 2 * y,
                          rng.normal(size=500) - y])
     model = train_logistic(_data(X, y), (SPEC_A, SPEC_B))
-    coefs = model.coefs[HanCategory.NEITHER]
+    coefs = model.coefs[0]
     base = model.predict_matrix(np.array([[0.0, 0.0]]), np.zeros(1, dtype=np.int8))[0]
     up0 = model.predict_matrix(np.array([[1.0, 0.0]]), np.zeros(1, dtype=np.int8))[0]
     up1 = model.predict_matrix(np.array([[0.0, 1.0]]), np.zeros(1, dtype=np.int8))[0]
@@ -260,9 +253,8 @@ def _same_fit(fit, reference):
 
 def _same_model(model, reference):
     assert model.specs == reference.specs and model.trainer == reference.trainer
-    for cat in HanCategory:
-        assert model.coefs[cat].tobytes() == reference.coefs[cat].tobytes()
-        assert model.intercepts[cat] == reference.intercepts[cat]
+    for got, want in ((model.coefs, reference.coefs), (model.intercepts, reference.intercepts)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -604,12 +596,24 @@ def _set(key, index, value):
     (_set("ratio", -1, 0.0), "score distribution ratio is not monotone"),
     (lambda d: d.pop("ratio"), "missing key 'ratio'"),
     (lambda d: d.update(grid_size="10000"), "grid_size must be an integer >= 2"),
+    (_set("counts_m", 0, 2.5), "counts_m holds 2.5, which is not an integer >= 0"),
+    (_set("counts_u", 1, -3), "counts_u holds -3, which is not an integer >= 0"),
+    (_set("counts_m", 2, "2"), "counts_m holds '2', which is not an integer >= 0"),
+    (_set("counts_u", 0, True), "counts_u holds True, which is not an integer >= 0"),
+    (_set("counts_m", 0, 2 ** 63), "Python int too large"),
+    (_set("tail_m", 0, "1.0"), "tail_m holds '1.0', which is not a number"),
+    (_set("tail_u", 5, None), "tail_u holds None, which is not a number"),
+    (_set("ratio", 0, False), "ratio holds False, which is not a number"),
+    (_set("bin_edges", 0, "0.0"), "bin_edges holds '0.0', which is not a number"),
+    (lambda d: d.update(tail_u="1.0"), "tail_u must be a list, not str"),
 ])
 def test_distribution_file_checked_on_load(tmp_path, change, message):
     """A distribution file whose arrays disagree in length, whose edges are
     not the equal-width bins `ratio_at` assumes, whose tails leave [0, 1] or
     increase, or whose ratio is not finite, non-negative and monotone is an
-    input error naming the file, not a grid indexed out of step."""
+    input error naming the file, not a grid indexed out of step; so is one
+    whose arrays are not lists of JSON numbers, the counts integers >= 0,
+    which loading would otherwise truncate or convert."""
     rng = np.random.default_rng(13)
     dist = fit_score_distributions(np.concatenate([rng.beta(6, 2, 300), rng.beta(2, 6, 700)]),
                                    np.array([1] * 300 + [0] * 700))
@@ -626,8 +630,7 @@ def test_model_and_distribution_files_round_trip_byte_for_byte(tmp_path):
     sorted keys, indent 1 and a final newline."""
     rng = np.random.default_rng(5)
     model = MatcherModel(kind="logistic", specs=(SPEC_A, SPEC_B),
-                         intercepts={c: float(rng.normal()) for c in HAN_CATEGORIES},
-                         coefs={c: rng.normal(size=2) for c in HAN_CATEGORIES},
+                         intercepts=rng.normal(size=3), coefs=rng.normal(size=(3, 2)),
                          trainer={"penalty": 1e-6, "converged": True})
     dist = fit_score_distributions(rng.random(300), np.arange(300) % 2)
     for obj, cls in ((model, MatcherModel), (dist, ScoreDistribution)):
@@ -636,6 +639,15 @@ def test_model_and_distribution_files_round_trip_byte_for_byte(tmp_path):
         cls.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text(encoding="utf-8").endswith("\n}\n")
+
+
+def _model_text(intercept=0.5, slopes=(1.5,)):
+    """A one-feature logistic model file whose NeitherHan block holds
+    `intercept` and `slopes`, the other categories valid."""
+    blocks = {name: {"intercept": 0.5, "slopes": [1.5]} for name in HAN_CATEGORIES}
+    blocks["NeitherHan"] = {"intercept": intercept, "slopes": slopes}
+    return json.dumps({"kind": "logistic", "specs": [SPEC_A.to_dict()],
+                       "coefficients": blocks})
 
 
 @pytest.mark.parametrize("text,message", [
@@ -650,16 +662,22 @@ def test_model_and_distribution_files_round_trip_byte_for_byte(tmp_path):
     ('{"kind": "logistic", "specs": [], "coefficients": {"NeitherHan": '
      '{"intercept": Infinity, "slopes": []}}}',
      "NeitherHan holds a coefficient that is not finite"),
+    (_model_text(slopes=["1.5"]), "NeitherHan slopes holds '1.5', which is not a number"),
+    (_model_text(slopes=[False]), "NeitherHan slopes holds False, which is not a number"),
+    (_model_text(intercept="2"), "NeitherHan intercept holds '2', which is not a number"),
+    (_model_text(intercept=True), "NeitherHan intercept holds True, which is not a number"),
+    (_model_text(intercept=None), "NeitherHan intercept holds None, which is not a number"),
+    (_model_text(slopes={"0": 1.5}), "NeitherHan slopes must be a list, not dict"),
 ])
 def test_model_file_checked_on_load(tmp_path, text, message):
     """A model file that is not JSON, lacks a key, holds a slope count
-    other than one per feature or a coefficient that is not finite is an
-    input error naming the file."""
+    other than one per feature, a coefficient that is not a JSON number (a
+    string, bool or null) or one that is not finite is an input error
+    naming the file."""
     path = tmp_path / "model.json"
     if text is None:
         model = MatcherModel(kind="logistic", specs=(SPEC_A, SPEC_B),
-                             intercepts=dict.fromkeys(HAN_CATEGORIES, 0.0),
-                             coefs={c: np.ones(2) for c in HAN_CATEGORIES})
+                             intercepts=np.zeros(3), coefs=np.ones((3, 2)))
         d = model.to_dict()
         d["coefficients"]["BothHan"]["slopes"].pop()
         text = json.dumps(d)
