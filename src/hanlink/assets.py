@@ -10,6 +10,7 @@ import hashlib
 from functools import cached_property
 from pathlib import Path
 
+from .compare import PairFeaturizer, default_feature_bank, reads_frequencies, tables_read
 from .encoding import (
     EncodingKind,
     EncodingTable,
@@ -33,16 +34,34 @@ def default_asset_dir() -> Path:
 
 
 class AssetBundle:
-    """The lookup tables of one asset directory, each read from its file on
-    first use, so a run that needs none (exact agreement only) reads none."""
+    """The lookup tables of one asset directory, each parsed from its file on
+    first use and then kept: an encoding table when a caller reads that
+    encoding (`table`, or `tables` for all five), the frequency table when
+    one reads LF. `featurizer` parses only the tables its features read, so
+    an exact-only run parses no asset, a fused run only what its matcher
+    reads, and a study, whose featurizer has the full bank, all of them."""
 
     def __init__(self, directory: Path):
         self.directory = directory
+        self._tables: dict[EncodingKind, EncodingTable] = {}
 
-    @cached_property
+    def table(self, kind: EncodingKind) -> EncodingTable:
+        if kind not in self._tables:
+            self._tables[kind] = load_encoding_table(self.directory / _TABLE_FILES[kind], kind)
+        return self._tables[kind]
+
+    @property
     def tables(self) -> dict[EncodingKind, EncodingTable]:
-        return {kind: load_encoding_table(self.directory / fname, kind)
-                for kind, fname in _TABLE_FILES.items()}
+        return {kind: self.table(kind) for kind in _TABLE_FILES}
+
+    def featurizer(self, specs=None) -> PairFeaturizer:
+        """A featurizer of `specs` (default: the full bank) given only the
+        tables they read (`compare.tables_read`), and the frequency table
+        only if one reads LF."""
+        specs = default_feature_bank() if specs is None else tuple(specs)
+        return PairFeaturizer({kind: self.table(kind) for kind in tables_read(specs)},
+                              self.freq if reads_frequencies(specs) else None,
+                              self.surnames, specs)
 
     @cached_property
     def surnames(self) -> frozenset[str]:

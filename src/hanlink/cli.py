@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .assets import load_bundle
-from .compare import HAN_CATEGORIES, FeatureSpec, PairFeaturizer
+from .compare import HAN_CATEGORIES, FeatureSpec
 from .matcher import (
     BINS,
     DEV_FRACTION,
@@ -81,7 +81,7 @@ def cmd_features(args) -> int:
     table = CsvTable(args.input)
     pairs = list(zip(table.column("name_a"), table.column("name_b")))
     labels = table.column("label", _label) if "label" in table.header else None
-    featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+    featurizer = bundle.featurizer()
     X, cats = featurizer.feature_matrix(pairs)
     header = [s.name for s in featurizer.specs] + ["han_category"]
     rows = ([f"{v:.12g}" for v in values] + [HAN_CATEGORIES[cat]]

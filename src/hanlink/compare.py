@@ -34,7 +34,12 @@ _WORD = 64
 _ONE = np.uint64(1)
 _HIGH = np.uint64(_WORD - 1)
 _EQ_BUDGET = 1 << 22   # pattern-match cells (pairs x text length x pattern width) of a chunk
-_TOKEN_BUDGET = 1 << 16  # tokens looked up per cosine chunk
+_TOKEN_BUDGET = 1 << 13  # tokens looked up per cosine chunk, about 1 MB of temporaries
+
+
+def index_type(bound: int) -> type:
+    """np.int32 if every integer in [0, bound) fits it, else np.int64."""
+    return np.int32 if bound <= 2**31 else np.int64
 
 
 def intern_strings(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
@@ -135,7 +140,7 @@ def edit_distances(strings: Sequence[str], u, v) -> np.ndarray:
     live = live[np.argsort(n[live], kind="stable")]
     start = 0
     while start < len(live):
-        ahead = live[start:start + _EQ_BUDGET // _WORD]
+        ahead = live[start:start + max(1, _EQ_BUDGET // _WORD)]
         width = -(-int(m[ahead].max()) // _WORD) * _WORD
         size = max(1, _EQ_BUDGET // (int(n[ahead[-1]]) * width))
         rows = live[start:start + size]
@@ -212,29 +217,32 @@ def _token_rows(strings: Sequence[str], ks: Sequence[int]):
 def _cosines(strings: Sequence[str], u, v, ks: Sequence[int]) -> np.ndarray:
     """Cosine similarities of the pairs (strings[u[i]], strings[v[i]]) at
     every token length in `ks`, one row per length, from one token
-    numbering; `cosine_sims` without its rule for u[i] == v[i]."""
+    numbering; `cosine_sims` without its rule for u[i] == v[i]. Each row
+    runs in chunks of pairs whose first strings hold about _TOKEN_BUDGET
+    tokens, so no temporary spans every pair."""
     keys, counts, offsets, norms, n_tokens = _token_rows(strings, ks)
-    shift = np.arange(len(ks))[:, None] * len(strings)
-    u = (np.asarray(u, dtype=np.int64) + shift).ravel()
-    v = (np.asarray(v, dtype=np.int64) + shift).ravel()
     nnz = np.diff(offsets)
-    dot = np.zeros(len(u))
-    ends = np.cumsum(nnz[u])
-    start = 0
-    while start < len(u):
-        base = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _TOKEN_BUDGET, side="right")))
-        cu, cv = u[start:stop], v[start:stop]
-        per = nnz[cu]
-        pair = np.repeat(np.arange(len(cu)), per)
-        at_u = np.arange(int(per.sum())) + np.repeat(offsets[cu] - (np.cumsum(per) - per), per)
-        want = cv[pair] * n_tokens + keys[at_u] % n_tokens
-        at_v = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        both = np.where(keys[at_v] == want, counts[at_u] * counts[at_v], 0)
-        dot[start:stop] = np.bincount(pair, weights=both, minlength=len(cu))
-        start = stop
-    denom = norms[u] * norms[v]
-    return np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0).reshape(len(ks), -1)
+    out = np.empty((len(ks), len(u)))
+    for row in range(len(ks)):
+        shift = row * len(strings)
+        ends = np.cumsum(nnz[shift:shift + len(strings)][u])
+        start = 0
+        while start < len(u):
+            base = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + _TOKEN_BUDGET, side="right")))
+            cu = np.asarray(u[start:stop], dtype=np.int64) + shift
+            cv = np.asarray(v[start:stop], dtype=np.int64) + shift
+            per = nnz[cu]
+            pair = np.repeat(np.arange(len(cu)), per)
+            at_u = np.arange(int(per.sum())) + np.repeat(offsets[cu] - (np.cumsum(per) - per), per)
+            want = cv[pair] * n_tokens + keys[at_u] % n_tokens
+            at_v = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            both = np.where(keys[at_v] == want, counts[at_u] * counts[at_v], 0)
+            dot = np.bincount(pair, weights=both, minlength=len(cu))
+            denom = norms[cu] * norms[cv]
+            out[row, start:stop] = np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0)
+            start = stop
+    return out
 
 
 def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
@@ -340,14 +348,19 @@ def default_feature_bank() -> tuple[FeatureSpec, ...]:
 
 class NamePairs(Sequence):
     """The name pairs (names[ia[k]], names[ib[k]]) held as integer ids into
-    one list of names; indexing and iteration yield plain string tuples."""
+    one list of names, int32 below 2^31 names; indexing and iteration yield
+    plain string tuples. An id outside [0, len(names)) is a ValueError."""
 
     def __init__(self, names: Sequence[str], ia, ib):
         self.names = names
-        self.ia = np.asarray(ia, dtype=np.int64)
-        self.ib = np.asarray(ib, dtype=np.int64)
+        self.ia, self.ib = np.asarray(ia), np.asarray(ib)
         if self.ia.shape != self.ib.shape or self.ia.ndim != 1:
             raise ValueError("name id arrays must be one-dimensional and of equal length")
+        if len(self.ia) and (min(self.ia.min(), self.ib.min()) < 0
+                             or max(self.ia.max(), self.ib.max()) >= len(names)):
+            raise ValueError(f"name ids must lie in [0, {len(names)})")
+        id_type = index_type(len(names))
+        self.ia, self.ib = self.ia.astype(id_type, copy=False), self.ib.astype(id_type, copy=False)
 
     @classmethod
     def of(cls, pairs) -> "NamePairs":
@@ -369,20 +382,44 @@ class NamePairs(Sequence):
                    map(self.names.__getitem__, self.ib.tolist()))
 
 
+def tables_read(specs) -> tuple[EncodingKind, ...]:
+    """The encoding tables the features `specs` read, in STRING_ENCODINGS
+    order; J reads none."""
+    read = {spec.encoding for spec in specs}
+    return tuple(kind for kind in STRING_ENCODINGS[1:] if kind.value in read)
+
+
+def reads_frequencies(specs) -> bool:
+    """Whether a feature of `specs` reads the frequency table (LF)."""
+    return any(spec.encoding == "LF" for spec in specs)
+
+
 class PairFeaturizer:
     """Computes feature matrices for name pairs against a fixed spec list.
 
+    What it reads: the encoding tables of the encodings its specs name
+    (`tables_read`), the frequency table only when a spec reads LF, and the
+    surnames, since every batch gives each pair's Han category. It keeps
+    only those of the tables and frequencies it is given, and one that a
+    spec reads but that is not given is a ValueError, so `freq` may be None
+    for specs without LF. `AssetBundle.featurizer` parses only the files
+    the specs read, and `featurizer(specs)` gives a featurizer of other
+    specs over this one's tables that shares its encoded substrings.
+
     Pairs are scored by name id (`NamePairs`): per-name work (the split
     into logograms, Han indicator, ambiguity tally) runs once per call over
-    the distinct names a batch references, and per-substring work (log
-    frequencies, encodings) once per distinct substring of a range. An
-    encoded substring is built once per (encoding, distinct substring)
-    from per-logogram codes looked up once per (encoding, logogram), both
-    kept across calls. Each (encoding, range) key compares only its
-    distinct pairs of unequal encoded substrings, so a duplicate pair costs
-    only a gather, and each comparator runs once per batch: one
-    `edit_distances` call over every LV/LCS key's pairs, string ids offset
-    per key, and one cosine pass per key covering all its token lengths.
+    the distinct names a batch references, found by a flag per name id,
+    and per-substring work (log frequencies, encodings) once per distinct
+    substring of a range. An encoded substring is built once per (encoding,
+    distinct substring) from per-logogram codes looked up once per
+    (encoding, logogram), both kept across calls. Each range finds its
+    distinct pairs of unequal substrings once per batch; each (encoding,
+    range) key collapses those into its distinct pairs of unequal encoded
+    substrings, so a duplicate pair costs only a gather, and each
+    comparator runs once per batch: one `edit_distances` call over every
+    LV/LCS key's pairs, string ids offset per key, and one cosine pass per
+    key covering all its token lengths. Ids and pair codes are int32 where
+    they fit.
 
     `fallbacks` counts the distinct (encoding, logogram) lookups that found
     no code in a table and fell back to the logogram itself; the identity
@@ -390,16 +427,30 @@ class PairFeaturizer:
     """
 
     def __init__(self, tables: dict[EncodingKind, EncodingTable],
-                 freq: FrequencyTable, surnames: frozenset[str],
+                 freq: FrequencyTable | None, surnames: frozenset[str],
                  specs: tuple[FeatureSpec, ...] | None = None):
-        self.tables = dict(tables)
-        self.tables[EncodingKind.J] = IDENTITY_TABLE
-        self.freq = freq
-        self.surnames = surnames
         self.specs = tuple(specs) if specs is not None else default_feature_bank()
+        kinds, lf = tables_read(self.specs), reads_frequencies(self.specs)
+        if missing := [kind for kind in kinds if kind not in tables]:
+            raise ValueError(f"the features read the {missing[0]} table, which is not given")
+        if lf and freq is None:
+            raise ValueError("the features read LF, but no frequency table is given")
+        self.tables = {kind: tables[kind] for kind in kinds}
+        self.tables[EncodingKind.J] = IDENTITY_TABLE
+        self.freq = freq if lf else None
+        self.surnames = surnames
         self.fallbacks = 0
         self._codes: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
         self._encoded: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
+
+    def featurizer(self, specs) -> "PairFeaturizer":
+        """A featurizer of `specs` over this one's tables, frequencies and
+        surnames that shares its per-logogram codes and encoded substrings:
+        what either has encoded, the other does not encode again."""
+        other = PairFeaturizer(self.tables, self.freq, self.surnames, specs)
+        other._codes = {kind: self._codes[kind] for kind in other.tables}
+        other._encoded = {kind: self._encoded[kind] for kind in other.tables}
+        return other
 
     def _encode(self, kind: EncodingKind, sub: str) -> str:
         """transform(sub, table).joined, or "" for an empty substring."""
@@ -418,12 +469,11 @@ class PairFeaturizer:
         """Feature matrix plus Han-category codes, one row per pair of a
         `NamePairs` or a sequence of (name_a, name_b) tuples."""
         pairs = NamePairs.of(pairs)
-        used, inverse = np.unique(np.concatenate([pairs.ia, pairs.ib]), return_inverse=True)
+        used, ia, ib = _compact_ids(len(pairs.names), pairs.ia, pairs.ib)
         names = [pairs.names[i] for i in used.tolist()]  # only the names pairs reference
-        ia, ib = inverse[:len(pairs)], inverse[len(pairs):]
         cats, ranges = self._split(names, ia, ib)
         X = np.empty((len(pairs), len(self.specs)))
-        keys: dict[tuple[str, str], list[int]] = {}  # (encoding, tag) -> LV/LCS/COS columns
+        keys: dict[str, dict[str, list[int]]] = {}  # range tag -> encoding -> LV/LCS/COS columns
         for c, spec in enumerate(self.specs):
             if spec.comparator == "CAT":
                 X[:, c] = cats
@@ -435,27 +485,12 @@ class PairFeaturizer:
                 lf = np.array([self.freq.value(spec.range_tag, sub) for sub in subs])[ids]
                 X[:, c] = np.where(both, lf[ia] + lf[ib], 0.0)
             else:
-                keys.setdefault((spec.encoding, spec.range_tag), []).append(c)
-        pool: list[str] = []  # the encoded strings of every key with LV/LCS columns
-        edits = []  # per such key: those columns and its pairs, ids into the pool
-        for (enc, tag), cols in keys.items():
-            subs, ids, both = ranges[tag]
-            kind = EncodingKind(enc)
-            strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
-            key_pairs = _distinct_pairs(len(strings), enc_ids[ids], ia, ib, both)
-            cos = [c for c in cols if self.specs[c].comparator == "COS"]
-            ks = sorted({self.specs[c].k for c in cos})
-            if ks:
-                sims = dict(zip(ks, _cosines(strings, key_pairs.u, key_pairs.v, ks)))
-                for c in cos:
-                    key_pairs.fill(X, c, sims[self.specs[c].k])
-            if len(cos) < len(cols):
-                edits.append(([c for c in cols if c not in cos],
-                              key_pairs._replace(u=key_pairs.u + len(pool),
-                                                 v=key_pairs.v + len(pool))))
-                pool += strings
+                keys.setdefault(spec.range_tag, {}).setdefault(spec.encoding, []).append(c)
+        edits = []  # per key with LV/LCS columns: those columns, its comparisons, its strings
+        for tag, encodings in keys.items():
+            edits += self._range_columns(X, *ranges[tag], ia, ib, encodings)
         if edits:
-            self._edit_columns(X, pool, edits)
+            self._edit_columns(X, edits)
         return X, cats
 
     def _split(self, names: list[str], ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -474,48 +509,107 @@ class PairFeaturizer:
                                  if s.comparator != "CAT" and s.encoding != "AMB"):
             subs, (ids,) = intern_strings([range_substring(ch, tag) for ch in chars])
             present = np.array([bool(sub) for sub in subs], dtype=bool)[ids]
-            ranges[tag] = subs, ids, present[ia] & present[ib]
+            ranges[tag] = subs, ids.astype(index_type(len(subs))), present[ia] & present[ib]
         return cats, ranges
 
-    def _edit_columns(self, X: np.ndarray, pool: list[str], edits: list[tuple]) -> None:
+    def _range_columns(self, X: np.ndarray, subs: list[str], ids: np.ndarray,
+                       both: np.ndarray, ia: np.ndarray, ib: np.ndarray,
+                       encodings: dict[str, list[int]]) -> list[tuple]:
+        """Fill the cosine columns of one range's keys (`encodings`: each
+        encoding's LV/LCS/COS columns) from the range's distinct pairs of
+        unequal substrings, and return the `_key_columns` of the keys with
+        LV/LCS columns."""
+        sub_pairs = _distinct_pairs(len(subs), ids[ia], ids[ib], both)
+        return [edit for enc, cols in encodings.items()
+                if (edit := self._key_columns(X, EncodingKind(enc), cols, subs, both, sub_pairs))]
+
+    def _key_columns(self, X: np.ndarray, kind: EncodingKind, cols: list[int],
+                     subs: list[str], both: np.ndarray, sub_pairs: "_Pairs") -> tuple | None:
+        """Fill the cosine columns of one (encoding, range) key, and return
+        its LV/LCS columns with its comparisons and encoded strings, or None
+        if it has none; what the cosines alone needed is dropped here."""
+        strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
+        enc_ids = enc_ids.astype(index_type(len(strings)))
+        key = _Comparisons(both, sub_pairs, _distinct_pairs(
+            len(strings), enc_ids[sub_pairs.u], enc_ids[sub_pairs.v], True))
+        cos = [c for c in cols if self.specs[c].comparator == "COS"]
+        if cos:
+            ks = sorted({self.specs[c].k for c in cos})
+            sims = dict(zip(ks, _cosines(strings, key.pairs.u, key.pairs.v, ks)))
+            for c in cos:
+                key.fill(X, c, sims[self.specs[c].k])
+        edit_cols = [c for c in cols if c not in cos]
+        return (edit_cols, key, strings) if edit_cols else None
+
+    def _edit_columns(self, X: np.ndarray, edits: list[tuple]) -> None:
         """Fill the LV/LCS columns of every key in `edits` from one
-        `edit_distances` call over all their pairs."""
-        d = edit_distances(pool, np.concatenate([pairs.u for _, pairs in edits]),
-                           np.concatenate([pairs.v for _, pairs in edits]))
+        `edit_distances` call over all their pairs, each key's string ids
+        offset by its strings' start in one pool."""
+        pool: list[str] = []
+        us, vs = [], []
+        for _, key, strings in edits:
+            us.append(key.pairs.u + len(pool))
+            vs.append(key.pairs.v + len(pool))
+            pool += strings
+        d = edit_distances(pool, np.concatenate(us), np.concatenate(vs))
         lens, start = _lengths(pool), 0
-        for cols, pairs in edits:
-            distances, start = d[start:start + len(pairs.u)], start + len(pairs.u)
+        for (cols, key, _), u, v in zip(edits, us, vs):
+            distances, start = d[start:start + len(u)], start + len(u)
             for c in cols:
-                pairs.fill(X, c, _from_distances(self.specs[c].comparator, distances,
-                                                 lens[pairs.u], lens[pairs.v]))
+                key.fill(X, c, _from_distances(self.specs[c].comparator, distances,
+                                               lens[u], lens[v]))
 
 
-class _KeyPairs(NamedTuple):
-    """One (encoding, range) key's comparisons in a batch: the distinct
-    unordered pairs (u, v) of unequal encoded substrings, as string ids;
-    `both` marks the batch pairs whose two substrings exist, `todo` those
-    whose substrings also differ, and `inverse` maps each todo pair to its
-    index in (u, v)."""
+def _compact_ids(n_ids: int, ia: np.ndarray, ib: np.ndarray):
+    """The distinct ids (< n_ids) of ia and ib, ascending, and ia and ib as
+    ranks into them: `np.unique(np.concatenate([ia, ib]), return_inverse=True)`
+    without its sort, from one flag per id. Ranks are int32 below 2^31 ids."""
+    seen = np.zeros(n_ids, dtype=bool)
+    seen[ia] = True
+    seen[ib] = True
+    rank = np.cumsum(seen, dtype=index_type(n_ids))
+    rank -= 1
+    return np.flatnonzero(seen), rank[ia], rank[ib]
+
+
+class _Pairs(NamedTuple):
+    """The distinct unordered pairs (u, v) of unequal ids among the pairs
+    (a, b) of a batch: `todo` marks the pairs compared, and `inverse` maps
+    each of them to its index in (u, v)."""
     u: np.ndarray
     v: np.ndarray
-    both: np.ndarray
     todo: np.ndarray
     inverse: np.ndarray
 
+
+def _distinct_pairs(n_ids: int, a: np.ndarray, b: np.ndarray, mask) -> _Pairs:
+    """The `_Pairs` of the pairs (a[k], b[k]) of ids below n_ids that `mask`
+    keeps, (u, v) ascending by (low id, high id). Ids are int32 below 2^31,
+    and so is each pair's code, low id * n_ids + high id, when n_ids^2 <=
+    2^31; else the code is formed in int64."""
+    todo = (a != b) & mask
+    a, b = a[todo], b[todo]
+    codes = np.minimum(a, b).astype(index_type(n_ids * n_ids))
+    codes *= n_ids
+    codes += np.maximum(a, b)
+    keys, inverse = np.unique(codes, return_inverse=True)
+    u, v = (x.astype(index_type(n_ids)) for x in np.divmod(keys, n_ids))
+    return _Pairs(u, v, todo, inverse.astype(index_type(len(keys))))
+
+
+class _Comparisons(NamedTuple):
+    """One (encoding, range) key's comparisons in a batch: `both` marks the
+    batch pairs whose two substrings exist, `subs` holds the range's
+    distinct pairs of unequal substrings, and `pairs` those pairs' distinct
+    pairs of unequal encoded substrings, as string ids."""
+    both: np.ndarray
+    subs: _Pairs
+    pairs: _Pairs
+
     def fill(self, X: np.ndarray, c: int, values: np.ndarray) -> None:
-        """Column c of X from one value per distinct pair; equal encoded
-        substrings score 1 and a missing one 0."""
+        """Column c of X from one value per distinct encoded pair; equal
+        encoded substrings score 1 and a missing one 0."""
+        per_sub = np.ones(len(self.pairs.todo))
+        per_sub[self.pairs.todo] = values[self.pairs.inverse]
         X[:, c] = self.both
-        X[self.todo, c] = values[self.inverse]
-
-
-def _distinct_pairs(n_strings: int, ids: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-                    both: np.ndarray) -> _KeyPairs:
-    """The comparisons of the pairs (ia, ib) of names, ids[n] the id
-    (< n_strings) of name n's encoded substring."""
-    ea, eb = ids[ia], ids[ib]
-    todo = both & (ea != eb)
-    lo, hi = np.minimum(ea, eb)[todo], np.maximum(ea, eb)[todo]
-    keys, inverse = np.unique(lo * n_strings + hi, return_inverse=True)
-    u, v = np.divmod(keys, n_strings)
-    return _KeyPairs(u, v, both, todo, inverse)
+        X[self.subs.todo, c] = per_sub[self.subs.inverse]

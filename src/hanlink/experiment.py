@@ -238,12 +238,17 @@ def name_scorer(selector: str, bundle: AssetBundle, study: bool = False):
 class NamePairScorer:
     """Classifier scores for name pairs. The featurizer works on name ids,
     running each comparator once per distinct pair of encoded substrings,
-    so a pair's score does not depend on the batch or its order."""
+    so a pair's score does not depend on the batch or its order.
 
-    def __init__(self, model: MatcherModel, bundle: AssetBundle):
+    It reads only what the model's features read: built from an
+    `AssetBundle`, it parses the encoding tables of their encodings, the
+    frequency table only if one reads LF, and the surnames. Built from a
+    `PairFeaturizer` (the one a matcher was trained with), it shares that
+    featurizer's tables and encoded substrings."""
+
+    def __init__(self, model: MatcherModel, assets: AssetBundle | PairFeaturizer):
         self.model = model
-        self.featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames,
-                                         specs=model.specs)
+        self.featurizer = assets.featurizer(model.specs)
 
     def scores(self, pairs) -> np.ndarray:
         """Scores of a `NamePairs` or a sequence of (name_a, name_b) tuples."""
@@ -405,7 +410,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
                              "names, so logistic:train has no positive pair")
         neg_i, neg_j = _nonmatches(rng, dev.truth_b_of_a, dev.n_b,
                                    int(opts["n_nonmatch_name_pairs"]))
-        featurizer = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
+        featurizer = bundle.featurizer()
         X, cats = featurizer.feature_matrix(dev.name_pairs(np.concatenate([ta[pos], neg_i]),
                                                            np.concatenate([tb[pos], neg_j])))
         y = np.concatenate([np.ones(int(pos.sum())), np.zeros(len(neg_i))])
@@ -415,7 +420,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
         info["n_train_pairs"] = len(train[2])
         info["n_dev_pairs"] = len(dev_split[2])
         info["n_selected_features"] = len(model.specs)
-        scorer = NamePairScorer(model, bundle)
+        scorer = NamePairScorer(model, featurizer)
 
     u_i, u_j = _nonmatches(rng, dev.truth_b_of_a, dev.n_b, int(opts["n_nonmatch_score_pairs"]))
     scores = scorer.scores(dev.name_pairs(np.concatenate([ta, u_i]), np.concatenate([tb, u_j])))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .compare import index_type
 from .linkage import InputError, LinkageModel, PatternTable, gamma_codes, zeta_for_gammas
 from .matcher import ScoreDistribution
 from .metrics import GroupedRanking, auroc
@@ -150,14 +151,14 @@ def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
 
 class CandidatePairs:
     """The name-scored pairs of whole gamma_name=0 rows of a pattern table:
-    `rows`, those rows sorted, and per pair its table row (`pair_rows`),
-    its name score and whether it is a true match (`labels`). A row
-    without gamma_name=0 or with a pair left out, a pair outside `rows` and
-    a score outside [0, 1] are each a ValueError."""
+    `rows`, those rows sorted, and per pair its table row (`pair_rows`,
+    int32 below 2^31 rows), its name score and whether it is a true match
+    (`labels`). A row without gamma_name=0 or with a pair left out, a pair
+    outside `rows` and a score outside [0, 1] are each a ValueError."""
 
     def __init__(self, table: PatternTable, rows, pair_rows, scores, labels):
         self.rows = np.unique(np.asarray(rows, dtype=np.int64))
-        self.pair_rows = np.asarray(pair_rows, dtype=np.int64)
+        self.pair_rows = np.asarray(pair_rows, dtype=index_type(len(table.counts)))
         self.scores = np.asarray(scores, dtype=float)
         self.labels = np.asarray(labels, dtype=bool)
         if not np.isin(self.rows, _donor_rows(table)).all():

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import NamePairs, intern_strings
+from .compare import NamePairs, index_type, intern_strings
 from .encoding import InputError
 from .metrics import PROB_CLAMP
 
@@ -51,10 +51,12 @@ _JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 def checked_number(key: str, value, lo: float, hi: float = math.inf, *,
                    integer: bool = False, above: bool = False):
     """`value` as given if it is a finite number (an integer if `integer`)
-    in [lo, hi], or in (lo, hi] if `above`; else an InputError naming `key`."""
+    in [lo, hi], or in (lo, hi] if `above`; else an InputError naming `key`.
+    An integer is compared exactly, so one too large for a float is out of
+    range, not an OverflowError."""
     if (isinstance(value, bool)
             or not isinstance(value, numbers.Integral if integer else numbers.Real)
-            or not (integer or math.isfinite(value))
+            or not (isinstance(value, numbers.Integral) or math.isfinite(value))
             or not (lo < value if above else lo <= value) or value > hi):
         bounds = f"{'>' if above else '>='} {lo}" + (f" and <= {hi}" if hi < math.inf else "")
         raise InputError(f"{key} must be {'an integer' if integer else 'a number'} {bounds}, "
@@ -413,11 +415,13 @@ class LinkageDataset:
 
     def candidate_pairs(self, table: PatternTable, rows: np.ndarray):
         """All pairs (i, j) of the rows `rows` of `table`, as (i, j, row)
-        sorted by (i, j): for each row, a join on the fields it agrees on
-        over the records holding every field it does not mark NA, keeping the
-        joined pairs with its pattern. Rows visited in field-by-field gamma
-        order share the key of their common leading gammas."""
-        parts = [(np.empty(0, np.int64),) * 3]
+        sorted by (i, j), int32 while the records and rows number at most
+        2^31: for each row, a join on the fields it agrees on over the
+        records holding every field it does not mark NA, keeping the joined
+        pairs with its pattern. Rows visited in field-by-field gamma order
+        share the key of their common leading gammas."""
+        id_type = index_type(max(self.n_a, self.n_b, len(table.counts)))
+        parts = [(np.empty(0, id_type),) * 3]
         codes = table.codes()
         keys = {(): np.zeros(self.n_a + self.n_b, dtype=np.int64)}  # by leading gammas
         for gammas, row in sorted({(tuple(table.gammas[r].tolist()), int(r)) for r in rows}):
@@ -429,8 +433,9 @@ class LinkageDataset:
                                             if gammas[f] == 1 else np.where(both >= 0, key, -1))
             key = keys[gammas]
             for ii, jj in join_pairs(key[:self.n_a], key[self.n_a:], _JOIN_SLICE):
-                got = pair_gamma_codes(self.codes, ii, self.n_a + jj)
-                parts.append([x[got == codes[row]] for x in (ii, jj, np.full(len(ii), row))])
+                keep = pair_gamma_codes(self.codes, ii, self.n_a + jj) == codes[row]
+                parts.append([x[keep].astype(id_type) for x in (ii, jj)]
+                             + [np.full(np.count_nonzero(keep), row, dtype=id_type)])
         ii, jj, cc = (np.concatenate(p) for p in zip(*parts))
         order = np.lexsort((jj, ii))
         return ii[order], jj[order], cc[order]

@@ -61,6 +61,27 @@ def counter_cosine(a: str, b: str, k: int) -> float:
     return min(dot / (na * nb), 1.0)
 
 
+def unique_name_ids(ia, ib):
+    """The featurizer's name-id compaction by an int64 np.unique: the
+    distinct ids of ia and ib, ascending, and ia and ib as ranks into them."""
+    import numpy as np
+    used, inverse = np.unique(np.concatenate([ia, ib]).astype(np.int64), return_inverse=True)
+    return used, inverse[:len(ia)], inverse[len(ia):]
+
+
+def unique_id_pairs(n_ids, a, b, mask):
+    """The distinct unordered pairs of unequal ids (< n_ids) among the pairs
+    (a[k], b[k]) that `mask` keeps, by an int64 np.unique of their codes
+    low * n_ids + high: (low ids, high ids, the pairs kept, each kept
+    pair's index)."""
+    import numpy as np
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    todo = np.asarray(mask, dtype=bool) & (a != b)
+    keys, inverse = np.unique(np.minimum(a, b)[todo] * n_ids + np.maximum(a, b)[todo],
+                              return_inverse=True)
+    return keys // n_ids, keys % n_ids, todo, inverse
+
+
 def cross_product_codes(records_a: dict, records_b: dict, fields):
     """(i, j, code) of every A x B pair in row-major order, straight from the
     cell values: gamma_f is NA (2) when either value is empty, else 1 when

@@ -384,6 +384,7 @@ def test_exact_experiment_reads_no_asset_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_bundle", spy)
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "lazy")]) == 0
     assert not {"tables", "surnames", "freq", "corpus"} & vars(bundles[0]).keys()
+    assert not bundles[0]._tables
     assert sha256_dir(tmp_path / "lazy") == sha256_dir(tmp_path / "free")
     manifest = json.loads((tmp_path / "lazy" / "manifest.json").read_text())
     assert "pinyin.tsv" in manifest["asset_versions"]
@@ -612,6 +613,8 @@ MALFORMED_CONFIG = {
     "assets-dir": ({**STUDY, "assets_dir": "assets"}, "unknown key 'assets_dir'"),
     "train-penalty": ({**STUDY, "train": {"penalty": 0.1}}, "unknown key 'penalty'"),
     "train-bins": ({**STUDY, "train": {"bins": 10}}, "unknown key 'bins'"),
+    "floor-beyond-float": ({**FILES, "candidate_floor": 10 ** 400},
+                           "config key 'candidate_floor' must be a number >= 0 and <= 1"),
 }
 
 

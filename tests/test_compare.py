@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hanlink import compare
@@ -18,7 +18,7 @@ from hanlink.compare import (
 )
 from hanlink.encoding import (IDENTITY_TABLE, EncodingKind, FrequencyTable, InputError,
                               extract_substring, logograms, transform)
-from oracles import counter_cosine, dp_levenshtein
+from oracles import counter_cosine, dp_levenshtein, unique_id_pairs, unique_name_ids
 
 
 def one_pair(a, b):
@@ -440,3 +440,72 @@ def test_batch_equals_each_spec_alone(bundle, specs, names, data):
                                            specs=(spec,)).feature_matrix(pairs)
         assert X[:, c].tobytes() == alone[:, 0].tobytes(), spec.name
         assert cats.tobytes() == alone_cats.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_NAMES), mixed_names(12)), min_size=1, max_size=8),
+       st.data())
+def test_feature_matrix_does_not_depend_on_chunk_budgets(bundle, names, data):
+    """The cosine and edit-distance chunk budgets at 1, a chunk per pair,
+    and at 2^30, one chunk, give the default budgets' matrix bitwise."""
+    ids = st.integers(0, len(names) - 1)
+    pairs = [(names[i], names[j])
+             for i, j in data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12))]
+    fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames, specs=MIXED_BANK)
+    want = fz.feature_matrix(pairs)[0].tobytes()
+    for budget in (1, 1 << 30):
+        with (mock.patch.object(compare, "_TOKEN_BUDGET", budget),
+              mock.patch.object(compare, "_EQ_BUDGET", budget)):
+            assert fz.feature_matrix(pairs)[0].tobytes() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))))
+def test_name_id_compaction_matches_unique(case):
+    """The featurizer's sort-free compaction of name ids equals an int64
+    np.unique of both id columns, its ranks int32."""
+    n, pairs = case
+    ia = np.array([i for i, _ in pairs], dtype=np.int32)
+    ib = np.array([j for _, j in pairs], dtype=np.int32)
+    got = compare._compact_ids(n, ia, ib)
+    for x, y in zip(got, unique_name_ids(ia, ib)):
+        assert np.array_equal(x, y)
+    assert got[1].dtype == got[2].dtype == np.int32
+
+
+def ids_below(n: int):
+    """Ids below n, half of them among the top few, whose pair codes come
+    nearest to the int32 bound."""
+    return st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 4), n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 5, 46340, 46341, 1 << 20]).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(ids_below(n), ids_below(n), st.booleans()), max_size=30))))
+@example((46340, [(46339, 46338, True), (46338, 46339, True), (0, 46339, True)]))
+@example((46341, [(46340, 46339, True), (46339, 46340, True), (0, 46340, False)]))
+def test_distinct_pairs_match_int64_unique(case):
+    """The distinct unordered pairs of int32 ids equal those of an int64
+    np.unique of the pair codes, below and past 46,340 ids, where a code
+    low * n + high first leaves int32; the ids and the inverse are int32."""
+    n, rows = case
+    a = np.array([row[0] for row in rows], dtype=np.int32)
+    b = np.array([row[1] for row in rows], dtype=np.int32)
+    mask = np.array([row[2] for row in rows], dtype=bool)
+    got = compare._distinct_pairs(n, a, b, mask)
+    for x, y in zip(got, unique_id_pairs(n, a, b, mask)):
+        assert np.array_equal(x, y)
+    assert got.u.dtype == got.v.dtype == got.inverse.dtype == np.int32
+
+
+def test_featurizer_needs_the_tables_its_features_read(bundle):
+    """A featurizer keeps only the tables its features read; a table or
+    frequency table they read but that is not given is a ValueError."""
+    py = FeatureSpec.from_name("PY_LV_k1_1:N")
+    fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames, specs=(py,))
+    assert set(fz.tables) == {EncodingKind.PY, EncodingKind.J} and fz.freq is None
+    with pytest.raises(ValueError, match="read the PY table"):
+        PairFeaturizer({}, None, bundle.surnames, specs=(py,))
+    with pytest.raises(ValueError, match="no frequency table"):
+        PairFeaturizer({}, None, bundle.surnames, specs=(FeatureSpec.from_name("LF_SUM_k1_1:2"),))

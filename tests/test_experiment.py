@@ -14,7 +14,9 @@ from oracles import (cross_product_codes, cross_product_table, external_scores_l
 
 from hanlink import experiment as exp
 from hanlink import linkage
+from hanlink.assets import load_bundle
 from hanlink.compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
+from hanlink.encoding import EncodingKind
 from hanlink.fuse import CandidatePairs, apply_threshold
 from hanlink.linkage import NA, InputError
 from hanlink.matcher import MatcherModel, fit_score_distributions
@@ -94,7 +96,7 @@ def test_candidate_pairs_match_cross_product(case, data):
         ri, rj, rc = cross_product_codes(records_a, records_b, fields)
         keep = np.isin(rc, table.codes()[wanted])
         for got, want in ((ii, ri[keep]), (jj, rj[keep]), (rows, table.rows_of(rc[keep]))):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert np.array_equal(got, want)
 
 
@@ -457,6 +459,48 @@ def test_training_step_pairs_match_reference(bundle, name_model, monkeypatch, cl
     got = [(list(p.names), p.ia.tolist(), p.ib.tolist()) for p in featurized]
     assert got == want
     assert [(list(p.names), p.ia.tolist(), p.ib.tolist()) for p in scored] == want[-1:]
+
+
+def test_trained_scorer_encodes_nothing_training_encoded(bundle, name_model, monkeypatch):
+    """After a logistic:train step the distribution's scorer shares the
+    training featurizer's encodings: every substring it encodes anew is one
+    that training never encoded, and it does look up ones training did."""
+    encoded, looked_up = {}, {}
+    encode = PairFeaturizer._encode
+
+    def spy(self, kind, sub):
+        looked_up.setdefault(self, set()).add((kind, sub))
+        if sub not in self._encoded[kind]:
+            encoded.setdefault(self, set()).add((kind, sub))
+        return encode(self, kind, sub)
+
+    monkeypatch.setattr(PairFeaturizer, "_encode", spy)
+    scorer, _, _ = exp.train_matcher_and_dist(bundle, name_model, TRAIN_SIM, 17,
+                                              "logistic:train", TRAIN_OPTS)
+    (training,) = [fz for fz in encoded if fz is not scorer.featurizer]
+    assert looked_up[scorer.featurizer] & encoded[training]
+    assert not encoded.get(scorer.featurizer, set()) & encoded[training]
+
+
+def test_scorer_parses_only_the_tables_its_features_read():
+    """A scorer whose model reads no LF and no WB feature leaves the
+    frequency table and the Wubi98 table unparsed, and holds neither; a
+    default-bank featurizer parses every table."""
+    bundle = load_bundle()
+    specs = tuple(FeatureSpec.from_name(n) for n in
+                  ("FC_COS_k3_1:N", "PY_COS_k3_1:2", "RD_LV_k1_1:N", "J_LV_k1_1:1",
+                   "RDS_COS_k3_1:1"))
+    model = MatcherModel(kind="logistic", specs=specs, intercepts=np.zeros(3),
+                         coefs=np.zeros((3, len(specs))))
+    scorer = exp.NamePairScorer(model, bundle)
+    assert scorer.scores([("张可成", "张珂成"), ("伍考", "阳娅")]).tolist() == [0.5, 0.5]
+    read = {EncodingKind.FC, EncodingKind.PY, EncodingKind.RD, EncodingKind.RDS}
+    assert set(bundle._tables) == read and "freq" not in vars(bundle)
+    assert set(scorer.featurizer.tables) == read | {EncodingKind.J}
+    assert scorer.featurizer.freq is None
+    bundle.featurizer()
+    assert set(bundle._tables) == set(EncodingKind) - {EncodingKind.J}
+    assert "freq" in vars(bundle)
 
 
 def test_trained_study_builds_one_scorer(bundle, monkeypatch):
