@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .assets import load_bundle
-from .compare import HAN_CATEGORIES, FeatureSpec
+from .compare import HAN_CATEGORIES, FeatureSpec, NamePairs
 from .matcher import (
     BINS,
     DEV_FRACTION,
@@ -78,9 +78,9 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, bundle,
 
 def cmd_features(args) -> int:
     bundle = load_bundle(args.assets)
-    table = CsvTable(args.input)
-    pairs = list(zip(table.column("name_a"), table.column("name_b")))
-    labels = table.column("label", _label) if "label" in table.header else None
+    table = CsvTable(args.input, {"label": _label})
+    pairs = NamePairs.of_columns(table.column("name_a"), table.column("name_b"))
+    labels = table.column("label") if "label" in table.header else None
     featurizer = bundle.featurizer()
     X, cats = featurizer.feature_matrix(pairs)
     header = [s.name for s in featurizer.specs] + ["han_category"]
@@ -95,10 +95,10 @@ def cmd_features(args) -> int:
 
 
 def _read_feature_csv(path: str):
-    table = CsvTable(path)
-    y = np.array(table.column("label", _label), dtype=float)
-    cats = (table.column("han_category", HAN_CATEGORIES.index)
-            if "han_category" in table.header else [0] * len(y))
+    table = CsvTable(path, {"label": _label, "han_category": HAN_CATEGORIES.index},
+                     default=_finite)
+    y = np.array(table.column("label"), dtype=float)
+    cats = table.column("han_category") if "han_category" in table.header else [0] * len(y)
     names = [name for name in table.header if name not in ("label", "han_category")]
     if not names:
         raise InputError(f"{path}: no feature columns")
@@ -106,7 +106,7 @@ def _read_feature_csv(path: str):
         specs = tuple(FeatureSpec.from_name(name) for name in names)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    return (np.column_stack([table.column(name, _finite) for name in names]),
+    return (np.column_stack([table.column(name) for name in names]),
             np.array(cats, dtype=np.int8), y, specs)
 
 
@@ -129,16 +129,16 @@ def cmd_train(args) -> int:
 
 def cmd_fitdist(args) -> int:
     bins = checked_number("--bins", args.bins, 1, integer=True)
-    table = CsvTable(args.input)
+    table = CsvTable(args.input, {"score": score_cell, "label": _label})
     if "score" in table.header:
-        scores = np.array(table.column("score", score_cell))
+        scores = np.array(table.column("score"))
     else:
-        pairs = list(zip(table.column("name_a"), table.column("name_b")))
+        pairs = NamePairs.of_columns(table.column("name_a"), table.column("name_b"))
         if not args.model:
             raise InputError("name-pair input needs --model to score pairs")
         scorer = exp.NamePairScorer(MatcherModel.load(args.model), load_bundle(args.assets))
         scores = scorer.scores(pairs)
-    labels = np.array(table.column("label", _label))
+    labels = np.array(table.column("label"))
     dist = fit_score_distributions(scores, labels, bins=bins)
     dist.save(args.out)
     print(f"fitted score distribution from {len(scores)} labeled scores; "
@@ -218,9 +218,9 @@ def cmd_experiment(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.q is not None:
         checked_number("--q", args.q, 0, 1, above=True)
-    table = CsvTable(args.input)
-    scores = np.array(table.column("score", score_cell))
-    labels = np.array(table.column("label", _label))
+    table = CsvTable(args.input, {"score": score_cell, "label": _label})
+    scores = np.array(table.column("score"))
+    labels = np.array(table.column("label"))
     try:
         report = ranking_report(GroupedRanking.from_pairs(scores, labels), args.q)
     except ValueError as exc:  # one class in the file

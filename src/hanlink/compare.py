@@ -7,6 +7,7 @@ category.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,12 +43,69 @@ def index_type(bound: int) -> type:
     return np.int32 if bound <= 2**31 else np.int64
 
 
+def intern_into(index: dict[str, int], strings: Sequence[str]) -> np.ndarray:
+    """Each string's id in `index`, once the strings it lacks are added with
+    the next ids, first seen first; int32 below 2^31 ids. The lookups run at
+    C speed: `dict.fromkeys` finds the distinct strings, and only those that
+    are new are added."""
+    index.update(zip(itertools.filterfalse(index.__contains__, dict.fromkeys(strings)),
+                     itertools.count(len(index))))
+    return np.fromiter(map(index.__getitem__, strings), index_type(len(index)), len(strings))
+
+
 def intern_strings(*columns: Sequence[str]) -> tuple[list[str], list[np.ndarray]]:
-    """Distinct strings over all columns, first seen first, and each column as ids into them."""
+    """Distinct strings over all columns, first seen first, and each column
+    as ids into them, int32 below 2^31 strings."""
     index: dict[str, int] = {}
-    ids = [np.fromiter((index.setdefault(s, len(index)) for s in col),
-                       dtype=np.int64, count=len(col)) for col in columns]
+    ids = [intern_into(index, col) for col in columns]
     return list(index), ids
+
+
+class InternedColumn(Sequence):
+    """A column of strings held as its distinct values, first seen first,
+    and one id per row into them (`intern_strings`); indexing and iteration
+    yield the strings. `of` is the one place a list of strings becomes one."""
+
+    def __init__(self, values: list[str], ids: np.ndarray):
+        self.values, self.ids = values, ids
+
+    @classmethod
+    def of(cls, column: Sequence[str]) -> "InternedColumn":
+        """`column` if it already is an InternedColumn, else its strings interned."""
+        if isinstance(column, cls):
+            return column
+        values, (ids,) = intern_strings(column)
+        return cls(values, ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k) -> str:
+        return self.values[self.ids[k]]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.ids.tolist())
+
+
+def merge_interned(columns: Sequence[InternedColumn],
+                   missing: str | None = None) -> tuple[list[str], np.ndarray]:
+    """`intern_strings` of the columns' strings end to end, as one id array,
+    from each column's distinct values alone: a column's ids map through the
+    merged ids of its values (the first column's map to themselves). A
+    `missing` string gets id -1 and no entry among the distinct strings."""
+    index: dict[str, int] = {}
+    merged = [intern_into(index, col.values) for col in columns]
+    values = list(index)
+    if missing in index:
+        gap = index[missing]
+        del values[gap]
+        merged = [np.where(ids == gap, -1, ids - (ids > gap)) for ids in merged]
+    out = np.empty(sum(map(len, columns)), dtype=index_type(len(values)))
+    start = 0
+    for col, ids in zip(columns, merged):
+        np.take(ids, col.ids, out=out[start:start + len(col)], mode="clip")  # ids are in range
+        start += len(col)
+    return values, out
 
 
 def _lengths(strings: Sequence[str]) -> np.ndarray:
@@ -368,8 +426,14 @@ class NamePairs(Sequence):
         tuples interned into ids."""
         if isinstance(pairs, cls):
             return pairs
-        names, (ia, ib) = intern_strings([a for a, _ in pairs], [b for _, b in pairs])
-        return cls(names, ia, ib)
+        return cls.of_columns([a for a, _ in pairs], [b for _, b in pairs])
+
+    @classmethod
+    def of_columns(cls, names_a: Sequence[str], names_b: Sequence[str]) -> "NamePairs":
+        """The pairs (names_a[k], names_b[k]) of two name columns, lists of
+        strings or `InternedColumn`s, with one list of names over both."""
+        names, ids = merge_interned([InternedColumn.of(names_a), InternedColumn.of(names_b)])
+        return cls(names, *np.split(ids, [len(names_a)]))
 
     def __len__(self) -> int:
         return len(self.ia)
@@ -509,7 +573,7 @@ class PairFeaturizer:
                                  if s.comparator != "CAT" and s.encoding != "AMB"):
             subs, (ids,) = intern_strings([range_substring(ch, tag) for ch in chars])
             present = np.array([bool(sub) for sub in subs], dtype=bool)[ids]
-            ranges[tag] = subs, ids.astype(index_type(len(subs))), present[ia] & present[ib]
+            ranges[tag] = subs, ids, present[ia] & present[ib]
         return cats, ranges
 
     def _range_columns(self, X: np.ndarray, subs: list[str], ids: np.ndarray,
@@ -529,7 +593,6 @@ class PairFeaturizer:
         its LV/LCS columns with its comparisons and encoded strings, or None
         if it has none; what the cosines alone needed is dropped here."""
         strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
-        enc_ids = enc_ids.astype(index_type(len(strings)))
         key = _Comparisons(both, sub_pairs, _distinct_pairs(
             len(strings), enc_ids[sub_pairs.u], enc_ids[sub_pairs.v], True))
         cos = [c for c in cols if self.specs[c].comparator == "COS"]

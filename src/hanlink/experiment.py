@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import AssetBundle, load_bundle
-from .compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
+from .compare import FeatureSpec, NamePairs, PairFeaturizer
 from .fuse import (CandidatePairs, apply_threshold, eligible_rows, posterior_adjust,
                    tau1_select, tau2_select)
 from .linkage import (RECORD_FIELDS, CsvTable, InputError, LinkageDataset,
@@ -94,7 +94,8 @@ def read_settings(config: dict) -> Settings:
       fields           'name' and the simulated fields
       classifier       "logistic:train"; or a fixed selector (below)
       train            TRAIN_DEFAULTS, keys given override: the nonmatch pair counts
-                       (integers >= 1) and dev_fraction, in [0, 1]
+                       (integers from 1 to the dev simulation's n_records * (n_records - 1)
+                       nonmatch pairs) and dev_fraction, in [0, 1]
       seed             0
       replicates       1
       workers          1 (`run_study`'s `workers`, the command line's --workers, wins)
@@ -146,18 +147,20 @@ def read_settings(config: dict) -> Settings:
                 raise InputError(f"config section 'data' lacks {key!r}")
             _text(f"data.{key}", data[key])
     simulate = section("simulate", SimConfig.__dataclass_fields__)
-    default_fields = RECORD_FIELDS
+    default_fields, nonmatches = RECORD_FIELDS, 0
     if simulate is not None:
         if "seed" in simulate:
             raise InputError("config key 'simulate.seed' is not used: a study's seed is "
                              "the top-level 'seed'")
-        default_fields = ("name", *SimConfig.from_dict(simulate).fields)
+        sim = SimConfig.from_dict(simulate)
+        default_fields = ("name", *sim.fields)
+        nonmatches = sim.n_records * (sim.n_records - 1)  # every record is linked once
     train = section("train", TRAIN_DEFAULTS)
     for key, value in (train or {}).items():
         if key == "dev_fraction":
             checked_number("config key 'train.dev_fraction'", value, 0, 1)
         else:
-            checked_number(f"config key 'train.{key}'", value, 1, integer=True)
+            checked_number(f"config key 'train.{key}'", value, 1, nonmatches, integer=True)
 
     methods = _distinct("methods", config.get("methods", DEFAULT_METHODS if study
                                               else ("exact",)), DEFAULT_METHODS)
@@ -264,17 +267,17 @@ class ExternalScorer:
 
     def __init__(self, path):
         self.path = path
-        table = CsvTable(path)
-        names, (ia, ib) = intern_strings(table.column("name_a"), table.column("name_b"))
-        values = np.array(table.column("score", score_cell), dtype=float)
-        self.ids = dict(zip(names, range(len(names))))
-        codes = ia * len(names) + ib
+        table = CsvTable(path, {"score": score_cell})
+        listed = NamePairs.of_columns(table.column("name_a"), table.column("name_b"))
+        values = np.array(table.column("score"), dtype=float)
+        self.ids = dict(zip(listed.names, range(len(listed.names))))
+        codes = listed.ia.astype(np.int64) * len(listed.names) + listed.ib
         order = np.argsort(codes, kind="stable")
         self.codes, self.values = codes[order], values[order]
         if len(repeated := np.nonzero(np.diff(self.codes) == 0)[0]):
             k = int(order[repeated + 1].min())  # the first row that repeats an earlier one
-            raise InputError(f"{path}, line {table.line(k)}: the pair "
-                             f"{(names[ia[k]], names[ib[k]])!r} is listed twice")
+            raise InputError(f"{path}, line {table.line(k)}: the pair {listed[k]!r} "
+                             "is listed twice")
 
     def scores(self, pairs) -> np.ndarray:
         """Scores of a `NamePairs` or a sequence of (name_a, name_b) tuples."""

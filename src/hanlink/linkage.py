@@ -12,17 +12,20 @@ number at most |A| + |B|. The two-class mixture over patterns is fitted
 by EM under conditional independence; missing fields contribute a factor
 of one to both class likelihoods.
 
-A `LinkageDataset` interns each field's values once over both files, into
-one code array: file A's n_a records, then file B's, so the pair (i, j)
-reads entries i and n_a + j. It lists the pairs of the pattern rows whose
+A record file is read into interned columns: each column's distinct cells
+and one int32 id per record, so memory follows distinct values, not cells.
+A `LinkageDataset` merges each field's two columns into one int32 code
+array, looking up only each file's distinct values: file A's n_a records,
+then file B's, so the pair (i, j) reads entries i and n_a + j. Join keys
+over the codes are int32 too. It lists the pairs of the pattern rows whose
 names get scored, again by joins, and hands their names to a scorer as ids
 (`NamePairs`). Every base-3 pattern code is built here, by `gamma_codes`.
 
 Each file format the package reads or writes has one reader and one
-writer here: every CSV file is read by `CsvTable`, whose `InputError` names
-the file, and the line, column and cell at fault, and written by
-`write_csv`; every JSON file is read by `read_json` and written by
-`write_json`.
+writer here: every CSV file is read by `CsvTable`, in blocks of rows, whose
+`InputError` names the file, and the line, column and cell at fault, and
+written by `write_csv`; every JSON file is read by `read_json` and written
+by `write_json`.
 """
 from __future__ import annotations
 
@@ -32,12 +35,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .compare import NamePairs, index_type, intern_strings
+from .compare import InternedColumn, NamePairs, index_type, intern_into, merge_interned
 from .encoding import InputError
 from .metrics import PROB_CLAMP
 
@@ -46,6 +48,7 @@ NA = 2  # gamma code for "either value missing"
 EM_TOL = 1e-10       # EM stops once an iteration changes the log-likelihood by less, relatively
 EM_MAX_ITER = 500    # EM iterations at most
 _JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
+_CSV_BLOCK = 1 << 10   # CSV rows read, interned and parsed at a time
 
 
 def checked_number(key: str, value, lo: float, hi: float = math.inf, *,
@@ -72,53 +75,78 @@ def check_keys(where: str, given, known) -> None:
 
 
 class CsvTable:
-    """A CSV file's header and body rows, read once. InputError names the
-    file when it is empty, names a column twice or lacks a requested one,
-    and the line of a row without exactly one cell per header column."""
+    """A CSV file's header and columns, read once in blocks of `_CSV_BLOCK`
+    rows; no row is kept. A column with a parser (`parsers` by column name,
+    else `default`) is the list of its parsed cells; any other column is an
+    `InternedColumn`, its distinct cells, first seen first, and one int32 id
+    per row. InputError names the file when it is empty or names a column
+    twice, and a column that `column` is asked for and the header lacks. It
+    names the first row, in file order, without exactly one cell per header
+    column, by its line, or holding a cell its column's parser rejects with
+    ValueError, by its line, column and cell (the leftmost in that row)."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, parsers: dict | None = None, default=None):
         self.path = path
-        rows = self._read()[0]  # str tuples, which the GC untracks: no full collection
-        if not rows:
-            raise InputError(f"{path}: empty file")
-        self.header = [h.strip() for h in rows.pop(0)]
-        width = len(self.header)
-        if len(set(self.header)) < width:
-            raise InputError(f"{path}: header names a column twice")
-        if set(map(len, rows)) - {width}:
-            k = next(k for k, row in enumerate(rows) if len(row) != width)
-            raise InputError(f"{path}, line {self.line(k)}: {len(rows[k])} cells, "
-                             f"expected {width}")
-        self._rows = rows
-
-    def _read(self, count: int | None = None) -> tuple[list[tuple[str, ...]], int]:
-        """The first `count` records (all by default) and the line on which
-        the last ends."""
-        with Path(self.path).open("r", encoding="utf-8", newline="") as handle:
+        with Path(path).open("r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            return list(itertools.islice(map(tuple, reader), count)), reader.line_num
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            self.header = [h.strip() for h in header]
+            if len(set(self.header)) < len(self.header):
+                raise InputError(f"{path}: header names a column twice")
+            parse = [(parsers or {}).get(name, default) for name in self.header]
+            index: list[dict[str, int]] = [{} for _ in parse]  # per interned column
+            parts: list[list] = [[] for _ in parse]  # id blocks or parsed cells
+            start = 0
+            while block := list(itertools.islice(reader, _CSV_BLOCK)):
+                self._add_block(block, start, parse, index, parts)
+                start += len(block)
+        self._columns = {
+            name: part if p is not None else InternedColumn(
+                list(ids), np.concatenate(part or [np.empty(0, dtype=np.int32)]))
+            for name, p, ids, part in zip(self.header, parse, index, parts)}
+
+    def _add_block(self, block: list[list[str]], start: int, parse, index, parts) -> None:
+        """Intern or parse the cells of `block`, whose first row is body row
+        `start`, into each column's part; InputError for its first faulty row."""
+        width = len(self.header)
+        ragged = len(block)
+        if set(map(len, block)) - {width}:
+            ragged = next(k for k, row in enumerate(block) if len(row) != width)
+        faults = []  # (row, column, cell) of each column's first rejected cell
+        for c, cells in enumerate(zip(*block[:ragged])):
+            if parse[c] is None:
+                parts[c].append(intern_into(index[c], cells))
+                continue
+            done = len(parts[c])
+            try:
+                parts[c].extend(map(parse[c], cells))
+            except ValueError:  # extend keeps the values parsed before the rejected cell
+                k = len(parts[c]) - done
+                faults.append((k, c, cells[k]))
+        if faults:
+            k, c, cell = min(faults)
+            raise InputError(f"{self.path}, line {self.line(start + k)}, "
+                             f"column '{self.header[c]}': bad cell {cell!r}")
+        if ragged < len(block):
+            raise InputError(f"{self.path}, line {self.line(start + ragged)}: "
+                             f"{len(block[ragged])} cells, expected {width}")
 
     def line(self, k: int) -> int:
         """The line on which body row k ends, the end of the first k + 2 records."""
-        return self._read(k + 2)[1]
+        with Path(self.path).open("r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            for _ in itertools.islice(reader, k + 2):
+                pass
+            return reader.line_num
 
-    def column(self, name: str, parse=None) -> list:
-        """The cells of column `name`, as read or mapped through `parse`; a
-        cell that `parse` rejects with ValueError is an InputError naming
-        its line, column and cell."""
-        if name not in self.header:
+    def column(self, name: str):
+        """Column `name`: the list of its parsed cells if it has a parser,
+        else an `InternedColumn`."""
+        if name not in self._columns:
             raise InputError(f"{self.path}: missing required column '{name}'")
-        cells = list(map(itemgetter(self.header.index(name)), self._rows))
-        if parse is None:
-            return cells
-        values: list = []
-        try:
-            values.extend(map(parse, cells))
-        except ValueError:  # extend keeps the values parsed before the rejected cell
-            k = len(values)
-            raise InputError(f"{self.path}, line {self.line(k)}, column '{name}': "
-                             f"bad cell {cells[k]!r}") from None
-        return values
+        return self._columns[name]
 
 
 def write_csv(path: str | Path, header, rows) -> None:
@@ -163,8 +191,9 @@ def score_cell(cell: str) -> float:
     return checked_number("a score", float(cell), 0, 1)
 
 
-def read_records(path: str | Path) -> dict[str, list[str]]:
-    """The name,sex,yob,mob,dob,loc columns of a record CSV ("" = missing)."""
+def read_records(path: str | Path) -> dict[str, InternedColumn]:
+    """The name,sex,yob,mob,dob,loc columns of a record CSV ("" = missing),
+    each an `InternedColumn`: its distinct cells and one int32 id per record."""
     table = CsvTable(path)
     return {f: table.column(f) for f in RECORD_FIELDS}
 
@@ -173,22 +202,26 @@ def write_records(path: str | Path, records: dict[str, list[str]]) -> None:
     write_csv(path, RECORD_FIELDS, zip(*(records[f] for f in RECORD_FIELDS)))
 
 
-def encode_fields(records_a: dict[str, list[str]], records_b: dict[str, list[str]],
+def encode_fields(records_a: dict, records_b: dict,
                   fields) -> tuple[list[np.ndarray], list[list[str]]]:
     """Per field, the codes of file A's values and then file B's, equal
-    exactly when the strings are (missing -> -1), and the distinct values
-    the codes index, first seen first. A field listed twice (EM would count
-    it twice), absent from either file or holding another number of a
-    file's records than the first field is an InputError."""
+    exactly when the strings are (missing -> -1), int32 below 2^31 distinct
+    values, and the distinct values the codes index, first seen first. A
+    field's two columns are lists of strings or `InternedColumn`s (a list is
+    interned first), merged by `merge_interned`: only each file's distinct
+    values are looked up. A field listed twice (EM would count it twice),
+    absent from either file or holding another number of a file's records
+    than the first field is an InputError."""
     codes, values = [], []
     for k, f in enumerate(fields):
         if f in fields[:k]:
             raise InputError(f"linkage field {f!r} is listed more than once")
         if f not in records_a or f not in records_b:
             raise InputError(f"unknown field {f!r} in record schema")
-        distinct, (_, ids) = intern_strings([""], [*records_a[f], *records_b[f]])  # "" gets id 0
-        codes.append(ids - 1)
-        values.append(distinct[1:])
+        distinct, both = merge_interned([InternedColumn.of(records_a[f]),
+                                         InternedColumn.of(records_b[f])], missing="")
+        codes.append(both)
+        values.append(distinct)
     if len({(len(records_a[f]), len(records_b[f])) for f in fields}) > 1:
         raise InputError(f"the fields {list(fields)} hold different numbers of records")
     return codes, values
@@ -249,14 +282,16 @@ def pair_gamma_codes(codes: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> n
 
 def extend_key(key: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Join key over one more field: equal keys mean equal values on every
-    field so far. Keys lie in [0, n) over all n records, so they never
-    overflow: key * width + code where that fits, else its rank; -1 marks
-    a record missing this field or an earlier one."""
-    out = np.full(len(key), -1, dtype=np.int64)
+    field so far. Keys lie in [0, n) over all n records, int32 below 2^31
+    records, so they never overflow: key * width + code where that is below
+    n, else its rank; -1 marks a record missing this field or an earlier one."""
+    out = np.full(len(key), -1, dtype=index_type(len(key)))
     ok = (key >= 0) & (codes >= 0)
     span, width = int(key.max(initial=-1)) + 1, int(codes.max(initial=-1)) + 1
-    merged = key[ok] * width + codes[ok]
-    out[ok] = merged if span * width <= len(key) else np.unique(merged, return_inverse=True)[1]
+    if span * width <= len(key):
+        out[ok] = key[ok] * width + codes[ok]
+    else:
+        out[ok] = np.unique(key[ok].astype(np.int64) * width + codes[ok], return_inverse=True)[1]
     return out
 
 
@@ -264,7 +299,7 @@ def _subset_keys(codes: list[np.ndarray], fields, subset: int = 0,
                  key: np.ndarray | None = None):
     """Yield (subset, join key) for every subset of `fields` (bit f set for
     field f), depth first, so at most one key per field is held."""
-    key = np.zeros(len(codes[0]), dtype=np.int64) if key is None else key
+    key = np.zeros(len(codes[0]), dtype=index_type(len(codes[0]))) if key is None else key
     yield subset, key
     for k, f in enumerate(fields):
         yield from _subset_keys(codes, fields[k + 1:], subset | 1 << f, extend_key(key, codes[f]))
@@ -371,14 +406,16 @@ def join_pairs(key_a: np.ndarray, key_b: np.ndarray, budget: int):
 class LinkageDataset:
     """Two record files with truth links, encoded once for pattern work.
 
-    `codes[f]` holds field f's codes (`encode_fields`), file A's n_a records
-    and then file B's n_b; `name_ids_a` and `name_ids_b` are the name
-    field's two parts, ids into the distinct `names` (-1 if missing). The
-    truth links are also held as each A row's linked B row, `truth_b_of_a`
-    (-1 if unlinked)."""
+    Each file is a dict of columns by field, lists of strings (simulated
+    records) or the `InternedColumn`s `read_records` gives; both go through
+    `encode_fields`. `codes[f]` holds field f's int32 codes, file A's n_a
+    records and then file B's n_b; `name_ids_a` and `name_ids_b` are the
+    name field's two parts, ids into the distinct `names` (-1 if missing).
+    The truth links are also held as each A row's linked B row,
+    `truth_b_of_a` (-1 if unlinked)."""
 
-    def __init__(self, records_a: dict[str, list[str]], records_b: dict[str, list[str]],
-                 truth: np.ndarray, fields: tuple[str, ...]):
+    def __init__(self, records_a: dict, records_b: dict, truth: np.ndarray,
+                 fields: tuple[str, ...]):
         self.fields = tuple(fields)
         self.codes, values = encode_fields(records_a, records_b, self.fields)
         if "name" not in self.fields:
@@ -423,7 +460,8 @@ class LinkageDataset:
         id_type = index_type(max(self.n_a, self.n_b, len(table.counts)))
         parts = [(np.empty(0, id_type),) * 3]
         codes = table.codes()
-        keys = {(): np.zeros(self.n_a + self.n_b, dtype=np.int64)}  # by leading gammas
+        n = self.n_a + self.n_b
+        keys = {(): np.zeros(n, dtype=index_type(n))}  # by leading gammas
         for gammas, row in sorted({(tuple(table.gammas[r].tolist()), int(r)) for r in rows}):
             keys = {lead: key for lead, key in keys.items() if lead == gammas[:len(lead)]}
             for f, both in enumerate(self.codes):

@@ -150,16 +150,27 @@ def _predict_stack(X: np.ndarray, cats: np.ndarray, models: list[MatcherModel],
     """Scores (K, n) of K logistic models over the rows of X (n, F) with
     Han-category codes `cats`, model k reading the columns cols[k]: one
     stacked product per category over C-ordered column slices, so each
-    slice's BLAS call sums as a lone model's 2-D product, and one sigmoid."""
+    slice's BLAS call sums as a lone model's 2-D product, and one sigmoid.
+    A category's rows are gathered once, and each model's slice of them
+    once, straight into the stack; a lone model reading every column
+    stacks the gathered rows themselves."""
     z = np.empty((len(models), X.shape[0]))
+    columns = np.arange(X.shape[1])
+    picked = [columns[c] for c in cols]
+    lone = len(picked) == 1 and np.array_equal(picked[0], columns)
     for code in range(len(HAN_CATEGORIES)):
         mask = cats == code
         if mask.any():
             rows = X[mask]
+            if lone:
+                stack = rows[None]
+            else:
+                stack = np.empty((len(picked), len(rows), len(picked[0])))
+                for k, c in enumerate(picked):
+                    np.take(rows, c, axis=1, out=stack[k], mode="clip")  # c is in range
             coefs = np.array([m.coefs[code] for m in models])[:, :, None]
             intercepts = np.array([m.intercepts[code] for m in models])[:, None]
-            z[:, mask] = intercepts + np.matmul(
-                np.stack([np.ascontiguousarray(rows[:, c]) for c in cols]), coefs)[:, :, 0]
+            z[:, mask] = intercepts + np.matmul(stack, coefs)[:, :, 0]
     return _sigmoid(z)
 
 

@@ -440,8 +440,8 @@ def write_truth(path: str | Path, truth: np.ndarray) -> None:
 def read_truth(path: str | Path) -> np.ndarray:
     """(n, 2) truth links from the id_a and id_b columns of a CSV file; a
     file without links is an InputError, as no ranking can be scored."""
-    table = CsvTable(path)
-    links = np.array([table.column(c, int) for c in ("id_a", "id_b")], dtype=np.int64).T
+    table = CsvTable(path, {"id_a": int, "id_b": int})
+    links = np.array([table.column(c) for c in ("id_a", "id_b")], dtype=np.int64).T
     if not len(links):
         raise InputError(f"{path}: no truth links")
     return links

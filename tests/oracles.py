@@ -112,6 +112,45 @@ def cross_product_table(records_a: dict, records_b: dict, fields, truth=()) -> d
             for c, n, t in zip(uniq, pairs, true_pairs)}
 
 
+def csv_table_reference(path, parsers: dict, default=None):
+    """A CSV file as one list of rows from a plain `csv.reader`, each with the
+    line it ends on: (header, {column: cells}), a column with a parser
+    (`parsers`, else `default`) as its parsed cells; or, for a faulty file,
+    the message of its first fault: an empty file, a header naming a column
+    twice, then in file order the first row without one cell per header
+    column, or the leftmost cell of a row that its parser rejects."""
+    import csv
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        rows = [(row, reader.line_num) for row in reader]
+    if not rows:
+        return f"{path}: empty file"
+    header = [h.strip() for h in rows[0][0]]
+    if len(set(header)) < len(header):
+        return f"{path}: header names a column twice"
+    parse = [parsers.get(name, default) for name in header]
+    columns = {name: [] for name in header}
+    for row, line in rows[1:]:
+        if len(row) != len(header):
+            return f"{path}, line {line}: {len(row)} cells, expected {len(header)}"
+        for name, p, cell in zip(header, parse, row):
+            try:
+                columns[name].append(cell if p is None else p(cell))
+            except ValueError:
+                return f"{path}, line {line}, column '{name}': bad cell {cell!r}"
+    return header, columns
+
+
+def joint_field_codes(cells_a, cells_b):
+    """A field's codes over both files as one dict over "" and then every
+    cell of A and of B interns them: the distinct values but "", first seen
+    first, and each cell's id less one (missing -> -1), int64."""
+    import numpy as np
+    index = {"": 0}
+    ids = [index.setdefault(cell, len(index)) for cell in [*cells_a, *cells_b]]
+    return list(index)[1:], np.array(ids, dtype=np.int64) - 1
+
+
 # ---------------------------------------------------------------------------
 # Per-candidate logistic selection: one 2-D IRLS per fit, two ROC sorts per
 # dev score. hanlink.matcher batches these; it must agree bitwise.

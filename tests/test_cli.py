@@ -615,6 +615,12 @@ MALFORMED_CONFIG = {
     "train-bins": ({**STUDY, "train": {"bins": 10}}, "unknown key 'bins'"),
     "floor-beyond-float": ({**FILES, "candidate_floor": 10 ** 400},
                            "config key 'candidate_floor' must be a number >= 0 and <= 1"),
+    "train-pairs-beyond-float": ({**STUDY, "train": {"n_nonmatch_name_pairs": 10 ** 400}},
+                                 "config key 'train.n_nonmatch_name_pairs' must be an "
+                                 "integer >= 1 and <= 3540"),
+    "train-pairs-beyond-dev": ({**STUDY, "train": {"n_nonmatch_score_pairs": 10 ** 12}},
+                               "config key 'train.n_nonmatch_score_pairs' must be an "
+                               "integer >= 1 and <= 3540, not 1000000000000"),
 }
 
 

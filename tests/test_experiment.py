@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (cross_product_codes, cross_product_table, external_scores_lookup,
-                     study_name_pairs)
+                     joint_field_codes, study_name_pairs)
 
 from hanlink import experiment as exp
 from hanlink import linkage
@@ -132,6 +132,64 @@ def test_dataset_codes_hold_a_then_b(case):
     for part, ids in ((name_codes[:dataset.n_a], dataset.name_ids_a),
                       (name_codes[dataset.n_a:], dataset.name_ids_b)):
         assert np.array_equal(part, ids) and np.shares_memory(ids, name_codes)
+
+
+def assert_joint_codes(dataset, records_a, records_b, fields):
+    """Every field's codes are, value for value, the joint interning of A's
+    cells and then B's with "" as -1, and int32; the names are the name
+    field's distinct values."""
+    for f, codes in zip(fields, dataset.codes):
+        values, want = joint_field_codes(list(records_a[f]), list(records_b[f]))
+        assert codes.dtype == np.int32 and np.array_equal(codes, want)
+        if f == "name":
+            assert dataset.names == values
+
+
+@pytest.mark.parametrize("names_a,names_b", [
+    (["x", "", "y"], ["y", "z"]),      # "" in A only
+    (["x", "y"], ["", "z", "x"]),      # "" in B only
+    (["", "x", ""], ["z", "", "x"]),   # "" in both
+    (["x", "x"], ["w", "z", "w"]),     # values first seen in B
+    ([""], [""]),                      # nothing but ""
+])
+def test_dataset_codes_are_the_joint_interning(names_a, names_b):
+    records_a = {"name": names_a, "sex": ["1"] * len(names_a)}
+    records_b = {"name": names_b, "sex": ["2"] * len(names_b)}
+    dataset = exp.LinkageDataset(records_a, records_b, np.zeros((0, 2)), ("name", "sex"))
+    assert_joint_codes(dataset, records_a, records_b, ("name", "sex"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_files())
+def test_file_read_dataset_equals_list_dataset(tmp_path_factory, case):
+    """A dataset of record files read back from CSV (interned columns) and
+    one of the same records as lists of strings hold equal codes, names and
+    name ids, each the joint interning of the cells."""
+    records_a, records_b, truth, fields = case
+    paths = []
+    for records in (records_a, records_b):
+        paths.append(tmp_path_factory.mktemp("records") / "r.csv")
+        linkage.write_records(paths[-1], {f: records.get(f, [""] * len(records["name"]))
+                                          for f in FIELDS})
+    from_lists = exp.LinkageDataset(records_a, records_b, truth, fields)
+    from_files = exp.LinkageDataset(*map(linkage.read_records, paths), truth, fields)
+    assert_joint_codes(from_lists, records_a, records_b, fields)
+    assert from_files.names == from_lists.names
+    for got, want in zip(from_files.codes, from_lists.codes):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key", ["n_nonmatch_name_pairs", "n_nonmatch_score_pairs"])
+def test_train_pair_counts_bounded_by_dev_nonmatches(key):
+    """A study's nonmatch pair counts reach at most the dev simulation's
+    n_records * (n_records - 1) nonmatch pairs; a larger count, one beyond
+    any float among them, is an InputError naming the key."""
+    config = {"simulate": {"n_records": 30}}
+    assert exp.read_settings({**config, "train": {key: 870}}).train == {key: 870}
+    for count in (871, 10 ** 12, 10 ** 400):
+        with pytest.raises(InputError, match=f"'train.{key}' must be an integer >= 1 "
+                                             f"and <= 870, not {count}"):
+            exp.read_settings({**config, "train": {key: count}})
 
 
 def test_dataset_rejects_columns_of_other_lengths():

@@ -1,11 +1,14 @@
+import csv
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cross_product_table, em_fit_reference, zeta_reference
+from oracles import (cross_product_table, csv_table_reference, em_fit_reference,
+                     joint_field_codes, zeta_reference)
 
 from hanlink import linkage
 from hanlink.experiment import LinkageDataset
@@ -259,7 +262,7 @@ def test_extend_key_numbers_value_pairs(data):
     key = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), np.int64)
     codes = np.array(data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)), np.int64)
     out = extend_key(key, codes)
-    assert out.dtype == np.int64 and np.all(out < n)
+    assert out.dtype == np.int32 and np.all(out < n)
     missing = (key < 0) | (codes < 0)
     assert np.array_equal(out < 0, missing) and np.all(out[missing] == -1)
     pairs = list(zip(key.tolist(), codes.tolist()))
@@ -512,7 +515,8 @@ def test_records_roundtrip(tmp_path):
     path = tmp_path / "recs.csv"
     write_records(path, recs)
     loaded = read_records(path)
-    assert loaded == recs
+    assert {f: list(column) for f, column in loaded.items()} == recs
+    assert all(column.ids.dtype == np.int32 for column in loaded.values())
 
 
 CELLS = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "#", "张", "李", "a", "0"]),
@@ -532,6 +536,91 @@ def test_write_csv_reads_back_cell_for_cell(tmp_path_factory, rows):
     table = CsvTable(path)
     assert table.header == header
     assert [list(row) for row in zip(*(table.column(h) for h in header))] == rows
+
+
+def test_read_records_memory_follows_distinct_values(tmp_path):
+    """A record file is held as each column's distinct cells and one int32
+    id per row, and read in blocks: 60k rows of a few hundred distinct
+    values hold 24 bytes a row and peak below twice that (a row list of
+    their cells held 16 MB and peaked at 22 MB)."""
+    rng = np.random.default_rng(5)
+    n = 60_000
+    columns = [[f"王{k}" for k in rng.integers(0, 500, n)], rng.integers(1, 3, n).astype(str),
+               rng.integers(1930, 2010, n).astype(str), rng.integers(1, 13, n).astype(str),
+               rng.integers(1, 29, n).astype(str), [f"L{k:03d}" for k in rng.integers(0, 200, n)]]
+    path = tmp_path / "records.csv"
+    write_csv(path, RECORD_FIELDS, zip(*columns))
+    tracemalloc.start()
+    try:
+        records = read_records(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [list(records[f]) for f in RECORD_FIELDS] == [list(c) for c in columns]
+    assert held < 6 * 4 * n + 2 ** 19
+    assert peak < 2 * 6 * 4 * n + 2 ** 20
+
+
+CSV_CELLS = st.one_of(st.sampled_from(["", "0", "12", "7", "张", "李华", "a"]),
+                     st.text(st.sampled_from([",", '"', "\n", "\r", " ", "张", "a", "1"]),
+                             max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_csv_table_matches_row_list_reference(tmp_path_factory, data):
+    """`CsvTable`, read in blocks of 1 to 4 rows, gives each column cell for
+    cell as a `csv.reader` row list does: interned columns as their strings
+    (int32 ids into the distinct cells, first seen first), parsed ones as
+    their values. Files hold quoted cells with line feeds and carriage
+    returns, LF or CRLF line ends, empty, repeated and CJK cells, ragged rows
+    and cells `int` rejects; a faulty file gives the reference's message,
+    with its line, wherever the block boundaries fall."""
+    width = data.draw(st.integers(1, 4))
+    header = [f"c{k}" for k in range(width)]
+    short, long = (width - 1, width + 1) if data.draw(st.booleans()) else (width, width)
+    rows = data.draw(st.lists(st.lists(CSV_CELLS, min_size=short, max_size=long), max_size=12))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"])),
+                   quoting=data.draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+                   ).writerows([header, *rows])
+    parsers = {name: int for name in data.draw(st.sets(st.sampled_from(header)))}
+    default = data.draw(st.sampled_from([None, int]))
+    want = csv_table_reference(path, parsers, default)
+    with mock.patch.object(linkage, "_CSV_BLOCK", data.draw(st.integers(1, 4))):
+        if isinstance(want, str):
+            with pytest.raises(InputError) as caught:
+                CsvTable(path, parsers, default)
+            assert str(caught.value) == want
+            return
+        table = CsvTable(path, parsers, default)
+    assert table.header == want[0]
+    for name, cells in want[1].items():
+        column = table.column(name)
+        assert list(column) == cells
+        if parsers.get(name, default) is None:
+            assert column.ids.dtype == np.int32
+            assert column.values == list(dict.fromkeys(cells))
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,a\n2,b\n3,c\n4,d\n5,e,x\n6,f\n", "line 6: 3 cells, expected 2"),
+    ("1,a\n2,b\n3,c\nx,d\n5,e,x\n", "line 5, column 'id': bad cell 'x'"),
+    ('1,a\n2,"b\r\nb"\r\n3,c\n4,d\n5,e\nx,f\n', "line 8, column 'id': bad cell 'x'"),
+    ("1,a\n2,b\n3,c\n4,d\n5,e,x\nx,f\n", "line 6: 3 cells, expected 2"),
+])
+def test_csv_table_names_faults_past_the_first_block(tmp_path, body, message):
+    """Blocks of two rows: a ragged row or a rejected cell in a later block
+    is named by its line, counted over quoted line breaks, and the first
+    fault in file order wins."""
+    path = tmp_path / "t.csv"
+    path.write_text("id,name\n" + body, encoding="utf-8", newline="")
+    assert csv_table_reference(path, {"id": int}) == f"{path}, {message}"
+    with mock.patch.object(linkage, "_CSV_BLOCK", 2):
+        with pytest.raises(InputError) as caught:
+            CsvTable(path, {"id": int})
+    assert str(caught.value) == f"{path}, {message}"
 
 
 def test_json_written_sorted_indented_and_read_back(tmp_path):
