@@ -95,19 +95,27 @@ def cmd_features(args) -> int:
 
 
 def _read_feature_csv(path: str):
-    table = CsvTable(path, {"label": _label, "han_category": HAN_CATEGORIES.index},
-                     default=_finite)
+    fixed = {"label": _label, "han_category": HAN_CATEGORIES.index}
+    specs = []
+
+    def parser(name: str):
+        """A column's parser; a feature's name is checked before any cell is read."""
+        if name in fixed:
+            return fixed[name]
+        try:
+            specs.append(FeatureSpec.from_name(name))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        return _finite
+
+    table = CsvTable(path, parser)
     y = np.array(table.column("label"), dtype=float)
-    cats = table.column("han_category") if "han_category" in table.header else [0] * len(y)
-    names = [name for name in table.header if name not in ("label", "han_category")]
-    if not names:
+    if not specs:
         raise InputError(f"{path}: no feature columns")
-    try:
-        specs = tuple(FeatureSpec.from_name(name) for name in names)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    cats = table.column("han_category") if "han_category" in table.header else [0] * len(y)
+    names = [name for name in table.header if name not in fixed]
     return (np.column_stack([table.column(name) for name in names]),
-            np.array(cats, dtype=np.int8), y, specs)
+            np.array(cats, dtype=np.int8), y, tuple(specs))
 
 
 def cmd_train(args) -> int:

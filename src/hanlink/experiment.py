@@ -47,6 +47,10 @@ DEFAULT_POSTERIOR_FLOOR = 0.1
 # matcher and for the score distribution, and the share held out for selection
 TRAIN_DEFAULTS = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000,
                   "dev_fraction": DEV_FRACTION}
+# The most nonmatch pairs a study samples for either use: `_nonmatches` draws
+# two int64 row indices per pair, 1.6 GB at this count before any is scored.
+# Pairs are drawn with replacement, so a count need not fit the dev simulation.
+MAX_NONMATCH_PAIRS = 10 ** 8
 
 # Experiment config keys: those of both modes, and those of each mode
 _COMMON_KEYS = ("seed", "methods", "fields", "classifier", "floor", "candidate_floor")
@@ -147,20 +151,20 @@ def read_settings(config: dict) -> Settings:
                 raise InputError(f"config section 'data' lacks {key!r}")
             _text(f"data.{key}", data[key])
     simulate = section("simulate", SimConfig.__dataclass_fields__)
-    default_fields, nonmatches = RECORD_FIELDS, 0
+    default_fields = RECORD_FIELDS
     if simulate is not None:
         if "seed" in simulate:
             raise InputError("config key 'simulate.seed' is not used: a study's seed is "
                              "the top-level 'seed'")
         sim = SimConfig.from_dict(simulate)
         default_fields = ("name", *sim.fields)
-        nonmatches = sim.n_records * (sim.n_records - 1)  # every record is linked once
     train = section("train", TRAIN_DEFAULTS)
-    for key, value in (train or {}).items():
+    for key, value in ({**TRAIN_DEFAULTS, **train} if train is not None else {}).items():
         if key == "dev_fraction":
             checked_number("config key 'train.dev_fraction'", value, 0, 1)
         else:
-            checked_number(f"config key 'train.{key}'", value, 1, nonmatches, integer=True)
+            checked_number(f"config key 'train.{key}'", value, 1, MAX_NONMATCH_PAIRS,
+                           integer=True)
 
     methods = _distinct("methods", config.get("methods", DEFAULT_METHODS if study
                                               else ("exact",)), DEFAULT_METHODS)

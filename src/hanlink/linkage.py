@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,16 +77,19 @@ def check_keys(where: str, given, known) -> None:
 
 class CsvTable:
     """A CSV file's header and columns, read once in blocks of `_CSV_BLOCK`
-    rows; no row is kept. A column with a parser (`parsers` by column name,
-    else `default`) is the list of its parsed cells; any other column is an
-    `InternedColumn`, its distinct cells, first seen first, and one int32 id
-    per row. InputError names the file when it is empty or names a column
+    rows; no row is kept. `parsers` gives a column's parser by its name, as a
+    dict or a function of the name that returns None for no parser; the
+    function is called on each header name before any cell is read, so it
+    may reject the header. A column with a parser is the list of its parsed
+    cells; any other column is an `InternedColumn`, its distinct cells, first
+    seen first, and one int32 id per row. InputError names the file when it
+    is empty or names a column
     twice, and a column that `column` is asked for and the header lacks. It
     names the first row, in file order, without exactly one cell per header
     column, by its line, or holding a cell its column's parser rejects with
     ValueError, by its line, column and cell (the leftmost in that row)."""
 
-    def __init__(self, path: str | Path, parsers: dict | None = None, default=None):
+    def __init__(self, path: str | Path, parsers: dict | Callable | None = None):
         self.path = path
         with Path(path).open("r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -95,7 +99,8 @@ class CsvTable:
             self.header = [h.strip() for h in header]
             if len(set(self.header)) < len(self.header):
                 raise InputError(f"{path}: header names a column twice")
-            parse = [(parsers or {}).get(name, default) for name in self.header]
+            parser_of = parsers if callable(parsers) else (parsers or {}).get
+            parse = [parser_of(name) for name in self.header]
             index: list[dict[str, int]] = [{} for _ in parse]  # per interned column
             parts: list[list] = [[] for _ in parse]  # id blocks or parsed cells
             start = 0

@@ -617,10 +617,10 @@ MALFORMED_CONFIG = {
                            "config key 'candidate_floor' must be a number >= 0 and <= 1"),
     "train-pairs-beyond-float": ({**STUDY, "train": {"n_nonmatch_name_pairs": 10 ** 400}},
                                  "config key 'train.n_nonmatch_name_pairs' must be an "
-                                 "integer >= 1 and <= 3540"),
-    "train-pairs-beyond-dev": ({**STUDY, "train": {"n_nonmatch_score_pairs": 10 ** 12}},
+                                 "integer >= 1 and <= 100000000"),
+    "train-pairs-beyond-cap": ({**STUDY, "train": {"n_nonmatch_score_pairs": 10 ** 12}},
                                "config key 'train.n_nonmatch_score_pairs' must be an "
-                               "integer >= 1 and <= 3540, not 1000000000000"),
+                               "integer >= 1 and <= 100000000, not 1000000000000"),
 }
 
 
@@ -710,6 +710,8 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
     ("experiment", "--workers", "0", "--workers must be an integer >= 1, not 0"),
     ("train", "--in", "labels.csv", "labels.csv: no feature columns"),
     ("train", "--in", "typo.csv", "typo.csv: feature 'PY_FOO_k1_1:N': unknown comparator 'FOO'"),
+    ("train", "--in", "pairs.csv", "pairs.csv: malformed feature name 'name_a'"),
+    ("train", "--in", "cell.csv", "cell.csv, line 3, column 'J_LV_k1_1:N': bad cell 'x'"),
     ("evaluate", "--q", "2", "--q must be a number > 0 and <= 1, not 2.0"),
     ("fitdist", "--bins", "0", "--bins must be an integer >= 1, not 0"),
     ("simulate", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
@@ -718,13 +720,17 @@ def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, op
                                       message):
     """A number given on the command line is checked as the config reader
     checks the same setting, before any work, and a feature file without
-    feature columns or with a malformed feature name is rejected: exit 2
-    naming the option or the file."""
+    feature columns, with a malformed feature name (found before any cell is
+    parsed, so a name pair file's text is not read as numbers) or with a
+    feature cell that is not a number is rejected: exit 2 naming the option
+    or the file."""
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
     Path("labels.csv").write_text("han_category,label\nBothHan,0\nBothHan,1\n",
                                   encoding="utf-8")
     Path("typo.csv").write_text("PY_FOO_k1_1:N,label\n0.2,0\n0.8,1\n", encoding="utf-8")
+    Path("pairs.csv").write_text("name_a,name_b,label\n张三,张山,1\n", encoding="utf-8")
+    Path("cell.csv").write_text("J_LV_k1_1:N,label\n0.2,0\nx,1\n", encoding="utf-8")
     Path("features.csv").write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
         f"{0.2 + 0.6 * (k % 2)},BothHan,{k % 2}\n" for k in range(8)), encoding="utf-8")
     Path("scores.csv").write_text("score,label\n0.9,1\n0.1,0\n", encoding="utf-8")

@@ -180,15 +180,20 @@ def test_file_read_dataset_equals_list_dataset(tmp_path_factory, case):
 
 
 @pytest.mark.parametrize("key", ["n_nonmatch_name_pairs", "n_nonmatch_score_pairs"])
-def test_train_pair_counts_bounded_by_dev_nonmatches(key):
-    """A study's nonmatch pair counts reach at most the dev simulation's
-    n_records * (n_records - 1) nonmatch pairs; a larger count, one beyond
-    any float among them, is an InputError naming the key."""
+def test_train_pair_counts_bounded(key):
+    """A study's nonmatch pair counts reach at most MAX_NONMATCH_PAIRS,
+    whatever the dev simulation's size: pairs are drawn with replacement, so
+    a count beyond its n_records * (n_records - 1) nonmatch pairs is kept,
+    written out or left to its default. A larger count, one beyond any float
+    among them, is an InputError naming the key."""
     config = {"simulate": {"n_records": 30}}
-    assert exp.read_settings({**config, "train": {key: 870}}).train == {key: 870}
-    for count in (871, 10 ** 12, 10 ** 400):
+    assert 870 < exp.TRAIN_DEFAULTS[key] < exp.MAX_NONMATCH_PAIRS
+    for count in (871, exp.TRAIN_DEFAULTS[key], exp.MAX_NONMATCH_PAIRS):
+        assert exp.read_settings({**config, "train": {key: count}}).train == {key: count}
+    assert exp.read_settings(config).train == {}
+    for count in (exp.MAX_NONMATCH_PAIRS + 1, 10 ** 12, 10 ** 400):
         with pytest.raises(InputError, match=f"'train.{key}' must be an integer >= 1 "
-                                             f"and <= 870, not {count}"):
+                                             f"and <= 100000000, not {count}"):
             exp.read_settings({**config, "train": {key: count}})
 
 

@@ -588,13 +588,15 @@ def test_csv_table_matches_row_list_reference(tmp_path_factory, data):
     parsers = {name: int for name in data.draw(st.sets(st.sampled_from(header)))}
     default = data.draw(st.sampled_from([None, int]))
     want = csv_table_reference(path, parsers, default)
+    given_parsers = (parsers if default is None and data.draw(st.booleans())
+                     else lambda name: parsers.get(name, default))
     with mock.patch.object(linkage, "_CSV_BLOCK", data.draw(st.integers(1, 4))):
         if isinstance(want, str):
             with pytest.raises(InputError) as caught:
-                CsvTable(path, parsers, default)
+                CsvTable(path, given_parsers)
             assert str(caught.value) == want
             return
-        table = CsvTable(path, parsers, default)
+        table = CsvTable(path, given_parsers)
     assert table.header == want[0]
     for name, cells in want[1].items():
         column = table.column(name)
