@@ -476,14 +476,14 @@ class PairFeaturizer:
     and per-substring work (log frequencies, encodings) once per distinct
     substring of a range. An encoded substring is built once per (encoding,
     distinct substring) from per-logogram codes looked up once per
-    (encoding, logogram), both kept across calls. Each range finds its
-    distinct pairs of unequal substrings once per batch; each (encoding,
-    range) key collapses those into its distinct pairs of unequal encoded
-    substrings, so a duplicate pair costs only a gather, and each
-    comparator runs once per batch: one `edit_distances` call over every
-    LV/LCS key's pairs, string ids offset per key, and one cosine pass per
-    key covering all its token lengths. Ids and pair codes are int32 where
-    they fit.
+    (encoding, logogram), both kept across calls. Each (encoding, range)
+    key maps each name to its encoded substring's id and finds the batch's
+    distinct pairs of unequal encoded substrings in one pass (equal ones
+    score 1, a missing one 0), so a duplicate pair costs only a gather.
+    Each comparator runs once per batch: one `edit_distances` call over
+    every LV/LCS key's pairs, string ids offset per key into one pool, and
+    one cosine pass per key covering all its token lengths. Ids and pair
+    codes are int32 where they fit.
 
     `fallbacks` counts the distinct (encoding, logogram) lookups that found
     no code in a table and fell back to the logogram itself; the identity
@@ -550,9 +550,23 @@ class PairFeaturizer:
                 X[:, c] = np.where(both, lf[ia] + lf[ib], 0.0)
             else:
                 keys.setdefault(spec.range_tag, {}).setdefault(spec.encoding, []).append(c)
-        edits = []  # per key with LV/LCS columns: those columns, its comparisons, its strings
+        edits = []  # per key with LV/LCS columns: those columns, its pairs, its strings
         for tag, encodings in keys.items():
-            edits += self._range_columns(X, *ranges[tag], ia, ib, encodings)
+            subs, ids, both = ranges[tag]
+            for enc, cols in encodings.items():
+                strings, (enc_ids,) = intern_strings(
+                    [self._encode(EncodingKind(enc), sub) for sub in subs])
+                enc_ids = enc_ids[ids]  # each name's encoded substring
+                key = _distinct_pairs(len(strings), enc_ids[ia], enc_ids[ib], both)
+                X[:, cols] = both[:, None]  # equal encoded substrings score 1, a missing one 0
+                cos = [c for c in cols if self.specs[c].comparator == "COS"]
+                if cos:
+                    ks = sorted({self.specs[c].k for c in cos})
+                    sims = dict(zip(ks, _cosines(strings, key.u, key.v, ks)))
+                    for c in cos:
+                        X[key.todo, c] = sims[self.specs[c].k][key.inverse]
+                if edit_cols := [c for c in cols if c not in cos]:
+                    edits.append((edit_cols, key, strings))
         if edits:
             self._edit_columns(X, edits)
         return X, cats
@@ -576,51 +590,25 @@ class PairFeaturizer:
             ranges[tag] = subs, ids, present[ia] & present[ib]
         return cats, ranges
 
-    def _range_columns(self, X: np.ndarray, subs: list[str], ids: np.ndarray,
-                       both: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-                       encodings: dict[str, list[int]]) -> list[tuple]:
-        """Fill the cosine columns of one range's keys (`encodings`: each
-        encoding's LV/LCS/COS columns) from the range's distinct pairs of
-        unequal substrings, and return the `_key_columns` of the keys with
-        LV/LCS columns."""
-        sub_pairs = _distinct_pairs(len(subs), ids[ia], ids[ib], both)
-        return [edit for enc, cols in encodings.items()
-                if (edit := self._key_columns(X, EncodingKind(enc), cols, subs, both, sub_pairs))]
-
-    def _key_columns(self, X: np.ndarray, kind: EncodingKind, cols: list[int],
-                     subs: list[str], both: np.ndarray, sub_pairs: "_Pairs") -> tuple | None:
-        """Fill the cosine columns of one (encoding, range) key, and return
-        its LV/LCS columns with its comparisons and encoded strings, or None
-        if it has none; what the cosines alone needed is dropped here."""
-        strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
-        key = _Comparisons(both, sub_pairs, _distinct_pairs(
-            len(strings), enc_ids[sub_pairs.u], enc_ids[sub_pairs.v], True))
-        cos = [c for c in cols if self.specs[c].comparator == "COS"]
-        if cos:
-            ks = sorted({self.specs[c].k for c in cos})
-            sims = dict(zip(ks, _cosines(strings, key.pairs.u, key.pairs.v, ks)))
-            for c in cos:
-                key.fill(X, c, sims[self.specs[c].k])
-        edit_cols = [c for c in cols if c not in cos]
-        return (edit_cols, key, strings) if edit_cols else None
-
     def _edit_columns(self, X: np.ndarray, edits: list[tuple]) -> None:
         """Fill the LV/LCS columns of every key in `edits` from one
         `edit_distances` call over all their pairs, each key's string ids
-        offset by its strings' start in one pool."""
+        written once, offset by its strings' start, into two pool arrays."""
         pool: list[str] = []
-        us, vs = [], []
-        for _, key, strings in edits:
-            us.append(key.pairs.u + len(pool))
-            vs.append(key.pairs.v + len(pool))
+        bounds = np.cumsum([0] + [len(key.u) for _, key, _ in edits])
+        id_type = index_type(sum(len(strings) for *_, strings in edits))
+        us, vs = np.empty(bounds[-1], dtype=id_type), np.empty(bounds[-1], dtype=id_type)
+        for (_, key, strings), start, stop in zip(edits, bounds, bounds[1:]):
+            np.add(key.u, len(pool), out=us[start:stop])
+            np.add(key.v, len(pool), out=vs[start:stop])
             pool += strings
-        d = edit_distances(pool, np.concatenate(us), np.concatenate(vs))
-        lens, start = _lengths(pool), 0
-        for (cols, key, _), u, v in zip(edits, us, vs):
-            distances, start = d[start:start + len(u)], start + len(u)
+        d = edit_distances(pool, us, vs)
+        lens = _lengths(pool)
+        for (cols, key, _), start, stop in zip(edits, bounds, bounds[1:]):
+            u, v = us[start:stop], vs[start:stop]
             for c in cols:
-                key.fill(X, c, _from_distances(self.specs[c].comparator, distances,
-                                               lens[u], lens[v]))
+                sims = _from_distances(self.specs[c].comparator, d[start:stop], lens[u], lens[v])
+                X[key.todo, c] = sims[key.inverse]
 
 
 def _compact_ids(n_ids: int, ia: np.ndarray, ib: np.ndarray):
@@ -658,21 +646,3 @@ def _distinct_pairs(n_ids: int, a: np.ndarray, b: np.ndarray, mask) -> _Pairs:
     keys, inverse = np.unique(codes, return_inverse=True)
     u, v = (x.astype(index_type(n_ids)) for x in np.divmod(keys, n_ids))
     return _Pairs(u, v, todo, inverse.astype(index_type(len(keys))))
-
-
-class _Comparisons(NamedTuple):
-    """One (encoding, range) key's comparisons in a batch: `both` marks the
-    batch pairs whose two substrings exist, `subs` holds the range's
-    distinct pairs of unequal substrings, and `pairs` those pairs' distinct
-    pairs of unequal encoded substrings, as string ids."""
-    both: np.ndarray
-    subs: _Pairs
-    pairs: _Pairs
-
-    def fill(self, X: np.ndarray, c: int, values: np.ndarray) -> None:
-        """Column c of X from one value per distinct encoded pair; equal
-        encoded substrings score 1 and a missing one 0."""
-        per_sub = np.ones(len(self.pairs.todo))
-        per_sub[self.pairs.todo] = values[self.pairs.inverse]
-        X[:, c] = self.both
-        X[self.subs.todo, c] = per_sub[self.subs.inverse]

@@ -98,8 +98,7 @@ def read_settings(config: dict) -> Settings:
       fields           'name' and the simulated fields
       classifier       "logistic:train"; or a fixed selector (below)
       train            TRAIN_DEFAULTS, keys given override: the nonmatch pair counts
-                       (integers from 1 to the dev simulation's n_records * (n_records - 1)
-                       nonmatch pairs) and dev_fraction, in [0, 1]
+                       (integers from 1 to MAX_NONMATCH_PAIRS) and dev_fraction, in [0, 1]
       seed             0
       replicates       1
       workers          1 (`run_study`'s `workers`, the command line's --workers, wins)

@@ -87,7 +87,10 @@ class CsvTable:
     twice, and a column that `column` is asked for and the header lacks. It
     names the first row, in file order, without exactly one cell per header
     column, by its line, or holding a cell its column's parser rejects with
-    ValueError, by its line, column and cell (the leftmost in that row)."""
+    ValueError, by its line, column and cell (the leftmost in that row). A
+    parsed cell holding "_" or a non-ASCII character is rejected before its
+    parser sees it: int and float read those as digits, "1_0" as 10 and a
+    fullwidth "２" as 2."""
 
     def __init__(self, path: str | Path, parsers: dict | Callable | None = None):
         self.path = path
@@ -124,11 +127,15 @@ class CsvTable:
             if parse[c] is None:
                 parts[c].append(intern_into(index[c], cells))
                 continue
+            plain = len(cells)  # the cells before the first holding "_" or a non-ASCII character
+            if "_" in (text := "".join(cells)) or not text.isascii():
+                plain = next(k for k, cell in enumerate(cells) if "_" in cell or not cell.isascii())
             done = len(parts[c])
             try:
-                parts[c].extend(map(parse[c], cells))
+                parts[c].extend(map(parse[c], cells[:plain]))
             except ValueError:  # extend keeps the values parsed before the rejected cell
-                k = len(parts[c]) - done
+                pass
+            if (k := len(parts[c]) - done) < len(cells):  # the first cell not parsed
                 faults.append((k, c, cells[k]))
         if faults:
             k, c, cell = min(faults)

@@ -118,7 +118,8 @@ def csv_table_reference(path, parsers: dict, default=None):
     (`parsers`, else `default`) as its parsed cells; or, for a faulty file,
     the message of its first fault: an empty file, a header naming a column
     twice, then in file order the first row without one cell per header
-    column, or the leftmost cell of a row that its parser rejects."""
+    column, or the leftmost cell of a row that its parser rejects or, in a
+    parsed column, that holds "_" or a non-ASCII character."""
     import csv
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -135,6 +136,8 @@ def csv_table_reference(path, parsers: dict, default=None):
             return f"{path}, line {line}: {len(row)} cells, expected {len(header)}"
         for name, p, cell in zip(header, parse, row):
             try:
+                if p is not None and ("_" in cell or not cell.isascii()):
+                    raise ValueError(cell)
                 columns[name].append(cell if p is None else p(cell))
             except ValueError:
                 return f"{path}, line {line}, column '{name}': bad cell {cell!r}"

@@ -97,6 +97,27 @@ def test_features_reproduce_table1_column(tmp_path):
     assert values == pytest.approx([0.75, 2 / 3, 1 / 3, 1 / 3])
 
 
+def test_features_full_bank_pinned(tmp_path):
+    """`hanlink features` over the full bank, pinned as a digest of its
+    output: pairs whose pinyin (伊/依), four-corner (二/许) or Wubi98 (丁/夌)
+    codes are equal while the logograms differ, a name holding a space (its
+    1:2 and 2:N substrings hold it), names shorter than a range, 㐀 (in no
+    table), an empty name, a Latin name, and duplicated and swapped pairs.
+    Values are written with `.12g`, so the digest does not depend on the host."""
+    pairs = tmp_path / "pairs.csv"
+    write_pairs_csv(pairs, [
+        ("伊", "依"), ("二", "许"), ("丁", "夌"), ("依", "伊"), ("伊", "依"),
+        ("伊二丁", "依许夌"), ("李 华", "李华"), ("李 华", "伊"), ("李华", "李 华"),
+        ("㐀", "丁"), ("㐀伊", "㐀依"), ("张可成", "张珂成"), ("张珂成", "张可成"),
+        ("谯科江", "谯江科"), ("万只子", "万只只子"), ("阳娅", "阳女亚"), ("二许", "许二"),
+        ("李华", ""), ("", ""), ("Li Hua", "李华"), ("张可成", "张可成"),
+    ], header=("name_a", "name_b"))
+    out = tmp_path / "features.csv"
+    assert main(["features", "--in", str(pairs), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "80e4be8a35c29f5ee0d45581ce830541b3fda447ef04e3cf3582e7f97f94ce97")
+
+
 def test_train_and_fitdist_and_evaluate(tmp_path, name_model, bundle):
     from hanlink.simgen import SimConfig, generate_pair_files
     rng = np.random.default_rng(0)
@@ -513,10 +534,14 @@ MALFORMED_CSV = {
                                   "line 2, column 'score': bad cell '1.5'"),
     "fitdist-scores": ("score,label\n0.9,1\n0.1\n", "line 3: 1 cells"),
     "fitdist-label": ("score,label\n0.9,1\n0.1,2\n", "line 3, column 'label': bad cell '2'"),
+    "fitdist-score": ("score,label\n0.9,1\n0_0.5,0\n", "line 3, column 'score': bad cell '0_0.5'"),
     "fitdist-pairs": ("name_a,name_b,label\n伍考,伍考,1\n李华,李\n", "line 3: 2 cells"),
     "external-scores": ("name_a,name_b,score\na,b,0.5\na\n", "line 3: 1 cells"),
     "external-scores-empty": ("", "empty file"),
     "truth-cell": ("id_a,id_b\n0,x\n1,1\n2,2\n", "line 2, column 'id_b': bad cell 'x'"),
+    "truth-underscore": ("id_a,id_b\n0,0\n1,1_0\n2,2\n", "line 3, column 'id_b': bad cell '1_0'"),
+    "truth-fullwidth": ("id_a,id_b\n0,0\n\uff11,1\n2,2\n",
+                        "line 3, column 'id_a': bad cell '\uff11'"),
     "truth-blank-line": ("id_a,id_b\n0,0\n\n1,1\n2,2\n", "line 3: 0 cells, expected 2"),
     "records-repeated-column": ("name,sex,yob,mob,dob,loc,sex\na,a,a,a,a,a,b\n",
                                 "header names a column twice"),
@@ -712,6 +737,7 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
     ("train", "--in", "typo.csv", "typo.csv: feature 'PY_FOO_k1_1:N': unknown comparator 'FOO'"),
     ("train", "--in", "pairs.csv", "pairs.csv: malformed feature name 'name_a'"),
     ("train", "--in", "cell.csv", "cell.csv, line 3, column 'J_LV_k1_1:N': bad cell 'x'"),
+    ("train", "--in", "digits.csv", "digits.csv, line 2, column 'J_LV_k1_1:N': bad cell '0_0.5'"),
     ("evaluate", "--q", "2", "--q must be a number > 0 and <= 1, not 2.0"),
     ("fitdist", "--bins", "0", "--bins must be an integer >= 1, not 0"),
     ("simulate", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
@@ -731,6 +757,7 @@ def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, op
     Path("typo.csv").write_text("PY_FOO_k1_1:N,label\n0.2,0\n0.8,1\n", encoding="utf-8")
     Path("pairs.csv").write_text("name_a,name_b,label\n张三,张山,1\n", encoding="utf-8")
     Path("cell.csv").write_text("J_LV_k1_1:N,label\n0.2,0\nx,1\n", encoding="utf-8")
+    Path("digits.csv").write_text("J_LV_k1_1:N,label\n0_0.5,0\n0.8,1\n", encoding="utf-8")
     Path("features.csv").write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
         f"{0.2 + 0.6 * (k % 2)},BothHan,{k % 2}\n" for k in range(8)), encoding="utf-8")
     Path("scores.csv").write_text("score,label\n0.9,1\n0.1,0\n", encoding="utf-8")

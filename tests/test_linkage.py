@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -561,7 +562,7 @@ def test_read_records_memory_follows_distinct_values(tmp_path):
     assert peak < 2 * 6 * 4 * n + 2 ** 20
 
 
-CSV_CELLS = st.one_of(st.sampled_from(["", "0", "12", "7", "张", "李华", "a"]),
+CSV_CELLS = st.one_of(st.sampled_from(["", "0", "12", "7", "1_0", "\uff12", "张", "李华", "a"]),
                      st.text(st.sampled_from([",", '"', "\n", "\r", " ", "张", "a", "1"]),
                              max_size=4))
 
@@ -573,8 +574,9 @@ def test_csv_table_matches_row_list_reference(tmp_path_factory, data):
     cell as a `csv.reader` row list does: interned columns as their strings
     (int32 ids into the distinct cells, first seen first), parsed ones as
     their values. Files hold quoted cells with line feeds and carriage
-    returns, LF or CRLF line ends, empty, repeated and CJK cells, ragged rows
-    and cells `int` rejects; a faulty file gives the reference's message,
+    returns, LF or CRLF line ends, empty, repeated and CJK cells, ragged rows,
+    cells `int` rejects and cells it reads but a parsed column rejects ("1_0",
+    a fullwidth digit); a faulty file gives the reference's message,
     with its line, wherever the block boundaries fall."""
     width = data.draw(st.integers(1, 4))
     header = [f"c{k}" for k in range(width)]
@@ -623,6 +625,23 @@ def test_csv_table_names_faults_past_the_first_block(tmp_path, body, message):
         with pytest.raises(InputError) as caught:
             CsvTable(path, {"id": int})
     assert str(caught.value) == f"{path}, {message}"
+
+
+@pytest.mark.parametrize("parse", [int, float])
+@pytest.mark.parametrize("cell", ["1_0", "0_0.5", "_", "\uff12", "\u0663", "0.\uff15", "\u00a01",
+                                  "1\u3000"])
+def test_csv_table_rejects_underscores_and_non_ascii_in_parsed_cells(tmp_path, parse, cell):
+    """A parsed cell holding "_" or a character outside ASCII (a fullwidth
+    or Arabic-Indic digit, a no-break or ideographic space) is a bad cell,
+    though int or float reads most of them as a number; an interned column
+    keeps it, and spaces around a number are read."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ["n", "text"], [[" 3 ", cell], [cell, "x"]])
+    with pytest.raises(InputError, match=re.escape(f"line 3, column 'n': bad cell {cell!r}")):
+        CsvTable(path, {"n": parse})
+    assert list(CsvTable(path).column("n")) == [" 3 ", cell]
+    write_csv(path, ["n", "text"], [[" 3 ", cell]])
+    assert CsvTable(path, {"n": parse}).column("n") == [3]
 
 
 def test_json_written_sorted_indented_and_read_back(tmp_path):

@@ -54,3 +54,26 @@ def test_declared_dependencies_import():
     declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     for requirement in declared:
         importlib.import_module(re.match(r"[A-Za-z0-9_.-]+", requirement).group(0))
+
+
+def test_package_definitions_are_named_elsewhere():
+    """Every function and class a package module defines, methods included
+    (but not dunder methods, which Python calls by protocol), is named by
+    some other code in the package, the tests or the benchmark, so no helper
+    outlives its last use."""
+    package, root = Path(hanlink.__file__).parent, Path(__file__).resolve().parents[1]
+    named, defined = set(), []
+    for path in [*package.glob("*.py"), *root.glob("tests/*.py"), *root.glob("perfbench/*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and path.parent == package
+                  and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined.append((f"{path.name}:{node.lineno}", node.name))
+    assert [f"{where} {name}" for where, name in defined if name not in named] == []
