@@ -156,8 +156,6 @@ def cmd_fitdist(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        config = {**config, "seed": checked_number("--seed", args.seed, 0, integer=True)}
     sim_cfg = SimConfig.from_dict(config)
     bundle = load_bundle(args.assets)
     name_model = build_name_model(bundle.corpus, bundle.tables)
@@ -188,8 +186,6 @@ def _experiment_files(config: dict, args, bundle) -> dict:
 
 def cmd_experiment(args) -> int:
     config = read_json(args.config)
-    if args.method:
-        config["methods"] = [args.method]
     settings = exp.read_settings(config)
     workers = (None if args.workers is None  # None: run_study reads the config's
                else checked_number("--workers", args.workers, 1, integer=True))
@@ -270,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a paired dataset with truth")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--assets", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -278,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--method", default=None)
     p.add_argument("--assets", default=None)
     p.set_defaults(func=cmd_experiment)
 

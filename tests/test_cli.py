@@ -242,8 +242,8 @@ def test_simulate_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("config,message", [
     ({"nrecords": 9}, "unknown key 'nrecords'"),
     ({"n_records": 9.5}, "'n_records' must be an integer >= 1, not 9.5"),
-    ({"field_error_rates": {"sex": -1}}, "'field_error_rates.sex' must be a number"),
-    ({"cardinalities": {"lco": 3}}, "unknown key 'lco'"),
+    ({"field_error_rates": {"sex": 0.5}}, "unknown key 'field_error_rates'"),
+    ({"n_records": 10 ** 12}, "'n_records' must be at most 1000000, not 1000000000000"),
     ([60], "must hold a JSON object"),
     ({"fields": ["sex", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
 ])
@@ -580,24 +580,21 @@ def test_malformed_csv_input_exits_2(tmp_path, capsys, case):
     assert f"{bad}{',' if 'line' in message else ':'} {message}" in capsys.readouterr().err
 
 
-def test_experiment_method_option_replaces_methods(tmp_path, capsys):
-    """--method M runs M alone, in place of the config's methods list; the
-    retired singular 'method' key is an input error."""
+def test_no_option_repeats_a_config_key(tmp_path, capsys):
+    """An experiment's methods and a simulation's seed are config keys
+    only: --method and --seed are unknown options, and the retired singular
+    'method' key is an input error."""
+    for argv in (["experiment", "--config", "c.json", "--method", "exact"],
+                 ["simulate", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--out", str(tmp_path / "r")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
     cfg = tmp_path / "study.json"
-    study = {"seed": 3, "simulate": {"n_records": 80}, "methods": ["exact", "tau1"]}
-    cfg.write_text(json.dumps(study))
-    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "s"),
-                 "--method", "exact"]) == 0
-    report = json.loads((tmp_path / "s" / "report.json").read_text())
-    assert list(report["summary"]) == ["exact"]
-    assert report["config"]["methods"] == ["exact"] and report["train_info"] == {}
-    files = small_experiment(tmp_path, methods=["exact", "posterior"])
-    assert main(["experiment", "--config", str(files), "--out", str(tmp_path / "f"),
-                 "--method", "exact"]) == 0
-    assert list(json.loads((tmp_path / "f" / "report.json").read_text())["reports"]) == ["exact"]
-    cfg.write_text(json.dumps({**study, "method": "exact"}))
+    cfg.write_text(json.dumps({"seed": 3, "simulate": {"n_records": 80}, "method": "exact"}))
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     assert "'methods'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "t").exists()
 
 
 FILES = {"data": {"file_a": "a.csv", "file_b": "b.csv", "truth": "truth.csv"}}
@@ -610,6 +607,10 @@ MALFORMED_CONFIG = {
     "simulate-rate": ({"simulate": {"name_error_rate": 2}}, "'name_error_rate'"),
     "simulate-field-twice": ({"simulate": {"fields": ["sex", "sex"]}},
                              "simulation key 'fields' lists 'sex' more than once"),
+    "simulate-error-model": ({"simulate": {"error_type_probs": {"complex": 1}}},
+                             "unknown key 'error_type_probs'"),
+    "simulate-records-beyond-cap": ({"simulate": {"n_records": 10 ** 12}},
+                                    "'n_records' must be at most 1000000"),
     "no-replicates": ({**STUDY, "replicates": 0}, "'replicates' must be an integer >= 1"),
     "files-no-methods": ({**FILES, "methods": []}, "'methods' must list"),
     "study-no-methods": ({**STUDY, "methods": []}, "'methods' must list"),
@@ -740,7 +741,6 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
     ("train", "--in", "digits.csv", "digits.csv, line 2, column 'J_LV_k1_1:N': bad cell '0_0.5'"),
     ("evaluate", "--q", "2", "--q must be a number > 0 and <= 1, not 2.0"),
     ("fitdist", "--bins", "0", "--bins must be an integer >= 1, not 0"),
-    ("simulate", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
 ])
 def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, option, value,
                                       message):
@@ -763,7 +763,7 @@ def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, op
     Path("scores.csv").write_text("score,label\n0.9,1\n0.1,0\n", encoding="utf-8")
     Path("study.json").write_text(json.dumps({**STUDY, "methods": ["exact"]}))
     argv = {"train": ["--in", "features.csv"], "fitdist": ["--in", "scores.csv"],
-            "simulate": [], "experiment": ["--config", "study.json"],
+            "experiment": ["--config", "study.json"],
             "evaluate": ["--in", "scores.csv"]}[command]
     assert main([command, *argv, "--out", str(out), option, value]) == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from oracles import (cross_product_codes, cross_product_table, external_scores_l
                      joint_field_codes, study_name_pairs)
 
 from hanlink import experiment as exp
-from hanlink import linkage
+from hanlink import linkage, simgen
 from hanlink.assets import load_bundle
 from hanlink.compare import FeatureSpec, NamePairs, PairFeaturizer, intern_strings
 from hanlink.encoding import EncodingKind
@@ -232,11 +232,9 @@ def test_candidate_pairs_exhaustive(dataset):
     assert listed[:3].tolist() == table.counts[:3].tolist() and not listed[3:].any()
 
 
-def test_exact_zero_error_perfect(name_model, bundle):
-    cfg = SimConfig(n_records=200, name_error_rate=0.0,
-                    field_error_rates={f: 0.0 for f in
-                                       ("sex", "yob", "mob", "dob", "loc")},
-                    seed=22)
+def test_exact_zero_error_perfect(name_model, bundle, monkeypatch):
+    monkeypatch.setattr(simgen, "FIELD_ERROR_RATES", dict.fromkeys(simgen.SIM_FIELDS, 0.0))
+    cfg = SimConfig(n_records=200, name_error_rate=0.0, seed=22)
     sim = generate_pair_files(cfg, name_model)
     dataset = exp.LinkageDataset(sim.records_a, sim.records_b, sim.truth, FIELDS)
     reports = exp.run_methods(dataset, ("exact",))
@@ -463,6 +461,23 @@ def test_run_study_worker_count_invariance(bundle):
     serial = exp.run_study(config, workers=1)
     parallel = exp.run_study(config, workers=2)
     assert serial["replicates"] == parallel["replicates"]
+
+
+def test_study_of_a_field_subset(bundle):
+    """A study simulating some supporting fields links on the name and
+    those fields by default, through every method it names."""
+    config = {
+        "seed": 7,
+        "simulate": {"n_records": 200, "name_error_rate": 0.2, "fields": ["sex", "loc"]},
+        "methods": ["exact", "tau1", "posterior"],
+        "classifier": "single:PY_COS_k3_1:N",
+        "train": {"n_nonmatch_score_pairs": 2000},
+    }
+    assert exp.read_settings(config).fields == ("name", "sex", "loc")
+    report = exp.run_study(config, bundle)
+    assert list(report["summary"]) == ["exact", "tau1", "posterior"]
+    explicit = exp.run_study({**config, "fields": ["name", "sex", "loc"]}, bundle)
+    assert report["replicates"] == explicit["replicates"]
 
 
 SCORER_NAMES = st.text(alphabet="伍考张可成阳李华㐀 ", min_size=1, max_size=4)

@@ -72,6 +72,27 @@ def test_nonconvergence_carries_last_iterate(monkeypatch):
     assert isinstance(excinfo.value.model, MatcherModel)
 
 
+def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
+    """Without a penalty, two identical columns make every Hessian singular:
+    each Newton step solves its slice alone by least squares, and the fit
+    predicts as the one-column fit does."""
+    rng = np.random.default_rng(3)
+    y = rng.integers(0, 2, size=300)
+    x = rng.normal(size=300) + y
+    solves, lstsq = [], np.linalg.lstsq
+    solve = matcher._solve
+    monkeypatch.setattr(matcher, "_solve", lambda H, g: solves.append("solve") or solve(H, g))
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kw: solves.append("lstsq") or lstsq(*args, **kw))
+    twin = train_logistic(_data(np.column_stack([x, x]), y), (SPEC_A, SPEC_B), penalty=0.0)
+    monkeypatch.undo()
+    assert solves and solves == ["solve", "lstsq"] * (len(solves) // 2)
+    one = train_logistic(_data(x[:, None], y), (SPEC_A,), penalty=0.0)
+    cats = np.zeros(len(y), dtype=np.int8)
+    assert np.abs(twin.predict_matrix(np.column_stack([x, x]), cats)
+                  - one.predict_matrix(x[:, None], cats)).max() <= 1e-12
+
+
 def test_order_invariance():
     rng = np.random.default_rng(2)
     y = rng.integers(0, 2, size=300).astype(float)

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanlink import simgen
 from hanlink.compare import levenshtein_sims
 from hanlink.encoding import EncodingKind, EncodingTable, logograms
 from hanlink.linkage import InputError
 from hanlink.simgen import (
-    DEFAULT_CARDINALITIES,
-    DEFAULT_ERROR_TYPES,
-    DEFAULT_FIELD_ERROR_RATES,
+    ERROR_TYPES,
+    FIELD_ERROR_RATES,
+    MAX_RECORDS,
+    SIM_FIELDS,
     STOP,
     SimConfig,
     build_name_model,
@@ -38,19 +40,7 @@ def test_config_validation():
         SimConfig(name_error_rate=1.5)
     with pytest.raises(ValueError):
         SimConfig(fields=("sex", "bogus"))
-    cfg = SimConfig.from_dict({"error_type_probs": {**DEFAULT_ERROR_TYPES,
-                                                    "complex": 0.5}})
-    assert sum(cfg.error_type_probs.values()) == pytest.approx(1.0)
-
-
-def test_config_partial_maps_take_defaults():
-    """A rate, error-type or cardinality map naming some keys keeps the
-    defaults of the rest, whether read from a dict or constructed."""
-    for cfg in (SimConfig.from_dict({"field_error_rates": {"sex": 0.5}, "fields": ["sex", "yob"]}),
-                SimConfig(field_error_rates={"sex": 0.5}, fields=["sex", "yob"])):
-        assert cfg.field_error_rates == {**DEFAULT_FIELD_ERROR_RATES, "sex": 0.5}
-        assert cfg.fields == ("sex", "yob")
-        assert cfg.cardinalities == DEFAULT_CARDINALITIES
+    assert SimConfig(n_records=MAX_RECORDS).n_records == MAX_RECORDS
 
 
 @pytest.mark.parametrize("config,message", [
@@ -58,11 +48,11 @@ def test_config_partial_maps_take_defaults():
     ({"n_records": True}, "'n_records' must be an integer >= 1, not True"),
     ({"seed": -1}, "'seed' must be an integer >= 0"),
     ({"fields": "sex"}, "'fields' must list fields"),
-    ({"error_type_probs": {"complex": -0.1}}, "'error_type_probs.complex' must be a number >= 0"),
-    ({"error_type_probs": dict.fromkeys(DEFAULT_ERROR_TYPES, 0)}, "positive mass"),
-    ({"cardinalities": {"loc": 2.5}}, "'cardinalities.loc' must be an integer >= 1"),
-    ({"cardinalities": [3]}, "'cardinalities' must be a JSON object"),
-    ({"field_error_rates": {"name": 0.1}}, "unknown key 'name'"),
+    ({"error_type_probs": {"complex": 0.5}}, "unknown key 'error_type_probs'"),
+    ({"field_error_rates": {"sex": 0.5}}, "unknown key 'field_error_rates'"),
+    ({"cardinalities": {"loc": 3}}, "unknown key 'cardinalities'"),
+    ({"n_records": MAX_RECORDS + 1}, "'n_records' must be at most 1000000, not 1000001"),
+    ({"n_records": 10 ** 12}, "'n_records' must be at most 1000000, not 1000000000000"),
     ({"fields": ["sex", "yob", "sex"]}, "simulation key 'fields' lists 'sex' more than once"),
 ])
 def test_config_rejects_bad_values(config, message):
@@ -174,11 +164,9 @@ def test_corrupt_infeasible_falls_back(name_model):
     assert len(logograms(variant)) == 1
 
 
-def test_generate_zero_error_rates(name_model):
-    cfg = SimConfig(n_records=50, name_error_rate=0.0,
-                    field_error_rates={f: 0.0 for f in
-                                       ("sex", "yob", "mob", "dob", "loc")},
-                    seed=9)
+def test_generate_zero_error_rates(name_model, monkeypatch):
+    monkeypatch.setattr(simgen, "FIELD_ERROR_RATES", dict.fromkeys(SIM_FIELDS, 0.0))
+    cfg = SimConfig(n_records=50, name_error_rate=0.0, seed=9)
     sim = generate_pair_files(cfg, name_model)
     for i, j in sim.truth:
         assert sim.records_a["name"][i] == sim.records_b["name"][j]
@@ -186,11 +174,10 @@ def test_generate_zero_error_rates(name_model):
             assert sim.records_a[f][i] == sim.records_b[f][j]
 
 
-def test_generate_forced_name_error(name_model):
-    cfg = SimConfig(n_records=60, name_error_rate=1.0,
-                    error_type_probs={**{t: 0.0 for t in DEFAULT_ERROR_TYPES},
-                                      "single_replacement": 1.0},
-                    seed=10)
+def test_generate_forced_name_error(name_model, monkeypatch):
+    monkeypatch.setattr(simgen, "ERROR_TYPES", {**dict.fromkeys(ERROR_TYPES, 0.0),
+                                                "single_replacement": 1.0})
+    cfg = SimConfig(n_records=60, name_error_rate=1.0, seed=10)
     sim = generate_pair_files(cfg, name_model)
     for i, j in sim.truth:
         a, b = sim.records_a["name"][i], sim.records_b["name"][j]
@@ -230,11 +217,8 @@ def test_error_type_frequencies_chi_square(name_model):
     sim = generate_pair_files(cfg, name_model)
     types = sim.requested_error_types
     assert len(types) == 10_000
-    counts = {t: types.count(t) for t in DEFAULT_ERROR_TYPES}
-    total = sum(cfg.error_type_probs.values())
-    chi2 = sum((counts[t] - 10_000 * cfg.error_type_probs[t] / total) ** 2 /
-               (10_000 * cfg.error_type_probs[t] / total)
-               for t in DEFAULT_ERROR_TYPES)
+    counts = {t: types.count(t) for t in ERROR_TYPES}
+    chi2 = sum((counts[t] - 10_000 * p) ** 2 / (10_000 * p) for t, p in ERROR_TYPES.items())
     # chi-square with 6 dof, alpha=0.001 -> critical value 22.46
     assert chi2 < 22.46
 
@@ -376,13 +360,14 @@ def test_distribution_cdf_rejects_what_is_not_a_distribution(probs):
         distribution_cdf(np.array(probs), "error-type probabilities")
 
 
-def test_error_types_summing_within_tolerance_are_drawn_as_given(name_model):
-    """A map summing to 1 within SimConfig's renormalizing tolerance is
-    drawn from as given."""
-    probs = {**dict.fromkeys(DEFAULT_ERROR_TYPES, 0.0), "single_replacement": 0.5,
-             "transposition": 0.5 + 5e-7}
-    sim = generate_pair_files(SimConfig(n_records=40, name_error_rate=1.0, seed=3,
-                                        error_type_probs=probs), name_model)
+def test_error_types_summing_within_tolerance_are_drawn_as_given(name_model, monkeypatch):
+    """Error-type shares summing to 1 within SUM_TOLERANCE, as the
+    renormalized observed shares do, are drawn from as given."""
+    monkeypatch.setattr(simgen, "ERROR_TYPES", {**dict.fromkeys(ERROR_TYPES, 0.0),
+                                                "single_replacement": 0.5,
+                                                "transposition": 0.5 + 5e-7})
+    sim = generate_pair_files(SimConfig(n_records=40, name_error_rate=1.0, seed=3),
+                              name_model)
     assert set(sim.requested_error_types) == {"single_replacement", "transposition"}
 
 
@@ -407,6 +392,19 @@ def test_simulated_files_are_pinned(name_model, seed, rate, digest):
     assert sim_digest(sim) == digest
 
 
+def test_unsimulated_fields_are_blank_columns(name_model):
+    """A simulation of some supporting fields writes every record field,
+    the others as blank columns in both files; records, truth, error types
+    and fallbacks are pinned as a digest."""
+    sim = generate_pair_files(SimConfig(n_records=200, seed=4, name_error_rate=0.2,
+                                        fields=("sex", "loc")), name_model)
+    for records in (sim.records_a, sim.records_b):
+        assert list(records) == ["name", *SIM_FIELDS]
+        assert all(records[f] == [""] * 200 for f in ("yob", "mob", "dob"))
+        assert all("" not in records[f] for f in ("name", "sex", "loc"))
+    assert sim_digest(sim) == "710c73af388962f1dc5f27bc88d273372944cc55527f5bd12e2d667342a6441d"
+
+
 ONE_TYPE = {
     "single_replacement": "08ee4b99b29d7e3d9aabf560e99d1c0945f1326d6b8e37ac799bb5061cd659fe",
     "multi_replacement": "d5ae2466461e6f3baeb9cb9c244b0299c7e8a1d55a5da255f34157a69ba89d97",
@@ -418,20 +416,20 @@ ONE_TYPE = {
 }
 
 
-@pytest.mark.parametrize("etype", DEFAULT_ERROR_TYPES)
-def test_each_mechanism_is_pinned(name_model, etype):
+@pytest.mark.parametrize("etype", ERROR_TYPES)
+def test_each_mechanism_is_pinned(name_model, monkeypatch, etype):
     """A 200-record simulation corrupting every name with one error type,
     as a digest: the draws and fallbacks of each mechanism."""
-    probs = {**dict.fromkeys(DEFAULT_ERROR_TYPES, 0.0), etype: 1.0}
-    sim = generate_pair_files(SimConfig(n_records=200, seed=8, name_error_rate=1.0,
-                                        error_type_probs=probs), name_model)
+    monkeypatch.setattr(simgen, "ERROR_TYPES", {**dict.fromkeys(ERROR_TYPES, 0.0), etype: 1.0})
+    sim = generate_pair_files(SimConfig(n_records=200, seed=8, name_error_rate=1.0),
+                              name_model)
     assert sim_digest(sim) == ONE_TYPE[etype]
 
 
-def test_field_redraws_are_pinned(name_model):
+def test_field_redraws_are_pinned(name_model, monkeypatch):
     """Most loc values redrawn, from the Zipf-ish location sizes."""
-    sim = generate_pair_files(SimConfig(n_records=200, seed=9, field_error_rates={"loc": 0.9}),
-                              name_model)
+    monkeypatch.setattr(simgen, "FIELD_ERROR_RATES", {**FIELD_ERROR_RATES, "loc": 0.9})
+    sim = generate_pair_files(SimConfig(n_records=200, seed=9), name_model)
     assert sim_digest(sim) == "554f59c1981bc7ef7ebbe747b8e428eb1eece80f567a4b0f4b60b8a9ac8360ba"
 
 
