@@ -37,6 +37,7 @@ from .matcher import (
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
+    has_both_labels,
     split_dev,
     train_matcher,
 )
@@ -123,7 +124,7 @@ def cmd_train(args) -> int:
     fraction = checked_number("--dev-fraction", args.dev_fraction, 0, 1)
     seed = checked_number("--seed", args.seed, 0, integer=True)
     X, cats, y, specs = _read_feature_csv(args.input)
-    if len(np.unique(y)) < 2:
+    if not has_both_labels(y):
         raise InputError("training data must contain both labels")
     train, dev = split_dev(np.random.Generator(np.random.PCG64(seed)), X, cats, y,
                            fraction, "--dev-fraction")

@@ -533,7 +533,7 @@ class PairFeaturizer:
         """Feature matrix plus Han-category codes, one row per pair of a
         `NamePairs` or a sequence of (name_a, name_b) tuples."""
         pairs = NamePairs.of(pairs)
-        used, ia, ib = _compact_ids(len(pairs.names), pairs.ia, pairs.ib)
+        used, ia, ib = compact_ids(len(pairs.names), pairs.ia, pairs.ib)
         names = [pairs.names[i] for i in used.tolist()]  # only the names pairs reference
         cats, ranges = self._split(names, ia, ib)
         X = np.empty((len(pairs), len(self.specs)))
@@ -554,8 +554,8 @@ class PairFeaturizer:
         for tag, encodings in keys.items():
             subs, ids, both = ranges[tag]
             for enc, cols in encodings.items():
-                strings, (enc_ids,) = intern_strings(
-                    [self._encode(EncodingKind(enc), sub) for sub in subs])
+                kind = EncodingKind(enc)
+                strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
                 enc_ids = enc_ids[ids]  # each name's encoded substring
                 key = _distinct_pairs(len(strings), enc_ids[ia], enc_ids[ib], both)
                 X[:, cols] = both[:, None]  # equal encoded substrings score 1, a missing one 0
@@ -611,16 +611,19 @@ class PairFeaturizer:
                 X[key.todo, c] = sims[key.inverse]
 
 
-def _compact_ids(n_ids: int, ia: np.ndarray, ib: np.ndarray):
-    """The distinct ids (< n_ids) of ia and ib, ascending, and ia and ib as
-    ranks into them: `np.unique(np.concatenate([ia, ib]), return_inverse=True)`
-    without its sort, from one flag per id. Ranks are int32 below 2^31 ids."""
+def compact_ids(n_ids: int, *ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct ids (< n_ids) of the arrays `ids`, ascending, and each of
+    those arrays as ranks into them: `np.unique(np.concatenate(ids),
+    return_inverse=True)` without its sort, from one flag per id. Ranks are
+    int32 below 2^31 ids. The rank table is written only at the ids seen,
+    which is faster than a cumulative sum over every flag."""
     seen = np.zeros(n_ids, dtype=bool)
-    seen[ia] = True
-    seen[ib] = True
-    rank = np.cumsum(seen, dtype=index_type(n_ids))
-    rank -= 1
-    return np.flatnonzero(seen), rank[ia], rank[ib]
+    for x in ids:
+        seen[x] = True
+    used = np.flatnonzero(seen)
+    rank = np.empty(n_ids, dtype=index_type(n_ids))
+    rank[used] = np.arange(len(used))
+    return used, *(rank[x] for x in ids)
 
 
 class _Pairs(NamedTuple):

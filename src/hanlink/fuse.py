@@ -149,21 +149,35 @@ def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     return float(dist.grid[int(np.argmax(_tau2_curve(table, zetas, dist, model)))])
 
 
+def _row_mask(table: PatternTable, rows: np.ndarray) -> np.ndarray:
+    """One flag per row of `table`, set at each of `rows`."""
+    mask = np.zeros(len(table.counts), dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+def _all_flagged(ids: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether every id indexes a set flag of `mask`; a negative id does not."""
+    return bool(((ids >= 0) & (ids < len(mask))).all() and mask[ids].all())
+
+
 class CandidatePairs:
     """The name-scored pairs of whole gamma_name=0 rows of a pattern table:
-    `rows`, those rows sorted, and per pair its table row (`pair_rows`,
-    int32 below 2^31 rows), its name score and whether it is a true match
-    (`labels`). A row without gamma_name=0 or with a pair left out, a pair
-    outside `rows` and a score outside [0, 1] are each a ValueError."""
+    `rows`, those rows sorted and each once, and per pair its table row
+    (`pair_rows`, int32 below 2^31 rows), its name score and whether it is
+    a true match (`labels`). A row without gamma_name=0 or with a pair left
+    out, a pair outside `rows` and a score outside [0, 1] are each a
+    ValueError; rows and pairs are checked against one flag per table row."""
 
     def __init__(self, table: PatternTable, rows, pair_rows, scores, labels):
-        self.rows = np.unique(np.asarray(rows, dtype=np.int64))
+        rows = np.sort(np.asarray(rows, dtype=np.int64))
+        self.rows = rows[np.diff(rows, prepend=rows[:1] - 1) != 0]
         self.pair_rows = np.asarray(pair_rows, dtype=index_type(len(table.counts)))
         self.scores = np.asarray(scores, dtype=float)
         self.labels = np.asarray(labels, dtype=bool)
-        if not np.isin(self.rows, _donor_rows(table)).all():
+        if not _all_flagged(self.rows, table.gammas[:, _name_index(table)] == 0):
             raise ValueError("only gamma_name=0 rows can move pairs")
-        if not np.isin(self.pair_rows, self.rows).all():
+        if not _all_flagged(self.pair_rows, _row_mask(table, self.rows)):
             raise ValueError("a pair lies outside the candidate rows")
         supplied = np.bincount(self.pair_rows, minlength=len(table.counts))[self.rows]
         if len(short := np.nonzero(supplied != table.counts[self.rows])[0]):
@@ -215,11 +229,12 @@ def posterior_adjust(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribu
     Each pair of an eligible row enters with its posterior and its label;
     every other row enters once with its prior zeta and its true and false
     match counts (pos gives the true ones). Every eligible row must be one
-    of `pairs.rows`; pairs of other rows are left out.
+    of `pairs.rows`, checked against one flag per table row; pairs of other
+    rows are left out.
     """
     zetas = np.asarray(zetas, dtype=float)
     eligible, skipped = eligible_rows(table, zetas, dist, floor)
-    if len(missing := np.setdiff1d(eligible, pairs.rows)):
+    if len(missing := eligible[~_row_mask(table, pairs.rows)[eligible]]):
         raise ValueError(f"eligible row {missing[0]} is not a candidate row")
     keep = np.ones(len(table.counts), dtype=bool)
     keep[eligible] = False

@@ -174,6 +174,11 @@ def _predict_stack(X: np.ndarray, cats: np.ndarray, models: list[MatcherModel],
     return _sigmoid(z)
 
 
+def has_both_labels(y: np.ndarray) -> bool:
+    """Whether 0/1 labels hold both classes; no label holds neither."""
+    return bool(y.any() and not y.all())
+
+
 def _as_matrices(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An (X, cats, y) triple as float, int8 and float arrays."""
     X, cats, y = data
@@ -238,7 +243,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
     linear predictor D·beta that the line search computed when it accepted
     beta, so D·beta is formed once per accepted step. A fit leaves the
     active set once it converges or its objective rises."""
-    if len(np.unique(y)) < 2:
+    if not has_both_labels(y):
         raise TrainingError("training data must contain both classes")
     D = np.ascontiguousarray(D, dtype=float)  # strided slices sum without BLAS
     K, n, p = D.shape
@@ -423,7 +428,7 @@ def split_dev(rng: np.random.Generator, X, cats, y, fraction: float, option: str
     order = rng.permutation(len(y))
     n_dev = max(1, int(len(y) * fraction))
     for split, rows in (("dev", order[:n_dev]), ("training", order[n_dev:])):
-        if len(np.unique(y[rows])) < 2:
+        if not has_both_labels(y[rows]):
             raise InputError(f"the {split} split ({len(rows)} rows at {option} "
                              f"{fraction}) must contain both labels")
     return tuple((X[rows], cats[rows], y[rows]) for rows in (order[n_dev:], order[:n_dev]))

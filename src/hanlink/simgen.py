@@ -54,6 +54,7 @@ SIM_FIELDS = RECORD_FIELDS[1:]  # every record field but the name, in file order
 MAX_RECORDS = 10 ** 6
 
 STOP = "\x00"
+_PAIR_BLOCK = 1 << 14  # character pairs searched at a time for substitutions
 
 # How far from 1 a probability vector may sum and still be drawn from.
 SUM_TOLERANCE = 1e-6
@@ -172,21 +173,26 @@ def build_name_model(corpus: list[str],
     inventory = tuple(sorted({c for name in names for c in name}))
     first, second = np.triu_indices(len(inventory), 1)
     hit = np.zeros(len(first), dtype=bool)
+    encoded = []  # (codes, their lengths) per searched encoding
     for kind in (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS):
-        if kind not in tables:
-            continue
-        codes = [tables[kind].code(c) for c in inventory]
-        lens = np.array([len(code) for code in codes], dtype=np.int64)
-        la, lb = lens[first], lens[second]
-        # sim >= t requires E <= (1-t)*maxlen and E >= length gap
-        pruned = np.abs(la - lb) > (1.0 - sim_threshold) * np.maximum(la, lb)
-        todo = np.nonzero(~hit & ~pruned)[0]  # a pair matched once is not searched again
-        # levenshtein_sims' own similarity of a floor of E: it falls as E
-        # grows, so a pair below the threshold at its floor stays below
-        floor = edit_distance_floor(codes, first[todo], second[todo])
-        todo = todo[_from_distances("LV", floor, la[todo], lb[todo]) >= sim_threshold]
-        sims = levenshtein_sims(codes, first[todo], second[todo])
-        hit[todo[sims >= sim_threshold]] = True
+        if kind in tables:
+            codes = [tables[kind].code(c) for c in inventory]
+            encoded.append((codes, np.array([len(code) for code in codes], dtype=np.int64)))
+    for start in range(0, len(first), _PAIR_BLOCK):
+        # one block of pairs at a time; `found` is a view of its part of `hit`
+        a, b = first[start:start + _PAIR_BLOCK], second[start:start + _PAIR_BLOCK]
+        found = hit[start:start + _PAIR_BLOCK]
+        for codes, lens in encoded:
+            la, lb = lens[a], lens[b]
+            # sim >= t requires E <= (1-t)*maxlen and E >= length gap
+            pruned = np.abs(la - lb) > (1.0 - sim_threshold) * np.maximum(la, lb)
+            todo = np.nonzero(~found & ~pruned)[0]  # a pair matched once is not searched again
+            # levenshtein_sims' own similarity of a floor of E: it falls as E
+            # grows, so a pair below the threshold at its floor stays below
+            floor = edit_distance_floor(codes, a[todo], b[todo])
+            todo = todo[_from_distances("LV", floor, la[todo], lb[todo]) >= sim_threshold]
+            sims = levenshtein_sims(codes, a[todo], b[todo])
+            found[todo[sims >= sim_threshold]] = True
     # each character's candidates in inventory order
     char, other = (np.concatenate([first[hit], second[hit]]),
                    np.concatenate([second[hit], first[hit]]))

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -768,3 +771,62 @@ def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, op
     assert main([command, *argv, "--out", str(out), option, value]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+NUMPY_MA_PROBE = r'''
+import csv, json, sys
+from hanlink.cli import main
+
+imported = []  # the steps after which numpy.ma had been imported
+def step(name, argv=None):
+    if argv is not None and main(argv) != 0:
+        sys.exit(f"{name} failed")
+    if "numpy.ma" in sys.modules:
+        imported.append(name)
+
+step("import hanlink.cli")
+json.dump({"n_records": 60, "name_error_rate": 0.5, "seed": 1}, open("sim.json", "w"))
+step("simulate", ["simulate", "--config", "sim.json", "--out", "sim"])
+with open("toy.csv", "w") as handle:
+    handle.write("score,label\n0.9,1\n0.8,1\n0.4,0\n0.2,0\n")
+step("fitdist", ["fitdist", "--in", "toy.csv", "--out", "dist.json"])
+json.dump({"data": {"file_a": "sim/file_a.csv", "file_b": "sim/file_b.csv",
+                    "truth": "sim/truth.csv"},
+           "methods": ["exact", "tau1", "tau2", "posterior"],
+           "classifier": "single:PY_LV_k1_1:N", "dist": "dist.json", "candidate_floor": 0},
+          open("files.json", "w"))
+step("files-mode experiment", ["experiment", "--config", "files.json", "--out", "files"])
+json.dump({"simulate": {"n_records": 60, "name_error_rate": 0.5}, "seed": 3,
+           "train": {"n_nonmatch_name_pairs": 50, "n_nonmatch_score_pairs": 50}},
+          open("study.json", "w"))
+step("study", ["experiment", "--config", "study.json", "--out", "study", "--workers", "1"])
+def column(path, name):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return [row[name] for row in csv.DictReader(handle)]
+a, b = column("sim/file_a.csv", "name"), column("sim/file_b.csv", "name")
+links = list(zip(map(int, column("sim/truth.csv", "id_a")),
+                 map(int, column("sim/truth.csv", "id_b"))))
+with open("pairs.csv", "w", encoding="utf-8", newline="") as handle:
+    writer = csv.writer(handle)
+    writer.writerow(["name_a", "name_b", "label"])
+    for k, (i, j) in enumerate(links):
+        writer.writerow([a[i], b[j], 1])
+        writer.writerow([a[i], b[links[(k + 7) % len(links)][1]], 0])
+step("features", ["features", "--in", "pairs.csv", "--out", "features.csv"])
+step("train", ["train", "--in", "features.csv", "--out", "model.json"])
+print(json.dumps(imported))
+'''
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """numpy.ma takes 8-14 ms to import on a 2-vCPU host and no command
+    needs it; a bare `np.unique(x)` imports it, and so do set operations
+    such as `np.isin` that call one. A fresh process that imports the CLI
+    and runs a files-mode experiment with all four methods, a train and a
+    study with one worker never imports it."""
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []

@@ -468,7 +468,7 @@ def test_name_id_compaction_matches_unique(case):
     n, pairs = case
     ia = np.array([i for i, _ in pairs], dtype=np.int32)
     ib = np.array([j for _, j in pairs], dtype=np.int32)
-    got = compare._compact_ids(n, ia, ib)
+    got = compare.compact_ids(n, ia, ib)
     for x, y in zip(got, unique_name_ids(ia, ib)):
         assert np.array_equal(x, y)
     assert got[1].dtype == got[2].dtype == np.int32

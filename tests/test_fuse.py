@@ -345,10 +345,14 @@ def test_apply_threshold_requires_full_coverage():
     ([0], [0] * 10, [0.5] * 9 + [1.5], r"name scores must lie in \[0, 1\]"),
     ([0], [0] * 10, [0.5] * 9 + [float("nan")], r"name scores must lie in \[0, 1\]"),
     ([0], [0] * 10, [0.5] * 9 + [-0.1], r"name scores must lie in \[0, 1\]"),
+    ([0, -1], [0] * 10, [0.5] * 10, "only gamma_name=0 rows can move pairs"),
+    ([0, 2], [0] * 10 + [2] * 4 + [-1], [0.5] * 15, "a pair lies outside the candidate rows"),
+    ([0], [0] * 10 + [3], [0.5] * 11, "a pair lies outside the candidate rows"),
 ])
 def test_candidate_pairs_checks(rows, pair_rows, scores, message):
-    """CandidatePairs rejects a row given more pairs than it has, a pair
-    outside its rows and a score outside [0, 1]."""
+    """CandidatePairs rejects a row given more pairs than it has, a row or
+    a pair outside its rows (a negative one and one past the table
+    included) and a score outside [0, 1]."""
     table = make_table([[0, 1, 1], [1, 1, 1], [0, 0, 1]], [10, 3, 5])
     with pytest.raises(ValueError, match=message):
         CandidatePairs(table, rows, pair_rows, scores, np.zeros(len(pair_rows), bool))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (cross_product_table, csv_table_reference, em_fit_reference,
                      joint_field_codes, zeta_reference)
@@ -253,23 +253,61 @@ def test_tabulate_compares_strings_exactly():
     assert as_dict(table) == want == {(0,): (1, 0), (1,): (1, 0)}
 
 
+@st.composite
+def key_extensions(draw):
+    """(key, codes) over 1 to 12 records, keys below a drawn span and codes
+    below a drawn width (-1 for missing), so that span * width falls at or
+    below n, between n and 8n or above 8n."""
+    n = draw(st.integers(1, 12))
+    span, width = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    key = draw(st.lists(st.integers(-1, span - 1), min_size=n, max_size=n))
+    codes = draw(st.lists(st.integers(-1, width - 1), min_size=n, max_size=n))
+    return np.array(key, np.int32), np.array(codes, np.int32)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_extend_key_numbers_value_pairs(data):
-    """Keys are equal exactly when the (key, code) pairs are, -1 where either
-    is missing, and below n, whether taken directly (span * width <= n) or
-    ranked."""
-    n = data.draw(st.integers(1, 12))
-    key = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), np.int64)
-    codes = np.array(data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)), np.int64)
+@given(key_extensions())
+@example((np.array([0, 0, -1, 0], np.int32), np.array([1, 0, 1, -1], np.int32)))  # 2 <= n = 4
+@example((np.array([2, 0, 1], np.int32), np.array([3, -1, 0], np.int32)))  # n = 3 < 12 <= 8n
+@example((np.array([9, 0], np.int32), np.array([0, 15], np.int32)))  # 160 > 8n = 16
+def test_extend_key_numbers_value_pairs(case):
+    """A record's key is key * width + code when span * width <= n, else the
+    rank of its (key, code) pair among the distinct pairs held, whether
+    ranked by flags (span * width <= 8n) or by a sort; -1 where either is
+    missing."""
+    key, codes = case
     out = extend_key(key, codes)
-    assert out.dtype == np.int32 and np.all(out < n)
-    missing = (key < 0) | (codes < 0)
-    assert np.array_equal(out < 0, missing) and np.all(out[missing] == -1)
+    assert out.dtype == np.int32
+    span, width = int(key.max()) + 1, int(codes.max()) + 1
     pairs = list(zip(key.tolist(), codes.tolist()))
-    for i in np.nonzero(~missing)[0]:
-        for j in np.nonzero(~missing)[0]:
-            assert (out[i] == out[j]) == (pairs[i] == pairs[j])
+    held = sorted({(k, c) for k, c in pairs if k >= 0 and c >= 0})
+    direct = span * width <= len(key)
+    assert out.tolist() == [-1 if k < 0 or c < 0 else k * width + c if direct
+                            else held.index((k, c)) for k, c in pairs]
+
+
+def test_tabulate_ranks_keys_by_flags_and_by_sorts(monkeypatch):
+    """Three fields of 30 values over 40 records (one is enumerated): keys
+    over one of the others and a small field take key * width + code (at
+    most n composite values) or rank by flags (at most 8n), a key over both
+    (about 900) sorts, and the table is the cross product in both file
+    orders."""
+    rng = np.random.default_rng(5)
+    def records(n):
+        out = {f: rng.integers(0, 30 if f in ("name", "yob", "dob") else 3, n).astype(str)
+               for f in RECORD_FIELDS}
+        for values in out.values():
+            values[rng.random(n) < 0.1] = ""
+        return {f: values.tolist() for f, values in out.items()}
+    spans = []  # span * width / n of each extension
+    def spy(key, codes):
+        spans.append((int(key.max()) + 1) * (int(codes.max()) + 1) / len(key))
+        return extend_key(key, codes)
+    monkeypatch.setattr(linkage, "extend_key", spy)
+    assert_tabulates_cross_product(records(20), records(20), RECORD_FIELDS)
+    bound = linkage._FLAG_RANK_SPAN
+    assert any(s <= 1 for s in spans) and any(1 < s <= bound for s in spans)
+    assert any(s > bound for s in spans)
 
 
 def test_tabulate_keys_cannot_overflow():

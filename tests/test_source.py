@@ -47,6 +47,27 @@ def test_base3_pattern_arithmetic_only_in_linkage():
     assert offenders == []
 
 
+def test_package_calls_no_set_operation_that_imports_numpy_ma():
+    """numpy 2.4's `np.unique(x)` without a `return_*` flag imports numpy.ma
+    (8-14 ms on a 2-vCPU host) on first use, and `np.isin` and the other set
+    operations call it: no package module calls one, so no run pays that
+    import."""
+    set_operations = {"isin", "setdiff1d", "in1d", "intersect1d", "union1d"}
+    flags = {"return_index", "return_inverse", "return_counts"}
+    offenders = []
+    for path in sorted(Path(hanlink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                continue
+            name = node.func.attr
+            if name in set_operations or (
+                    name == "unique" and not flags & {k.arg for k in node.keywords}):
+                offenders.append(f"{path.name}:{node.lineno} np.{name}")
+    assert offenders == []
+
+
 def test_declared_dependencies_import():
     """Every dependency pyproject.toml declares is importable here."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
