@@ -31,9 +31,6 @@ from . import __version__
 from .assets import load_bundle
 from .compare import HAN_CATEGORIES, FeatureSpec, NamePairs
 from .matcher import (
-    BINS,
-    DEV_FRACTION,
-    PENALTY,
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
@@ -120,15 +117,12 @@ def _read_feature_csv(path: str):
 
 
 def cmd_train(args) -> int:
-    penalty = checked_number("--penalty", args.penalty, 0)
-    fraction = checked_number("--dev-fraction", args.dev_fraction, 0, 1)
     seed = checked_number("--seed", args.seed, 0, integer=True)
     X, cats, y, specs = _read_feature_csv(args.input)
     if not has_both_labels(y):
         raise InputError("training data must contain both labels")
-    train, dev = split_dev(np.random.Generator(np.random.PCG64(seed)), X, cats, y,
-                           fraction, "--dev-fraction")
-    model = train_matcher(train, dev, specs, penalty=penalty)
+    train, dev = split_dev(np.random.Generator(np.random.PCG64(seed)), X, cats, y)
+    model = train_matcher(train, dev, specs)
     out = Path(args.out)
     model.save(out)
     print(f"trained logistic matcher on {len(train[2])} pairs "
@@ -137,7 +131,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_fitdist(args) -> int:
-    bins = checked_number("--bins", args.bins, 1, integer=True)
     table = CsvTable(args.input, {"score": score_cell, "label": _label})
     if "score" in table.header:
         scores = np.array(table.column("score"))
@@ -148,7 +141,7 @@ def cmd_fitdist(args) -> int:
         scorer = exp.NamePairScorer(MatcherModel.load(args.model), load_bundle(args.assets))
         scores = scorer.scores(pairs)
     labels = np.array(table.column("label"))
-    dist = fit_score_distributions(scores, labels, bins=bins)
+    dist = fit_score_distributions(scores, labels)
     dist.save(args.out)
     print(f"fitted score distribution from {len(scores)} labeled scores; "
           f"wrote {args.out}")
@@ -250,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the logistic matcher")
     p.add_argument("--in", dest="input", required=True, help="feature CSV")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--penalty", type=float, default=PENALTY)
-    p.add_argument("--dev-fraction", type=float, default=DEV_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -261,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--assets", default=None)
-    p.add_argument("--bins", type=int, default=BINS)
     p.set_defaults(func=cmd_fitdist)
 
     p = sub.add_parser("simulate", help="generate a paired dataset with truth")

@@ -30,7 +30,6 @@ from .fuse import (CandidatePairs, apply_threshold, eligible_rows, posterior_adj
 from .linkage import (RECORD_FIELDS, CsvTable, InputError, LinkageDataset,
                       PatternTable, check_keys, checked_number, em_fit, score_cell, zeta)
 from .matcher import (
-    DEV_FRACTION,
     MatcherModel,
     ScoreDistribution,
     fit_score_distributions,
@@ -44,9 +43,8 @@ DEFAULT_METHODS = ("exact", "tau1", "tau2", "posterior")
 DEFAULT_CANDIDATE_FLOOR = 0.01
 DEFAULT_POSTERIOR_FLOOR = 0.1
 # A study's 'train' section: the dev simulation's sampled nonmatches for the
-# matcher and for the score distribution, and the share held out for selection
-TRAIN_DEFAULTS = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000,
-                  "dev_fraction": DEV_FRACTION}
+# matcher and for the score distribution
+TRAIN_DEFAULTS = {"n_nonmatch_name_pairs": 20_000, "n_nonmatch_score_pairs": 50_000}
 # The most nonmatch pairs a study samples for either use: `_nonmatches` draws
 # two int64 row indices per pair, 1.6 GB at this count before any is scored.
 # Pairs are drawn with replacement, so a count need not fit the dev simulation.
@@ -97,8 +95,8 @@ def read_settings(config: dict) -> Settings:
       methods          DEFAULT_METHODS
       fields           'name' and the simulated fields
       classifier       "logistic:train"; or a fixed selector (below)
-      train            TRAIN_DEFAULTS, keys given override: the nonmatch pair counts
-                       (integers from 1 to MAX_NONMATCH_PAIRS) and dev_fraction, in [0, 1]
+      train            TRAIN_DEFAULTS, keys given override: the nonmatch pair counts,
+                       integers from 1 to MAX_NONMATCH_PAIRS
       seed             0
       replicates       1
       workers          1 (`run_study`'s `workers`, the command line's --workers, wins)
@@ -158,12 +156,8 @@ def read_settings(config: dict) -> Settings:
         sim = SimConfig.from_dict(simulate)
         default_fields = ("name", *sim.fields)
     train = section("train", TRAIN_DEFAULTS)
-    for key, value in ({**TRAIN_DEFAULTS, **train} if train is not None else {}).items():
-        if key == "dev_fraction":
-            checked_number("config key 'train.dev_fraction'", value, 0, 1)
-        else:
-            checked_number(f"config key 'train.{key}'", value, 1, MAX_NONMATCH_PAIRS,
-                           integer=True)
+    for key, value in (train or {}).items():
+        checked_number(f"config key 'train.{key}'", value, 1, MAX_NONMATCH_PAIRS, integer=True)
 
     methods = _distinct("methods", config.get("methods", DEFAULT_METHODS if study
                                               else ("exact",)), DEFAULT_METHODS)
@@ -420,8 +414,7 @@ def train_matcher_and_dist(bundle: AssetBundle, name_model, sim_params: dict,
         X, cats = featurizer.feature_matrix(dev.name_pairs(np.concatenate([ta[pos], neg_i]),
                                                            np.concatenate([tb[pos], neg_j])))
         y = np.concatenate([np.ones(int(pos.sum())), np.zeros(len(neg_i))])
-        train, dev_split = split_dev(rng, X, cats, y, float(opts["dev_fraction"]),
-                                     "train.dev_fraction")
+        train, dev_split = split_dev(rng, X, cats, y)
         model = train_matcher(train, dev_split, featurizer.specs)
         info["n_train_pairs"] = len(train[2])
         info["n_dev_pairs"] = len(dev_split[2])

@@ -11,6 +11,12 @@ stacked product per Han category and one sigmoid, bitwise equal to
 scoring each model alone. Score distributions keep exact empirical tail
 probabilities on a 10,000-point grid plus a monotone (isotonic)
 match/nonmatch density-ratio estimate.
+
+The fit settings are fixed constants of this module, read where they are
+used and settable by no caller: the ridge PENALTY, the IRLS TOL and
+MAX_ITER, the DEV_FRACTION held out for selection, and the score
+distribution's BINS and GRID_SIZE. A saved model or distribution fitted
+with other values still loads.
 """
 from __future__ import annotations
 
@@ -203,14 +209,14 @@ def _build_design(X: np.ndarray, cats: np.ndarray, terms: list[tuple]) -> np.nda
     return np.column_stack(cols)
 
 
-def _penalized_nll(beta, D, y, penalty):
+def _penalized_nll(beta, D, y):
     """Objectives of the stacked fits beta (K, p) over designs D (K, n, p),
     and their linear predictors D·beta (K, n)."""
     z = np.matmul(D, beta[:, :, None])[:, :, 0]
     ll = np.logaddexp(0.0, z) - y * z  # log(1 + e^z) - y*z, computed stably
     # one ddot per slice, summing as np.dot(b[1:], b[1:]) does (einsum does not)
     ridge = np.matmul(beta[:, None, 1:], beta[:, 1:, None])[:, 0, 0]
-    return ll.sum(axis=1) + 0.5 * penalty * ridge, z
+    return ll.sum(axis=1) + 0.5 * PENALTY * ridge, z
 
 
 def _solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -234,9 +240,9 @@ def _newton_steps(D: np.ndarray, z: np.ndarray, y: np.ndarray, b: np.ndarray,
         return np.array([_solve(h, g) for h, g in zip(H, grad)])
 
 
-def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
+def _fit_design(D: np.ndarray, y: np.ndarray) -> list[tuple]:
     """Damped-Newton (IRLS) fits of the stacked designs D (K, n, p), column 0
-    the unpenalized intercept, to TOL within MAX_ITER iterations: per fit
+    the unpenalized intercept, at PENALTY to TOL within MAX_ITER iterations: per fit
     (beta, iterations, converged, objective trace, error or None). Every
     stacked product makes, per slice, a lone 2-D fit's BLAS call, so a fit
     is bitwise the same in any stack. An iteration's weights come from the
@@ -247,10 +253,10 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
         raise TrainingError("training data must contain both classes")
     D = np.ascontiguousarray(D, dtype=float)  # strided slices sum without BLAS
     K, n, p = D.shape
-    pen = np.full(p, penalty)
+    pen = np.full(p, PENALTY)
     pen[0] = 0.0  # intercept unpenalized
     beta, iterations, converged = np.zeros((K, p)), np.zeros(K, int), np.zeros(K, bool)
-    objective, z = _penalized_nll(beta, D, y, penalty)
+    objective, z = _penalized_nll(beta, D, y)
     traces, errors = [[v] for v in objective.tolist()], [None] * K
     live = np.arange(K)  # positions of the fits still iterating
     for it in range(1, MAX_ITER + 1):
@@ -263,7 +269,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
         todo, Dt, scale = np.arange(len(live)), D, 1.0
         for _ in range(40):
             cand = b[todo] - scale * step[todo]
-            new_obj[todo], cand_z = _penalized_nll(cand, Dt, y, penalty)
+            new_obj[todo], cand_z = _penalized_nll(cand, Dt, y)
             down = new_obj[todo] <= obj[todo]
             new_b[todo[down]], z[todo[down]] = cand[down], cand_z[down]
             todo, Dt = todo[~down], Dt[~down]
@@ -284,7 +290,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray, penalty: float) -> list[tuple]:
     return list(zip(beta, iterations.tolist(), converged.tolist(), traces, errors))
 
 
-def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = PENALTY,
+def train_logistic(data, specs: tuple[FeatureSpec, ...],
                    interactions: bool = False) -> MatcherModel:
     """Fit the ridge-penalized logistic matcher over `specs`; with
     interactions=True each feature gets per-Han-category offsets (plus
@@ -297,12 +303,12 @@ def train_logistic(data, specs: tuple[FeatureSpec, ...], penalty: float = PENALT
         others = range(1, len(HAN_CATEGORIES))
         terms += [("catdum", c) for c in others]
         terms += [("inter", j, c) for j in range(len(specs)) for c in others]
-    fit, = _fit_design(_build_design(X, cats, terms)[None], y, penalty)
-    return _fitted_model(fit, terms, specs, penalty)
+    fit, = _fit_design(_build_design(X, cats, terms)[None], y)
+    return _fitted_model(fit, terms, specs)
 
 
 def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...],
-                  penalty: float, label: str = "") -> MatcherModel:
+                  label: str = "") -> MatcherModel:
     """The matcher of one `_fit_design` fit, each category's intercept and
     slopes summing its terms, or the fit's error naming `label`."""
     beta, iterations, converged, _, error = fit
@@ -318,7 +324,7 @@ def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...]
         elif term[0] == "inter":
             coefs[term[2], term[1]] += value
     model = MatcherModel(kind="logistic", specs=specs, intercepts=intercepts, coefs=coefs,
-                         trainer={"iterations": iterations, "penalty": penalty, "tol": TOL,
+                         trainer={"iterations": iterations, "penalty": PENALTY, "tol": TOL,
                                   "converged": converged, "terms": [list(t) for t in terms]})
     if not converged:
         raise ConvergenceError(f"IRLS did not converge in {MAX_ITER} iterations{label}",
@@ -332,7 +338,7 @@ def _dev_metrics(scores: np.ndarray, dev_y: np.ndarray) -> tuple[float, float]:
     return auroc(ranking), eauroc(ranking)
 
 
-def _scored_fits(train, dev, trials: list[tuple], penalty: float):
+def _scored_fits(train, dev, trials: list[tuple]):
     """(model, dev AUROC, dev EAUROC) of each trial (terms, specs, columns,
     label) in order: the fit of `_build_design` over the train columns,
     scored on the same dev columns. Trials are stacked as IRLS chunks of at
@@ -344,16 +350,15 @@ def _scored_fits(train, dev, trials: list[tuple], penalty: float):
     for lo in range(0, len(trials), size):
         chunk = trials[lo:lo + size]
         D = np.stack([_build_design(X[:, cols], cats, terms) for terms, _, cols, _ in chunk])
-        models = [_fitted_model(fit, terms, specs, penalty, label)
-                  for fit, (terms, specs, _, label) in zip(_fit_design(D, y, penalty), chunk)]
+        models = [_fitted_model(fit, terms, specs, label)
+                  for fit, (terms, specs, _, label) in zip(_fit_design(D, y), chunk)]
         scores = _predict_stack(dev_X, dev_cats, models, [cols for _, _, cols, _ in chunk])
         for model, s in zip(models, scores):
             yield (model,) + _dev_metrics(s, dev_y)
 
 
 def forward_select(candidates: list[FeatureSpec], train, dev,
-                   bank: tuple[FeatureSpec, ...],
-                   penalty: float = PENALTY) -> list[FeatureSpec]:
+                   bank: tuple[FeatureSpec, ...]) -> list[FeatureSpec]:
     """Greedy forward selection maximizing dev AUROC (ties: EAUROC, then
     candidate order); stops once the best addition improves both metrics
     by less than MIN_IMPROVE.
@@ -374,7 +379,7 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
         trials = [(terms, tuple(selected + [c]), [bank_index[s] for s in selected + [c]],
                    f" (adding {c.name})") for c in remaining]
         best = None  # (auroc, eauroc, -position) strictly improving comparisons
-        for pos, (_, a, e) in enumerate(_scored_fits(train, dev, trials, penalty)):
+        for pos, (_, a, e) in enumerate(_scored_fits(train, dev, trials)):
             key = (a, e, -pos)
             if best is None or key > best[0]:
                 best = (key, pos, a, e)
@@ -386,8 +391,7 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
     return selected
 
 
-def backward_prune(model: MatcherModel, dev, train,
-                   penalty: float = PENALTY) -> MatcherModel:
+def backward_prune(model: MatcherModel, dev, train) -> MatcherModel:
     """Drop design terms (mains and interactions) one at a time, always the
     one whose removal least harms dev metrics, refitting after each drop;
     stops before any drop that worsens dev AUROC or EAUROC by more than
@@ -409,7 +413,7 @@ def backward_prune(model: MatcherModel, dev, train,
         trials = [([u for u in terms if u != t], specs, all_cols,
                    f" (dropping term {list(t)} of {specs[t[1]].name})") for t in droppable]
         best = None
-        for t, (trial, a, e) in zip(droppable, _scored_fits(train, dev, trials, penalty)):
+        for t, (trial, a, e) in zip(droppable, _scored_fits(train, dev, trials)):
             key = (min(a - cur_a, e - cur_e), a, e)
             if best is None or key > best[0]:
                 best = (key, t, trial, a, e)
@@ -421,30 +425,29 @@ def backward_prune(model: MatcherModel, dev, train,
     return current
 
 
-def split_dev(rng: np.random.Generator, X, cats, y, fraction: float, option: str):
-    """(train, dev) rows: one `rng.permutation`, its first max(1, int(n * fraction))
-    rows the dev split. Raises InputError unless each split holds both labels,
-    naming the split, its size and `option`, the setting that gave `fraction`."""
+def split_dev(rng: np.random.Generator, X, cats, y):
+    """(train, dev) rows: one `rng.permutation`, its first
+    max(1, int(n * DEV_FRACTION)) rows the dev split. Raises InputError
+    unless each split holds both labels, naming the split and its size."""
     order = rng.permutation(len(y))
-    n_dev = max(1, int(len(y) * fraction))
+    n_dev = max(1, int(len(y) * DEV_FRACTION))
     for split, rows in (("dev", order[:n_dev]), ("training", order[n_dev:])):
         if not has_both_labels(y[rows]):
-            raise InputError(f"the {split} split ({len(rows)} rows at {option} "
-                             f"{fraction}) must contain both labels")
+            raise InputError(f"the {split} split ({len(rows)} of {len(y)} labeled rows) "
+                             f"must contain both labels")
     return tuple((X[rows], cats[rows], y[rows]) for rows in (order[n_dev:], order[:n_dev]))
 
 
-def train_matcher(train, dev, bank: tuple[FeatureSpec, ...],
-                  penalty: float = PENALTY) -> MatcherModel:
+def train_matcher(train, dev, bank: tuple[FeatureSpec, ...]) -> MatcherModel:
     """The full two-step trainer: forward selection of the bank's single
     features but CAT, then a Han-category interaction model pruned backward."""
     candidates = [s for s in bank if s.comparator != "CAT"]
     train, dev = _as_matrices(train), _as_matrices(dev)
-    selected = forward_select(candidates, train, dev, bank, penalty=penalty) or [candidates[0]]
+    selected = forward_select(candidates, train, dev, bank) or [candidates[0]]
     cols = [bank.index(s) for s in selected]
     train, dev = ((X[:, cols], cats, y) for X, cats, y in (train, dev))
-    full = train_logistic(train, tuple(selected), penalty=penalty, interactions=True)
-    return backward_prune(full, dev, train, penalty=penalty)
+    full = train_logistic(train, tuple(selected), interactions=True)
+    return backward_prune(full, dev, train)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +516,19 @@ class ScoreDistribution:
         `ratio_at` assumes, the tails lie in [0, 1] and do not increase, and
         the ratio is finite, non-negative and non-decreasing."""
         grid_size = checked_number("grid_size", d["grid_size"], 2, integer=True)
-        dist = cls(grid=np.linspace(0.0, 1.0, grid_size),
-                   **{key: _json_numbers(key, d[key], counts=key.startswith("counts"))
-                      for key in ("tail_m", "tail_u", "bin_edges", "counts_m", "counts_u",
-                                  "ratio")})
-        bins = checked_number("the number of ratio bins", len(dist.ratio), 1, integer=True)
-        for name, size in (("tail_m", grid_size), ("tail_u", grid_size), ("ratio", bins),
-                           ("counts_m", bins), ("counts_u", bins), ("bin_edges", bins + 1)):
-            if getattr(dist, name).shape != (size,):
-                raise InputError(f"{name} has shape {getattr(dist, name).shape}, "
-                                 f"expected ({size},)")
+        arrays = {key: _json_numbers(key, d[key], counts=key.startswith("counts"))
+                  for key in ("tail_m", "tail_u", "bin_edges", "counts_m", "counts_u", "ratio")}
+        bins = checked_number("the number of ratio bins", len(arrays["ratio"]), 1, integer=True)
+        # the tails are measured before the grid is built, so a huge grid_size is never allocated
+        for name, size, source in (("tail_m", grid_size, "grid_size"),
+                                   ("tail_u", grid_size, "grid_size"),
+                                   ("counts_m", bins, "the ratio's length"),
+                                   ("counts_u", bins, "the ratio's length"),
+                                   ("bin_edges", bins + 1, "the ratio's length")):
+            if arrays[name].shape != (size,):
+                raise InputError(f"{name} has shape {arrays[name].shape}, "
+                                 f"expected ({size},) from {source}")
+        dist = cls(grid=np.linspace(0.0, 1.0, grid_size), **arrays)
         if not np.array_equal(dist.bin_edges, np.linspace(0.0, 1.0, bins + 1)):
             raise InputError(f"bin_edges must split [0, 1] into {bins} equal-width bins")
         if not all(np.all((tail >= 0.0) & (tail <= 1.0)) for tail in (dist.tail_m, dist.tail_u)):
@@ -543,15 +549,14 @@ class ScoreDistribution:
         return read_json(path, cls.from_dict)
 
 
-def fit_score_distributions(scores, labels, bins: int = BINS) -> ScoreDistribution:
+def fit_score_distributions(scores, labels) -> ScoreDistribution:
     """Estimate tails and the monotone density ratio from labeled scores.
 
-    Tails are exact empirical survival functions on the grid; the ratio is
-    built from per-bin class counts with add-half smoothing and made
-    non-decreasing by PAVA weighted with (smoothed) bin totals. Scores must
-    lie in [0, 1], and there must be one bin at least.
+    Tails are exact empirical survival functions on the GRID_SIZE grid; the
+    ratio is built from BINS per-bin class counts with add-half smoothing
+    and made non-decreasing by PAVA weighted with (smoothed) bin totals.
+    Scores must lie in [0, 1].
     """
-    checked_number("bins", bins, 1, integer=True)
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     outside = ~((scores >= 0.0) & (scores <= 1.0))
@@ -565,11 +570,11 @@ def fit_score_distributions(scores, labels, bins: int = BINS) -> ScoreDistributi
     grid = np.linspace(0.0, 1.0, GRID_SIZE)
     tail_m = 1.0 - np.searchsorted(sm, grid, side="left") / len(sm)
     tail_u = 1.0 - np.searchsorted(su, grid, side="left") / len(su)
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, BINS + 1)
     counts_m, _ = np.histogram(sm, bins=edges)
     counts_u, _ = np.histogram(su, bins=edges)
-    dens_m = (counts_m + 0.5) / (len(sm) + 0.5 * bins)
-    dens_u = (counts_u + 0.5) / (len(su) + 0.5 * bins)
+    dens_m = (counts_m + 0.5) / (len(sm) + 0.5 * BINS)
+    dens_u = (counts_u + 0.5) / (len(su) + 0.5 * BINS)
     raw = dens_m / dens_u
     weights = counts_m + counts_u + 1.0
     ratio = pava(raw, weights)

@@ -214,8 +214,8 @@ def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
                  interactions=False, terms=None):
     """matcher.train_logistic over `irls_fit`; the model is assembled, and
     ConvergenceError raised, by the matcher's own `_fitted_model`, which
-    records matcher.TOL and names matcher.MAX_ITER: pass those as tol and
-    max_iter."""
+    records matcher.PENALTY and matcher.TOL and names matcher.MAX_ITER: pass
+    those as penalty, tol and max_iter."""
     import numpy as np
     from hanlink.matcher import TrainingError, _as_matrices, _build_design, _fitted_model
     X, cats, y = _as_matrices(data)
@@ -228,7 +228,7 @@ def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
             terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
     beta, iterations, converged, trace, _ = irls_fit(_build_design(X, cats, terms), y,
                                                      penalty, tol, max_iter)
-    return _fitted_model((beta, iterations, converged, trace, None), terms, specs, penalty)
+    return _fitted_model((beta, iterations, converged, trace, None), terms, specs)
 
 
 def sorted_roc_points(scores, pos, neg):

@@ -456,32 +456,33 @@ def test_experiment_study_reproducible(tmp_path):
 
 
 
-@pytest.mark.parametrize("labels,fraction,message", [
-    ((0, 0, 0, 1, 1, 1), "0.2", "the dev split (1 rows at --dev-fraction 0.2)"),
-    ((0, 1), "0.4", "the dev split (1 rows at --dev-fraction 0.4)"),
-    ((0, 1, 0, 1, 1), "0.9", "the training split (1 rows at --dev-fraction 0.9)"),
-])
-def test_train_rejects_single_class_split(tmp_path, capsys, labels, fraction, message):
-    """A dev or training split holding one label is an input error naming
-    the split and its size, not a failure inside the trainer."""
+@pytest.mark.parametrize("labels,message", [
+    ((0, 1), "the dev split (1 of 2 labeled rows)"),
+    ((0, 1, 1, 1, 0, 1, 1, 0, 0, 1), "the dev split (4 of 10 labeled rows)"),
+    ((0, 1, 1, 1, 1), "the training split (3 of 5 labeled rows)"),
+], ids=["dev-1-of-2", "dev-4-of-10", "training-3-of-5"])
+def test_train_rejects_single_class_split(tmp_path, capsys, labels, message):
+    """A dev or training split holding one label, cut at the fixed
+    DEV_FRACTION, is an input error naming the split and its size, not a
+    failure inside the trainer. At --seed 1 the ten-row case's dev split
+    is the zero-labeled rows only at DEV_FRACTION 0.4, so it pins the cut."""
     features = tmp_path / "features.csv"
     features.write_text("J_LV_k1_1:N,han_category,label\n" + "".join(
         f"{0.2 + 0.6 * label},BothHan,{label}\n" for label in labels), encoding="utf-8")
     assert main(["train", "--in", str(features), "--out", str(tmp_path / "model.json"),
-                 "--dev-fraction", fraction, "--seed", "1"]) == 2
+                 "--seed", "1"]) == 2
     assert f"error: {message} must contain both labels" in capsys.readouterr().err
 
 
 def test_study_rejects_single_class_dev_split(tmp_path, capsys):
-    """A study's dev split is cut and checked as `hanlink train` cuts it,
-    and the error names the config key that set the fraction."""
+    """A study's dev split is cut and checked as `hanlink train` cuts it:
+    with one sampled nonmatch, a split misses a label."""
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps({"seed": 3, "simulate": {"n_records": 60},
                                "methods": ["exact", "tau1"],
-                               "train": {"dev_fraction": 0.0,
-                                         "n_nonmatch_name_pairs": 50}}))
+                               "train": {"n_nonmatch_name_pairs": 1}}))
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
-    assert ("error: the dev split (1 rows at train.dev_fraction 0.0) must contain "
+    assert ("error: the dev split (1 of 3 labeled rows) must contain "
             "both labels") in capsys.readouterr().err
 
 
@@ -586,9 +587,14 @@ def test_malformed_csv_input_exits_2(tmp_path, capsys, case):
 def test_no_option_repeats_a_config_key(tmp_path, capsys):
     """An experiment's methods and a simulation's seed are config keys
     only: --method and --seed are unknown options, and the retired singular
-    'method' key is an input error."""
+    'method' key is an input error. The matcher's ridge penalty, dev
+    fraction and score bins are constants of `matcher`: --penalty,
+    --dev-fraction and --bins are unknown options too."""
     for argv in (["experiment", "--config", "c.json", "--method", "exact"],
-                 ["simulate", "--seed", "1"]):
+                 ["simulate", "--seed", "1"],
+                 ["train", "--in", "f.csv", "--penalty", "0.1"],
+                 ["train", "--in", "f.csv", "--dev-fraction", "0.4"],
+                 ["fitdist", "--in", "s.csv", "--bins", "10"]):
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--out", str(tmp_path / "r")])
         assert exit_info.value.code == 2
@@ -634,7 +640,7 @@ MALFORMED_CONFIG = {
     "data-without-file_b": ({"data": {"file_a": "a.csv", "truth": "t.csv"}}, "'file_b'"),
     "fields-without-name": ({**FILES, "fields": ["sex", "yob"]}, "must include 'name'"),
     "train-key": ({**STUDY, "train": {"bin": 3}}, "unknown key 'bin'"),
-    "train-fraction": ({**STUDY, "train": {"dev_fraction": 1.5}}, "'train.dev_fraction'"),
+    "train-fraction": ({**STUDY, "train": {"dev_fraction": 0.4}}, "unknown key 'dev_fraction'"),
     "retired-method-key": ({**FILES, "method": "exact"}, "'methods'"),
     "null-floor": ({**STUDY, "floor": None}, "'floor' is null"),
     "null-file": ({"data": {**FILES["data"], "truth": None}}, "lacks 'truth'"),
@@ -730,10 +736,6 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,option,value,message", [
-    ("train", "--penalty", "-1", "--penalty must be a number >= 0, not -1.0"),
-    ("train", "--penalty", "nan", "--penalty must be a number >= 0, not nan"),
-    ("train", "--dev-fraction", "-0.1", "--dev-fraction must be a number >= 0 and <= 1"),
-    ("train", "--dev-fraction", "1.5", "--dev-fraction must be a number >= 0 and <= 1"),
     ("train", "--seed", "-1", "--seed must be an integer >= 0, not -1"),
     ("experiment", "--workers", "-3", "--workers must be an integer >= 1, not -3"),
     ("experiment", "--workers", "0", "--workers must be an integer >= 1, not 0"),
@@ -743,7 +745,6 @@ def test_single_model_file_with_unbounded_feature_exits_2(tmp_path, capsys):
     ("train", "--in", "cell.csv", "cell.csv, line 3, column 'J_LV_k1_1:N': bad cell 'x'"),
     ("train", "--in", "digits.csv", "digits.csv, line 2, column 'J_LV_k1_1:N': bad cell '0_0.5'"),
     ("evaluate", "--q", "2", "--q must be a number > 0 and <= 1, not 2.0"),
-    ("fitdist", "--bins", "0", "--bins must be an integer >= 1, not 0"),
 ])
 def test_command_line_numbers_checked(tmp_path, monkeypatch, capsys, command, option, value,
                                       message):

@@ -18,11 +18,11 @@ from hanlink.linkage import NA, LinkageModel, PatternTable, zeta_for_gammas
 from hanlink.matcher import ScoreDistribution, fit_score_distributions
 
 
-def make_dist(match_scores, nonmatch_scores, bins=50):
+def make_dist(match_scores, nonmatch_scores):
     scores = np.concatenate([match_scores, nonmatch_scores])
     labels = np.concatenate([np.ones(len(match_scores)),
                              np.zeros(len(nonmatch_scores))])
-    return fit_score_distributions(scores, labels, bins=bins)
+    return fit_score_distributions(scores, labels)
 
 
 def make_table(gammas, counts, fields=("name", "sex", "yob")):
@@ -210,7 +210,7 @@ def fitted_dist():
     rng = np.random.default_rng(2)
     match = np.clip(rng.beta(8, 2, size=400), 0, 1)
     nonmatch = np.clip(rng.beta(2, 10, size=600), 0, 1)
-    return make_dist(match, nonmatch, bins=40)
+    return make_dist(match, nonmatch)
 
 
 @st.composite

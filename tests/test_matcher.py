@@ -37,11 +37,12 @@ def _data(X, y, cats=None):
     return X, np.asarray(cats, dtype=np.int8), y
 
 
-def test_separable_single_feature():
+def test_separable_single_feature(monkeypatch):
     rng = np.random.default_rng(0)
     y = rng.integers(0, 2, size=400)
     X = y[:, None].astype(float)
-    model = train_logistic(_data(X, y), (SPEC_A,), penalty=1e-3)
+    monkeypatch.setattr(matcher, "PENALTY", 1e-3)
+    model = train_logistic(_data(X, y), (SPEC_A,))
     scores = model.predict_matrix(X, np.zeros(400, dtype=np.int8))
     assert scores[y == 1].min() >= 0.99
     assert scores[y == 0].max() <= 0.01
@@ -81,13 +82,14 @@ def test_singular_hessian_falls_back_to_least_squares(monkeypatch):
     x = rng.normal(size=300) + y
     solves, lstsq = [], np.linalg.lstsq
     solve = matcher._solve
-    monkeypatch.setattr(matcher, "_solve", lambda H, g: solves.append("solve") or solve(H, g))
-    monkeypatch.setattr(np.linalg, "lstsq",
-                        lambda *args, **kw: solves.append("lstsq") or lstsq(*args, **kw))
-    twin = train_logistic(_data(np.column_stack([x, x]), y), (SPEC_A, SPEC_B), penalty=0.0)
-    monkeypatch.undo()
+    monkeypatch.setattr(matcher, "PENALTY", 0.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(matcher, "_solve", lambda H, g: solves.append("solve") or solve(H, g))
+        mp.setattr(np.linalg, "lstsq",
+                   lambda *args, **kw: solves.append("lstsq") or lstsq(*args, **kw))
+        twin = train_logistic(_data(np.column_stack([x, x]), y), (SPEC_A, SPEC_B))
     assert solves and solves == ["solve", "lstsq"] * (len(solves) // 2)
-    one = train_logistic(_data(x[:, None], y), (SPEC_A,), penalty=0.0)
+    one = train_logistic(_data(x[:, None], y), (SPEC_A,))
     cats = np.zeros(len(y), dtype=np.int8)
     assert np.abs(twin.predict_matrix(np.column_stack([x, x]), cats)
                   - one.predict_matrix(x[:, None], cats)).max() <= 1e-12
@@ -318,10 +320,11 @@ def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
     references = [oracles.irls_fit(d, y, penalty, 1e-8, 200) for d in D]
     strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(D, 2, 0)), 0, 2)
     assert not strided.flags.c_contiguous
-    together = matcher._fit_design(D, y, penalty)
-    apart = matcher._fit_design(strided, y, penalty)
+    monkeypatch.setattr(matcher, "PENALTY", penalty)
+    together = matcher._fit_design(D, y)
+    apart = matcher._fit_design(strided, y)
     for k, reference in enumerate(references):
-        alone, = matcher._fit_design(D[k:k + 1], y, penalty)
+        alone, = matcher._fit_design(D[k:k + 1], y)
         for fit in (alone, together[k], apart[k]):
             _same_fit(fit, reference)
     monkeypatch.setattr(matcher, "FIT_BUDGET", 3 * n * p)  # chunks of 3
@@ -330,7 +333,7 @@ def test_fit_is_independent_of_its_batch(monkeypatch, penalty):
     wide = _data(np.concatenate(D[:, :, 1:], axis=1), y)
     terms = [("main", j) for j in range(p - 1)]
     trials = [(terms, specs, np.arange(k * (p - 1), (k + 1) * (p - 1)), "") for k in range(K)]
-    chunked = list(matcher._scored_fits(wide, wide, trials, penalty))
+    chunked = list(matcher._scored_fits(wide, wide, trials))
     assert len(chunked) == K
     for d, (model, _, _) in zip(D, chunked):
         _same_model(model, oracles.logistic_fit(_data(d[:, 1:], y), specs, penalty=penalty))
@@ -357,7 +360,7 @@ def test_scored_fits_rank_by_c_ordered_dev_scores(monkeypatch):
     dev_metrics = matcher._dev_metrics
     monkeypatch.setattr(matcher, "_dev_metrics",
                         lambda s, y: scored.append(s.copy()) or dev_metrics(s, y))
-    fits = list(matcher._scored_fits(train, dev, trials, matcher.PENALTY))
+    fits = list(matcher._scored_fits(train, dev, trials))
     assert len(scored) == len(trials)
     for (model, _, _), scores, (_, _, cols, _) in zip(fits, scored, trials):
         assert scores.tobytes() == oracles.dev_scores(model, dev[0], dev[1], cols).tobytes()
@@ -368,9 +371,9 @@ def test_fit_with_halved_steps_matches_reference():
     noise = np.random.default_rng(0).normal(size=D.shape)
     noise[:, 0] = 1.0
     stack = np.stack([noise, D, noise])  # halving in the middle of a stack
-    fits = matcher._fit_design(stack, y, 1e-6)
+    fits = matcher._fit_design(stack, y)
     for fit, d in zip(fits, stack):
-        _same_fit(fit, oracles.irls_fit(d, y, 1e-6, 1e-8, 200))
+        _same_fit(fit, oracles.irls_fit(d, y, matcher.PENALTY, 1e-8, 200))
 
 
 COLUMN_KINDS = ("signal", "noise", "duplicate", "separating", "heavy")
@@ -438,9 +441,8 @@ def test_selection_matches_per_candidate_reference(problem):
         mp.setattr(matcher, "FIT_BUDGET", budget)
         scored_fits, checked = matcher._scored_fits, []
 
-        def checked_fits(train_, dev_, trials, penalty):
-            for (model, a, e), (_, _, cols, _) in zip(scored_fits(train_, dev_, trials, penalty),
-                                                      trials):
+        def checked_fits(train_, dev_, trials):
+            for (model, a, e), (_, _, cols, _) in zip(scored_fits(train_, dev_, trials), trials):
                 checked.append((a, e))
                 assert (a, e) == oracles.dev_metrics(model, *dev_, cols)
                 yield model, a, e
@@ -563,11 +565,6 @@ def test_fit_distributions_identical_classes():
     assert dist.ratio[occupied] == pytest.approx(np.ones(occupied.sum()), abs=0.15)
 
 
-def test_fit_distributions_needs_a_bin():
-    with pytest.raises(InputError, match="bins must be an integer >= 1, not 0"):
-        fit_score_distributions(np.array([0.9, 0.1]), np.array([1, 0]), bins=0)
-
-
 def test_fit_distributions_single_class_error():
     with pytest.raises(ValueError):
         fit_score_distributions(np.array([0.5, 0.6]), np.array([1, 1]))
@@ -617,6 +614,8 @@ def _set(key, index, value):
     (_set("ratio", -1, 0.0), "score distribution ratio is not monotone"),
     (lambda d: d.pop("ratio"), "missing key 'ratio'"),
     (lambda d: d.update(grid_size="10000"), "grid_size must be an integer >= 2"),
+    (lambda d: d.update(grid_size=10 ** 13),
+     "tail_m has shape (10000,), expected (10000000000000,) from grid_size"),
     (_set("counts_m", 0, 2.5), "counts_m holds 2.5, which is not an integer >= 0"),
     (_set("counts_u", 1, -3), "counts_u holds -3, which is not an integer >= 0"),
     (_set("counts_m", 2, "2"), "counts_m holds '2', which is not an integer >= 0"),
@@ -644,6 +643,25 @@ def test_distribution_file_checked_on_load(tmp_path, change, message):
     path.write_text(json.dumps(d), encoding="utf-8")
     with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
         ScoreDistribution.load(path)
+
+
+def test_distribution_of_another_bin_count_loads(tmp_path, monkeypatch):
+    """A distribution file fitted with a bin count other than BINS loads,
+    and `ratio_at` maps scores into its own bins, not BINS of them."""
+    rng = np.random.default_rng(13)
+    scores = np.concatenate([rng.beta(6, 2, 300), rng.beta(2, 6, 700)])
+    labels = np.array([1] * 300 + [0] * 700)
+    with monkeypatch.context() as mp:
+        mp.setattr(matcher, "BINS", 50)
+        fitted = fit_score_distributions(scores, labels)
+    path = tmp_path / "dist.json"
+    fitted.save(path)
+    dist = ScoreDistribution.load(path)
+    assert len(dist.ratio) == 50 != matcher.BINS
+    assert dist.ratio.tobytes() == fitted.ratio.tobytes()
+    assert dist.bin_edges.tobytes() == np.linspace(0.0, 1.0, 51).tobytes()
+    x = np.array([0.0, 0.01, 0.03, 0.5, 0.999, 1.0])
+    assert dist.ratio_at(x).tobytes() == dist.ratio[[0, 0, 1, 25, 49, 49]].tobytes()
 
 
 def test_model_and_distribution_files_round_trip_byte_for_byte(tmp_path):
