@@ -16,6 +16,7 @@ import numpy as np
 
 from .encoding import (
     LF_RANGES,
+    CodeTranslation,
     EncodingKind,
     EncodingTable,
     FrequencyTable,
@@ -23,9 +24,8 @@ from .encoding import (
     InputError,
     ambiguity_count,
     han_of_logograms,
-    join_codes,
-    logograms,
-    range_substring,
+    normal_form,
+    range_slice,
 )
 
 # The comparators are numpy batch kernels; numba is not used.
@@ -36,6 +36,7 @@ _ONE = np.uint64(1)
 _HIGH = np.uint64(_WORD - 1)
 _EQ_BUDGET = 1 << 22   # pattern-match cells (pairs x text length x pattern width) of a chunk
 _TOKEN_BUDGET = 1 << 13  # tokens looked up per cosine chunk, about 1 MB of temporaries
+_DENSE_BUDGET = 1 << 20  # token counts (strings x tokens) of a dense cosine block
 
 
 def index_type(bound: int) -> type:
@@ -190,11 +191,11 @@ def edit_distances(strings: Sequence[str], u, v) -> np.ndarray:
     padded table over all strings is held.
     """
     points, starts, lens = _code_points(strings)
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    u, v = (np.asarray(x, dtype=index_type(len(strings))) for x in (u, v))
     m, n = lens[u], lens[v]
     m, n = np.minimum(m, n), np.maximum(m, n)
     out = n.copy()  # an empty pattern costs one insertion per text character
-    live = np.nonzero(m > 0)[0]
+    live = np.flatnonzero(m > 0).astype(index_type(len(u)))
     live = live[np.argsort(n[live], kind="stable")]
     start = 0
     while start < len(live):
@@ -224,15 +225,16 @@ def levenshtein_sims(strings: Sequence[str], u, v) -> np.ndarray:
     """Levenshtein similarity 1 - E/max(N1, N2) of strings[u[i]] and
     strings[v[i]] for every i; both empty -> 1, exactly one empty -> 0."""
     lens = _lengths(strings)
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    u, v = (np.asarray(x, dtype=index_type(len(strings))) for x in (u, v))
     return _from_distances("LV", edit_distances(strings, u, v), lens[u], lens[v])
 
 
 def _token_rows(strings: Sequence[str], ks: Sequence[int]):
     """Sparse token counts of every string at every token length in `ks`
     (ascending): row i * len(strings) + s counts the ks[i]-tokens of
-    strings[s]. Sorted keys (row * n_tokens + token id) with their counts,
-    each row's first entry, and each row's Euclidean norm.
+    strings[s]. Each entry's row and token id, sorted by (row, token), with
+    their counts, each row's first entry, each row's Euclidean norm and the
+    number of token ids.
 
     Tokens of all lengths share one lexicographic numbering. Their first
     three code points (each < 2^21, stored plus one so that a shorter
@@ -262,6 +264,7 @@ def _token_rows(strings: Sequence[str], ks: Sequence[int]):
     n_tokens = int(token.max(initial=-1)) + 1
     keys, counts = np.unique(row * n_tokens + token, return_counts=True)
     owner = keys // max(n_tokens, 1)
+    tokens = keys - owner * n_tokens
     offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(per)))])
     squares = np.bincount(owner, weights=counts * counts,
                           minlength=len(per)).astype(np.int64)
@@ -269,36 +272,49 @@ def _token_rows(strings: Sequence[str], ks: Sequence[int]):
     # once per distinct sum of squares, of which there are few
     sums, which = np.unique(squares, return_inverse=True)
     norms = np.array([s ** 0.5 for s in sums.tolist()])[which]
-    return keys, counts, offsets, norms, n_tokens
+    return owner, tokens, counts, offsets, norms, n_tokens
 
 
 def _cosines(strings: Sequence[str], u, v, ks: Sequence[int]) -> np.ndarray:
     """Cosine similarities of the pairs (strings[u[i]], strings[v[i]]) at
     every token length in `ks`, one row per length, from one token
-    numbering; `cosine_sims` without its rule for u[i] == v[i]. Each row
-    runs in chunks of pairs whose first strings hold about _TOKEN_BUDGET
-    tokens, so no temporary spans every pair."""
-    keys, counts, offsets, norms, n_tokens = _token_rows(strings, ks)
+    numbering; `cosine_sims` without its rule for u[i] == v[i].
+
+    The pairs run ordered by their first string, as `_distinct_pairs` gives
+    them, in chunks whose second strings hold about _TOKEN_BUDGET tokens and
+    whose first strings' ids fit one dense block: those strings' token
+    counts are scattered into a (block, n_tokens) array of at most
+    _DENSE_BUDGET counts, uint8 where all are below 256, and each token of
+    a pair's second string reads its count there with one gather. Dot
+    products are integer sums, exact in any order, so neither budget
+    changes a value."""
+    owner, tokens, counts, offsets, norms, n_tokens = _token_rows(strings, ks)
     nnz = np.diff(offsets)
+    order = np.argsort(u, kind="stable")
+    u, v = np.asarray(u, dtype=np.int64)[order], np.asarray(v, dtype=np.int64)[order]
+    block = max(1, _DENSE_BUDGET // max(n_tokens, 1))
+    dense = np.zeros((min(block, len(strings)), n_tokens),
+                     np.min_scalar_type(int(counts.max(initial=0))))
     out = np.empty((len(ks), len(u)))
     for row in range(len(ks)):
         shift = row * len(strings)
-        ends = np.cumsum(nnz[shift:shift + len(strings)][u])
+        ends = np.cumsum(nnz[shift:shift + len(strings)][v])
         start = 0
         while start < len(u):
             base = int(ends[start - 1]) if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, base + _TOKEN_BUDGET, side="right")))
-            cu = np.asarray(u[start:stop], dtype=np.int64) + shift
-            cv = np.asarray(v[start:stop], dtype=np.int64) + shift
-            per = nnz[cu]
-            pair = np.repeat(np.arange(len(cu)), per)
-            at_u = np.arange(int(per.sum())) + np.repeat(offsets[cu] - (np.cumsum(per) - per), per)
-            want = cv[pair] * n_tokens + keys[at_u] % n_tokens
-            at_v = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            both = np.where(keys[at_v] == want, counts[at_u] * counts[at_v], 0)
-            dot = np.bincount(pair, weights=both, minlength=len(cu))
+            stop = min(max(start + 1, int(np.searchsorted(ends, base + _TOKEN_BUDGET, side="right"))),
+                       int(np.searchsorted(u, u[start] + block)))  # first strings in one block
+            cu, cv = u[start:stop] + shift, v[start:stop] + shift
+            held = slice(offsets[cu[0]], offsets[cu[-1] + 1])
+            dense[owner[held] - cu[0], tokens[held]] = counts[held]
+            per = nnz[cv]
+            pair = np.repeat(np.arange(len(cv)), per)
+            at_v = np.arange(int(per.sum())) + np.repeat(offsets[cv] - (np.cumsum(per) - per), per)
+            dot = np.bincount(pair, weights=counts[at_v] * dense[cu[pair] - cu[0], tokens[at_v]],
+                              minlength=len(cv))
+            dense[owner[held] - cu[0], tokens[held]] = 0
             denom = norms[cu] * norms[cv]
-            out[row, start:stop] = np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0)
+            out[row, order[start:stop]] = np.minimum(dot / np.where(denom > 0, denom, 1.0), 1.0)
             start = stop
     return out
 
@@ -310,7 +326,7 @@ def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
     dot product over the float norms, capped at 1."""
     if k < 1:
         raise ValueError("token length must be >= 1")
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    u, v = (np.asarray(x, dtype=index_type(len(strings))) for x in (u, v))
     return np.where(u == v, 1.0, _cosines(strings, u, v, (k,))[0])
 
 
@@ -470,16 +486,16 @@ class PairFeaturizer:
     the specs read, and `featurizer(specs)` gives a featurizer of other
     specs over this one's tables that shares its encoded substrings.
 
-    Pairs are scored by name id (`NamePairs`): per-name work (the split
-    into logograms, Han indicator, ambiguity tally) runs once per call over
-    the distinct names a batch references, found by a flag per name id,
-    and per-substring work (log frequencies, encodings) once per distinct
-    substring of a range. An encoded substring is built once per (encoding,
-    distinct substring) from per-logogram codes looked up once per
-    (encoding, logogram), both kept across calls. Each (encoding, range)
-    key maps each name to its encoded substring's id and finds the batch's
-    distinct pairs of unequal encoded substrings in one pass (equal ones
-    score 1, a missing one 0), so a duplicate pair costs only a gather.
+    Pairs are scored by name id (`NamePairs`): per-name work (`normal_form`,
+    Han indicator, ambiguity tally) runs once per call over the distinct
+    names a batch references, found by a flag per name id, and per-substring
+    work (log frequencies, encodings) once per distinct substring of a
+    range, a slice of the normal form. Each (encoding, range) key encodes
+    its new substrings in one `_encode_batch` call, each logogram's code
+    looked up once per encoding (`CodeTranslation`), both kept across calls.
+    Each key maps each name to its encoded substring's id and finds the
+    batch's distinct pairs of unequal encoded substrings in one pass (equal
+    ones score 1, a missing one 0), so a duplicate pair costs only a gather.
     Each comparator runs once per batch: one `edit_distances` call over
     every LV/LCS key's pairs, string ids offset per key into one pool, and
     one cosine pass per key covering all its token lengths. Ids and pair
@@ -504,7 +520,7 @@ class PairFeaturizer:
         self.freq = freq if lf else None
         self.surnames = surnames
         self.fallbacks = 0
-        self._codes: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
+        self._translations = {kind: CodeTranslation(table) for kind, table in self.tables.items()}
         self._encoded: dict[EncodingKind, dict[str, str]] = {k: {} for k in self.tables}
 
     def featurizer(self, specs) -> "PairFeaturizer":
@@ -512,22 +528,21 @@ class PairFeaturizer:
         surnames that shares its per-logogram codes and encoded substrings:
         what either has encoded, the other does not encode again."""
         other = PairFeaturizer(self.tables, self.freq, self.surnames, specs)
-        other._codes = {kind: self._codes[kind] for kind in other.tables}
+        other._translations = {kind: self._translations[kind] for kind in other.tables}
         other._encoded = {kind: self._encoded[kind] for kind in other.tables}
         return other
 
-    def _encode(self, kind: EncodingKind, sub: str) -> str:
-        """transform(sub, table).joined, or "" for an empty substring."""
-        memo = self._encoded[kind]
-        joined = memo.get(sub)
-        if joined is None:
-            codes, chars, table = self._codes[kind], logograms(sub), self.tables[kind]
-            for ch in chars:
-                if ch not in codes:
-                    self.fallbacks += ch not in table.entries and kind is not EncodingKind.J
-                    codes[ch] = table.code(ch)
-            joined = memo[sub] = join_codes(kind, [codes[ch] for ch in chars])
-        return joined
+    def _encode_batch(self, kind: EncodingKind, subs: list[str]) -> list[str]:
+        """transform(sub, table).joined of each substring, "" for an empty
+        one. The substrings not encoded before are encoded in one call: each
+        is put in `normal_form` once, each logogram never seen is looked up
+        once, counting `fallbacks`, and each code string is one translation."""
+        memo, translation = self._encoded[kind], self._translations[kind]
+        if new := [sub for sub in subs if sub not in memo]:
+            encoded, fallbacks = translation.encode(list(map(normal_form, new)))
+            memo.update(zip(new, encoded))
+            self.fallbacks += fallbacks
+        return [memo[sub] for sub in subs]
 
     def feature_matrix(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Feature matrix plus Han-category codes, one row per pair of a
@@ -555,7 +570,7 @@ class PairFeaturizer:
             subs, ids, both = ranges[tag]
             for enc, cols in encodings.items():
                 kind = EncodingKind(enc)
-                strings, (enc_ids,) = intern_strings([self._encode(kind, sub) for sub in subs])
+                strings, (enc_ids,) = intern_strings(self._encode_batch(kind, subs))
                 enc_ids = enc_ids[ids]  # each name's encoded substring
                 key = _distinct_pairs(len(strings), enc_ids[ia], enc_ids[ib], both)
                 X[:, cols] = both[:, None]  # equal encoded substrings score 1, a missing one 0
@@ -575,9 +590,10 @@ class PairFeaturizer:
         """The Han-category code of each pair (names[ia], names[ib]) and, per
         range the specs read, the distinct substrings of `names`, each
         name's id into them and whether both substrings of each pair are
-        present. Each name is split into logograms once."""
-        chars = [logograms(n) for n in names]
-        han = np.array([han_of_logograms(ch, self.surnames) for ch in chars], dtype=bool)
+        present. Each name is put in `normal_form` once, and a range's
+        substring is a slice of it."""
+        forms = list(map(normal_form, names))
+        han = np.array([han_of_logograms(form, self.surnames) for form in forms], dtype=bool)
         ha, hb = han[ia], han[ib]
         code = HAN_CATEGORIES.index
         cats = np.where(ha != hb, code("Disagreeing"),
@@ -585,8 +601,9 @@ class PairFeaturizer:
         ranges = {}
         for tag in dict.fromkeys(s.range_tag for s in self.specs
                                  if s.comparator != "CAT" and s.encoding != "AMB"):
-            subs, (ids,) = intern_strings([range_substring(ch, tag) for ch in chars])
-            present = np.array([bool(sub) for sub in subs], dtype=bool)[ids]
+            cut = range_slice(tag)
+            subs, (ids,) = intern_strings([form[cut] for form in forms])
+            present = (_lengths(subs) > 0)[ids]
             ranges[tag] = subs, ids, present[ia] & present[ib]
         return cats, ranges
 
@@ -609,6 +626,11 @@ class PairFeaturizer:
             for c in cols:
                 sims = _from_distances(self.specs[c].comparator, d[start:stop], lens[u], lens[v])
                 X[key.todo, c] = sims[key.inverse]
+
+
+# `rank_ids` flags ids (a flag and an int32 rank, 5 bytes, per possible id) while
+# they span at most this many per member of their batch, 0.8 MB for 20,000
+_FLAG_RANK_SPAN = 8
 
 
 def compact_ids(n_ids: int, *ids: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -636,16 +658,26 @@ class _Pairs(NamedTuple):
     inverse: np.ndarray
 
 
+def rank_ids(n_ids: int, ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(ids, return_inverse=True)` of ids below n_ids, from a batch
+    of `count` records or pairs: by `compact_ids` while n_ids is at most
+    `_FLAG_RANK_SPAN` * count, else by a sort."""
+    if n_ids <= _FLAG_RANK_SPAN * count:
+        return compact_ids(n_ids, ids)
+    return np.unique(ids, return_inverse=True)
+
+
 def _distinct_pairs(n_ids: int, a: np.ndarray, b: np.ndarray, mask) -> _Pairs:
     """The `_Pairs` of the pairs (a[k], b[k]) of ids below n_ids that `mask`
     keeps, (u, v) ascending by (low id, high id). Ids are int32 below 2^31,
     and so is each pair's code, low id * n_ids + high id, when n_ids^2 <=
-    2^31; else the code is formed in int64."""
+    2^31; else the code is formed in int64. The codes are ranked by
+    `rank_ids`, against the batch's number of pairs."""
     todo = (a != b) & mask
     a, b = a[todo], b[todo]
     codes = np.minimum(a, b).astype(index_type(n_ids * n_ids))
     codes *= n_ids
     codes += np.maximum(a, b)
-    keys, inverse = np.unique(codes, return_inverse=True)
+    keys, inverse = rank_ids(n_ids * n_ids, codes, len(todo))
     u, v = (x.astype(index_type(n_ids)) for x in np.divmod(keys, n_ids))
     return _Pairs(u, v, todo, inverse.astype(index_type(len(keys))))

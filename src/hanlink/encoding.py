@@ -48,9 +48,14 @@ _SEPARATORS = {
 }
 
 
+def normal_form(name: str) -> str:
+    """A name stripped and NFC-normalized: its logograms as one string."""
+    return unicodedata.normalize("NFC", name.strip())
+
+
 def logograms(name: str) -> list[str]:
     """Split a name into logograms (Unicode scalar values, NFC-normalized)."""
-    return list(unicodedata.normalize("NFC", name.strip()))
+    return list(normal_form(name))
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,40 @@ def _join_rds(codes: list[str]) -> str:
     return " ".join(radicals + structures)
 
 
+class CodeTranslation:
+    """`join_codes` by `str.translate`: each logogram maps to its separator
+    and code, and a name's translation less the first separator is its code
+    string. RDS translates twice, to its radicals and then to its structure
+    marks (`_join_rds`). Each logogram's code is looked up once; a J name
+    is its own code string."""
+
+    def __init__(self, table: EncodingTable):
+        self.table = table
+        self.maps: list[dict[int, str]] = [{}, {}] if table.kind is EncodingKind.RDS else [{}]
+
+    def encode(self, names: list[str]) -> tuple[list[str], int]:
+        """The code strings of `normal_form` names, and how many of the
+        logograms looked up for them fell back to themselves."""
+        if self.table.kind is EncodingKind.J:
+            return list(names), 0
+        new = [ch for ch in set("".join(names)) if ord(ch) not in self.maps[0]]
+        for ch in new:
+            code = self.table.code(ch)
+            if len(self.maps) == 1:
+                self.maps[0][ord(ch)] = _SEPARATORS[self.table.kind] + code
+                continue
+            tokens = [t for t in code.split(" ") if t]
+            for marks, out in zip((False, True), self.maps):
+                out[ord(ch)] = "".join(" " + t for t in tokens if (t in STRUCTURE_CHARS) is marks)
+        fallbacks = sum(ch not in self.table.entries for ch in new)
+        if len(self.maps) == 2:
+            rad, marks = self.maps
+            return [(name.translate(rad) + name.translate(marks))[1:] for name in names], fallbacks
+        return [name.translate(self.maps[0])[1:] for name in names], fallbacks
+
+
 def load_surnames(path: str | Path) -> frozenset[str]:
-    names = frozenset(unicodedata.normalize("NFC", line.strip()) for _, line in asset_lines(path))
+    names = frozenset(normal_form(line) for _, line in asset_lines(path))
     if not names:
         raise InputError(f"{path}: no surnames")
     return names
@@ -147,11 +184,11 @@ def load_surnames(path: str | Path) -> frozenset[str]:
 def han_indicator(name: str, surnames: frozenset[str]) -> bool:
     """True iff the name starts with a listed surname (2-logogram surnames
     matched before 1-logogram ones) and has 2-4 logograms in total."""
-    return han_of_logograms(logograms(name), surnames)
+    return han_of_logograms(normal_form(name), surnames)
 
 
-def han_of_logograms(chars: list[str], surnames: frozenset[str]) -> bool:
-    """`han_indicator` of a name already split into logograms."""
+def han_of_logograms(chars: str | list[str], surnames: frozenset[str]) -> bool:
+    """`han_indicator` of a name in `normal_form` or split into logograms."""
     if not surnames:
         raise ValueError("surname set is empty")
     if not 2 <= len(chars) <= 4:
@@ -177,15 +214,13 @@ LF_RANGES = ("1:1", "1:2", "2:N", "3:N")
 def extract_substring(name: str, range_tag: str) -> str:
     """Logograms of `name` at the 1-based positions given by the range;
     ranges past the end truncate, a start past the end yields ""."""
-    return range_substring(logograms(name), range_tag)
+    return normal_form(name)[range_slice(range_tag)]
 
 
-def range_substring(chars: list[str], range_tag: str) -> str:
-    """`extract_substring` of a name already split into logograms."""
+def range_slice(range_tag: str) -> slice:
+    """The logograms of a range "start:end" (1-based, ends included, N the last) as a slice."""
     start_s, end_s = range_tag.split(":")
-    start = int(start_s)
-    end = len(chars) if end_s == "N" else int(end_s)
-    return "".join(chars[start - 1 : end])
+    return slice(int(start_s) - 1, None if end_s == "N" else int(end_s))
 
 
 @dataclass

@@ -6,9 +6,10 @@ maximizing the predicted post-transfer ranking quality (AUROC) using the
 donor/recipient transfer equations. Both predictions depend on tau only
 through the tails (P(X>=tau|M), P(X>=tau|U)), so each selector evaluates
 one grid point per run of equal tails and takes the first maximum over
-the grid. Posterior adjustment re-estimates match probabilities
-pair-by-pair with the monotone likelihood ratio of the observed name
-score, skipping rows where no posterior above the floor is achievable.
+the grid; tau2 ranks a block of those points in one 2-D pass. Posterior
+adjustment re-estimates match probabilities pair-by-pair with the
+monotone likelihood ratio of the observed name score, skipping rows
+where no posterior above the floor is achievable.
 All three act on one `CandidatePairs`: the name-scored pairs of whole
 gamma_name=0 rows, each with its table row, score and truth label, checked
 once when built. They become each method's ranking here: the threshold
@@ -23,6 +24,8 @@ from .compare import index_type
 from .linkage import InputError, LinkageModel, PatternTable, gamma_codes, zeta_for_gammas
 from .matcher import ScoreDistribution
 from .metrics import GroupedRanking, auroc
+
+_CURVE_BUDGET = 1 << 16  # ranking entries (grid steps x rows) of a tau2 curve block
 
 
 def _name_index(table: PatternTable) -> int:
@@ -109,7 +112,8 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     Every donor row is paired with the recipient row sharing all other
     agreement values with gamma_name=1; absent recipients are created with
     N=0 and zeta from the model. Untouched rows enter the ranking with
-    their prior zeta and count.
+    their prior zeta and count. Each tail step's first point is evaluated,
+    in blocks of steps of at most _CURVE_BUDGET ranking entries (`_aurocs`).
     """
     donors = _donor_rows(table)
     if len(donors) == 0:
@@ -132,14 +136,40 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
     u_n = table.counts[untouched].astype(float)
 
     starts, expand = _tail_steps(dist)
-    pred = np.empty(len(starts))
-    for k, g in enumerate(starts):
-        zh1, zh2, nh1, nh2 = transfer_predictions(z1, n1, z2, n2,
-                                                  dist.tail_m[g], dist.tail_u[g])
-        scores = np.concatenate([u_scores, zh1, zh2])
-        masses = np.concatenate([u_n, nh1, nh2])
-        pred[k] = auroc(GroupedRanking(scores, scores * masses, (1.0 - scores) * masses))
+    size = max(1, _CURVE_BUDGET // (len(u_scores) + 2 * len(donors)))
+    blocks = (starts[k:k + size, None] for k in range(0, len(starts), size))
+    pred = np.concatenate([_aurocs(u_scores, u_n, *transfer_predictions(
+        z1, n1, z2, n2, dist.tail_m[g], dist.tail_u[g])) for g in blocks])
     return pred[expand]
+
+
+def _aurocs(u_scores, u_n, zh1, zh2, nh1, nh2) -> np.ndarray:
+    """`auroc` of each step's `GroupedRanking` of the rows (u_scores, u_n),
+    (zh1, nh1) and (zh2, nh2), bitwise: each step's rows sorted once, tie
+    boundaries as a mask, and trapezoid terms formed as `np.trapezoid`
+    forms them, summed over the step's own slice. A step that fails their
+    checks is handed to them, so it raises what they raise."""
+    rows = (len(zh1), len(u_n))
+    scores = np.concatenate([np.broadcast_to(u_scores, rows), zh1, zh2], axis=1)
+    masses = np.concatenate([np.broadcast_to(u_n, rows), nh1, nh2], axis=1)
+    steps, width = scores.shape
+    # in C order, so that each row sums along contiguous memory, pairwise as a 1-D sum does
+    pos, neg = (np.multiply(side, masses, order="C") for side in (scores, 1.0 - scores))
+    P, N = pos.sum(axis=1), neg.sum(axis=1)
+    if (bad := (pos < 0).any(axis=1) | (neg < 0).any(axis=1) | (P <= 0) | (N <= 0)).any():
+        k = int(np.argmax(bad))
+        auroc(GroupedRanking(scores[k], pos[k], neg[k]))
+    order = np.argsort(-scores, axis=1, kind="stable")
+    edge = np.ones((steps, width + 1), dtype=bool)  # before each rank and after the last
+    edge[:, 1:-1] = np.diff(np.take_along_axis(scores, order, axis=1), axis=1) != 0
+    ranked = np.zeros((2, steps, width + 1))  # the masses ranked above each boundary
+    for out, mass in zip(ranked, (pos, neg)):
+        np.cumsum(np.take_along_axis(mass, order, axis=1), axis=1, out=out[:, 1:])
+    tpr, fpr = (ranked[0] / P[:, None])[edge], (ranked[1] / N[:, None])[edge]
+    terms = np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0
+    ends = np.cumsum(edge.sum(axis=1))  # one past each step's last boundary
+    area = [terms[a:b - 1].sum() for a, b in zip(np.concatenate([[0], ends[:-1]]), ends)]
+    return np.minimum(np.maximum(area, 0.0), 1.0)
 
 
 def tau2_select(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,

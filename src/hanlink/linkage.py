@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .compare import (InternedColumn, NamePairs, compact_ids, index_type, intern_into,
-                      merge_interned)
+from .compare import (InternedColumn, NamePairs, index_type, intern_into, merge_interned,
+                      rank_ids)
 from .encoding import InputError
 from .metrics import PROB_CLAMP
 
@@ -51,10 +51,6 @@ EM_TOL = 1e-10       # EM stops once an iteration changes the log-likelihood by 
 EM_MAX_ITER = 500    # EM iterations at most
 _JOIN_SLICE = 1 << 18  # joined pairs held at once while enumerating candidates
 _CSV_BLOCK = 1 << 10   # CSV rows read, interned and parsed at a time
-# join keys over up to this many composite values per record are ranked by
-# `compact_ids`, at one flag (1 byte) and one int32 rank (4 bytes) per value,
-# 0.8 MB at n = 20,000; more values are ranked by a sort
-_FLAG_RANK_SPAN = 8
 
 
 def checked_number(key: str, value, lo: float, hi: float = math.inf, *,
@@ -301,19 +297,16 @@ def extend_key(key: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Join key over one more field: equal keys mean equal values on every
     field so far. Keys lie in [0, n) over all n records, int32 below 2^31
     records, so they never overflow: key * width + code where that is below
-    n, else its rank among the values the records hold, ranked by one flag
-    per value while they number at most `_FLAG_RANK_SPAN` * n and by a sort
-    beyond; -1 marks a record missing this field or an earlier one."""
+    n, else its rank among the values the records hold (`rank_ids` against
+    n); -1 marks a record missing this field or an earlier one."""
     out = np.full(len(key), -1, dtype=index_type(len(key)))
     ok = (key >= 0) & (codes >= 0)
     span, width = int(key.max(initial=-1)) + 1, int(codes.max(initial=-1)) + 1
     composite = key[ok].astype(index_type(span * width)) * width + codes[ok]
     if span * width <= len(key):
         out[ok] = composite
-    elif span * width <= _FLAG_RANK_SPAN * len(key):
-        out[ok] = compact_ids(span * width, composite)[1]
     else:
-        out[ok] = np.unique(composite, return_inverse=True)[1]
+        out[ok] = rank_ids(span * width, composite, len(key))[1]
     return out
 
 

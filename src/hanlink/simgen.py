@@ -129,15 +129,18 @@ def draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def edit_distance_floor(codes: list[str], u, v) -> np.ndarray:
-    """A lower bound on the Levenshtein distance of codes[u[i]] and
-    codes[v[i]]: the larger of the length gap and, for each side, the
-    number of symbols (code point mod 64, one bit of a uint64 each) it holds
-    that the other lacks, since every character of such a symbol must be
-    deleted or substituted. Symbols that collide mod 64 only lower it."""
-    sets = np.array([sum({1 << (ord(ch) & 63) for ch in code}) for code in codes],
+def symbol_sets(codes: list[str]) -> np.ndarray:
+    """Each code's symbols, code points mod 64, as the bits of a uint64."""
+    return np.array([sum({1 << (ord(ch) & 63) for ch in code}) for code in codes],
                     dtype=np.uint64)
-    lens = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
+
+
+def edit_distance_floor(sets: np.ndarray, lens: np.ndarray, u, v) -> np.ndarray:
+    """A lower bound on the Levenshtein distance of the codes u[i] and v[i]
+    of `symbol_sets` `sets` and lengths `lens`: the larger of the length gap
+    and, for each side, the number of symbols it holds that the other
+    lacks, since every character of such a symbol must be deleted or
+    substituted. Symbols that collide mod 64 only lower it."""
     sa, sb = sets[u], sets[v]
     gone = np.maximum(np.bitwise_count(sa & ~sb), np.bitwise_count(sb & ~sa))
     return np.maximum(gone, np.abs(lens[u] - lens[v]))
@@ -173,23 +176,24 @@ def build_name_model(corpus: list[str],
     inventory = tuple(sorted({c for name in names for c in name}))
     first, second = np.triu_indices(len(inventory), 1)
     hit = np.zeros(len(first), dtype=bool)
-    encoded = []  # (codes, their lengths) per searched encoding
+    encoded = []  # (codes, their lengths, their symbol sets) per searched encoding
     for kind in (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS):
         if kind in tables:
             codes = [tables[kind].code(c) for c in inventory]
-            encoded.append((codes, np.array([len(code) for code in codes], dtype=np.int64)))
+            encoded.append((codes, np.array([len(code) for code in codes], dtype=np.int64),
+                            symbol_sets(codes)))
     for start in range(0, len(first), _PAIR_BLOCK):
         # one block of pairs at a time; `found` is a view of its part of `hit`
         a, b = first[start:start + _PAIR_BLOCK], second[start:start + _PAIR_BLOCK]
         found = hit[start:start + _PAIR_BLOCK]
-        for codes, lens in encoded:
+        for codes, lens, sets in encoded:
             la, lb = lens[a], lens[b]
             # sim >= t requires E <= (1-t)*maxlen and E >= length gap
             pruned = np.abs(la - lb) > (1.0 - sim_threshold) * np.maximum(la, lb)
             todo = np.nonzero(~found & ~pruned)[0]  # a pair matched once is not searched again
             # levenshtein_sims' own similarity of a floor of E: it falls as E
             # grows, so a pair below the threshold at its floor stays below
-            floor = edit_distance_floor(codes, a[todo], b[todo])
+            floor = edit_distance_floor(sets, lens, a[todo], b[todo])
             todo = todo[_from_distances("LV", floor, la[todo], lb[todo]) >= sim_threshold]
             sims = levenshtein_sims(codes, a[todo], b[todo])
             found[todo[sims >= sim_threshold]] = True

@@ -504,9 +504,10 @@ def zeta_reference(model, gammas):
 
 # ---------------------------------------------------------------------------
 # Threshold selectors evaluated at every grid point (tau1) and with a dict
-# from pattern code to row (tau2). hanlink.fuse evaluates one point per run
-# of equal tails and looks rows up in a dense code array; tau must agree
-# bitwise.
+# from pattern code to row and one GroupedRanking per tail step (tau2).
+# hanlink.fuse evaluates one point per run of equal tails, looks rows up in a
+# dense code array and ranks blocks of steps in one 2-D pass; tau and the
+# tau2 curve must agree bitwise.
 
 
 def tau1_full_grid(table, zetas, dist):
@@ -531,6 +532,13 @@ def tau1_full_grid(table, zetas, dist):
 
 
 def tau2_dict_lookup(table, zetas, dist, model):
+    import numpy as np
+    return float(dist.grid[int(np.argmax(tau2_curve_per_step(table, zetas, dist, model)))])
+
+
+def tau2_curve_per_step(table, zetas, dist, model):
+    """The predicted post-transfer AUROC at every grid point, one
+    `GroupedRanking` and one `auroc` call per tail step."""
     import numpy as np
     from hanlink.fuse import transfer_predictions
     from hanlink.linkage import zeta_for_gammas
@@ -574,7 +582,7 @@ def tau2_dict_lookup(table, zetas, dist, model):
         masses = np.concatenate([u_n, nh1, nh2])
         step_pred[k] = auroc(GroupedRanking(scores, scores * masses,
                                             (1.0 - scores) * masses))
-    return float(dist.grid[int(np.argmax(step_pred[np.cumsum(step) - 1]))])
+    return step_pred[np.cumsum(step) - 1]
 
 
 def external_scores_lookup(rows, pairs):

@@ -13,7 +13,7 @@ import pytest
 from hanlink import assets, cli, encoding
 from hanlink import experiment as exp
 from hanlink.cli import main
-from hanlink.compare import HAN_CATEGORIES, PairFeaturizer
+from hanlink.compare import HAN_CATEGORIES, FeatureSpec, PairFeaturizer
 
 
 def sha256_dir(path: Path) -> dict:
@@ -831,3 +831,32 @@ def test_no_command_imports_numpy_ma(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+def test_fused_report_pinned(tmp_path, monkeypatch):
+    """`hanlink experiment` with all four methods on simulated files, a
+    fixed logistic matcher over cosine, Levenshtein and LCS features of
+    every string encoding, and a score distribution fitted on fixed scores:
+    report.json keeps its bytes. The other experiment tests compare runs
+    with each other, which a featurizer, tau2 or posterior kernel that
+    rounds differently would pass."""
+    from hanlink.matcher import MatcherModel
+    monkeypatch.chdir(tmp_path)  # the report records the config's relative file names
+    Path("sim.json").write_text('{"n_records": 300, "name_error_rate": 0.3, "seed": 5}')
+    assert main(["simulate", "--config", "sim.json", "--out", "sim"]) == 0
+    specs = tuple(FeatureSpec.from_name(name) for name in (
+        "FC_COS_k3_1:N", "PY_COS_k2_1:2", "RD_LV_k1_1:N", "J_LV_k1_1:1", "RDS_COS_k3_1:1",
+        "WB_LCS_k1_2:N"))
+    MatcherModel(kind="logistic", specs=specs, intercepts=np.array([-6.0, -7.0, -6.5]),
+                 coefs=np.array([[3.0, 2.0, 4.0, 1.0, 1.5, 2.0], [2.5, 2.5, 3.0, 2.0, 1.0, 1.0],
+                                 [3.0, 1.0, 3.5, 1.5, 2.0, 1.5]])).save(Path("model.json"))
+    write_pairs_csv(Path("scores.csv"), [(0.4 + 0.6 * i / 59, 1) for i in range(60)]
+                    + [(0.8 * (i / 99) ** 2, 0) for i in range(100)], header=("score", "label"))
+    assert main(["fitdist", "--in", "scores.csv", "--out", "dist.json"]) == 0
+    Path("exp.json").write_text(json.dumps({
+        "data": {name: f"sim/{name}.csv" for name in ("file_a", "file_b", "truth")},
+        "methods": ["exact", "tau1", "tau2", "posterior"],
+        "classifier": "logistic:model.json", "dist": "dist.json"}))
+    assert main(["experiment", "--config", "exp.json", "--out", "run"]) == 0
+    assert hashlib.sha256(Path("run/report.json").read_bytes()).hexdigest() == (
+        "2a1ad028efdc3275c08ddc1c5200bf37e2f369bc70b33266a8bc849e93ae83ad")

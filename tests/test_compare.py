@@ -253,6 +253,28 @@ def test_cosine_sims_match_counter_oracle(pairs, k, budget):
     assert got.tolist() == [counter_cosine(a, b, k) for a, b in pairs]
 
 
+# Strings that repeat one symbol 250 to 300 times: a count of 256 or more
+# no longer fits the uint8 dense blocks
+REPEATS = st.builds(lambda ch, n, tail: ch * n + tail, st.sampled_from("ab"),
+                    st.integers(250, 300), st.text(alphabet="abc", max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(REPEATS | strings_of("abc"), REPEATS | strings_of("abcd")),
+                min_size=1, max_size=8),
+       st.sampled_from([1, 5, 1 << 20]))
+@example([("a" * 256, "a" * 300 + "b"), ("a", "b" * 255)], 1)
+def test_cosines_in_dense_blocks_match_counter_oracle(pairs, dense):
+    """Token lengths 1 to 3 in one pass, with counts of 256 and more and
+    with dense blocks of one string, of a few strings and of all strings,
+    equal the counter oracle."""
+    strings, (u, v) = compare.intern_strings([a for a, _ in pairs], [b for _, b in pairs])
+    with mock.patch.object(compare, "_DENSE_BUDGET", dense):
+        got = compare._cosines(strings, u, v, (1, 2, 3))
+    for k, row in zip((1, 2, 3), got):
+        assert np.where(u == v, 1.0, row).tolist() == [counter_cosine(a, b, k) for a, b in pairs]
+
+
 def test_cosine_cost_stops_at_the_longest_string(bundle):
     """A token length beyond every string numbers no token: it costs the
     np.unique calls of a length just past the longest string, not one more
@@ -366,25 +388,27 @@ def test_encoded_substring_strips_like_transform(bundle):
     """transform strips the substring: "李 华" at 2:N is " 华", encoded hua4."""
     fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     assert extract_substring("李 华", "2:N") == " 华"
-    assert fz._encode(EncodingKind.PY, " 华") == "hua4"
-    assert fz._encode(EncodingKind.RDS, "李华") == "木 子 化 十 ⿱ ⿱"
-    assert fz._encode(EncodingKind.FC, "") == ""
+    assert fz._encode_batch(EncodingKind.PY, [" 华"]) == ["hua4"]
+    assert fz._encode_batch(EncodingKind.RDS, ["李华"]) == ["木 子 化 十 ⿱ ⿱"]
+    assert fz._encode_batch(EncodingKind.FC, [""]) == [""]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(mixed_names(), min_size=1, max_size=6))
 def test_encoded_substrings_match_transform(bundle, names):
-    """Every encoding and range, against transform of the substring; one
-    fallback per distinct (table encoding, logogram) without a code."""
+    """Every encoding and range, each range's substrings in one batch,
+    against transform of the substring; one fallback per distinct (table
+    encoding, logogram) without a code."""
     fz = PairFeaturizer(bundle.tables, bundle.freq, bundle.surnames)
     missing = set()
     for kind, table in fz.tables.items():
         for tag in compare.RANGE_TAGS:
-            for name in names:
-                sub = extract_substring(name, tag)
-                assert fz._encode(kind, sub) == (transform(sub, table).joined if sub else "")
-                if kind is not EncodingKind.J:
-                    missing |= {(kind, ch) for ch in logograms(sub) if ch not in table.entries}
+            subs = [extract_substring(name, tag) for name in names]
+            assert fz._encode_batch(kind, subs) == [transform(sub, table).joined if sub else ""
+                                                    for sub in subs]
+            if kind is not EncodingKind.J:
+                missing |= {(kind, ch) for sub in subs for ch in logograms(sub)
+                            if ch not in table.entries}
     assert fz.fallbacks == len(missing)
 
 
@@ -446,8 +470,9 @@ def test_batch_equals_each_spec_alone(bundle, specs, names, data):
 @given(st.lists(st.one_of(st.sampled_from(EDGE_NAMES), mixed_names(12)), min_size=1, max_size=8),
        st.data())
 def test_feature_matrix_does_not_depend_on_chunk_budgets(bundle, names, data):
-    """The cosine and edit-distance chunk budgets at 1, a chunk per pair,
-    and at 2^30, one chunk, give the default budgets' matrix bitwise."""
+    """The cosine, dense-block and edit-distance chunk budgets at 1, a chunk
+    per pair or string, and at 2^30, one chunk, give the default budgets'
+    matrix bitwise."""
     ids = st.integers(0, len(names) - 1)
     pairs = [(names[i], names[j])
              for i, j in data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=12))]
@@ -455,6 +480,7 @@ def test_feature_matrix_does_not_depend_on_chunk_budgets(bundle, names, data):
     want = fz.feature_matrix(pairs)[0].tobytes()
     for budget in (1, 1 << 30):
         with (mock.patch.object(compare, "_TOKEN_BUDGET", budget),
+              mock.patch.object(compare, "_DENSE_BUDGET", budget),
               mock.patch.object(compare, "_EQ_BUDGET", budget)):
             assert fz.feature_matrix(pairs)[0].tobytes() == want
 
@@ -497,6 +523,25 @@ def test_distinct_pairs_match_int64_unique(case):
     for x, y in zip(got, unique_id_pairs(n, a, b, mask)):
         assert np.array_equal(x, y)
     assert got.u.dtype == got.v.dtype == got.inverse.dtype == np.int32
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 5, 40, 300]).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(ids_below(n), ids_below(n), st.booleans()), max_size=30))),
+       st.booleans())
+def test_distinct_pairs_by_flags_and_by_sort_match_unique(case, flags):
+    """Pair codes ranked by flags (every code span allowed) and by a sort
+    (none allowed) both give the int64 np.unique oracle's pairs."""
+    n, rows = case
+    a = np.array([row[0] for row in rows], dtype=np.int32)
+    b = np.array([row[1] for row in rows], dtype=np.int32)
+    mask = np.array([row[2] for row in rows], dtype=bool)
+    with (mock.patch.object(compare, "_FLAG_RANK_SPAN", n * n if flags else 0),
+          mock.patch.object(compare, "compact_ids", wraps=compare.compact_ids) as flagged):
+        got = compare._distinct_pairs(n, a, b, mask)
+    assert flagged.called == (flags and len(rows) > 0)
+    for x, y in zip(got, unique_id_pairs(n, a, b, mask)):
+        assert np.array_equal(x, y)
 
 
 def test_featurizer_needs_the_tables_its_features_read(bundle):

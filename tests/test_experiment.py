@@ -544,15 +544,15 @@ def test_trained_scorer_encodes_nothing_training_encoded(bundle, name_model, mon
     training featurizer's encodings: every substring it encodes anew is one
     that training never encoded, and it does look up ones training did."""
     encoded, looked_up = {}, {}
-    encode = PairFeaturizer._encode
+    encode = PairFeaturizer._encode_batch
 
-    def spy(self, kind, sub):
-        looked_up.setdefault(self, set()).add((kind, sub))
-        if sub not in self._encoded[kind]:
-            encoded.setdefault(self, set()).add((kind, sub))
-        return encode(self, kind, sub)
+    def spy(self, kind, subs):
+        looked_up.setdefault(self, set()).update((kind, sub) for sub in subs)
+        if new := {(kind, sub) for sub in subs if sub not in self._encoded[kind]}:
+            encoded.setdefault(self, set()).update(new)
+        return encode(self, kind, subs)
 
-    monkeypatch.setattr(PairFeaturizer, "_encode", spy)
+    monkeypatch.setattr(PairFeaturizer, "_encode_batch", spy)
     scorer, _, _ = exp.train_matcher_and_dist(bundle, name_model, TRAIN_SIM, 17,
                                               "logistic:train", TRAIN_OPTS)
     (training,) = [fz for fz in encoded if fz is not scorer.featurizer]

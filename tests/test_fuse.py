@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import posterior_ranking_by_row, tau1_full_grid, tau2_dict_lookup
+from oracles import (posterior_ranking_by_row, tau1_full_grid, tau2_curve_per_step,
+                     tau2_dict_lookup)
 
+from hanlink import fuse
 from hanlink.fuse import (
     CandidatePairs,
     _tau2_curve,
@@ -214,11 +218,12 @@ def fitted_dist():
 
 
 @st.composite
-def tau_cases(draw, counts=st.integers(0, 10 ** 5)):
+def tau_cases(draw, counts=st.integers(0, 10 ** 5),
+              zetas=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)):
     """(table, zetas, dist, model): distinct patterns in drawn (unsorted)
     order with "name" at a drawn position and at least one donor row,
-    `counts` (by default ones that may be zero), zetas in [0, 1] ends
-    included, and a score
+    `counts` (by default ones that may be zero), `zetas` (by default in
+    [0, 1] ends included), and a score
     distribution from scores on a coarse lattice, so its tails run in long
     constant steps over the grid (sometimes only one or two steps)."""
     n_fields = draw(st.integers(1, 4))
@@ -230,8 +235,7 @@ def tau_cases(draw, counts=st.integers(0, 10 ** 5)):
     gammas = np.array(codes)[:, None] // 3 ** np.arange(n_fields) % 3
     rows = len(codes)
     counts = draw(st.lists(counts, min_size=rows, max_size=rows))
-    zetas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-                          min_size=rows, max_size=rows))
+    zetas = draw(st.lists(zetas, min_size=rows, max_size=rows))
     lattice = draw(st.sampled_from([1, 2, 5, 40, 1000]))
     scores = st.lists(st.integers(0, lattice), min_size=1, max_size=40)
     match, nonmatch = draw(scores), draw(scores)
@@ -279,6 +283,37 @@ def test_tau2_matches_brute_force(small_table, small_model, fitted_dist, case):
     table, zetas, dist, model = case
     assert outcome(tau2_select, table, zetas, dist, model) == \
         outcome(tau2_dict_lookup, table, zetas, dist, model)
+
+
+# Two tail steps in one block, over eight ranking rows whose negative masses
+# sum pairwise to 32768.419585223026 but one by one to 32768.41958522303
+SUMMED_IN_ORDER = (
+    make_table([[0, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 2, 0], [1, 2, 0], [2, 2, 0],
+                [0, 1, 1]], [0, 1, 0, 0, 0, 28673, 4094, 1], fields=("f0", "name", "f2")),
+    np.array([0.0] * 7 + [0.580414776970709]), make_dist(np.zeros(1), np.zeros(1)),
+    LinkageModel(("f0", "name", "f2"), 0.1, np.full(3, 0.9), np.full(3, 0.1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau_cases() | tau_cases(zetas=st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+       st.sampled_from([1, 40, 1 << 16]))
+@example(SUMMED_IN_ORDER, 40)
+def test_tau2_curve_matches_per_step_loop(case, budget):
+    """The tau2 curve's 2-D pass equals, bitwise, one GroupedRanking and one
+    auroc per tail step, and raises what they raise: on drawn cases with
+    zetas from four values (tied scores in most steps), absent recipients,
+    the first grid point, where both tails are 1 and no donor keeps a pair
+    (stay = 0), and budgets of one step per block, a few, and all. A step's
+    class totals must be summed pairwise, as a 1-D sum is."""
+    table, zetas, dist, model = case
+    assert dist.tail_m[0] == dist.tail_u[0] == 1.0
+    with mock.patch.object(fuse, "_CURVE_BUDGET", budget):
+        got = outcome(_tau2_curve, table, zetas, dist, model)
+    want = outcome(tau2_curve_per_step, table, zetas, dist, model)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tau2_curve_matches_per_grid_reference(small_table, small_model, fitted_dist):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (cross_product_table, csv_table_reference, em_fit_reference,
                      joint_field_codes, zeta_reference)
 
-from hanlink import linkage
+from hanlink import compare, linkage
 from hanlink.experiment import LinkageDataset
 from hanlink.linkage import (
     NA,
@@ -305,7 +305,7 @@ def test_tabulate_ranks_keys_by_flags_and_by_sorts(monkeypatch):
         return extend_key(key, codes)
     monkeypatch.setattr(linkage, "extend_key", spy)
     assert_tabulates_cross_product(records(20), records(20), RECORD_FIELDS)
-    bound = linkage._FLAG_RANK_SPAN
+    bound = compare._FLAG_RANK_SPAN
     assert any(s <= 1 for s in spans) and any(1 < s <= bound for s in spans)
     assert any(s > bound for s in spans)
 

@@ -26,6 +26,7 @@ from hanlink.simgen import (
     generate_pair_files,
     read_truth,
     sample_name,
+    symbol_sets,
     write_truth,
 )
 from oracles import dp_levenshtein, unbounded_substitutions
@@ -337,7 +338,8 @@ def test_substitutions_match_unbounded_search_on_drawn_tables(data, threshold):
 @settings(max_examples=200, deadline=None)
 @given(a=codes_st, b=codes_st)
 def test_edit_distance_floor_never_exceeds_the_distance(a, b):
-    assert 0 <= edit_distance_floor([a, b], [0], [1])[0] <= dp_levenshtein(a, b)
+    lens = np.array([len(a), len(b)])
+    assert 0 <= edit_distance_floor(symbol_sets([a, b]), lens, [0], [1])[0] <= dp_levenshtein(a, b)
 
 
 @settings(max_examples=100, deadline=None)
