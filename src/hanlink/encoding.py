@@ -168,10 +168,7 @@ class CodeTranslation:
             for marks, out in zip((False, True), self.maps):
                 out[ord(ch)] = "".join(" " + t for t in tokens if (t in STRUCTURE_CHARS) is marks)
         fallbacks = sum(ch not in self.table.entries for ch in new)
-        if len(self.maps) == 2:
-            rad, marks = self.maps
-            return [(name.translate(rad) + name.translate(marks))[1:] for name in names], fallbacks
-        return [name.translate(self.maps[0])[1:] for name in names], fallbacks
+        return ["".join(name.translate(m) for m in self.maps)[1:] for name in names], fallbacks
 
 
 def load_surnames(path: str | Path) -> frozenset[str]:
