@@ -225,7 +225,7 @@ def levenshtein_sims(strings: Sequence[str], u, v) -> np.ndarray:
     """Levenshtein similarity 1 - E/max(N1, N2) of strings[u[i]] and
     strings[v[i]] for every i; both empty -> 1, exactly one empty -> 0."""
     lens = _lengths(strings)
-    u, v = (np.asarray(x, dtype=index_type(len(strings))) for x in (u, v))
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     return _from_distances("LV", edit_distances(strings, u, v), lens[u], lens[v])
 
 
@@ -280,14 +280,12 @@ def _cosines(strings: Sequence[str], u, v, ks: Sequence[int]) -> np.ndarray:
     every token length in `ks`, one row per length, from one token
     numbering; `cosine_sims` without its rule for u[i] == v[i].
 
-    The pairs run ordered by their first string, as `_distinct_pairs` gives
-    them, in chunks whose second strings hold about _TOKEN_BUDGET tokens and
-    whose first strings' ids fit one dense block: those strings' token
-    counts are scattered into a (block, n_tokens) array of at most
-    _DENSE_BUDGET counts, uint8 where all are below 256, and each token of
-    a pair's second string reads its count there with one gather. Dot
-    products are integer sums, exact in any order, so neither budget
-    changes a value."""
+    The pairs run ordered by their first string, in chunks whose second
+    strings hold about _TOKEN_BUDGET tokens and whose first strings' token
+    counts fit one dense (block, n_tokens) array of at most _DENSE_BUDGET
+    counts, uint8 where all are below 256; each token of a second string
+    reads its count there by one gather. Dot products are integer sums, so
+    neither budget changes a value."""
     owner, tokens, counts, offsets, norms, n_tokens = _token_rows(strings, ks)
     nnz = np.diff(offsets)
     order = np.argsort(u, kind="stable")
@@ -326,7 +324,7 @@ def cosine_sims(strings: Sequence[str], u, v, k: int) -> np.ndarray:
     dot product over the float norms, capped at 1."""
     if k < 1:
         raise ValueError("token length must be >= 1")
-    u, v = (np.asarray(x, dtype=index_type(len(strings))) for x in (u, v))
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     return np.where(u == v, 1.0, _cosines(strings, u, v, (k,))[0])
 
 
@@ -533,10 +531,8 @@ class PairFeaturizer:
         return other
 
     def _encode_batch(self, kind: EncodingKind, subs: list[str]) -> list[str]:
-        """transform(sub, table).joined of each substring, "" for an empty
-        one. The substrings not encoded before are encoded in one call: each
-        is put in `normal_form` once, each logogram never seen is looked up
-        once, counting `fallbacks`, and each code string is one translation."""
+        """transform(sub, table).joined of each substring ("" for ""); those
+        not encoded before go through one call, counting `fallbacks`."""
         memo, translation = self._encoded[kind], self._translations[kind]
         if new := [sub for sub in subs if sub not in memo]:
             encoded, fallbacks = translation.encode(list(map(normal_form, new)))
@@ -628,9 +624,7 @@ class PairFeaturizer:
                 X[key.todo, c] = sims[key.inverse]
 
 
-# `rank_ids` flags ids (a flag and an int32 rank, 5 bytes, per possible id) while
-# they span at most this many per member of their batch, 0.8 MB for 20,000
-_FLAG_RANK_SPAN = 8
+_FLAG_RANK_SPAN = 8  # possible ids per batch member `rank_ids` flags, 5 bytes each
 
 
 def compact_ids(n_ids: int, *ids: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -671,8 +665,7 @@ def _distinct_pairs(n_ids: int, a: np.ndarray, b: np.ndarray, mask) -> _Pairs:
     """The `_Pairs` of the pairs (a[k], b[k]) of ids below n_ids that `mask`
     keeps, (u, v) ascending by (low id, high id). Ids are int32 below 2^31,
     and so is each pair's code, low id * n_ids + high id, when n_ids^2 <=
-    2^31; else the code is formed in int64. The codes are ranked by
-    `rank_ids`, against the batch's number of pairs."""
+    2^31; else the code is formed in int64."""
     todo = (a != b) & mask
     a, b = a[todo], b[todo]
     codes = np.minimum(a, b).astype(index_type(n_ids * n_ids))

@@ -144,10 +144,9 @@ def _join_rds(codes: list[str]) -> str:
 
 class CodeTranslation:
     """`join_codes` by `str.translate`: each logogram maps to its separator
-    and code, and a name's translation less the first separator is its code
-    string. RDS translates twice, to its radicals and then to its structure
-    marks (`_join_rds`). Each logogram's code is looked up once; a J name
-    is its own code string."""
+    and code, looked up once, and a name's translation less the first
+    separator is its code string. RDS translates to its radicals, then to
+    its structure marks (`_join_rds`); a J name is its own code string."""
 
     def __init__(self, table: EncodingTable):
         self.table = table
@@ -184,8 +183,8 @@ def han_indicator(name: str, surnames: frozenset[str]) -> bool:
     return han_of_logograms(normal_form(name), surnames)
 
 
-def han_of_logograms(chars: str | list[str], surnames: frozenset[str]) -> bool:
-    """`han_indicator` of a name in `normal_form` or split into logograms."""
+def han_of_logograms(chars: str, surnames: frozenset[str]) -> bool:
+    """`han_indicator` of a name in `normal_form`."""
     if not surnames:
         raise ValueError("surname set is empty")
     if not 2 <= len(chars) <= 4:

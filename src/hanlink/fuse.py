@@ -145,10 +145,9 @@ def _tau2_curve(table: PatternTable, zetas: np.ndarray, dist: ScoreDistribution,
 
 def _aurocs(u_scores, u_n, zh1, zh2, nh1, nh2) -> np.ndarray:
     """`auroc` of each step's `GroupedRanking` of the rows (u_scores, u_n),
-    (zh1, nh1) and (zh2, nh2), bitwise: each step's rows sorted once, tie
-    boundaries as a mask, and trapezoid terms formed as `np.trapezoid`
-    forms them, summed over the step's own slice. A step that fails their
-    checks is handed to them, so it raises what they raise."""
+    (zh1, nh1) and (zh2, nh2), bitwise: tie boundaries as a mask, and
+    trapezoid terms formed as `np.trapezoid` forms them, summed per step.
+    A step failing their checks is handed to them, to raise what they raise."""
     rows = (len(zh1), len(u_n))
     scores = np.concatenate([np.broadcast_to(u_scores, rows), zh1, zh2], axis=1)
     masses = np.concatenate([np.broadcast_to(u_n, rows), nh1, nh2], axis=1)

@@ -49,7 +49,7 @@ def test_features_han_category_is_one_code(tmp_path, bundle):
     pairs = [("张可成", "伍考"), ("考", "可成伍考娅"), ("张可成", "考")]
 
     def han(name):
-        return encoding.han_of_logograms(encoding.logograms(name), bundle.surnames)
+        return encoding.han_of_logograms(encoding.normal_form(name), bundle.surnames)
 
     names = [{(True, True): "BothHan", (False, False): "NeitherHan"}.get(
         (han(a), han(b)), "Disagreeing") for a, b in pairs]
