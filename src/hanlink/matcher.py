@@ -2,15 +2,15 @@
 
 The classifier is a ridge-penalized logistic regression whose feature
 effects may be stratified by the pair's Han category (both, neither,
-disagreeing). Fitting uses damped Newton (IRLS) iterations, run for all
-candidates of a selection step at once on a stacked design and bitwise
-equal to fitting each alone; feature selection is greedy-forward on dev
-AUROC/EAUROC followed by backward pruning of interaction terms. Each
-stacked chunk of candidate fits is scored on the dev split at once, one
-stacked product per Han category and one sigmoid, bitwise equal to
-scoring each model alone. Score distributions keep exact empirical tail
-probabilities on a 10,000-point grid plus a monotone (isotonic)
-match/nonmatch density-ratio estimate.
+disagreeing). Features are selected greedy-forward on dev AUROC/EAUROC,
+then the Han-category interaction model's terms are pruned backward. Every
+fit the trainer makes, that interaction model included, is a trial of
+`_scored_fits`: damped Newton (IRLS) iterations, run for all trials of a
+step at once on a stacked design and bitwise equal to fitting each alone,
+then one dev scoring per stacked chunk, bitwise equal to scoring each
+model alone. Score distributions keep exact empirical tail probabilities
+on a 10,000-point grid plus a monotone (isotonic) match/nonmatch
+density-ratio estimate.
 
 The fit settings are fixed constants of this module, read where they are
 used and settable by no caller: the ridge PENALTY, the IRLS TOL and
@@ -243,12 +243,12 @@ def _newton_steps(D: np.ndarray, z: np.ndarray, y: np.ndarray, b: np.ndarray,
 def _fit_design(D: np.ndarray, y: np.ndarray) -> list[tuple]:
     """Damped-Newton (IRLS) fits of the stacked designs D (K, n, p), column 0
     the unpenalized intercept, at PENALTY to TOL within MAX_ITER iterations: per fit
-    (beta, iterations, converged, objective trace, error or None). Every
-    stacked product makes, per slice, a lone 2-D fit's BLAS call, so a fit
-    is bitwise the same in any stack. An iteration's weights come from the
-    linear predictor D·beta that the line search computed when it accepted
-    beta, so D·beta is formed once per accepted step. A fit leaves the
-    active set once it converges or its objective rises."""
+    (beta, iterations, converged, error or None). Every stacked product
+    makes, per slice, a lone 2-D fit's BLAS call, so a fit is bitwise the
+    same in any stack. An iteration's weights come from the linear
+    predictor D·beta that the line search computed when it accepted beta,
+    so D·beta is formed once per accepted step. A fit leaves the active set
+    once it converges or its objective rises."""
     if not has_both_labels(y):
         raise TrainingError("training data must contain both classes")
     D = np.ascontiguousarray(D, dtype=float)  # strided slices sum without BLAS
@@ -257,7 +257,7 @@ def _fit_design(D: np.ndarray, y: np.ndarray) -> list[tuple]:
     pen[0] = 0.0  # intercept unpenalized
     beta, iterations, converged = np.zeros((K, p)), np.zeros(K, int), np.zeros(K, bool)
     objective, z = _penalized_nll(beta, D, y)
-    traces, errors = [[v] for v in objective.tolist()], [None] * K
+    errors = [None] * K
     live = np.arange(K)  # positions of the fits still iterating
     for it in range(1, MAX_ITER + 1):
         if not len(live):
@@ -280,29 +280,20 @@ def _fit_design(D: np.ndarray, y: np.ndarray) -> list[tuple]:
         done = rose | (obj - new_obj < TOL * (np.abs(new_obj) + 1.0))
         beta[live], objective[live], iterations[live] = new_b, new_obj, it
         converged[live] = done & ~rose
-        for k, o, r in zip(live.tolist(), new_obj.tolist(), rose.tolist()):
-            if r:
-                errors[k] = (f"training objective increased from {traces[k][-1]!r} "
-                             f"to {o!r} at iteration {it}")
-            traces[k].append(o)
+        for k, old, new in zip(live[rose].tolist(), obj[rose].tolist(), new_obj[rose].tolist()):
+            errors[k] = f"training objective increased from {old!r} to {new!r} at iteration {it}"
         if done.any():
             live, D, z = live[~done], D[~done], z[~done]
-    return list(zip(beta, iterations.tolist(), converged.tolist(), traces, errors))
+    return list(zip(beta, iterations.tolist(), converged.tolist(), errors))
 
 
-def train_logistic(data, specs: tuple[FeatureSpec, ...],
-                   interactions: bool = False) -> MatcherModel:
-    """Fit the ridge-penalized logistic matcher over `specs`; with
-    interactions=True each feature gets per-Han-category offsets (plus
-    category intercept dummies)."""
+def train_logistic(data, specs: tuple[FeatureSpec, ...]) -> MatcherModel:
+    """Fit the ridge-penalized logistic matcher over `specs`, each feature's
+    slope shared by every Han category."""
     X, cats, y = _as_matrices(data)
     if X.shape[1] != len(specs):
         raise ValueError("feature matrix width does not match specs")
     terms = [("main", j) for j in range(len(specs))]
-    if interactions:
-        others = range(1, len(HAN_CATEGORIES))
-        terms += [("catdum", c) for c in others]
-        terms += [("inter", j, c) for j in range(len(specs)) for c in others]
     fit, = _fit_design(_build_design(X, cats, terms)[None], y)
     return _fitted_model(fit, terms, specs)
 
@@ -311,7 +302,7 @@ def _fitted_model(fit: tuple, terms: list[tuple], specs: tuple[FeatureSpec, ...]
                   label: str = "") -> MatcherModel:
     """The matcher of one `_fit_design` fit, each category's intercept and
     slopes summing its terms, or the fit's error naming `label`."""
-    beta, iterations, converged, _, error = fit
+    beta, iterations, converged, error = fit
     if error is not None:
         raise TrainingError(error + label)
     intercepts = np.full(len(HAN_CATEGORIES), beta[0])
@@ -378,12 +369,9 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
         terms = [("main", j) for j in range(len(selected) + 1)]
         trials = [(terms, tuple(selected + [c]), [bank_index[s] for s in selected + [c]],
                    f" (adding {c.name})") for c in remaining]
-        best = None  # (auroc, eauroc, -position) strictly improving comparisons
-        for pos, (_, a, e) in enumerate(_scored_fits(train, dev, trials)):
-            key = (a, e, -pos)
-            if best is None or key > best[0]:
-                best = (key, pos, a, e)
-        _, pos, a, e = best
+        # max keeps the first of equal keys: the earliest candidate
+        pos, (_, a, e) = max(enumerate(_scored_fits(train, dev, trials)),
+                             key=lambda f: (f[1][1], f[1][2]))
         if a - cur_auroc < MIN_IMPROVE and e - cur_eauroc < MIN_IMPROVE:
             break
         selected.append(remaining.pop(pos))
@@ -391,36 +379,33 @@ def forward_select(candidates: list[FeatureSpec], train, dev,
     return selected
 
 
-def backward_prune(model: MatcherModel, dev, train) -> MatcherModel:
-    """Drop design terms (mains and interactions) one at a time, always the
-    one whose removal least harms dev metrics, refitting after each drop;
-    stops before any drop that worsens dev AUROC or EAUROC by more than
-    MIN_IMPROVE.
-
-    A round fits the droppable terms' reduced designs as `forward_select`
-    fits a step; errors name the term.
-    """
+def backward_prune(specs: tuple[FeatureSpec, ...], train, dev) -> MatcherModel:
+    """The Han-category interaction model over `specs` (the columns of train
+    and dev), pruned. Its design, mains, then category dummies, then
+    interactions, is the first `_scored_fits` trial. Then terms (mains and
+    interactions) are dropped one at a time, always the one whose removal
+    least harms dev metrics, refitting after each drop, until a drop would
+    worsen dev AUROC or EAUROC by more than MIN_IMPROVE. A round fits the
+    droppable terms' reduced designs as `forward_select` fits a step;
+    errors name the term."""
     train, dev = _as_matrices(train), _as_matrices(dev)
-    specs = model.specs
-    all_cols = np.arange(len(specs))
-    terms = [tuple(t) for t in model.trainer["terms"]]
-    cur_a, cur_e = _dev_metrics(model.predict_matrix(dev[0], dev[1]), dev[2])
-    current = model
+    others = range(1, len(HAN_CATEGORIES))
+    terms = ([("main", j) for j in range(len(specs))] + [("catdum", c) for c in others]
+             + [("inter", j, c) for j in range(len(specs)) for c in others])
+    cols = np.arange(len(specs))
+    (current, cur_a, cur_e), = _scored_fits(train, dev, [(terms, specs, cols, "")])
     while True:
         droppable = [t for t in terms if t[0] in ("main", "inter")]
         if len(droppable) <= 1:
             break
-        trials = [([u for u in terms if u != t], specs, all_cols,
+        trials = [([u for u in terms if u != t], specs, cols,
                    f" (dropping term {list(t)} of {specs[t[1]].name})") for t in droppable]
-        best = None
-        for t, (trial, a, e) in zip(droppable, _scored_fits(train, dev, trials)):
-            key = (min(a - cur_a, e - cur_e), a, e)
-            if best is None or key > best[0]:
-                best = (key, t, trial, a, e)
-        _, term, trial, a, e = best
+        pos, (trial, a, e) = max(enumerate(_scored_fits(train, dev, trials)),
+                                 key=lambda f: (min(f[1][1] - cur_a, f[1][2] - cur_e),
+                                                f[1][1], f[1][2]))
         if cur_a - a > MIN_IMPROVE or cur_e - e > MIN_IMPROVE:
             break
-        terms = [u for u in terms if u != term]
+        terms = trials[pos][0]
         current, cur_a, cur_e = trial, a, e
     return current
 
@@ -446,8 +431,7 @@ def train_matcher(train, dev, bank: tuple[FeatureSpec, ...]) -> MatcherModel:
     selected = forward_select(candidates, train, dev, bank) or [candidates[0]]
     cols = [bank.index(s) for s in selected]
     train, dev = ((X[:, cols], cats, y) for X, cats, y in (train, dev))
-    full = train_logistic(train, tuple(selected), interactions=True)
-    return backward_prune(full, dev, train)
+    return backward_prune(tuple(selected), train, dev)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ SIM_FIELDS = RECORD_FIELDS[1:]  # every record field but the name, in file order
 MAX_RECORDS = 10 ** 6
 
 STOP = "\x00"
+SIM_THRESHOLD = 0.8  # code similarity (Levenshtein) making two characters substitutes
 _PAIR_BLOCK = 1 << 14  # character pairs searched at a time for substitutions
 
 # How far from 1 a probability vector may sum and still be drawn from.
@@ -147,10 +148,9 @@ def edit_distance_floor(sets: np.ndarray, lens: np.ndarray, u, v) -> np.ndarray:
 
 
 def build_name_model(corpus: list[str],
-                     tables: dict[EncodingKind, EncodingTable],
-                     sim_threshold: float = 0.8) -> PositionalNameModel:
+                     tables: dict[EncodingKind, EncodingTable]) -> PositionalNameModel:
     """Positional character frequencies (add-one smoothed) and candidate
-    substitutions: characters whose codes reach `sim_threshold` Levenshtein
+    substitutions: characters whose codes reach SIM_THRESHOLD Levenshtein
     similarity under any of PY/FC/WB/RDS."""
     names = [logograms(n) for n in corpus if n.strip()]
     if not names:
@@ -189,14 +189,14 @@ def build_name_model(corpus: list[str],
         for codes, lens, sets in encoded:
             la, lb = lens[a], lens[b]
             # sim >= t requires E <= (1-t)*maxlen and E >= length gap
-            pruned = np.abs(la - lb) > (1.0 - sim_threshold) * np.maximum(la, lb)
+            pruned = np.abs(la - lb) > (1.0 - SIM_THRESHOLD) * np.maximum(la, lb)
             todo = np.nonzero(~found & ~pruned)[0]  # a pair matched once is not searched again
             # levenshtein_sims' own similarity of a floor of E: it falls as E
             # grows, so a pair below the threshold at its floor stays below
             floor = edit_distance_floor(sets, lens, a[todo], b[todo])
-            todo = todo[_from_distances("LV", floor, la[todo], lb[todo]) >= sim_threshold]
+            todo = todo[_from_distances("LV", floor, la[todo], lb[todo]) >= SIM_THRESHOLD]
             sims = levenshtein_sims(codes, a[todo], b[todo])
-            found[todo[sims >= sim_threshold]] = True
+            found[todo[sims >= SIM_THRESHOLD]] = True
     # each character's candidates in inventory order
     char, other = (np.concatenate([first[hit], second[hit]]),
                    np.concatenate([second[hit], first[hit]]))
@@ -429,10 +429,19 @@ def write_truth(path: str | Path, truth: np.ndarray) -> None:
 
 
 def read_truth(path: str | Path) -> np.ndarray:
-    """(n, 2) truth links from the id_a and id_b columns of a CSV file; a
-    file without links is an InputError, as no ranking can be scored."""
+    """(n, 2) truth links from the id_a and id_b columns of a CSV file. A
+    file without links, as no ranking can be scored, or with an id outside
+    int64 is an InputError; the latter names the id's line and column."""
     table = CsvTable(path, {"id_a": int, "id_b": int})
-    links = np.array([table.column(c) for c in ("id_a", "id_b")], dtype=np.int64).T
+    columns = {c: table.column(c) for c in ("id_a", "id_b")}
+    try:
+        links = np.array(list(columns.values()), dtype=np.int64).T
+    except OverflowError:  # sought only here, so a valid file pays no per-cell check
+        bounds = np.iinfo(np.int64)
+        k, _, c = min((k, table.header.index(c), c) for c, ids in columns.items()
+                      for k, v in enumerate(ids) if not bounds.min <= v <= bounds.max)
+        raise InputError(f"{path}, line {table.line(k)}, column '{c}': id "
+                         f"{columns[c][k]} does not fit in 64 bits") from None
     if not len(links):
         raise InputError(f"{path}: no truth links")
     return links

@@ -212,7 +212,9 @@ def irls_fit(D, y, penalty, tol, max_iter):
 
 def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
                  interactions=False, terms=None):
-    """matcher.train_logistic over `irls_fit`; the model is assembled, and
+    """matcher.train_logistic over `irls_fit`, or with interactions=True the
+    interaction model that matcher.backward_prune starts from (mains,
+    category dummies, then interactions); the model is assembled, and
     ConvergenceError raised, by the matcher's own `_fitted_model`, which
     records matcher.PENALTY and matcher.TOL and names matcher.MAX_ITER: pass
     those as penalty, tol and max_iter."""
@@ -226,9 +228,9 @@ def logistic_fit(data, specs, penalty=1e-6, tol=1e-8, max_iter=200,
         if interactions:
             terms += [("catdum", c) for c in (1, 2)]
             terms += [("inter", j, c) for j in range(len(specs)) for c in (1, 2)]
-    beta, iterations, converged, trace, _ = irls_fit(_build_design(X, cats, terms), y,
-                                                     penalty, tol, max_iter)
-    return _fitted_model((beta, iterations, converged, trace, None), terms, specs)
+    beta, iterations, converged, _, _ = irls_fit(_build_design(X, cats, terms), y,
+                                                 penalty, tol, max_iter)
+    return _fitted_model((beta, iterations, converged, None), terms, specs)
 
 
 def sorted_roc_points(scores, pos, neg):

@@ -259,6 +259,26 @@ def test_read_truth_rejects_rows_without_two_cells(tmp_path, rows, line):
         read_truth(path)
 
 
+def test_read_truth_rejects_an_id_beyond_int64(tmp_path):
+    """An id that int parses but int64 cannot hold is an InputError naming
+    the first such cell in file order, not an OverflowError."""
+    path = tmp_path / "truth.csv"
+    path.write_text("id_b,id_a\n0,1\n-99999999999999999999,99999999999999999999\n",
+                    encoding="utf-8")
+    message = "truth.csv, line 3, column 'id_b': id -99999999999999999999 does not fit in 64 bits"
+    with pytest.raises(InputError, match=re.escape(message)):
+        read_truth(path)
+    path.write_text(f"id_a,id_b\n{2 ** 63 - 1},{-2 ** 63}\n", encoding="utf-8")
+    assert read_truth(path).tolist() == [[2 ** 63 - 1, -2 ** 63]]
+
+
+def name_model_at(threshold, corpus, tables):
+    """build_name_model with simgen.SIM_THRESHOLD set to `threshold`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simgen, "SIM_THRESHOLD", threshold)
+        return build_name_model(corpus, tables)
+
+
 SUBSTITUTION_KINDS = (EncodingKind.PY, EncodingKind.FC, EncodingKind.WB, EncodingKind.RDS)
 
 
@@ -288,7 +308,7 @@ def reference_substitutions(inventory, tables, threshold):
 def test_substitutions_match_scalar_reference(bundle, data, threshold):
     corpus = data.draw(st.lists(st.sampled_from(bundle.corpus[:400]), min_size=1,
                                 max_size=25, unique=True))
-    model = build_name_model(corpus, bundle.tables, sim_threshold=threshold)
+    model = name_model_at(threshold, corpus, bundle.tables)
     assert model.substitutions == reference_substitutions(model.inventory, bundle.tables,
                                                           threshold)
 
@@ -299,14 +319,15 @@ def test_substitution_prune_drops_pairs_at_the_threshold_with_a_length_gap(bundl
     py = bundle.tables[EncodingKind.PY]
     assert (py.code("万"), py.code("旺")) == ("wan4", "wang4")
     assert levenshtein_sim("wan4", "wang4") == 0.8
-    model = build_name_model(["万旺"], {EncodingKind.PY: py}, sim_threshold=0.8)
+    assert simgen.SIM_THRESHOLD == 0.8
+    model = build_name_model(["万旺"], {EncodingKind.PY: py})
     assert model.substitutions == {"万": (), "旺": ()}
 
 
 @pytest.mark.parametrize("threshold", [0.5, 0.8, 1.0])
 def test_substitutions_match_unbounded_search_on_shipped_bundle(bundle, name_model, threshold):
     model = (name_model if threshold == 0.8
-             else build_name_model(bundle.corpus, bundle.tables, sim_threshold=threshold))
+             else name_model_at(threshold, bundle.corpus, bundle.tables))
     assert model.substitutions == unbounded_substitutions(model.inventory, bundle.tables,
                                                           threshold)
 
@@ -331,7 +352,7 @@ def test_substitutions_match_unbounded_search_on_drawn_tables(data, threshold):
     tables = {kind: EncodingTable(kind, data.draw(st.dictionaries(
         st.sampled_from(COLLIDING_HAN), codes_st, max_size=len(COLLIDING_HAN))))
         for kind in kinds}
-    model = build_name_model(corpus, tables, sim_threshold=threshold)
+    model = name_model_at(threshold, corpus, tables)
     assert model.substitutions == unbounded_substitutions(model.inventory, tables, threshold)
 
 
